@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet vettool test race benchsmoke tracesmoke profsmoke vetsmoke inlinesmoke irsmoke persistsmoke telemetrysmoke analyzesmoke vmsmoke bench ci
+.PHONY: all build fmt vet vettool test race benchsmoke tracesmoke profsmoke vetsmoke inlinesmoke irsmoke persistsmoke telemetrysmoke analyzesmoke bench ci
 
 all: build
 
@@ -196,57 +196,8 @@ analyzesmoke:
 	fi; \
 	grep -q 'clobbers callee-save register s0' $$tmp/an.defect.txt
 
-# VM-mode gate: queens (deep recursion, dense conditional branches)
-# uninstrumented and under two tools, executed with every -vm-mode.
-# Stdout, tool reports, the -stats counter line (icount included), and
-# the folded profile must be byte-identical across the dispatch ladder,
-# and the -run bench JSON must carry the v7 vm_minst_s rate.
-vmsmoke:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	printf '%s\n' \
-		'#include <stdio.h>' \
-		'long colUsed[16];' \
-		'long diag1[32];' \
-		'long diag2[32];' \
-		'long solutions;' \
-		'long N;' \
-		'void place(long row) {' \
-		'	if (row == N) { solutions++; return; }' \
-		'	long c;' \
-		'	for (c = 0; c < N; c++) {' \
-		'		if (colUsed[c] || diag1[row + c] || diag2[row - c + N]) continue;' \
-		'		colUsed[c] = 1; diag1[row + c] = 1; diag2[row - c + N] = 1;' \
-		'		place(row + 1);' \
-		'		colUsed[c] = 0; diag1[row + c] = 0; diag2[row - c + N] = 0;' \
-		'	}' \
-		'}' \
-		'int main() {' \
-		'	N = 8;' \
-		'	place(0);' \
-		'	printf("queens: n=%d solutions=%d\n", N, solutions);' \
-		'	return 0;' \
-		'}' > $$tmp/queens.c; \
-	$(GO) run ./cmd/minicc -o $$tmp/queens.o $$tmp/queens.c; \
-	$(GO) run ./cmd/alink -o $$tmp/queens.x $$tmp/queens.o; \
-	$(GO) build -o $$tmp/atom ./cmd/atom; \
-	for cfg in none branch cache; do \
-		tflag=""; if [ "$$cfg" != none ]; then tflag="-t $$cfg"; fi; \
-		for mode in plain predecode superblock; do \
-			d="$$tmp/vm/$$cfg.$$mode"; mkdir -p "$$d"; \
-			(cd "$$d" && "$$tmp/atom" $$tflag -run -vm-mode="$$mode" -stats "$$tmp/queens.x" > out.txt 2> stats.txt) || exit 1; \
-			(cd "$$d" && "$$tmp/atom" $$tflag -run -vm-mode="$$mode" -profile p.folded -profile-format=folded -profile-period 997 "$$tmp/queens.x" > /dev/null) || exit 1; \
-		done; \
-		grep -q '^icount=' $$tmp/vm/$$cfg.plain/stats.txt || exit 1; \
-		diff -r $$tmp/vm/$$cfg.plain $$tmp/vm/$$cfg.predecode || exit 1; \
-		diff -r $$tmp/vm/$$cfg.plain $$tmp/vm/$$cfg.superblock || exit 1; \
-	done; \
-	grep -q 'queens: n=8 solutions=92' $$tmp/vm/none.superblock/out.txt; \
-	"$$tmp/atom" -run -bench-json $$tmp/vm/run.json $$tmp/queens.x > /dev/null; \
-	grep -q '"schema": "atom-run/v7"' $$tmp/vm/run.json; \
-	grep -q '"vm_minst_s"' $$tmp/vm/run.json
-
 # Real measurements (slow); see EXPERIMENTS.md for recorded numbers.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-ci: fmt vet vettool build race benchsmoke tracesmoke profsmoke vetsmoke inlinesmoke irsmoke persistsmoke telemetrysmoke analyzesmoke vmsmoke
+ci: fmt vet vettool build race benchsmoke tracesmoke profsmoke vetsmoke inlinesmoke irsmoke persistsmoke telemetrysmoke analyzesmoke

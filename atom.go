@@ -308,25 +308,6 @@ func ToolByName(name string) (Tool, error) {
 	return t, nil
 }
 
-// VMMode selects the VM's dispatch strategy; see the constants below.
-// Every mode retires bit-identical architectural state — the ladder is
-// an ablation/benchmarking knob, not a semantic one.
-type VMMode = vm.Mode
-
-const (
-	// VMPlain decodes every retired instruction (the slow baseline).
-	VMPlain = vm.ModePlain
-	// VMPredecode fetches from the decoded-text cache.
-	VMPredecode = vm.ModePredecode
-	// VMSuperblock (the default) additionally executes trace-linked
-	// superblocks, retiring whole straight-line runs per dispatch.
-	VMSuperblock = vm.ModeSuperblock
-)
-
-// ParseVMMode resolves "plain", "predecode", or "superblock" (the
-// `atom -vm-mode` values).
-func ParseVMMode(s string) (VMMode, error) { return vm.ParseMode(s) }
-
 // RunConfig parameterizes program execution.
 type RunConfig struct {
 	Args  []string
@@ -338,18 +319,7 @@ type RunConfig struct {
 	AnalysisHeapOffset uint64
 	// MaxInstr bounds execution (0 = default 2e9).
 	MaxInstr uint64
-	// VMMode selects the dispatch strategy (zero value = superblock).
-	VMMode VMMode
 }
-
-// RunOption is a functional tweak applied on top of a RunConfig value;
-// pass any number to RunProgram.
-type RunOption func(*RunConfig)
-
-// WithVMMode selects the VM dispatch strategy for a run — VMPlain,
-// VMPredecode, or VMSuperblock — without touching the rest of the
-// config. Ablation runs use it to hold everything else fixed.
-func WithVMMode(m VMMode) RunOption { return func(rc *RunConfig) { rc.VMMode = m } }
 
 // RunResult is the observable outcome of a program run.
 type RunResult struct {
@@ -367,18 +337,16 @@ type RunResult struct {
 	Syscalls  uint64
 }
 
-// RunProgram executes an executable on the VM to completion.
-func RunProgram(exe *Executable, cfg RunConfig, extra ...RunOption) (*RunResult, error) {
-	for _, o := range extra {
-		o(&cfg)
-	}
+// RunProgram executes an executable on the VM to completion. The VM
+// dispatches trace-linked superblocks; the result is identical to
+// executing one instruction at a time.
+func RunProgram(exe *Executable, cfg RunConfig) (*RunResult, error) {
 	m, err := vm.New(exe, vm.Config{
 		Args:               cfg.Args,
 		Stdin:              cfg.Stdin,
 		FS:                 cfg.FS,
 		AnalysisHeapOffset: cfg.AnalysisHeapOffset,
 		MaxInstr:           cfg.MaxInstr,
-		Mode:               cfg.VMMode,
 	})
 	if err != nil {
 		return nil, err

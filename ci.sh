@@ -187,54 +187,3 @@ if "$tmp/atom" -analyze -analyze-as tool "$tmp/defect.x" > "$tmp/an.defect.txt";
     exit 1
 fi
 grep -q 'clobbers callee-save register s0' "$tmp/an.defect.txt"
-
-# VM-mode gate: queens (deep recursion, dense conditional branches)
-# uninstrumented and under two tools, executed with every -vm-mode —
-# plain decode-each, predecode, and the trace-linked superblock cache.
-# Stdout, the tool report files, the -stats counter line (so icount,
-# loads, stores match exactly), and the deterministic folded profile
-# must be byte-identical across the dispatch ladder, and the -run bench
-# JSON must carry the schema-v7 vm_minst_s retirement rate.
-cat > "$tmp/queens.c" <<'EOF'
-#include <stdio.h>
-long colUsed[16];
-long diag1[32];
-long diag2[32];
-long solutions;
-long N;
-void place(long row) {
-	if (row == N) { solutions++; return; }
-	long c;
-	for (c = 0; c < N; c++) {
-		if (colUsed[c] || diag1[row + c] || diag2[row - c + N]) continue;
-		colUsed[c] = 1; diag1[row + c] = 1; diag2[row - c + N] = 1;
-		place(row + 1);
-		colUsed[c] = 0; diag1[row + c] = 0; diag2[row - c + N] = 0;
-	}
-}
-int main() {
-	N = 8;
-	place(0);
-	printf("queens: n=%d solutions=%d\n", N, solutions);
-	return 0;
-}
-EOF
-go run ./cmd/minicc -o "$tmp/queens.o" "$tmp/queens.c"
-go run ./cmd/alink -o "$tmp/queens.x" "$tmp/queens.o"
-for cfg in none branch cache; do
-    tflag=""
-    if [ "$cfg" != none ]; then tflag="-t $cfg"; fi
-    for mode in plain predecode superblock; do
-        d="$tmp/vm/$cfg.$mode"
-        mkdir -p "$d"
-        (cd "$d" && "$tmp/atom" $tflag -run -vm-mode="$mode" -stats "$tmp/queens.x" > out.txt 2> stats.txt)
-        (cd "$d" && "$tmp/atom" $tflag -run -vm-mode="$mode" -profile p.folded -profile-format=folded -profile-period 997 "$tmp/queens.x" > /dev/null)
-    done
-    grep -q '^icount=' "$tmp/vm/$cfg.plain/stats.txt"
-    diff -r "$tmp/vm/$cfg.plain" "$tmp/vm/$cfg.predecode"
-    diff -r "$tmp/vm/$cfg.plain" "$tmp/vm/$cfg.superblock"
-done
-grep -q 'queens: n=8 solutions=92' "$tmp/vm/none.superblock/out.txt"
-"$tmp/atom" -run -bench-json "$tmp/vm/run.json" "$tmp/queens.x" > /dev/null
-grep -q '"schema": "atom-run/v7"' "$tmp/vm/run.json"
-grep -q '"vm_minst_s"' "$tmp/vm/run.json"

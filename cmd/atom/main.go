@@ -22,14 +22,9 @@
 //	atom -t prof -run -profile p.txt prog.x # instrument, run, profile
 //	atom -run -profile p.folded -profile-format=folded prog.x
 //
-// -vm-mode selects the dispatch strategy — plain (decode every
-// instruction), predecode (decoded-text cache), or superblock (the
-// default: trace-linked superblock cache, roughly 2.5x predecode). All
-// three retire bit-identical architectural state, so the slower modes
-// exist for ablation and differential testing:
-//
-//	atom -run -vm-mode=plain prog.x         # decode-each baseline
-//	atom -run -vm-mode=superblock prog.x    # default dispatch
+// The VM runs on a trace-linked superblock cache, profiled or not: the
+// profiler's call/return events fire at block terminators, and only a
+// block that would retire a sampling point is single-stepped.
 //
 // The pipeline is observable end to end:
 //
@@ -135,7 +130,6 @@ func run() (code int) {
 		verifyTrace   = flag.String("verify-trace", "", "validate a trace file written by -trace and exit (CI smoke)")
 		verifyFolded  = flag.String("verify-folded", "", "validate a folded-stack profile written by -profile-format=folded and exit (CI smoke)")
 		runMode       = flag.Bool("run", false, "execute the (instrumented) program on the VM; extra arguments become its argv")
-		vmMode        = flag.String("vm-mode", "superblock", "VM dispatch strategy for -run, slowest to fastest: plain (decode every instruction) | predecode (decoded-text cache) | superblock (trace-linked superblock cache); all three retire bit-identical state")
 		profilePath   = flag.String("profile", "", "sample the VM run and write the profile to this file (implies -run)")
 		profilePeriod = flag.Uint64("profile-period", 10000, "sampling period in retired instructions")
 		profileFormat = flag.String("profile-format", "flat", "profile report format: flat | folded")
@@ -388,10 +382,6 @@ func run() (code int) {
 	}
 
 	if doRun {
-		vmm, err := vm.ParseMode(*vmMode)
-		if err != nil {
-			return fail(err)
-		}
 		return runUnderVM(ctx, metricsSink, runConfig{
 			input:         flag.Arg(0),
 			progArgs:      flag.Args()[1:],
@@ -404,7 +394,6 @@ func run() (code int) {
 			profilePeriod: *profilePeriod,
 			profileFormat: *profileFormat,
 			stats:         *stats,
-			vmMode:        vmm,
 		})
 	}
 
@@ -545,7 +534,6 @@ type runConfig struct {
 	profilePeriod uint64
 	profileFormat string
 	stats         bool
-	vmMode        vm.Mode
 }
 
 // runUnderVM executes one program on the VM — instrumenting it first
@@ -565,7 +553,6 @@ func runUnderVM(ctx *obs.Ctx, metricsSink *obs.MetricsSink, rc runConfig) int {
 		Args: rc.progArgs,
 		FS:   map[string][]byte{},
 		Obs:  ctx,
-		Mode: rc.vmMode,
 	}
 	var pcMap func(uint64) (uint64, bool)
 	procs := prof.ProcsFromSymbols(app.Symbols)

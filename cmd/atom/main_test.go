@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"atom/internal/figures"
 	"atom/internal/obs"
+	"atom/internal/spec"
 )
 
 // captureFD swaps one of the process's standard streams for a pipe
@@ -113,5 +116,49 @@ func TestOutputName(t *testing.T) {
 		if got := outputName(tc.in, tc.explicit); got != tc.want {
 			t.Errorf("outputName(%q, %q) = %q, want %q", tc.in, tc.explicit, got, tc.want)
 		}
+	}
+}
+
+// TestRunQueensBenchJSON drives `atom -run -stats -bench-json` on the
+// queens suite program: the run prints the known answer, the -stats
+// counter line, and an atom-run/v7 document carrying the VM's
+// retirement rate.
+func TestRunQueensBenchJSON(t *testing.T) {
+	exe, err := spec.Build("queens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	input, doc := filepath.Join(dir, "queens.x"), filepath.Join(dir, "run.json")
+	if err := exe.WriteFile(input); err != nil {
+		t.Fatal(err)
+	}
+	sink := &obs.MetricsSink{}
+	var status int
+	var stderr string
+	stdout := captureFD(t, &os.Stdout, func() {
+		stderr = captureFD(t, &os.Stderr, func() {
+			status = runUnderVM(obs.New(sink), sink, runConfig{input: input, benchJSON: doc, stats: true})
+		})
+	})
+	if status != 0 {
+		t.Fatalf("status %d, stderr %q", status, stderr)
+	}
+	if !strings.Contains(stdout, "queens: n=8 solutions=92") {
+		t.Errorf("stdout = %q, want the 92 solutions", stdout)
+	}
+	if !strings.HasPrefix(stderr, "icount=") {
+		t.Errorf("stderr = %q, want the -stats counter line", stderr)
+	}
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rd figures.RunDoc
+	if err := json.Unmarshal(data, &rd); err != nil {
+		t.Fatal(err)
+	}
+	if rd.Schema != "atom-run/v7" || rd.VMMinstS <= 0 {
+		t.Errorf("bench JSON schema %q vm_minst_s %v, want atom-run/v7 with a positive rate", rd.Schema, rd.VMMinstS)
 	}
 }

@@ -33,14 +33,16 @@ import (
 //     drops every superblock whose span overlaps the store, then bails
 //     out of the current block after that op, so stale harvested code
 //     is never executed (self-modifying code stays exact).
-//   - Blocks are entered only when the remaining instruction budget
-//     covers the whole block; otherwise the dispatcher single-steps, so
-//     MaxInstr exhaustion yields the same Icount, PC, and error text as
-//     the plain loop.
-//
-// Trace, Probe, and SamplePeriod force per-instruction dispatch (Run
-// never selects this path), so the deterministic profiler's event
-// sequence is bit-identical with superblocks available.
+//   - Blocks are entered only when they fit under the fence: the
+//     instruction budget, or the instruction before the next sampling
+//     point when a probe samples. A block that would cross the fence is
+//     single-stepped through Step, so MaxInstr exhaustion yields the
+//     same Icount, PC, and error text as the Step loop, and Sample
+//     fires before the sampled instruction's side effects.
+//   - Probe Call and Return fire at the terminators where exec fires
+//     them — a bsr writing a link register, a jsr writing one, and any
+//     ret — with the same PCs and targets, across trace links too. The
+//     probe's event stream is therefore the Step loop's.
 
 // sbMaxOps bounds harvesting; long straight-line runs split into
 // chained (and linked) blocks.
@@ -156,23 +158,26 @@ func (m *Machine) sbInvalidate(addr uint64, size int) {
 	}
 }
 
-// runSuperblocks is Run's dispatch loop in ModeSuperblock. PCs without
-// a block — and blocks larger than the remaining instruction budget —
-// are single-stepped with the plain loop's exact semantics.
+// runSuperblocks is Run's dispatch loop. PCs without a block — and
+// blocks that would cross the fence — are single-stepped through Step.
 func (m *Machine) runSuperblocks() (int, error) {
+	fence := m.fence()
 	for !m.halted {
 		if m.Icount >= m.cfg.MaxInstr {
 			return 0, budgetErr(m.cfg.MaxInstr, m.PC)
 		}
+		if m.Icount > fence {
+			fence = m.fence()
+		}
 		sb := m.lookupSB(m.PC)
-		if sb == nil || m.cfg.MaxInstr-m.Icount < uint64(sb.n) {
-			if err := m.stepFast(); err != nil {
+		if sb == nil || fence-m.Icount < uint64(sb.n) {
+			if err := m.Step(); err != nil {
 				return 0, err
 			}
 			continue
 		}
 		m.sbHits++
-		exit, err := m.runSB(sb)
+		exit, err := m.runSB(sb, fence)
 		if err != nil {
 			return 0, err
 		}
@@ -188,13 +193,23 @@ func (m *Machine) runSuperblocks() (int, error) {
 	return m.exitCode, nil
 }
 
+// fence returns the highest Icount a superblock may retire up to: the
+// instruction budget, or the count just before the next sampling point,
+// whichever comes first.
+func (m *Machine) fence() uint64 {
+	f := m.cfg.MaxInstr
+	if p := m.cfg.SamplePeriod; p != 0 && m.cfg.Probe != nil {
+		f = min(f, (m.Icount/p+1)*p-1)
+	}
+	return f
+}
+
 // runSB executes one superblock (and anything reachable over valid
-// trace links). On return m.PC and m.Icount are exact. The returned op
-// is the static exit taken, for link installation; nil for dynamic
-// exits, text-store bailouts, and faults.
-func (m *Machine) runSB(sb *superblock) (*sbOp, error) {
+// trace links) without retiring past fence. On return m.PC and m.Icount
+// are exact. The returned op is the static exit taken, for link
+// installation; nil for dynamic exits, text-store bailouts, and faults.
+func (m *Machine) runSB(sb *superblock, fence uint64) (*sbOp, error) {
 	base := m.Icount
-	maxI := m.cfg.MaxInstr
 	r := &m.Reg
 	ops := sb.ops
 	i := 0
@@ -221,7 +236,7 @@ func (m *Machine) runSB(sb *superblock) (*sbOp, error) {
 		case sbOpGuard:
 			if op.cond(r) {
 				ic := base + uint64(i) + 1
-				if next := op.link; next != nil && op.linkGen == m.sbGen && maxI-ic >= uint64(next.n) {
+				if next := op.link; next != nil && op.linkGen == m.sbGen && fence-ic >= uint64(next.n) {
 					m.sbHits++
 					base, ops, i = ic, next.ops, 0
 					continue
@@ -233,9 +248,12 @@ func (m *Machine) runSB(sb *superblock) (*sbOp, error) {
 		case sbOpJump:
 			if op.reg != nil {
 				op.reg(r)
+				if m.cfg.Probe != nil {
+					m.cfg.Probe.Call(op.pc, op.target)
+				}
 			}
 			ic := base + uint64(i) + 1
-			if next := op.link; next != nil && op.linkGen == m.sbGen && maxI-ic >= uint64(next.n) {
+			if next := op.link; next != nil && op.linkGen == m.sbGen && fence-ic >= uint64(next.n) {
 				m.sbHits++
 				base, ops, i = ic, next.ops, 0
 				continue
@@ -252,10 +270,18 @@ func (m *Machine) runSB(sb *superblock) (*sbOp, error) {
 			}
 			m.Icount = base + uint64(i) + 1
 			m.PC = target
+			if m.cfg.Probe != nil {
+				switch {
+				case op.inst.Op == alpha.OpJsr && op.ra != alpha.Zero:
+					m.cfg.Probe.Call(op.pc, target)
+				case op.inst.Op == alpha.OpRet:
+					m.cfg.Probe.Return(op.pc, target)
+				}
+			}
 			return nil, nil
 		default: // sbOpExit
 			ic := base + uint64(i)
-			if next := op.link; next != nil && op.linkGen == m.sbGen && maxI-ic >= uint64(next.n) {
+			if next := op.link; next != nil && op.linkGen == m.sbGen && fence-ic >= uint64(next.n) {
 				m.sbHits++
 				base, ops, i = ic, next.ops, 0
 				continue
@@ -266,20 +292,6 @@ func (m *Machine) runSB(sb *superblock) (*sbOp, error) {
 		}
 		i++
 	}
-}
-
-// stepFast executes one instruction with the predecode fast path's
-// exact semantics (the caller has already checked the budget).
-func (m *Machine) stepFast() error {
-	if m.PC < m.exe.TextAddr || m.PC+4 > m.textEnd || m.PC%4 != 0 {
-		return m.faultf("instruction fetch from %#x outside text", m.PC)
-	}
-	idx := (m.PC - m.exe.TextAddr) / 4
-	if !m.codeOK[idx] {
-		return m.decodeFault()
-	}
-	m.Icount++
-	return m.exec(m.code[idx])
 }
 
 // buildSB harvests the superblock entered at pc (known in-text, aligned,

@@ -1,9 +1,11 @@
 package vm
 
 import (
-	"crypto/sha256"
 	"fmt"
+	"hash/maphash"
+	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,13 +13,13 @@ import (
 )
 
 // vmState captures everything architecturally observable about a halted
-// machine, for differential comparison across dispatch modes.
+// machine, for differential comparison between the two run loops.
 type vmState struct {
 	exit      int
 	errText   string
 	pc        uint64
 	regs      [32]int64
-	memDigest [32]byte
+	memDigest uint64
 	icount    uint64
 	loads     uint64
 	stores    uint64
@@ -27,18 +29,40 @@ type vmState struct {
 	files     string
 }
 
-func runMode(t *testing.T, exe *aout.File, cfg Config, mode Mode) (*Machine, vmState) {
+// memSeed keys the memory digests so they compare within one process.
+var memSeed = maphash.MakeSeed()
+
+// probeEvent is one Probe callback: 'S'ample, 'C'all or 'R'eturn.
+type probeEvent struct {
+	kind       byte
+	pc, target uint64
+}
+
+// recProbe records the ordered Probe event stream.
+type recProbe struct{ events []probeEvent }
+
+func (p *recProbe) Sample(pc uint64) { p.record('S', pc, 0) }
+
+func (p *recProbe) Call(pc, target uint64) { p.record('C', pc, target) }
+
+func (p *recProbe) Return(pc, target uint64) { p.record('R', pc, target) }
+
+func (p *recProbe) record(kind byte, pc, target uint64) {
+	p.events = append(p.events, probeEvent{kind, pc, target})
+}
+
+// runVM runs exe once under cfg and captures the outcome.
+func runVM(t *testing.T, exe *aout.File, cfg Config) (*Machine, vmState) {
 	t.Helper()
-	cfg.Mode = mode
 	m, err := New(exe, cfg)
 	if err != nil {
-		t.Fatalf("New(%v): %v", mode, err)
+		t.Fatalf("New: %v", err)
 	}
 	code, rerr := m.Run()
 	st := vmState{
 		exit:      code,
 		pc:        m.PC,
-		memDigest: sha256.Sum256(m.Mem),
+		memDigest: maphash.Bytes(memSeed, m.Mem),
 		icount:    m.Icount,
 		loads:     m.Loads,
 		stores:    m.Stores,
@@ -56,22 +80,69 @@ func runMode(t *testing.T, exe *aout.File, cfg Config, mode Mode) (*Machine, vmS
 	return m, st
 }
 
-// diffModes runs the program under every dispatch mode and requires
-// bit-identical architectural outcomes.
+// runRef runs exe on the per-instruction Step loop, which a tracer
+// selects: the reference the superblock loop must match.
+func runRef(t *testing.T, exe *aout.File, cfg Config) (*Machine, vmState) {
+	t.Helper()
+	cfg.Trace = io.Discard
+	return runVM(t, exe, cfg)
+}
+
+// diffProbed runs exe with a recording probe on both loops and requires
+// identical states and identical ordered event streams.
+func diffProbed(t *testing.T, exe *aout.File, cfg Config, period uint64) {
+	t.Helper()
+	var want, got recProbe
+	ref := cfg
+	ref.Probe, ref.SamplePeriod = &want, period
+	_, wantSt := runRef(t, exe, ref)
+	cfg.Probe, cfg.SamplePeriod = &got, period
+	_, gotSt := runVM(t, exe, cfg)
+	if gotSt != wantSt {
+		t.Errorf("period %d, MaxInstr %d: superblock state diverged:\n ref: %+v\n got: %+v", period, cfg.MaxInstr, wantSt, gotSt)
+	}
+	if !slices.Equal(got.events, want.events) {
+		i := 0
+		for i < len(got.events) && i < len(want.events) && got.events[i] == want.events[i] {
+			i++
+		}
+		t.Errorf("period %d, MaxInstr %d: probe streams diverge at event %d of %d (ref %d events)",
+			period, cfg.MaxInstr, i, len(got.events), len(want.events))
+	}
+}
+
+// diffModes runs the program on the superblock loop and on the Step
+// loop and requires bit-identical architectural outcomes — bare, and
+// with a recording probe at several sampling periods, both unbounded
+// and with budgets straddling a sampling point.
 func diffModes(t *testing.T, exe *aout.File, cfg Config) vmState {
 	t.Helper()
-	_, plain := runMode(t, exe, cfg, ModePlain)
-	for _, mode := range []Mode{ModePredecode, ModeSuperblock} {
-		if _, got := runMode(t, exe, cfg, mode); got != plain {
-			t.Errorf("%v diverged from plain:\n plain: %+v\n %v: %+v", mode, plain, mode, got)
+	if cfg.MemSize == 0 {
+		// The programs are tiny and each one runs ~50 times here; a
+		// small address space keeps allocating and digesting it cheap.
+		cfg.MemSize = 8 << 20
+	}
+	_, want := runRef(t, exe, cfg)
+	if _, got := runVM(t, exe, cfg); got != want {
+		t.Errorf("superblock diverged from Step loop:\n ref: %+v\n got: %+v", want, got)
+	}
+	for _, period := range []uint64{0, 1, 2, 3, 7, 97} {
+		diffProbed(t, exe, cfg, period)
+		if s := want.icount / 2 / max(period, 1) * period; s > 1 {
+			for _, budget := range []uint64{s - 1, s, s + 1} {
+				bounded := cfg
+				bounded.MaxInstr = budget
+				diffProbed(t, exe, bounded, period)
+			}
 		}
 	}
-	return plain
+	return want
 }
 
 // TestSuperblockMatchesPlain: structured programs covering every block
 // shape — loops, calls through bsr/jsr/ret, guards both ways, memory
-// traffic, unaligned accesses, PAL services mid-stream, and file I/O.
+// traffic, unaligned accesses, PAL services mid-stream, and file I/O —
+// must match the plain per-instruction Step loop.
 func TestSuperblockMatchesPlain(t *testing.T) {
 	progs := map[string]string{
 		"loop-and-calls": `
@@ -164,7 +235,7 @@ helper:
 // TestSuperblockRandomPrograms is the property test: pseudo-random short
 // programs — straight-line arithmetic, forward guards, bounded loops,
 // subroutine calls, loads and stores at mixed alignment — must retire
-// bit-identical state under all three modes.
+// bit-identical state and probe streams on both run loops.
 func TestSuperblockRandomPrograms(t *testing.T) {
 	regs := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
 	rr := []string{"addq", "subq", "xor", "and", "bis", "bic", "cmpeq", "cmplt", "cmpule", "s4addq", "s8addq", "addl", "subl", "mull"}
@@ -244,7 +315,7 @@ func TestSuperblockRandomPrograms(t *testing.T) {
 
 // TestSuperblockMaxInstrBoundary: superblock dispatch must retire
 // exactly up to the instruction budget — same Icount, same PC, and the
-// same error text as the plain loop, at and around the exact boundary.
+// same error text as the Step loop, at and around the exact boundary.
 func TestSuperblockMaxInstrBoundary(t *testing.T) {
 	exe := build(t, `
 	.text
@@ -261,7 +332,7 @@ loop:
 	call_pal 0
 	.end __start
 `)
-	_, full := runMode(t, exe, Config{}, ModePlain)
+	_, full := runRef(t, exe, Config{})
 	if full.errText != "" {
 		t.Fatalf("unbounded run failed: %s", full.errText)
 	}
@@ -269,10 +340,10 @@ loop:
 	budgets := []uint64{1, 2, 3, n / 2, n - 2, n - 1, n, n + 1}
 	for _, max := range budgets {
 		cfg := Config{MaxInstr: max}
-		_, plain := runMode(t, exe, cfg, ModePlain)
-		_, sb := runMode(t, exe, cfg, ModeSuperblock)
+		_, plain := runRef(t, exe, cfg)
+		_, sb := runVM(t, exe, cfg)
 		if sb != plain {
-			t.Errorf("MaxInstr=%d: superblock %+v, plain %+v", max, sb, plain)
+			t.Errorf("MaxInstr=%d: superblock %+v, Step loop %+v", max, sb, plain)
 		}
 		if max >= n && plain.errText != "" {
 			t.Errorf("MaxInstr=%d >= natural icount %d but run errored: %s", max, n, plain.errText)
@@ -286,7 +357,7 @@ loop:
 // TestSuperblockSelfModifyMidRun rewrites an instruction inside an
 // already-executed, cached superblock — from inside that very block —
 // and requires the patched semantics on the next pass, identically to
-// the plain loop.
+// the Step loop.
 func TestSuperblockSelfModifyMidRun(t *testing.T) {
 	exe := build(t, `
 	.text
@@ -314,7 +385,7 @@ patch:
 	if st.exit != 77 {
 		t.Errorf("exit = %d, want 77 (patched instruction not executed)", st.exit)
 	}
-	m, _ := runMode(t, exe, Config{}, ModeSuperblock)
+	m, _ := runVM(t, exe, Config{})
 	if m.sbInval == 0 {
 		t.Error("store into a cached superblock recorded no invalidation")
 	}
@@ -360,13 +431,13 @@ __start:
 	for name, src := range progs {
 		t.Run(name, func(t *testing.T) {
 			exe := build(t, src)
-			_, plain := runMode(t, exe, Config{}, ModePlain)
-			_, sb := runMode(t, exe, Config{}, ModeSuperblock)
+			_, plain := runRef(t, exe, Config{})
+			_, sb := runVM(t, exe, Config{})
 			if plain.errText == "" {
 				t.Fatal("expected a fault")
 			}
 			if sb != plain {
-				t.Errorf("superblock fault state %+v\nplain fault state %+v", sb, plain)
+				t.Errorf("superblock fault state %+v\nStep loop fault state %+v", sb, plain)
 			}
 		})
 	}
@@ -388,7 +459,7 @@ loop:
 	call_pal 0
 	.end __start
 `)
-	m, st := runMode(t, exe, Config{}, ModeSuperblock)
+	m, st := runVM(t, exe, Config{})
 	if st.errText != "" {
 		t.Fatal(st.errText)
 	}
@@ -401,41 +472,18 @@ loop:
 	if m.sbHits < 2000 {
 		t.Errorf("sbHits = %d, want >= one per loop iteration", m.sbHits)
 	}
+	// A sampling probe keeps the loop on superblocks: only the block
+	// that would retire each sampling point is single-stepped.
+	p := &recProbe{}
+	m, _ = runVM(t, exe, Config{Probe: p, SamplePeriod: 97})
+	if m.sbHits < 1900 {
+		t.Errorf("with a probe, sbHits = %d, want >= 1900 of 2000 loop iterations", m.sbHits)
+	}
+	if want := int(m.Icount / 97); len(p.events) != want {
+		t.Errorf("probe recorded %d samples, want %d", len(p.events), want)
+	}
 	tot := Totals()
 	if tot.SBBuilt == 0 || tot.SBHits == 0 {
 		t.Errorf("process totals missed superblock activity: %+v", tot)
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Mode
-	}{
-		{"plain", ModePlain},
-		{"predecode", ModePredecode},
-		{"superblock", ModeSuperblock},
-		{"", ModeDefault},
-	} {
-		got, err := ParseMode(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := ParseMode("turbo"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
-	}
-	if got := ModeDefault.String(); got != "superblock" {
-		t.Errorf("ModeDefault.String() = %q", got)
-	}
-	// The legacy unexported knobs map onto the mode ladder.
-	if m := (&Config{noPredecode: true}).dispatchMode(); m != ModePlain {
-		t.Errorf("noPredecode resolved to %v", m)
-	}
-	if m := (&Config{noSuperblock: true}).dispatchMode(); m != ModePredecode {
-		t.Errorf("noSuperblock resolved to %v", m)
-	}
-	if m := (&Config{}).dispatchMode(); m != ModeSuperblock {
-		t.Errorf("default resolved to %v", m)
 	}
 }

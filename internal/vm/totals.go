@@ -28,7 +28,7 @@ type TotalStats struct {
 	Stores    uint64
 	Syscalls  uint64
 	Unaligned uint64
-	// Superblock-cache activity (zero outside ModeSuperblock).
+	// Superblock-cache activity.
 	SBBuilt uint64 // superblocks harvested
 	SBHits  uint64 // block executions, including trace-link transitions
 	SBLinks uint64 // trace links installed

@@ -50,7 +50,9 @@ type Config struct {
 	// starting where the other left off).
 	AnalysisHeapOffset uint64
 	// Trace, when non-nil, receives one disassembled line per retired
-	// instruction — for debugging tools and inserted code. Slow.
+	// instruction — for debugging tools and inserted code. Slow: a
+	// tracer selects the per-instruction Step loop, which is also the
+	// reference the superblock loop is tested against.
 	Trace io.Writer
 	// Obs, when non-nil, records each Run under a "vm.run" span and
 	// flushes the machine's dynamic statistics (instructions, loads,
@@ -62,26 +64,14 @@ type Config struct {
 	// every SamplePeriod retired instructions. All callbacks are a pure
 	// function of the instruction stream, so a deterministic program
 	// yields a deterministic event sequence (internal/prof builds its
-	// sampling profiler on this).
+	// sampling profiler on this). A probe runs on superblocks: Call and
+	// Return fire at block terminators, and a block that would retire a
+	// sampling point is single-stepped instead, so the event stream is
+	// the one the Step loop produces.
 	Probe Probe
 	// SamplePeriod is the sampling period in retired instructions; zero
 	// disables Sample callbacks.
 	SamplePeriod uint64
-	// Mode selects the dispatch strategy (see mode.go); the zero value
-	// selects superblock dispatch. All modes retire the identical
-	// architectural state — Mode is an ablation/debugging knob, not a
-	// semantic one. Trace and Probe callbacks force per-instruction
-	// dispatch regardless of Mode, so observed event sequences are
-	// bit-identical across modes.
-	Mode Mode
-	// noPredecode disables the text predecode cache, re-decoding every
-	// retired instruction as earlier versions did. Ablation knob for
-	// BenchmarkVMRun; not exported because there is no reason to run
-	// this way in production (use Mode instead).
-	noPredecode bool
-	// noSuperblock caps dispatch at the predecode fast path, mirroring
-	// noPredecode one layer up.
-	noSuperblock bool
 }
 
 // Probe receives control-flow events from a running machine.
@@ -128,10 +118,10 @@ type Machine struct {
 	code    []alpha.Inst
 	codeOK  []bool
 	textEnd uint64
-	// Superblock cache (ModeSuperblock only; see superblock.go). sbByIdx
-	// maps text word index -> block entered at that PC (sbNone marks
-	// unbuildable entries); sbAll is the registry invalidation scans;
-	// sbGen invalidates trace links wholesale when bumped.
+	// Superblock cache (see superblock.go). sbByIdx maps text word
+	// index -> block entered at that PC (sbNone marks unbuildable
+	// entries); sbAll is the registry invalidation scans; sbGen
+	// invalidates trace links wholesale when bumped.
 	sbByIdx  []*superblock
 	sbAll    []*superblock
 	sbGen    uint64
@@ -181,19 +171,15 @@ func New(exe *aout.File, cfg Config) (*Machine, error) {
 	copy(m.Mem[exe.TextAddr:], exe.Text)
 	copy(m.Mem[exe.DataAddr:], exe.Data)
 	m.textEnd = exe.TextAddr + uint64(len(exe.Text))
-	if mode := cfg.dispatchMode(); mode != ModePlain {
-		n := len(exe.Text) / 4
-		m.code = make([]alpha.Inst, n)
-		m.codeOK = make([]bool, n)
-		for i := 0; i < n; i++ {
-			if inst, err := alpha.Decode(le32(exe.Text[i*4:])); err == nil {
-				m.code[i], m.codeOK[i] = inst, true
-			}
-		}
-		if mode == ModeSuperblock {
-			m.sbByIdx = make([]*superblock, n)
+	n := len(exe.Text) / 4
+	m.code = make([]alpha.Inst, n)
+	m.codeOK = make([]bool, n)
+	for i := 0; i < n; i++ {
+		if inst, err := alpha.Decode(le32(exe.Text[i*4:])); err == nil {
+			m.code[i], m.codeOK[i] = inst, true
 		}
 	}
+	m.sbByIdx = make([]*superblock, n)
 	m.heapBase = align8(bssEnd)
 	m.brk = m.heapBase
 	m.brk2 = m.heapBase + cfg.AnalysisHeapOffset
@@ -278,45 +264,19 @@ func (m *Machine) Run() (int, error) {
 			m.cfg.Obs.Count("vm.stores", int64(m.Stores-s0))
 			m.cfg.Obs.Count("vm.unaligned", int64(m.Unaligned-u0))
 			m.cfg.Obs.Count("vm.syscalls", int64(m.Syscalls-p0))
-			if m.sbByIdx != nil {
-				m.cfg.Obs.Count("vm.sb.built", int64(m.sbBuilt-sb0))
-				m.cfg.Obs.Count("vm.sb.hits", int64(m.sbHits-sh0))
-				m.cfg.Obs.Count("vm.sb.links", int64(m.sbLinks-sl0))
-				m.cfg.Obs.Count("vm.sb.invalidations", int64(m.sbInval-sv0))
-			}
+			m.cfg.Obs.Count("vm.sb.built", int64(m.sbBuilt-sb0))
+			m.cfg.Obs.Count("vm.sb.hits", int64(m.sbHits-sh0))
+			m.cfg.Obs.Count("vm.sb.links", int64(m.sbLinks-sl0))
+			m.cfg.Obs.Count("vm.sb.invalidations", int64(m.sbInval-sv0))
 			sp.SetAttr(obs.Int("icount", int64(m.Icount-i0)))
 			sp.End()
 		}()
 	}
-	// Hottest path: superblock dispatch retires whole harvested blocks
-	// per loop iteration. Any per-instruction observer — tracer, probe
-	// (the profiler) — forces the per-instruction paths below so event
-	// sequences stay bit-identical.
-	if m.sbByIdx != nil && m.cfg.Trace == nil && m.cfg.Probe == nil {
+	// A tracer prints every retired instruction, so it gets the
+	// per-instruction loop; everything else — the profiler's probe
+	// included — runs on superblocks.
+	if m.cfg.Trace == nil {
 		return m.runSuperblocks()
-	}
-	// Hot path: without a tracer or a sampling probe there is nothing to
-	// check per retired instruction, so the loop runs fetch/count/execute
-	// only. Probe Call/Return events still fire — they are tested on the
-	// control-transfer opcodes inside exec, not per instruction.
-	if m.cfg.Trace == nil && (m.cfg.Probe == nil || m.cfg.SamplePeriod == 0) && m.code != nil {
-		for !m.halted {
-			if m.Icount >= m.cfg.MaxInstr {
-				return 0, budgetErr(m.cfg.MaxInstr, m.PC)
-			}
-			if m.PC < m.exe.TextAddr || m.PC+4 > m.textEnd || m.PC%4 != 0 {
-				return 0, m.faultf("instruction fetch from %#x outside text", m.PC)
-			}
-			idx := (m.PC - m.exe.TextAddr) / 4
-			if !m.codeOK[idx] {
-				return 0, m.decodeFault()
-			}
-			m.Icount++
-			if err := m.exec(m.code[idx]); err != nil {
-				return 0, err
-			}
-		}
-		return m.exitCode, nil
 	}
 	for !m.halted {
 		if m.Icount >= m.cfg.MaxInstr {
@@ -329,37 +289,25 @@ func (m *Machine) Run() (int, error) {
 	return m.exitCode, nil
 }
 
-// budgetErr is the MaxInstr exhaustion error; one constructor so every
-// dispatch mode produces the identical text.
+// budgetErr is the MaxInstr exhaustion error; one constructor so both
+// run loops produce the identical text.
 func budgetErr(max, pc uint64) error {
 	return fmt.Errorf("vm: instruction budget %d exhausted at pc %#x", max, pc)
 }
 
-// fetch returns the decoded instruction at m.PC, from the predecode
-// cache when present.
+// fetch returns the decoded instruction at m.PC from the predecode
+// cache.
 func (m *Machine) fetch() (alpha.Inst, error) {
 	if m.PC < m.exe.TextAddr || m.PC+4 > m.textEnd || m.PC%4 != 0 {
 		return alpha.Inst{}, m.faultf("instruction fetch from %#x outside text", m.PC)
 	}
-	if m.code != nil {
-		idx := (m.PC - m.exe.TextAddr) / 4
-		if !m.codeOK[idx] {
-			return alpha.Inst{}, m.decodeFault()
-		}
-		return m.code[idx], nil
-	}
-	inst, err := alpha.Decode(le32(m.Mem[m.PC:]))
-	if err != nil {
+	idx := (m.PC - m.exe.TextAddr) / 4
+	if !m.codeOK[idx] {
+		// Re-decode the word for the decoder's own diagnostic.
+		_, err := alpha.Decode(le32(m.Mem[m.PC:]))
 		return alpha.Inst{}, m.faultf("%v", err)
 	}
-	return inst, nil
-}
-
-// decodeFault re-decodes the word at m.PC to produce the same
-// diagnostic the un-cached path would have.
-func (m *Machine) decodeFault() error {
-	_, err := alpha.Decode(le32(m.Mem[m.PC:]))
-	return m.faultf("%v", err)
+	return m.code[idx], nil
 }
 
 func le32(b []byte) uint32 {
@@ -591,11 +539,9 @@ func (m *Machine) store(i alpha.Inst) error {
 	for j := 0; j < size; j++ {
 		m.Mem[addr+uint64(j)] = byte(v >> (8 * j))
 	}
-	if m.code != nil && addr < m.textEnd && addr+uint64(size) > m.exe.TextAddr {
+	if addr < m.textEnd && addr+uint64(size) > m.exe.TextAddr {
 		m.redecode(addr, size)
-		if m.sbByIdx != nil {
-			m.sbInvalidate(addr, size)
-		}
+		m.sbInvalidate(addr, size)
 	}
 	return nil
 }

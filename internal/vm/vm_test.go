@@ -643,44 +643,6 @@ __start:
 	}
 }
 
-// TestPredecodeMatchesDecodeEach: the predecode cache must be invisible —
-// same outputs, same counts, same exit code as re-decoding per fetch.
-func TestPredecodeMatchesDecodeEach(t *testing.T) {
-	src := `
-	.text
-	.globl __start
-	.ent __start
-__start:
-	li t0, 1000
-	clr t1
-loop:
-	addq t1, t0, t1
-	subq t0, 1, t0
-	bne t0, loop
-	and t1, 255, a0
-	call_pal 0
-	.end __start
-`
-	exe := build(t, src)
-	var icounts [2]uint64
-	var codes [2]int
-	for i, off := range []bool{false, true} {
-		m, err := New(exe, Config{noPredecode: off})
-		if err != nil {
-			t.Fatal(err)
-		}
-		code, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		icounts[i], codes[i] = m.Icount, code
-	}
-	if icounts[0] != icounts[1] || codes[0] != codes[1] {
-		t.Errorf("predecode changed execution: icount %d vs %d, exit %d vs %d",
-			icounts[0], icounts[1], codes[0], codes[1])
-	}
-}
-
 // TestPredecodeSelfModify: a store into the text segment must be picked
 // up by the predecode cache (the ISA allows self-modifying code even if
 // nothing we build emits it).
@@ -709,56 +671,11 @@ patch:
 	}
 }
 
-// BenchmarkVMRun measures the interpreter's host-side throughput with
-// the predecode cache on (the default) and off (decode every retired
-// instruction, the pre-cache behavior).
+// BenchmarkVMRun measures the interpreter's host-side throughput on a
+// register-only loop. Each iteration is a fresh machine, so it also
+// prices harvesting: the handful of blocks are rebuilt and then run
+// 3M instructions.
 func BenchmarkVMRun(b *testing.B) {
-	src := `
-	.text
-	.globl __start
-	.ent __start
-__start:
-	li t0, 500000
-	clr t1
-loop:
-	addq t1, t0, t1
-	xor t1, t0, t2
-	s8addq t2, t1, t3
-	cmplt t3, t1, t4
-	subq t0, 1, t0
-	bne t0, loop
-	clr a0
-	call_pal 0
-	.end __start
-`
-	exe := build(b, src)
-	for _, bc := range []struct {
-		name string
-		mode Mode
-	}{{"superblock", ModeSuperblock}, {"predecode", ModePredecode}, {"decode-each", ModePlain}} {
-		b.Run(bc.name, func(b *testing.B) {
-			var insts uint64
-			for i := 0; i < b.N; i++ {
-				m, err := New(exe, Config{Mode: bc.mode})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-				insts += m.Icount
-			}
-			b.ReportMetric(float64(insts)/1e6/b.Elapsed().Seconds(), "Minst/s")
-		})
-	}
-}
-
-// BenchmarkVMRunSuperblock measures superblock dispatch alone on the
-// same workload, reusing one machine's warmed block cache across
-// iterations via fresh machines (the cache is per-machine, so this also
-// prices harvesting: each iteration rebuilds the handful of blocks and
-// then runs 3M instructions out of them).
-func BenchmarkVMRunSuperblock(b *testing.B) {
 	src := `
 	.text
 	.globl __start
@@ -780,7 +697,7 @@ loop:
 	exe := build(b, src)
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		m, err := New(exe, Config{Mode: ModeSuperblock})
+		m, err := New(exe, Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

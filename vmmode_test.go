@@ -1,12 +1,13 @@
 package atom_test
 
-// Differential tests for the VM dispatch ladder: every mode — plain
-// decode-each, predecode, and the trace-linked superblock cache — must
-// retire bit-identical architectural state, for every tool's
+// Differential tests for the VM's two run loops: the superblock loop
+// every run uses must retire bit-identical architectural state to the
+// per-instruction Step loop a tracer selects, for every tool's
 // instrumented output and for the deterministic profiler's reports.
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
@@ -46,57 +47,63 @@ int main() {
 }
 `
 
-var vmModes = []struct {
-	name string
-	mode atom.VMMode
-}{
-	{"plain", atom.VMPlain},
-	{"predecode", atom.VMPredecode},
-	{"superblock", atom.VMSuperblock},
+// runPlain runs exe on the per-instruction Step loop, which a tracer
+// selects: the reference RunProgram's superblock loop must match.
+func runPlain(t *testing.T, exe *atom.Executable, heapOff uint64) *atom.RunResult {
+	t.Helper()
+	m, err := vm.New(exe, vm.Config{AnalysisHeapOffset: heapOff, Trace: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &atom.RunResult{
+		ExitCode:  code,
+		Stdout:    m.Stdout,
+		Stderr:    m.Stderr,
+		Files:     m.FSOut,
+		Icount:    m.Icount,
+		Loads:     m.Loads,
+		Stores:    m.Stores,
+		Unaligned: m.Unaligned,
+		Syscalls:  m.Syscalls,
+	}
 }
 
 // TestVMModeDifferentialAllTools instruments the workload with every
-// built-in tool and runs each output under all three dispatch modes:
-// exit code, stdout, every report file, and every machine counter must
-// match the plain decode-each loop exactly.
+// built-in tool and runs each output through RunProgram: exit code,
+// stdout, every report file, and every machine counter must match the
+// plain Step loop exactly.
 func TestVMModeDifferentialAllTools(t *testing.T) {
 	app, err := atom.BuildProgram(map[string]string{"app.c": vmModeWorkload})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	run := func(exe *atom.Executable, heapOff uint64, mode atom.VMMode) *atom.RunResult {
+	check := func(t *testing.T, exe *atom.Executable, heapOff uint64) {
 		t.Helper()
-		out, err := atom.RunProgram(exe, atom.RunConfig{
-			AnalysisHeapOffset: heapOff,
-		}, atom.WithVMMode(mode))
+		want := runPlain(t, exe, heapOff)
+		got, err := atom.RunProgram(exe, atom.RunConfig{AnalysisHeapOffset: heapOff})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-
-	check := func(t *testing.T, exe *atom.Executable, heapOff uint64) {
-		t.Helper()
-		want := run(exe, heapOff, atom.VMPlain)
-		for _, m := range vmModes[1:] {
-			got := run(exe, heapOff, m.mode)
-			if got.ExitCode != want.ExitCode {
-				t.Errorf("%s: exit code %d, plain %d", m.name, got.ExitCode, want.ExitCode)
-			}
-			if !bytes.Equal(got.Stdout, want.Stdout) {
-				t.Errorf("%s: stdout diverges:\n%s\n-- plain --\n%s", m.name, got.Stdout, want.Stdout)
-			}
-			if !reflect.DeepEqual(got.Files, want.Files) {
-				t.Errorf("%s: report files diverge", m.name)
-			}
-			if got.Icount != want.Icount || got.Loads != want.Loads ||
-				got.Stores != want.Stores || got.Unaligned != want.Unaligned ||
-				got.Syscalls != want.Syscalls {
-				t.Errorf("%s: counters {icount %d loads %d stores %d unaligned %d syscalls %d}, plain {%d %d %d %d %d}",
-					m.name, got.Icount, got.Loads, got.Stores, got.Unaligned, got.Syscalls,
-					want.Icount, want.Loads, want.Stores, want.Unaligned, want.Syscalls)
-			}
+		if got.ExitCode != want.ExitCode {
+			t.Errorf("exit code %d, plain %d", got.ExitCode, want.ExitCode)
+		}
+		if !bytes.Equal(got.Stdout, want.Stdout) {
+			t.Errorf("stdout diverges:\n%s\n-- plain --\n%s", got.Stdout, want.Stdout)
+		}
+		if !reflect.DeepEqual(got.Files, want.Files) {
+			t.Error("report files diverge")
+		}
+		if got.Icount != want.Icount || got.Loads != want.Loads ||
+			got.Stores != want.Stores || got.Unaligned != want.Unaligned ||
+			got.Syscalls != want.Syscalls {
+			t.Errorf("counters {icount %d loads %d stores %d unaligned %d syscalls %d}, plain {%d %d %d %d %d}",
+				got.Icount, got.Loads, got.Stores, got.Unaligned, got.Syscalls,
+				want.Icount, want.Loads, want.Stores, want.Unaligned, want.Syscalls)
 		}
 	}
 
@@ -114,25 +121,25 @@ func TestVMModeDifferentialAllTools(t *testing.T) {
 }
 
 // TestVMModeProfilerFoldedIdentical attaches the deterministic sampling
-// profiler and compares its folded report byte-for-byte across the
-// dispatch ladder. A probe forces per-instruction dispatch, so the
-// superblock engine must step aside without perturbing the retirement
-// sequence the sampler observes.
+// profiler and compares its folded report byte-for-byte between the
+// superblock loop and the plain Step loop — on the application and on
+// its branch- and cache-instrumented executables, whose samples map
+// back through the PC map to the original procedures. The profiler
+// runs on superblocks, so the sampling fence and the Call/Return
+// terminators must reproduce the Step loop's event stream exactly.
 func TestVMModeProfilerFoldedIdentical(t *testing.T) {
 	app, err := atom.BuildProgram(map[string]string{"app.c": vmModeWorkload})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	folded := func(mode vm.Mode) []byte {
+	folded := func(exe *atom.Executable, heapOff uint64, opts prof.Options, trace io.Writer) []byte {
 		t.Helper()
-		cfg := vm.Config{FS: map[string][]byte{}, Mode: mode}
-		p := prof.New(prof.Options{
-			Period: 97, // prime, so samples land mid-block at varied offsets
-			Procs:  prof.ProcsFromSymbols(app.Symbols),
-		})
+		cfg := vm.Config{FS: map[string][]byte{}, AnalysisHeapOffset: heapOff, Trace: trace}
+		opts.Period = 97 // prime, so samples land mid-block at varied offsets
+		p := prof.New(opts)
 		p.Attach(&cfg)
-		m, err := vm.New(app, cfg)
+		m, err := vm.New(exe, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,14 +153,34 @@ func TestVMModeProfilerFoldedIdentical(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-
-	want := folded(vm.ModePlain)
-	if len(want) == 0 {
-		t.Fatal("plain-mode profile is empty; workload too small for the sampling period")
-	}
-	for _, m := range vmModes[1:] {
-		if got := folded(vm.Mode(m.mode)); !bytes.Equal(got, want) {
-			t.Errorf("%s: folded profile diverges from plain:\n%s\n-- plain --\n%s", m.name, got, want)
+	check := func(t *testing.T, exe *atom.Executable, heapOff uint64, opts prof.Options) {
+		t.Helper()
+		want := folded(exe, heapOff, opts, io.Discard)
+		if len(want) == 0 {
+			t.Fatal("plain profile is empty; workload too small for the sampling period")
 		}
+		if got := folded(exe, heapOff, opts, nil); !bytes.Equal(got, want) {
+			t.Errorf("superblock folded profile diverges from plain:\n%s\n-- plain --\n%s", got, want)
+		}
+	}
+
+	t.Run("uninstrumented", func(t *testing.T) {
+		check(t, app, 0, prof.Options{Procs: prof.ProcsFromSymbols(app.Symbols)})
+	})
+	for _, name := range []string{"branch", "cache"} {
+		t.Run(name, func(t *testing.T) {
+			tool, err := atom.ToolByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := atom.Instrument(app, tool, atom.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, res.Exe, res.HeapOffset, prof.Options{
+				Procs: res.PCMap.OrigProcs(),
+				MapPC: res.PCMap.OldAddr,
+			})
+		})
 	}
 }
