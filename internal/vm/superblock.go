@@ -29,10 +29,17 @@ import (
 //     mirrors checkAddr exactly); the dispatcher restores PC/Icount to
 //     the faulting instruction and re-executes it through m.exec to
 //     regenerate the byte-identical diagnostic.
-//   - A store into the text segment re-decodes the predecode cache and
-//     drops every superblock whose span overlaps the store, then bails
-//     out of the current block after that op, so stale harvested code
-//     is never executed (self-modifying code stays exact).
+//   - A store into the text segment marks the predecode slots it covers
+//     stale (they re-decode when next fetched or harvested) and clears
+//     any unbuildable-entry sentinel there. Most such stores are
+//     analysis data, which the paper's layout (Figure 4) places in text,
+//     so the code watermark [codeLo, codeHi) — the smallest range
+//     covering every block span ever built — decides the rest: a store outside it cannot
+//     touch a block and costs nothing more. A store inside it drops
+//     every block whose span overlaps the store, and only if one was
+//     dropped does the running block bail out after that op, so stale
+//     harvested code is never executed (self-modifying code stays
+//     exact).
 //   - Blocks are entered only when they fit under the fence: the
 //     instruction budget, or the instruction before the next sampling
 //     point when a probe samples. A block that would cross the fence is
@@ -52,7 +59,7 @@ const sbMaxOps = 256
 const (
 	sbOK        uint8 = iota
 	sbFaulted         // bounds check failed; no side effects applied
-	sbTextStore       // store hit text: caches invalidated, bail out
+	sbTextStore       // store dropped a superblock: bail out
 )
 
 type sbKind uint8
@@ -118,6 +125,7 @@ func (m *Machine) lookupSB(pc uint64) *superblock {
 	}
 	m.sbByIdx[idx] = sb
 	m.sbAll = append(m.sbAll, sb)
+	m.codeLo, m.codeHi = min(m.codeLo, sb.lo), max(m.codeHi, sb.hi)
 	m.sbBuilt++
 	if m.cfg.Obs.Enabled() {
 		m.cfg.Obs.Observe("vm.sb.block_len", int64(sb.n))
@@ -125,12 +133,30 @@ func (m *Machine) lookupSB(pc uint64) *superblock {
 	return sb
 }
 
-// sbInvalidate drops every superblock whose span overlaps a store to
-// [addr, addr+size) and invalidates all trace links (generation bump).
-// Entry slots holding the unbuildable sentinel inside the range are
-// cleared too: the patched word may now decode.
-func (m *Machine) sbInvalidate(addr uint64, size int) {
-	lo, hi := addr, addr+uint64(size)
+// textStore keeps the caches coherent after a store to [addr,
+// addr+size) that overlaps the text segment, and reports whether it
+// dropped a superblock — the only case in which the running block may
+// be stale. The covered predecode slots go stale and unbuildable-entry
+// sentinels are cleared (the patched word may now decode); only a store
+// inside the code watermark can overlap a block and needs the scan.
+func (m *Machine) textStore(addr, size uint64) bool {
+	lo, hi := addr, addr+size
+	for a := lo &^ 3; a < hi; a += 4 {
+		if a >= m.exe.TextAddr && a+4 <= m.textEnd {
+			idx := (a - m.exe.TextAddr) / 4
+			m.codeOK[idx] = false
+			if m.sbByIdx[idx] == sbNone {
+				m.sbByIdx[idx] = nil
+			}
+		}
+	}
+	return lo < m.codeHi && m.codeLo < hi && m.sbInvalidate(lo, hi)
+}
+
+// sbInvalidate drops every superblock whose span overlaps [lo, hi) and,
+// if it dropped any, invalidates all trace links (generation bump). It
+// reports whether it dropped anything.
+func (m *Machine) sbInvalidate(lo, hi uint64) bool {
 	dropped := false
 	kept := m.sbAll[:0]
 	for _, sb := range m.sbAll {
@@ -149,13 +175,7 @@ func (m *Machine) sbInvalidate(addr uint64, size int) {
 	if dropped {
 		m.sbGen++
 	}
-	for a := lo &^ 3; a < hi; a += 4 {
-		if a >= m.exe.TextAddr && a+4 <= m.textEnd {
-			if idx := (a - m.exe.TextAddr) / 4; m.sbByIdx[idx] == sbNone {
-				m.sbByIdx[idx] = nil
-			}
-		}
-	}
+	return dropped
 }
 
 // runSuperblocks is Run's dispatch loop. PCs without a block — and
@@ -306,11 +326,10 @@ func (m *Machine) buildSB(entry uint64) *superblock {
 		if pc < m.exe.TextAddr || pc+4 > m.textEnd || visited[pc] {
 			break
 		}
-		idx := (pc - m.exe.TextAddr) / 4
-		if !m.codeOK[idx] {
+		inst, err := m.decoded((pc - m.exe.TextAddr) / 4)
+		if err != nil {
 			break
 		}
-		inst := m.code[idx]
 		visited[pc] = true
 		cover := true
 		switch {
@@ -491,8 +510,9 @@ func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine)
 		}
 	}
 	// Stores share one closure shape; the width switch is on a bound
-	// constant, which the compiler folds per call site anyway — and
-	// store throughput is dominated by the text-range test.
+	// constant and predicts perfectly per call site. A store into text —
+	// usually an analysis counter — takes textStore, and leaves the
+	// block only when it dropped one.
 	size := uint64(i.Op.MemBytes())
 	op := i.Op
 	return func(m *Machine) uint8 {
@@ -515,9 +535,7 @@ func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine)
 		default: // OpStb
 			m.Mem[addr] = byte(v)
 		}
-		if addr < textEnd && addr+size > textAddr {
-			m.redecode(addr, int(size))
-			m.sbInvalidate(addr, int(size))
+		if addr < textEnd && addr+size > textAddr && m.textStore(addr, size) {
 			return sbTextStore
 		}
 		return sbOK

@@ -487,3 +487,126 @@ loop:
 		t.Errorf("process totals missed superblock activity: %+v", tot)
 	}
 }
+
+// TestSuperblockTextDataStores: analysis data lives in the text segment
+// (Figure 4), so a hot loop bumping a counter placed after the code must
+// run like the same loop bumping a .data word — no block dropped, no
+// trace links invalidated, no block left early — and like the Step loop.
+// The assembler takes no data directives in .text, so the text-resident
+// quadword is two nop words the program zeroes first.
+func TestSuperblockTextDataStores(t *testing.T) {
+	const loop = `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	li s0, 400
+	la t0, ctr
+	stq zero, 0(t0)
+loop:
+	ldq t1, 0(t0)
+	addq t1, s0, t1
+	stq t1, 0(t0)
+	subq s0, 1, s0
+	bgt s0, loop
+	ldq a0, 0(t0)
+	and a0, 0xff, a0
+	call_pal 0
+	.end __start
+`
+	type cache struct{ inval, gen, hits uint64 }
+	var got [2]cache
+	for i, ctr := range []string{"ctr:\tnop\n\tnop\n", "\t.data\nctr:\t.quad 0\n"} {
+		exe := build(t, loop+ctr)
+		section := []string{".text", ".data"}[i]
+		if sym, ok := exe.Lookup("ctr"); !ok || sym.Section.String() != section || sym.Value%8 != 0 {
+			t.Fatalf("ctr not an aligned %s quadword: %+v", section, sym)
+		}
+		if st := diffModes(t, exe, Config{}); st.exit != 80200&0xff {
+			t.Errorf("%s counter: exit = %d, want %d", section, st.exit, 80200&0xff)
+		}
+		m, _ := runVM(t, exe, Config{})
+		got[i] = cache{m.sbInval, m.sbGen, m.sbHits}
+	}
+	if got[0] != got[1] {
+		t.Errorf("text-resident counter {inval gen hits} = %+v, .data counter %+v", got[0], got[1])
+	}
+	if got[0].inval != 0 {
+		t.Errorf("stores to text data dropped %d blocks", got[0].inval)
+	}
+}
+
+// TestSuperblockWatermarkGapStores: stores into text words inside the
+// code watermark that no block harvested must still run exactly like the
+// Step loop — a data word between two procedures, whose store drops
+// nothing and leaves the running block alone, and a word a br skips,
+// which lies inside a block's conservative span and drops that block.
+// Each data word is a nop the program zeroes before its loop.
+func TestSuperblockWatermarkGapStores(t *testing.T) {
+	progs := map[string]struct {
+		src   string
+		inval bool
+	}{
+		"between-procs": {src: `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	li s0, 300
+	la t0, gap
+	stl zero, 0(t0)
+loop:
+	bsr ra, bump
+	subq s0, 1, s0
+	bgt s0, loop
+	ldl a0, 0(t0)
+	call_pal 0
+	.end __start
+gap:	nop
+	.ent bump
+bump:
+	ldl t1, 0(t0)
+	addl t1, 1, t1
+	stl t1, 0(t0)
+	ret (ra)
+	.end bump
+`},
+		"skipped-by-br": {inval: true, src: `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	li s0, 300
+	la t0, gap
+	stl zero, 0(t0)
+loop:
+	ldl t1, 0(t0)
+	addl t1, 1, t1
+	stl t1, 0(t0)
+	br over
+gap:	nop
+over:
+	subq s0, 1, s0
+	bgt s0, loop
+	ldl a0, 0(t0)
+	call_pal 0
+	.end __start
+`},
+	}
+	for name, p := range progs {
+		t.Run(name, func(t *testing.T) {
+			exe := build(t, p.src)
+			if st := diffModes(t, exe, Config{}); st.exit != 300 {
+				t.Errorf("exit = %d, want 300", st.exit)
+			}
+			m, _ := runVM(t, exe, Config{})
+			gap, _ := exe.Lookup("gap")
+			if gap.Value < m.codeLo || gap.Value >= m.codeHi {
+				t.Fatalf("gap %#x outside the code watermark [%#x, %#x)", gap.Value, m.codeLo, m.codeHi)
+			}
+			if got := m.sbInval != 0; got != p.inval {
+				t.Errorf("sbInval = %d, want dropped blocks: %v", m.sbInval, p.inval)
+			}
+		})
+	}
+}

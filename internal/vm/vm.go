@@ -111,20 +111,24 @@ type Machine struct {
 	// word: Step fetches decoded instructions instead of calling
 	// alpha.Decode per retired instruction. Text is not all code —
 	// instrumented executables carry analysis data and constant blobs in
-	// the text segment — so undecodable words simply mark their slot
-	// invalid and fault only if fetched. Stores into text (none of our
-	// programs do this, but the ISA allows it) re-decode the affected
-	// slots to keep the cache coherent.
+	// the text segment (Figure 4) — so a false codeOK means "decode from
+	// memory when fetched": the word is undecodable, or a store into text
+	// made the slot stale. decoded refreshes such a slot on demand, so
+	// analysis data that is stored to but never fetched is never decoded.
 	code    []alpha.Inst
 	codeOK  []bool
 	textEnd uint64
 	// Superblock cache (see superblock.go). sbByIdx maps text word
 	// index -> block entered at that PC (sbNone marks unbuildable
 	// entries); sbAll is the registry invalidation scans; sbGen
-	// invalidates trace links wholesale when bumped.
+	// invalidates trace links wholesale when bumped. [codeLo, codeHi)
+	// is the code watermark: it covers the span of every block ever
+	// built, so a text store outside it cannot touch a block.
 	sbByIdx  []*superblock
 	sbAll    []*superblock
 	sbGen    uint64
+	codeLo   uint64
+	codeHi   uint64
 	sbBuilt  uint64 // superblocks harvested
 	sbHits   uint64 // block executions (incl. link transitions)
 	sbLinks  uint64 // trace links installed
@@ -180,6 +184,7 @@ func New(exe *aout.File, cfg Config) (*Machine, error) {
 		}
 	}
 	m.sbByIdx = make([]*superblock, n)
+	m.codeLo, m.codeHi = m.textEnd, exe.TextAddr // empty watermark
 	m.heapBase = align8(bssEnd)
 	m.brk = m.heapBase
 	m.brk2 = m.heapBase + cfg.AnalysisHeapOffset
@@ -296,18 +301,31 @@ func budgetErr(max, pc uint64) error {
 }
 
 // fetch returns the decoded instruction at m.PC from the predecode
-// cache.
+// cache, decoding a stale or undecodable word on demand; a word that
+// does not decode faults with the decoder's own diagnostic.
 func (m *Machine) fetch() (alpha.Inst, error) {
 	if m.PC < m.exe.TextAddr || m.PC+4 > m.textEnd || m.PC%4 != 0 {
 		return alpha.Inst{}, m.faultf("instruction fetch from %#x outside text", m.PC)
 	}
-	idx := (m.PC - m.exe.TextAddr) / 4
-	if !m.codeOK[idx] {
-		// Re-decode the word for the decoder's own diagnostic.
-		_, err := alpha.Decode(le32(m.Mem[m.PC:]))
+	inst, err := m.decoded((m.PC - m.exe.TextAddr) / 4)
+	if err != nil {
 		return alpha.Inst{}, m.faultf("%v", err)
 	}
-	return m.code[idx], nil
+	return inst, nil
+}
+
+// decoded returns the instruction in text word idx, decoding it from
+// memory — and caching it on success — when the predecode slot is not
+// valid.
+func (m *Machine) decoded(idx uint64) (alpha.Inst, error) {
+	if m.codeOK[idx] {
+		return m.code[idx], nil
+	}
+	inst, err := alpha.Decode(le32(m.Mem[m.exe.TextAddr+idx*4:]))
+	if err == nil {
+		m.code[idx], m.codeOK[idx] = inst, true
+	}
+	return inst, err
 }
 
 func le32(b []byte) uint32 {
@@ -540,26 +558,9 @@ func (m *Machine) store(i alpha.Inst) error {
 		m.Mem[addr+uint64(j)] = byte(v >> (8 * j))
 	}
 	if addr < m.textEnd && addr+uint64(size) > m.exe.TextAddr {
-		m.redecode(addr, size)
-		m.sbInvalidate(addr, size)
+		m.textStore(addr, uint64(size))
 	}
 	return nil
-}
-
-// redecode refreshes the predecode cache slots covering a store into
-// the text segment (self-modifying code; nothing we run does this, but
-// the cache must not change the machine's semantics).
-func (m *Machine) redecode(addr uint64, size int) {
-	lo := addr &^ 3
-	hi := (addr + uint64(size) + 3) &^ 3
-	for a := lo; a < hi; a += 4 {
-		if a < m.exe.TextAddr || a+4 > m.textEnd {
-			continue
-		}
-		idx := (a - m.exe.TextAddr) / 4
-		inst, err := alpha.Decode(le32(m.Mem[a:]))
-		m.code[idx], m.codeOK[idx] = inst, err == nil
-	}
 }
 
 func (m *Machine) faultf(format string, args ...any) error {

@@ -671,29 +671,48 @@ patch:
 	}
 }
 
-// BenchmarkVMRun measures the interpreter's host-side throughput on a
-// register-only loop. Each iteration is a fresh machine, so it also
-// prices harvesting: the handful of blocks are rebuilt and then run
-// 3M instructions.
-func BenchmarkVMRun(b *testing.B) {
-	src := `
+// vmBenchLoop is BenchmarkVMRun's register-only loop; STORE is the
+// slot BenchmarkVMRunTextData fills with a counter store.
+const vmBenchLoop = `
 	.text
 	.globl __start
 	.ent __start
 __start:
 	li t0, 500000
 	clr t1
+	la t5, ctr
 loop:
 	addq t1, t0, t1
 	xor t1, t0, t2
 	s8addq t2, t1, t3
 	cmplt t3, t1, t4
+STORE
 	subq t0, 1, t0
 	bne t0, loop
 	clr a0
 	call_pal 0
 	.end __start
+ctr:
+	nop
+	nop
 `
+
+// BenchmarkVMRun measures the interpreter's host-side throughput on a
+// register-only loop. Each iteration is a fresh machine, so it also
+// prices harvesting: the handful of blocks are rebuilt and then run
+// 3M instructions.
+func BenchmarkVMRun(b *testing.B) {
+	benchVMRun(b, strings.Replace(vmBenchLoop, "STORE\n", "", 1))
+}
+
+// BenchmarkVMRunTextData is BenchmarkVMRun's loop plus one stq per
+// iteration to a quadword in the text segment, where ATOM's layout puts
+// analysis data (Figure 4): the price of a text-resident tool counter.
+func BenchmarkVMRunTextData(b *testing.B) {
+	benchVMRun(b, strings.Replace(vmBenchLoop, "STORE", "\tstq t3, 0(t5)", 1))
+}
+
+func benchVMRun(b *testing.B, src string) {
 	exe := build(b, src)
 	var insts uint64
 	for i := 0; i < b.N; i++ {

@@ -75,7 +75,7 @@ func runPlain(t *testing.T, exe *atom.Executable, heapOff uint64) *atom.RunResul
 // TestVMModeDifferentialAllTools instruments the workload with every
 // built-in tool and runs each output through RunProgram: exit code,
 // stdout, every report file, and every machine counter must match the
-// plain Step loop exactly.
+// plain Step loop exactly, and the run must drop no superblock.
 func TestVMModeDifferentialAllTools(t *testing.T) {
 	app, err := atom.BuildProgram(map[string]string{"app.c": vmModeWorkload})
 	if err != nil {
@@ -85,9 +85,15 @@ func TestVMModeDifferentialAllTools(t *testing.T) {
 	check := func(t *testing.T, exe *atom.Executable, heapOff uint64) {
 		t.Helper()
 		want := runPlain(t, exe, heapOff)
+		inval := vm.Totals().SBInval
 		got, err := atom.RunProgram(exe, atom.RunConfig{AnalysisHeapOffset: heapOff})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// No tool modifies code: an invalidation means analysis data in
+		// the text segment was mistaken for code.
+		if d := vm.Totals().SBInval - inval; d != 0 {
+			t.Errorf("run dropped %d superblocks; analysis data stores must not invalidate code", d)
 		}
 		if got.ExitCode != want.ExitCode {
 			t.Errorf("exit code %d, plain %d", got.ExitCode, want.ExitCode)
