@@ -244,32 +244,6 @@ func BenchmarkRegSummary(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveReg ablates the LOCAL live-register refinement (one-block
-// lookahead), the first rung of the liveness ladder; both sides disable
-// the global analysis so its effect is isolated. The win is modest —
-// most sites save only ra plus argument registers, and within one block
-// little is provably dead.
-func BenchmarkLiveReg(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"baseline", core.Options{NoLiveness: true}},
-		{"livereg", core.Options{NoLiveness: true, LiveRegOpt: true}},
-	} {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := figures.RatioFor("gprof", "spice", c.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r, "ratio")
-			}
-		})
-	}
-}
-
 // BenchmarkLiveness ablates the global register-liveness analysis
 // (the paper's "Only the live registers need to be saved and restored"
 // refinement, the top rung of the ladder): per-tool, the instrumented/

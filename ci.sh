@@ -1,8 +1,10 @@
 #!/bin/sh
-# CI gate: formatting, vet, build, race-enabled tests, benchmark smoke,
-# and a trace smoke that drives the full pipeline and validates the
-# emitted Chrome trace. Equivalent to `make ci`, for environments
-# without make.
+# The CI gate, and its only copy (`make ci` runs this script):
+# formatting, vet, the atomvet lint, build, race-enabled tests, a
+# one-iteration benchmark smoke so the Figure 5/6 harness cannot rot
+# silently, then the end-to-end CLI gates — trace, profile, vet, inline,
+# IR, persistence, telemetry, and analyze — each introduced by a comment
+# naming it below.
 set -eux
 
 fmt=$(gofmt -l .)
@@ -24,6 +26,9 @@ go vet -vettool="$vettmp/atomvet" ./...
 rm -rf "$vettmp"
 
 go test -race ./...
+
+# Benchmark smoke: every benchmark once, no measurement — proves the
+# harness still runs.
 go test -bench=. -benchtime=1x -run='^$' ./...
 
 # Trace smoke: compile and link a program, instrument it with tracing

@@ -36,7 +36,7 @@ type analyzeConfig struct {
 // runAnalyze returns 0 when every report is clean (no warnings or
 // errors), 1 when any unit has findings above Info or any input fails
 // to load.
-func runAnalyze(ctx *obs.Ctx, metricsSink *obs.MetricsSink, cfg analyzeConfig) int {
+func runAnalyze(ctx *obs.Ctx, cfg analyzeConfig) int {
 	passes, err := analysis.Select(cfg.passSpec)
 	if err != nil {
 		return fail(err)
@@ -109,7 +109,7 @@ func runAnalyze(ctx *obs.Ctx, metricsSink *obs.MetricsSink, cfg analyzeConfig) i
 		if cfg.irIn != "" {
 			progs = append([]string{cfg.irIn}, progs...)
 		}
-		doc := newRunDoc(ctx, metricsSink, toolName, progs)
+		doc := newRunDoc(ctx, toolName, progs)
 		if err := figures.WriteRunJSON(cfg.benchJSON, doc); err != nil {
 			return fail(err)
 		}

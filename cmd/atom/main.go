@@ -248,20 +248,16 @@ func run() (code int) {
 	}
 
 	// The stage context is nil (near-zero overhead) unless some consumer
-	// of spans or counters is active.
+	// of spans or counters is active. -metrics and -bench-json need no
+	// sink: they render the context's own obs.Metrics aggregate.
 	var (
-		traceSink   *obs.TraceSink
-		metricsSink *obs.MetricsSink
-		logger      *slog.Logger
-		sinks       []obs.Sink
+		traceSink *obs.TraceSink
+		logger    *slog.Logger
+		sinks     []obs.Sink
 	)
 	if *tracePath != "" {
 		traceSink = &obs.TraceSink{}
 		sinks = append(sinks, traceSink)
-	}
-	if *metrics != "" || *benchJSON != "" {
-		metricsSink = &obs.MetricsSink{}
-		sinks = append(sinks, metricsSink)
 	}
 	if *logFormat != "" {
 		level, err := telemetry.ParseLevel(*logLevel)
@@ -281,7 +277,7 @@ func run() (code int) {
 		sinks = append(sinks, telemetry.Default().Sink(), telemetry.DefaultStream())
 	}
 	var ctx *obs.Ctx
-	if len(sinks) > 0 {
+	if len(sinks) > 0 || *metrics != "" || *benchJSON != "" {
 		ctx = obs.New(sinks...)
 	}
 
@@ -322,7 +318,7 @@ func run() (code int) {
 				}
 			}
 			if *metrics != "" {
-				if err := writeMetricsSnapshot(ctx, metricsSink, *metrics); err != nil {
+				if err := writeMetricsSnapshot(ctx, *metrics); err != nil {
 					fmt.Fprintln(os.Stderr, "atom:", err)
 					if code == 0 {
 						code = 1
@@ -360,7 +356,7 @@ func run() (code int) {
 	}()
 
 	if *analyze {
-		return runAnalyze(ctx, metricsSink, analyzeConfig{
+		return runAnalyze(ctx, analyzeConfig{
 			inputs:    flag.Args(),
 			irIn:      *irIn,
 			tool:      tool,
@@ -377,12 +373,12 @@ func run() (code int) {
 		return emitIRBlobs(ctx, *emitIR, flag.Args())
 	}
 	if *irIn != "" {
-		return instrumentFromIR(ctx, metricsSink, *irIn, tool, opts,
+		return instrumentFromIR(ctx, *irIn, tool, opts,
 			*outPath, *stats, *layout, *benchJSON)
 	}
 
 	if doRun {
-		return runUnderVM(ctx, metricsSink, runConfig{
+		return runUnderVM(ctx, runConfig{
 			input:         flag.Arg(0),
 			progArgs:      flag.Args()[1:],
 			tool:          tool,
@@ -505,7 +501,7 @@ func run() (code int) {
 	}
 
 	if *benchJSON != "" {
-		doc := newRunDoc(ctx, metricsSink, tool.Name, inputs)
+		doc := newRunDoc(ctx, tool.Name, inputs)
 		for i := range inputs {
 			if errs[i] != nil {
 				doc.Failed = append(doc.Failed, inputs[i])
@@ -541,7 +537,7 @@ type runConfig struct {
 // requested. The profile (and the bench JSON document) is written even
 // when the program faults mid-run, so a crashing workload still yields
 // its observability artifacts.
-func runUnderVM(ctx *obs.Ctx, metricsSink *obs.MetricsSink, rc runConfig) int {
+func runUnderVM(ctx *obs.Ctx, rc runConfig) int {
 	app, err := aout.ReadFile(rc.input)
 	if err != nil {
 		return fail(err)
@@ -622,7 +618,7 @@ func runUnderVM(ctx *obs.Ctx, metricsSink *obs.MetricsSink, rc runConfig) int {
 		}
 	}
 	if rc.benchJSON != "" {
-		doc := newRunDoc(ctx, metricsSink, rc.tool.Name, []string{rc.input})
+		doc := newRunDoc(ctx, rc.tool.Name, []string{rc.input})
 		if runErr != nil {
 			doc.Failed = []string{rc.input}
 		}
@@ -704,7 +700,7 @@ func irName(input string) string {
 // image, apply — is exactly the in-memory one, so the output executable
 // is bit-identical to instrumenting the original input. The output name
 // derives from the blob (prog.ir -> prog.atom) unless -o is given.
-func instrumentFromIR(ctx *obs.Ctx, metricsSink *obs.MetricsSink, irPath string, tool core.Tool, opts core.Options, outPath string, stats, layout bool, benchJSON string) int {
+func instrumentFromIR(ctx *obs.Ctx, irPath string, tool core.Tool, opts core.Options, outPath string, stats, layout bool, benchJSON string) int {
 	blob, err := os.ReadFile(irPath)
 	if err != nil {
 		return fail(err)
@@ -737,7 +733,7 @@ func instrumentFromIR(ctx *obs.Ctx, metricsSink *obs.MetricsSink, irPath string,
 		printCacheStats()
 	}
 	if benchJSON != "" {
-		doc := newRunDoc(ctx, metricsSink, tool.Name, []string{irPath})
+		doc := newRunDoc(ctx, tool.Name, []string{irPath})
 		if err := figures.WriteRunJSON(benchJSON, doc); err != nil {
 			return fail(err)
 		}
@@ -776,15 +772,16 @@ func writeTrace(t *obs.TraceSink, path string) error {
 // writeMetricsSnapshot writes the end-of-run metrics snapshot, honoring
 // the "-" path as stderr (keeping the snapshot out of the program's
 // stdout, which run mode owns).
-func writeMetricsSnapshot(ctx *obs.Ctx, m *obs.MetricsSink, path string) error {
+func writeMetricsSnapshot(ctx *obs.Ctx, path string) error {
 	if path == "-" {
-		return obs.WriteMetrics(os.Stderr, m, ctx.Counters(), ctx.Histograms())
+		_, err := ctx.Metrics().WriteTo(os.Stderr)
+		return err
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = obs.WriteMetrics(f, m, ctx.Counters(), ctx.Histograms())
+	_, err = ctx.Metrics().WriteTo(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -813,17 +810,18 @@ func scrape(url string) int {
 // (schema atom-run/v7): per-phase totals including the lift, the three
 // cache stat blocks, the disk-store block when a persistent store is
 // configured, counters, the inline block, and histograms.
-func newRunDoc(ctx *obs.Ctx, metricsSink *obs.MetricsSink, toolName string, programs []string) figures.RunDoc {
+func newRunDoc(ctx *obs.Ctx, toolName string, programs []string) figures.RunDoc {
+	m := ctx.Metrics()
 	doc := figures.RunDoc{
 		Tool:     toolName,
 		Programs: programs,
 		Phases: figures.BenchPhases{
-			LiftMS:    msOf(metricsSink.Total("om.lift")),
-			BuildMS:   msOf(metricsSink.Total("atom.image.build")),
-			PlanMS:    msOf(metricsSink.Total("atom.plan")),
-			ApplyMS:   msOf(metricsSink.Total("atom.apply")),
-			WriteMS:   msOf(metricsSink.Total("atom.write")),
-			AnalyzeMS: msOf(metricsSink.Total("om.analyze")),
+			LiftMS:    msOf(m.SpanTotal("om.lift")),
+			BuildMS:   msOf(m.SpanTotal("atom.image.build")),
+			PlanMS:    msOf(m.SpanTotal("atom.plan")),
+			ApplyMS:   msOf(m.SpanTotal("atom.apply")),
+			WriteMS:   msOf(m.SpanTotal("atom.write")),
+			AnalyzeMS: msOf(m.SpanTotal("om.analyze")),
 		},
 		Image:   figures.CacheStats(core.ImageCacheStats()),
 		Objects: figures.CacheStats(rtl.ObjectCacheStats()),
@@ -833,11 +831,11 @@ func newRunDoc(ctx *obs.Ctx, metricsSink *obs.MetricsSink, toolName string, prog
 		blk := figures.StoreStats(s.Stats())
 		doc.Disk = &blk
 	}
-	for _, c := range ctx.Counters() {
+	for _, c := range m.Counters() {
 		doc.Counters = append(doc.Counters, figures.BenchCounter{Name: c.Name, Value: c.Value})
 	}
 	doc.Inline = inlineBlock(ctx)
-	doc.Hists = figures.Histograms(ctx.Histograms())
+	doc.Hists = figures.Histograms(m.Histograms())
 	return doc
 }
 

@@ -73,8 +73,7 @@ func TestWriteTraceDash(t *testing.T) {
 // TestWriteMetricsDash: -metrics - prints the snapshot to stderr and
 // creates no "-" file; a real path writes a file.
 func TestWriteMetricsDash(t *testing.T) {
-	sink := &obs.MetricsSink{}
-	ctx := obs.New(sink)
+	ctx := obs.New()
 	ctx.Count("store.image.hit", 4)
 
 	dir := t.TempDir()
@@ -85,7 +84,7 @@ func TestWriteMetricsDash(t *testing.T) {
 	defer os.Chdir(cwd)
 
 	out := captureFD(t, &os.Stderr, func() {
-		if err := writeMetricsSnapshot(ctx, sink, "-"); err != nil {
+		if err := writeMetricsSnapshot(ctx, "-"); err != nil {
 			t.Errorf("writeMetricsSnapshot(-): %v", err)
 		}
 	})
@@ -97,7 +96,7 @@ func TestWriteMetricsDash(t *testing.T) {
 	}
 
 	path := filepath.Join(dir, "m.txt")
-	if err := writeMetricsSnapshot(ctx, sink, path); err != nil {
+	if err := writeMetricsSnapshot(ctx, path); err != nil {
 		t.Fatal(err)
 	}
 	if data, err := os.ReadFile(path); err != nil || !strings.Contains(string(data), "store.image.hit") {
@@ -122,7 +121,9 @@ func TestOutputName(t *testing.T) {
 // TestRunQueensBenchJSON drives `atom -run -stats -bench-json` on the
 // queens suite program: the run prints the known answer, the -stats
 // counter line, and an atom-run/v7 document carrying the VM's
-// retirement rate.
+// retirement rate. The -metrics snapshot of the same context must carry
+// exactly the document's counters and histograms, row for row: both
+// render the context's one obs.Metrics aggregate.
 func TestRunQueensBenchJSON(t *testing.T) {
 	exe, err := spec.Build("queens")
 	if err != nil {
@@ -133,12 +134,12 @@ func TestRunQueensBenchJSON(t *testing.T) {
 	if err := exe.WriteFile(input); err != nil {
 		t.Fatal(err)
 	}
-	sink := &obs.MetricsSink{}
+	ctx := obs.New()
 	var status int
 	var stderr string
 	stdout := captureFD(t, &os.Stdout, func() {
 		stderr = captureFD(t, &os.Stderr, func() {
-			status = runUnderVM(obs.New(sink), sink, runConfig{input: input, benchJSON: doc, stats: true})
+			status = runUnderVM(ctx, runConfig{input: input, benchJSON: doc, stats: true})
 		})
 	})
 	if status != 0 {
@@ -160,5 +161,40 @@ func TestRunQueensBenchJSON(t *testing.T) {
 	}
 	if rd.Schema != "atom-run/v7" || rd.VMMinstS <= 0 {
 		t.Errorf("bench JSON schema %q vm_minst_s %v, want atom-run/v7 with a positive rate", rd.Schema, rd.VMMinstS)
+	}
+
+	snapPath := filepath.Join(dir, "metrics.txt")
+	if err := writeMetricsSnapshot(ctx, snapPath); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counters []obs.Counter
+	for _, c := range rd.Counters {
+		counters = append(counters, obs.Counter{Name: c.Name, Value: c.Value})
+	}
+	var hists []obs.Hist
+	for _, h := range rd.Hists {
+		oh := obs.Hist{Name: h.Name, Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max}
+		for _, b := range h.Buckets {
+			oh.Buckets = append(oh.Buckets, obs.HistBucket{Lo: b.Lo, Hi: b.Hi, Count: b.Count})
+		}
+		hists = append(hists, oh)
+	}
+	if len(counters) == 0 || len(hists) == 0 {
+		t.Fatalf("bench JSON has %d counters and %d histograms, want both non-empty", len(counters), len(hists))
+	}
+	text := string(snap)
+	ci, hi := strings.Index(text, "# counters:"), strings.Index(text, "# histograms:")
+	if ci < 0 || hi < ci {
+		t.Fatalf("metrics snapshot lacks its counters/histograms sections:\n%s", text)
+	}
+	if got, want := text[ci:hi], obs.FormatCounters(counters); got != want {
+		t.Errorf("snapshot counters differ from bench JSON:\n--- snapshot\n%s--- bench JSON\n%s", got, want)
+	}
+	if got, want := text[hi:], obs.FormatHistograms(hists); got != want {
+		t.Errorf("snapshot histograms differ from bench JSON:\n--- snapshot\n%s--- bench JSON\n%s", got, want)
 	}
 }

@@ -94,9 +94,9 @@ func TestToolImageCacheReuse(t *testing.T) {
 		t.Fatalf("distinct tool did not rebuild: stats = %+v", s)
 	}
 
-	// Options that do not affect the image (heap scheme, live-register
-	// call-site refinement, tool arguments) must NOT rebuild it.
-	if _, err := core.Instrument(appA, tool, core.Options{HeapOffset: 1 << 20, LiveRegOpt: true}); err != nil {
+	// Options that do not affect the image (the heap scheme) must NOT
+	// rebuild it.
+	if _, err := core.Instrument(appA, tool, core.Options{HeapOffset: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	if s = core.ImageCacheStats(); s.Builds != 4 {

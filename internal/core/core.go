@@ -92,12 +92,6 @@ type Options struct {
 	// NoRegSummary disables the data-flow summary and saves every
 	// caller-save register around every call (ablation baseline).
 	NoRegSummary bool
-	// LiveRegOpt enables the purely local live-register refinement
-	// (registers overwritten before any read in the remainder of their
-	// basic block are not saved). It is subsumed by the interprocedural
-	// liveness pass and only has an effect when NoLiveness is set; the
-	// two together form the none/local/full ablation ladder.
-	LiveRegOpt bool
 	// NoLiveness disables the interprocedural register-liveness pass
 	// (internal/om/dataflow), reverting each site's save set to ra, the
 	// written argument registers, and at regardless of what the
@@ -405,8 +399,7 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 			target = WrapperName(target)
 		}
 		var dead om.RegSet
-		switch {
-		case lv != nil:
+		if lv != nil {
 			live := lv.LiveIn(req.inst)
 			if req.place == After {
 				live = lv.LiveOut(req.inst)
@@ -415,8 +408,6 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 			// Histogram of caller-save live-set sizes at sites: the set
 			// the save planner cannot drop below.
 			ctx.Observe("atom.site_live_regs", int64((dataflow.ConservativeCallerSave() &^ dead).Count()))
-		case opts.LiveRegOpt:
-			dead = deadAtSite(req.inst, req.place)
 		}
 		code, nsaved, err := buildSite(req, target, dead, tmpl)
 		if err != nil {

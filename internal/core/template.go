@@ -77,10 +77,11 @@ func buildSite(req *callReq, target string, dead om.RegSet, tmpl *inlineTemplate
 		b.saved = b.saved.Add(alpha.AT)
 	}
 
-	// Live-register refinement (Options.LiveRegOpt): drop saves of
-	// registers whose application values are dead at this site — except
-	// registers the template itself must read as argument sources after
-	// clobbering them (their save slot doubles as the source copy).
+	// Live-register refinement: drop saves of registers the global
+	// liveness analysis (internal/om/dataflow) proves dead at this site
+	// (dead is empty under Options.NoLiveness) — except registers the
+	// template itself must read as argument sources after clobbering
+	// them (their save slot doubles as the source copy).
 	if dead != 0 {
 		var sources om.RegSet
 		for _, a := range req.args {

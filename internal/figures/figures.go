@@ -131,16 +131,15 @@ func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
 			return nil, nil, err
 		}
 	}
+	// One context turns the pipeline's spans into the per-phase
+	// breakdown (lift/plan/apply/image-build) the JSON output reports
+	// alongside the wall-clock columns: a tool's phase times are the
+	// span-total deltas over its iteration.
+	mctx := obs.New()
 	var rows []Fig5Row
-	var hists []obs.Hist
 	for _, tname := range tools.Names() {
 		tool, _ := tools.ByName(tname)
-
-		// A private metrics sink per tool turns the pipeline's spans into
-		// the per-phase breakdown (plan/apply/image-build) the JSON output
-		// reports alongside the wall-clock columns.
-		metrics := &obs.MetricsSink{}
-		mctx := obs.New(metrics)
+		phase := spanDeltas(mctx.Metrics())
 
 		core.ResetImageCache(build.ScopeMemory)
 		rtl.ResetObjectCache(build.ScopeMemory)
@@ -157,25 +156,13 @@ func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
 		// the cached blobs. The apply loop below then runs entirely warm,
 		// as a suite pass does in practice.
 		start = time.Now()
-		for _, pn := range names {
-			exe, err := spec.BuildCtx(mctx, pn)
-			if err != nil {
-				return nil, nil, err
-			}
-			if _, err := core.LiftCtx(mctx, exe); err != nil {
-				return nil, nil, fmt.Errorf("fig5: lifting %s: %w", pn, err)
-			}
+		if err := liftSuite(mctx, names); err != nil {
+			return nil, nil, fmt.Errorf("fig5: %w", err)
 		}
 		liftCold := time.Since(start)
 		start = time.Now()
-		for _, pn := range names {
-			exe, err := spec.BuildCtx(mctx, pn)
-			if err != nil {
-				return nil, nil, err
-			}
-			if _, err := core.LiftCtx(mctx, exe); err != nil {
-				return nil, nil, fmt.Errorf("fig5: lifting %s: %w", pn, err)
-			}
+		if err := liftSuite(mctx, names); err != nil {
+			return nil, nil, fmt.Errorf("fig5: %w", err)
 		}
 		liftWarm := time.Since(start)
 
@@ -213,15 +200,14 @@ func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
 			LiftWarm:    liftWarm,
 			LiftDisk:    liftDisk,
 			DiskStore:   diskStats,
-			LiftTime:    metrics.Total("om.lift"),
-			PlanTime:    metrics.Total("atom.plan"),
-			ApplyTime:   metrics.Total("atom.apply"),
-			ImageBuild:  metrics.Total("atom.image.build"),
+			LiftTime:    phase("om.lift"),
+			PlanTime:    phase("atom.plan"),
+			ApplyTime:   phase("atom.apply"),
+			ImageBuild:  phase("atom.image.build"),
 			ImageCache:  imageStats,
 			ObjectCache: objectStats,
 			IRCache:     irStats,
 		})
-		hists = obs.MergeHists(hists, mctx.Histograms())
 		if progress != nil {
 			fmt.Fprintf(progress, "fig5: %-8s build %v, lift %v/%v/%v (cold/warm/disk), apply %v\n",
 				tname, toolBuild.Round(time.Millisecond),
@@ -230,7 +216,31 @@ func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
 				total.Round(time.Millisecond))
 		}
 	}
-	return rows, hists, nil
+	return rows, mctx.Histograms(), nil
+}
+
+// spanDeltas snapshots m's span totals and returns each name's growth
+// since the snapshot.
+func spanDeltas(m *obs.Metrics) func(name string) time.Duration {
+	before := map[string]time.Duration{}
+	for _, s := range m.Spans() {
+		before[s.Name] = s.Total
+	}
+	return func(name string) time.Duration { return m.SpanTotal(name) - before[name] }
+}
+
+// liftSuite builds and lifts every named program through the IR cache.
+func liftSuite(ctx *obs.Ctx, names []string) error {
+	for _, pn := range names {
+		exe, err := spec.BuildCtx(ctx, pn)
+		if err != nil {
+			return err
+		}
+		if _, err := core.LiftCtx(ctx, exe); err != nil {
+			return fmt.Errorf("lifting %s: %w", pn, err)
+		}
+	}
+	return nil
 }
 
 // diskLiftSweep measures the third lift rung: the in-memory IR cache
@@ -255,26 +265,13 @@ func diskLiftSweep(mctx *obs.Ctx, names []string) (time.Duration, build.StoreSta
 		ds.Close()
 	}()
 
-	sweep := func() error {
-		for _, pn := range names {
-			exe, err := spec.BuildCtx(mctx, pn)
-			if err != nil {
-				return err
-			}
-			if _, err := core.LiftCtx(mctx, exe); err != nil {
-				return fmt.Errorf("lifting %s: %w", pn, err)
-			}
-		}
-		return nil
-	}
-
 	build.ResetIRCache(build.ScopeMemory)
-	if err := sweep(); err != nil { // seed: rebuild + Put every blob
+	if err := liftSuite(mctx, names); err != nil { // seed: rebuild + Put every blob
 		return 0, build.StoreStats{}, err
 	}
 	build.ResetIRCache(build.ScopeMemory)
 	start := time.Now()
-	if err := sweep(); err != nil { // measure: every lift decodes from disk
+	if err := liftSuite(mctx, names); err != nil { // measure: every lift decodes from disk
 		return 0, build.StoreStats{}, err
 	}
 	return time.Since(start), ds.Stats(), nil

@@ -7,14 +7,15 @@ import (
 )
 
 // TestConcurrentFanOut hammers one Ctx from many goroutines — counters,
-// histogram observations, and nested spans — while a RegistrySink is
-// attached (aggregating every event) and a StreamSink subscriber drains
+// histogram observations, and nested spans — while a second Metrics is
+// attached as a sink (aggregating every event, as the telemetry
+// registry's does) and a StreamSink subscriber drains
 // concurrently. Run under -race this is the data-race gate for the
 // whole fan-out path; the assertions check that nothing is lost: the
 // registry's totals match the context's own deterministic snapshot
 // exactly, and within every span the begin event precedes the end.
 func TestConcurrentFanOut(t *testing.T) {
-	reg := NewRegistrySink()
+	reg := NewMetrics()
 	stream := NewStreamSink()
 	ctx := New(reg, stream)
 
@@ -63,7 +64,7 @@ func TestConcurrentFanOut(t *testing.T) {
 			default:
 				reg.Counters()
 				reg.Histograms()
-				reg.SpanStats()
+				reg.Spans()
 			}
 		}
 	}()
@@ -96,7 +97,7 @@ func TestConcurrentFanOut(t *testing.T) {
 		t.Fatalf("latency histogram = %+v, want count %d", lat, workers*rounds)
 	}
 	spanCounts := map[string]int64{}
-	for _, s := range reg.SpanStats() {
+	for _, s := range reg.Spans() {
 		spanCounts[s.Name] = s.Count
 	}
 	for w := 0; w < workers; w++ {

@@ -8,19 +8,22 @@
 // The zero cost of disabled observability is a design requirement: a nil
 // *Ctx is valid and means "off". Every method is a no-op on a nil
 // receiver, so call sites never branch and the instrumented hot paths pay
-// only a nil check. Sinks choose what to keep: TraceSink records every
-// span for a Chrome trace_event export, MetricsSink aggregates per-name
-// totals for a plain-text snapshot, Nop discards everything.
+// only a nil check.
+//
+// Metrics is the package's one aggregate: counters, log2 histograms and
+// per-name span count and total. Every context tree keeps one for
+// itself (Ctx.Metrics), and the -metrics snapshot, the bench JSON and
+// the live /metrics endpoint all render that type, so they cannot
+// disagree. Other sinks choose what else to keep: TraceSink records
+// every span for a Chrome trace_event export, StreamSink broadcasts
+// live events, Nop discards everything.
 //
 // All sinks and counters are safe for concurrent use; the suite fan-out
 // ends spans from many goroutines at once.
 package obs
 
 import (
-	"math/bits"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -91,6 +94,7 @@ func (Nop) SpanEnd(SpanData) {}
 // root is the shared state of one Ctx tree.
 type root struct {
 	clock  func() time.Duration // monotonic time since the epoch
+	m      *Metrics             // the tree's own aggregate, also sinks[0]
 	sinks  []Sink
 	nextID atomic.Uint64
 
@@ -99,10 +103,6 @@ type root struct {
 	beginSinks   []SpanBeginSink
 	counterSinks []CounterSink
 	histSinks    []HistogramSink
-
-	mu       sync.Mutex
-	counters map[string]int64
-	hists    map[string]*histData
 }
 
 // Ctx is the stage context threaded through the pipeline. It names a
@@ -115,8 +115,9 @@ type Ctx struct {
 	track  uint64 // track of the enclosing top-level span (0 = none yet)
 }
 
-// New returns a fresh context delivering completed spans to the given
-// sinks. The epoch for span timestamps is the moment of the call.
+// New returns a fresh context delivering completed spans to its own
+// Metrics aggregate and then to the given sinks. The epoch for span
+// timestamps is the moment of the call.
 func New(sinks ...Sink) *Ctx {
 	start := time.Now()
 	return newCtx(func() time.Duration { return time.Since(start) }, sinks...)
@@ -125,13 +126,9 @@ func New(sinks ...Sink) *Ctx {
 // newCtx builds a context over an explicit clock; tests inject a fixed
 // one to get byte-identical output.
 func newCtx(clock func() time.Duration, sinks ...Sink) *Ctx {
-	r := &root{
-		clock:    clock,
-		sinks:    sinks,
-		counters: map[string]int64{},
-		hists:    map[string]*histData{},
-	}
-	for _, s := range sinks {
+	r := &root{clock: clock, m: NewMetrics()}
+	r.sinks = append([]Sink{r.m}, sinks...)
+	for _, s := range r.sinks {
 		if b, ok := s.(SpanBeginSink); ok {
 			r.beginSinks = append(r.beginSinks, b)
 		}
@@ -147,6 +144,15 @@ func newCtx(clock func() time.Duration, sinks ...Sink) *Ctx {
 
 // Enabled reports whether observability is on.
 func (c *Ctx) Enabled() bool { return c != nil }
+
+// Metrics returns the aggregate of every span, counter and histogram
+// recorded anywhere in the context's tree. Nil on a nil context.
+func (c *Ctx) Metrics() *Metrics {
+	if c == nil {
+		return nil
+	}
+	return c.r.m
+}
 
 // Span is one open span. End completes it and delivers it to the sinks.
 // A nil *Span (from a nil Ctx) is valid; SetAttr and End are no-ops.
@@ -223,25 +229,17 @@ func (s *Span) End() {
 	}
 }
 
-// Count adds delta to the named counter. Counters live on the Ctx tree,
-// not on any sink, so every stage reports through the same interface the
-// spans use. Safe on nil and for concurrent use.
+// Count adds delta to the named counter. Counters aggregate in the
+// tree's own Metrics (and in every other CounterSink), so every stage
+// reports through the same context the spans use. Safe on nil and for
+// concurrent use.
 func (c *Ctx) Count(name string, delta int64) {
 	if c == nil {
 		return
 	}
-	c.r.mu.Lock()
-	c.r.counters[name] += delta
-	c.r.mu.Unlock()
 	for _, s := range c.r.counterSinks {
 		s.CounterAdd(name, delta)
 	}
-}
-
-// Counter is one named counter value.
-type Counter struct {
-	Name  string
-	Value int64
 }
 
 // Counters returns a snapshot of every counter, sorted by name (so any
@@ -250,68 +248,7 @@ func (c *Ctx) Counters() []Counter {
 	if c == nil {
 		return nil
 	}
-	c.r.mu.Lock()
-	out := make([]Counter, 0, len(c.r.counters))
-	for n, v := range c.r.counters {
-		out = append(out, Counter{Name: n, Value: v})
-	}
-	c.r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// numHistBuckets is the fixed bucket count of every histogram: bucket 0
-// holds values <= 0 (range [0,1)), bucket b >= 1 holds values in
-// [2^(b-1), 2^b). A positive int64 has at most 63 significant bits, so 64
-// buckets cover the full range.
-const numHistBuckets = 64
-
-// histData is the live (locked) state of one histogram.
-type histData struct {
-	buckets  [numHistBuckets]uint64
-	count    uint64
-	sum      int64
-	min, max int64
-}
-
-// histBucketOf returns the bucket index for a value.
-func histBucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(v))
-}
-
-// observe folds one value into the histogram. The caller holds the lock
-// guarding h.
-func (h *histData) observe(v int64) {
-	h.buckets[histBucketOf(v)]++
-	h.count++
-	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
-	if h.count == 1 || v > h.max {
-		h.max = v
-	}
-}
-
-// snapshot renders the histogram's current state with only non-empty
-// buckets listed, in ascending value order. The caller holds the lock
-// guarding h.
-func (h *histData) snapshot(name string) Hist {
-	s := Hist{Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	for b, cnt := range h.buckets {
-		if cnt == 0 {
-			continue
-		}
-		lo, hi := uint64(0), uint64(1)
-		if b > 0 {
-			lo, hi = uint64(1)<<(b-1), uint64(1)<<b
-		}
-		s.Buckets = append(s.Buckets, HistBucket{Lo: lo, Hi: hi, Count: cnt})
-	}
-	return s
+	return c.r.m.Counters()
 }
 
 // Observe records one value into the named histogram. Histograms have
@@ -323,33 +260,9 @@ func (c *Ctx) Observe(name string, v int64) {
 	if c == nil {
 		return
 	}
-	c.r.mu.Lock()
-	h := c.r.hists[name]
-	if h == nil {
-		h = &histData{}
-		c.r.hists[name] = h
-	}
-	h.observe(v)
-	c.r.mu.Unlock()
 	for _, s := range c.r.histSinks {
 		s.HistogramObserve(name, v)
 	}
-}
-
-// HistBucket is one non-empty bucket of a histogram snapshot: Count
-// observations fell in the value range [Lo, Hi).
-type HistBucket struct {
-	Lo, Hi uint64
-	Count  uint64
-}
-
-// Hist is a snapshot of one named histogram.
-type Hist struct {
-	Name     string
-	Count    uint64
-	Sum      int64
-	Min, Max int64 // observed extremes (both zero when Count is 0)
-	Buckets  []HistBucket
 }
 
 // Histograms returns a snapshot of every histogram, sorted by name, with
@@ -359,65 +272,5 @@ func (c *Ctx) Histograms() []Hist {
 	if c == nil {
 		return nil
 	}
-	c.r.mu.Lock()
-	out := make([]Hist, 0, len(c.r.hists))
-	for n, h := range c.r.hists {
-		out = append(out, h.snapshot(n))
-	}
-	c.r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// MergeHists merges histogram snapshots by name: counts, sums, and
-// per-bucket tallies add, observed extremes widen. Because buckets are
-// fixed powers of two, merging per-stage snapshots yields exactly the
-// document one shared context would have produced. Output is sorted the
-// same way Histograms sorts.
-func MergeHists(snaps ...[]Hist) []Hist {
-	byName := map[string]*Hist{}
-	var names []string
-	for _, snap := range snaps {
-		for _, h := range snap {
-			m := byName[h.Name]
-			if m == nil {
-				c := h
-				c.Buckets = append([]HistBucket(nil), h.Buckets...)
-				byName[h.Name] = &c
-				names = append(names, h.Name)
-				continue
-			}
-			if h.Count > 0 {
-				if m.Count == 0 || h.Min < m.Min {
-					m.Min = h.Min
-				}
-				if m.Count == 0 || h.Max > m.Max {
-					m.Max = h.Max
-				}
-			}
-			m.Count += h.Count
-			m.Sum += h.Sum
-			for _, b := range h.Buckets {
-				merged := false
-				for i := range m.Buckets {
-					if m.Buckets[i].Lo == b.Lo {
-						m.Buckets[i].Count += b.Count
-						merged = true
-						break
-					}
-				}
-				if !merged {
-					m.Buckets = append(m.Buckets, b)
-				}
-			}
-		}
-	}
-	sort.Strings(names)
-	out := make([]Hist, 0, len(names))
-	for _, n := range names {
-		h := *byName[n]
-		sort.Slice(h.Buckets, func(i, j int) bool { return h.Buckets[i].Lo < h.Buckets[j].Lo })
-		out = append(out, h)
-	}
-	return out
+	return c.r.m.Histograms()
 }

@@ -246,8 +246,7 @@ func TestTraceRoundTrip(t *testing.T) {
 func TestDeterministicEmission(t *testing.T) {
 	emit := func() (trace, metrics, counters []byte) {
 		ts := &TraceSink{}
-		ms := &MetricsSink{}
-		c := newCtx(fixedClock(time.Millisecond), ts, ms)
+		c := newCtx(fixedClock(time.Millisecond), ts)
 		// Span names deliberately out of sorted order.
 		for _, name := range []string{"zeta", "alpha", "mid", "alpha"} {
 			_, sp := c.Start(name, String("k", name))
@@ -263,7 +262,7 @@ func TestDeterministicEmission(t *testing.T) {
 			t.Fatal(err)
 		}
 		var mbuf bytes.Buffer
-		if err := WriteMetrics(&mbuf, ms, c.Counters(), c.Histograms()); err != nil {
+		if _, err := c.Metrics().WriteTo(&mbuf); err != nil {
 			t.Fatal(err)
 		}
 		return tr, mbuf.Bytes(), []byte(FormatCounters(c.Counters()))

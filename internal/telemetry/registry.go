@@ -21,11 +21,11 @@ import (
 )
 
 // Registry aggregates the process's telemetry: an event-fed
-// obs.RegistrySink (attach Sink() to every obs context whose activity
-// should be visible) plus named gauges polled at render time. All
-// methods are safe for concurrent use.
+// obs.Metrics, the aggregate every obs context keeps for itself (attach
+// Sink() to each context that should be visible), plus gauges polled at
+// render time. All methods are safe for concurrent use.
 type Registry struct {
-	sink *obs.RegistrySink
+	sink *obs.Metrics
 
 	mu     sync.Mutex
 	gauges map[string]func() int64
@@ -33,13 +33,12 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{sink: obs.NewRegistrySink(), gauges: map[string]func() int64{}}
+	return &Registry{sink: obs.NewMetrics(), gauges: map[string]func() int64{}}
 }
 
-// Sink returns the registry's event-fed aggregate sink. Pass it to
-// obs.New alongside the other sinks; one registry can aggregate any
-// number of live and completed contexts.
-func (r *Registry) Sink() *obs.RegistrySink { return r.sink }
+// Sink returns the registry's event-fed aggregate. Pass it to obs.New;
+// one registry aggregates any number of live and completed contexts.
+func (r *Registry) Sink() *obs.Metrics { return r.sink }
 
 // SetGauge registers (or replaces) a lazily-polled gauge: fn is invoked
 // on every render, under no registry lock, and must be safe for
@@ -123,7 +122,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "%s_count %d\n", m, h.Count)
 	}
 
-	if stats := r.sink.SpanStats(); len(stats) > 0 {
+	if stats := r.sink.Spans(); len(stats) > 0 {
 		b.WriteString("# TYPE atom_span_count_total counter\n")
 		for _, s := range stats {
 			fmt.Fprintf(&b, "atom_span_count_total{span=%q} %d\n", s.Name, s.Count)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,17 +83,27 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 }
 
-// TestRegistryReconciles: the registry totals match the obs context's
-// own snapshot exactly — the invariant that makes a mid-run scrape
-// agree with end-of-run -stats numbers.
+// TestRegistryReconciles: the registry's event-fed aggregate matches the
+// obs context's own aggregate exactly — counters, histogram snapshots,
+// and span counts per name — the invariant that makes a mid-run scrape
+// agree with end-of-run -stats and -metrics numbers.
 func TestRegistryReconciles(t *testing.T) {
 	reg := NewRegistry()
 	ctx := obs.New(reg.Sink())
 	ctx.Count("a.one", 5)
 	ctx.Count("b.two", 7)
+	ctx.Observe("lat", 3)
+	ctx.Observe("lat", 900)
 	child, sp := ctx.Start("phase")
 	child.Count("a.one", 2)
+	child.Observe("lat", -1)
+	child.Observe("depth", 12)
+	_, inner := child.Start("inner")
+	inner.End()
 	sp.End()
+	_, sp = ctx.Start("phase")
+	sp.End()
+
 	for _, c := range ctx.Counters() {
 		if got := reg.Sink().Counter(c.Name); got != c.Value {
 			t.Errorf("registry %s = %d, ctx = %d", c.Name, got, c.Value)
@@ -100,6 +111,20 @@ func TestRegistryReconciles(t *testing.T) {
 	}
 	if got := reg.Sink().Counter("a.one"); got != 7 {
 		t.Errorf("a.one = %d, want 7 (parent+child)", got)
+	}
+	if got, want := reg.Sink().Histograms(), ctx.Histograms(); !reflect.DeepEqual(got, want) || len(want) != 2 {
+		t.Errorf("registry histograms = %+v, ctx = %+v", got, want)
+	}
+	spanCounts := func(stats []obs.SpanStat) map[string]int64 {
+		m := map[string]int64{}
+		for _, s := range stats {
+			m[s.Name] = s.Count
+		}
+		return m
+	}
+	got, want := spanCounts(reg.Sink().Spans()), spanCounts(ctx.Metrics().Spans())
+	if !reflect.DeepEqual(got, want) || want["phase"] != 2 || want["inner"] != 1 {
+		t.Errorf("registry span counts = %v, ctx = %v, want phase=2 inner=1", got, want)
 	}
 }
 

@@ -234,8 +234,7 @@ func TestFailSoftFlush(t *testing.T) {
 	bad := &Executable{} // not linked: instrumentation must reject it
 
 	ts := &obs.TraceSink{}
-	ms := &obs.MetricsSink{}
-	ctx := obs.New(ts, ms)
+	ctx := obs.New(ts)
 
 	tool, err := ToolByName("branch")
 	if err != nil {
@@ -277,7 +276,7 @@ func TestFailSoftFlush(t *testing.T) {
 	// The metrics snapshot must render, and the apply-time histogram
 	// must have recorded the successful application.
 	var buf bytes.Buffer
-	if err := obs.WriteMetrics(&buf, ms, ctx.Counters(), ctx.Histograms()); err != nil {
+	if _, err := ctx.Metrics().WriteTo(&buf); err != nil {
 		t.Fatalf("metrics flush after failure: %v", err)
 	}
 	if buf.Len() == 0 {
