@@ -225,8 +225,9 @@ type Program = om.Program
 
 // Lift raises an executable to OM IR through the content-addressed lift
 // cache: each distinct executable is analyzed and encoded once per
-// process; every Lift then decodes a fresh Program from the cached
-// atom-ir/v1 blob.
+// process. The Lift that builds the IR returns the Program it built;
+// every later Lift decodes a fresh Program from the cached atom-ir/v1
+// blob.
 func Lift(app *Executable) (*Program, error) { return core.Lift(app) }
 
 // EncodeIR serializes a pristine (not yet instrumented) Program to the

@@ -399,9 +399,9 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // BenchmarkLift measures the lift stage through the content-addressed
-// IR cache: cold is a full build + encode + decode per call, warm is a
-// cached-blob decode — the cost every Instrument/Apply after the first
-// pays for the same executable.
+// IR cache: cold is a build + encode per call (the built Program is
+// returned, nothing is decoded), warm is a cached-blob decode — the cost
+// every Instrument/Apply after the first pays for the same executable.
 func BenchmarkLift(b *testing.B) {
 	exe, err := spec.Build("gcc") // the largest suite program
 	if err != nil {

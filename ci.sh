@@ -1,10 +1,10 @@
 #!/bin/sh
 # The CI gate, and its only copy (`make ci` runs this script):
-# formatting, vet, the atomvet lint, build, race-enabled tests, a
-# one-iteration benchmark smoke so the Figure 5/6 harness cannot rot
-# silently, then the end-to-end CLI gates — trace, profile, vet, inline,
-# IR, persistence, telemetry, and analyze — each introduced by a comment
-# naming it below.
+# formatting, vet, the atomvet lint, build, race-enabled tests, vet and
+# tests of the nested perfbench module, a one-iteration benchmark smoke
+# so the Figure 5/6 harness cannot rot silently, then the end-to-end CLI
+# gates — trace, profile, vet, inline, IR, persistence, telemetry, and
+# analyze — each introduced by a comment naming it below.
 set -eux
 
 fmt=$(gofmt -l .)
@@ -26,6 +26,11 @@ go vet -vettool="$vettmp/atomvet" ./...
 rm -rf "$vettmp"
 
 go test -race ./...
+
+# The benchmark is a nested module (perfbench/), so the commands above
+# do not see it: vet and test it here, so an internal API change breaks
+# CI instead of the next benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
 
 # Benchmark smoke: every benchmark once, no measurement — proves the
 # harness still runs.

@@ -10,7 +10,8 @@ import "atom/internal/obs"
 // Instrument/Apply calls against the same executable, pay for exactly
 // one lift and decode cheap blobs thereafter. The cache stores BLOBS,
 // not Programs: instrumentation mutates a Program (actions are attached
-// to its instructions), so every consumer decodes a fresh, private copy.
+// to its instructions), so every consumer other than the one whose build
+// ran decodes a fresh, private copy.
 //
 // Because the blobs are already wire-stable, the identity BlobCodec
 // persists them through the configured Store unchanged: with a cache

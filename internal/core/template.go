@@ -34,8 +34,8 @@ type siteBuilder struct {
 	insts  []alpha.Inst
 	relocs []om.CodeReloc
 
-	saved     om.RegSet           // registers saved at this site
-	slot      map[alpha.Reg]int64 // register -> frame offset of its slot
+	saved     om.RegSet            // registers saved at this site
+	slot      [alpha.NumRegs]int64 // register -> frame offset of its slot
 	frame     int64
 	outBytes  int64
 	clobbered om.RegSet // argument registers already overwritten
@@ -47,7 +47,7 @@ type siteBuilder struct {
 // then starts from the registers the body may actually clobber instead
 // of assuming a full call.
 func buildSite(req *callReq, target string, dead om.RegSet, tmpl *inlineTemplate) (om.Code, int, error) {
-	b := &siteBuilder{req: req, target: target, slot: map[alpha.Reg]int64{}}
+	b := &siteBuilder{req: req, target: target}
 
 	nargs := len(req.args)
 	nreg := nargs
@@ -98,8 +98,9 @@ func buildSite(req *callReq, target string, dead om.RegSet, tmpl *inlineTemplate
 	}
 
 	// Assign slots.
+	saved := b.saved.Regs()
 	off := b.outBytes
-	for _, r := range b.saved.Regs() {
+	for _, r := range saved {
 		b.slot[r] = off
 		off += 8
 	}
@@ -110,7 +111,7 @@ func buildSite(req *callReq, target string, dead om.RegSet, tmpl *inlineTemplate
 
 	// Prologue: allocate, save.
 	b.emit(alpha.Mem(alpha.OpLda, alpha.SP, alpha.SP, int32(-b.frame)))
-	for _, r := range b.saved.Regs() {
+	for _, r := range saved {
 		b.emit(alpha.Mem(alpha.OpStq, r, alpha.SP, int32(b.slot[r])))
 	}
 
@@ -155,7 +156,7 @@ func buildSite(req *callReq, target string, dead om.RegSet, tmpl *inlineTemplate
 	}
 
 	// Epilogue: restore, deallocate.
-	for _, r := range b.saved.Regs() {
+	for _, r := range saved {
 		b.emit(alpha.Mem(alpha.OpLdq, r, alpha.SP, int32(b.slot[r])))
 	}
 	b.emit(alpha.Mem(alpha.OpLda, alpha.SP, alpha.SP, int32(b.frame)))

@@ -108,8 +108,10 @@ func (uninitPass) Run(ctx *obs.Ctx, u *Unit) []Finding {
 		state := make([]om.RegSet, len(pr.Blocks))
 		sol.SolveProc(pr, state)
 		name := pr.Name
+		var regs []alpha.Reg
 		sol.VisitProc(pr, state, func(in *om.Inst, before, _ om.RegSet) {
-			for _, r := range in.I.ReadsRegs(nil) {
+			regs = in.I.ReadsRegs(regs[:0])
+			for _, r := range regs {
 				if uninitTracked.Has(r) && !before.Has(r) {
 					out = append(out, Finding{
 						Pass: "uninit", Sev: Warn, Proc: name, Addr: in.Addr,

@@ -231,21 +231,34 @@ func (s *Solver) blockTransfer(b *om.Block) Transfer {
 	return t
 }
 
-// VisitProc materializes per-instruction values from a solved block
-// state, calling visit once per instruction with the value before and
-// after it in PROGRAM order (for a backward problem the flow input is
-// "after"; for a forward one it is "before").
-func (s *Solver) VisitProc(pr *om.Proc, state []om.RegSet, visit func(in *om.Inst, before, after om.RegSet)) {
+// Inputs returns, per block, the joined flow input under a solved block
+// state: for a backward problem the value at the block's end, for a
+// forward one the value at its start. It is where VisitProc starts each
+// block's walk, for clients that materialize per-instruction values only
+// for the blocks they query.
+func (s *Solver) Inputs(pr *om.Proc, state []om.RegSet) []om.RegSet {
 	var preds [][]int
 	if s.Dir == Forward {
 		preds = cfgPreds(pr)
 	}
+	in := make([]om.RegSet, len(pr.Blocks))
 	for bi, b := range pr.Blocks {
 		var p []int
 		if preds != nil {
 			p = preds[bi]
 		}
-		v := s.join(pr, b, state, p)
+		in[bi] = s.join(pr, b, state, p)
+	}
+	return in
+}
+
+// VisitProc materializes per-instruction values from a solved block
+// state, calling visit once per instruction with the value before and
+// after it in PROGRAM order (for a backward problem the flow input is
+// "after"; for a forward one it is "before").
+func (s *Solver) VisitProc(pr *om.Proc, state []om.RegSet, visit func(in *om.Inst, before, after om.RegSet)) {
+	for bi, v := range s.Inputs(pr, state) {
+		b := pr.Blocks[bi]
 		if s.Dir == Backward {
 			for k := len(b.Insts) - 1; k >= 0; k-- {
 				in := b.Insts[k]

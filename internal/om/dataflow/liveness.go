@@ -44,14 +44,23 @@ var raBit = om.RegSet(0).Add(alpha.RA)
 // Liveness holds the fixpoint solution for one program. Query with
 // LiveIn/LiveOut; instructions the analysis has not seen (not part of the
 // analyzed program) report everything live.
+//
+// Only the block solution is kept: each block's live-out and each
+// procedure's entry summary. A query walks the queried instruction's
+// block backward from its live-out, so per-instruction sets are computed
+// only for the blocks a client asks about — the planner asks about
+// instrumentation sites, not every instruction.
 type Liveness struct {
-	liveIn  map[*om.Inst]om.RegSet
-	liveOut map[*om.Inst]om.RegSet
-	entry   map[string]om.RegSet
+	procs    []*om.Proc
+	blockOut [][]om.RegSet // per proc, per block: live-out of its last instruction
+
+	procStart map[uint64]int // procedure start address -> index
+	entrySum  []om.RegSet    // per proc: live-in at its entry
+	entry     map[string]om.RegSet
 
 	// Rounds is the number of interprocedural iterations to convergence;
 	// Edges counts CFG successor-edge evaluations across all worklist
-	// passes.
+	// passes and the final per-block join.
 	Rounds int
 	Edges  int
 }
@@ -59,19 +68,15 @@ type Liveness struct {
 // LiveIn returns the registers that may be read before being overwritten
 // on some path starting at in (in's own reads included).
 func (l *Liveness) LiveIn(in *om.Inst) om.RegSet {
-	if s, ok := l.liveIn[in]; ok {
-		return s
-	}
-	return allLive
+	before, _ := l.at(in)
+	return before
 }
 
 // LiveOut returns the registers that may be read on some path starting
 // immediately after in.
 func (l *Liveness) LiveOut(in *om.Inst) om.RegSet {
-	if s, ok := l.liveOut[in]; ok {
-		return s
-	}
-	return allLive
+	_, after := l.at(in)
+	return after
 }
 
 // EntryLive returns the live-in summary at the named procedure's entry.
@@ -80,6 +85,56 @@ func (l *Liveness) EntryLive(proc string) om.RegSet {
 		return s
 	}
 	return allLive
+}
+
+// at returns the live sets before and after in, everything live for an
+// instruction outside the analyzed program.
+func (l *Liveness) at(in *om.Inst) (before, after om.RegSet) {
+	if b := in.Block(); b != nil {
+		pr := in.Proc()
+		pi, bi := pr.Index, b.Index
+		if pi >= 0 && pi < len(l.procs) && l.procs[pi] == pr &&
+			bi >= 0 && bi < len(l.blockOut[pi]) && pr.Blocks[bi] == b {
+			if before, after, ok := l.walk(pi, bi, in); ok {
+				return before, after
+			}
+		}
+	}
+	// Hand-assembled IR carries no block back-pointers: find the block
+	// by scanning.
+	for pi, pr := range l.procs {
+		for bi := range pr.Blocks {
+			if bi >= len(l.blockOut[pi]) {
+				break
+			}
+			if before, after, ok := l.walk(pi, bi, in); ok {
+				return before, after
+			}
+		}
+	}
+	return allLive, allLive
+}
+
+// walk runs block bi of procedure pi backward from its live-out to in.
+func (l *Liveness) walk(pi, bi int, in *om.Inst) (before, after om.RegSet, ok bool) {
+	insts := l.procs[pi].Blocks[bi].Insts
+	v := l.blockOut[pi][bi]
+	for k := len(insts) - 1; k >= 0; k-- {
+		after, v = v, instTransfer(insts[k], l.entryOf).Apply(v)
+		if insts[k] == in {
+			return v, after, true
+		}
+	}
+	return 0, 0, false
+}
+
+// entryOf resolves a transfer target: the callee's current entry summary
+// when addr starts a known procedure, unknown otherwise.
+func (l *Liveness) entryOf(addr uint64) (om.RegSet, bool) {
+	if i, ok := l.procStart[addr]; ok {
+		return l.entrySum[i], true
+	}
+	return allLive, false
 }
 
 // Compute runs the analysis over a program.
@@ -93,42 +148,29 @@ func ComputeCtx(ctx *obs.Ctx, p *om.Program) *Liveness {
 	_, sp := ctx.Start("om.liveness", obs.Int("procs", int64(len(p.Procs))))
 	defer sp.End()
 
-	procStart := map[uint64]int{}
-	for i, pr := range p.Procs {
-		procStart[pr.Addr] = i
-	}
-	entry := make([]om.RegSet, len(p.Procs))
-	// entryOf resolves a transfer target: the callee's current entry
-	// summary when addr starts a known procedure, unknown otherwise.
-	entryOf := func(addr uint64) (om.RegSet, bool) {
-		if i, ok := procStart[addr]; ok {
-			return entry[i], true
-		}
-		return allLive, false
-	}
-
 	lv := &Liveness{
-		liveIn:  make(map[*om.Inst]om.RegSet, p.NumInsts()),
-		liveOut: make(map[*om.Inst]om.RegSet, p.NumInsts()),
-		entry:   make(map[string]om.RegSet, len(p.Procs)),
+		procs:     p.Procs,
+		blockOut:  make([][]om.RegSet, len(p.Procs)),
+		procStart: make(map[uint64]int, len(p.Procs)),
+		entrySum:  make([]om.RegSet, len(p.Procs)),
+		entry:     make(map[string]om.RegSet, len(p.Procs)),
+	}
+	for i, pr := range p.Procs {
+		lv.procStart[pr.Addr] = i
 	}
 
 	sol := &Solver{Problem: Problem{
 		Dir:      Backward,
-		Transfer: func(in *om.Inst) Transfer { return instTransfer(in, entryOf) },
-		Boundary: func(pr *om.Proc, b *om.Block) om.RegSet { return liveBoundary(b, entryOf) },
+		Transfer: func(in *om.Inst) Transfer { return instTransfer(in, lv.entryOf) },
+		Boundary: func(pr *om.Proc, b *om.Block) om.RegSet { return liveBoundary(b, lv.entryOf) },
 		Unknown:  allLive,
 	}}
 	state := NewState(p)
-	lv.Rounds = sol.Fixpoint(p.Procs, state, entry, nil)
+	lv.Rounds = sol.Fixpoint(p.Procs, state, lv.entrySum, nil)
 
-	// Materialize per-instruction sets from the block solution.
 	for pi, pr := range p.Procs {
-		lv.entry[pr.Name] = entry[pi]
-		sol.VisitProc(pr, state[pi], func(in *om.Inst, before, after om.RegSet) {
-			lv.liveIn[in] = before
-			lv.liveOut[in] = after
-		})
+		lv.entry[pr.Name] = lv.entrySum[pi]
+		lv.blockOut[pi] = sol.Inputs(pr, state[pi])
 	}
 	lv.Edges = sol.Edges
 
@@ -197,13 +239,9 @@ func instTransfer(in *om.Inst, entryOf func(uint64) (om.RegSet, bool)) Transfer 
 		// the caller's pre-call value.
 		return Transfer{Mask: allLive &^ raBit, Gen: e &^ raBit}
 	}
-	var use om.RegSet
-	for _, r := range in.I.ReadsRegs(nil) {
-		use = use.Add(r)
-	}
 	mask := allLive
 	if w, ok := in.I.WritesReg(); ok {
 		mask &^= om.RegSet(0).Add(w)
 	}
-	return Transfer{Mask: mask, Gen: use}
+	return Transfer{Mask: mask, Gen: om.Reads(in.I)}
 }

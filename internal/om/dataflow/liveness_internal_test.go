@@ -1,0 +1,135 @@
+package dataflow
+
+import (
+	"testing"
+
+	"atom/internal/alpha"
+	"atom/internal/om"
+	"atom/internal/spec"
+)
+
+// TestInstTransferAllocs pins the per-instruction transfer allocation-
+// free: it runs for every instruction on every solver pass.
+func TestInstTransferAllocs(t *testing.T) {
+	entryOf := func(uint64) (om.RegSet, bool) { return 0, false }
+	for _, tc := range []struct {
+		name string
+		i    alpha.Inst
+	}{
+		{"memory", alpha.Mem(alpha.OpStq, alpha.T0, alpha.SP, 8)},
+		{"operate", alpha.RR(alpha.OpAddq, alpha.T0, alpha.T1, alpha.T2)},
+		{"branch", alpha.Br(alpha.OpBeq, alpha.T3, 4)},
+	} {
+		in := &om.Inst{I: tc.i, Addr: 0x1000}
+		var sink Transfer
+		if n := testing.AllocsPerRun(100, func() { sink = instTransfer(in, entryOf) }); n != 0 {
+			t.Errorf("instTransfer(%s) allocates %v times per call", tc.name, n)
+		}
+		if sink.Gen == 0 {
+			t.Errorf("instTransfer(%s) reads no registers", tc.name)
+		}
+	}
+}
+
+func TestConservativeCallerSaveAllocs(t *testing.T) {
+	var sink om.RegSet
+	if n := testing.AllocsPerRun(100, func() { sink = ConservativeCallerSave() }); n != 0 {
+		t.Errorf("ConservativeCallerSave allocates %v times per call", n)
+	}
+	if sink != om.AllCallerSave() {
+		t.Error("ConservativeCallerSave differs from om.AllCallerSave")
+	}
+}
+
+// materialized is the per-instruction solution as a map: what Liveness
+// stored for every instruction before it kept only the block solution.
+type materialized struct {
+	in, out map[*om.Inst]om.RegSet
+	entry   map[string]om.RegSet
+	edges   int
+	rounds  int
+}
+
+func materialize(p *om.Program) materialized {
+	procStart := map[uint64]int{}
+	for i, pr := range p.Procs {
+		procStart[pr.Addr] = i
+	}
+	entry := make([]om.RegSet, len(p.Procs))
+	entryOf := func(addr uint64) (om.RegSet, bool) {
+		if i, ok := procStart[addr]; ok {
+			return entry[i], true
+		}
+		return allLive, false
+	}
+	sol := &Solver{Problem: Problem{
+		Dir:      Backward,
+		Transfer: func(in *om.Inst) Transfer { return instTransfer(in, entryOf) },
+		Boundary: func(pr *om.Proc, b *om.Block) om.RegSet { return liveBoundary(b, entryOf) },
+		Unknown:  allLive,
+	}}
+	state := NewState(p)
+	m := materialized{
+		in:    map[*om.Inst]om.RegSet{},
+		out:   map[*om.Inst]om.RegSet{},
+		entry: map[string]om.RegSet{},
+	}
+	m.rounds = sol.Fixpoint(p.Procs, state, entry, nil)
+	for pi, pr := range p.Procs {
+		m.entry[pr.Name] = entry[pi]
+		sol.VisitProc(pr, state[pi], func(in *om.Inst, before, after om.RegSet) {
+			m.in[in] = before
+			m.out[in] = after
+		})
+	}
+	m.edges = sol.Edges
+	return m
+}
+
+// TestLivenessMatchesMaterialized holds the on-demand queries to the
+// fully materialized per-instruction solution on real programs: every
+// instruction's LiveIn/LiveOut, every entry summary, and the Rounds and
+// Edges counters.
+func TestLivenessMatchesMaterialized(t *testing.T) {
+	var other *om.Inst
+	for _, name := range []string{"gcc", "compress", "li", "queens"} {
+		exe, err := spec.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := om.Build(exe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv := Compute(p)
+		ref := materialize(p)
+		if lv.Rounds != ref.rounds || lv.Edges != ref.edges {
+			t.Errorf("%s: rounds/edges = %d/%d, want %d/%d", name, lv.Rounds, lv.Edges, ref.rounds, ref.edges)
+		}
+		for _, pr := range p.Procs {
+			if got, want := lv.EntryLive(pr.Name), ref.entry[pr.Name]; got != want {
+				t.Errorf("%s: EntryLive(%s) = %v, want %v", name, pr.Name, got.Regs(), want.Regs())
+			}
+			for _, b := range pr.Blocks {
+				for _, in := range b.Insts {
+					if got, want := lv.LiveIn(in), ref.in[in]; got != want {
+						t.Fatalf("%s: LiveIn(%#x) = %v, want %v", name, in.Addr, got.Regs(), want.Regs())
+					}
+					if got, want := lv.LiveOut(in), ref.out[in]; got != want {
+						t.Fatalf("%s: LiveOut(%#x) = %v, want %v", name, in.Addr, got.Regs(), want.Regs())
+					}
+				}
+			}
+		}
+		// An instruction of another program is unknown here.
+		if other != nil {
+			if lv.LiveIn(other) != allLive || lv.LiveOut(other) != allLive {
+				t.Errorf("%s: instruction of another program not all-live", name)
+			}
+		}
+		other = p.Procs[0].Blocks[0].Insts[0]
+		if n := testing.AllocsPerRun(10, func() { lv.LiveIn(other) }); n != 0 {
+			t.Errorf("%s: a LiveIn query allocates %v times", name, n)
+		}
+	}
+}

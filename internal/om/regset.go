@@ -36,11 +36,26 @@ func (s RegSet) Regs() []alpha.Reg {
 	return out
 }
 
-// AllCallerSave is the set of every caller-save register.
-func AllCallerSave() RegSet {
+// Reads returns the registers the instruction reads (alpha.Inst.ReadsRegs)
+// as a set, without allocating.
+func Reads(i alpha.Inst) RegSet {
+	var buf [2]alpha.Reg // no instruction reads more than two registers
+	var s RegSet
+	for _, r := range i.ReadsRegs(buf[:0]) {
+		s = s.Add(r)
+	}
+	return s
+}
+
+// allCallerSave is computed once: AllCallerSave sits on per-site and
+// per-instruction paths.
+var allCallerSave = func() RegSet {
 	var s RegSet
 	for _, r := range alpha.CallerSaveRegs() {
 		s = s.Add(r)
 	}
 	return s
-}
+}()
+
+// AllCallerSave is the set of every caller-save register.
+func AllCallerSave() RegSet { return allCallerSave }
