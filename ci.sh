@@ -2,7 +2,8 @@
 # The CI gate, and its only copy (`make ci` runs this script):
 # formatting, vet, the atomvet lint, build, race-enabled tests, vet and
 # tests of the nested perfbench module, a one-iteration benchmark smoke
-# so the Figure 5/6 harness cannot rot silently, then the end-to-end CLI
+# so the Figure 5/6 harness cannot rot silently, a short fuzz smoke of
+# the on-disk decoders, then the end-to-end CLI
 # gates — trace, profile, vet, inline, IR, persistence, telemetry, and
 # analyze — each introduced by a comment naming it below.
 set -eux
@@ -35,6 +36,12 @@ go test -race ./...
 # Benchmark smoke: every benchmark once, no measurement — proves the
 # harness still runs.
 go test -bench=. -benchtime=1x -run='^$' ./...
+
+# Fuzz smoke: a few seconds of coverage-guided fuzzing on each decoder
+# of bytes read back from disk — the IR blob (om.FuzzDecode) and the
+# tool-image codec (FuzzImageDecode) — beyond their committed seeds.
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/om
+go test -run='^$' -fuzz='^FuzzImageDecode$' -fuzztime=5s ./internal/core
 
 # Trace smoke: compile and link a program, instrument it with tracing
 # on, and validate the trace file (non-empty, well-formed, covering

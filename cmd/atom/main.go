@@ -482,15 +482,7 @@ func run() (code int) {
 			if len(inputs) > 1 {
 				fmt.Printf("%s:\n", inputs[i])
 			}
-			s := res.Stats
-			fmt.Printf("call sites instrumented: %d\n", s.Calls)
-			fmt.Printf("call sites inlined:      %d\n", s.InlinedSites)
-			fmt.Printf("instructions inserted:   %d\n", s.InsertedInsts)
-			fmt.Printf("application text:        %d -> %d bytes\n", s.OrigText, s.InstrText)
-			fmt.Printf("analysis image:          %d text + %d data bytes\n", s.AnalysisText, s.AnalysisData)
-			if res.HeapOffset != 0 {
-				fmt.Printf("analysis heap offset:    %#x (run with the same offset)\n", res.HeapOffset)
-			}
+			printResultStats(res)
 		}
 	}
 	if *stats {
@@ -724,12 +716,7 @@ func instrumentFromIR(ctx *obs.Ctx, irPath string, tool core.Tool, opts core.Opt
 		printLayout(prog.Exe, res)
 	}
 	if stats {
-		s := res.Stats
-		fmt.Printf("call sites instrumented: %d\n", s.Calls)
-		fmt.Printf("call sites inlined:      %d\n", s.InlinedSites)
-		fmt.Printf("instructions inserted:   %d\n", s.InsertedInsts)
-		fmt.Printf("application text:        %d -> %d bytes\n", s.OrigText, s.InstrText)
-		fmt.Printf("analysis image:          %d text + %d data bytes\n", s.AnalysisText, s.AnalysisData)
+		printResultStats(res)
 		printCacheStats()
 	}
 	if benchJSON != "" {
@@ -739,6 +726,23 @@ func instrumentFromIR(ctx *obs.Ctx, irPath string, tool core.Tool, opts core.Opt
 		}
 	}
 	return 0
+}
+
+// printResultStats renders one instrumented program's -stats block: the
+// call sites split into inlined, direct and wrapper calls, the code
+// inserted, and the image sizes.
+func printResultStats(res *core.Result) {
+	s := res.Stats
+	fmt.Printf("call sites instrumented: %d\n", s.Calls)
+	fmt.Printf("call sites inlined:      %d\n", s.InlinedSites)
+	fmt.Printf("call sites direct:       %d\n", s.DirectSites)
+	fmt.Printf("call sites via wrapper:  %d\n", s.Calls-s.InlinedSites-s.DirectSites)
+	fmt.Printf("instructions inserted:   %d\n", s.InsertedInsts)
+	fmt.Printf("application text:        %d -> %d bytes\n", s.OrigText, s.InstrText)
+	fmt.Printf("analysis image:          %d text + %d data bytes\n", s.AnalysisText, s.AnalysisData)
+	if res.HeapOffset != 0 {
+		fmt.Printf("analysis heap offset:    %#x (run with the same offset)\n", res.HeapOffset)
+	}
 }
 
 // printCacheStats renders the three artifact caches (and, when a

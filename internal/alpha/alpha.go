@@ -144,5 +144,9 @@ const (
 	PalSbrk2  = 0x07 // a0 increment -> v0 previous break (analysis zone)
 )
 
+// PalDefined reports whether fn is one of the PAL services above. Every
+// defined service reads at most a0-a2 and writes at most v0.
+func PalDefined(fn uint32) bool { return fn <= PalSbrk2 }
+
 // Word is the size in bytes of one instruction.
 const Word = 4

@@ -35,7 +35,9 @@
 // modified, split between the call site (ra, argument registers, at) and
 // a per-routine wrapper (default) or save/restore code spliced into the
 // analysis routine itself (SaveInAnalysis, the paper's "higher
-// optimization option").
+// optimization option"); registers the application cannot read at a
+// site are not saved there, and a site whose wrapper would save only
+// such registers calls the routine directly.
 package core
 
 import (
@@ -43,6 +45,7 @@ import (
 	"strings"
 	"time"
 
+	"atom/internal/alpha"
 	"atom/internal/aout"
 	"atom/internal/link"
 	"atom/internal/obs"
@@ -70,11 +73,14 @@ const (
 	// SaveWrapper interposes a generated wrapper per analysis procedure
 	// that saves/restores the summary registers. "This is the default
 	// mechanism" (paper, Section 4): the analysis code is unmodified, so
-	// source-level debugging keeps working.
+	// source-level debugging keeps working. A site where every register
+	// the wrapper would save is dead calls the procedure directly.
 	SaveWrapper SaveMode = iota
 	// SaveInAnalysis splices the saves/restores into the analysis
 	// routines themselves and calls them directly — "more work but more
-	// efficient"; the paper's higher optimization option.
+	// efficient"; the paper's higher optimization option. A leaf
+	// routine's saves are left to its sites, which save only the live
+	// ones.
 	SaveInAnalysis
 )
 
@@ -142,6 +148,7 @@ func WithInlining(on bool) Option { return func(o *Options) { o.NoInline = !on }
 type Stats struct {
 	Calls         int    // inserted call sites
 	InlinedSites  int    // call sites whose analysis routine was inlined
+	DirectSites   int    // call sites calling the analysis procedure itself, no wrapper
 	InsertedInsts int    // total spliced instructions in the application
 	SavedRegs     int    // registers saved at call sites, summed over sites
 	OrigText      uint64 // application text before instrumentation
@@ -385,7 +392,6 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 		limit = DefaultInlineLimit
 	}
 
-	var sitesInlined, sitesCalled int64
 	stats := Stats{Calls: len(q.journal), OrigText: uint64(len(app.Text))}
 	for _, req := range ordered {
 		target := req.proto.Name
@@ -394,9 +400,6 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 			if t := ti.inline[target]; t != nil && t.bodyLen <= limit {
 				tmpl = t
 			}
-		}
-		if tmpl == nil && opts.Mode == SaveWrapper {
-			target = WrapperName(target)
 		}
 		var dead om.RegSet
 		if lv != nil {
@@ -409,16 +412,30 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 			// the save planner cannot drop below.
 			ctx.Observe("atom.site_live_regs", int64((dataflow.ConservativeCallerSave() &^ dead).Count()))
 		}
-		code, nsaved, err := buildSite(req, target, dead, tmpl)
+		// clobbers are what the callee may overwrite that only this site
+		// saves: an inlined body's clobbers, or a directly called
+		// routine's site save set. A wrapper-mode call whose wrapper
+		// would save only registers dead here calls the analysis
+		// procedure itself: same site code, without the wrapper's frame,
+		// saves and extra call and return. Wrappers relaying stack
+		// arguments are always used.
+		clobbers := ti.siteSave[target]
+		if tmpl != nil {
+			clobbers = tmpl.clobbers
+		} else if opts.Mode == SaveWrapper &&
+			(len(req.args) > alpha.MaxRegArgs || clobbers&^dead != 0) {
+			target = WrapperName(target)
+			clobbers = 0
+		}
+		code, nsaved, err := buildSite(req, target, dead, clobbers, tmpl)
 		if err != nil {
 			return nil, err
 		}
 		if tmpl != nil {
-			sitesInlined++
 			stats.InlinedSites++
 			ctx.Observe("atom.inline_body_len", int64(len(tmpl.insts)))
-		} else {
-			sitesCalled++
+		} else if target == req.proto.Name {
+			stats.DirectSites++
 		}
 		stats.InsertedInsts += len(code.Insts)
 		stats.SavedRegs += nsaved
@@ -538,8 +555,9 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 		obs.Int("sites", int64(stats.Calls)),
 		obs.Int("inserted_insts", int64(stats.InsertedInsts)))
 	ctx.Count("atom.sites", int64(stats.Calls))
-	ctx.Count("atom.sites_inlined", sitesInlined)
-	ctx.Count("atom.sites_called", sitesCalled)
+	ctx.Count("atom.sites_inlined", int64(stats.InlinedSites))
+	ctx.Count("atom.sites_called", int64(stats.Calls-stats.InlinedSites))
+	ctx.Count("atom.sites_direct", int64(stats.DirectSites))
 	ctx.Count("atom.bytes_marshalled", int64(len(out.Text)+len(out.Data)))
 	return &Result{Exe: out, HeapOffset: opts.HeapOffset, PCMap: lay, Stats: stats}, nil
 }

@@ -13,7 +13,8 @@ import (
 // Wire formats for the core caches, so tool images and probe apps
 // persist through the process-wide build.Store. A ToolImage is the
 // linked aout image (which has its own versioned encoding) plus the
-// procedure tables and inline templates the apply phase consults; all of
+// procedure tables, site save sets (v2) and inline templates the
+// apply phase consults; all of
 // it is byte-stable, EXCEPT the tool identity — the Tool value carries
 // the user's Go instrumentation closure, which has no wire form. The
 // codec therefore encodes everything but the tool, and toolImageFor
@@ -22,7 +23,7 @@ import (
 // mixed into the cache keys, so a format change can never decode an old
 // blob.
 const (
-	imageCodecVersion = "atom-img/v1\n"
+	imageCodecVersion = "atom-img/v2\n"
 	probeCodecVersion = "atom-probe/v1\n"
 )
 
@@ -39,6 +40,17 @@ func (imageCodec) Marshal(v any) ([]byte, error) {
 	e.Blob(ti.img.Encode())
 	encodeNameSet(e, ti.hasProc)
 	encodeNameSet(e, ti.isGlobal)
+
+	saves := make([]string, 0, len(ti.siteSave))
+	for n := range ti.siteSave {
+		saves = append(saves, n)
+	}
+	sort.Strings(saves)
+	e.U32(uint32(len(saves)))
+	for _, n := range saves {
+		e.Str(n)
+		e.U32(uint32(ti.siteSave[n]))
+	}
 
 	names := make([]string, 0, len(ti.inline))
 	for n := range ti.inline {
@@ -92,6 +104,12 @@ func (imageCodec) Unmarshal(blob []byte) (any, error) {
 	ti.img = img
 	ti.hasProc = decodeNameSet(d)
 	ti.isGlobal = decodeNameSet(d)
+	ns := d.Len()
+	ti.siteSave = make(map[string]om.RegSet, ns)
+	for i := 0; i < ns; i++ {
+		n := d.Str()
+		ti.siteSave[n] = om.RegSet(d.U32())
+	}
 
 	nt := d.Len()
 	if nt > 0 {

@@ -41,12 +41,13 @@ type siteBuilder struct {
 	clobbered om.RegSet // argument registers already overwritten
 }
 
-// buildSite generates the spliced code for one call site. When tmpl is
-// non-nil the analysis routine's body is spliced in place of the bsr
-// (the wrapper and the call/return disappear entirely); the save set
-// then starts from the registers the body may actually clobber instead
-// of assuming a full call.
-func buildSite(req *callReq, target string, dead om.RegSet, tmpl *inlineTemplate) (om.Code, int, error) {
+// buildSite generates the spliced code for one call site. clobbers are
+// the registers the callee may overwrite that nothing but the site
+// saves: the body's clobber set when tmpl is non-nil — the analysis
+// routine's body is then spliced in place of the bsr, and the wrapper
+// and the call/return disappear entirely — or the site save set of a
+// routine called directly.
+func buildSite(req *callReq, target string, dead, clobbers om.RegSet, tmpl *inlineTemplate) (om.Code, int, error) {
 	b := &siteBuilder{req: req, target: target}
 
 	nargs := len(req.args)
@@ -59,14 +60,12 @@ func buildSite(req *callReq, target string, dead om.RegSet, tmpl *inlineTemplate
 	// Decide the save set. For a call: ra is always saved ("the return
 	// address register is always modified when a call is made so we
 	// always save the return address register"); every argument register
-	// this site writes; and at when the template needs a scratch
-	// register. For an inlined body there is no call — the candidates
-	// are the written argument registers, at, and the body's clobber
-	// set; ra is saved only if the body itself clobbers it.
+	// this site writes; at when the template needs a scratch register;
+	// and the callee's clobbers. For an inlined body there is no call —
+	// ra is saved only if the body itself clobbers it.
+	b.saved = clobbers
 	if tmpl == nil {
 		b.saved = b.saved.Add(alpha.RA)
-	} else {
-		b.saved |= tmpl.clobbers
 	}
 	argRegs := alpha.ArgRegs()
 	for i := 0; i < nreg; i++ {

@@ -50,6 +50,14 @@ type ToolImage struct {
 	// plan by Options.NoInline/InlineLimit, so the cache key is
 	// unaffected.
 	inline map[string]*inlineTemplate
+
+	// siteSave is, per defined analysis procedure, the registers a site
+	// calling it directly must save where they are live, beyond ra and
+	// the argument registers: its wrapper's save set, or nothing when
+	// the in-analysis mode spliced the saves into the procedure itself.
+	// A wrapper-mode site calls directly only where all of them are
+	// dead, so its code is the wrapper call's with another target.
+	siteSave map[string]om.RegSet
 }
 
 // ToolName returns the name of the tool the image was built for.
@@ -232,14 +240,37 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 	if err != nil {
 		return nil, fmt.Errorf("atom: analysis image: %w", err)
 	}
-	summary := dataflow.ModifiedRegsCtx(ictx, aprog)
 
 	ti := &ToolImage{
 		tool:     tool,
 		mode:     opts.Mode,
 		hasProc:  map[string]bool{},
 		isGlobal: map[string]bool{},
+		siteSave: map[string]om.RegSet{},
 	}
+	protoNames := make([]string, 0, len(protos))
+	for n := range protos {
+		protoNames = append(protoNames, n)
+	}
+	sort.Strings(protoNames)
+	var defined []string
+	for _, name := range protoNames {
+		if aprog.Proc(name) == nil {
+			continue
+		}
+		ti.hasProc[name] = true
+		if sym, ok := prov.Lookup(name); ok && sym.Global {
+			ti.isGlobal[name] = true
+			defined = append(defined, name)
+		}
+	}
+
+	// Rename the scratch registers of the routines only ATOM enters
+	// (rename.go). The summary is taken on the renamed code, and the
+	// final image gets the same renaming once it is linked.
+	renames := scratchRenames(aprog, defined)
+	renameProg(aprog, renames)
+	summary := dataflow.ModifiedRegsCtx(ictx, aprog)
 
 	// Save set per defined prototype: the registers the procedure's
 	// interprocedural summary says may be modified, minus ra and the
@@ -247,25 +278,9 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 	// generated for every defined prototype, not just the procedures this
 	// particular program mix happens to call — that is what makes the
 	// image application-independent.
-	protoNames := make([]string, 0, len(protos))
-	for n := range protos {
-		protoNames = append(protoNames, n)
-	}
-	sort.Strings(protoNames)
 	wrapSave := map[string]om.RegSet{}
-	var defined []string
 	args := alpha.ArgRegs()
-	for _, name := range protoNames {
-		if aprog.Proc(name) == nil {
-			continue
-		}
-		ti.hasProc[name] = true
-		sym, ok := prov.Lookup(name)
-		if !ok || !sym.Global {
-			continue
-		}
-		ti.isGlobal[name] = true
-		defined = append(defined, name)
+	for _, name := range defined {
 		mod := summary[name]
 		if opts.NoRegSummary {
 			mod = om.AllCallerSave()
@@ -280,11 +295,16 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 			save &^= om.RegSet(0).Add(args[i])
 		}
 		wrapSave[name] = save
+		ti.siteSave[name] = save
 	}
 
 	// The in-analysis save mode splices save/restore code into the called
 	// procedures themselves, so the image depends on the target set (which
-	// is part of its cache key) and every target must check out now.
+	// is part of its cache key) and every target must check out now. A
+	// leaf target is the exception: its save set is just its own scratch
+	// registers, which its sites save where live (siteSave), as they do
+	// for an inlined body — never more than the splice would save on
+	// every call.
 	var extraText uint64
 	spliceSave := map[string]om.RegSet{}
 	if opts.Mode == SaveInAnalysis {
@@ -309,7 +329,10 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 					}
 				}
 			}
-			spliceSave[name] = wrapSave[name]
+			if _, leaf := leafRegs(pr); !leaf {
+				spliceSave[name] = wrapSave[name]
+				ti.siteSave[name] = 0
+			}
 		}
 		extraText = spliceGrowth(aprog, targets, spliceSave)
 	}
@@ -336,6 +359,9 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 	img, err := link.LinkCtx(ictx, cfg, objs, lib)
 	if err != nil {
 		return nil, fmt.Errorf("atom: linking analysis image: %w", err)
+	}
+	if err := renameImage(img, renames); err != nil {
+		return nil, err
 	}
 
 	if opts.Mode == SaveInAnalysis && extraText > 0 {
@@ -402,6 +428,7 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 	isp.SetAttr(
 		obs.Int("text_bytes", int64(len(img.Text))),
 		obs.Int("data_bytes", int64(len(img.Data))),
-		obs.Int("inlinable_procs", int64(len(ti.inline))))
+		obs.Int("inlinable_procs", int64(len(ti.inline))),
+		obs.Int("renamed_procs", int64(len(renames))))
 	return ti, nil
 }

@@ -9,9 +9,10 @@ import (
 // generalized from the liveness analysis: any monotone problem whose
 // values are om.RegSet and whose per-instruction transfer has the
 // mask/gen shape can run on it, forward or backward, with the same
-// per-procedure block fixpoint and (optionally) the same interprocedural
-// entry-summary outer loop. Liveness (backward, may) and the analysis
-// passes' reaching-definitions variant (forward, may) are both clients.
+// per-procedure block fixpoint; a client that needs interprocedural
+// summaries drives SolveProc from its own worklist over procedures.
+// Liveness (backward, may) and the analysis passes' reaching-definitions
+// variant (forward, may) are both clients.
 
 // Direction orients a Problem: Backward propagates against control flow
 // (a block's input is joined from its CFG successors), Forward along it
@@ -169,47 +170,76 @@ func cfgPreds(pr *om.Proc) [][]int {
 // forward), and re-queued through its flow dependents when its value
 // grows.
 func (s *Solver) SolveProc(pr *om.Proc, state []om.RegSet) {
+	s.solve(pr, s.graph(pr), state, nil)
+}
+
+// graph is what a solve derives from one procedure's IR: each block's
+// composed transfer and the blocks that read its value. A client that
+// re-solves a procedure many times keeps its graph and refreshes only the
+// transfers that changed.
+type graph struct {
+	trans []Transfer
+	deps  [][]int // per block: the blocks whose joined input reads it
+	preds [][]int // per block: CFG predecessors (Forward only)
+}
+
+// graph builds a procedure's graph under the current transfers.
+func (s *Solver) graph(pr *om.Proc) *graph {
+	g := &graph{trans: make([]Transfer, len(pr.Blocks)), deps: s.flowPreds(pr)}
+	for bi, b := range pr.Blocks {
+		g.trans[bi] = s.blockTransfer(b)
+	}
+	if s.Dir == Forward {
+		g.preds = cfgPreds(pr)
+	}
+	return g
+}
+
+// solve runs the worklist over a procedure's graph from the seed blocks
+// — every block when seeds is nil — to a fixpoint, updating state in
+// place. Seeding only the blocks whose transfer or boundary grew since
+// state was last a fixpoint reaches the same solution.
+func (s *Solver) solve(pr *om.Proc, g *graph, state []om.RegSet, seeds []int) {
 	n := len(pr.Blocks)
 	if n == 0 {
 		return
 	}
-	trans := make([]Transfer, n)
-	for bi, b := range pr.Blocks {
-		trans[bi] = s.blockTransfer(b)
-	}
-	var preds [][]int // CFG predecessors; join inputs for Forward
-	if s.Dir == Forward {
-		preds = cfgPreds(pr)
-	}
-	deps := s.flowPreds(pr)
 	onList := make([]bool, n)
 	work := make([]int, 0, n)
-	for bi := 0; bi < n; bi++ {
-		// Popped from the tail: reverse layout order first for a
-		// backward problem, layout order first for a forward one.
-		if s.Dir == Backward {
+	push := func(bi int) {
+		if !onList[bi] {
 			work = append(work, bi)
-		} else {
-			work = append(work, n-1-bi)
+			onList[bi] = true
 		}
-		onList[bi] = true
+	}
+	if seeds != nil {
+		for _, bi := range seeds {
+			push(bi)
+		}
+	} else {
+		for bi := 0; bi < n; bi++ {
+			// Popped from the tail: reverse layout order first for a
+			// backward problem, layout order first for a forward one.
+			if s.Dir == Backward {
+				push(bi)
+			} else {
+				push(n - 1 - bi)
+			}
+		}
 	}
 	for len(work) > 0 {
 		bi := work[len(work)-1]
 		work = work[:len(work)-1]
 		onList[bi] = false
 		var p []int
-		if preds != nil {
-			p = preds[bi]
+		if g.preds != nil {
+			p = g.preds[bi]
 		}
-		nv := trans[bi].Apply(s.join(pr, pr.Blocks[bi], state, p))
+		nv := g.trans[bi].Apply(s.join(pr, pr.Blocks[bi], state, p))
 		if nv != state[bi] {
 			state[bi] = nv
-			for _, di := range deps[bi] {
-				if !onList[di] {
-					work = append(work, di)
-					onList[di] = true
-				}
+			for _, di := range g.deps[bi] {
+				push(di)
 			}
 		}
 	}
@@ -284,37 +314,4 @@ func NewState(p *om.Program) [][]om.RegSet {
 		state[i] = make([]om.RegSet, len(pr.Blocks))
 	}
 	return state
-}
-
-// Fixpoint runs the interprocedural outer loop: each round re-solves
-// every procedure against the current summaries (warm-started from the
-// last round), then re-extracts each procedure's summary; when a full
-// round leaves every summary unchanged, every procedure was solved
-// against the final summaries and the whole system is at its least
-// fixpoint. summarize extracts a procedure's summary from its solved
-// state; nil means the first block's value (the entry summary of a
-// backward problem). The Problem's Transfer/Boundary closures are
-// expected to read summary between rounds. Returns the round count.
-func (s *Solver) Fixpoint(procs []*om.Proc, state [][]om.RegSet, summary []om.RegSet, summarize func(pr *om.Proc, state []om.RegSet) om.RegSet) int {
-	if summarize == nil {
-		summarize = func(pr *om.Proc, state []om.RegSet) om.RegSet {
-			if len(state) > 0 {
-				return state[0]
-			}
-			return 0
-		}
-	}
-	rounds := 0
-	for changed := true; changed; {
-		changed = false
-		rounds++
-		for pi, pr := range procs {
-			s.SolveProc(pr, state[pi])
-			if e := summarize(pr, state[pi]); e != summary[pi] {
-				summary[pi] = e
-				changed = true
-			}
-		}
-	}
-	return rounds
 }

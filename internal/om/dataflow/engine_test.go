@@ -16,13 +16,14 @@ import (
 
 func reg(r alpha.Reg) om.RegSet { return om.RegSet(0).Add(r) }
 
-// TestLivenessIndirectConservatism: jsr and call_pal have unknown
-// callees, so everything is live immediately before them — even a
-// register the block itself defined just above.
+// TestLivenessIndirectConservatism: jsr and a call_pal with a code the
+// VM does not define have unknown callees, so everything is live
+// immediately before them — even a register the block itself defined
+// just above.
 func TestLivenessIndirectConservatism(t *testing.T) {
 	ret := alpha.Inst{Op: alpha.OpRet, Ra: alpha.Zero, Rb: alpha.RA}
 	jsr := alpha.Inst{Op: alpha.OpJsr, Ra: alpha.RA, Rb: alpha.PV}
-	pal := alpha.Inst{Op: alpha.OpCallPal, PalFn: 0}
+	pal := alpha.Inst{Op: alpha.OpCallPal, PalFn: 0x3f}
 	clrT0 := alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T0)
 
 	for _, tc := range []struct {

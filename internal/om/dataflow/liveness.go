@@ -1,7 +1,10 @@
 package dataflow
 
 import (
+	"sort"
+
 	"atom/internal/alpha"
+	"atom/internal/aout"
 	"atom/internal/obs"
 	"atom/internal/om"
 )
@@ -11,27 +14,38 @@ import (
 // overwriting it; ATOM only needs to save a register around an analysis
 // call if it is live there AND the analysis routine may modify it.
 //
-// The analysis is interprocedural but deliberately summary-based, layered
-// the same way as ModifiedRegs: within a procedure a worklist fixpoint
-// runs over the CFG successor edges; across procedures each procedure
-// exports one entry summary (the live-in set of its first block), used at
-// every direct call (bsr) and cross-procedure branch that targets it.
-// Everything unresolvable is all-live:
+// The analysis is interprocedural and summary-based, layered the same
+// way as ModifiedRegs: within a procedure a worklist fixpoint runs over
+// the CFG successor edges; across procedures each procedure has two
+// summaries.
 //
-//   - ret and jmp: the continuation (caller, jump table) is unknown;
-//   - jsr and call_pal: the callee is unknown, so it may read anything
-//     and the state of the world after it returns is unknowable here;
-//   - bsr or br into the middle of another procedure;
-//   - control falling off the end of a procedure.
+//   - The entry summary is the live-in set of its first block. It is what
+//     a resolved direct call (bsr) and a cross-procedure branch to the
+//     procedure read.
+//   - The exit summary is what its ret reads: the union of the live sets
+//     just after every resolved bsr to the procedure. A procedure whose
+//     callers are not all known keeps an all-live exit: the program
+//     entry, a procedure whose address a non-branch relocation takes (it
+//     may be called through a pointer), one reached by a cross-procedure
+//     branch or a bsr into its middle, and one the previous procedure
+//     can fall into. Without an executable (hand-assembled IR) there is
+//     no relocation table to consult, so every exit is all-live.
 //
-// The only must-def the analysis exploits across calls is bsr writing ra:
-// neither the callee nor any post-return code can observe the caller's
-// pre-call ra, so ra is dead immediately before every resolved bsr.
+// Because every caller's continuation flows into the callee's exit
+// summary, a resolved bsr reads exactly the callee's entry summary: a
+// register live after the call that the callee does not overwrite on
+// some path is in that summary already, and ra is must-defined by the
+// bsr itself, so nothing else outlives the call.
 //
-// The fixpoint itself runs on the generic engine (engine.go) as a
-// Backward Problem: instTransfer is the per-instruction transfer,
-// liveBoundary the conservative continuation of each block's terminator,
-// and allLive the worst case joined over malformed edges.
+// Everything else unresolvable is all-live: jmp (a jump table or unknown
+// continuation), jsr (an unknown callee), a bsr to an address that
+// starts no procedure, and a call_pal whose code the VM does not define.
+// A defined PAL service reads a0–a2 and writes v0, exactly as the VM's
+// dispatcher does (internal/vm/pal.go).
+//
+// The interprocedural solution is one worklist over procedures: solving
+// a procedure whose entry summary changes requeues the procedures that
+// read it, and a grown exit summary requeues the callee.
 
 // allLive is every architecturally meaningful register: the caller-save
 // set shared with the modified-register summary plus the callee-save
@@ -41,26 +55,35 @@ var allLive = AllRegs()
 
 var raBit = om.RegSet(0).Add(alpha.RA)
 
+// palTransfer is the effect of a defined PAL service: it reads its
+// arguments a0–a2 and returns its result in v0.
+var palTransfer = Transfer{
+	Mask: allLive &^ om.RegSet(0).Add(alpha.V0),
+	Gen:  om.RegSet(0).Add(alpha.A0).Add(alpha.A1).Add(alpha.A2),
+}
+
 // Liveness holds the fixpoint solution for one program. Query with
 // LiveIn/LiveOut; instructions the analysis has not seen (not part of the
 // analyzed program) report everything live.
 //
 // Only the block solution is kept: each block's live-out and each
-// procedure's entry summary. A query walks the queried instruction's
-// block backward from its live-out, so per-instruction sets are computed
-// only for the blocks a client asks about — the planner asks about
-// instrumentation sites, not every instruction.
+// procedure's entry and exit summaries. A query walks the queried
+// instruction's block backward from its live-out, so per-instruction
+// sets are computed only for the blocks a client asks about — the
+// planner asks about instrumentation sites, not every instruction.
 type Liveness struct {
 	procs    []*om.Proc
 	blockOut [][]om.RegSet // per proc, per block: live-out of its last instruction
 
 	procStart map[uint64]int // procedure start address -> index
 	entrySum  []om.RegSet    // per proc: live-in at its entry
+	exitSum   []om.RegSet    // per proc: what its rets read
 	entry     map[string]om.RegSet
 
-	// Rounds is the number of interprocedural iterations to convergence;
-	// Edges counts CFG successor-edge evaluations across all worklist
-	// passes and the final per-block join.
+	// Rounds is the number of generations the procedure worklist took to
+	// converge (the first visits every procedure); Edges counts CFG
+	// successor-edge evaluations across all solves and the final
+	// per-block join.
 	Rounds int
 	Edges  int
 }
@@ -141,38 +164,24 @@ func (l *Liveness) entryOf(addr uint64) (om.RegSet, bool) {
 func Compute(p *om.Program) *Liveness { return ComputeCtx(nil, p) }
 
 // ComputeCtx is Compute with a stage context: the fixpoint runs under an
-// "om.liveness" span annotated with the interprocedural round count and
-// the number of CFG edge evaluations, also published as the
+// "om.liveness" span annotated with the worklist round count and the
+// number of CFG edge evaluations, also published as the
 // "om.liveness.rounds" and "om.liveness.edges" counters.
 func ComputeCtx(ctx *obs.Ctx, p *om.Program) *Liveness {
 	_, sp := ctx.Start("om.liveness", obs.Int("procs", int64(len(p.Procs))))
 	defer sp.End()
 
-	lv := &Liveness{
-		procs:     p.Procs,
-		blockOut:  make([][]om.RegSet, len(p.Procs)),
-		procStart: make(map[uint64]int, len(p.Procs)),
-		entrySum:  make([]om.RegSet, len(p.Procs)),
-		entry:     make(map[string]om.RegSet, len(p.Procs)),
-	}
-	for i, pr := range p.Procs {
-		lv.procStart[pr.Addr] = i
-	}
-
-	sol := &Solver{Problem: Problem{
-		Dir:      Backward,
-		Transfer: func(in *om.Inst) Transfer { return instTransfer(in, lv.entryOf) },
-		Boundary: func(pr *om.Proc, b *om.Block) om.RegSet { return liveBoundary(b, lv.entryOf) },
-		Unknown:  allLive,
-	}}
-	state := NewState(p)
-	lv.Rounds = sol.Fixpoint(p.Procs, state, lv.entrySum, nil)
-
+	s := newLiveSolver(p)
+	s.run()
+	lv := s.lv
+	lv.blockOut = make([][]om.RegSet, len(p.Procs))
+	lv.entry = make(map[string]om.RegSet, len(p.Procs))
 	for pi, pr := range p.Procs {
+		s.cur = pi
 		lv.entry[pr.Name] = lv.entrySum[pi]
-		lv.blockOut[pi] = sol.Inputs(pr, state[pi])
+		lv.blockOut[pi] = s.Inputs(pr, s.state[pi])
 	}
-	lv.Edges = sol.Edges
+	lv.Edges = s.Edges
 
 	sp.SetAttr(
 		obs.Int("rounds", int64(lv.Rounds)),
@@ -182,11 +191,386 @@ func ComputeCtx(ctx *obs.Ctx, p *om.Program) *Liveness {
 	return lv
 }
 
-// liveBoundary is the conservative contribution to a block's live-out
-// that its CFG edges do not represent: the continuation of a return or
-// indirect jump (everything), a resolved cross-procedure transfer (the
-// callee's entry summary), or falling off the end of the procedure.
-func liveBoundary(b *om.Block, entryOf func(uint64) (om.RegSet, bool)) om.RegSet {
+// liveSolver is the interprocedural fixpoint in progress: the engine's
+// Solver for the per-procedure block problem plus the procedure
+// worklist around it.
+type liveSolver struct {
+	Solver
+	lv    *Liveness
+	state [][]om.RegSet // per proc, per block: live-in
+
+	// cur is the procedure whose blocks the Problem callbacks are
+	// evaluating; its exit summary is what a ret reads.
+	cur int
+	// fixedExit marks the procedures whose exit stays all-live.
+	fixedExit []bool
+	// readers[j] lists the procedures whose transfers read procedure
+	// j's entry summary: its direct callers, procedures branching to
+	// its start, and the procedure that can fall into it.
+	readers [][]int
+	// calls[i] lists the blocks of procedure i holding a resolved bsr:
+	// their transfers read the callees' entry summaries, and their
+	// continuations feed the callees' exit summaries.
+	calls [][]int
+	// touch[i] lists the blocks of procedure i that read a summary —
+	// the calls, plus blocks whose boundary is a ret or a transfer to a
+	// procedure start. A re-solve seeds only these.
+	touch [][]int
+	// graphs[i] is procedure i's solver graph, kept across re-solves.
+	graphs []*graph
+}
+
+// newLiveSolver prepares the fixpoint: entry summaries at ∅, exit
+// summaries at ∅ or (for procedures with unknown callers) all-live.
+func newLiveSolver(p *om.Program) *liveSolver {
+	n := len(p.Procs)
+	lv := &Liveness{
+		procs:     p.Procs,
+		procStart: make(map[uint64]int, n),
+		entrySum:  make([]om.RegSet, n),
+		exitSum:   make([]om.RegSet, n),
+	}
+	for i, pr := range p.Procs {
+		lv.procStart[pr.Addr] = i
+	}
+	fixed, _ := entries(p)
+	s := &liveSolver{
+		lv:        lv,
+		state:     NewState(p),
+		fixedExit: fixed,
+		readers:   make([][]int, n),
+		calls:     make([][]int, n),
+		touch:     make([][]int, n),
+		graphs:    make([]*graph, n),
+	}
+	s.Problem = Problem{
+		Dir:      Backward,
+		Transfer: func(in *om.Inst) Transfer { return instTransfer(in, lv.entryOf) },
+		Boundary: func(pr *om.Proc, b *om.Block) om.RegSet {
+			return liveBoundary(b, lv.entryOf, lv.exitSum[s.cur])
+		},
+		Unknown: allLive,
+	}
+	for j, fixed := range s.fixedExit {
+		if fixed {
+			lv.exitSum[j] = allLive
+		}
+	}
+
+	addReader := func(j, i int) {
+		if rs := s.readers[j]; len(rs) == 0 || rs[len(rs)-1] != i {
+			s.readers[j] = append(rs, i)
+		}
+	}
+	for i, pr := range p.Procs {
+		for bi, b := range pr.Blocks {
+			if len(b.Insts) == 0 {
+				continue
+			}
+			hasCall, reads := false, false
+			for _, in := range b.Insts {
+				if in.I.Op.Format() != alpha.FormatBranch {
+					continue
+				}
+				if j, ok := lv.procStart[branchTarget(in)]; ok {
+					addReader(j, i)
+					hasCall = hasCall || in.I.Op == alpha.OpBsr
+					reads = true
+				}
+			}
+			last := b.Insts[len(b.Insts)-1]
+			if j, ok := lv.procStart[last.Addr+4]; ok {
+				addReader(j, i)
+				reads = true
+			}
+			if hasCall {
+				s.calls[i] = append(s.calls[i], bi)
+			}
+			if reads || last.I.Op == alpha.OpRet {
+				s.touch[i] = append(s.touch[i], bi)
+			}
+		}
+	}
+	return s
+}
+
+// solveProc brings procedure i to a fixpoint under the current
+// summaries: a full solve the first time, afterwards a warm one that
+// refreshes the call blocks' transfers and seeds the blocks that read a
+// summary.
+func (s *liveSolver) solveProc(i int) {
+	s.cur = i
+	pr := s.lv.procs[i]
+	g := s.graphs[i]
+	if g == nil {
+		s.graphs[i] = s.graph(pr)
+		s.solve(pr, s.graphs[i], s.state[i], nil)
+		return
+	}
+	for _, bi := range s.calls[i] {
+		g.trans[bi] = s.blockTransfer(pr.Blocks[bi])
+	}
+	s.solve(pr, g, s.state[i], s.touch[i])
+}
+
+// run runs the procedure worklist to the least fixpoint. Each round
+// visits the procedures queued during the previous one, in program
+// order.
+func (s *liveSolver) run() {
+	lv := s.lv
+	n := len(lv.procs)
+	queued := make([]bool, n)
+	work := make([]int, n)
+	for i := range work {
+		work[i] = i
+		queued[i] = true
+	}
+	var next []int
+	requeue := func(j int) {
+		if !queued[j] {
+			queued[j] = true
+			next = append(next, j)
+		}
+	}
+	for len(work) > 0 {
+		lv.Rounds++
+		for _, i := range work {
+			queued[i] = false
+			s.solveProc(i)
+			pr := lv.procs[i]
+			if len(s.state[i]) > 0 && s.state[i][0] != lv.entrySum[i] {
+				lv.entrySum[i] = s.state[i][0]
+				for _, r := range s.readers[i] {
+					requeue(r)
+				}
+			}
+			// Feed each resolved call's continuation to its callee's
+			// exit summary.
+			for _, bi := range s.calls[i] {
+				b := pr.Blocks[bi]
+				v := s.join(pr, b, s.state[i], nil)
+				for k := len(b.Insts) - 1; k >= 0; k-- {
+					in := b.Insts[k]
+					if in.I.Op == alpha.OpBsr {
+						if j, ok := lv.procStart[branchTarget(in)]; ok && v&^lv.exitSum[j] != 0 {
+							lv.exitSum[j] |= v
+							requeue(j)
+						}
+					}
+					v = instTransfer(in, lv.entryOf).Apply(v)
+				}
+			}
+		}
+		work, next = next, work[:0]
+	}
+}
+
+// Entered reports, per procedure, whether the program can enter it other
+// than by its own internal branches: a resolved call, a call into its
+// middle, a branch from another procedure, a taken address, the previous
+// procedure falling into it, or the program entry. Without an executable
+// every procedure counts as entered.
+func Entered(p *om.Program) []bool {
+	fixed, called := entries(p)
+	for i := range fixed {
+		fixed[i] = fixed[i] || called[i]
+	}
+	return fixed
+}
+
+// entries classifies how the program enters each procedure. fixed marks
+// the procedures whose rets may return to code no resolved bsr accounts
+// for (see the package comment on exit summaries); called marks the
+// targets of resolved bsrs.
+func entries(p *om.Program) (fixed, called []bool) {
+	fixed = make([]bool, len(p.Procs))
+	called = make([]bool, len(p.Procs))
+	if p.Exe == nil {
+		for i := range fixed {
+			fixed[i] = true
+		}
+		return fixed, called
+	}
+	order := make([]int, len(p.Procs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return p.Procs[order[a]].Addr < p.Procs[order[b]].Addr })
+	procOf := func(addr uint64) int {
+		k := sort.Search(len(order), func(k int) bool { return p.Procs[order[k]].Addr > addr }) - 1
+		if k >= 0 {
+			if pr := p.Procs[order[k]]; addr < pr.Addr+pr.Size {
+				return order[k]
+			}
+		}
+		return -1
+	}
+	mark := func(addr uint64) {
+		if j := procOf(addr); j >= 0 {
+			fixed[j] = true
+		}
+	}
+
+	mark(p.Exe.Entry)
+	for _, rel := range p.Exe.Relocs {
+		if rel.Type == aout.RelBr21 || rel.Sym < 0 || rel.Sym >= len(p.Exe.Symbols) {
+			continue
+		}
+		mark(p.Exe.Symbols[rel.Sym].Value + uint64(rel.Addend))
+	}
+	for i, pr := range p.Procs {
+		for _, b := range pr.Blocks {
+			for _, in := range b.Insts {
+				if in.I.Op.Format() != alpha.FormatBranch {
+					continue
+				}
+				t := branchTarget(in)
+				j := i
+				if t < pr.Addr || t >= pr.Addr+pr.Size {
+					j = procOf(t)
+				}
+				switch {
+				case j < 0:
+				case in.I.Op == alpha.OpBsr && t == p.Procs[j].Addr:
+					called[j] = true
+				case in.I.Op == alpha.OpBsr:
+					fixed[j] = true // a call into the middle
+				case j != i:
+					fixed[j] = true // a cross-procedure branch
+				}
+			}
+		}
+	}
+	start := make(map[uint64]int, len(p.Procs))
+	for i, pr := range p.Procs {
+		start[pr.Addr] = i
+	}
+	ret := mayReturn(p, start)
+	for _, pr := range p.Procs {
+		if nb := len(pr.Blocks); nb > 0 {
+			if last := pr.Blocks[nb-1].Insts; len(last) > 0 && continues(last[len(last)-1], start, ret) {
+				mark(pr.Addr + pr.Size)
+			}
+		}
+	}
+	return fixed, called
+}
+
+// mayReturn reports, per procedure, whether a call to it can return: a
+// ret, or a transfer the analysis cannot follow, is reachable from its
+// entry without passing a call that cannot return. It is the least
+// fixpoint, so a procedure that returns only through an endless
+// recursion does not return — no execution returns from it either. The
+// runtime's exit, which ends in a halt, is what it finds: the call that
+// ends a startup routine does not fall into the procedure after it.
+func mayReturn(p *om.Program, start map[uint64]int) []bool {
+	r := &returnScan{start: start, ret: make([]bool, len(p.Procs))}
+	for changed := true; changed; {
+		changed = false
+		// Callees tend to follow their callers, so a backward sweep
+		// settles most procedures in one round.
+		for i := len(p.Procs) - 1; i >= 0; i-- {
+			if !r.ret[i] && r.reachesExit(p.Procs[i]) {
+				r.ret[i] = true
+				changed = true
+			}
+		}
+	}
+	return r.ret
+}
+
+// returnScan holds mayReturn's verdicts so far and the buffers its
+// per-procedure searches share.
+type returnScan struct {
+	start map[uint64]int
+	ret   []bool
+	seen  []bool
+	work  []*om.Block
+}
+
+// reachesExit reports whether control entering pr can leave it other
+// than by a call that cannot return, under the current verdicts.
+func (r *returnScan) reachesExit(pr *om.Proc) bool {
+	if len(pr.Blocks) == 0 {
+		return false
+	}
+	r.seen = append(r.seen[:0], make([]bool, len(pr.Blocks))...)
+	r.work = append(r.work[:0], pr.Blocks[0])
+	r.seen[0] = true
+	for len(r.work) > 0 {
+		b := r.work[len(r.work)-1]
+		r.work = r.work[:len(r.work)-1]
+		reached := len(b.Insts) > 0
+		for _, in := range b.Insts {
+			if in.I.Op == alpha.OpBsr && !continues(in, r.start, r.ret) {
+				reached = false
+				break
+			}
+		}
+		if !reached {
+			continue
+		}
+		// Leaving the procedure, or a transfer no CFG edge follows,
+		// counts as reaching an exit.
+		last := b.Insts[len(b.Insts)-1]
+		switch op := last.I.Op; {
+		case op == alpha.OpRet || op == alpha.OpJmp:
+			return true
+		case (op == alpha.OpBr || op.IsCondBranch()) && !hasEdge(b, branchTarget(last)):
+			return true
+		}
+		if continues(last, r.start, r.ret) && !hasEdge(b, last.Addr+4) {
+			return true
+		}
+		for _, sb := range b.Succs {
+			if !validSucc(pr, sb) {
+				return true
+			}
+			if !r.seen[sb.Index] {
+				r.seen[sb.Index] = true
+				r.work = append(r.work, sb)
+			}
+		}
+	}
+	return false
+}
+
+// hasEdge reports whether one of b's CFG successors starts at addr.
+func hasEdge(b *om.Block, addr uint64) bool {
+	for _, s := range b.Succs {
+		if len(s.Insts) > 0 && s.Insts[0].Addr == addr {
+			return true
+		}
+	}
+	return false
+}
+
+// continues reports whether control can pass from in to the next
+// address: not after an unconditional transfer, nor after a call to a
+// procedure that cannot return.
+func continues(in *om.Inst, start map[uint64]int, ret []bool) bool {
+	switch in.I.Op {
+	case alpha.OpRet, alpha.OpJmp, alpha.OpBr:
+		return false
+	case alpha.OpBsr:
+		if j, ok := start[branchTarget(in)]; ok {
+			return ret[j]
+		}
+	}
+	return true
+}
+
+// branchTarget is the address a branch-format instruction transfers to.
+func branchTarget(in *om.Inst) uint64 {
+	return in.Addr + 4 + uint64(int64(in.I.Disp)*4)
+}
+
+// liveBoundary is the contribution to a block's live-out that its CFG
+// edges do not represent: the continuation of a return (the procedure's
+// exit summary) or indirect jump (everything), a resolved
+// cross-procedure transfer (the callee's entry summary), or falling off
+// the end of the procedure.
+func liveBoundary(b *om.Block, entryOf func(uint64) (om.RegSet, bool), exit om.RegSet) om.RegSet {
 	if len(b.Insts) == 0 {
 		return 0
 	}
@@ -194,10 +578,8 @@ func liveBoundary(b *om.Block, entryOf func(uint64) (om.RegSet, bool)) om.RegSet
 	// CFG edge: nothing if an edge covers it, the callee's entry summary
 	// for a procedure start, everything otherwise.
 	cont := func(addr uint64) om.RegSet {
-		for _, s := range b.Succs {
-			if len(s.Insts) > 0 && s.Insts[0].Addr == addr {
-				return 0
-			}
+		if hasEdge(b, addr) {
+			return 0
 		}
 		if e, known := entryOf(addr); known {
 			return e
@@ -207,14 +589,14 @@ func liveBoundary(b *om.Block, entryOf func(uint64) (om.RegSet, bool)) om.RegSet
 	last := b.Insts[len(b.Insts)-1]
 	op := last.I.Op
 	switch {
-	case op == alpha.OpRet || op == alpha.OpJmp:
+	case op == alpha.OpRet:
+		return exit
+	case op == alpha.OpJmp:
 		return allLive
 	case op.IsCondBranch():
-		target := last.Addr + 4 + uint64(int64(last.I.Disp)*4)
-		return cont(target).Union(cont(last.Addr + 4))
+		return cont(branchTarget(last)).Union(cont(last.Addr + 4))
 	case op == alpha.OpBr:
-		target := last.Addr + 4 + uint64(int64(last.I.Disp)*4)
-		return cont(target)
+		return cont(branchTarget(last))
 	default:
 		return cont(last.Addr + 4)
 	}
@@ -223,25 +605,50 @@ func liveBoundary(b *om.Block, entryOf func(uint64) (om.RegSet, bool)) om.RegSet
 // instTransfer is the backward transfer of one instruction.
 func instTransfer(in *om.Inst, entryOf func(uint64) (om.RegSet, bool)) Transfer {
 	switch in.I.Op {
-	case alpha.OpJsr, alpha.OpCallPal:
-		// Unknown callee: it may read anything, and nothing about the
-		// pre-call state can be inferred from what happens after it.
+	case alpha.OpCallPal:
+		if alpha.PalDefined(in.I.PalFn) {
+			return palTransfer
+		}
+		// An unknown service: it may read anything, and nothing about
+		// the pre-call state can be inferred from what happens after it.
+		return Transfer{Mask: 0, Gen: allLive}
+	case alpha.OpJsr:
+		// Unknown callee, as for an unknown PAL service.
 		return Transfer{Mask: 0, Gen: allLive}
 	case alpha.OpBsr:
-		target := in.Addr + 4 + uint64(int64(in.I.Disp)*4)
-		e, known := entryOf(target)
+		e, known := entryOf(branchTarget(in))
 		if !known {
 			return Transfer{Mask: 0, Gen: allLive}
 		}
-		// Resolved direct call: the callee reads its entry summary, and
-		// whatever outlives the return passes through — except ra, which
-		// the bsr itself must-defines, so no one downstream can observe
-		// the caller's pre-call value.
-		return Transfer{Mask: allLive &^ raBit, Gen: e &^ raBit}
+		// Resolved direct call: the callee reads its entry summary, which
+		// already holds whatever of the continuation it does not
+		// overwrite (the continuation feeds its exit summary) — except
+		// ra, which the bsr itself must-defines.
+		return Transfer{Mask: 0, Gen: e &^ raBit}
 	}
 	mask := allLive
 	if w, ok := in.I.WritesReg(); ok {
 		mask &^= om.RegSet(0).Add(w)
 	}
 	return Transfer{Mask: mask, Gen: om.Reads(in.I)}
+}
+
+// UpwardExposed returns the registers some path from pr's entry reads
+// before writing, when its rets return to code that reads nothing: the
+// entry summary of a procedure only instrumentation calls. Calls and
+// transfers out of the procedure count as reading everything.
+func UpwardExposed(pr *om.Proc) om.RegSet {
+	if len(pr.Blocks) == 0 {
+		return 0
+	}
+	unknown := func(uint64) (om.RegSet, bool) { return allLive, false }
+	s := &Solver{Problem: Problem{
+		Dir:      Backward,
+		Transfer: func(in *om.Inst) Transfer { return instTransfer(in, unknown) },
+		Boundary: func(_ *om.Proc, b *om.Block) om.RegSet { return liveBoundary(b, unknown, 0) },
+		Unknown:  allLive,
+	}}
+	state := make([]om.RegSet, len(pr.Blocks))
+	s.SolveProc(pr, state)
+	return state[0]
 }

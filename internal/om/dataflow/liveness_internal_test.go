@@ -50,39 +50,27 @@ type materialized struct {
 	rounds  int
 }
 
+// materialize solves the program with the same procedure worklist, then
+// visits every instruction of every procedure against its final state,
+// rets reading their procedure's exit summary.
 func materialize(p *om.Program) materialized {
-	procStart := map[uint64]int{}
-	for i, pr := range p.Procs {
-		procStart[pr.Addr] = i
-	}
-	entry := make([]om.RegSet, len(p.Procs))
-	entryOf := func(addr uint64) (om.RegSet, bool) {
-		if i, ok := procStart[addr]; ok {
-			return entry[i], true
-		}
-		return allLive, false
-	}
-	sol := &Solver{Problem: Problem{
-		Dir:      Backward,
-		Transfer: func(in *om.Inst) Transfer { return instTransfer(in, entryOf) },
-		Boundary: func(pr *om.Proc, b *om.Block) om.RegSet { return liveBoundary(b, entryOf) },
-		Unknown:  allLive,
-	}}
-	state := NewState(p)
+	s := newLiveSolver(p)
+	s.run()
 	m := materialized{
-		in:    map[*om.Inst]om.RegSet{},
-		out:   map[*om.Inst]om.RegSet{},
-		entry: map[string]om.RegSet{},
+		in:     map[*om.Inst]om.RegSet{},
+		out:    map[*om.Inst]om.RegSet{},
+		entry:  map[string]om.RegSet{},
+		rounds: s.lv.Rounds,
 	}
-	m.rounds = sol.Fixpoint(p.Procs, state, entry, nil)
 	for pi, pr := range p.Procs {
-		m.entry[pr.Name] = entry[pi]
-		sol.VisitProc(pr, state[pi], func(in *om.Inst, before, after om.RegSet) {
+		s.cur = pi
+		m.entry[pr.Name] = s.lv.entrySum[pi]
+		s.VisitProc(pr, s.state[pi], func(in *om.Inst, before, after om.RegSet) {
 			m.in[in] = before
 			m.out[in] = after
 		})
 	}
-	m.edges = sol.Edges
+	m.edges = s.Edges
 	return m
 }
 
@@ -130,6 +118,88 @@ func TestLivenessMatchesMaterialized(t *testing.T) {
 		other = p.Procs[0].Blocks[0].Insts[0]
 		if n := testing.AllocsPerRun(10, func() { lv.LiveIn(other) }); n != 0 {
 			t.Errorf("%s: a LiveIn query allocates %v times", name, n)
+		}
+	}
+}
+
+// roundRobin solves liveness the slow way, as an independent check of
+// the procedure worklist: every round re-solves every procedure and
+// recomputes every exit summary from scratch over all call sites, until
+// a round changes nothing. It returns each instruction's live-in and
+// live-out.
+func roundRobin(p *om.Program) (in, out map[*om.Inst]om.RegSet) {
+	s := newLiveSolver(p)
+	lv := s.lv
+	for changed := true; changed; {
+		changed = false
+		for i, pr := range p.Procs {
+			s.cur = i
+			s.SolveProc(pr, s.state[i])
+			if len(s.state[i]) > 0 && s.state[i][0] != lv.entrySum[i] {
+				lv.entrySum[i] = s.state[i][0]
+				changed = true
+			}
+		}
+		exit := make([]om.RegSet, len(p.Procs))
+		for j, fixed := range s.fixedExit {
+			if fixed {
+				exit[j] = allLive
+			}
+		}
+		for i, pr := range p.Procs {
+			s.cur = i
+			s.VisitProc(pr, s.state[i], func(in *om.Inst, _, after om.RegSet) {
+				if in.I.Op != alpha.OpBsr {
+					return
+				}
+				if j, ok := lv.procStart[branchTarget(in)]; ok {
+					exit[j] |= after
+				}
+			})
+		}
+		for j := range exit {
+			if exit[j] != lv.exitSum[j] {
+				lv.exitSum[j] = exit[j]
+				changed = true
+			}
+		}
+	}
+	in, out = map[*om.Inst]om.RegSet{}, map[*om.Inst]om.RegSet{}
+	for i, pr := range p.Procs {
+		s.cur = i
+		s.VisitProc(pr, s.state[i], func(inst *om.Inst, before, after om.RegSet) {
+			in[inst], out[inst] = before, after
+		})
+	}
+	return in, out
+}
+
+// TestLivenessWorklistMatchesRoundRobin holds the procedure worklist to
+// the round-robin fixpoint on real programs: the same least solution at
+// every instruction.
+func TestLivenessWorklistMatchesRoundRobin(t *testing.T) {
+	for _, name := range []string{"gcc", "compress", "li", "queens"} {
+		exe, err := spec.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := om.Build(exe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv := Compute(p)
+		in, out := roundRobin(p)
+		for _, pr := range p.Procs {
+			for _, b := range pr.Blocks {
+				for _, inst := range b.Insts {
+					if got := lv.LiveIn(inst); got != in[inst] {
+						t.Fatalf("%s: LiveIn(%#x) = %v, round robin %v", name, inst.Addr, got.Regs(), in[inst].Regs())
+					}
+					if got := lv.LiveOut(inst); got != out[inst] {
+						t.Fatalf("%s: LiveOut(%#x) = %v, round robin %v", name, inst.Addr, got.Regs(), out[inst].Regs())
+					}
+				}
+			}
 		}
 	}
 }

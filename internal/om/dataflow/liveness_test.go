@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"atom/internal/alpha"
+	"atom/internal/aout"
 	"atom/internal/om"
 	"atom/internal/om/dataflow"
 )
@@ -234,5 +235,211 @@ func TestLivenessUnknownInst(t *testing.T) {
 	}
 	if got := lv.EntryLive("nope"); !got.Has(alpha.RA) {
 		t.Errorf("unknown procedure's entry not all-live: %v", got.Regs())
+	}
+}
+
+// linked wraps hand-built procedures in a program with an executable:
+// its entry point, symbols and relocations are what decide which
+// procedures keep an all-live exit.
+func linked(entry uint64, procs ...*om.Proc) *om.Program {
+	return &om.Program{
+		Exe:   &aout.File{Linked: true, Entry: entry},
+		Procs: procs,
+	}
+}
+
+// lastInst returns the last instruction of a procedure.
+func lastInst(pr *om.Proc) *om.Inst {
+	b := pr.Blocks[len(pr.Blocks)-1]
+	return b.Insts[len(b.Insts)-1]
+}
+
+var (
+	retInst = alpha.Inst{Op: alpha.OpRet, Ra: alpha.Zero, Rb: alpha.RA}
+	// spin is a one-instruction block branching to itself: a
+	// continuation that reads nothing.
+	spin = alpha.Br(alpha.OpBr, alpha.Zero, -1)
+)
+
+func bsr(from, to uint64) alpha.Inst {
+	return alpha.Br(alpha.OpBsr, alpha.RA, int32((int64(to)-int64(from)-4)/4))
+}
+
+// TestLivenessExitSummaryUnion: a ret reads its procedure's exit
+// summary, the union of what is live just after each call to it — t1
+// after the first call site, t2 after the second — and nothing else.
+func TestLivenessExitSummaryUnion(t *testing.T) {
+	f := mkProc("f", 0, 0x1000, [][]alpha.Inst{{retInst}}, [][]int{{}})
+	c := mkProc("c", 1, 0x1100, [][]alpha.Inst{{
+		bsr(0x1100, 0x1000),
+		alpha.RR(alpha.OpAddq, alpha.T1, alpha.Zero, alpha.V0),
+		bsr(0x1108, 0x1000),
+		alpha.RR(alpha.OpAddq, alpha.T2, alpha.Zero, alpha.V0),
+		retInst,
+	}}, [][]int{{}})
+	main := mkProc("main", 2, 0x1200, [][]alpha.Inst{{bsr(0x1200, 0x1100)}, {spin}}, [][]int{{1}, {1}})
+	p := linked(0x1200, f, c, main)
+	lv := dataflow.Compute(p)
+
+	want := reg(alpha.T1).Add(alpha.T2).Add(alpha.RA)
+	if got := lv.LiveIn(lastInst(f)); got != want {
+		t.Errorf("f's ret reads %v, want %v (t1 and t2 from its two call sites, ra)", got.Regs(), want.Regs())
+	}
+	// c's only caller continues into a loop that reads nothing.
+	if got := lv.LiveIn(lastInst(c)); got != reg(alpha.RA) {
+		t.Errorf("c's ret reads %v, want only ra", got.Regs())
+	}
+	// c reads t1 and t2 after calls that do not define them, so both
+	// are live at its entry and before main's call to it; ra is
+	// must-defined by that bsr.
+	if got, want := lv.LiveIn(main.Blocks[0].Insts[0]), reg(alpha.T1).Add(alpha.T2); got != want {
+		t.Errorf("live before main's call = %v, want %v", got.Regs(), want.Regs())
+	}
+}
+
+// TestLivenessCallKills: a register the callee overwrites on every
+// path is dead before the call even though the caller reads it after
+// the call — the continuation reaches the callee's exit summary, so the
+// call's live-in is exactly the callee's entry summary.
+func TestLivenessCallKills(t *testing.T) {
+	f := mkProc("f", 0, 0x1000, [][]alpha.Inst{{alpha.RI(alpha.OpAddq, alpha.Zero, 1, alpha.T3), retInst}}, [][]int{{}})
+	c := mkProc("c", 1, 0x1100, [][]alpha.Inst{{
+		bsr(0x1100, 0x1000),
+		alpha.RR(alpha.OpAddq, alpha.T3, alpha.Zero, alpha.V0),
+		retInst,
+	}}, [][]int{{}})
+	main := mkProc("main", 2, 0x1200, [][]alpha.Inst{{bsr(0x1200, 0x1100)}, {spin}}, [][]int{{1}, {1}})
+	lv := dataflow.Compute(linked(0x1200, f, c, main))
+	call := c.Blocks[0].Insts[0]
+	if !lv.LiveOut(call).Has(alpha.T3) {
+		t.Errorf("t3 dead after the call, but c reads it: %v", lv.LiveOut(call).Regs())
+	}
+	if lv.LiveIn(call).Has(alpha.T3) {
+		t.Errorf("t3 live before the call, but f overwrites it first: %v", lv.LiveIn(call).Regs())
+	}
+}
+
+// TestLivenessAllLiveExits: a procedure keeps an all-live exit whenever
+// its rets may return to code no resolved bsr accounts for — it is the
+// program entry, its address is taken by a non-branch relocation, a
+// branch from another procedure or a bsr into its middle reaches it, or
+// the procedure before it can fall into it — which a trailing call does
+// only if its callee can return.
+func TestLivenessAllLiveExits(t *testing.T) {
+	// g is a leaf nobody calls; h precedes it and ends in a loop, so by
+	// default neither g's entry nor its exit is reachable from anywhere.
+	type build func() (*om.Program, *om.Proc)
+	// h ends right where g starts.
+	base := func(hBody []alpha.Inst) (*om.Proc, *om.Proc, *om.Proc) {
+		h := mkProc("h", 0, 0x1100-4*uint64(len(hBody)), [][]alpha.Inst{hBody}, [][]int{{}})
+		g := mkProc("g", 1, 0x1100, [][]alpha.Inst{{alpha.RR(alpha.OpAddq, alpha.A0, alpha.Zero, alpha.V0), retInst}}, [][]int{{}})
+		main := mkProc("main", 2, 0x1200, [][]alpha.Inst{{spin}}, [][]int{{0}})
+		return h, g, main
+	}
+	withH := func(hBody []alpha.Inst) build {
+		return func() (*om.Program, *om.Proc) {
+			h, g, main := base(hBody)
+			if hBody[len(hBody)-1].Op == alpha.OpBr && hBody[len(hBody)-1].Disp == -1 {
+				h.Blocks[0].Succs = []*om.Block{h.Blocks[0]}
+			}
+			return linked(0x1200, h, g, main), g
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		build   build
+		allLive bool
+	}{
+		{"uncalled", withH([]alpha.Inst{spin}), false},
+		{"entry", func() (*om.Program, *om.Proc) {
+			h, g, main := base([]alpha.Inst{spin})
+			h.Blocks[0].Succs = []*om.Block{h.Blocks[0]}
+			return linked(0x1100, h, g, main), g
+		}, true},
+		{"address-taken", func() (*om.Program, *om.Proc) {
+			p, g := withH([]alpha.Inst{spin})()
+			p.Exe.Symbols = []aout.Symbol{{Name: "g", Kind: aout.SymFunc, Section: aout.SecText, Value: 0x1100, Size: 8, Global: true}}
+			p.Exe.Relocs = []aout.Reloc{{Section: aout.SecData, Offset: 0, Type: aout.RelQuad, Sym: 0}}
+			return p, g
+		}, true},
+		{"cross-procedure-branch", withH([]alpha.Inst{alpha.Br(alpha.OpBr, alpha.Zero, 0)}), true},
+		{"bsr-into-middle", withH([]alpha.Inst{bsr(0x10f8, 0x1104), spin}), true},
+		{"fall-through", withH([]alpha.Inst{alpha.RI(alpha.OpAddq, alpha.Zero, 1, alpha.T0)}), true},
+		// h ends in a call, as a startup routine ends in its call to
+		// exit: control falls into g only if the callee can return.
+		{"trailing-call-returns", trailingCall(retInst), true},
+		{"trailing-call-never-returns", trailingCall(spin), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, g := tc.build()
+			lv := dataflow.Compute(p)
+			got := lv.LiveIn(lastInst(g))
+			want := reg(alpha.RA)
+			if tc.allLive {
+				want = dataflow.AllRegs()
+			}
+			if got != want {
+				t.Errorf("g's ret reads %v, want %v", got.Regs(), want.Regs())
+			}
+		})
+	}
+}
+
+// trailingCall builds h (a lone bsr to x, the procedure after main), g
+// and main, with x's body the given single instruction.
+func trailingCall(xBody alpha.Inst) func() (*om.Program, *om.Proc) {
+	return func() (*om.Program, *om.Proc) {
+		h := mkProc("h", 0, 0x10fc, [][]alpha.Inst{{bsr(0x10fc, 0x1300)}}, [][]int{{}})
+		g := mkProc("g", 1, 0x1100, [][]alpha.Inst{{alpha.RR(alpha.OpAddq, alpha.A0, alpha.Zero, alpha.V0), retInst}}, [][]int{{}})
+		main := mkProc("main", 2, 0x1200, [][]alpha.Inst{{spin}}, [][]int{{0}})
+		var xSuccs [][]int
+		if xBody.Op == alpha.OpBr {
+			xSuccs = [][]int{{0}}
+		} else {
+			xSuccs = [][]int{{}}
+		}
+		x := mkProc("x", 3, 0x1300, [][]alpha.Inst{{xBody}}, xSuccs)
+		return linked(0x1200, h, g, main, x), g
+	}
+}
+
+// TestLivenessPalContract: every PAL code the VM defines reads exactly
+// a0–a2 and writes v0, so a register live after it stays live before
+// it, v0 does not, and the arguments join; a code the VM does not define
+// is an unknown callee and keeps everything live.
+func TestLivenessPalContract(t *testing.T) {
+	args := reg(alpha.A0).Add(alpha.A1).Add(alpha.A2)
+	body := func(fn uint32) *om.Program {
+		return linked(0, mkProc("p", 0, 0x1000, [][]alpha.Inst{{
+			alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T3),
+			{Op: alpha.OpCallPal, PalFn: fn},
+			alpha.RR(alpha.OpAddq, alpha.V0, alpha.T0, alpha.T1),
+			retInst,
+		}}, [][]int{{}}))
+	}
+	for fn := uint32(0); alpha.PalDefined(fn); fn++ {
+		p := body(fn)
+		lv := dataflow.Compute(p)
+		pal := p.Procs[0].Blocks[0].Insts[1]
+		after := reg(alpha.V0).Add(alpha.T0).Add(alpha.RA)
+		if got := lv.LiveOut(pal); got != after {
+			t.Fatalf("PAL %#x: live after = %v, want %v", fn, got.Regs(), after.Regs())
+		}
+		if got, want := lv.LiveIn(pal), reg(alpha.T0).Add(alpha.RA)|args; got != want {
+			t.Errorf("PAL %#x: live before = %v, want %v", fn, got.Regs(), want.Regs())
+		}
+	}
+	for _, fn := range []uint32{0x08, 0x3f, 1<<26 - 1} {
+		if alpha.PalDefined(fn) {
+			t.Fatalf("PAL %#x defined", fn)
+		}
+		p := body(fn)
+		lv := dataflow.Compute(p)
+		if got := lv.LiveIn(p.Procs[0].Blocks[0].Insts[1]); got != dataflow.AllRegs() {
+			t.Errorf("undefined PAL %#x: live before = %v, want everything", fn, got.Regs())
+		}
+		if lv.LiveIn(p.Procs[0].Blocks[0].Insts[0]).Has(alpha.T3) {
+			t.Errorf("undefined PAL %#x: t3 live at entry despite its definition", fn)
+		}
 	}
 }
