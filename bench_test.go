@@ -1,29 +1,28 @@
 package atom_test
 
-// The benchmark harness regenerating the paper's evaluation:
+// Benchmarks of what the repository's benchmark (perfbench/) does not
+// measure. Figures 5 and 6 are perfbench's instrument, run_dense and
+// run_sparse workloads: bash perfbench/run.sh --workload instrument ...
 //
-//   - BenchmarkInstrument/<tool> — Figure 5: time for ATOM to instrument
-//     the 20-program suite with each tool. Reported per-program
-//     (ms/program metric) for comparison with the paper's "Average Time"
-//     column.
+//   - BenchmarkInstrumentSuite, BenchmarkInstrumentDiskWarm — instrumenting
+//     with the parallel fan-out driver, and from a warm persistent cache
+//     directory.
 //
-//   - BenchmarkOverhead/<tool> — Figure 6: execution of the instrumented
-//     programs relative to uninstrumented, as the deterministic
-//     instruction ratio (ratio metric) plus wall time.
+//   - BenchmarkSaveMode, BenchmarkRegSummary, BenchmarkLiveness,
+//     BenchmarkInline — ablations of the design choices Section 4
+//     discusses (wrapper vs in-analysis saves, the data-flow register
+//     summary vs saving all caller-save registers) and of the two
+//     future-work items implemented here (liveness, inlining), as
+//     instruction ratios.
 //
-//   - BenchmarkSaveMode, BenchmarkRegSummary — ablations of the design
-//     choices Section 4 discusses: wrapper vs in-analysis saves, and the
-//     data-flow register summary vs saving all caller-save registers.
+//   - BenchmarkScheduler, BenchmarkVM, BenchmarkCompile, BenchmarkLift,
+//     BenchmarkIRRoundTrip — substrate costs: pipe's static dual-issue
+//     scheduling, raw interpreter speed, MiniC compilation, the lift
+//     through the IR cache cold and warm, and IR encode/decode.
 //
-//   - BenchmarkScheduler, BenchmarkVM, BenchmarkCompile — substrate
-//     costs: pipe's static dual-issue scheduling, raw interpreter speed,
-//     and MiniC compilation.
-//
-// Run everything:  go test -bench=. -benchmem
-// One figure:      go test -bench=BenchmarkOverhead -benchtime=1x
+// Run everything:  go test -bench=. -benchmem -run='^$' .
 
 import (
-	"math"
 	"testing"
 
 	"atom"
@@ -36,65 +35,6 @@ import (
 	"atom/internal/tools"
 	"atom/internal/vm"
 )
-
-// fig6Programs is the subset used per benchmark iteration; pass
-// -bench=BenchmarkOverhead -benchtime=1x and see EXPERIMENTS.md for the
-// full-suite table (cmd/atom -table fig6).
-var fig6Programs = []string{"eqntott", "queens", "spice", "fpppp", "tomcatv", "gcc"}
-
-// BenchmarkInstrument regenerates Figure 5: instrumentation time per tool
-// across the whole suite.
-func BenchmarkInstrument(b *testing.B) {
-	// Applications are built outside every timer (the paper measures
-	// ATOM's processing, not the compiler's).
-	var apps []string
-	for _, p := range spec.Suite() {
-		if _, err := spec.Build(p.Name); err != nil {
-			b.Fatal(err)
-		}
-		apps = append(apps, p.Name)
-	}
-	for _, name := range tools.Names() {
-		name := name
-		tool, _ := tools.ByName(name)
-		// cold: the full two-step cost for a single program — compile and
-		// link the tool's analysis image, then rewrite. This is what the
-		// first program of a suite (or a one-off run) pays.
-		b.Run(name+"/cold", func(b *testing.B) {
-			exe, _ := spec.Build(apps[0])
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				core.ResetImageCache(build.ScopeMemory)
-				rtl.ResetObjectCache(build.ScopeMemory)
-				b.StartTimer()
-				if _, err := core.Instrument(exe, tool, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// warm: per-program rewrite cost with the tool image already
-		// built — the paper's Figure 5 "Average Time" regime, where one
-		// tool is applied across the whole suite.
-		b.Run(name+"/warm", func(b *testing.B) {
-			if _, err := core.BuildToolImage(tool, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, pn := range apps {
-					exe, _ := spec.Build(pn)
-					if _, err := core.Instrument(exe, tool, core.Options{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			perProg := float64(b.Elapsed().Milliseconds()) / float64(b.N) / float64(len(apps))
-			b.ReportMetric(perProg, "ms/program")
-		})
-	}
-}
 
 // BenchmarkInstrumentSuite measures the parallel fan-out driver: the
 // whole 20-program suite instrumented with one tool at GOMAXPROCS
@@ -128,8 +68,8 @@ func BenchmarkInstrumentSuite(b *testing.B) {
 // against a warm cache directory. Every iteration drops the in-memory
 // caches (what a new process sees) and instruments with every artifact —
 // tool image, compiled objects, IR blob — decoded from a DiskStore
-// instead of rebuilt. Compare with BenchmarkInstrument/<tool>/cold
-// (everything rebuilt) and /warm (everything in memory).
+// instead of rebuilt. Compare with perfbench's tool_build_ms (a cold
+// image build) and instrument_ms (everything in memory).
 func BenchmarkInstrumentDiskWarm(b *testing.B) {
 	ds, err := build.OpenDiskStore(nil, b.TempDir(), 0)
 	if err != nil {
@@ -168,27 +108,6 @@ func BenchmarkInstrumentDiskWarm(b *testing.B) {
 	b.StopTimer()
 	if s := core.ImageCacheStats(); s.Builds != 0 {
 		b.Fatalf("disk-warm iterations rebuilt the image %d times", s.Builds)
-	}
-}
-
-// BenchmarkOverhead regenerates Figure 6: the instrumented/uninstrumented
-// instruction ratio per tool (geometric mean over fig6Programs).
-func BenchmarkOverhead(b *testing.B) {
-	for _, name := range tools.Names() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				logSum := 0.0
-				for _, pn := range fig6Programs {
-					r, err := figures.RatioFor(name, pn, core.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					logSum += math.Log(r)
-				}
-				b.ReportMetric(math.Exp(logSum/float64(len(fig6Programs))), "ratio")
-			}
-		})
 	}
 }
 

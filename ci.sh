@@ -1,8 +1,9 @@
 #!/bin/sh
 # The CI gate, and its only copy (`make ci` runs this script):
 # formatting, vet, the atomvet lint, build, race-enabled tests, vet and
-# tests of the nested perfbench module, a one-iteration benchmark smoke
-# so the Figure 5/6 harness cannot rot silently, a short fuzz smoke of
+# tests of the nested perfbench module, a one-iteration smoke of the Go
+# benchmarks (ablations, parallel and disk-warm instrumentation, substrate
+# costs) so they cannot rot silently, a short fuzz smoke of
 # the on-disk decoders, then the end-to-end CLI
 # gates — trace, profile, vet, inline, IR, persistence, telemetry, and
 # analyze — each introduced by a comment naming it below.
@@ -33,8 +34,8 @@ go test -race ./...
 # CI instead of the next benchmark run.
 (cd perfbench && go vet ./... && go test ./...)
 
-# Benchmark smoke: every benchmark once, no measurement — proves the
-# harness still runs.
+# Benchmark smoke: every Go benchmark once, no measurement — proves the
+# ablation and substrate benchmarks still run.
 go test -bench=. -benchtime=1x -run='^$' ./...
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing on each decoder

@@ -54,12 +54,8 @@
 //	atom -emit-ir ir prog.x              # write ir/prog.ir
 //	atom -t cache -ir-in ir/prog.ir      # instrument from the blob
 //
-// It also regenerates the paper's evaluation artifacts:
-//
-//	atom -list                      # the 11 tools
-//	atom -table fig5                # Figure 5 (instrumentation time)
-//	atom -table fig6                # Figure 6 (execution-time ratios)
-//	atom -table fig5 -bench-json f  # same, plus machine-readable JSON
+// atom -list prints the 11 tools. The paper's Figures 5 and 6 are
+// regenerated by the benchmark in perfbench/, not by this command.
 package main
 
 import (
@@ -113,12 +109,10 @@ func run() (code int) {
 		irIn          = flag.String("ir-in", "", "instrument from a serialized IR blob (-emit-ir output) instead of an input executable")
 		jobs          = flag.Int("j", 1, "instrument up to N input programs in parallel (0 = GOMAXPROCS)")
 		list          = flag.Bool("list", false, "list the built-in tools")
-		table         = flag.String("table", "", "regenerate a paper table: fig5 | fig6")
-		progs         = flag.String("progs", "", "comma-separated suite subset for -table (default: all 20)")
-		benchJSON     = flag.String("bench-json", "", "write measurements as JSON: -table rows, or a per-phase run breakdown")
+		benchJSON     = flag.String("bench-json", "", "write the run's per-phase breakdown and cache statistics as JSON (atom-run/v7) to this file")
 		stats         = flag.Bool("stats", false, "print instrumentation and cache statistics")
 		layout        = flag.Bool("layout", false, "print the instrumented executable's memory layout (Figure 4)")
-		verbose       = flag.Bool("v", false, "progress output for -table")
+		verbose       = flag.Bool("v", false, "print an \"in -> out\" line per program of a multi-program batch")
 		progress      = flag.Bool("progress", false, "live status line on stderr for multi-program instrument batches")
 		tracePath     = flag.String("trace", "", `write a Chrome trace_event JSON of the pipeline to this file ("-" = stdout)`)
 		metrics       = flag.String("metrics", "", `write a span/counter/histogram metrics snapshot to this file ("-" = stderr)`)
@@ -164,12 +158,6 @@ func run() (code int) {
 		}
 		fmt.Printf("%s: ok (%d stacks)\n", *verifyFolded, n)
 		return 0
-	case *table != "" || (*benchJSON != "" && *toolName == "" && !*runMode && !*analyze && *profilePath == ""):
-		which := *table
-		if which == "" {
-			which = "fig5"
-		}
-		return runTable(which, *progs, *benchJSON, *verbose)
 	}
 	doRun := *runMode || *profilePath != ""
 
@@ -193,7 +181,7 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "       atom [-t tool] -run [-profile file [-profile-period N] [-profile-format flat|folded]] prog.x [args...]")
 		fmt.Fprintln(os.Stderr, "       atom -emit-ir dir prog.x [prog2.x ...] | atom -t tool -ir-in prog.ir [-o prog.atom]")
 		fmt.Fprintln(os.Stderr, "       atom -analyze [-passes p1,p2] [-analyze-json file] [-t tool] [prog.x ...]")
-		fmt.Fprintln(os.Stderr, "       atom -list | -table fig5|fig6 [-bench-json file] | -verify-trace file")
+		fmt.Fprintln(os.Stderr, "       atom -list | -verify-trace file")
 		return 2
 	}
 	if flag.NArg() > 1 && *outPath != "" && !doRun {
@@ -926,54 +914,6 @@ func printLayout(app *aout.File, res *core.Result) {
 	if res.HeapOffset != 0 {
 		fmt.Printf("  %#10x  analysis heap zone (+%#x)\n", heap+res.HeapOffset, res.HeapOffset)
 	}
-}
-
-func runTable(which, progList, benchJSON string, verbose bool) int {
-	var progress *os.File
-	if verbose {
-		progress = os.Stderr
-	}
-	var names []string
-	if progList != "" {
-		names = strings.Split(progList, ",")
-	}
-	switch which {
-	case "fig5":
-		rows, hists, err := figures.Fig5(names, progress)
-		if err != nil {
-			return fail(err)
-		}
-		figures.PrintFig5(os.Stdout, rows)
-		if benchJSON != "" {
-			if err := figures.WriteBenchJSON(benchJSON, rows, nil, 0, hists); err != nil {
-				return fail(err)
-			}
-		}
-	case "fig6":
-		// The fig6 measurement executes every suite program on the VM, so
-		// the process-wide retired-instruction delta over its wall time is
-		// the interpreter's aggregate retirement rate (vm_minst_s).
-		icount0 := vm.Totals().Icount
-		start := time.Now()
-		rows, hists, err := figures.Fig6(names, progress)
-		wall := time.Since(start)
-		if err != nil {
-			return fail(err)
-		}
-		figures.PrintFig6(os.Stdout, rows)
-		if benchJSON != "" {
-			var minstS float64
-			if secs := wall.Seconds(); secs > 0 {
-				minstS = float64(vm.Totals().Icount-icount0) / 1e6 / secs
-			}
-			if err := figures.WriteBenchJSON(benchJSON, nil, rows, minstS, hists); err != nil {
-				return fail(err)
-			}
-		}
-	default:
-		return fail(fmt.Errorf("unknown table %q (fig5 or fig6)", which))
-	}
-	return 0
 }
 
 func fail(err error) int {

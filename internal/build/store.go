@@ -154,7 +154,7 @@ func ActiveStore() Store {
 
 // SwapStore installs s as the process-wide store and returns the previous
 // one (which the caller now owns — Close it if it should be retired).
-// Tests and the Fig5 harness use the swap-in/swap-out pattern to measure
+// Tests and benchmarks use the swap-in/swap-out pattern to measure
 // disk-warm paths without leaking state.
 func SwapStore(s Store) Store {
 	storeMu.Lock()

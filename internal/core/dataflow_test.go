@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"atom/internal/core"
+	"atom/internal/obs"
 	"atom/internal/rtl"
 	"atom/internal/spec"
 	"atom/internal/tools"
@@ -122,6 +123,35 @@ func TestLivenessSavesFewerRegs(t *testing.T) {
 	}
 	if fewer < 2 {
 		t.Errorf("liveness saved strictly fewer registers on %d tools, want >= 2", fewer)
+	}
+}
+
+// TestSiteRegisterHistograms: under a stage context, every call site of
+// every tool observes its caller-save live-set size and its save-set
+// size, the two distributions the liveness analysis acts on.
+func TestSiteRegisterHistograms(t *testing.T) {
+	exe, err := spec.Build("queens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := obs.New()
+	var sites uint64
+	for _, tname := range tools.Names() {
+		tool, _ := tools.ByName(tname)
+		res, err := core.InstrumentCtx(ctx, exe, tool, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tname, err)
+		}
+		sites += uint64(res.Stats.Calls)
+	}
+	counts := map[string]uint64{}
+	for _, h := range ctx.Histograms() {
+		counts[h.Name] = h.Count
+	}
+	for _, name := range []string{"atom.site_live_regs", "atom.site_saved_regs"} {
+		if counts[name] == 0 || counts[name] != sites {
+			t.Errorf("%s observed %d times, want one per site (%d)", name, counts[name], sites)
+		}
 	}
 }
 

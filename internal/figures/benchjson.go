@@ -3,33 +3,17 @@ package figures
 import (
 	"encoding/json"
 	"os"
-	"time"
 
 	"atom/internal/build"
 	"atom/internal/obs"
 )
 
-// Machine-readable benchmark output, for dashboards and regression
-// tracking. The schema is versioned so consumers can detect changes.
+// Machine-readable run output (`atom -bench-json`), for dashboards and
+// regression tracking. The schema is versioned so consumers can detect
+// changes.
 // Emission is deterministic: encoding/json renders struct fields in
 // declaration order and map-free documents byte-identically, so two runs
 // over identical measurements produce identical files.
-
-// BenchJSON is the top-level document WriteBenchJSON emits. Hists
-// carries pipeline distributions aggregated over the whole measurement —
-// notably atom.site_live_regs and atom.site_saved_regs, the per-site
-// caller-save live-set and save-set sizes the liveness analysis acts on.
-type BenchJSON struct {
-	Schema string         `json:"schema"` // "atom-bench/v7"
-	Fig5   []BenchFig5Row `json:"fig5,omitempty"`
-	Fig6   []BenchFig6Row `json:"fig6,omitempty"`
-	// VMMinstS is the interpreter's retirement rate over the uninstrumented
-	// VM runs of the measurement, in millions of instructions per second of
-	// wall time (schema v7). Zero — and omitted — when the measurement ran
-	// no programs under the VM (fig5).
-	VMMinstS float64          `json:"vm_minst_s,omitempty"`
-	Hists    []BenchHistogram `json:"histograms,omitempty"`
-}
 
 // BenchPhases is a per-phase time breakdown in milliseconds, as measured
 // by the observability layer (internal/obs) rather than ad-hoc timers.
@@ -84,81 +68,6 @@ func StoreStats(s build.StoreStats) BenchStoreStats {
 		Corrupt: s.Corrupt, Adopted: s.Adopted, Evicted: s.Evicted,
 		Blobs: s.Blobs, Bytes: s.Bytes,
 	}
-}
-
-// BenchFig5Row mirrors Fig5Row with durations in milliseconds.
-type BenchFig5Row struct {
-	Tool        string          `json:"tool"`
-	Programs    int             `json:"programs"`
-	ToolBuildMS float64         `json:"tool_build_ms"` // one-time image build
-	TotalMS     float64         `json:"total_ms"`      // warm per-program rewrites, summed
-	AvgMS       float64         `json:"avg_ms"`        // warm rewrite per program
-	LiftColdMS  float64         `json:"lift_cold_ms"`  // suite lift, empty IR cache
-	LiftWarmMS  float64         `json:"lift_warm_ms"`  // suite lift, cached blobs
-	LiftDiskMS  float64         `json:"lift_disk_ms"`  // suite lift, memory cold, blobs on disk
-	PaperAvgSec float64         `json:"paper_avg_sec"` // published reference
-	Phases      BenchPhases     `json:"phases"`
-	ImageCache  BenchCacheStats `json:"image_cache"`
-	ObjectCache BenchCacheStats `json:"object_cache"`
-	IRCache     BenchCacheStats `json:"ir_cache"`
-	// DiskStore is the private DiskStore's traffic during the disk-warm
-	// lift sweep (schema v4).
-	DiskStore BenchStoreStats `json:"disk_store"`
-}
-
-// BenchFig6Row mirrors Fig6Row.
-type BenchFig6Row struct {
-	Tool       string  `json:"tool"`
-	Ratio      float64 `json:"ratio"`
-	MinRatio   float64 `json:"min_ratio"`
-	MaxRatio   float64 `json:"max_ratio"`
-	PaperRatio float64 `json:"paper_ratio"`
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// WriteBenchJSON writes Figure 5/6 measurements as JSON to path. Either
-// row slice (and the histogram snapshot) may be nil. vmMinstS is the
-// VM retirement rate for measurements that executed programs (fig6);
-// pass 0 when nothing ran under the VM.
-func WriteBenchJSON(path string, fig5 []Fig5Row, fig6 []Fig6Row, vmMinstS float64, hists []obs.Hist) error {
-	doc := BenchJSON{Schema: "atom-bench/v7", VMMinstS: vmMinstS, Hists: Histograms(hists)}
-	if len(doc.Hists) == 0 {
-		doc.Hists = nil
-	}
-	for _, r := range fig5 {
-		doc.Fig5 = append(doc.Fig5, BenchFig5Row{
-			Tool:        r.Tool,
-			Programs:    r.Programs,
-			ToolBuildMS: ms(r.ToolBuild),
-			TotalMS:     ms(r.Total),
-			AvgMS:       ms(r.Avg),
-			PaperAvgSec: PaperFig5[r.Tool].Avg,
-			LiftColdMS:  ms(r.LiftCold),
-			LiftWarmMS:  ms(r.LiftWarm),
-			LiftDiskMS:  ms(r.LiftDisk),
-			Phases: BenchPhases{
-				LiftMS:  ms(r.LiftTime),
-				BuildMS: ms(r.ImageBuild),
-				PlanMS:  ms(r.PlanTime),
-				ApplyMS: ms(r.ApplyTime),
-			},
-			ImageCache:  CacheStats(r.ImageCache),
-			ObjectCache: CacheStats(r.ObjectCache),
-			IRCache:     CacheStats(r.IRCache),
-			DiskStore:   StoreStats(r.DiskStore),
-		})
-	}
-	for _, r := range fig6 {
-		doc.Fig6 = append(doc.Fig6, BenchFig6Row{
-			Tool:       r.Tool,
-			Ratio:      r.Ratio,
-			MinRatio:   r.MinRatio,
-			MaxRatio:   r.MaxRatio,
-			PaperRatio: PaperFig6[r.Tool].Ratio,
-		})
-	}
-	return writeJSON(path, doc)
 }
 
 // RunDoc is the document `atom -t tool -bench-json out.json prog.x ...`

@@ -1,81 +1,44 @@
 package figures_test
 
 import (
-	"strings"
 	"testing"
 
 	"atom/internal/core"
 	"atom/internal/figures"
+	"atom/internal/tools"
 )
 
-func TestFig5Subset(t *testing.T) {
-	rows, hists, err := figures.Fig5([]string{"queens", "eqntott"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 11 {
-		t.Fatalf("rows = %d, want 11", len(rows))
-	}
-	saw := map[string]bool{}
-	for _, h := range hists {
-		saw[h.Name] = h.Count > 0
-	}
-	for _, want := range []string{"atom.site_live_regs", "atom.site_saved_regs"} {
-		if !saw[want] {
-			t.Errorf("aggregated histograms lack %s (have %v)", want, saw)
+// TestRatioForShape checks the shape of Figure 6 on queens: no tool
+// speeds the program up, cache is dearer than the tools that fire less
+// often, and the rare-event tools stay near 1. Every tool also has a row
+// in both paper reference tables.
+func TestRatioForShape(t *testing.T) {
+	ratio := map[string]float64{}
+	for _, tname := range tools.Names() {
+		if _, ok := figures.PaperFig5[tname]; !ok {
+			t.Errorf("%s missing from PaperFig5", tname)
 		}
-	}
-	for _, r := range rows {
-		if r.Total <= 0 || r.Avg <= 0 || r.Programs != 2 {
-			t.Errorf("%s: implausible row %+v", r.Tool, r)
+		if _, ok := figures.PaperFig6[tname]; !ok {
+			t.Errorf("%s missing from PaperFig6", tname)
 		}
-		if _, ok := figures.PaperFig5[r.Tool]; !ok {
-			t.Errorf("%s missing from the paper reference table", r.Tool)
+		r, err := figures.RatioFor(tname, "queens", core.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	var sb strings.Builder
-	figures.PrintFig5(&sb, rows)
-	if !strings.Contains(sb.String(), "pipe") || !strings.Contains(sb.String(), "12.87") {
-		t.Errorf("PrintFig5 output malformed:\n%s", sb.String())
-	}
-}
-
-func TestFig6Subset(t *testing.T) {
-	rows, _, err := figures.Fig6([]string{"queens"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 11 {
-		t.Fatalf("rows = %d, want 11", len(rows))
-	}
-	byTool := map[string]figures.Fig6Row{}
-	for _, r := range rows {
-		if r.Ratio < 1.0 {
-			t.Errorf("%s: ratio %.2f < 1 (instrumentation cannot speed a program up)", r.Tool, r.Ratio)
+		if r < 1.0 {
+			t.Errorf("%s: ratio %.2f < 1 (instrumentation cannot speed a program up)", tname, r)
 		}
-		// exp(mean(log)) can differ from min==max in the last ulp.
-		if r.MinRatio > r.Ratio*1.000001 || r.MaxRatio < r.Ratio*0.999999 {
-			t.Errorf("%s: mean %.2f outside [min %.2f, max %.2f]", r.Tool, r.Ratio, r.MinRatio, r.MaxRatio)
-		}
-		byTool[r.Tool] = r
+		ratio[tname] = r
 	}
-	// Shape invariants from the paper that must hold on any workload:
-	// cache dominates every other tool; the rare-event tools are near 1.
 	for _, other := range []string{"branch", "dyninst", "inline", "io", "malloc", "syscall"} {
-		if byTool["cache"].Ratio < byTool[other].Ratio {
-			t.Errorf("cache (%.2f) not the most expensive vs %s (%.2f)",
-				byTool["cache"].Ratio, other, byTool[other].Ratio)
+		if ratio["cache"] <= ratio[other] {
+			t.Errorf("cache (%.2f) not above %s (%.2f)", ratio["cache"], other, ratio[other])
 		}
 	}
 	for _, cheap := range []string{"io", "syscall", "malloc", "inline"} {
-		if byTool[cheap].Ratio > 1.5 {
-			t.Errorf("%s ratio %.2f, want near 1.0 on a compute-bound program", cheap, byTool[cheap].Ratio)
+		if ratio[cheap] > 1.5 {
+			t.Errorf("%s ratio %.2f, want near 1.0 on a compute-bound program", cheap, ratio[cheap])
 		}
-	}
-	var sb strings.Builder
-	figures.PrintFig6(&sb, rows)
-	if !strings.Contains(sb.String(), "11.84") {
-		t.Errorf("PrintFig6 lacks paper reference column:\n%s", sb.String())
 	}
 }
 

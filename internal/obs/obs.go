@@ -2,8 +2,7 @@
 // pipeline: hierarchical spans (start/end, parent, attributes) and named
 // counters, delivered to pluggable sinks. One *Ctx is threaded explicitly
 // through every pipeline stage — compile, assemble, link, plan, tool-image
-// build, apply, run — replacing the ad-hoc time.Now() plumbing that used
-// to live in internal/figures.
+// build, apply, run.
 //
 // The zero cost of disabled observability is a design requirement: a nil
 // *Ctx is valid and means "off". Every method is a no-op on a nil
