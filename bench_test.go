@@ -20,7 +20,13 @@ package atom_test
 //     scheduling, raw interpreter speed, MiniC compilation, the lift
 //     through the IR cache cold and warm, and IR encode/decode.
 //
-// Run everything:  go test -bench=. -benchmem -run='^$' .
+//   - internal/vm's BenchmarkVMRun, BenchmarkVMRunTextData and
+//     BenchmarkVMRunProfiled — the superblock dispatcher on synthetic
+//     loops: bare, with a text-resident counter store per iteration, and
+//     under a sampling probe at the profiler's default period (Minst/s
+//     beside BenchmarkVMRun's, and the probed/bare slowdown).
+//
+// Run everything:  go test -bench=. -benchmem -run='^$' . ./internal/vm
 
 import (
 	"testing"

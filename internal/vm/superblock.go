@@ -42,10 +42,13 @@ import (
 //     exact).
 //   - Blocks are entered only when they fit under the fence: the
 //     instruction budget, or the instruction before the next sampling
-//     point when a probe samples. A block that would cross the fence is
-//     single-stepped through Step, so MaxInstr exhaustion yields the
-//     same Icount, PC, and error text as the Step loop, and Sample
-//     fires before the sampled instruction's side effects.
+//     point when a probe samples. When the block at the PC would cross
+//     the fence, Step runs instead — up to and including the sampled
+//     instruction, then on to the next block entry or control transfer
+//     (stepFence) — so MaxInstr exhaustion yields the same Icount, PC,
+//     and error text as the Step loop, Sample fires before the sampled
+//     instruction's side effects, and no block is harvested at the
+//     mid-block PCs stepped through.
 //   - Probe Call and Return fire at the terminators where exec fires
 //     them — a bsr writing a link register, a jsr writing one, and any
 //     ret — with the same PCs and targets, across trace links too. The
@@ -178,8 +181,10 @@ func (m *Machine) sbInvalidate(lo, hi uint64) bool {
 	return dropped
 }
 
-// runSuperblocks is Run's dispatch loop. PCs without a block — and
-// blocks that would cross the fence — are single-stepped through Step.
+// runSuperblocks is Run's dispatch loop. PCs without a block are
+// single-stepped through Step; a block that would cross the fence is
+// replaced by stepFence, which steps through the fence to a natural
+// block boundary.
 func (m *Machine) runSuperblocks() (int, error) {
 	fence := m.fence()
 	for !m.halted {
@@ -190,8 +195,14 @@ func (m *Machine) runSuperblocks() (int, error) {
 			fence = m.fence()
 		}
 		sb := m.lookupSB(m.PC)
-		if sb == nil || fence-m.Icount < uint64(sb.n) {
+		if sb == nil {
 			if err := m.Step(); err != nil {
+				return 0, err
+			}
+			continue
+		}
+		if fence-m.Icount < uint64(sb.n) {
+			if err := m.stepFence(fence); err != nil {
 				return 0, err
 			}
 			continue
@@ -211,6 +222,43 @@ func (m *Machine) runSuperblocks() (int, error) {
 		}
 	}
 	return m.exitCode, nil
+}
+
+// stepFence single-steps up to and including the sampled instruction,
+// the one that retires Icount fence+1 (when the fence is the budget, the
+// budget runs out first), and then on until the PC is a known block
+// entry, the last instruction transferred control, or sbMaxOps more
+// steps have run. Resuming dispatch only there keeps lookupSB from
+// harvesting a block at every mid-block PC between an entry and the
+// sampling point. Step is the only executor, so samples, Call/Return
+// events, faults, budget exhaustion and text stores are the Step
+// loop's.
+func (m *Machine) stepFence(fence uint64) error {
+	for past := 0; !m.halted && past < sbMaxOps; {
+		if m.Icount >= m.cfg.MaxInstr {
+			return budgetErr(m.cfg.MaxInstr, m.PC)
+		}
+		prev := m.PC
+		if err := m.Step(); err != nil {
+			return err
+		}
+		if m.Icount <= fence {
+			continue
+		}
+		if m.PC != prev+4 || m.atEntry() {
+			return nil
+		}
+		past++
+	}
+	return nil
+}
+
+// atEntry reports whether the PC already keys a cache slot: a built
+// block, or an entry known to be unbuildable.
+func (m *Machine) atEntry() bool {
+	pc := m.PC
+	return pc >= m.exe.TextAddr && pc+4 <= m.textEnd && pc%4 == 0 &&
+		m.sbByIdx[(pc-m.exe.TextAddr)/4] != nil
 }
 
 // fence returns the highest Icount a superblock may retire up to: the

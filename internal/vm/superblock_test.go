@@ -472,8 +472,9 @@ loop:
 	if m.sbHits < 2000 {
 		t.Errorf("sbHits = %d, want >= one per loop iteration", m.sbHits)
 	}
-	// A sampling probe keeps the loop on superblocks: only the block
-	// that would retire each sampling point is single-stepped.
+	// A sampling probe keeps the loop on superblocks: Step runs only
+	// from the entry of the block that would cross each sampling point,
+	// through that point, to the next block entry or control transfer.
 	p := &recProbe{}
 	m, _ = runVM(t, exe, Config{Probe: p, SamplePeriod: 97})
 	if m.sbHits < 1900 {
@@ -608,5 +609,85 @@ over:
 				t.Errorf("sbInval = %d, want dropped blocks: %v", m.sbInval, p.inval)
 			}
 		})
+	}
+}
+
+// longBlockLoop returns a loop of iters passes over a body that is one
+// straight-line run of n register ops, so with n above the sampling
+// period every sampling point falls inside the block. at splices extra
+// source in before the body op of the given index.
+func longBlockLoop(iters, n int, at map[int]string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "\t.text\n\t.globl __start\n\t.ent __start\n__start:\n")
+	b.WriteString("\tla s1, target\n\tla t9, patch\n\tldl s2, 0(t9)\n")
+	fmt.Fprintf(&b, "\tli s0, %d\nloop:\n", iters)
+	for i := 0; i < n; i++ {
+		b.WriteString(at[i])
+		d, a, c := i%8, (i*3+1)%8, (i*5+2)%8
+		switch i % 3 {
+		case 0:
+			fmt.Fprintf(&b, "\taddq t%d, %d, t%d\n", a, i%200+1, d)
+		case 1:
+			fmt.Fprintf(&b, "\txor t%d, t%d, t%d\n", a, c, d)
+		default:
+			fmt.Fprintf(&b, "\ts4addq t%d, t%d, t%d\n", a, c, d)
+		}
+	}
+	b.WriteString("\tsubq s0, 1, s0\n\tbne s0, loop\n\tand t0, 0xff, a0\n\tcall_pal 0\n")
+	b.WriteString("target:\n\taddq t2, 1, t2\n\tret (ra)\npatch:\n\taddq t2, 5, t2\n\t.end __start\n")
+	return b.String()
+}
+
+// diffStretch is diffProbed at every instruction budget that ends in
+// the stretch Step runs after a sampling point mid-run — up to the next
+// block entry or control transfer, at most sbMaxOps instructions.
+func diffStretch(t *testing.T, exe *aout.File, cfg Config, period uint64) {
+	t.Helper()
+	_, full := runRef(t, exe, cfg)
+	s := full.icount / 2 / period * period
+	for budget := s + 2; budget <= s+sbMaxOps+1; budget++ {
+		bounded := cfg
+		bounded.MaxInstr = budget
+		diffProbed(t, exe, bounded, period)
+	}
+}
+
+// TestSuperblockFenceStepsToEntry: a loop body longer than the sampling
+// period puts a sampling point inside its block on every pass. The
+// dispatcher steps through each one to the next block entry or control
+// transfer, so a profiled run harvests exactly the bare run's blocks —
+// none at the mid-block PCs it stepped through — and retires the Step
+// loop's state and probe stream, also under budgets that end anywhere
+// in the stretch stepped after a sampling point.
+func TestSuperblockFenceStepsToEntry(t *testing.T) {
+	exe := build(t, longBlockLoop(20, 200, nil))
+	cfg := Config{MemSize: 5 << 20}
+	bare, _ := runVM(t, exe, cfg)
+	profiled, _ := runVM(t, exe, Config{MemSize: cfg.MemSize, Probe: &recProbe{}, SamplePeriod: 97})
+	if profiled.sbBuilt != bare.sbBuilt {
+		t.Errorf("profiled run built %d superblocks, bare run %d", profiled.sbBuilt, bare.sbBuilt)
+	}
+	diffModes(t, exe, cfg)
+	diffStretch(t, exe, cfg, 97)
+}
+
+// TestSuperblockFenceStretchPalAndTextStore: the stretch stepped after
+// a sampling point may retire a call_pal and a store that rewrites an
+// instruction of a harvested block. Both run through Step, so state,
+// error text and the ordered probe stream stay the Step loop's.
+func TestSuperblockFenceStretchPalAndTextStore(t *testing.T) {
+	exe := build(t, longBlockLoop(20, 200, map[int]string{
+		90:  "\tcall_pal 6\n\taddq t1, v0, t1\n",
+		120: "\tstl s2, 0(s1)\n\tbsr ra, target\n",
+	}))
+	cfg := Config{MemSize: 5 << 20}
+	diffModes(t, exe, cfg)
+	diffStretch(t, exe, cfg, 97)
+	m, st := runVM(t, exe, Config{MemSize: cfg.MemSize, Probe: &recProbe{}, SamplePeriod: 97})
+	if st.errText != "" {
+		t.Fatal(st.errText)
+	}
+	if m.sbInval == 0 {
+		t.Error("store into harvested text dropped no superblock")
 	}
 }

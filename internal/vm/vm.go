@@ -65,9 +65,10 @@ type Config struct {
 	// function of the instruction stream, so a deterministic program
 	// yields a deterministic event sequence (internal/prof builds its
 	// sampling profiler on this). A probe runs on superblocks: Call and
-	// Return fire at block terminators, and a block that would retire a
-	// sampling point is single-stepped instead, so the event stream is
-	// the one the Step loop produces.
+	// Return fire at block terminators, and where a block would cross a
+	// sampling point the machine single-steps to that point and then on
+	// to the next block entry or control transfer, so the event stream
+	// is the one the Step loop produces.
 	Probe Probe
 	// SamplePeriod is the sampling period in retired instructions; zero
 	// disables Sample callbacks.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"atom/internal/alpha"
 	"atom/internal/aout"
@@ -710,6 +711,55 @@ func BenchmarkVMRun(b *testing.B) {
 // analysis data (Figure 4): the price of a text-resident tool counter.
 func BenchmarkVMRunTextData(b *testing.B) {
 	benchVMRun(b, strings.Replace(vmBenchLoop, "STORE", "\tstq t3, 0(t5)", 1))
+}
+
+// countProbe counts samples and ignores calls and returns: the
+// cheapest sampling probe a run can carry.
+type countProbe struct{ samples uint64 }
+
+func (p *countProbe) Sample(uint64) { p.samples++ }
+
+func (p *countProbe) Call(_, _ uint64) {}
+
+func (p *countProbe) Return(_, _ uint64) {}
+
+// BenchmarkVMRunProfiled prices a sampling probe on the dispatcher: 3M
+// instructions of a loop whose body is one 200-op block, under a
+// counting probe at the profiler's default period of 10000, so the
+// sampling points land mid-block. Minst/s is the probed rate, beside
+// BenchmarkVMRun's; slowdown is the probed over the bare wall time of
+// the same loop, both runs timed in every iteration.
+func BenchmarkVMRunProfiled(b *testing.B) {
+	exe := build(b, longBlockLoop(15000, 200, nil))
+	var insts uint64
+	var bare, probed time.Duration
+	for i := 0; i < b.N; i++ {
+		for _, p := range []*countProbe{nil, {}} {
+			cfg := Config{}
+			if p != nil {
+				cfg.Probe, cfg.SamplePeriod = p, 10000
+			}
+			m, err := New(exe, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			start := time.Now()
+			if _, err := m.Run(); err != nil {
+				b.Fatal(err)
+			}
+			if p == nil {
+				bare += time.Since(start)
+				continue
+			}
+			probed += time.Since(start)
+			insts += m.Icount
+			if p.samples != m.Icount/10000 {
+				b.Fatalf("probe saw %d samples, want %d", p.samples, m.Icount/10000)
+			}
+		}
+	}
+	b.ReportMetric(float64(insts)/1e6/probed.Seconds(), "Minst/s")
+	b.ReportMetric(probed.Seconds()/bare.Seconds(), "slowdown")
 }
 
 func benchVMRun(b *testing.B, src string) {

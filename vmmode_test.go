@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"atom"
+	"atom/internal/obs"
 	"atom/internal/prof"
+	"atom/internal/spec"
 	"atom/internal/vm"
 )
 
@@ -187,6 +189,55 @@ func TestVMModeProfilerFoldedIdentical(t *testing.T) {
 				Procs: res.PCMap.OrigProcs(),
 				MapPC: res.PCMap.OldAddr,
 			})
+		})
+	}
+}
+
+// TestVMModeProfiledBuildsNoExtraBlocks: at the profiler's default
+// period a profiled run harvests about the bare run's superblocks, for
+// every suite program. The dispatcher steps through each sampling point
+// to the next block entry or control transfer instead of harvesting a
+// block at every mid-block PC up to it, which built 2.6-9.7x the bare
+// run's blocks. Each run reads its own obs.Ctx, not the process-wide
+// vm.Totals that parallel tests share.
+func TestVMModeProfiledBuildsNoExtraBlocks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole suite twice")
+	}
+	built := func(t *testing.T, p spec.Program, exe *atom.Executable, profiled bool) int64 {
+		t.Helper()
+		ctx := obs.New()
+		cfg := vm.Config{Stdin: p.Stdin, FS: p.FS, Obs: ctx}
+		if profiled {
+			pr := prof.New(prof.Options{Procs: prof.ProcsFromSymbols(exe.Symbols)})
+			pr.Attach(&cfg)
+			if cfg.SamplePeriod != 10000 {
+				t.Fatalf("profiler period %d, want the default 10000", cfg.SamplePeriod)
+			}
+		}
+		m, err := vm.New(exe, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return ctx.Metrics().Counter("vm.sb.built")
+	}
+	for _, p := range spec.Suite() {
+		t.Run(p.Name, func(t *testing.T) {
+			exe, err := spec.Build(p.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare, profiled := built(t, p, exe, false), built(t, p, exe, true)
+			if bare == 0 {
+				t.Fatal("bare run built no superblocks")
+			}
+			t.Logf("superblocks built: bare %d, profiled %d (%.2fx)", bare, profiled, float64(profiled)/float64(bare))
+			if 5*profiled > 6*bare {
+				t.Errorf("profiled run built %d superblocks, bare run %d: more than 1.2x", profiled, bare)
+			}
 		})
 	}
 }
