@@ -1,7 +1,7 @@
 # Development targets. The CI gate lives in one script, ci.sh
-# (formatting, vet, the atomvet lint, build, race-enabled tests, a
-# one-iteration benchmark smoke, and the end-to-end CLI gates); `make ci`
-# runs it.
+# (formatting, vet, the atomvet lint, build, race-enabled tests, which
+# include the end-to-end CLI gates, a one-iteration benchmark smoke and
+# a fuzz smoke); `make ci` runs it.
 
 GO ?= go
 

@@ -49,28 +49,6 @@ type Tool = core.Tool
 // Options control instrumentation; see core.Options.
 type Options = core.Options
 
-// Option is a functional tweak applied on top of an Options value; pass
-// any number to Instrument, BuildToolImage, or Apply.
-type Option = core.Option
-
-// WithLiveness enables (the default) or disables the global
-// register-liveness analysis that shrinks per-site save sets to
-// live ∩ modified. WithLiveness(false) restores the purely conservative
-// caller-save ∩ modified behavior, for ablation.
-func WithLiveness(on bool) Option { return core.WithLiveness(on) }
-
-// WithVerify enables the OM IR verifier: the program is checked before
-// instrumentation, the PC maps after layout, and the rewritten text
-// after emission; any diagnostic aborts with original-PC locations.
-func WithVerify(on bool) Option { return core.WithVerify(on) }
-
-// WithInlining enables (the default) or disables the analysis-routine
-// inliner, which splices short leaf analysis routines directly into
-// their call sites — no call, no wrapper, save set reduced to
-// live ∩ clobbered-by-body. WithInlining(false) restores the paper's
-// always-call behavior, for ablation.
-func WithInlining(on bool) Option { return core.WithInlining(on) }
-
 // Result is the outcome of Instrument; see core.Result.
 type Result = core.Result
 
@@ -111,10 +89,7 @@ func BuildProgram(sources map[string]string) (*Executable, error) {
 // programs with the same tool pays only the per-program rewrite (the
 // paper's two-step cost model). See also BuildToolImage/Apply for the
 // explicit form and InstrumentSuite for parallel fan-out.
-func Instrument(app *Executable, tool Tool, opts Options, extra ...Option) (*Result, error) {
-	for _, o := range extra {
-		o(&opts)
-	}
+func Instrument(app *Executable, tool Tool, opts Options) (*Result, error) {
 	return core.Instrument(app, tool, opts)
 }
 
@@ -128,19 +103,13 @@ type CacheStats = build.Stats
 // BuildToolImage performs the paper's first step — build the custom tool
 // — without an application in hand. The image is cached; subsequent
 // Instrument or Apply calls with the same tool and options reuse it.
-func BuildToolImage(tool Tool, opts Options, extra ...Option) (*ToolImage, error) {
-	for _, o := range extra {
-		o(&opts)
-	}
+func BuildToolImage(tool Tool, opts Options) (*ToolImage, error) {
 	return core.BuildToolImage(tool, opts)
 }
 
 // Apply stamps a prebuilt tool image into an application (the second
 // step of the two-step model).
-func Apply(app *Executable, ti *ToolImage, opts Options, extra ...Option) (*Result, error) {
-	for _, o := range extra {
-		o(&opts)
-	}
+func Apply(app *Executable, ti *ToolImage, opts Options) (*Result, error) {
 	return core.Apply(app, ti, opts)
 }
 
@@ -244,10 +213,7 @@ func DecodeIR(blob []byte) (*Program, error) { return om.Decode(blob) }
 
 // InstrumentProgram is Instrument starting from an already-lifted (or
 // decoded) Program instead of an executable. The Program is consumed.
-func InstrumentProgram(prog *Program, tool Tool, opts Options, extra ...Option) (*Result, error) {
-	for _, o := range extra {
-		o(&opts)
-	}
+func InstrumentProgram(prog *Program, tool Tool, opts Options) (*Result, error) {
 	return core.InstrumentProgram(prog, tool, opts)
 }
 

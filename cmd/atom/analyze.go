@@ -15,22 +15,20 @@ import (
 
 	"atom/internal/aout"
 	"atom/internal/core"
-	"atom/internal/figures"
 	"atom/internal/obs"
 	"atom/internal/om"
 	"atom/internal/om/analysis"
 )
 
 type analyzeConfig struct {
-	inputs    []string // positional .x executables
-	irIn      string   // serialized IR blob (-ir-in)
-	tool      core.Tool
-	haveTool  bool
-	opts      core.Options
-	passSpec  string // -passes: comma-separated names, "" = all
-	asKind    string // -analyze-as: "app" | "tool" for inputs and -ir-in
-	jsonPath  string // -analyze-json: write the machine report here
-	benchJSON string
+	inputs   []string // positional .x executables
+	irIn     string   // serialized IR blob (-ir-in)
+	tool     core.Tool
+	haveTool bool
+	opts     core.Options
+	passSpec string // -passes: comma-separated names, "" = all
+	asKind   string // -analyze-as: "app" | "tool" for inputs and -ir-in
+	jsonPath string // -analyze-json: write the machine report here
 }
 
 // runAnalyze returns 0 when every report is clean (no warnings or
@@ -97,20 +95,6 @@ func runAnalyze(ctx *obs.Ctx, cfg analyzeConfig) int {
 			return fail(err)
 		}
 		if err := os.WriteFile(cfg.jsonPath, data, 0o644); err != nil {
-			return fail(err)
-		}
-	}
-	if cfg.benchJSON != "" {
-		toolName := ""
-		if cfg.haveTool {
-			toolName = cfg.tool.Name
-		}
-		progs := cfg.inputs
-		if cfg.irIn != "" {
-			progs = append([]string{cfg.irIn}, progs...)
-		}
-		doc := newRunDoc(ctx, toolName, progs)
-		if err := figures.WriteRunJSON(cfg.benchJSON, doc); err != nil {
 			return fail(err)
 		}
 	}

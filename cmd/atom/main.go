@@ -11,7 +11,9 @@
 // parallel when -j is given; each output is written next to its input
 // with the extension replaced by ".atom". A failing program does not
 // abort the batch: the rest are still instrumented, each failure is
-// reported, and the exit status is non-zero iff any program failed.
+// reported, and the exit status is non-zero iff any program failed. An
+// input whose output an earlier input already claimed (a/p.x and a/p.y
+// both name a/p.atom) fails the same way instead of overwriting it.
 //
 // Run mode executes a program on the Alpha-subset VM, with an optional
 // deterministic sampling profiler whose reports are in the application's
@@ -32,20 +34,21 @@
 //	atom -t cache -trace t.json prog.x   # Chrome trace (chrome://tracing)
 //	atom -t cache -metrics - prog.x      # span/counter/histogram snapshot
 //	atom -t cache -cpuprofile cpu.pprof prog.x
-//	atom -t cache -bench-json run.json prog.x  # per-phase JSON breakdown
 //	atom -t cache -vet prog.x            # verify IR, PC maps, rewritten text
-//	atom -verify-trace t.json            # validate a trace file (CI smoke)
 //
 // and observable live: -debug-addr starts an embedded debug server with
 // Prometheus /metrics, a streaming NDJSON event feed, /healthz, and
 // net/http/pprof, while -log emits structured logs as the pipeline runs:
 //
 //	atom -t cache -j 4 -debug-addr 127.0.0.1:6060 prog1.x prog2.x ...
-//	atom -scrape http://127.0.0.1:6060/metrics   # built-in curl (CI smoke)
 //	atom -t cache -log json -log-level info prog.x
 //
 // -trace - streams the trace JSON to stdout and -metrics - prints the
-// snapshot to stderr; both also accept ordinary file paths.
+// snapshot to stderr; both also accept ordinary file paths. The -metrics
+// snapshot is the one machine-readable report: every span total,
+// counter (the atom.batch.* program counts and the
+// store.<kind>.<outcome> cache counters included) and histogram of the
+// invocation.
 //
 // The lift stage is serializable: -emit-ir writes each input's OM IR as
 // a stable atom-ir/v1 blob, and -ir-in instruments from such a blob in
@@ -62,9 +65,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -73,12 +74,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"atom/internal/aout"
 	"atom/internal/build"
 	"atom/internal/core"
-	"atom/internal/figures"
 	"atom/internal/obs"
 	"atom/internal/om"
 	"atom/internal/prof"
@@ -100,7 +99,6 @@ func run() (code int) {
 		noSummary     = flag.Bool("nosummary", false, "disable the data-flow register summary (save all caller-save registers)")
 		noLiveness    = flag.Bool("noliveness", false, "disable the register-liveness analysis (save registers without regard to liveness)")
 		noInline      = flag.Bool("noinline", false, "disable analysis-routine inlining (always call through the register-save wrapper)")
-		inlineLimit   = flag.Int("inline-limit", 0, "largest analysis-routine body to inline, in instructions (0 = default)")
 		vet           = flag.Bool("vet", false, "verify the OM IR before instrumentation and the PC maps and rewritten text after")
 		analyze       = flag.Bool("analyze", false, "run the static-analysis passes over the inputs (and the -t tool's image) and report findings instead of instrumenting")
 		analyzeJSON   = flag.String("analyze-json", "", "with -analyze: also write the reports as JSON (atom-analyze/v1) to this file")
@@ -110,7 +108,6 @@ func run() (code int) {
 		irIn          = flag.String("ir-in", "", "instrument from a serialized IR blob (-emit-ir output) instead of an input executable")
 		jobs          = flag.Int("j", 1, "instrument up to N input programs in parallel (0 = GOMAXPROCS)")
 		list          = flag.Bool("list", false, "list the built-in tools")
-		benchJSON     = flag.String("bench-json", "", "write the run's per-phase breakdown and cache statistics as JSON (atom-run/v7) to this file")
 		stats         = flag.Bool("stats", false, "print instrumentation and cache statistics")
 		layout        = flag.Bool("layout", false, "print the instrumented executable's memory layout (Figure 4)")
 		verbose       = flag.Bool("v", false, "print an \"in -> out\" line per program of a multi-program batch")
@@ -120,10 +117,7 @@ func run() (code int) {
 		debugAddr     = flag.String("debug-addr", "", "serve live telemetry on this address (host:port; port 0 picks one): Prometheus /metrics, /debug/events NDJSON stream, /debug/pprof/, /healthz")
 		logFormat     = flag.String("log", "", "emit structured logs to stderr in this format: text | json (default: off)")
 		logLevel      = flag.String("log-level", "info", "minimum structured-log level: debug | info | warn | error")
-		scrapeURL     = flag.String("scrape", "", "fetch a URL and copy the body to stdout, then exit (CI smoke; no curl needed)")
 		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of atom itself to this file")
-		verifyTrace   = flag.String("verify-trace", "", "validate a trace file written by -trace and exit (CI smoke)")
-		verifyFolded  = flag.String("verify-folded", "", "validate a folded-stack profile written by -profile-format=folded and exit (CI smoke)")
 		runMode       = flag.Bool("run", false, "execute the (instrumented) program on the VM; extra arguments become its argv")
 		profilePath   = flag.String("profile", "", "sample the VM run and write the profile to this file (implies -run)")
 		profilePeriod = flag.Uint64("profile-period", 10000, "sampling period in retired instructions")
@@ -133,31 +127,10 @@ func run() (code int) {
 	)
 	flag.Parse()
 
-	switch {
-	case *list:
+	if *list {
 		for _, t := range tools.All() {
 			fmt.Printf("%-8s  %s\n", t.Name, t.Description)
 		}
-		return 0
-	case *scrapeURL != "":
-		return scrape(*scrapeURL)
-	case *verifyTrace != "":
-		if err := checkTrace(*verifyTrace); err != nil {
-			fmt.Fprintln(os.Stderr, "atom:", err)
-			return 1
-		}
-		fmt.Printf("%s: ok\n", *verifyTrace)
-		return 0
-	case *verifyFolded != "":
-		data, err := os.ReadFile(*verifyFolded)
-		if err != nil {
-			return fail(err)
-		}
-		n, err := prof.ValidateFolded(data)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Printf("%s: ok (%d stacks)\n", *verifyFolded, n)
 		return 0
 	}
 	doRun := *runMode || *profilePath != ""
@@ -182,7 +155,7 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "       atom [-t tool] -run [-profile file [-profile-period N] [-profile-format flat|folded]] prog.x [args...]")
 		fmt.Fprintln(os.Stderr, "       atom -emit-ir dir prog.x [prog2.x ...] | atom -t tool -ir-in prog.ir [-o prog.atom]")
 		fmt.Fprintln(os.Stderr, "       atom -analyze [-passes p1,p2] [-analyze-json file] [-t tool] [prog.x ...]")
-		fmt.Fprintln(os.Stderr, "       atom -list | -verify-trace file")
+		fmt.Fprintln(os.Stderr, "       atom -list")
 		return 2
 	}
 	if flag.NArg() > 1 && *outPath != "" && !doRun {
@@ -201,7 +174,6 @@ func run() (code int) {
 		NoRegSummary: *noSummary,
 		NoLiveness:   *noLiveness,
 		NoInline:     *noInline,
-		InlineLimit:  *inlineLimit,
 		Verify:       *vet,
 	}
 	switch *mode {
@@ -237,8 +209,8 @@ func run() (code int) {
 	}
 
 	// The stage context is nil (near-zero overhead) unless some consumer
-	// of spans or counters is active. -metrics and -bench-json need no
-	// sink: they render the context's own obs.Metrics aggregate.
+	// of spans or counters is active. -metrics needs no sink: it renders
+	// the context's own obs.Metrics aggregate.
 	var (
 		traceSink *obs.TraceSink
 		logger    *slog.Logger
@@ -266,7 +238,7 @@ func run() (code int) {
 		sinks = append(sinks, telemetry.Default().Sink(), telemetry.DefaultStream())
 	}
 	var ctx *obs.Ctx
-	if len(sinks) > 0 || *metrics != "" || *benchJSON != "" {
+	if len(sinks) > 0 || *metrics != "" {
 		ctx = obs.New(sinks...)
 	}
 
@@ -346,15 +318,14 @@ func run() (code int) {
 
 	if *analyze {
 		return runAnalyze(ctx, analyzeConfig{
-			inputs:    flag.Args(),
-			irIn:      *irIn,
-			tool:      tool,
-			haveTool:  *toolName != "",
-			opts:      opts,
-			passSpec:  *passSpec,
-			asKind:    *analyzeAs,
-			jsonPath:  *analyzeJSON,
-			benchJSON: *benchJSON,
+			inputs:   flag.Args(),
+			irIn:     *irIn,
+			tool:     tool,
+			haveTool: *toolName != "",
+			opts:     opts,
+			passSpec: *passSpec,
+			asKind:   *analyzeAs,
+			jsonPath: *analyzeJSON,
 		})
 	}
 
@@ -362,8 +333,7 @@ func run() (code int) {
 		return emitIRBlobs(ctx, *emitIR, flag.Args())
 	}
 	if *irIn != "" {
-		return instrumentFromIR(ctx, *irIn, tool, opts,
-			*outPath, *stats, *layout, *benchJSON)
+		return instrumentFromIR(ctx, *irIn, tool, opts, *outPath, *stats, *layout)
 	}
 
 	if doRun {
@@ -374,7 +344,6 @@ func run() (code int) {
 			haveTool:      *toolName != "",
 			opts:          opts,
 			outPath:       *outPath,
-			benchJSON:     *benchJSON,
 			profilePath:   *profilePath,
 			profilePeriod: *profilePeriod,
 			profileFormat: *profileFormat,
@@ -383,11 +352,14 @@ func run() (code int) {
 	}
 
 	// Read every input before instrumenting any; per-program read errors
-	// fail soft like instrumentation errors do.
+	// and output collisions fail soft like instrumentation errors do.
 	inputs := flag.Args()
+	outs, errs := claimOutputs(inputs, func(in string) string { return outputName(in, *outPath) })
 	apps := make([]*aout.File, len(inputs))
-	errs := make([]error, len(inputs))
 	for i, path := range inputs {
+		if errs[i] != nil {
+			continue
+		}
 		app, err := aout.ReadFile(path)
 		if err != nil {
 			errs[i] = err
@@ -451,7 +423,7 @@ func run() (code int) {
 			failed++
 			continue
 		}
-		out := outputName(inputs[i], *outPath)
+		out := outs[i]
 		_, sp := ctx.Start("atom.write", obs.String("file", out))
 		err := res.Exe.WriteFile(out)
 		sp.End()
@@ -480,18 +452,6 @@ func run() (code int) {
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "atom: %d of %d programs failed\n", failed, len(inputs))
 	}
-
-	if *benchJSON != "" {
-		doc := newRunDoc(ctx, tool.Name, inputs)
-		for i := range inputs {
-			if errs[i] != nil {
-				doc.Failed = append(doc.Failed, inputs[i])
-			}
-		}
-		if err := figures.WriteRunJSON(*benchJSON, doc); err != nil {
-			return fail(err)
-		}
-	}
 	if failed > 0 {
 		return 1
 	}
@@ -506,7 +466,6 @@ type runConfig struct {
 	haveTool      bool
 	opts          core.Options
 	outPath       string
-	benchJSON     string
 	profilePath   string
 	profilePeriod uint64
 	profileFormat string
@@ -515,9 +474,9 @@ type runConfig struct {
 
 // runUnderVM executes one program on the VM — instrumenting it first
 // when a tool was selected — with the sampling profiler attached when
-// requested. The profile (and the bench JSON document) is written even
-// when the program faults mid-run, so a crashing workload still yields
-// its observability artifacts.
+// requested. The profile is written even when the program faults
+// mid-run, so a crashing workload still yields its observability
+// artifacts.
 func runUnderVM(ctx *obs.Ctx, rc runConfig) int {
 	app, err := aout.ReadFile(rc.input)
 	if err != nil {
@@ -564,9 +523,7 @@ func runUnderVM(ctx *obs.Ctx, rc runConfig) int {
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", rc.input, err))
 	}
-	runStart := time.Now()
 	exitCode, runErr := m.Run()
-	runWall := time.Since(runStart)
 	os.Stdout.Write(m.Stdout)
 	os.Stderr.Write(m.Stderr)
 	for _, path := range m.Paths() {
@@ -598,21 +555,6 @@ func runUnderVM(ctx *obs.Ctx, rc runConfig) int {
 			}
 		}
 	}
-	if rc.benchJSON != "" {
-		doc := newRunDoc(ctx, rc.tool.Name, []string{rc.input})
-		if runErr != nil {
-			doc.Failed = []string{rc.input}
-		}
-		if secs := runWall.Seconds(); secs > 0 {
-			doc.VMMinstS = float64(m.Icount) / 1e6 / secs
-		}
-		if err := figures.WriteRunJSON(rc.benchJSON, doc); err != nil {
-			fmt.Fprintln(os.Stderr, "atom:", err)
-			if status == 0 {
-				status = 1
-			}
-		}
-	}
 	return status
 }
 
@@ -633,8 +575,6 @@ func writeProfile(p *prof.Profiler, path, format string) error {
 	return err
 }
 
-func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
 // emitIRBlobs lifts each input executable (through the IR cache) and
 // writes its serialized atom-ir/v1 blob to <dir>/<input>.ir. Per-input
 // failures fail soft, like instrument batches do.
@@ -642,14 +582,18 @@ func emitIRBlobs(ctx *obs.Ctx, dir string, inputs []string) int {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fail(err)
 	}
+	outs, errs := claimOutputs(inputs, func(in string) string { return filepath.Join(dir, irName(in)) })
 	failed := 0
-	for _, path := range inputs {
-		app, err := aout.ReadFile(path)
+	for i, path := range inputs {
+		out, err := outs[i], errs[i]
+		var app *aout.File
+		if err == nil {
+			app, err = aout.ReadFile(path)
+		}
 		var blob []byte
 		if err == nil {
 			blob, err = core.LiftBlobCtx(ctx, app)
 		}
-		out := filepath.Join(dir, irName(path))
 		if err == nil {
 			err = os.WriteFile(out, blob, 0o644)
 		}
@@ -681,7 +625,7 @@ func irName(input string) string {
 // image, apply — is exactly the in-memory one, so the output executable
 // is bit-identical to instrumenting the original input. The output name
 // derives from the blob (prog.ir -> prog.atom) unless -o is given.
-func instrumentFromIR(ctx *obs.Ctx, irPath string, tool core.Tool, opts core.Options, outPath string, stats, layout bool, benchJSON string) int {
+func instrumentFromIR(ctx *obs.Ctx, irPath string, tool core.Tool, opts core.Options, outPath string, stats, layout bool) int {
 	blob, err := os.ReadFile(irPath)
 	if err != nil {
 		return fail(err)
@@ -707,12 +651,6 @@ func instrumentFromIR(ctx *obs.Ctx, irPath string, tool core.Tool, opts core.Opt
 	if stats {
 		printResultStats(res)
 		printCacheStats()
-	}
-	if benchJSON != "" {
-		doc := newRunDoc(ctx, tool.Name, []string{irPath})
-		if err := figures.WriteRunJSON(benchJSON, doc); err != nil {
-			return fail(err)
-		}
 	}
 	return 0
 }
@@ -781,109 +719,23 @@ func writeMetricsSnapshot(ctx *obs.Ctx, path string) error {
 	return err
 }
 
-// scrape fetches a URL and copies the body to stdout: the CI smoke's
-// curl substitute, so the telemetry gate needs no tools beyond atom
-// itself. Exit status is non-zero for transport errors and non-200s.
-func scrape(url string) int {
-	resp, err := http.Get(url)
-	if err != nil {
-		return fail(err)
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(os.Stdout, resp.Body); err != nil {
-		return fail(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fail(fmt.Errorf("%s: %s", url, resp.Status))
-	}
-	return 0
-}
-
-// newRunDoc assembles the common part of a bench JSON run document
-// (schema atom-run/v7): per-phase totals including the lift, the three
-// cache stat blocks, the disk-store block when a persistent store is
-// configured, counters, the inline block, and histograms.
-func newRunDoc(ctx *obs.Ctx, toolName string, programs []string) figures.RunDoc {
-	m := ctx.Metrics()
-	doc := figures.RunDoc{
-		Tool:     toolName,
-		Programs: programs,
-		Phases: figures.BenchPhases{
-			LiftMS:    msOf(m.SpanTotal("om.lift")),
-			BuildMS:   msOf(m.SpanTotal("atom.image.build")),
-			PlanMS:    msOf(m.SpanTotal("atom.plan")),
-			ApplyMS:   msOf(m.SpanTotal("atom.apply")),
-			WriteMS:   msOf(m.SpanTotal("atom.write")),
-			AnalyzeMS: msOf(m.SpanTotal("om.analyze")),
-		},
-		Image:   figures.CacheStats(core.ImageCacheStats()),
-		Objects: figures.CacheStats(rtl.ObjectCacheStats()),
-		IR:      figures.CacheStats(build.IRCacheStats()),
-	}
-	if s := build.ActiveStore(); s != nil {
-		blk := figures.StoreStats(s.Stats())
-		doc.Disk = &blk
-	}
-	for _, c := range m.Counters() {
-		doc.Counters = append(doc.Counters, figures.BenchCounter{Name: c.Name, Value: c.Value})
-	}
-	doc.Inline = inlineBlock(ctx)
-	doc.Hists = figures.Histograms(m.Histograms())
-	return doc
-}
-
-// inlineBlock extracts the inliner's site counters for the bench JSON
-// document (schema atom-run/v3). Nil when no instrumentation ran, so
-// plain -run documents stay free of a meaningless zero block.
-func inlineBlock(ctx *obs.Ctx) *figures.BenchInline {
-	var blk figures.BenchInline
-	found := false
-	for _, c := range ctx.Counters() {
-		switch c.Name {
-		case "atom.sites_inlined":
-			blk.SitesInlined, found = c.Value, true
-		case "atom.sites_called":
-			blk.SitesCalled, found = c.Value, true
+// claimOutputs names each input's output and fails every input whose
+// output an earlier input of the same invocation already claimed, so no
+// output of a batch silently overwrites another.
+func claimOutputs(inputs []string, name func(string) string) ([]string, []error) {
+	outs := make([]string, len(inputs))
+	errs := make([]error, len(inputs))
+	owner := map[string]string{}
+	for i, in := range inputs {
+		outs[i] = name(in)
+		key := filepath.Clean(outs[i])
+		if prev, ok := owner[key]; ok {
+			errs[i] = fmt.Errorf("output %s is already claimed by %s", outs[i], prev)
+			continue
 		}
+		owner[key] = in
 	}
-	if !found {
-		return nil
-	}
-	return &blk
-}
-
-// checkTrace validates a -trace output file: well-formed Chrome
-// trace_event JSON, non-empty, and covering the pipeline stages a cold
-// instrumentation run always exercises.
-func checkTrace(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	events, err := obs.ParseTrace(data)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(events) == 0 {
-		return fmt.Errorf("%s: trace has no events", path)
-	}
-	seen := map[string]bool{}
-	attributed := false
-	for _, e := range events {
-		seen[e.Name] = true
-		if e.Args["outcome"] != "" {
-			attributed = true
-		}
-	}
-	for _, want := range []string{"cc.compile", "link.link", "om.lift", "atom.plan", "atom.image.build", "atom.apply"} {
-		if !seen[want] {
-			return fmt.Errorf("%s: no %q span in trace", path, want)
-		}
-	}
-	if !attributed {
-		return fmt.Errorf("%s: no cache lookup with an outcome attribute in trace", path)
-	}
-	return nil
+	return outs, errs
 }
 
 // outputName derives an output path: an explicit -o wins (single input),

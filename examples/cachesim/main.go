@@ -55,7 +55,8 @@ func main() {
 	for _, size := range []int{1 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10, 256 << 10} {
 		res, err := atom.Instrument(app, tool, atom.Options{
 			ToolArgs: []string{strconv.Itoa(size), "32"},
-		}, atom.WithInlining(!*noInline))
+			NoInline: *noInline,
+		})
 		check(err)
 		out, err := atom.RunProgram(res.Exe, atom.RunConfig{AnalysisHeapOffset: res.HeapOffset})
 		check(err)

@@ -124,7 +124,7 @@ func main() {
 	}
 
 	// Step 1+2 of Figure 1: build the custom tool and apply it.
-	res, err := atom.Instrument(app, tool, atom.Options{}, atom.WithInlining(!*noInline))
+	res, err := atom.Instrument(app, tool, atom.Options{NoInline: *noInline})
 	check(err)
 	fmt.Printf("instrumented: %d call sites, text %d -> %d bytes\n\n",
 		res.Stats.Calls, res.Stats.OrigText, res.Stats.InstrText)

@@ -1,8 +1,9 @@
 package atom
 
 // End-to-end smoke tests for the example programs: each builds, runs,
-// and produces its documented output. They exec `go run`, so they are
-// skipped under -short and when no go binary is on PATH.
+// and produces its documented output, the same with and without
+// -noinline. They exec `go run`, so they are skipped under -short and
+// when no go binary is on PATH.
 
 import (
 	"os/exec"
@@ -11,7 +12,7 @@ import (
 	"time"
 )
 
-func runExample(t *testing.T, dir string) string {
+func runExample(t *testing.T, dir string, args ...string) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("examples smoke skipped in -short mode")
@@ -20,12 +21,31 @@ func runExample(t *testing.T, dir string) string {
 	if err != nil {
 		t.Skip("no go binary on PATH")
 	}
-	cmd := exec.Command(goBin, "run", "./"+dir)
+	cmd := exec.Command(goBin, append([]string{"run", "./" + dir}, args...)...)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("go run ./%s: %v\n%s", dir, err, out)
+		t.Fatalf("go run ./%s %s: %v\n%s", dir, strings.Join(args, " "), err, out)
 	}
 	return string(out)
+}
+
+// checkNoinline runs the example again with -noinline: program and
+// analysis output must not change, apart from the "instrumented:" size
+// line, which legitimately differs between the two modes.
+func checkNoinline(t *testing.T, dir, out string) {
+	t.Helper()
+	dropSize := func(s string) string {
+		var keep []string
+		for _, line := range strings.SplitAfter(s, "\n") {
+			if !strings.HasPrefix(line, "instrumented:") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "")
+	}
+	if off := runExample(t, dir, "-noinline"); dropSize(off) != dropSize(out) {
+		t.Errorf("%s output differs under -noinline:\n%s\n--- -noinline\n%s", dir, out, off)
+	}
 }
 
 func TestExampleQuickstart(t *testing.T) {
@@ -41,6 +61,7 @@ func TestExampleQuickstart(t *testing.T) {
 		t.Errorf("quickstart output missing branch-count table:\n%s", out)
 	}
 	t.Logf("quickstart ran in %v", time.Since(start))
+	checkNoinline(t, "examples/quickstart", out)
 }
 
 func TestExampleCachesim(t *testing.T) {
@@ -53,4 +74,5 @@ func TestExampleCachesim(t *testing.T) {
 	if !strings.Contains(out, "%") {
 		t.Errorf("cachesim output has no percentage column:\n%s", out)
 	}
+	checkNoinline(t, "examples/cachesim", out)
 }

@@ -102,19 +102,15 @@ type Options struct {
 	// (internal/om/dataflow), reverting each site's save set to ra, the
 	// written argument registers, and at regardless of what the
 	// application could actually read afterwards. The zero value —
-	// liveness on — is the default; set it (or use WithLiveness(false))
-	// for ablation.
+	// liveness on — is the default; set it for ablation.
 	NoLiveness bool
 	// NoInline disables the analysis-routine inliner. By default (the
 	// zero value) short leaf analysis routines are spliced directly into
 	// their call sites — no bsr/ret, no wrapper, site save set reduced
-	// to live ∩ clobbered-by-body. Set it (or use WithInlining(false))
-	// to always call through the wrapper, as the paper does.
+	// to live ∩ clobbered-by-body; bodies above a fixed size limit are
+	// called normally. Set it to always call through the wrapper, as the
+	// paper does.
 	NoInline bool
-	// InlineLimit caps the inlined body size in original instructions;
-	// zero means DefaultInlineLimit. Routines above the cap are called
-	// normally.
-	InlineLimit int
 	// Verify runs the IR verifier (om.Verify) over the application before
 	// rewriting and re-verifies the layout PC maps and the emitted text
 	// afterwards, failing the run on any diagnostic (cmd/atom -vet).
@@ -122,27 +118,6 @@ type Options struct {
 	// ToolArgs are passed to the instrumentation routine (iargc/iargv).
 	ToolArgs []string
 }
-
-// Option is a functional adjustment applied on top of an Options value.
-type Option func(*Options)
-
-// WithLiveness toggles the interprocedural register-liveness pass that
-// minimizes per-site save sets to live(site) ∩ modified(routine). It is
-// on by default; WithLiveness(false) restores the previous behavior —
-// every site saves ra, its written argument registers, and at — for
-// ablation.
-func WithLiveness(on bool) Option { return func(o *Options) { o.NoLiveness = !on } }
-
-// WithVerify toggles the IR verifier around the rewrite (off by default;
-// cmd/atom -vet and the test suite turn it on).
-func WithVerify(on bool) Option { return func(o *Options) { o.Verify = on } }
-
-// WithInlining toggles the analysis-routine inliner, which splices short
-// leaf analysis routines directly into their call sites instead of
-// calling them through a register-save wrapper. It is on by default;
-// WithInlining(false) restores the paper's always-call behavior for
-// ablation and debugging.
-func WithInlining(on bool) Option { return func(o *Options) { o.NoInline = !on } }
 
 // Stats reports what an instrumentation run did.
 type Stats struct {
@@ -382,22 +357,18 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 	}
 
 	// Inlining applies per plan, not per image: the cached image always
-	// carries the templates, and the limit/off switches are free to vary
-	// without invalidating it. SaveInAnalysis already splices saves into
+	// carries the templates, and NoInline is free to vary without
+	// invalidating it. SaveInAnalysis already splices saves into
 	// the routines themselves, which an inlined copy would duplicate, so
 	// the inliner only runs in the (default) wrapper mode.
 	inlineOK := !opts.NoInline && opts.Mode == SaveWrapper
-	limit := opts.InlineLimit
-	if limit == 0 {
-		limit = DefaultInlineLimit
-	}
 
 	stats := Stats{Calls: len(q.journal), OrigText: uint64(len(app.Text))}
 	for _, req := range ordered {
 		target := req.proto.Name
 		var tmpl *inlineTemplate
 		if inlineOK {
-			if t := ti.inline[target]; t != nil && t.bodyLen <= limit {
+			if t := ti.inline[target]; t != nil && t.bodyLen <= inlineLimit {
 				tmpl = t
 			}
 		}

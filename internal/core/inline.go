@@ -25,12 +25,12 @@ import (
 //
 // Classification happens once per tool image, on the linked analysis
 // image's own OM IR; whether a given call site actually inlines is
-// decided per plan (Options.NoInline, Options.InlineLimit), so one
-// cached image serves every option mix.
+// decided per plan (Options.NoInline, inlineLimit), so one cached image
+// serves every option mix.
 
-// DefaultInlineLimit is the largest analysis-routine body, in original
-// instructions, that is inlined when Options.InlineLimit is zero.
-const DefaultInlineLimit = 16
+// inlineLimit is the largest analysis-routine body, in original
+// instructions, that is inlined.
+const inlineLimit = 16
 
 // inlineBaseSym is the synthetic symbol inlined bodies' address
 // constants are expressed against: it resolves to the rebased analysis
@@ -52,7 +52,7 @@ type inlineTemplate struct {
 	// clobbers is the set of caller-save registers the spliced body may
 	// overwrite; the site saves live ∩ clobbers around it.
 	clobbers om.RegSet
-	bodyLen  int // original body size in instructions (Options.InlineLimit gates on this)
+	bodyLen  int // original body size in instructions (inlineLimit gates on this)
 }
 
 // extractInlineTemplates classifies each named procedure of the linked

@@ -68,17 +68,3 @@ func TestInlinePreservesBehavior(t *testing.T) {
 		t.Errorf("no tool inlined any site; the inliner is inert")
 	}
 }
-
-// TestWithInliningOption: the functional option must reach the core
-// Options and actually change the plan.
-func TestWithInliningOption(t *testing.T) {
-	var o core.Options
-	core.WithInlining(false)(&o)
-	if !o.NoInline {
-		t.Fatal("WithInlining(false) did not set NoInline")
-	}
-	core.WithInlining(true)(&o)
-	if o.NoInline {
-		t.Fatal("WithInlining(true) did not clear NoInline")
-	}
-}

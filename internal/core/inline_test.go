@@ -213,19 +213,19 @@ SpTwiddle:
 }
 
 // Size does not fail classification — the limit is an apply-time policy —
-// but bodyLen must be honest so Options.InlineLimit can gate on it.
+// but bodyLen must be honest so inlineLimit can gate on it.
 func TestInlineClassifyOversize(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("\t.text\n\t.globl Big\n\t.ent Big\nBig:\n")
-	for i := 0; i < DefaultInlineLimit+4; i++ {
+	for i := 0; i < inlineLimit+4; i++ {
 		b.WriteString("\taddq t0, 1, t0\n")
 	}
 	b.WriteString("\tret (ra)\n\t.end Big\n")
 	tmpl := mustInline(t, "Big", b.String())
-	if tmpl.bodyLen != DefaultInlineLimit+5 {
-		t.Errorf("bodyLen = %d, want %d", tmpl.bodyLen, DefaultInlineLimit+5)
+	if tmpl.bodyLen != inlineLimit+5 {
+		t.Errorf("bodyLen = %d, want %d", tmpl.bodyLen, inlineLimit+5)
 	}
-	if tmpl.bodyLen <= DefaultInlineLimit {
+	if tmpl.bodyLen <= inlineLimit {
 		t.Errorf("oversize body not above the default limit; test is vacuous")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // from the blob. A decoded IR is a drop-in substitute for a fresh
 // om.Build: the decoder reconstructs the identical structure, and the
 // lift-equivalence test (TestColdLiftMatchesDecodedAllTools) plus the IR
-// gate in ci.sh hold the two paths to bit-identical instrumented output,
+// gate in cmd/atom's end-to-end tests hold the two paths to bit-identical instrumented output,
 // so the lift can also run in a different process (atom -emit-ir /
 // -ir-in) or, later, on a different machine.
 

@@ -47,7 +47,7 @@ type ToolImage struct {
 	// inline holds a splice-ready template for every analysis procedure
 	// that classified as inlinable (wrapper mode only). Templates are
 	// extracted unconditionally — whether a site uses one is decided per
-	// plan by Options.NoInline/InlineLimit, so the cache key is
+	// plan by Options.NoInline and inlineLimit, so the cache key is
 	// unaffected.
 	inline map[string]*inlineTemplate
 

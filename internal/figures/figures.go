@@ -6,8 +6,7 @@
 //     beside its own tables;
 //   - RatioFor: one tool's instrumented/uninstrumented retired-instruction
 //     ratio on one suite program — the reproduction's Figure 6 clock —
-//     which the paper-ablation benches report;
-//   - RunDoc: the atom-run/v7 JSON document of `atom -bench-json`.
+//     which the paper-ablation benches report.
 //
 // perfbench (perfbench/) is the harness that regenerates Figures 5 and 6.
 package figures

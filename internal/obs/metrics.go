@@ -120,14 +120,6 @@ func (m *Metrics) Spans() []SpanStat {
 	return out
 }
 
-// SpanTotal returns the summed duration of completed spans with the
-// given name.
-func (m *Metrics) SpanTotal(name string) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.spans[name].Total
-}
-
 // sortedKeys returns a map's keys in ascending order, so no rendering
 // ever leaks map iteration order.
 func sortedKeys[V any](m map[string]V) []string {
@@ -151,7 +143,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	}
 	b.WriteString(FormatCounters(m.Counters()))
 	if hists := m.Histograms(); len(hists) > 0 {
-		b.WriteString(FormatHistograms(hists))
+		b.WriteString(formatHistograms(hists))
 	}
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err
@@ -169,11 +161,11 @@ func FormatCounters(counters []Counter) string {
 	return b.String()
 }
 
-// FormatHistograms renders histogram snapshots as text: one header line
+// formatHistograms renders histogram snapshots as text: one header line
 // per histogram followed by its non-empty buckets. The input is already
 // sorted (Histograms guarantees it) and bucket boundaries are fixed,
 // so identical observations produce byte-identical output.
-func FormatHistograms(hists []Hist) string {
+func formatHistograms(hists []Hist) string {
 	var b strings.Builder
 	b.WriteString("# histograms: name count sum min max\n")
 	for _, h := range hists {

@@ -3,7 +3,7 @@ package atom_test
 // Serialized-IR equivalence: for every built-in tool, instrumenting a
 // Program decoded from its atom-ir/v1 blob must produce an executable
 // byte-identical to instrumenting a freshly lifted Program. This is the
-// in-process form of the irsmoke CI gate (ci.sh runs the same
+// in-process form of the IR gate (cmd/atom's TestToolGates runs the same
 // comparison across processes through `atom -emit-ir` / `atom -ir-in`).
 
 import (
@@ -82,7 +82,7 @@ func TestPublicIRAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := atom.InstrumentProgram(dec, tool, atom.Options{}, atom.WithVerify(true))
+	res, err := atom.InstrumentProgram(dec, tool, atom.Options{Verify: true})
 	if err != nil {
 		t.Fatalf("InstrumentProgram: %v", err)
 	}

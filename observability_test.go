@@ -160,8 +160,8 @@ func TestObservabilitySpanTree(t *testing.T) {
 
 // TestObservabilityCounters checks that pipeline and VM counters flow
 // into the context, and that two identical warm runs render their
-// counters byte-identically (the determinism contract -bench-json and
-// -metrics rely on).
+// counters byte-identically (the determinism contract -metrics relies
+// on).
 func TestObservabilityCounters(t *testing.T) {
 	app := buildObsApp(t)
 	tool, err := ToolByName("prof")
