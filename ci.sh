@@ -40,6 +40,9 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing on each decoder
 # of bytes read back from disk — the IR blob (om.FuzzDecode) and the
-# tool-image codec (FuzzImageDecode) — beyond their committed seeds.
+# tool-image codec (FuzzImageDecode) — beyond their committed seeds, and
+# on the superblock loop against the Step loop over generated programs
+# (vm.FuzzSuperblockVsStep).
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/om
 go test -run='^$' -fuzz='^FuzzImageDecode$' -fuzztime=5s ./internal/core
+go test -run='^$' -fuzz='^FuzzSuperblockVsStep$' -fuzztime=5s ./internal/vm

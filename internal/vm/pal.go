@@ -202,7 +202,7 @@ func (m *Machine) flushFiles() {
 
 // ReadMem copies n bytes at addr; helper for tests and tools.
 func (m *Machine) ReadMem(addr, n uint64) ([]byte, error) {
-	if addr+n > uint64(len(m.Mem)) {
+	if l := uint64(len(m.Mem)); n > l || addr > l-n {
 		return nil, fmt.Errorf("vm: ReadMem %#x+%d out of range", addr, n)
 	}
 	out := make([]byte, n)

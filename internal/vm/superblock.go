@@ -10,19 +10,23 @@ import (
 // literature describes for Pin/DynamoRIO, applied to the interpreter.
 // On first execution of a PC the machine harvests the straight-line
 // decoded run starting there — through fall-through paths and direct
-// unconditional branches — into a superblock: a sequence of micro-ops
-// whose register and memory effects are resolved to closures at build
-// time. Conditional branches become guarded side exits, `bsr` and the
-// indirect jumps terminate the block, and `call_pal` ends harvesting
-// *before* the PAL instruction so every service call still goes through
-// the ordinary interpreter. Dispatch then retires a whole block per
-// iteration, and exits with a statically known successor are linked
-// directly to the successor block, so hot loops execute entirely inside
-// runSB with no per-instruction fetch, decode, or switch.
+// unconditional branches — into a superblock: a sequence of micro-ops.
+// A micro-op is a compact value compiled once at harvest time: an
+// opcode for the Alpha op and operand form (register or literal second
+// operand, one per load/store width), the register numbers and one
+// pre-resolved immediate. Conditional branches become guarded side
+// exits, `bsr` and the indirect jumps terminate the block, and
+// `call_pal` ends harvesting *before* the PAL instruction so every
+// service call still goes through the ordinary interpreter. runOps
+// retires a block through one dense switch on the opcode, which the
+// compiler lowers to a jump table, and exits with a statically known
+// successor are linked directly to the successor block, so hot loops
+// execute entirely inside runOps with no per-instruction fetch, decode
+// or call.
 //
 // Correctness invariants:
 //
-//   - Every micro-op except a trailing sbOpExit retires exactly one
+//   - Every micro-op except a trailing sbExit retires exactly one
 //     instruction, so Icount is base + index — materialized into
 //     m.Icount only at block exits and faults.
 //   - A faulting memory op performs no side effects (the bounds check
@@ -51,47 +55,158 @@ import (
 //     mid-block PCs stepped through.
 //   - Probe Call and Return fire at the terminators where exec fires
 //     them — a bsr writing a link register, a jsr writing one, and any
-//     ret — with the same PCs and targets, across trace links too. The
+//     ret — with the same PCs and targets; under a probe such a bsr
+//     leaves the block runner instead of following its trace link. The
 //     probe's event stream is therefore the Step loop's.
 
 // sbMaxOps bounds harvesting; long straight-line runs split into
 // chained (and linked) blocks.
 const sbMaxOps = 256
 
-// Memory micro-op outcomes.
-const (
-	sbOK        uint8 = iota
-	sbFaulted         // bounds check failed; no side effects applied
-	sbTextStore       // store dropped a superblock: bail out
-)
-
-type sbKind uint8
+// sbCode is a micro-op's opcode.
+type sbCode uint8
 
 const (
-	sbOpReg     sbKind = iota // register effect closure
-	sbOpNop                   // retires with no effect (br zero)
-	sbOpMem                   // load/store closure
-	sbOpGuard                 // conditional branch: taken -> static exit
-	sbOpJump                  // bsr: link write + static exit
-	sbOpJumpInd               // jmp/jsr/ret: dynamic exit via Rb
-	sbOpExit                  // terminal, retires nothing; PC := pc
+	// Operate format, register form: rc = ra op rb.
+	sbAddl sbCode = iota
+	sbSubl
+	sbAddq
+	sbSubq
+	sbS4addq
+	sbS8addq
+	sbCmpeq
+	sbCmplt
+	sbCmple
+	sbCmpult
+	sbCmpule
+	sbAnd
+	sbBic
+	sbBis
+	sbOrnot
+	sbXor
+	sbEqv
+	sbCmoveq
+	sbCmovne
+	sbSll
+	sbSrl
+	sbSra
+	sbMull
+	sbMulq
+	sbUmulh
+
+	// Operate format, literal form: rc = ra op imm.
+	sbAddlI
+	sbSublI
+	sbAddqI
+	sbSubqI
+	sbS4addqI
+	sbS8addqI
+	sbCmpeqI
+	sbCmpltI
+	sbCmpleI
+	sbCmpultI
+	sbCmpuleI
+	sbAndI
+	sbBicI
+	sbBisI
+	sbOrnotI
+	sbXorI
+	sbEqvI
+	sbCmoveqI
+	sbCmovneI
+	sbSllI
+	sbSrlI
+	sbSraI
+	sbMullI
+	sbMulqI
+	sbUmulhI
+
+	sbLda  // ra = rb + imm: lda, and ldah with imm already shifted
+	sbLink // ra = pc+4: a br harvested straight through
+	sbNop  // retires with no effect: br zero, or a register op writing zero
+
+	// Memory: the address is rb + imm; loads write ra, stores read it.
+	sbLdq
+	sbLdl
+	sbLdwu
+	sbLdbu
+	sbStq
+	sbStl
+	sbStw
+	sbStb
+
+	// Guards: a conditional branch on ra; taken is a static exit.
+	sbBlbc
+	sbBeq
+	sbBlt
+	sbBle
+	sbBlbs
+	sbBne
+	sbBge
+	sbBgt
+
+	// Terminators.
+	sbBsr  // ra = pc+4, Probe.Call, static exit
+	sbJump // bsr zero: static exit
+	sbJmp  // indirect through rb, link into ra
+	sbJsr
+	sbRet
+	sbExit // retires nothing; static exit
 )
 
-// sbOp is one micro-op. pc is the address of the source instruction
-// (for sbOpExit, the address execution resumes at); inst is the decoded
-// original, kept for slow-path re-execution on faults.
+// sbOperate maps each operate op to its register- and literal-form
+// opcodes.
+var sbOperate = map[alpha.Op][2]sbCode{
+	alpha.OpAddl:   {sbAddl, sbAddlI},
+	alpha.OpSubl:   {sbSubl, sbSublI},
+	alpha.OpAddq:   {sbAddq, sbAddqI},
+	alpha.OpSubq:   {sbSubq, sbSubqI},
+	alpha.OpS4addq: {sbS4addq, sbS4addqI},
+	alpha.OpS8addq: {sbS8addq, sbS8addqI},
+	alpha.OpCmpeq:  {sbCmpeq, sbCmpeqI},
+	alpha.OpCmplt:  {sbCmplt, sbCmpltI},
+	alpha.OpCmple:  {sbCmple, sbCmpleI},
+	alpha.OpCmpult: {sbCmpult, sbCmpultI},
+	alpha.OpCmpule: {sbCmpule, sbCmpuleI},
+	alpha.OpAnd:    {sbAnd, sbAndI},
+	alpha.OpBic:    {sbBic, sbBicI},
+	alpha.OpBis:    {sbBis, sbBisI},
+	alpha.OpOrnot:  {sbOrnot, sbOrnotI},
+	alpha.OpXor:    {sbXor, sbXorI},
+	alpha.OpEqv:    {sbEqv, sbEqvI},
+	alpha.OpCmoveq: {sbCmoveq, sbCmoveqI},
+	alpha.OpCmovne: {sbCmovne, sbCmovneI},
+	alpha.OpSll:    {sbSll, sbSllI},
+	alpha.OpSrl:    {sbSrl, sbSrlI},
+	alpha.OpSra:    {sbSra, sbSraI},
+	alpha.OpMull:   {sbMull, sbMullI},
+	alpha.OpMulq:   {sbMulq, sbMulqI},
+	alpha.OpUmulh:  {sbUmulh, sbUmulhI},
+}
+
+// sbFixed maps the memory, conditional-branch and indirect-jump ops to
+// their opcodes.
+var sbFixed = map[alpha.Op]sbCode{
+	alpha.OpLdq: sbLdq, alpha.OpLdl: sbLdl, alpha.OpLdwu: sbLdwu, alpha.OpLdbu: sbLdbu,
+	alpha.OpStq: sbStq, alpha.OpStl: sbStl, alpha.OpStw: sbStw, alpha.OpStb: sbStb,
+	alpha.OpBlbc: sbBlbc, alpha.OpBeq: sbBeq, alpha.OpBlt: sbBlt, alpha.OpBle: sbBle,
+	alpha.OpBlbs: sbBlbs, alpha.OpBne: sbBne, alpha.OpBge: sbBge, alpha.OpBgt: sbBgt,
+	alpha.OpJmp: sbJmp, alpha.OpJsr: sbJsr, alpha.OpRet: sbRet,
+}
+
+// sbOp is one micro-op. pc is the address of the source instruction;
+// target is the static successor of a br, a taken guard, a bsr, or (for
+// sbExit) the address execution resumes at. imm is the pre-resolved
+// immediate: the operate literal (a shift count already masked to 6
+// bits), or the memory displacement (ldah's already shifted left 16).
 type sbOp struct {
-	kind    sbKind
-	ra, rb  alpha.Reg // sbOpJumpInd operands
-	pc      uint64
-	target  uint64 // static successor of a taken guard / jump
-	reg     func(r *[alpha.NumRegs]int64)
-	mem     func(m *Machine) uint8
-	cond    func(r *[alpha.NumRegs]int64) bool
-	inst    alpha.Inst
-	link    *superblock // trace link for the static exit
-	linkGen uint64      // valid iff == Machine.sbGen
-	canLink bool
+	code       sbCode
+	ra, rb, rc alpha.Reg
+	imm        int64
+	pc         uint64
+	target     uint64
+	link       *superblock // trace link for the static exit
+	linkGen    uint64      // valid iff == Machine.sbGen
 }
 
 // superblock is one harvested run, keyed by entry PC.
@@ -111,7 +226,7 @@ var sbNone = &superblock{}
 // it on first use. nil means "single-step this PC" — out-of-text,
 // misaligned, or unbuildable.
 func (m *Machine) lookupSB(pc uint64) *superblock {
-	if pc < m.exe.TextAddr || pc+4 > m.textEnd || pc%4 != 0 {
+	if !m.inText(pc) {
 		return nil
 	}
 	idx := (pc - m.exe.TextAddr) / 4
@@ -145,7 +260,7 @@ func (m *Machine) lookupSB(pc uint64) *superblock {
 func (m *Machine) textStore(addr, size uint64) bool {
 	lo, hi := addr, addr+size
 	for a := lo &^ 3; a < hi; a += 4 {
-		if a >= m.exe.TextAddr && a+4 <= m.textEnd {
+		if m.inText(a) {
 			idx := (a - m.exe.TextAddr) / 4
 			m.codeOK[idx] = false
 			if m.sbByIdx[idx] == sbNone {
@@ -214,7 +329,7 @@ func (m *Machine) runSuperblocks() (int, error) {
 		}
 		// Trace linking: a static exit without a valid link resolves its
 		// successor once; later passes jump block-to-block inside runSB.
-		if exit != nil && exit.canLink && (exit.link == nil || exit.linkGen != m.sbGen) {
+		if exit != nil && (exit.link == nil || exit.linkGen != m.sbGen) {
 			if next := m.lookupSB(m.PC); next != nil {
 				exit.link, exit.linkGen = next, m.sbGen
 				m.sbLinks++
@@ -256,9 +371,7 @@ func (m *Machine) stepFence(fence uint64) error {
 // atEntry reports whether the PC already keys a cache slot: a built
 // block, or an entry known to be unbuildable.
 func (m *Machine) atEntry() bool {
-	pc := m.PC
-	return pc >= m.exe.TextAddr && pc+4 <= m.textEnd && pc%4 == 0 &&
-		m.sbByIdx[(pc-m.exe.TextAddr)/4] != nil
+	return m.inText(m.PC) && m.sbByIdx[(m.PC-m.exe.TextAddr)/4] != nil
 }
 
 // fence returns the highest Icount a superblock may retire up to: the
@@ -272,94 +385,380 @@ func (m *Machine) fence() uint64 {
 	return f
 }
 
+// sbStop says why runOps returned to runSB.
+type sbStop uint8
+
+const (
+	sbStatic   sbStop = iota // a static exit: to op.target, or past sbExit
+	sbIndirect               // op, a jmp/jsr/ret, retired
+	sbText                   // op, a store into the text segment, retired
+	sbFault                  // op failed its bounds check, with no side effects
+)
+
 // runSB executes one superblock (and anything reachable over valid
 // trace links) without retiring past fence. On return m.PC and m.Icount
 // are exact. The returned op is the static exit taken, for link
 // installation; nil for dynamic exits, text-store bailouts, and faults.
+//
+// runOps retires the micro-ops; every event that needs a call — a probe
+// callback, a store into text, a fault — returns here, so the hot loop
+// calls nothing and the compiler keeps its state in registers.
 func (m *Machine) runSB(sb *superblock, fence uint64) (*sbOp, error) {
-	base := m.Icount
-	r := &m.Reg
-	ops := sb.ops
-	i := 0
+	ops, i := sb.ops, 0
 	for {
-		op := &ops[i]
-		switch op.kind {
-		case sbOpReg:
-			op.reg(r)
-		case sbOpNop:
-		case sbOpMem:
-			switch op.mem(m) {
-			case sbOK:
-			case sbFaulted:
-				// No side effects were applied; re-execute through the
-				// interpreter for the byte-identical diagnostic.
-				m.Icount = base + uint64(i) + 1
-				m.PC = op.pc
-				return nil, m.exec(op.inst)
-			default: // sbTextStore: this very block may be stale now
-				m.Icount = base + uint64(i) + 1
-				m.PC = op.pc + 4
-				return nil, nil
+		var op *sbOp
+		var stop sbStop
+		ops, i, op, stop = m.runOps(ops, i, fence)
+		switch stop {
+		case sbStatic:
+			if p := m.cfg.Probe; p != nil && op.code == sbBsr {
+				p.Call(op.pc, op.target)
 			}
-		case sbOpGuard:
-			if op.cond(r) {
-				ic := base + uint64(i) + 1
-				if next := op.link; next != nil && op.linkGen == m.sbGen && fence-ic >= uint64(next.n) {
-					m.sbHits++
-					base, ops, i = ic, next.ops, 0
-					continue
-				}
-				m.Icount = ic
-				m.PC = op.target
-				return op, nil
-			}
-		case sbOpJump:
-			if op.reg != nil {
-				op.reg(r)
-				if m.cfg.Probe != nil {
-					m.cfg.Probe.Call(op.pc, op.target)
-				}
-			}
-			ic := base + uint64(i) + 1
-			if next := op.link; next != nil && op.linkGen == m.sbGen && fence-ic >= uint64(next.n) {
-				m.sbHits++
-				base, ops, i = ic, next.ops, 0
-				continue
-			}
-			m.Icount = ic
-			m.PC = op.target
 			return op, nil
-		case sbOpJumpInd:
-			// Read the target before the link write (ret (ra) reads the
-			// register a jsr to the same register would clobber).
-			target := uint64(r[op.rb]) &^ 3
-			if op.ra != alpha.Zero {
-				r[op.ra] = int64(op.pc + 4)
-			}
-			m.Icount = base + uint64(i) + 1
-			m.PC = target
-			if m.cfg.Probe != nil {
+		case sbIndirect:
+			if p := m.cfg.Probe; p != nil {
 				switch {
-				case op.inst.Op == alpha.OpJsr && op.ra != alpha.Zero:
-					m.cfg.Probe.Call(op.pc, target)
-				case op.inst.Op == alpha.OpRet:
-					m.cfg.Probe.Return(op.pc, target)
+				case op.code == sbJsr && op.ra != alpha.Zero:
+					p.Call(op.pc, m.PC)
+				case op.code == sbRet:
+					p.Return(op.pc, m.PC)
 				}
 			}
 			return nil, nil
-		default: // sbOpExit
-			ic := base + uint64(i)
-			if next := op.link; next != nil && op.linkGen == m.sbGen && fence-ic >= uint64(next.n) {
-				m.sbHits++
-				base, ops, i = ic, next.ops, 0
-				continue
+		case sbText:
+			// Usually an analysis counter: the caches stay coherent, and
+			// the block is left only when the store dropped one, for this
+			// very block may be stale. Rb still holds the base.
+			if m.textStore(uint64(m.Reg[op.rb]+op.imm), op.storeWidth()) {
+				return nil, nil
 			}
-			m.Icount = ic
-			m.PC = op.pc
-			return op, nil
+		default: // sbFault
+			// No side effects were applied; re-execute through the
+			// interpreter for the byte-identical diagnostic. The block is
+			// live, so memory still holds the word it was harvested from.
+			inst, _ := m.decoded((op.pc - m.exe.TextAddr) / 4)
+			return nil, m.exec(inst)
 		}
-		i++
 	}
+}
+
+// runOps retires ops from ops[i] on, following valid trace links, until
+// an event runSB must handle; m.Icount counts the instructions retired
+// before ops[i]. On return m.Icount and m.PC are exact; for a fault,
+// they are as Step leaves them before exec.
+//
+// Memory ops inline checkAddr's bounds test with the width as a
+// constant: New lays the initial stack out below text, so len(Mem)
+// exceeds every access width and len(Mem)-8 cannot wrap. Mem and the
+// text bounds are read through m rather than held in locals, which
+// would crowd the loop state out of registers.
+func (m *Machine) runOps(ops []sbOp, i int, fence uint64) ([]sbOp, int, *sbOp, sbStop) {
+	// Register numbers are masked with &31, which proves them in range:
+	// no register access pays a bounds check.
+	r := &m.Reg
+	base := m.Icount - uint64(i)
+	var op *sbOp
+	for {
+		op = &ops[i]
+		i++ // instructions retired once op has
+		switch op.code {
+		case sbAddl:
+			r[op.rc&31] = int64(int32(r[op.ra&31] + r[op.rb&31]))
+		case sbSubl:
+			r[op.rc&31] = int64(int32(r[op.ra&31] - r[op.rb&31]))
+		case sbAddq:
+			r[op.rc&31] = r[op.ra&31] + r[op.rb&31]
+		case sbSubq:
+			r[op.rc&31] = r[op.ra&31] - r[op.rb&31]
+		case sbS4addq:
+			r[op.rc&31] = r[op.ra&31]*4 + r[op.rb&31]
+		case sbS8addq:
+			r[op.rc&31] = r[op.ra&31]*8 + r[op.rb&31]
+		case sbCmpeq:
+			r[op.rc&31] = b2i(r[op.ra&31] == r[op.rb&31])
+		case sbCmplt:
+			r[op.rc&31] = b2i(r[op.ra&31] < r[op.rb&31])
+		case sbCmple:
+			r[op.rc&31] = b2i(r[op.ra&31] <= r[op.rb&31])
+		case sbCmpult:
+			r[op.rc&31] = b2i(uint64(r[op.ra&31]) < uint64(r[op.rb&31]))
+		case sbCmpule:
+			r[op.rc&31] = b2i(uint64(r[op.ra&31]) <= uint64(r[op.rb&31]))
+		case sbAnd:
+			r[op.rc&31] = r[op.ra&31] & r[op.rb&31]
+		case sbBic:
+			r[op.rc&31] = r[op.ra&31] &^ r[op.rb&31]
+		case sbBis:
+			r[op.rc&31] = r[op.ra&31] | r[op.rb&31]
+		case sbOrnot:
+			r[op.rc&31] = r[op.ra&31] | ^r[op.rb&31]
+		case sbXor:
+			r[op.rc&31] = r[op.ra&31] ^ r[op.rb&31]
+		case sbEqv:
+			r[op.rc&31] = r[op.ra&31] ^ ^r[op.rb&31]
+		case sbCmoveq:
+			if r[op.ra&31] == 0 {
+				r[op.rc&31] = r[op.rb&31]
+			}
+		case sbCmovne:
+			if r[op.ra&31] != 0 {
+				r[op.rc&31] = r[op.rb&31]
+			}
+		case sbSll:
+			r[op.rc&31] = r[op.ra&31] << (uint64(r[op.rb&31]) & 63)
+		case sbSrl:
+			r[op.rc&31] = int64(uint64(r[op.ra&31]) >> (uint64(r[op.rb&31]) & 63))
+		case sbSra:
+			r[op.rc&31] = r[op.ra&31] >> (uint64(r[op.rb&31]) & 63)
+		case sbMull:
+			r[op.rc&31] = int64(int32(r[op.ra&31] * r[op.rb&31]))
+		case sbMulq:
+			r[op.rc&31] = r[op.ra&31] * r[op.rb&31]
+		case sbUmulh:
+			r[op.rc&31] = umulh(uint64(r[op.ra&31]), uint64(r[op.rb&31]))
+
+		case sbAddlI:
+			r[op.rc&31] = int64(int32(r[op.ra&31] + op.imm))
+		case sbSublI:
+			r[op.rc&31] = int64(int32(r[op.ra&31] - op.imm))
+		case sbAddqI:
+			r[op.rc&31] = r[op.ra&31] + op.imm
+		case sbSubqI:
+			r[op.rc&31] = r[op.ra&31] - op.imm
+		case sbS4addqI:
+			r[op.rc&31] = r[op.ra&31]*4 + op.imm
+		case sbS8addqI:
+			r[op.rc&31] = r[op.ra&31]*8 + op.imm
+		case sbCmpeqI:
+			r[op.rc&31] = b2i(r[op.ra&31] == op.imm)
+		case sbCmpltI:
+			r[op.rc&31] = b2i(r[op.ra&31] < op.imm)
+		case sbCmpleI:
+			r[op.rc&31] = b2i(r[op.ra&31] <= op.imm)
+		case sbCmpultI:
+			r[op.rc&31] = b2i(uint64(r[op.ra&31]) < uint64(op.imm))
+		case sbCmpuleI:
+			r[op.rc&31] = b2i(uint64(r[op.ra&31]) <= uint64(op.imm))
+		case sbAndI:
+			r[op.rc&31] = r[op.ra&31] & op.imm
+		case sbBicI:
+			r[op.rc&31] = r[op.ra&31] &^ op.imm
+		case sbBisI:
+			r[op.rc&31] = r[op.ra&31] | op.imm
+		case sbOrnotI:
+			r[op.rc&31] = r[op.ra&31] | ^op.imm
+		case sbXorI:
+			r[op.rc&31] = r[op.ra&31] ^ op.imm
+		case sbEqvI:
+			r[op.rc&31] = r[op.ra&31] ^ ^op.imm
+		case sbCmoveqI:
+			if r[op.ra&31] == 0 {
+				r[op.rc&31] = op.imm
+			}
+		case sbCmovneI:
+			if r[op.ra&31] != 0 {
+				r[op.rc&31] = op.imm
+			}
+		// The shift counts are masked already; masking again lets the
+		// compiler emit a bare shift.
+		case sbSllI:
+			r[op.rc&31] = r[op.ra&31] << (uint64(op.imm) & 63)
+		case sbSrlI:
+			r[op.rc&31] = int64(uint64(r[op.ra&31]) >> (uint64(op.imm) & 63))
+		case sbSraI:
+			r[op.rc&31] = r[op.ra&31] >> (uint64(op.imm) & 63)
+		case sbMullI:
+			r[op.rc&31] = int64(int32(r[op.ra&31] * op.imm))
+		case sbMulqI:
+			r[op.rc&31] = r[op.ra&31] * op.imm
+		case sbUmulhI:
+			r[op.rc&31] = umulh(uint64(r[op.ra&31]), uint64(op.imm))
+
+		case sbLda:
+			r[op.ra&31] = r[op.rb&31] + op.imm
+		case sbLink:
+			r[op.ra&31] = int64(op.pc + 4)
+		case sbNop:
+
+		case sbLdq:
+			addr := uint64(r[op.rb&31] + op.imm)
+			if addr < 4096 || addr > uint64(len(m.Mem))-8 {
+				goto fault
+			}
+			m.Loads++
+			if addr&7 != 0 {
+				m.Unaligned++
+			}
+			if op.ra != alpha.Zero {
+				r[op.ra&31] = int64(binary.LittleEndian.Uint64(m.Mem[addr:]))
+			}
+		case sbLdl:
+			addr := uint64(r[op.rb&31] + op.imm)
+			if addr < 4096 || addr > uint64(len(m.Mem))-4 {
+				goto fault
+			}
+			m.Loads++
+			if addr&3 != 0 {
+				m.Unaligned++
+			}
+			if op.ra != alpha.Zero {
+				r[op.ra&31] = int64(int32(binary.LittleEndian.Uint32(m.Mem[addr:])))
+			}
+		case sbLdwu:
+			addr := uint64(r[op.rb&31] + op.imm)
+			if addr < 4096 || addr > uint64(len(m.Mem))-2 {
+				goto fault
+			}
+			m.Loads++
+			if addr&1 != 0 {
+				m.Unaligned++
+			}
+			if op.ra != alpha.Zero {
+				r[op.ra&31] = int64(binary.LittleEndian.Uint16(m.Mem[addr:]))
+			}
+		case sbLdbu:
+			addr := uint64(r[op.rb&31] + op.imm)
+			if addr < 4096 || addr > uint64(len(m.Mem))-1 {
+				goto fault
+			}
+			m.Loads++
+			if op.ra != alpha.Zero {
+				r[op.ra&31] = int64(m.Mem[addr])
+			}
+
+		case sbStq:
+			addr := uint64(r[op.rb&31] + op.imm)
+			if addr < 4096 || addr > uint64(len(m.Mem))-8 {
+				goto fault
+			}
+			m.Stores++
+			if addr&7 != 0 {
+				m.Unaligned++
+			}
+			binary.LittleEndian.PutUint64(m.Mem[addr:], uint64(r[op.ra&31]))
+			if addr < m.textEnd && addr+8 > m.exe.TextAddr {
+				goto text
+			}
+		case sbStl:
+			addr := uint64(r[op.rb&31] + op.imm)
+			if addr < 4096 || addr > uint64(len(m.Mem))-4 {
+				goto fault
+			}
+			m.Stores++
+			if addr&3 != 0 {
+				m.Unaligned++
+			}
+			binary.LittleEndian.PutUint32(m.Mem[addr:], uint32(r[op.ra&31]))
+			if addr < m.textEnd && addr+4 > m.exe.TextAddr {
+				goto text
+			}
+		case sbStw:
+			addr := uint64(r[op.rb&31] + op.imm)
+			if addr < 4096 || addr > uint64(len(m.Mem))-2 {
+				goto fault
+			}
+			m.Stores++
+			if addr&1 != 0 {
+				m.Unaligned++
+			}
+			binary.LittleEndian.PutUint16(m.Mem[addr:], uint16(r[op.ra&31]))
+			if addr < m.textEnd && addr+2 > m.exe.TextAddr {
+				goto text
+			}
+		case sbStb:
+			addr := uint64(r[op.rb&31] + op.imm)
+			if addr < 4096 || addr > uint64(len(m.Mem))-1 {
+				goto fault
+			}
+			m.Stores++
+			m.Mem[addr] = byte(r[op.ra&31])
+			if addr < m.textEnd && addr+1 > m.exe.TextAddr {
+				goto text
+			}
+
+		case sbBlbc:
+			if r[op.ra&31]&1 == 0 {
+				goto exit
+			}
+		case sbBeq:
+			if r[op.ra&31] == 0 {
+				goto exit
+			}
+		case sbBlt:
+			if r[op.ra&31] < 0 {
+				goto exit
+			}
+		case sbBle:
+			if r[op.ra&31] <= 0 {
+				goto exit
+			}
+		case sbBlbs:
+			if r[op.ra&31]&1 == 1 {
+				goto exit
+			}
+		case sbBne:
+			if r[op.ra&31] != 0 {
+				goto exit
+			}
+		case sbBge:
+			if r[op.ra&31] >= 0 {
+				goto exit
+			}
+		case sbBgt:
+			if r[op.ra&31] > 0 {
+				goto exit
+			}
+
+		case sbBsr:
+			r[op.ra&31] = int64(op.pc + 4)
+			if m.cfg.Probe != nil {
+				// runSB reports the call; the successor is entered
+				// from the dispatcher.
+				m.Icount = base + uint64(i)
+				m.PC = op.target
+				return ops, i, op, sbStatic
+			}
+			goto exit
+		case sbJump:
+			goto exit
+		case sbJmp, sbJsr, sbRet:
+			// Read the target before the link write (ret (ra) reads the
+			// register a jsr to the same register would clobber).
+			target := uint64(r[op.rb&31]) &^ 3
+			if op.ra != alpha.Zero {
+				r[op.ra&31] = int64(op.pc + 4)
+			}
+			m.Icount = base + uint64(i)
+			m.PC = target
+			return ops, i, op, sbIndirect
+		default: // sbExit
+			i--
+			goto exit
+		}
+		continue
+
+	exit:
+		// A static exit: follow a valid trace link if the successor fits
+		// under the fence, else leave at the target.
+		if next := op.link; next != nil && op.linkGen == m.sbGen && fence-(base+uint64(i)) >= uint64(next.n) {
+			m.sbHits++
+			base, ops, i = base+uint64(i), next.ops, 0
+			continue
+		}
+		m.Icount = base + uint64(i)
+		m.PC = op.target
+		return ops, i, op, sbStatic
+	}
+
+text:
+	m.Icount = base + uint64(i)
+	m.PC = op.pc + 4
+	return ops, i, op, sbText
+
+fault:
+	m.Icount = base + uint64(i)
+	m.PC = op.pc
+	return ops, i, op, sbFault
 }
 
 // buildSB harvests the superblock entered at pc (known in-text, aligned,
@@ -367,78 +766,27 @@ func (m *Machine) runSB(sb *superblock, fence uint64) (*sbOp, error) {
 func (m *Machine) buildSB(entry uint64) *superblock {
 	sb := &superblock{entry: entry, lo: entry, hi: entry}
 	visited := make(map[uint64]bool)
-	memLen := uint64(len(m.Mem))
 	pc := entry
-	terminated := false
-	for len(sb.ops) < sbMaxOps && !terminated {
-		if pc < m.exe.TextAddr || pc+4 > m.textEnd || visited[pc] {
-			break
-		}
+	for len(sb.ops) < sbMaxOps && m.inText(pc) && !visited[pc] {
 		inst, err := m.decoded((pc - m.exe.TextAddr) / 4)
 		if err != nil {
 			break
 		}
-		visited[pc] = true
-		cover := true
-		switch {
-		case inst.Op == alpha.OpCallPal:
-			// PAL services run through the interpreter only; stop before.
-			cover = false
-			terminated = true
-			visited[pc] = false
-
-		case inst.Op == alpha.OpBr:
-			// Direct unconditional branch: harvest straight through it.
-			next := pc + 4
-			target := uint64(int64(next) + int64(inst.Disp)*4)
-			if ra := inst.Ra; ra != alpha.Zero {
-				v := int64(next)
-				sb.ops = append(sb.ops, sbOp{kind: sbOpReg, pc: pc, inst: inst,
-					reg: func(r *[alpha.NumRegs]int64) { r[ra] = v }})
-			} else {
-				sb.ops = append(sb.ops, sbOp{kind: sbOpNop, pc: pc, inst: inst})
-			}
-			sb.cover(pc)
-			pc = target
-			continue
-
-		case inst.Op == alpha.OpBsr:
-			op := sbOp{kind: sbOpJump, pc: pc, inst: inst, canLink: true,
-				target: uint64(int64(pc+4) + int64(inst.Disp)*4)}
-			if ra := inst.Ra; ra != alpha.Zero {
-				v := int64(pc + 4)
-				op.reg = func(r *[alpha.NumRegs]int64) { r[ra] = v }
-			}
-			sb.ops = append(sb.ops, op)
-			terminated = true
-
-		case inst.Op.IsCondBranch():
-			cond := condClosure(inst)
-			sb.ops = append(sb.ops, sbOp{kind: sbOpGuard, pc: pc, inst: inst, canLink: true,
-				target: uint64(int64(pc+4) + int64(inst.Disp)*4), cond: cond})
-
-		case inst.Op == alpha.OpJmp || inst.Op == alpha.OpJsr || inst.Op == alpha.OpRet:
-			sb.ops = append(sb.ops, sbOp{kind: sbOpJumpInd, pc: pc, inst: inst,
-				ra: inst.Ra, rb: inst.Rb})
-			terminated = true
-
-		case inst.Op.IsLoad() || inst.Op.IsStore():
-			sb.ops = append(sb.ops, sbOp{kind: sbOpMem, pc: pc, inst: inst,
-				mem: memClosure(inst, memLen, m.exe.TextAddr, m.textEnd)})
-
-		default:
-			cl := regClosure(inst)
-			if cl == nil {
-				// Decodable but not closure-compiled; single-step it.
-				cover = false
-				terminated = true
-				visited[pc] = false
-				break
-			}
-			sb.ops = append(sb.ops, sbOp{kind: sbOpReg, pc: pc, inst: inst, reg: cl})
+		op, ok := sbCompile(inst, pc)
+		if !ok {
+			// call_pal (PAL services run through the interpreter only),
+			// or an op with no micro-op form: stop before it.
+			break
 		}
-		if cover {
-			sb.cover(pc)
+		visited[pc] = true
+		sb.ops = append(sb.ops, op)
+		sb.cover(pc)
+		if isTerminal(op.code) {
+			break
+		}
+		if inst.Op == alpha.OpBr {
+			pc = op.target // harvest straight through
+		} else {
 			pc += 4
 		}
 	}
@@ -446,14 +794,76 @@ func (m *Machine) buildSB(entry uint64) *superblock {
 	if sb.n == 0 {
 		return nil
 	}
-	if !isTerminal(sb.ops[sb.n-1].kind) {
-		sb.ops = append(sb.ops, sbOp{kind: sbOpExit, pc: pc, canLink: true})
+	if !isTerminal(sb.ops[sb.n-1].code) {
+		sb.ops = append(sb.ops, sbOp{code: sbExit, pc: pc, target: pc})
 	}
 	return sb
 }
 
-func isTerminal(k sbKind) bool {
-	return k == sbOpJump || k == sbOpJumpInd || k == sbOpExit
+// sbCompile compiles the instruction at pc into its micro-op. ok is
+// false for call_pal and for ops without a micro-op form.
+func sbCompile(inst alpha.Inst, pc uint64) (sbOp, bool) {
+	op := sbOp{pc: pc, ra: inst.Ra, rb: inst.Rb, rc: inst.Rc}
+	branch := uint64(int64(pc+4) + int64(inst.Disp)*4)
+	switch {
+	case inst.Op == alpha.OpBr:
+		op.code, op.target = sbLink, branch
+		if inst.Ra == alpha.Zero {
+			op.code = sbNop
+		}
+	case inst.Op == alpha.OpBsr:
+		op.code, op.target = sbBsr, branch
+		if inst.Ra == alpha.Zero {
+			op.code = sbJump
+		}
+	case inst.Op.IsCondBranch():
+		op.code, op.target = sbFixed[inst.Op], branch
+	case inst.Op.IsLoad() || inst.Op.IsStore():
+		op.code, op.imm = sbFixed[inst.Op], int64(inst.Disp)
+	case inst.Op == alpha.OpJmp || inst.Op == alpha.OpJsr || inst.Op == alpha.OpRet:
+		op.code = sbFixed[inst.Op]
+	case inst.Op == alpha.OpLda || inst.Op == alpha.OpLdah:
+		op.code, op.imm = sbLda, int64(inst.Disp)
+		if inst.Op == alpha.OpLdah {
+			op.imm <<= 16
+		}
+		if inst.Ra == alpha.Zero {
+			op.code = sbNop
+		}
+	default:
+		forms, ok := sbOperate[inst.Op]
+		if !ok {
+			return op, false
+		}
+		op.code = forms[0]
+		if inst.HasLit {
+			op.code, op.imm = forms[1], int64(inst.Lit)
+			if inst.Op == alpha.OpSll || inst.Op == alpha.OpSrl || inst.Op == alpha.OpSra {
+				op.imm &= 63
+			}
+		}
+		if inst.Rc == alpha.Zero {
+			op.code = sbNop
+		}
+	}
+	return op, true
+}
+
+// storeWidth is a store micro-op's access size in bytes.
+func (op *sbOp) storeWidth() uint64 {
+	switch op.code {
+	case sbStq:
+		return 8
+	case sbStl:
+		return 4
+	case sbStw:
+		return 2
+	}
+	return 1
+}
+
+func isTerminal(c sbCode) bool {
+	return c == sbBsr || c == sbJump || c == sbJmp || c == sbJsr || c == sbRet || c == sbExit
 }
 
 // cover extends the block's conservative text span to include pc.
@@ -464,287 +874,4 @@ func (sb *superblock) cover(pc uint64) {
 	if pc+4 > sb.hi {
 		sb.hi = pc + 4
 	}
-}
-
-// condClosure compiles a conditional branch's test (CondHolds with the
-// register binding resolved at build time).
-func condClosure(i alpha.Inst) func(r *[alpha.NumRegs]int64) bool {
-	ra := i.Ra
-	switch i.Op {
-	case alpha.OpBlbc:
-		return func(r *[alpha.NumRegs]int64) bool { return r[ra]&1 == 0 }
-	case alpha.OpBeq:
-		return func(r *[alpha.NumRegs]int64) bool { return r[ra] == 0 }
-	case alpha.OpBlt:
-		return func(r *[alpha.NumRegs]int64) bool { return r[ra] < 0 }
-	case alpha.OpBle:
-		return func(r *[alpha.NumRegs]int64) bool { return r[ra] <= 0 }
-	case alpha.OpBlbs:
-		return func(r *[alpha.NumRegs]int64) bool { return r[ra]&1 == 1 }
-	case alpha.OpBne:
-		return func(r *[alpha.NumRegs]int64) bool { return r[ra] != 0 }
-	case alpha.OpBge:
-		return func(r *[alpha.NumRegs]int64) bool { return r[ra] >= 0 }
-	case alpha.OpBgt:
-		return func(r *[alpha.NumRegs]int64) bool { return r[ra] > 0 }
-	}
-	panic("vm: condClosure on " + i.Op.String())
-}
-
-// memClosure compiles a load or store: the effective-address operands,
-// width, sign treatment, and bounds constants are all bound at build
-// time. The bounds test replicates checkAddr (null page, then end of
-// memory) with zero side effects on failure, so the slow-path re-run
-// reproduces the exact fault.
-func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine) uint8 {
-	ra, rb, disp := i.Ra, i.Rb, int64(i.Disp)
-	switch i.Op {
-	case alpha.OpLdq:
-		return func(m *Machine) uint8 {
-			addr := uint64(m.Reg[rb] + disp)
-			if addr < 4096 || addr+8 > memLen {
-				return sbFaulted
-			}
-			m.Loads++
-			if addr&7 != 0 {
-				m.Unaligned++
-			}
-			if ra != alpha.Zero {
-				m.Reg[ra] = int64(binary.LittleEndian.Uint64(m.Mem[addr:]))
-			}
-			return sbOK
-		}
-	case alpha.OpLdl:
-		return func(m *Machine) uint8 {
-			addr := uint64(m.Reg[rb] + disp)
-			if addr < 4096 || addr+4 > memLen {
-				return sbFaulted
-			}
-			m.Loads++
-			if addr&3 != 0 {
-				m.Unaligned++
-			}
-			if ra != alpha.Zero {
-				m.Reg[ra] = int64(int32(binary.LittleEndian.Uint32(m.Mem[addr:])))
-			}
-			return sbOK
-		}
-	case alpha.OpLdwu:
-		return func(m *Machine) uint8 {
-			addr := uint64(m.Reg[rb] + disp)
-			if addr < 4096 || addr+2 > memLen {
-				return sbFaulted
-			}
-			m.Loads++
-			if addr&1 != 0 {
-				m.Unaligned++
-			}
-			if ra != alpha.Zero {
-				m.Reg[ra] = int64(binary.LittleEndian.Uint16(m.Mem[addr:]))
-			}
-			return sbOK
-		}
-	case alpha.OpLdbu:
-		return func(m *Machine) uint8 {
-			addr := uint64(m.Reg[rb] + disp)
-			if addr < 4096 || addr+1 > memLen {
-				return sbFaulted
-			}
-			m.Loads++
-			if ra != alpha.Zero {
-				m.Reg[ra] = int64(m.Mem[addr])
-			}
-			return sbOK
-		}
-	}
-	// Stores share one closure shape; the width switch is on a bound
-	// constant and predicts perfectly per call site. A store into text —
-	// usually an analysis counter — takes textStore, and leaves the
-	// block only when it dropped one.
-	size := uint64(i.Op.MemBytes())
-	op := i.Op
-	return func(m *Machine) uint8 {
-		addr := uint64(m.Reg[rb] + disp)
-		if addr < 4096 || addr+size > memLen {
-			return sbFaulted
-		}
-		m.Stores++
-		if addr%size != 0 {
-			m.Unaligned++
-		}
-		v := uint64(m.Reg[ra])
-		switch op {
-		case alpha.OpStq:
-			binary.LittleEndian.PutUint64(m.Mem[addr:], v)
-		case alpha.OpStl:
-			binary.LittleEndian.PutUint32(m.Mem[addr:], uint32(v))
-		case alpha.OpStw:
-			binary.LittleEndian.PutUint16(m.Mem[addr:], uint16(v))
-		default: // OpStb
-			m.Mem[addr] = byte(v)
-		}
-		if addr < textEnd && addr+size > textAddr && m.textStore(addr, size) {
-			return sbTextStore
-		}
-		return sbOK
-	}
-}
-
-// regClosure compiles a register-effect instruction (lda/ldah and the
-// operate formats) with operands and literals bound at build time. nil
-// means the op has no closure form and ends the block.
-func regClosure(i alpha.Inst) func(r *[alpha.NumRegs]int64) {
-	// lda/ldah write Ra; operate ops write Rc.
-	if i.Op == alpha.OpLda || i.Op == alpha.OpLdah {
-		ra, rb, disp := i.Ra, i.Rb, int64(i.Disp)
-		if ra == alpha.Zero {
-			return func(r *[alpha.NumRegs]int64) {}
-		}
-		if i.Op == alpha.OpLdah {
-			disp <<= 16
-		}
-		return func(r *[alpha.NumRegs]int64) { r[ra] = r[rb] + disp }
-	}
-	ra, rb, rc := i.Ra, i.Rb, i.Rc
-	if rc == alpha.Zero {
-		switch i.Op {
-		case alpha.OpAddl, alpha.OpSubl, alpha.OpAddq, alpha.OpSubq,
-			alpha.OpS4addq, alpha.OpS8addq, alpha.OpCmpeq, alpha.OpCmplt,
-			alpha.OpCmple, alpha.OpCmpult, alpha.OpCmpule, alpha.OpAnd,
-			alpha.OpBic, alpha.OpBis, alpha.OpOrnot, alpha.OpXor,
-			alpha.OpEqv, alpha.OpCmoveq, alpha.OpCmovne, alpha.OpSll,
-			alpha.OpSrl, alpha.OpSra, alpha.OpMull, alpha.OpMulq,
-			alpha.OpUmulh:
-			return func(r *[alpha.NumRegs]int64) {}
-		}
-		return nil
-	}
-	if i.HasLit {
-		b := int64(i.Lit)
-		switch i.Op {
-		case alpha.OpAddl:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = int64(int32(r[ra] + b)) }
-		case alpha.OpSubl:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = int64(int32(r[ra] - b)) }
-		case alpha.OpAddq:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] + b }
-		case alpha.OpSubq:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] - b }
-		case alpha.OpS4addq:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra]*4 + b }
-		case alpha.OpS8addq:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra]*8 + b }
-		case alpha.OpCmpeq:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = b2i(r[ra] == b) }
-		case alpha.OpCmplt:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = b2i(r[ra] < b) }
-		case alpha.OpCmple:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = b2i(r[ra] <= b) }
-		case alpha.OpCmpult:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = b2i(uint64(r[ra]) < uint64(b)) }
-		case alpha.OpCmpule:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = b2i(uint64(r[ra]) <= uint64(b)) }
-		case alpha.OpAnd:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] & b }
-		case alpha.OpBic:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] &^ b }
-		case alpha.OpBis:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] | b }
-		case alpha.OpOrnot:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] | ^b }
-		case alpha.OpXor:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] ^ b }
-		case alpha.OpEqv:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] ^ ^b }
-		case alpha.OpCmoveq:
-			return func(r *[alpha.NumRegs]int64) {
-				if r[ra] == 0 {
-					r[rc] = b
-				}
-			}
-		case alpha.OpCmovne:
-			return func(r *[alpha.NumRegs]int64) {
-				if r[ra] != 0 {
-					r[rc] = b
-				}
-			}
-		case alpha.OpSll:
-			s := uint64(b) & 63
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] << s }
-		case alpha.OpSrl:
-			s := uint64(b) & 63
-			return func(r *[alpha.NumRegs]int64) { r[rc] = int64(uint64(r[ra]) >> s) }
-		case alpha.OpSra:
-			s := uint64(b) & 63
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] >> s }
-		case alpha.OpMull:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = int64(int32(r[ra] * b)) }
-		case alpha.OpMulq:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] * b }
-		case alpha.OpUmulh:
-			return func(r *[alpha.NumRegs]int64) { r[rc] = umulh(uint64(r[ra]), uint64(b)) }
-		}
-		return nil
-	}
-	switch i.Op {
-	case alpha.OpAddl:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = int64(int32(r[ra] + r[rb])) }
-	case alpha.OpSubl:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = int64(int32(r[ra] - r[rb])) }
-	case alpha.OpAddq:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] + r[rb] }
-	case alpha.OpSubq:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] - r[rb] }
-	case alpha.OpS4addq:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra]*4 + r[rb] }
-	case alpha.OpS8addq:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra]*8 + r[rb] }
-	case alpha.OpCmpeq:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = b2i(r[ra] == r[rb]) }
-	case alpha.OpCmplt:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = b2i(r[ra] < r[rb]) }
-	case alpha.OpCmple:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = b2i(r[ra] <= r[rb]) }
-	case alpha.OpCmpult:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = b2i(uint64(r[ra]) < uint64(r[rb])) }
-	case alpha.OpCmpule:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = b2i(uint64(r[ra]) <= uint64(r[rb])) }
-	case alpha.OpAnd:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] & r[rb] }
-	case alpha.OpBic:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] &^ r[rb] }
-	case alpha.OpBis:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] | r[rb] }
-	case alpha.OpOrnot:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] | ^r[rb] }
-	case alpha.OpXor:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] ^ r[rb] }
-	case alpha.OpEqv:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] ^ ^r[rb] }
-	case alpha.OpCmoveq:
-		return func(r *[alpha.NumRegs]int64) {
-			if r[ra] == 0 {
-				r[rc] = r[rb]
-			}
-		}
-	case alpha.OpCmovne:
-		return func(r *[alpha.NumRegs]int64) {
-			if r[ra] != 0 {
-				r[rc] = r[rb]
-			}
-		}
-	case alpha.OpSll:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] << (uint64(r[rb]) & 63) }
-	case alpha.OpSrl:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = int64(uint64(r[ra]) >> (uint64(r[rb]) & 63)) }
-	case alpha.OpSra:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] >> (uint64(r[rb]) & 63) }
-	case alpha.OpMull:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = int64(int32(r[ra] * r[rb])) }
-	case alpha.OpMulq:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = r[ra] * r[rb] }
-	case alpha.OpUmulh:
-		return func(r *[alpha.NumRegs]int64) { r[rc] = umulh(uint64(r[ra]), uint64(r[rb])) }
-	}
-	return nil
 }

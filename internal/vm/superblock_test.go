@@ -232,85 +232,206 @@ helper:
 	}
 }
 
-// TestSuperblockRandomPrograms is the property test: pseudo-random short
-// programs — straight-line arithmetic, forward guards, bounded loops,
-// subroutine calls, loads and stores at mixed alignment — must retire
-// bit-identical state and probe streams on both run loops.
-func TestSuperblockRandomPrograms(t *testing.T) {
+// genMemSize is the address space generated programs run in; their
+// accesses at the end of memory are placed relative to it.
+const genMemSize = 5 << 20
+
+// intner is the program generator's source of choices: a seeded
+// *rand.Rand, or fuzz input (fuzzChoices).
+type intner interface{ Intn(n int) int }
+
+// genProgram generates a short program for the differential tests:
+// every operate op in both operand forms, then straight-line arithmetic,
+// forward guards, bounded loops, calls through bsr and jsr, forward br,
+// bsr and computed-goto jumps, loads and stores at mixed alignment, and
+// reads and writes of the zero register — and, at times, a final access
+// at an edge of the address space: the null page, the end of memory,
+// beyond it, or wrapping past 2^64. Every choice comes from r, and every
+// program terminates.
+func genProgram(r intner) string {
 	regs := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
-	rr := []string{"addq", "subq", "xor", "and", "bis", "bic", "cmpeq", "cmplt", "cmpule", "s4addq", "s8addq", "addl", "subl", "mull"}
+	rr := []string{"addl", "subl", "addq", "subq", "s4addq", "s8addq",
+		"cmpeq", "cmplt", "cmple", "cmpult", "cmpule",
+		"and", "bic", "bis", "ornot", "xor", "eqv", "cmoveq", "cmovne",
+		"sll", "srl", "sra", "mull", "mulq", "umulh"}
 	conds := []string{"beq", "bne", "blt", "bge", "ble", "bgt", "blbc", "blbs"}
 	loads := []string{"ldq", "ldl", "ldwu", "ldbu"}
 	stores := []string{"stq", "stl", "stw", "stb"}
 
+	reg := func() string { return regs[r.Intn(len(regs))] }
+	// Operands and destinations are at times the zero register: reads
+	// give 0, writes (loads included) are discarded.
+	src := func() string {
+		if r.Intn(8) == 0 {
+			return "zero"
+		}
+		return reg()
+	}
+	dst := src
+	operate := func(op string, lit bool) string {
+		if lit {
+			return fmt.Sprintf("\t%s %s, %d, %s\n", op, src(), r.Intn(256), dst())
+		}
+		return fmt.Sprintf("\t%s %s, %s, %s\n", op, src(), src(), dst())
+	}
+
+	var b strings.Builder
+	b.WriteString("\t.text\n\t.globl __start\n\t.ent __start\n__start:\n")
+	b.WriteString("\tla s5, buf\n")
+	for _, rg := range regs {
+		fmt.Fprintf(&b, "\tli %s, %d\n", rg, r.Intn(4096)-2048)
+	}
+	// Every operate op in both forms, in a shuffled order.
+	order := make([]int, 2*len(rr))
+	for i := range order {
+		j := r.Intn(i + 1)
+		order[i], order[j] = order[j], i
+	}
+	for _, k := range order {
+		b.WriteString(operate(rr[k/2], k%2 == 0))
+	}
+	label := 0
+	emitOp := func() {
+		switch r.Intn(6) {
+		case 0, 1, 2: // register-register / literal arithmetic
+			b.WriteString(operate(rr[r.Intn(len(rr))], r.Intn(2) == 0))
+		case 3:
+			fmt.Fprintf(&b, "\tlda %s, %d(%s)\n", dst(), r.Intn(4096)-2048, src())
+		case 4: // load at arbitrary alignment within the buffer
+			fmt.Fprintf(&b, "\t%s %s, %d(s5)\n", loads[r.Intn(len(loads))], dst(), r.Intn(200))
+		default: // store likewise
+			fmt.Fprintf(&b, "\t%s %s, %d(s5)\n", stores[r.Intn(len(stores))], src(), r.Intn(200))
+		}
+	}
+	// skipped emits ops that a forward jump skips, then its label.
+	skipped := func() {
+		for i := r.Intn(3); i > 0; i-- {
+			emitOp()
+		}
+		fmt.Fprintf(&b, "fwd%d:\n", label)
+	}
+	for seg := 0; seg < 12; seg++ {
+		switch r.Intn(8) {
+		case 0: // straight line
+			for i := r.Intn(6) + 2; i > 0; i-- {
+				emitOp()
+			}
+		case 1: // forward guard over a few ops
+			label++
+			fmt.Fprintf(&b, "\t%s %s, fwd%d\n", conds[r.Intn(len(conds))], src(), label)
+			for i := r.Intn(3) + 1; i > 0; i-- {
+				emitOp()
+			}
+			fmt.Fprintf(&b, "fwd%d:\n", label)
+		case 2: // bounded loop
+			label++
+			fmt.Fprintf(&b, "\tli s0, %d\n", r.Intn(40)+2)
+			fmt.Fprintf(&b, "loop%d:\n", label)
+			for i := r.Intn(4) + 1; i > 0; i-- {
+				emitOp()
+			}
+			fmt.Fprintf(&b, "\tsubq s0, 1, s0\n\tbgt s0, loop%d\n", label)
+		case 3: // call a generated subroutine
+			fmt.Fprintf(&b, "\tbsr ra, sub%d\n", r.Intn(2))
+		case 4: // ... or call it through a register
+			fmt.Fprintf(&b, "\tla pv, sub%d\n\tjsr ra, (pv)\n", r.Intn(2))
+		case 5: // forward br, linking a register or not
+			label++
+			if r.Intn(2) == 0 {
+				fmt.Fprintf(&b, "\tbr fwd%d\n", label)
+			} else {
+				fmt.Fprintf(&b, "\tbr %s, fwd%d\n", dst(), label)
+			}
+			skipped()
+		case 6: // bsr that links nothing
+			label++
+			fmt.Fprintf(&b, "\tbsr zero, fwd%d\n", label)
+			skipped()
+		default: // computed goto: jmp, or jsr that links nothing
+			label++
+			fmt.Fprintf(&b, "\tla s4, fwd%d\n", label)
+			if r.Intn(2) == 0 {
+				b.WriteString("\tjmp (s4)\n")
+			} else {
+				b.WriteString("\tjsr zero, (s4)\n")
+			}
+			skipped()
+		}
+	}
+	if r.Intn(3) == 0 {
+		addrs := []int64{
+			4096 - 1 - int64(r.Intn(8)), // null page
+			4096 + int64(r.Intn(8)),     // first page past it
+			genMemSize - int64(r.Intn(10)),
+			1 << 40,
+			-1 - int64(r.Intn(16)), // wraps past 2^64
+		}
+		mem := append(loads, stores...)
+		fmt.Fprintf(&b, "\tli s4, %d\n\t%s %s, 0(s4)\n", addrs[r.Intn(len(addrs))], mem[r.Intn(len(mem))], src())
+	}
+	b.WriteString("\txor t0, t1, t2\n\taddq t2, t3, t2\n\tand t2, 0xff, a0\n\tcall_pal 0\n\t.end __start\n")
+	for s := 0; s < 2; s++ {
+		fmt.Fprintf(&b, "\t.ent sub%d\nsub%d:\n", s, s)
+		for i := 0; i < 3; i++ {
+			b.WriteString(operate(rr[r.Intn(len(rr))], r.Intn(2) == 0))
+		}
+		fmt.Fprintf(&b, "\tret (ra)\n\t.end sub%d\n", s)
+	}
+	b.WriteString("\t.bss\n\t.comm buf, 256\n")
+	return b.String()
+}
+
+// TestSuperblockRandomPrograms is the property test: generated
+// programs (genProgram) must retire bit-identical state and probe
+// streams on both run loops, and together they reach every micro-op.
+func TestSuperblockRandomPrograms(t *testing.T) {
+	seen := map[sbCode]bool{}
 	for seed := int64(0); seed < 12; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			r := rand.New(rand.NewSource(seed))
-			reg := func() string { return regs[r.Intn(len(regs))] }
-			var b strings.Builder
-			b.WriteString("\t.text\n\t.globl __start\n\t.ent __start\n__start:\n")
-			b.WriteString("\tla s5, buf\n")
-			for _, rg := range regs {
-				fmt.Fprintf(&b, "\tli %s, %d\n", rg, r.Intn(4096)-2048)
-			}
-			label := 0
-			emitOp := func() {
-				switch r.Intn(7) {
-				case 0, 1, 2: // register-register / literal arithmetic
-					op := rr[r.Intn(len(rr))]
-					if r.Intn(2) == 0 {
-						fmt.Fprintf(&b, "\t%s %s, %d, %s\n", op, reg(), r.Intn(256), reg())
-					} else {
-						fmt.Fprintf(&b, "\t%s %s, %s, %s\n", op, reg(), reg(), reg())
-					}
-				case 3:
-					fmt.Fprintf(&b, "\tsll %s, %d, %s\n", reg(), r.Intn(20), reg())
-				case 4:
-					fmt.Fprintf(&b, "\tcmovne %s, %d, %s\n", reg(), r.Intn(100), reg())
-				case 5: // load at arbitrary alignment within the buffer
-					fmt.Fprintf(&b, "\t%s %s, %d(s5)\n", loads[r.Intn(len(loads))], reg(), r.Intn(200))
-				default: // store likewise
-					fmt.Fprintf(&b, "\t%s %s, %d(s5)\n", stores[r.Intn(len(stores))], reg(), r.Intn(200))
+			exe := build(t, genProgram(rand.New(rand.NewSource(seed))))
+			diffModes(t, exe, Config{MemSize: genMemSize})
+			m, _ := runVM(t, exe, Config{MemSize: genMemSize})
+			for _, sb := range m.sbAll {
+				for _, op := range sb.ops {
+					seen[op.code] = true
 				}
 			}
-			for seg := 0; seg < 12; seg++ {
-				switch r.Intn(4) {
-				case 0: // straight line
-					for i := r.Intn(6) + 2; i > 0; i-- {
-						emitOp()
-					}
-				case 1: // forward guard over a few ops
-					label++
-					fmt.Fprintf(&b, "\t%s %s, fwd%d\n", conds[r.Intn(len(conds))], reg(), label)
-					for i := r.Intn(3) + 1; i > 0; i-- {
-						emitOp()
-					}
-					fmt.Fprintf(&b, "fwd%d:\n", label)
-				case 2: // bounded loop
-					label++
-					fmt.Fprintf(&b, "\tli s0, %d\n", r.Intn(40)+2)
-					fmt.Fprintf(&b, "loop%d:\n", label)
-					for i := r.Intn(4) + 1; i > 0; i-- {
-						emitOp()
-					}
-					fmt.Fprintf(&b, "\tsubq s0, 1, s0\n\tbgt s0, loop%d\n", label)
-				default: // call a generated subroutine
-					fmt.Fprintf(&b, "\tbsr ra, sub%d\n", r.Intn(2))
-				}
-			}
-			b.WriteString("\txor t0, t1, t2\n\taddq t2, t3, t2\n\tand t2, 0xff, a0\n\tcall_pal 0\n\t.end __start\n")
-			for s := 0; s < 2; s++ {
-				fmt.Fprintf(&b, "\t.ent sub%d\nsub%d:\n", s, s)
-				for i := 0; i < 3; i++ {
-					op := rr[r.Intn(len(rr))]
-					fmt.Fprintf(&b, "\t%s %s, %d, %s\n", op, reg(), r.Intn(256), reg())
-				}
-				fmt.Fprintf(&b, "\tret (ra)\n\t.end sub%d\n", s)
-			}
-			b.WriteString("\t.bss\n\t.comm buf, 256\n")
-			diffModes(t, build(t, b.String()), Config{})
 		})
 	}
+	for c := sbAddl; c <= sbExit; c++ {
+		if !seen[c] {
+			t.Errorf("no generated program harvested micro-op %d", c)
+		}
+	}
+}
+
+// fuzzChoices draws genProgram's choices from fuzz input: one byte per
+// choice (two for a choice among more than 256), and zeros once the
+// input runs out.
+type fuzzChoices []byte
+
+func (c *fuzzChoices) Intn(n int) int {
+	v := 0
+	for span := 1; span < n && len(*c) > 0; span <<= 8 {
+		v = v<<8 | int((*c)[0])
+		*c = (*c)[1:]
+	}
+	return v % n
+}
+
+// FuzzSuperblockVsStep runs the program genProgram derives from the
+// fuzz input on both run loops and requires diffModes equality.
+func FuzzSuperblockVsStep(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		in := make([]byte, 128)
+		rand.New(rand.NewSource(seed)).Read(in)
+		f.Add(in)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		c := fuzzChoices(in)
+		diffModes(t, build(t, genProgram(&c)), Config{MemSize: genMemSize})
+	})
 }
 
 // TestSuperblockMaxInstrBoundary: superblock dispatch must retire
@@ -689,5 +810,108 @@ func TestSuperblockFenceStretchPalAndTextStore(t *testing.T) {
 	}
 	if m.sbInval == 0 {
 		t.Error("store into harvested text dropped no superblock")
+	}
+}
+
+// TestSuperblockMemoryEdges: a load or store of every width — into a
+// register or zero, from a register or zero — unaligned, in the null
+// page, at either end of memory, beyond it, and wrapping past 2^64,
+// mid-block. Both run loops must agree on state, counters, fault text
+// and probe stream, and the fault is the one checkAddr describes.
+func TestSuperblockMemoryEdges(t *testing.T) {
+	const memSize = 5 << 20
+	widths := map[string]int64{"ldq": 8, "ldl": 4, "ldwu": 2, "ldbu": 1, "stq": 8, "stl": 4, "stw": 2, "stb": 1}
+	for _, op := range []string{"ldq", "ldl", "ldwu", "ldbu", "stq", "stl", "stw", "stb"} {
+		w := widths[op]
+		cases := []struct {
+			name  string
+			base  string // loads s4
+			disp  int64
+			fault string
+		}{
+			{"unaligned", "la s4, buf", 1, ""},
+			{"null-page", "li s4, 4096", -w, "null-page access"},
+			{"first-page", "li s4, 4096", 0, ""},
+			{"last", fmt.Sprintf("li s4, %d", memSize), -w, ""},
+			{"straddle-end", fmt.Sprintf("li s4, %d", memSize), 1 - w, "beyond memory"},
+			{"beyond", "li s4, 1", 0, "beyond memory"},
+			{"top", fmt.Sprintf("li s4, %d", -w), 0, "beyond memory"},
+			{"wrap", "li s4, -4", 0, "beyond memory"},
+		}
+		for _, c := range cases {
+			if c.name == "beyond" {
+				c.base += "\n\tsll s4, 40, s4"
+			}
+			for _, reg := range []string{"t0", "zero"} {
+				t.Run(op+"/"+c.name+"/"+reg, func(t *testing.T) {
+					exe := build(t, fmt.Sprintf(`
+	.text
+	.globl __start
+	.ent __start
+__start:
+	li t0, 0x1122334455667788
+	la t3, buf
+	stq t0, 0(t3)
+	stq t0, 8(t3)
+	%s
+	addq t0, 1, t1
+	%s %s, %d(s4)
+	addq t1, t0, t2
+	and t2, 0xff, a0
+	call_pal 0
+	.end __start
+	.bss
+	.comm buf, 64
+`, c.base, op, reg, c.disp))
+					cfg := Config{MemSize: memSize}
+					_, st := runRef(t, exe, cfg)
+					if _, got := runVM(t, exe, cfg); got != st {
+						t.Errorf("superblock diverged from Step loop:\n ref: %+v\n got: %+v", st, got)
+					}
+					diffProbed(t, exe, cfg, 3)
+					if c.fault == "" && st.errText != "" || !strings.Contains(st.errText, c.fault) {
+						t.Errorf("error %q, want %q", st.errText, c.fault)
+					}
+					if c.name == "unaligned" && w > 1 && st.unaligned != 1 {
+						t.Errorf("unaligned = %d, want 1", st.unaligned)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestAddressWrapFaults: the write and read services' buffers, and an
+// indirect jump's target, at addresses whose end wraps past 2^64 fault
+// with the usual diagnostic under both run loops instead of taking the
+// host down. TestSuperblockMemoryEdges covers loads and stores.
+func TestAddressWrapFaults(t *testing.T) {
+	progs := map[string]struct{ body, fault string }{
+		"write": {"li a0, 1\n\tli a1, -16\n\tli a2, 32\n\tcall_pal 1", "access at 0xfffffffffffffff0 beyond memory"},
+		"read":  {"clr a0\n\tli a1, -16\n\tli a2, 32\n\tcall_pal 2", "access at 0xfffffffffffffff0 beyond memory"},
+		"fetch": {"lda t0, -4(zero)\n\tjmp (t0)", "instruction fetch from 0xfffffffffffffffc outside text"},
+	}
+	for name, p := range progs {
+		t.Run(name, func(t *testing.T) {
+			exe := build(t, fmt.Sprintf(`
+	.text
+	.globl __start
+	.ent __start
+__start:
+	addq t1, 3, t1
+	%s
+	clr a0
+	call_pal 0
+	.end __start
+`, p.body))
+			_, plain := runRef(t, exe, Config{})
+			_, sb := runVM(t, exe, Config{})
+			if !strings.Contains(plain.errText, p.fault) {
+				t.Errorf("Step loop error %q, want %q", plain.errText, p.fault)
+			}
+			if sb != plain {
+				t.Errorf("superblock state %+v\nStep loop state %+v", sb, plain)
+			}
+		})
 	}
 }

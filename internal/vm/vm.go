@@ -305,7 +305,7 @@ func budgetErr(max, pc uint64) error {
 // cache, decoding a stale or undecodable word on demand; a word that
 // does not decode faults with the decoder's own diagnostic.
 func (m *Machine) fetch() (alpha.Inst, error) {
-	if m.PC < m.exe.TextAddr || m.PC+4 > m.textEnd || m.PC%4 != 0 {
+	if !m.inText(m.PC) {
 		return alpha.Inst{}, m.faultf("instruction fetch from %#x outside text", m.PC)
 	}
 	inst, err := m.decoded((m.PC - m.exe.TextAddr) / 4)
@@ -313,6 +313,13 @@ func (m *Machine) fetch() (alpha.Inst, error) {
 		return alpha.Inst{}, m.faultf("%v", err)
 	}
 	return inst, nil
+}
+
+// inText reports whether pc is the aligned address of a whole text
+// word. The test cannot wrap: New lays the initial stack out below text,
+// so textEnd is far above 4.
+func (m *Machine) inText(pc uint64) bool {
+	return pc >= m.exe.TextAddr && pc <= m.textEnd-4 && pc%4 == 0
 }
 
 // decoded returns the instruction in text word idx, decoding it from
@@ -516,7 +523,7 @@ func (m *Machine) checkAddr(addr uint64, size int) error {
 	if addr < 4096 {
 		return m.faultf("null-page access at %#x", addr)
 	}
-	if addr+uint64(size) > uint64(len(m.Mem)) {
+	if n := uint64(len(m.Mem)); uint64(size) > n || addr > n-uint64(size) {
 		return m.faultf("access at %#x beyond memory", addr)
 	}
 	return nil
