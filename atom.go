@@ -122,12 +122,12 @@ type StoreStats = build.StoreStats
 
 // WithCacheDir installs a persistent on-disk artifact store rooted at
 // dir, shared by every cache kind (tool images, compiled objects, the
-// runtime library, IR blobs): artifacts built by any process pointed at
-// the same directory are decoded from disk instead of rebuilt, so a warm
-// second process instruments with zero compiles, links, or lifts. The
-// store is content-addressed and crash-safe (write-to-temp + atomic
-// rename; blobs are SHA-256-verified on read, and corrupt ones are
-// quarantined and silently rebuilt). maxBytes > 0 bounds the store via
+// runtime library): artifacts built by any process pointed at the same
+// directory are decoded from disk instead of rebuilt, so a warm second
+// process instruments with zero compiles or links. The store is
+// content-addressed and crash-safe (write-to-temp + atomic rename;
+// blobs are SHA-256-verified on read, and corrupt ones are quarantined
+// and silently rebuilt). maxBytes > 0 bounds the store via
 // least-recently-used eviction; <= 0 means unbounded. Call CloseCacheDir
 // when done. The library never reads ATOM_CACHE_DIR itself — only the
 // atom CLI does — so programmatic users opt in explicitly here.
@@ -161,12 +161,11 @@ func WithDebugAddr(addr string) (string, error) {
 // (or `atom -debug-addr`). A no-op when none is running.
 func CloseDebugServer() error { return telemetry.StopDefaultServer() }
 
-// CacheSnapshot unifies the counters of all three artifact caches, plus
-// the persistent store's own counters when one is configured.
+// CacheSnapshot unifies the counters of both artifact caches, plus the
+// persistent store's own counters when one is configured.
 type CacheSnapshot struct {
 	Image   CacheStats
 	Objects CacheStats
-	IR      CacheStats
 	// Disk is nil when no persistent store is configured.
 	Disk *StoreStats
 }
@@ -176,7 +175,6 @@ func Caches() CacheSnapshot {
 	snap := CacheSnapshot{
 		Image:   core.ImageCacheStats(),
 		Objects: rtl.ObjectCacheStats(),
-		IR:      build.IRCacheStats(),
 	}
 	if s := build.ActiveStore(); s != nil {
 		st := s.Stats()
@@ -188,38 +186,18 @@ func Caches() CacheSnapshot {
 // Program is an application lifted to OM IR: the symbolic
 // program/procedure/block/instruction view instrumentation routines
 // traverse. A Program is a single-use handle — instrumentation attaches
-// call sites to it — so obtain a fresh one (Lift or DecodeIR) per
-// Instrument/Apply call.
+// call sites to it — so Lift a fresh one per Instrument/Apply call.
 type Program = om.Program
 
-// Lift raises an executable to OM IR through the content-addressed lift
-// cache: each distinct executable is analyzed and encoded once per
-// process. The Lift that builds the IR returns the Program it built;
-// every later Lift decodes a fresh Program from the cached atom-ir/v1
-// blob.
+// Lift raises an executable to OM IR. Each call builds a fresh Program
+// over app; instrumentation never writes to app.
 func Lift(app *Executable) (*Program, error) { return core.Lift(app) }
 
-// EncodeIR serializes a pristine (not yet instrumented) Program to the
-// stable atom-ir/v1 wire format. The encoding is deterministic: equal
-// programs produce byte-identical blobs, so blobs can be content-
-// addressed, diffed, and cached across processes (`atom -emit-ir`).
-func EncodeIR(p *Program) ([]byte, error) { return om.Encode(p) }
-
-// DecodeIR reconstructs a Program from an atom-ir/v1 blob. The decoded
-// Program is a drop-in substitute for a fresh Lift of the same
-// executable: instrumenting it produces bit-identical output
-// (`atom -ir-in`).
-func DecodeIR(blob []byte) (*Program, error) { return om.Decode(blob) }
-
-// InstrumentProgram is Instrument starting from an already-lifted (or
-// decoded) Program instead of an executable. The Program is consumed.
+// InstrumentProgram is Instrument starting from an already-lifted
+// Program instead of an executable. The Program is consumed.
 func InstrumentProgram(prog *Program, tool Tool, opts Options) (*Result, error) {
 	return core.InstrumentProgram(prog, tool, opts)
 }
-
-// IRCacheStats reports lift-cache activity: how many Instrument/Apply
-// calls decoded a cached IR blob instead of re-lifting the executable.
-func IRCacheStats() CacheStats { return build.IRCacheStats() }
 
 // AnalysisPass is one registered static-analysis pass over the OM IR
 // (uninit, stackheight, callgraph, toollint).

@@ -15,10 +15,9 @@ package atom_test
 //     future-work items implemented here (liveness, inlining), as
 //     instruction ratios.
 //
-//   - BenchmarkScheduler, BenchmarkVM, BenchmarkCompile, BenchmarkLift,
-//     BenchmarkIRRoundTrip — substrate costs: pipe's static dual-issue
-//     scheduling, raw interpreter speed, MiniC compilation, the lift
-//     through the IR cache cold and warm, and IR encode/decode.
+//   - BenchmarkScheduler, BenchmarkVM, BenchmarkCompile, BenchmarkLift —
+//     substrate costs: pipe's static dual-issue scheduling, raw
+//     interpreter speed, MiniC compilation, and the lift of gcc.
 //
 //   - internal/vm's BenchmarkVMRun, BenchmarkVMRunTextData and
 //     BenchmarkVMRunProfiled — the superblock dispatcher on synthetic
@@ -74,7 +73,7 @@ func BenchmarkInstrumentSuite(b *testing.B) {
 // persistent store adds beside cold and memory-warm: a fresh process
 // against a warm cache directory. Every iteration drops the in-memory
 // caches (what a new process sees) and instruments with every artifact —
-// tool image, compiled objects, IR blob — decoded from a DiskStore
+// tool image and compiled objects — decoded from a DiskStore
 // instead of rebuilt. Compare with perfbench's tool_build_ms (a cold
 // image build) and instrument_ms (everything in memory).
 func BenchmarkInstrumentDiskWarm(b *testing.B) {
@@ -97,7 +96,6 @@ func BenchmarkInstrumentDiskWarm(b *testing.B) {
 	// artifact.
 	core.ResetImageCache(build.ScopeMemory)
 	rtl.ResetObjectCache(build.ScopeMemory)
-	build.ResetIRCache(build.ScopeMemory)
 	if _, err := core.Instrument(exe, tool, core.Options{}); err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +104,6 @@ func BenchmarkInstrumentDiskWarm(b *testing.B) {
 		b.StopTimer()
 		core.ResetImageCache(build.ScopeMemory)
 		rtl.ResetObjectCache(build.ScopeMemory)
-		build.ResetIRCache(build.ScopeMemory)
 		b.StartTimer()
 		if _, err := core.Instrument(exe, tool, core.Options{}); err != nil {
 			b.Fatal(err)
@@ -331,76 +328,16 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkLift measures the lift stage through the content-addressed
-// IR cache: cold is a build + encode per call (the built Program is
-// returned, nothing is decoded), warm is a cached-blob decode — the cost
-// every Instrument/Apply after the first pays for the same executable.
+// BenchmarkLift measures the lift stage: om.Build of the largest suite
+// program, what every Instrument/Apply pays before planning.
 func BenchmarkLift(b *testing.B) {
-	exe, err := spec.Build("gcc") // the largest suite program
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			build.ResetIRCache(build.ScopeMemory)
-			b.StartTimer()
-			if _, err := core.Lift(exe); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		build.ResetIRCache(build.ScopeMemory)
-		if _, err := core.Lift(exe); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Lift(exe); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkIRRoundTrip isolates the atom-ir/v1 serialization costs from
-// the lift itself: encode, decode, and (for scale) the om.Build they
-// substitute for.
-func BenchmarkIRRoundTrip(b *testing.B) {
 	exe, err := spec.Build("gcc")
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := om.Build(exe)
-	if err != nil {
-		b.Fatal(err)
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Lift(exe); err != nil {
+			b.Fatal(err)
+		}
 	}
-	blob, err := om.Encode(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("encode", func(b *testing.B) {
-		b.SetBytes(int64(len(blob)))
-		for i := 0; i < b.N; i++ {
-			if _, err := om.Encode(prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(blob)))
-		for i := 0; i < b.N; i++ {
-			if _, err := om.Decode(blob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("build", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := om.Build(exe); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

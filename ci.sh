@@ -5,7 +5,7 @@
 # benchmarks (ablations, parallel and disk-warm instrumentation, substrate
 # costs) so they cannot rot silently, and a short fuzz smoke of the
 # on-disk decoders. The end-to-end CLI gates — trace, profile, vet,
-# inline, IR, persistence, telemetry and analyze — are Go tests
+# inline, persistence, telemetry and analyze — are Go tests
 # (cmd/atom/e2e_test.go, examples_test.go) that the test runs execute.
 set -eux
 
@@ -39,10 +39,10 @@ go test -race ./...
 go test -bench=. -benchtime=1x -run='^$' ./...
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing on each decoder
-# of bytes read back from disk — the IR blob (om.FuzzDecode) and the
-# tool-image codec (FuzzImageDecode) — beyond their committed seeds, and
-# on the superblock loop against the Step loop over generated programs
-# (vm.FuzzSuperblockVsStep).
-go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/om
+# of bytes read back from disk — the executable reader (aout.FuzzDecode)
+# and the tool-image codec (FuzzImageDecode) — beyond their committed
+# seeds, and on the superblock loop against the Step loop over generated
+# programs (vm.FuzzSuperblockVsStep).
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/aout
 go test -run='^$' -fuzz='^FuzzImageDecode$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzSuperblockVsStep$' -fuzztime=5s ./internal/vm

@@ -2,9 +2,8 @@ package main
 
 // -analyze mode: run the static-analysis pass manager over lifted
 // programs and report findings without instrumenting anything. Units
-// come from three places, composable in one invocation: positional .x
-// executables, a serialized IR blob (-ir-in), and a tool's freshly
-// built analysis image (-t). Reports are deterministic — findings are
+// come from two places, composable in one invocation: positional .x
+// executables and a tool's freshly built analysis image (-t). Reports are deterministic — findings are
 // keyed by original PC and procedure name and sorted — so two runs over
 // the same inputs render byte-identical text and JSON.
 
@@ -16,18 +15,16 @@ import (
 	"atom/internal/aout"
 	"atom/internal/core"
 	"atom/internal/obs"
-	"atom/internal/om"
 	"atom/internal/om/analysis"
 )
 
 type analyzeConfig struct {
 	inputs   []string // positional .x executables
-	irIn     string   // serialized IR blob (-ir-in)
 	tool     core.Tool
 	haveTool bool
 	opts     core.Options
 	passSpec string // -passes: comma-separated names, "" = all
-	asKind   string // -analyze-as: "app" | "tool" for inputs and -ir-in
+	asKind   string // -analyze-as: "app" | "tool" for inputs
 	jsonPath string // -analyze-json: write the machine report here
 }
 
@@ -45,17 +42,6 @@ func runAnalyze(ctx *obs.Ctx, cfg analyzeConfig) int {
 	}
 
 	var reports []*analysis.Report
-	if cfg.irIn != "" {
-		blob, err := os.ReadFile(cfg.irIn)
-		if err != nil {
-			return fail(err)
-		}
-		prog, err := om.DecodeCtx(ctx, blob)
-		if err != nil {
-			return fail(fmt.Errorf("%s: %w", cfg.irIn, err))
-		}
-		reports = append(reports, core.AnalyzeProgram(ctx, filepath.Base(cfg.irIn), prog, kind, passes))
-	}
 	for _, path := range cfg.inputs {
 		app, err := aout.ReadFile(path)
 		if err != nil {

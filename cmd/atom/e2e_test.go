@@ -2,7 +2,7 @@ package main
 
 // End-to-end gates of the command line: the built atom, minicc, alink
 // and aasm commands driven as separate processes, the way a user runs
-// them — trace, profile, vet, inline, IR, persistence, telemetry and
+// them — trace, profile, vet, inline, persistence, telemetry and
 // analyze, plus the batch output-collision check. TestMain builds the
 // four commands once; the gates skip under -short and when no go binary
 // is on PATH.
@@ -285,32 +285,24 @@ func TestProfileGate(t *testing.T) {
 }
 
 // TestToolGates instruments the smoke program with every built-in tool
-// in three separate processes: under -vet with the inliner on (the vet
+// in two separate processes: under -vet with the inliner on (the vet
 // gate) and off (the inline gate), each verifying the input IR, the PC
-// maps and the rewritten text; and under -vet from an IR blob that a
-// fourth process emitted (the IR gate), whose output must be
-// byte-identical to the in-memory one.
+// maps and the rewritten text.
 func TestToolGates(t *testing.T) {
 	f := programs(t)
 	dir := f.stage(t, "smoke.x")
-	mustRun(t, dir, "atom", "-emit-ir", "ir", "smoke.x")
 	for _, tool := range f.tools {
 		t.Run(tool, func(t *testing.T) {
 			t.Parallel()
-			mem, off, fromIR := "smoke."+tool+".atom", "smoke."+tool+".noinline.atom", "smoke."+tool+".ir.atom"
-			mustRun(t, dir, "atom", "-vet", "-t", tool, "-o", mem, "smoke.x")
-			mustRun(t, dir, "atom", "-vet", "-noinline", "-t", tool, "-o", off, "smoke.x")
-			mustRun(t, dir, "atom", "-vet", "-t", tool, "-ir-in", filepath.Join("ir", "smoke.ir"), "-o", fromIR)
-			if !bytes.Equal(readFile(t, filepath.Join(dir, mem)), readFile(t, filepath.Join(dir, fromIR))) {
-				t.Errorf("%s: output from the IR blob differs from the in-memory output", tool)
-			}
+			mustRun(t, dir, "atom", "-vet", "-t", tool, "-o", "smoke."+tool+".atom", "smoke.x")
+			mustRun(t, dir, "atom", "-vet", "-noinline", "-t", tool, "-o", "smoke."+tool+".noinline.atom", "smoke.x")
 		})
 	}
 }
 
 // TestPersistenceGate: two processes sharing one -cache-dir. The second
-// instruments with zero builds in every cache, the tool image and the
-// IR blob served from disk, and byte-identical output. Then every blob
+// instruments with zero builds in every cache, the tool image served
+// from disk, and byte-identical output. Then every blob
 // is truncated in place: a third run quarantines what it reads, rebuilds
 // silently (exit 0) and still writes identical output.
 func TestPersistenceGate(t *testing.T) {
@@ -332,9 +324,7 @@ func TestPersistenceGate(t *testing.T) {
 	for _, re := range []string{
 		`image cache:.*, 0 builds`,
 		`object cache:.*, 0 builds`,
-		`ir cache:.*, 0 builds`,
 		`image cache:.* [1-9][0-9]* disk hits`,
-		`ir cache:.* [1-9][0-9]* disk hits`,
 	} {
 		if !regexp.MustCompile("(?m)" + re).MatchString(warm) {
 			t.Errorf("warm -stats lacks %q:\n%s", re, warm)
@@ -584,38 +574,21 @@ func TestAnalyzeGate(t *testing.T) {
 // both, and the earlier input's output survives intact.
 func TestBatchOutputCollision(t *testing.T) {
 	dir := programs(t).stage(t, "smoke.x", "long.x")
-	for _, d := range []string{"a", "b"} {
-		if err := os.Mkdir(filepath.Join(dir, d), 0o755); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Mkdir(filepath.Join(dir, "a"), 0o755); err != nil {
+		t.Fatal(err)
 	}
 	copyFile(t, filepath.Join(dir, "smoke.x"), filepath.Join(dir, "a", "p.x"))
-	copyFile(t, filepath.Join(dir, "long.x"), filepath.Join(dir, "b", "p.x"))
 	copyFile(t, filepath.Join(dir, "long.x"), filepath.Join(dir, "a", "p.y"))
 
-	for _, tc := range []struct {
-		args       []string
-		out, alone string // the contested output; a/p.x's output when run alone
-		lost       string // the input that loses the contested output
-	}{
-		{[]string{"-emit-ir", "ir", "a/p.x", "b/p.x"}, "ir/p.ir", "solo/p.ir", "b/p.x"},
-		{[]string{"-t", "branch", "-v", "a/p.x", "a/p.y"}, "a/p.atom", "solo.atom", "a/p.y"},
-	} {
-		_, stderr, code := command(t, dir, "atom", tc.args...)
-		if code != 1 {
-			t.Errorf("atom %s: exit %d, want 1", strings.Join(tc.args, " "), code)
-		}
-		want := fmt.Sprintf("atom: %s: output %s is already claimed by a/p.x", tc.lost, tc.out)
-		if !strings.Contains(stderr, want) {
-			t.Errorf("atom %s: stderr lacks %q:\n%s", strings.Join(tc.args, " "), want, stderr)
-		}
-		if tc.args[0] == "-emit-ir" {
-			mustRun(t, dir, "atom", "-emit-ir", "solo", "a/p.x")
-		} else {
-			mustRun(t, dir, "atom", "-t", "branch", "-o", tc.alone, "a/p.x")
-		}
-		if !bytes.Equal(readFile(t, filepath.Join(dir, tc.out)), readFile(t, filepath.Join(dir, tc.alone))) {
-			t.Errorf("atom %s: %s is not a/p.x's output", strings.Join(tc.args, " "), tc.out)
-		}
+	_, stderr, code := command(t, dir, "atom", "-t", "branch", "-v", "a/p.x", "a/p.y")
+	if code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if want := "atom: a/p.y: output a/p.atom is already claimed by a/p.x"; !strings.Contains(stderr, want) {
+		t.Errorf("stderr lacks %q:\n%s", want, stderr)
+	}
+	mustRun(t, dir, "atom", "-t", "branch", "-o", "solo.atom", "a/p.x")
+	if !bytes.Equal(readFile(t, filepath.Join(dir, "a", "p.atom")), readFile(t, filepath.Join(dir, "solo.atom"))) {
+		t.Error("a/p.atom is not a/p.x's output")
 	}
 }

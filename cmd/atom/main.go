@@ -50,14 +50,6 @@
 // store.<kind>.<outcome> cache counters included) and histogram of the
 // invocation.
 //
-// The lift stage is serializable: -emit-ir writes each input's OM IR as
-// a stable atom-ir/v1 blob, and -ir-in instruments from such a blob in
-// place of an executable — decode substitutes for the lift, and the
-// output is bit-identical to the in-memory path:
-//
-//	atom -emit-ir ir prog.x              # write ir/prog.ir
-//	atom -t cache -ir-in ir/prog.ir      # instrument from the blob
-//
 // atom -list prints the 11 tools. The paper's Figures 5 and 6 are
 // regenerated by the benchmark in perfbench/, not by this command.
 package main
@@ -79,7 +71,6 @@ import (
 	"atom/internal/build"
 	"atom/internal/core"
 	"atom/internal/obs"
-	"atom/internal/om"
 	"atom/internal/prof"
 	"atom/internal/rtl"
 	"atom/internal/telemetry"
@@ -104,8 +95,6 @@ func run() (code int) {
 		analyzeJSON   = flag.String("analyze-json", "", "with -analyze: also write the reports as JSON (atom-analyze/v1) to this file")
 		passSpec      = flag.String("passes", "", "with -analyze: comma-separated pass subset (default: all; names: uninit, stackheight, callgraph, toollint)")
 		analyzeAs     = flag.String("analyze-as", "app", "with -analyze: treat inputs as an application or a tool image: app | tool")
-		emitIR        = flag.String("emit-ir", "", "lift each input and write its serialized IR (atom-ir/v1) to <dir>/<input>.ir instead of instrumenting")
-		irIn          = flag.String("ir-in", "", "instrument from a serialized IR blob (-emit-ir output) instead of an input executable")
 		jobs          = flag.Int("j", 1, "instrument up to N input programs in parallel (0 = GOMAXPROCS)")
 		list          = flag.Bool("list", false, "list the built-in tools")
 		stats         = flag.Bool("stats", false, "print instrumentation and cache statistics")
@@ -136,24 +125,17 @@ func run() (code int) {
 	doRun := *runMode || *profilePath != ""
 
 	switch {
-	case *emitIR != "" && (*irIn != "" || doRun || *toolName != ""):
-		return fail(fmt.Errorf("-emit-ir only lifts; it cannot be combined with -t, -ir-in or -run"))
-	case *irIn != "" && doRun:
-		return fail(fmt.Errorf("-ir-in cannot be combined with -run"))
-	case *irIn != "" && flag.NArg() > 0:
-		return fail(fmt.Errorf("-ir-in replaces the input executable; positional inputs are not allowed"))
-	case *analyze && (doRun || *emitIR != ""):
-		return fail(fmt.Errorf("-analyze reports findings; it cannot be combined with -run or -emit-ir"))
+	case *analyze && doRun:
+		return fail(fmt.Errorf("-analyze reports findings; it cannot be combined with -run"))
 	case *analyze && *analyzeAs != "app" && *analyzeAs != "tool":
 		return fail(fmt.Errorf("bad -analyze-as %q (app or tool)", *analyzeAs))
 	}
 	// -analyze with only a tool lints the built image; no input needed.
-	needInput := *irIn == "" && !(*analyze && *toolName != "")
-	needTool := *toolName == "" && !doRun && *emitIR == "" && !*analyze
+	needInput := !(*analyze && *toolName != "")
+	needTool := *toolName == "" && !doRun && !*analyze
 	if (needInput && flag.NArg() < 1) || needTool {
 		fmt.Fprintln(os.Stderr, "usage: atom prog.x [prog2.x ...] -t tool [-o prog.atom] [-j N] [-mode wrapper|inanalysis] [-heap N] [-vet]")
 		fmt.Fprintln(os.Stderr, "       atom [-t tool] -run [-profile file [-profile-period N] [-profile-format flat|folded]] prog.x [args...]")
-		fmt.Fprintln(os.Stderr, "       atom -emit-ir dir prog.x [prog2.x ...] | atom -t tool -ir-in prog.ir [-o prog.atom]")
 		fmt.Fprintln(os.Stderr, "       atom -analyze [-passes p1,p2] [-analyze-json file] [-t tool] [prog.x ...]")
 		fmt.Fprintln(os.Stderr, "       atom -list")
 		return 2
@@ -319,7 +301,6 @@ func run() (code int) {
 	if *analyze {
 		return runAnalyze(ctx, analyzeConfig{
 			inputs:   flag.Args(),
-			irIn:     *irIn,
 			tool:     tool,
 			haveTool: *toolName != "",
 			opts:     opts,
@@ -327,13 +308,6 @@ func run() (code int) {
 			asKind:   *analyzeAs,
 			jsonPath: *analyzeJSON,
 		})
-	}
-
-	if *emitIR != "" {
-		return emitIRBlobs(ctx, *emitIR, flag.Args())
-	}
-	if *irIn != "" {
-		return instrumentFromIR(ctx, *irIn, tool, opts, *outPath, *stats, *layout)
 	}
 
 	if doRun {
@@ -354,7 +328,7 @@ func run() (code int) {
 	// Read every input before instrumenting any; per-program read errors
 	// and output collisions fail soft like instrumentation errors do.
 	inputs := flag.Args()
-	outs, errs := claimOutputs(inputs, func(in string) string { return outputName(in, *outPath) })
+	outs, errs := claimOutputs(inputs, *outPath)
 	apps := make([]*aout.File, len(inputs))
 	for i, path := range inputs {
 		if errs[i] != nil {
@@ -575,86 +549,6 @@ func writeProfile(p *prof.Profiler, path, format string) error {
 	return err
 }
 
-// emitIRBlobs lifts each input executable (through the IR cache) and
-// writes its serialized atom-ir/v1 blob to <dir>/<input>.ir. Per-input
-// failures fail soft, like instrument batches do.
-func emitIRBlobs(ctx *obs.Ctx, dir string, inputs []string) int {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fail(err)
-	}
-	outs, errs := claimOutputs(inputs, func(in string) string { return filepath.Join(dir, irName(in)) })
-	failed := 0
-	for i, path := range inputs {
-		out, err := outs[i], errs[i]
-		var app *aout.File
-		if err == nil {
-			app, err = aout.ReadFile(path)
-		}
-		var blob []byte
-		if err == nil {
-			blob, err = core.LiftBlobCtx(ctx, app)
-		}
-		if err == nil {
-			err = os.WriteFile(out, blob, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "atom: %s: %v\n", path, err)
-			failed++
-			continue
-		}
-		fmt.Printf("%s -> %s (%d bytes, %s)\n", path, out, len(blob), om.BlobDigest(blob)[:12])
-	}
-	if failed > 0 {
-		return 1
-	}
-	return 0
-}
-
-// irName maps an input path to its blob file name: the base name with
-// the extension replaced by ".ir".
-func irName(input string) string {
-	base := filepath.Base(input)
-	if dot := strings.LastIndexByte(base, '.'); dot > 0 {
-		base = base[:dot]
-	}
-	return base + ".ir"
-}
-
-// instrumentFromIR instruments from a serialized IR blob: decode
-// substitutes for the lift, and the rest of the pipeline — plan, tool
-// image, apply — is exactly the in-memory one, so the output executable
-// is bit-identical to instrumenting the original input. The output name
-// derives from the blob (prog.ir -> prog.atom) unless -o is given.
-func instrumentFromIR(ctx *obs.Ctx, irPath string, tool core.Tool, opts core.Options, outPath string, stats, layout bool) int {
-	blob, err := os.ReadFile(irPath)
-	if err != nil {
-		return fail(err)
-	}
-	prog, err := om.DecodeCtx(ctx, blob)
-	if err != nil {
-		return fail(fmt.Errorf("%s: %w", irPath, err))
-	}
-	res, err := core.InstrumentProgramCtx(ctx, prog, tool, opts)
-	if err != nil {
-		return fail(fmt.Errorf("%s: %s: %w", irPath, tool.Name, err))
-	}
-	out := outputName(irPath, outPath)
-	_, sp := ctx.Start("atom.write", obs.String("file", out))
-	err = res.Exe.WriteFile(out)
-	sp.End()
-	if err != nil {
-		return fail(err)
-	}
-	if layout {
-		printLayout(prog.Exe, res)
-	}
-	if stats {
-		printResultStats(res)
-		printCacheStats()
-	}
-	return 0
-}
-
 // printResultStats renders one instrumented program's -stats block: the
 // call sites split into inlined, direct and wrapper calls, the code
 // inserted, and the image sizes.
@@ -672,13 +566,12 @@ func printResultStats(res *core.Result) {
 	}
 }
 
-// printCacheStats renders the three artifact caches (and, when a
+// printCacheStats renders the two artifact caches (and, when a
 // -cache-dir store is configured, the store itself) for -stats.
 func printCacheStats() {
-	ic, oc, rc := core.ImageCacheStats(), rtl.ObjectCacheStats(), build.IRCacheStats()
+	ic, oc := core.ImageCacheStats(), rtl.ObjectCacheStats()
 	fmt.Printf("image cache:             %d hits, %d disk hits, %d misses, %d builds\n", ic.Hits, ic.DiskHits, ic.Misses, ic.Builds)
 	fmt.Printf("object cache:            %d hits, %d disk hits, %d misses, %d builds\n", oc.Hits, oc.DiskHits, oc.Misses, oc.Builds)
-	fmt.Printf("ir cache:                %d hits, %d disk hits, %d misses, %d builds\n", rc.Hits, rc.DiskHits, rc.Misses, rc.Builds)
 	if s := build.ActiveStore(); s != nil {
 		st := s.Stats()
 		fmt.Printf("disk store:              %d blobs, %d bytes, %d hits, %d misses, %d puts, %d corrupt, %d adopted, %d evicted\n",
@@ -719,15 +612,15 @@ func writeMetricsSnapshot(ctx *obs.Ctx, path string) error {
 	return err
 }
 
-// claimOutputs names each input's output and fails every input whose
-// output an earlier input of the same invocation already claimed, so no
-// output of a batch silently overwrites another.
-func claimOutputs(inputs []string, name func(string) string) ([]string, []error) {
+// claimOutputs names each input's output (see outputName) and fails
+// every input whose output an earlier input of the same invocation
+// already claimed, so no output of a batch silently overwrites another.
+func claimOutputs(inputs []string, explicit string) ([]string, []error) {
 	outs := make([]string, len(inputs))
 	errs := make([]error, len(inputs))
 	owner := map[string]string{}
 	for i, in := range inputs {
-		outs[i] = name(in)
+		outs[i] = outputName(in, explicit)
 		key := filepath.Clean(outs[i])
 		if prev, ok := owner[key]; ok {
 			errs[i] = fmt.Errorf("output %s is already claimed by %s", outs[i], prev)

@@ -11,7 +11,10 @@
 // word memory operations follow the BWX extension.
 package alpha
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg is an integer register number, 0 through 31.
 type Reg uint8
@@ -71,22 +74,24 @@ func (r Reg) String() string {
 	return fmt.Sprintf("r%d?", uint8(r))
 }
 
-// RegByName maps both software names ("a0", "ra", "zero") and raw names
-// ("$16", "r16") to register numbers.
-func RegByName(name string) (Reg, bool) {
+// regByName holds every accepted register spelling — the software
+// names, "$0".."$31" and "r0".."r31" — and nothing else.
+var regByName = func() map[string]Reg {
+	m := make(map[string]Reg, 3*NumRegs)
 	for i, n := range regNames {
-		if n == name {
-			return Reg(i), true
-		}
+		m[n] = Reg(i)
+		m["$"+strconv.Itoa(i)] = Reg(i)
+		m["r"+strconv.Itoa(i)] = Reg(i)
 	}
-	var n int
-	if _, err := fmt.Sscanf(name, "$%d", &n); err == nil && n >= 0 && n < NumRegs {
-		return Reg(n), true
-	}
-	if _, err := fmt.Sscanf(name, "r%d", &n); err == nil && n >= 0 && n < NumRegs {
-		return Reg(n), true
-	}
-	return 0, false
+	return m
+}()
+
+// RegByName maps both software names ("a0", "ra", "zero") and raw names
+// ("$16", "r16") to register numbers. Any other spelling ("r05", "$+3",
+// "r5junk") is rejected.
+func RegByName(name string) (Reg, bool) {
+	r, ok := regByName[name]
+	return r, ok
 }
 
 // IsCallerSave reports whether the register is caller-save (not preserved

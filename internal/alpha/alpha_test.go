@@ -41,6 +41,39 @@ func TestRegByNameNumeric(t *testing.T) {
 	}
 }
 
+// TestRegByName: the software names, "$N" and "rN" for N in 0..31 are
+// the only accepted spellings; anything else — trailing junk, a sign, a
+// leading zero, inner space, an out-of-range number — is rejected.
+func TestRegByName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		r    Reg
+		ok   bool
+	}{
+		{"$0", V0, true},
+		{"r31", Zero, true},
+		{"$31", Zero, true},
+		{"t11", T11, true},
+		{"$32", 0, false},
+		{"$-1", 0, false},
+		{"", 0, false},
+		{"r5junk", 0, false},
+		{"$7,", 0, false},
+		{"r05", 0, false},
+		{"$+3", 0, false},
+		{"r 4", 0, false},
+		{"R4", 0, false},
+		{"A0", 0, false},
+		{"a0 ", 0, false},
+		{"t12", 0, false},
+	} {
+		r, ok := RegByName(c.name)
+		if r != c.r || ok != c.ok {
+			t.Errorf("RegByName(%q) = %v, %v; want %v, %v", c.name, r, ok, c.r, c.ok)
+		}
+	}
+}
+
 func TestCallerCalleePartition(t *testing.T) {
 	for r := Reg(0); r < NumRegs; r++ {
 		caller, callee := r.IsCallerSave(), r.IsCalleeSave()

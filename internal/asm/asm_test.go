@@ -319,6 +319,8 @@ func TestErrors(t *testing.T) {
 		{"\t.data\n\t.asciiz \"bad\\q\"\n", "unknown escape"},
 		{"\t.text\n\tjmp t0\n", "bad operand"},
 		{"\t.text\n\tli t0, zzz\n", "bad immediate"},
+		{"\t.text\n\tnop\n\taddq r5junk, 1, $0\n", `t.s:3: addq: bad register "r5junk"`},
+		{"\t.text\n\tmov $+3, t0\n", `t.s:2: mov: bad registers`},
 	}
 	for _, c := range cases {
 		_, err := Assemble("t.s", c.src)

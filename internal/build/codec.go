@@ -20,24 +20,6 @@ type Codec interface {
 	Unmarshal(blob []byte) (any, error)
 }
 
-// BlobCodec is the identity codec for artifacts that already are
-// wire-stable byte slices — the encoded atom-ir/v1 IR blobs.
-type BlobCodec struct{}
-
-// Marshal returns the blob itself.
-func (BlobCodec) Marshal(v any) ([]byte, error) {
-	b, ok := v.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("build: BlobCodec: %T is not []byte", v)
-	}
-	return b, nil
-}
-
-// Unmarshal returns the blob itself. Consumers must treat it as
-// read-only, which IR blobs already are (every lift decodes a private
-// Program from the shared blob).
-func (BlobCodec) Unmarshal(blob []byte) (any, error) { return blob, nil }
-
 // Enc builds a length-prefixed binary blob for a codec. All integers are
 // little-endian fixed width; strings and byte slices carry a u32 length.
 // The magic written first is the format version: a Dec over a different

@@ -10,6 +10,13 @@ import (
 	"atom/internal/obs"
 )
 
+// bytesCodec is the identity codec: the artifacts are byte slices.
+type bytesCodec struct{}
+
+func (bytesCodec) Marshal(v any) ([]byte, error) { return v.([]byte), nil }
+
+func (bytesCodec) Unmarshal(blob []byte) (any, error) { return blob, nil }
+
 func testKey(s string) Key { return NewKey("store-test").String(s).Sum() }
 
 // withTestStore installs a fresh DiskStore in a temp dir as the
@@ -308,8 +315,8 @@ func TestDiskStorePruneLRU(t *testing.T) {
 // served by the store, not a rebuild.
 func TestTwinCachesShareStoreAndFlight(t *testing.T) {
 	ds := withTestStore(t, 0)
-	a := NewCache("twin", BlobCodec{})
-	b := NewCache("twin", BlobCodec{})
+	a := NewCache("twin", bytesCodec{})
+	b := NewCache("twin", bytesCodec{})
 	key := testKey("twin-artifact")
 
 	var mu sync.Mutex
@@ -375,7 +382,7 @@ func TestTwinCachesShareStoreAndFlight(t *testing.T) {
 // rebuilt, with no error surfacing to the caller.
 func TestCacheRebuildsCorruptStoreBlob(t *testing.T) {
 	ds := withTestStore(t, 0)
-	c := NewCache("twin", BlobCodec{})
+	c := NewCache("twin", bytesCodec{})
 	key := testKey("rot")
 	builds := 0
 	build := func() (any, error) { builds++; return []byte("artifact"), nil }
@@ -408,7 +415,7 @@ func TestCacheRebuildsCorruptStoreBlob(t *testing.T) {
 
 func TestResetScopeAllClearsStore(t *testing.T) {
 	ds := withTestStore(t, 0)
-	c := NewCache("twin", BlobCodec{})
+	c := NewCache("twin", bytesCodec{})
 	key := testKey("scoped")
 	if _, err := c.Get(key, func() (any, error) { return []byte("v"), nil }); err != nil {
 		t.Fatal(err)
@@ -438,7 +445,7 @@ func TestEnvVarNeverReadByLibrary(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("ATOM_CACHE_DIR", dir)
 
-	c := NewCache("twin", BlobCodec{})
+	c := NewCache("twin", bytesCodec{})
 	if _, err := c.Get(testKey("env"), func() (any, error) { return []byte("v"), nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +467,7 @@ func BenchmarkDiskStorePut(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ds.Close()
-	blob := bytes.Repeat([]byte("atom"), 4<<10) // 16 KiB, a typical IR blob
+	blob := bytes.Repeat([]byte("atom"), 4<<10) // 16 KiB
 	b.SetBytes(int64(len(blob)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

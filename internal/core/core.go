@@ -155,13 +155,11 @@ type Result struct {
 // step: the custom tool is Tool, prog is app, and the result is the
 // final organized executable.
 //
-// Internally this is a staged pipeline: lift (build the application IR
-// through the content-addressed IR cache — a suite of runs against one
-// executable lifts it once and decodes cached blobs thereafter), plan
-// (run the instrumentation routine over the IR), tool image (compile
-// and link the analysis routines — cached, so a suite of programs
-// builds it once), and apply (rewrite the application and stamp the
-// image into its text-data gap).
+// Internally this is a staged pipeline: lift (build the application
+// IR), plan (run the instrumentation routine over the IR), tool image
+// (compile and link the analysis routines — cached, so a suite of
+// programs builds it once), and apply (rewrite the application and
+// stamp the image into its text-data gap).
 func Instrument(app *aout.File, tool Tool, opts Options) (*Result, error) {
 	return InstrumentCtx(nil, app, tool, opts)
 }
@@ -180,8 +178,7 @@ func InstrumentCtx(ctx *obs.Ctx, app *aout.File, tool Tool, opts Options) (*Resu
 }
 
 // InstrumentProgram is Instrument starting from an already-lifted
-// Program — typically one decoded from an atom-ir/v1 blob (om.Decode of
-// an `atom -emit-ir` artifact, or core.Lift). The Program is consumed:
+// Program (core.Lift). The Program is consumed:
 // instrumentation attaches call sites to its instructions, so pass a
 // fresh handle per run and do not reuse it.
 func InstrumentProgram(prog *om.Program, tool Tool, opts Options) (*Result, error) {
@@ -250,9 +247,7 @@ func ApplyProgramCtx(ctx *obs.Ctx, prog *om.Program, ti *ToolImage, opts Options
 // planOn runs the tool's instrumentation routine over a lifted Program
 // and returns the resulting plan: declared prototypes, the journal of
 // call insertions, and interned constant blobs. The lift itself is a
-// separate, earlier stage (LiftCtx / om.Decode), so a plan can be drawn
-// on a fresh lift or on IR decoded from a serialized blob
-// interchangeably.
+// separate, earlier stage (LiftCtx).
 func planOn(ctx *obs.Ctx, prog *om.Program, tool Tool, opts Options) (*Instrumentation, error) {
 	if tool.Instrument == nil {
 		return nil, fmt.Errorf("atom: tool %q has no instrumentation routine", tool.Name)
@@ -274,8 +269,7 @@ func planOn(ctx *obs.Ctx, prog *om.Program, tool Tool, opts Options) (*Instrumen
 // applyPlan rewrites the application according to a plan and composes the
 // final executable with the (rebased) analysis image in its text-data gap
 // (Figure 4). This is the only per-application work in the pipeline. The
-// application is reached through the plan's Program handle, so the same
-// code path serves fresh lifts and Programs decoded from serialized IR.
+// application is reached through the plan's Program handle.
 func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*Result, error) {
 	app := q.prog.Exe
 	actx, sp := ctx.Start("atom.apply", obs.String("tool", ti.tool.Name))

@@ -1,142 +1,85 @@
-package core
+package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
-	"atom/internal/aout"
-	"atom/internal/build"
-	"atom/internal/om"
-	"atom/internal/rtl"
+	"atom/internal/core"
+	"atom/internal/spec"
+	"atom/internal/tools"
 )
 
-const liftTestProgram = `
-int work(int n) { int i; int s = 0; for (i = 0; i < n; i++) s += i; return s; }
-int main() { return work(10) - 45; }
-`
-
-func TestLiftCachesBlob(t *testing.T) {
-	build.ResetIRCache(build.ScopeMemory)
-	defer build.ResetIRCache(build.ScopeMemory)
-
-	app, err := rtl.BuildProgram("lift.c", liftTestProgram)
+// TestLiftSharedExeConcurrent: every lift of an executable refers to the
+// caller's *aout.File, so concurrent instrumentations share it. Eight
+// goroutines run every built-in tool on one executable through Lift and
+// ApplyProgram; each output must equal the sequential one, and the
+// executable's encoding must be unchanged afterwards. Under -race this
+// also pins that instrumentation never writes to the executable.
+func TestLiftSharedExeConcurrent(t *testing.T) {
+	app, err := spec.Build("gcc")
 	if err != nil {
-		t.Fatalf("build: %v", err)
+		t.Fatal(err)
 	}
-	p1, err := Lift(app)
-	if err != nil {
-		t.Fatalf("Lift: %v", err)
+	orig := app.Encode()
+	opts := core.Options{}
+	names := tools.Names()
+	images := make([]*core.ToolImage, len(names))
+	want := make([][]byte, len(names))
+	apply := func(i int) ([]byte, error) {
+		prog, err := core.Lift(app)
+		if err != nil {
+			return nil, err
+		}
+		res, err := core.ApplyProgram(prog, images[i], opts)
+		if err != nil {
+			return nil, err
+		}
+		return res.Exe.Encode(), nil
 	}
-	p2, err := Lift(app)
-	if err != nil {
-		t.Fatalf("Lift: %v", err)
-	}
-	s := build.IRCacheStats()
-	if s.Builds != 1 || s.Misses != 1 || s.Hits != 1 {
-		t.Fatalf("IR cache stats = %+v, want 1 build, 1 miss, 1 hit", s)
-	}
-
-	// Every Lift returns a fresh, private Program: attaching actions to
-	// one must not leak into the other (the cache stores blobs, never
-	// decoded Programs).
-	if p1 == p2 {
-		t.Fatal("Lift returned a shared Program handle")
-	}
-	in1 := p1.Proc("main").Blocks[0].Insts[0]
-	in1.Before = append(in1.Before, om.Code{})
-	in2 := p2.Proc("main").Blocks[0].Insts[0]
-	if len(in2.Before) != 0 {
-		t.Fatal("mutating one lifted Program leaked into another")
-	}
-}
-
-func TestLiftBlobStable(t *testing.T) {
-	build.ResetIRCache(build.ScopeMemory)
-	defer build.ResetIRCache(build.ScopeMemory)
-
-	app, err := rtl.BuildProgram("lift.c", liftTestProgram)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	b1, err := LiftBlob(app)
-	if err != nil {
-		t.Fatalf("LiftBlob: %v", err)
-	}
-	// A content-equal copy of the executable shares the digest, the
-	// cache entry, and therefore the blob.
-	clone, err := aout.Decode(app.Encode())
-	if err != nil {
-		t.Fatalf("clone: %v", err)
-	}
-	if exeDigest(clone) != exeDigest(app) {
-		t.Fatal("content-equal executables digest differently")
-	}
-	b2, err := LiftBlob(clone)
-	if err != nil {
-		t.Fatalf("LiftBlob: %v", err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("content-equal executables lifted to different blobs")
-	}
-	if s := build.IRCacheStats(); s.Builds != 1 {
-		t.Fatalf("IR cache built %d blobs for one executable content, want 1", s.Builds)
+	for i, name := range names {
+		tool, _ := tools.ByName(name)
+		if images[i], err = core.BuildToolImage(tool, opts); err != nil {
+			t.Fatalf("%s: BuildToolImage: %v", name, err)
+		}
+		if want[i], err = apply(i); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 
-	// A different executable gets a different digest and blob.
-	other, err := rtl.BuildProgram("lift.c", `int main() { return 0; }`)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	if exeDigest(other) == exeDigest(app) {
-		t.Fatal("different executables share a digest")
-	}
-}
-
-// TestDecodedProgramInstruments: a Program decoded from a serialized
-// blob is a drop-in substitute for a fresh lift — InstrumentProgram
-// over it produces a byte-identical executable.
-func TestDecodedProgramInstruments(t *testing.T) {
-	build.ResetIRCache(build.ScopeMemory)
-	defer build.ResetIRCache(build.ScopeMemory)
-
-	app, err := rtl.BuildProgram("lift.c", liftTestProgram)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	tool := Tool{
-		Name:     "count",
-		Analysis: map[string]string{"count.c": "long n; void tick() { n++; }"},
-		Instrument: func(q *Instrumentation) error {
-			if err := q.AddCallProto("tick()"); err != nil {
-				return err
+	const n = 8
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			// Each goroutine starts at a different tool, so different
+			// tools instrument the executable at the same time.
+			for k := range names {
+				i := (g + k) % len(names)
+				got, err := apply(i)
+				if err == nil && !bytes.Equal(got, want[i]) {
+					err = fmt.Errorf("%s: output differs from the sequential run", names[i])
+				}
+				if err != nil {
+					errs[g] = err
+					return
+				}
 			}
-			return q.AddCallProgram(ProgramBefore, "tick")
-		},
+		}(g)
 	}
-	opts := Options{Verify: true}
-
-	blob, err := LiftBlob(app)
-	if err != nil {
-		t.Fatalf("LiftBlob: %v", err)
+	close(start)
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		}
 	}
-	dec, err := om.Decode(blob)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	viaBlob, err := InstrumentProgram(dec, tool, opts)
-	if err != nil {
-		t.Fatalf("InstrumentProgram(decoded): %v", err)
-	}
-
-	fresh, err := om.Build(app)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	viaFresh, err := InstrumentProgram(fresh, tool, opts)
-	if err != nil {
-		t.Fatalf("InstrumentProgram(fresh): %v", err)
-	}
-	if !bytes.Equal(viaBlob.Exe.Encode(), viaFresh.Exe.Encode()) {
-		t.Fatal("decoded-IR instrumentation differs from fresh-lift instrumentation")
+	if !bytes.Equal(app.Encode(), orig) {
+		t.Fatal("instrumenting the shared executable changed it")
 	}
 }

@@ -14,15 +14,14 @@ import (
 func dropMemoryLayers() {
 	core.ResetImageCache(build.ScopeMemory)
 	rtl.ResetObjectCache(build.ScopeMemory)
-	build.ResetIRCache(build.ScopeMemory)
 }
 
 // TestInstrumentWarmFromDiskStore is the core-level acceptance test for
 // the persistent store: instrument once against an empty store, drop
 // every in-memory cache (simulating a fresh process pointed at the same
 // cache directory), instrument again — the second pass must build
-// nothing, serve the tool image and the IR blob from disk, and produce a
-// byte-identical executable.
+// nothing, serve the tool image from disk, and produce a byte-identical
+// executable.
 func TestInstrumentWarmFromDiskStore(t *testing.T) {
 	ds, err := build.OpenDiskStore(nil, t.TempDir(), 0)
 	if err != nil {
@@ -62,9 +61,6 @@ func TestInstrumentWarmFromDiskStore(t *testing.T) {
 	}
 	if s := core.ImageCacheStats(); s.Builds != 0 || s.DiskHits < 1 {
 		t.Errorf("warm image stats = %+v, want 0 builds and a disk hit", s)
-	}
-	if s := build.IRCacheStats(); s.Builds != 0 || s.DiskHits < 1 {
-		t.Errorf("warm IR stats = %+v, want 0 lifts and a disk hit", s)
 	}
 	if s := rtl.ObjectCacheStats(); s.Builds != 0 {
 		t.Errorf("warm object stats = %+v, want 0 compiles", s)

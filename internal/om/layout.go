@@ -93,11 +93,14 @@ func (l *Layout) OldAddr(new uint64) (uint64, bool) {
 	return v, ok
 }
 
+// PCPair is one entry of the static old↔new PC map.
+type PCPair struct {
+	Old uint64 // original (pre-instrumentation) address
+	New uint64 // address in the rewritten text
+}
+
 // PCPairs returns the old->new PC map as a slice of pairs sorted by
-// original address — the layout's half of the atom-ir PC-map
-// scaffolding, and the form tests compare across an encode/decode round
-// trip (a layout computed from a decoded Program must map exactly like
-// one computed from the fresh lift).
+// original address.
 func (l *Layout) PCPairs() []PCPair {
 	out := make([]PCPair, 0, len(l.oldToNew))
 	for old, new := range l.oldToNew {

@@ -47,12 +47,6 @@ type Program struct {
 	Procs []*Proc
 
 	instAt map[uint64]*Inst // original address -> instruction
-
-	// pcPairs carries the old<->new PC-map entries of an encoded blob
-	// through a decode∘encode round trip. A fresh Build (and therefore a
-	// pristine lift) has none; the atom-ir/v1 pcmap section reserves the
-	// slot so a future writer can persist layout results.
-	pcPairs []PCPair
 }
 
 // Proc is one procedure.

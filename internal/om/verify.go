@@ -1,7 +1,6 @@
 package om
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -129,116 +128,11 @@ func (p *Program) VerifyCtx(ctx *obs.Ctx) []Diag {
 			})...)
 	}
 
-	// Encoding round trip: a pristine program (no actions attached — the
-	// only kind Encode accepts) must survive the atom-ir/v1 wire format
-	// with its structure intact, and the decoded copy must re-encode to
-	// the identical blob. Only run on programs the checks above found
-	// structurally sound; a malformed program failing to encode would
-	// just duplicate an existing diagnostic.
-	if len(diags) == 0 && p.Exe != nil && p.pristine() {
-		diags = append(diags, p.verifyEncoding()...)
-	}
-
 	sp.SetAttr(
 		obs.Int("checks", int64(checked)),
 		obs.Int("diags", int64(len(diags))))
 	ctx.Count("om.verify.checks", int64(checked))
 	ctx.Count("om.verify.diags", int64(len(diags)))
-	return diags
-}
-
-// pristine reports whether no instruction carries attached actions —
-// the precondition for Encode.
-func (p *Program) pristine() bool {
-	for _, pr := range p.Procs {
-		for _, b := range pr.Blocks {
-			for _, in := range b.Insts {
-				if len(in.Before) != 0 || len(in.After) != 0 {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// verifyEncoding is the "encoding" verify stage: Encode the program,
-// Decode the blob, check the decoded copy is structurally identical,
-// and check it re-encodes to the same bytes (decode∘encode identity).
-func (p *Program) verifyEncoding() []Diag {
-	var diags []Diag
-	base := uint64(0)
-	if p.Exe != nil {
-		base = p.Exe.TextAddr
-	}
-	bad := func(format string, args ...any) {
-		diags = append(diags, Diag{Addr: base, Msg: fmt.Sprintf(format, args...)})
-	}
-	blob, err := Encode(p)
-	if err != nil {
-		bad("encoding: %v", err)
-		return diags
-	}
-	q, err := Decode(blob)
-	if err != nil {
-		bad("encoding: decode of own encoding failed: %v", err)
-		return diags
-	}
-	blob2, err := Encode(q)
-	if err != nil {
-		bad("encoding: re-encode of decoded program failed: %v", err)
-	} else if !bytes.Equal(blob, blob2) {
-		bad("encoding: re-encode differs from original blob (%d vs %d bytes)", len(blob2), len(blob))
-	}
-	return append(diags, diffIR(p, q)...)
-}
-
-// diffIR reports structural differences between two programs: the
-// procedure table, block shapes, instruction words and addresses, and
-// CFG edges must all agree. Used by the encoding verify stage and by
-// tests comparing a decoded lift against a fresh one.
-func diffIR(a, b *Program) []Diag {
-	var diags []Diag
-	bad := func(proc string, addr uint64, format string, args ...any) {
-		diags = append(diags, Diag{Proc: proc, Addr: addr, Msg: fmt.Sprintf(format, args...)})
-	}
-	if len(a.Procs) != len(b.Procs) {
-		bad("", 0, "encoding: %d procedures became %d", len(a.Procs), len(b.Procs))
-		return diags
-	}
-	for pi, pa := range a.Procs {
-		pb := b.Procs[pi]
-		if pa.Name != pb.Name || pa.Addr != pb.Addr || pa.Size != pb.Size {
-			bad(pa.Name, pa.Addr, "encoding: procedure became %q at %#x size %d", pb.Name, pb.Addr, pb.Size)
-			continue
-		}
-		if len(pa.Blocks) != len(pb.Blocks) {
-			bad(pa.Name, pa.Addr, "encoding: %d blocks became %d", len(pa.Blocks), len(pb.Blocks))
-			continue
-		}
-		for bi, ba := range pa.Blocks {
-			bb := pb.Blocks[bi]
-			if len(ba.Insts) != len(bb.Insts) {
-				bad(pa.Name, pa.Addr, "encoding: block %d: %d instructions became %d", bi, len(ba.Insts), len(bb.Insts))
-				continue
-			}
-			for k, ia := range ba.Insts {
-				ib := bb.Insts[k]
-				if ia.Addr != ib.Addr || ia.I != ib.I {
-					bad(pa.Name, ia.Addr, "encoding: instruction %v became %v at %#x", ia.I, ib.I, ib.Addr)
-				}
-			}
-			if len(ba.Succs) != len(bb.Succs) {
-				bad(pa.Name, ba.Insts[len(ba.Insts)-1].Addr, "encoding: block %d: %d successor edges became %d", bi, len(ba.Succs), len(bb.Succs))
-				continue
-			}
-			for si, sa := range ba.Succs {
-				if sa.Index != bb.Succs[si].Index {
-					bad(pa.Name, ba.Insts[len(ba.Insts)-1].Addr, "encoding: block %d: successor %d index %d became %d", bi, si, sa.Index, bb.Succs[si].Index)
-				}
-			}
-		}
-	}
 	return diags
 }
 

@@ -72,7 +72,7 @@ func (r *Registry) gaugeSnapshot() []obs.Counter {
 // MetricName maps an obs name onto its Prometheus metric name: the
 // "atom." prefix (when present) is dropped, every character outside
 // [a-zA-Z0-9_] becomes '_', and the result is rooted under "atom_". So
-// "store.ir.hit" -> "atom_store_ir_hit" and "atom.sites" ->
+// "store.image.hit" -> "atom_store_image_hit" and "atom.sites" ->
 // "atom_sites". Counters additionally get the "_total" suffix the
 // exposition format reserves for monotonic series.
 func MetricName(name string) string {

@@ -17,7 +17,7 @@ import (
 
 func TestMetricName(t *testing.T) {
 	for in, want := range map[string]string{
-		"store.ir.hit":      "atom_store_ir_hit",
+		"store.image.hit":   "atom_store_image_hit",
 		"atom.sites":        "atom_sites",
 		"vm.icount":         "atom_vm_icount",
 		"weird-name.x":      "atom_weird_name_x",
@@ -36,7 +36,7 @@ func TestMetricName(t *testing.T) {
 func TestWritePrometheusDeterministic(t *testing.T) {
 	reg := NewRegistry()
 	ctx := obs.New(reg.Sink())
-	ctx.Count("store.ir.hit", 3)
+	ctx.Count("store.image.hit", 3)
 	ctx.Count("atom.sites", 7)
 	ctx.Observe("site_regs", 4)
 	ctx.Observe("site_regs", 100)
@@ -58,7 +58,7 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	out := a.String()
 	for _, want := range []string{
 		"atom_sites_total 7",
-		"atom_store_ir_hit_total 3",
+		"atom_store_image_hit_total 3",
 		"# TYPE atom_site_regs histogram",
 		`atom_site_regs_bucket{le="+Inf"} 2`,
 		"atom_site_regs_sum 104",
@@ -72,8 +72,8 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 		}
 	}
 	// Counters sort by metric name: atom_sites_total before
-	// atom_store_ir_hit_total.
-	if strings.Index(out, "atom_sites_total") > strings.Index(out, "atom_store_ir_hit_total") {
+	// atom_store_image_hit_total.
+	if strings.Index(out, "atom_sites_total") > strings.Index(out, "atom_store_image_hit_total") {
 		t.Error("counters not sorted by name")
 	}
 	// Histogram buckets are cumulative and le-labelled at power-of-two
