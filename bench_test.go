@@ -335,6 +335,7 @@ func BenchmarkLift(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Lift(exe); err != nil {
 			b.Fatal(err)

@@ -194,7 +194,14 @@ func (f *File) Funcs() []Symbol {
 			fns = append(fns, s)
 		}
 	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Value < fns[j].Value })
+	// A zero-size alias sorts before the function at its address, so it
+	// keeps its zero size.
+	sort.Slice(fns, func(i, j int) bool {
+		if fns[i].Value != fns[j].Value {
+			return fns[i].Value < fns[j].Value
+		}
+		return fns[i].Size < fns[j].Size
+	})
 	end := f.TextAddr + uint64(len(f.Text))
 	if !f.Linked {
 		end = uint64(len(f.Text))

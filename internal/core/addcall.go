@@ -29,7 +29,12 @@ func (q *Instrumentation) AddCallProgram(when When, proc string, args ...any) er
 		if exitProc == nil {
 			return fmt.Errorf("atom: ProgramAfter requires an exit procedure in the application")
 		}
-		target = exitProc.Blocks[0].Insts[0]
+		// The code a call to exit runs: a zero-size alias of exit has no
+		// blocks of its own.
+		target = q.prog.InstAt(exitProc.Addr)
+		if target == nil {
+			return fmt.Errorf("atom: exit procedure at %#x has no instruction", exitProc.Addr)
+		}
 	default:
 		return fmt.Errorf("atom: bad When %d", when)
 	}
@@ -44,12 +49,18 @@ func (q *Instrumentation) AddCallProc(pr *om.Proc, when When, proc string, args 
 	if err != nil {
 		return err
 	}
-	if pr == nil || len(pr.Blocks) == 0 {
-		return fmt.Errorf("atom: AddCallProc on empty procedure")
+	if pr == nil {
+		return fmt.Errorf("atom: AddCallProc on nil procedure")
 	}
 	switch when {
 	case ProcBefore:
-		q.journal = append(q.journal, &callReq{level: levelProc, when: when, proto: p, args: cargs, inst: pr.Blocks[0].Insts[0], place: Before})
+		// The code a call to pr runs; a zero-size alias has no blocks of
+		// its own and enters the procedure that shares its address.
+		entry := q.prog.InstAt(pr.Addr)
+		if entry == nil {
+			return fmt.Errorf("atom: AddCallProc on procedure %q: no instruction at %#x", pr.Name, pr.Addr)
+		}
+		q.journal = append(q.journal, &callReq{level: levelProc, when: when, proto: p, args: cargs, inst: entry, place: Before})
 	case ProcAfter:
 		n := 0
 		for _, b := range pr.Blocks {

@@ -72,8 +72,14 @@ var palTransfer = Transfer{
 // sets are computed only for the blocks a client asks about — the
 // planner asks about instrumentation sites, not every instruction.
 type Liveness struct {
+	prog     *om.Program
 	procs    []*om.Proc
 	blockOut [][]om.RegSet // per proc, per block: live-out of its last instruction
+
+	// trans is the transfer of every lifted instruction but a bsr,
+	// indexed by text slot (om.Program.Slot). A bsr's transfer reads its
+	// callee's entry summary, which changes between rounds.
+	trans []Transfer
 
 	procStart map[uint64]int // procedure start address -> index
 	entrySum  []om.RegSet    // per proc: live-in at its entry
@@ -143,12 +149,24 @@ func (l *Liveness) walk(pi, bi int, in *om.Inst) (before, after om.RegSet, ok bo
 	insts := l.procs[pi].Blocks[bi].Insts
 	v := l.blockOut[pi][bi]
 	for k := len(insts) - 1; k >= 0; k-- {
-		after, v = v, instTransfer(insts[k], l.entryOf).Apply(v)
+		after, v = v, l.transfer(insts[k]).Apply(v)
 		if insts[k] == in {
 			return v, after, true
 		}
 	}
 	return 0, 0, false
+}
+
+// transfer is the backward transfer of one instruction under the
+// current summaries: the slot table's entry for a lifted instruction,
+// instTransfer for a bsr and for hand-assembled IR, which has no slots.
+func (l *Liveness) transfer(in *om.Inst) Transfer {
+	if in.I.Op != alpha.OpBsr {
+		if k, ok := l.prog.Slot(in); ok {
+			return l.trans[k]
+		}
+	}
+	return instTransfer(in, l.entryOf)
 }
 
 // entryOf resolves a transfer target: the callee's current entry summary
@@ -225,13 +243,22 @@ type liveSolver struct {
 func newLiveSolver(p *om.Program) *liveSolver {
 	n := len(p.Procs)
 	lv := &Liveness{
+		prog:      p,
 		procs:     p.Procs,
+		trans:     make([]Transfer, p.NumInsts()),
 		procStart: make(map[uint64]int, n),
 		entrySum:  make([]om.RegSet, n),
 		exitSum:   make([]om.RegSet, n),
 	}
 	for i, pr := range p.Procs {
 		lv.procStart[pr.Addr] = i
+		for _, b := range pr.Blocks {
+			for _, in := range b.Insts {
+				if k, ok := p.Slot(in); ok && in.I.Op != alpha.OpBsr {
+					lv.trans[k] = instTransfer(in, nil)
+				}
+			}
+		}
 	}
 	fixed, _ := entries(p)
 	s := &liveSolver{
@@ -245,7 +272,7 @@ func newLiveSolver(p *om.Program) *liveSolver {
 	}
 	s.Problem = Problem{
 		Dir:      Backward,
-		Transfer: func(in *om.Inst) Transfer { return instTransfer(in, lv.entryOf) },
+		Transfer: lv.transfer,
 		Boundary: func(pr *om.Proc, b *om.Block) om.RegSet {
 			return liveBoundary(b, lv.entryOf, lv.exitSum[s.cur])
 		},
@@ -357,7 +384,7 @@ func (s *liveSolver) run() {
 							requeue(j)
 						}
 					}
-					v = instTransfer(in, lv.entryOf).Apply(v)
+					v = lv.transfer(in).Apply(v)
 				}
 			}
 		}
@@ -602,7 +629,8 @@ func liveBoundary(b *om.Block, entryOf func(uint64) (om.RegSet, bool), exit om.R
 	}
 }
 
-// instTransfer is the backward transfer of one instruction.
+// instTransfer is the backward transfer of one instruction. entryOf is
+// read only for a bsr.
 func instTransfer(in *om.Inst, entryOf func(uint64) (om.RegSet, bool)) Transfer {
 	switch in.I.Op {
 	case alpha.OpCallPal:

@@ -3,6 +3,7 @@ package om
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"atom/internal/alpha"
@@ -16,12 +17,18 @@ import (
 // new address, and the old<->new PC maps are available. No bytes are
 // emitted yet — Finish does that once external (analysis image) symbol
 // addresses are known.
+//
+// The assignment is two tables indexed by text slot (Program.Slot): at[k]
+// is the new address of the instruction itself, start[k] the new address
+// of its first before-sequence (at[k] when it has none). Its
+// before-sequences fill [start[k], at[k]) in order and its
+// after-sequences follow at[k]+4. Layout keeps program order, so at is
+// strictly increasing.
 type Layout struct {
-	prog     *Program
-	size     uint64
-	oldToNew map[uint64]uint64
-	newToOld map[uint64]uint64
-	codeAddr map[*Code]uint64 // start address of each spliced sequence
+	prog  *Program
+	size  uint64
+	at    []uint64
+	start []uint64
 }
 
 // Layout assigns new addresses. Original instruction order is preserved;
@@ -33,35 +40,29 @@ func (p *Program) Layout() *Layout { return p.LayoutCtx(nil) }
 func (p *Program) LayoutCtx(ctx *obs.Ctx) *Layout {
 	_, sp := ctx.Start("om.layout")
 	defer sp.End()
-	l := &Layout{
-		prog:     p,
-		oldToNew: make(map[uint64]uint64, len(p.instAt)),
-		newToOld: make(map[uint64]uint64, len(p.instAt)),
-		codeAddr: map[*Code]uint64{},
-	}
+	n := len(p.insts)
+	tab := make([]uint64, 2*n)
+	l := &Layout{prog: p, at: tab[:n:n], start: tab[n:]}
 	addr := p.Exe.TextAddr
-	for _, pr := range p.Procs {
-		for _, b := range pr.Blocks {
-			for _, in := range b.Insts {
-				for ci := range in.Before {
-					c := &in.Before[ci]
-					l.codeAddr[c] = addr
-					addr += uint64(len(c.Insts)) * 4
-				}
-				l.oldToNew[in.Addr] = addr
-				l.newToOld[addr] = in.Addr
-				addr += 4
-				for ci := range in.After {
-					c := &in.After[ci]
-					l.codeAddr[c] = addr
-					addr += uint64(len(c.Insts)) * 4
-				}
-			}
-		}
+	for k := range p.insts {
+		in := &p.insts[k]
+		l.start[k] = addr
+		addr += codeBytes(in.Before)
+		l.at[k] = addr
+		addr += 4 + codeBytes(in.After)
 	}
 	l.size = addr - p.Exe.TextAddr
 	sp.SetAttr(obs.Int("text_bytes", int64(l.size)))
 	return l
+}
+
+// codeBytes is the size of a list of spliced sequences.
+func codeBytes(codes []Code) uint64 {
+	n := 0
+	for ci := range codes {
+		n += len(codes[ci].Insts)
+	}
+	return uint64(n) * 4
 }
 
 // TextSize returns the size in bytes of the instrumented text.
@@ -71,26 +72,22 @@ func (l *Layout) TextSize() uint64 { return l.size }
 // start of its before-code, so branches into it execute the
 // instrumentation, as ATOM requires).
 func (l *Layout) NewAddr(old uint64) (uint64, bool) {
-	// The new address of an instrumented instruction is the address of
-	// its first before-sequence if any.
-	in, ok := l.prog.instAt[old]
+	k, ok := l.prog.slotOf(old)
 	if !ok {
-		v, ok := l.oldToNew[old]
-		return v, ok
+		return 0, false
 	}
-	if len(in.Before) > 0 {
-		return l.codeAddr[&in.Before[0]], true
-	}
-	v, ok := l.oldToNew[old]
-	return v, ok
+	return l.start[k], true
 }
 
 // OldAddr maps a new instruction address back to the original address,
 // for addresses corresponding to original instructions. Spliced code has
 // no original address.
 func (l *Layout) OldAddr(new uint64) (uint64, bool) {
-	v, ok := l.newToOld[new]
-	return v, ok
+	k, ok := slices.BinarySearch(l.at, new)
+	if !ok {
+		return 0, false
+	}
+	return l.prog.Exe.TextAddr + uint64(k)*4, true
 }
 
 // PCPair is one entry of the static old↔new PC map.
@@ -102,11 +99,11 @@ type PCPair struct {
 // PCPairs returns the old->new PC map as a slice of pairs sorted by
 // original address.
 func (l *Layout) PCPairs() []PCPair {
-	out := make([]PCPair, 0, len(l.oldToNew))
-	for old, new := range l.oldToNew {
-		out = append(out, PCPair{Old: old, New: new})
+	out := make([]PCPair, len(l.at))
+	base := l.prog.Exe.TextAddr
+	for k, n := range l.at {
+		out[k] = PCPair{Old: base + uint64(k)*4, New: n}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Old < out[j].Old })
 	return out
 }
 
@@ -161,46 +158,44 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, resolve func(string) (uint64, bool)) (*
 	text := make([]byte, l.size)
 	base := exe.TextAddr
 
-	emitCode := func(c *Code) error {
-		addr := l.codeAddr[c]
-		// Encode instructions first, then apply code relocs.
-		for i, in := range c.Insts {
-			w, err := in.Encode()
-			if err != nil {
-				return fmt.Errorf("om: spliced code: %w", err)
+	// emitCodes emits a slot's before- or after-sequences, laid out
+	// back to back from addr.
+	emitCodes := func(codes []Code, addr uint64) error {
+		for ci := range codes {
+			c := &codes[ci]
+			// Encode instructions first, then apply code relocs.
+			for i, in := range c.Insts {
+				w, err := in.Encode()
+				if err != nil {
+					return fmt.Errorf("om: spliced code: %w", err)
+				}
+				binary.LittleEndian.PutUint32(text[addr-base+uint64(i)*4:], w)
 			}
-			binary.LittleEndian.PutUint32(text[addr-base+uint64(i)*4:], w)
-		}
-		for _, r := range c.Relocs {
-			target, ok := resolve(r.Sym)
-			if !ok {
-				return fmt.Errorf("om: spliced code references unknown symbol %q", r.Sym)
+			for _, r := range c.Relocs {
+				target, ok := resolve(r.Sym)
+				if !ok {
+					return fmt.Errorf("om: spliced code references unknown symbol %q", r.Sym)
+				}
+				site := addr + uint64(r.Index)*4
+				if err := link.Patch(text, site-base, site, r.Type, target+uint64(r.Addend), r.Sym); err != nil {
+					return err
+				}
 			}
-			site := addr + uint64(r.Index)*4
-			if err := link.Patch(text, site-base, site, r.Type, target+uint64(r.Addend), r.Sym); err != nil {
-				return err
-			}
+			addr += uint64(len(c.Insts)) * 4
 		}
 		return nil
 	}
 
-	for _, pr := range p.Procs {
-		for _, b := range pr.Blocks {
-			for _, in := range b.Insts {
-				for ci := range in.Before {
-					if err := emitCode(&in.Before[ci]); err != nil {
-						return nil, err
-					}
-				}
-				if err := l.emitInst(text, in); err != nil {
-					return nil, err
-				}
-				for ci := range in.After {
-					if err := emitCode(&in.After[ci]); err != nil {
-						return nil, err
-					}
-				}
-			}
+	for k := range p.insts {
+		in := &p.insts[k]
+		if err := emitCodes(in.Before, l.start[k]); err != nil {
+			return nil, err
+		}
+		if err := l.emitInst(text, k); err != nil {
+			return nil, err
+		}
+		if err := emitCodes(in.After, l.at[k]+4); err != nil {
+			return nil, err
 		}
 	}
 
@@ -225,10 +220,11 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, resolve func(string) (uint64, bool)) (*
 		switch r.Section {
 		case aout.SecText:
 			oldSite := exe.TextAddr + r.Offset
-			newSite, ok := l.oldToNew[oldSite]
+			k, ok := p.slotOf(oldSite)
 			if !ok {
 				return nil, fmt.Errorf("om: reloc at unmapped text offset %#x", r.Offset)
 			}
+			newSite := l.at[k]
 			// Branch relocations were already resolved against the old
 			// layout and are recomputed by emitInst from displacement;
 			// skip them here to avoid double-patching — except they do
@@ -254,18 +250,17 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, resolve func(string) (uint64, bool)) (*
 		}
 	}
 
-	// Move text symbols to their new addresses.
-	syms := make([]aout.Symbol, len(exe.Symbols))
-	copy(syms, exe.Symbols)
-	// Precompute new procedure sizes from the layout.
-	type bound struct{ old, new uint64 }
-	var bounds []bound
+	// Move text symbols to their new addresses. A function's new size
+	// runs to the first procedure that now starts after it; procedures
+	// are in address order, so their new starts are sorted.
+	starts := make([]uint64, 0, len(p.Procs))
 	for _, pr := range p.Procs {
 		if n, ok := l.NewAddr(pr.Addr); ok {
-			bounds = append(bounds, bound{pr.Addr, n})
+			starts = append(starts, n)
 		}
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i].new < bounds[j].new })
+	syms := make([]aout.Symbol, len(exe.Symbols))
+	copy(syms, exe.Symbols)
 	for i := range syms {
 		if syms[i].Section != aout.SecText {
 			continue
@@ -275,13 +270,9 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, resolve func(string) (uint64, bool)) (*
 			return nil, fmt.Errorf("om: text symbol %q at unmapped %#x", syms[i].Name, syms[i].Value)
 		}
 		if syms[i].Kind == aout.SymFunc {
-			// Recompute the size from the next procedure's new start.
 			end := base + l.size
-			for j := range bounds {
-				if bounds[j].new > n {
-					end = bounds[j].new
-					break
-				}
+			if j, _ := slices.BinarySearch(starts, n+1); j < len(starts) {
+				end = starts[j]
 			}
 			syms[i].Size = end - n
 		}
@@ -299,11 +290,12 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, resolve func(string) (uint64, bool)) (*
 	return &Result{Text: text, Data: data, Symbols: syms, Entry: entry, Relocs: relocs}, nil
 }
 
-// emitInst encodes one original instruction at its new address,
+// emitInst encodes the instruction in slot k at its new address,
 // recomputing PC-relative displacements against the new layout.
-func (l *Layout) emitInst(text []byte, in *Inst) error {
+func (l *Layout) emitInst(text []byte, k int) error {
+	in := &l.prog.insts[k]
 	base := l.prog.Exe.TextAddr
-	newAddr := l.oldToNew[in.Addr]
+	newAddr := l.at[k]
 	i := in.I
 	if i.Op.Format() == alpha.FormatBranch {
 		oldTarget := in.Addr + 4 + uint64(int64(i.Disp)*4)

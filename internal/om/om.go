@@ -33,8 +33,8 @@
 package om
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"atom/internal/alpha"
 	"atom/internal/aout"
@@ -46,7 +46,11 @@ type Program struct {
 	Exe   *aout.File
 	Procs []*Proc
 
-	instAt map[uint64]*Inst // original address -> instruction
+	// insts holds every instruction of a lifted program, indexed by its
+	// text slot: (Addr - Exe.TextAddr) / 4. Procedures tile text
+	// exactly, so the slot is a dense, collision-free key, and program
+	// order is slot order. Hand-assembled IR has none.
+	insts []Inst
 }
 
 // Proc is one procedure.
@@ -130,8 +134,40 @@ func (p *Program) ProcAt(addr uint64) *Proc {
 	return nil
 }
 
+// slotOf returns the text slot of an original address: its word offset
+// from the start of text, for a word-aligned address inside the lifted
+// text.
+func (p *Program) slotOf(addr uint64) (int, bool) {
+	if len(p.insts) == 0 || addr < p.Exe.TextAddr {
+		return 0, false
+	}
+	off := addr - p.Exe.TextAddr
+	if off%4 != 0 || off/4 >= uint64(len(p.insts)) {
+		return 0, false
+	}
+	return int(off / 4), true
+}
+
 // InstAt returns the instruction at an original address, or nil.
-func (p *Program) InstAt(addr uint64) *Inst { return p.instAt[addr] }
+func (p *Program) InstAt(addr uint64) *Inst {
+	k, ok := p.slotOf(addr)
+	if !ok {
+		return nil
+	}
+	return &p.insts[k]
+}
+
+// Slot returns the text slot of a lifted instruction, (Addr -
+// Exe.TextAddr) / 4, which indexes per-instruction tables in program
+// order. It reports false for an instruction this program did not lift
+// (hand-assembled IR has no slots).
+func (p *Program) Slot(in *Inst) (int, bool) {
+	k, ok := p.slotOf(in.Addr)
+	if !ok || &p.insts[k] != in {
+		return 0, false
+	}
+	return k, true
+}
 
 // Build constructs the IR from a linked executable. The executable must
 // retain function symbols covering all of text (the .ent/.end discipline)
@@ -158,13 +194,12 @@ func buildIR(exe *aout.File) (*Program, error) {
 	if !exe.Linked {
 		return nil, fmt.Errorf("om: input is not a linked executable")
 	}
+	// Sorted by address, a zero-size alias before the procedure it
+	// shares its address with.
 	fns := exe.Funcs()
 	if len(fns) == 0 {
 		return nil, fmt.Errorf("om: executable has no function symbols")
 	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Value < fns[j].Value })
-
-	prog := &Program{Exe: exe, instAt: make(map[uint64]*Inst, len(exe.Text)/4)}
 	textEnd := exe.TextAddr + uint64(len(exe.Text))
 	// Coverage and overlap checks.
 	expect := exe.TextAddr
@@ -178,63 +213,83 @@ func buildIR(exe *aout.File) (*Program, error) {
 		return nil, fmt.Errorf("om: text tail at %#x..%#x not covered by any procedure", expect, textEnd)
 	}
 
+	n := len(exe.Text) / 4
+	prog := &Program{Exe: exe, insts: make([]Inst, n), Procs: make([]*Proc, len(fns))}
+	procs := make([]Proc, len(fns))
+	ptrs := make([]*Inst, n)
+	leaders := make([]bool, n)
 	for idx, f := range fns {
-		pr := &Proc{Name: f.Name, Index: idx, Addr: f.Value, Size: f.Size, prog: prog}
-		if err := prog.buildProc(pr); err != nil {
+		if f.Size%4 != 0 {
+			return nil, fmt.Errorf("om: procedure %q has misaligned size %d", f.Name, f.Size)
+		}
+		pr := &procs[idx]
+		*pr = Proc{Name: f.Name, Index: idx, Addr: f.Value, Size: f.Size, prog: prog}
+		k0 := int((f.Value - exe.TextAddr) / 4)
+		k1 := k0 + int(f.Size/4)
+		if err := prog.buildProc(pr, k0, ptrs[k0:k1:k1], leaders[k0:k1]); err != nil {
 			return nil, err
 		}
-		prog.Procs = append(prog.Procs, pr)
+		prog.Procs[idx] = pr
 	}
-	prog.resolveSuccs()
 	return prog, nil
 }
 
-func (p *Program) buildProc(pr *Proc) error {
-	exe := p.Exe
-	if pr.Size%4 != 0 {
-		return fmt.Errorf("om: procedure %q has misaligned size %d", pr.Name, pr.Size)
-	}
-	n := int(pr.Size / 4)
-	insts := make([]*Inst, n)
-	leaders := make([]bool, n)
-	if n > 0 {
-		leaders[0] = true
-	}
-	for k := 0; k < n; k++ {
+// buildProc decodes procedure pr, whose instructions occupy the slots
+// from k0 on, slices it into blocks and wires their successor edges.
+// ptrs and leaders are the procedure's share of program-wide arrays:
+// every block's Insts is a sub-slice of ptrs.
+func (p *Program) buildProc(pr *Proc, k0 int, ptrs []*Inst, leaders []bool) error {
+	text := p.Exe.Text[uint64(k0)*4:]
+	insts := p.insts[k0 : k0+len(ptrs)]
+	for k := range insts {
 		addr := pr.Addr + uint64(k)*4
-		off := addr - exe.TextAddr
-		w := uint32(exe.Text[off]) | uint32(exe.Text[off+1])<<8 | uint32(exe.Text[off+2])<<16 | uint32(exe.Text[off+3])<<24
-		in, err := alpha.Decode(w)
+		in, err := alpha.Decode(binary.LittleEndian.Uint32(text[k*4:]))
 		if err != nil {
 			return fmt.Errorf("om: %s+%#x: %w", pr.Name, addr-pr.Addr, err)
 		}
-		insts[k] = &Inst{I: in, Addr: addr}
-		p.instAt[addr] = insts[k]
+		insts[k].I, insts[k].Addr = in, addr
+		ptrs[k] = &insts[k]
+	}
+	if len(insts) == 0 {
+		return nil
 	}
 	// Mark leaders: branch targets inside this procedure, and the
 	// instruction after each block-ending transfer.
-	for k, in := range insts {
-		op := in.I.Op
-		if op.Format() == alpha.FormatBranch {
-			target := in.Addr + 4 + uint64(int64(in.I.Disp)*4)
-			if target >= pr.Addr && target < pr.Addr+pr.Size {
-				leaders[(target-pr.Addr)/4] = true
+	leaders[0] = true
+	for k := range insts {
+		in := &insts[k]
+		if in.I.Op.Format() == alpha.FormatBranch {
+			if t, ok := pr.branchSlot(in); ok {
+				leaders[t] = true
 			}
 		}
-		if endsBlock(in.I) && k+1 < n {
+		if endsBlock(in.I) && k+1 < len(insts) {
 			leaders[k+1] = true
 		}
 	}
-	// Slice into blocks.
-	var cur *Block
-	for k := 0; k < n; k++ {
-		if leaders[k] {
-			cur = &Block{Index: len(pr.Blocks), proc: pr}
-			pr.Blocks = append(pr.Blocks, cur)
+	nb := 0
+	for _, l := range leaders {
+		if l {
+			nb++
 		}
-		insts[k].block = cur
-		cur.Insts = append(cur.Insts, insts[k])
 	}
+	// Slice into blocks, each a capacity-limited window of ptrs.
+	blocks := make([]Block, nb)
+	pr.Blocks = make([]*Block, nb)
+	bi, first := -1, 0
+	for k := range insts {
+		if leaders[k] {
+			if bi >= 0 {
+				blocks[bi].Insts = ptrs[first:k:k]
+			}
+			bi, first = bi+1, k
+			blocks[bi] = Block{Index: bi, proc: pr}
+			pr.Blocks[bi] = &blocks[bi]
+		}
+		insts[k].block = &blocks[bi]
+	}
+	blocks[bi].Insts = ptrs[first:]
+	pr.resolveSuccs(insts)
 	return nil
 }
 
@@ -252,51 +307,52 @@ func endsBlock(i alpha.Inst) bool {
 	return false
 }
 
-// resolveSuccs wires intra-procedure successor edges.
-func (p *Program) resolveSuccs() {
-	for _, pr := range p.Procs {
-		for bi, b := range pr.Blocks {
-			if len(b.Insts) == 0 {
-				continue
+// branchSlot returns the position within the procedure of the
+// instruction a branch-format instruction targets, if it lies inside the
+// procedure.
+func (pr *Proc) branchSlot(in *Inst) (int, bool) {
+	target := in.Addr + 4 + uint64(int64(in.I.Disp)*4)
+	if target < pr.Addr || target >= pr.Addr+pr.Size {
+		return 0, false
+	}
+	return int((target - pr.Addr) / 4), true
+}
+
+// resolveSuccs wires the procedure's intra-procedure successor edges,
+// carving every block's Succs from one array (a block has at most two).
+// Every in-procedure branch target is a leader, so a branch inside the
+// procedure always lands on a block.
+func (pr *Proc) resolveSuccs(insts []Inst) {
+	succs := make([]*Block, 0, 2*len(pr.Blocks))
+	for bi, b := range pr.Blocks {
+		last := b.Insts[len(b.Insts)-1]
+		n := len(succs)
+		taken := func() {
+			if k, ok := pr.branchSlot(last); ok {
+				succs = append(succs, insts[k].block)
 			}
-			last := b.Insts[len(b.Insts)-1]
-			fall := bi+1 < len(pr.Blocks)
-			switch {
-			case last.I.Op.IsCondBranch():
-				if t := p.branchTargetBlock(pr, last); t != nil {
-					b.Succs = append(b.Succs, t)
-				}
-				if fall {
-					b.Succs = append(b.Succs, pr.Blocks[bi+1])
-				}
-			case last.I.Op == alpha.OpBr:
-				if t := p.branchTargetBlock(pr, last); t != nil {
-					b.Succs = append(b.Succs, t)
-				}
-			case last.I.Op == alpha.OpRet || last.I.Op == alpha.OpJmp:
-				// no intra-proc successors
-			default:
-				if fall {
-					b.Succs = append(b.Succs, pr.Blocks[bi+1])
-				}
+		}
+		fall := func() {
+			if bi+1 < len(pr.Blocks) {
+				succs = append(succs, pr.Blocks[bi+1])
 			}
+		}
+		switch op := last.I.Op; {
+		case op.IsCondBranch():
+			taken()
+			fall()
+		case op == alpha.OpBr:
+			taken()
+		case op == alpha.OpRet || op == alpha.OpJmp:
+			// no intra-proc successors
+		default:
+			fall()
+		}
+		if len(succs) > n {
+			b.Succs = succs[n:len(succs):len(succs)]
 		}
 	}
 }
 
-// branchTargetBlock returns the block a branch targets if it lies within
-// the same procedure and at a block boundary.
-func (p *Program) branchTargetBlock(pr *Proc, in *Inst) *Block {
-	target := in.Addr + 4 + uint64(int64(in.I.Disp)*4)
-	t, ok := p.instAt[target]
-	if !ok || t.block.proc != pr {
-		return nil
-	}
-	if len(t.block.Insts) > 0 && t.block.Insts[0] == t {
-		return t.block
-	}
-	return nil
-}
-
 // NumInsts returns the total original instruction count.
-func (p *Program) NumInsts() int { return len(p.instAt) }
+func (p *Program) NumInsts() int { return len(p.insts) }

@@ -8,6 +8,7 @@ import (
 	"atom/internal/aout"
 	"atom/internal/om"
 	"atom/internal/rtl"
+	"atom/internal/spec"
 	"atom/internal/vm"
 )
 
@@ -23,7 +24,7 @@ int main(int argc, char **argv) {
 }
 `
 
-func buildSample(t *testing.T, src string) *aout.File {
+func buildSample(t testing.TB, src string) *aout.File {
 	t.Helper()
 	exe, err := rtl.BuildProgram("prog.c", src)
 	if err != nil {
@@ -94,6 +95,32 @@ func TestBuildStructure(t *testing.T) {
 	if total != prog.NumInsts() {
 		t.Errorf("NumInsts = %d, blocks contain %d", prog.NumInsts(), total)
 	}
+}
+
+// TestBuildAllocs pins the lift's allocations to a small constant per
+// procedure: instructions, blocks and successor edges come from arrays
+// allocated once per program or procedure, not one object per
+// instruction.
+func TestBuildAllocs(t *testing.T) {
+	exe, err := spec.Build("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := om.Build(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := om.Build(exe); err != nil {
+			t.Fatal(err)
+		}
+	})
+	procs := len(prog.Procs)
+	if limit := float64(4*procs + 32); allocs > limit {
+		t.Errorf("om.Build of gcc: %.0f allocations for %d procedures and %d instructions, want <= %.0f",
+			allocs, procs, prog.NumInsts(), limit)
+	}
+	t.Logf("%.0f allocations, %d procedures, %d instructions", allocs, procs, prog.NumInsts())
 }
 
 func TestCFGSuccs(t *testing.T) {

@@ -1,0 +1,147 @@
+package om_test
+
+import (
+	"testing"
+
+	"atom/internal/alpha"
+	"atom/internal/aout"
+	"atom/internal/core"
+	"atom/internal/om"
+	"atom/internal/spec"
+	"atom/internal/tools"
+)
+
+// checkPCMap asserts the static PC maps of a layout of prog against the
+// code spliced into prog: PCPairs lists every instruction in original
+// order with strictly increasing new addresses; OldAddr inverts each
+// pair and rejects every spliced word; NewAddr lands on an instruction's
+// first before-code word and rejects misaligned addresses, addresses
+// below text and the text end.
+func checkPCMap(t testing.TB, prog *om.Program, lay *om.Layout) {
+	t.Helper()
+	base := prog.Exe.TextAddr
+	end := base + uint64(len(prog.Exe.Text))
+	pairs := lay.PCPairs()
+	if len(pairs) != prog.NumInsts() {
+		t.Fatalf("PCPairs has %d pairs, program has %d instructions", len(pairs), prog.NumInsts())
+	}
+	for i, pp := range pairs {
+		if i > 0 && (pp.Old <= pairs[i-1].Old || pp.New <= pairs[i-1].New) {
+			t.Fatalf("pair %d (%#x->%#x) does not follow (%#x->%#x)", i, pp.Old, pp.New, pairs[i-1].Old, pairs[i-1].New)
+		}
+		if old, ok := lay.OldAddr(pp.New); !ok || old != pp.Old {
+			t.Fatalf("OldAddr(%#x) = %#x, %v; want %#x", pp.New, old, ok, pp.Old)
+		}
+		words := 0
+		for _, c := range prog.InstAt(pp.Old).Before {
+			words += len(c.Insts)
+		}
+		if n, ok := lay.NewAddr(pp.Old); !ok || n != pp.New-uint64(words)*4 {
+			t.Fatalf("NewAddr(%#x) = %#x, %v; want the first before-code word %#x", pp.Old, n, ok, pp.New-uint64(words)*4)
+		}
+		if _, ok := lay.NewAddr(pp.Old + 2); ok {
+			t.Fatalf("NewAddr accepts misaligned %#x", pp.Old+2)
+		}
+	}
+	// Every word that holds no original instruction is spliced code.
+	j := 0
+	for a := base; a < base+lay.TextSize(); a += 4 {
+		if j < len(pairs) && pairs[j].New == a {
+			j++
+			continue
+		}
+		if old, ok := lay.OldAddr(a); ok {
+			t.Fatalf("OldAddr maps spliced word %#x to %#x", a, old)
+		}
+	}
+	if j != len(pairs) {
+		t.Fatalf("walked %d of %d instruction words", j, len(pairs))
+	}
+	for _, a := range []uint64{base - 4, end} {
+		if n, ok := lay.NewAddr(a); ok {
+			t.Fatalf("NewAddr(%#x) = %#x outside text [%#x,%#x)", a, n, base, end)
+		}
+	}
+}
+
+// TestPCMapProperty checks the PC maps of every tool's instrumentation
+// of several suite programs.
+func TestPCMapProperty(t *testing.T) {
+	opts := core.Options{Verify: true}
+	for _, name := range []string{"gcc", "queens", "espresso", "tomcatv"} {
+		exe, err := spec.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tool := range tools.All() {
+			ti, err := core.BuildToolImage(tool, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", tool.Name, err)
+			}
+			prog, err := core.Lift(exe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.ApplyProgram(prog, ti, opts)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", tool.Name, name, err)
+			}
+			t.Run(name+"/"+tool.Name, func(t *testing.T) { checkPCMap(t, prog, res.PCMap) })
+		}
+	}
+}
+
+// FuzzLayout splices Before and After sequences of fuzzed lengths — some
+// carrying relocations — into a lifted program, then requires a clean
+// layout, a clean rewrite and the PC-map properties. Each three input
+// bytes place one sequence: two pick the slot, the third its side
+// (bit 0), length (bits 1-3) and whether it materializes an external
+// address (bit 7).
+func FuzzLayout(f *testing.F) {
+	exe := buildSample(f, sampleProgram)
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0x04, 0, 0, 0x85, 0, 7, 0x0e, 1, 2, 0x8b})
+	f.Add([]byte{0xff, 0xff, 0x0f, 0x12, 0x34, 0x02, 0x12, 0x34, 0x03})
+	const ext = 0x1234_5678
+	resolve := func(sym string) (uint64, bool) { return ext, sym == "ext" }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog, err := om.Build(exe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := prog.NumInsts()
+		for i := 0; i+3 <= len(data); i += 3 {
+			k := (int(data[i])<<8 | int(data[i+1])) % n
+			in := prog.InstAt(exe.TextAddr + uint64(k)*4)
+			b := data[i+2]
+			var c om.Code
+			for w := 0; w < int(b>>1&7); w++ {
+				c.Insts = append(c.Insts, alpha.Mem(alpha.OpLda, alpha.AT, alpha.AT, int32(w)))
+			}
+			if b&0x80 != 0 && len(c.Insts) >= 2 {
+				c.Insts[0] = alpha.Mem(alpha.OpLdah, alpha.AT, alpha.Zero, 0)
+				c.Relocs = []om.CodeReloc{
+					{Index: 0, Type: aout.RelHi16, Sym: "ext"},
+					{Index: 1, Type: aout.RelLo16, Sym: "ext"},
+				}
+			}
+			if b&1 == 0 {
+				in.Before = append(in.Before, c)
+			} else {
+				in.After = append(in.After, c)
+			}
+		}
+		lay := prog.Layout()
+		if ds := lay.Verify(); len(ds) > 0 {
+			t.Fatalf("layout: %d diagnostics, first: %s", len(ds), ds[0])
+		}
+		res, err := lay.Finish(resolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds := lay.VerifyRewrite(res); len(ds) > 0 {
+			t.Fatalf("rewrite: %d diagnostics, first: %s", len(ds), ds[0])
+		}
+		checkPCMap(t, prog, lay)
+	})
+}

@@ -17,7 +17,7 @@ import (
 // lands on a block leader of the same procedure, fallthrough edges match
 // layout order), decode/encode round-trip on every instruction, address
 // contiguity, and relocation records within section bounds. Layout.Verify
-// checks the old<->new PC maps are mutually inverse, and
+// checks the slot tables the PC maps are read from, and
 // Layout.VerifyRewrite re-decodes the emitted text against the IR.
 //
 // All diagnostics carry ORIGINAL program counters (the new->old map is
@@ -90,8 +90,8 @@ func (p *Program) VerifyCtx(ctx *obs.Ctx) []Diag {
 					bad(pr, in.Addr, "instruction at position %d of block %d has address %#x, expected %#x", k, bi, in.Addr, addr)
 				}
 				addr += 4
-				if p.instAt != nil && p.instAt[in.Addr] != in {
-					bad(pr, in.Addr, "address index does not map back to this instruction")
+				if _, ok := p.Slot(in); p.insts != nil && !ok {
+					bad(pr, in.Addr, "text slot does not map back to this instruction")
 				}
 				// Decode round-trip: the IR must re-encode to exactly the
 				// word it was decoded from.
@@ -263,9 +263,11 @@ func (p *Program) procFor(addr uint64) string {
 	return ""
 }
 
-// Verify checks the layout's PC maps: oldToNew and newToOld must be
-// mutually inverse bijections, every instruction mapped, every new
-// address word-aligned inside the instrumented text.
+// Verify checks the layout's slot tables, which both PC maps read: the
+// instructions' new addresses are word-aligned, inside the instrumented
+// text and strictly increasing (so OldAddr's binary search is exact and
+// the maps are mutually inverse), and each slot's before-code fills
+// exactly the gap from start to at.
 func (l *Layout) Verify() []Diag { return l.VerifyCtx(nil) }
 
 // VerifyCtx is Layout.Verify with a stage context (an "om.verify" span,
@@ -279,25 +281,26 @@ func (l *Layout) VerifyCtx(ctx *obs.Ctx) []Diag {
 	bad := func(addr uint64, format string, args ...any) {
 		diags = append(diags, Diag{Proc: p.procFor(addr), Addr: addr, Msg: fmt.Sprintf(format, args...)})
 	}
-	if len(l.oldToNew) != len(l.newToOld) {
-		bad(base, "PC maps disagree on size: %d old->new vs %d new->old", len(l.oldToNew), len(l.newToOld))
-	}
-	for old, in := range p.instAt {
-		n, ok := l.oldToNew[old]
-		if !ok {
-			bad(old, "instruction has no new address")
-			continue
+	if len(l.at) != len(p.insts) || len(l.start) != len(p.insts) {
+		bad(base, "layout tables cover %d and %d slots, program has %d", len(l.at), len(l.start), len(p.insts))
+	} else {
+		for k, n := range l.at {
+			old := base + uint64(k)*4
+			if n%4 != 0 {
+				bad(old, "new address %#x is misaligned", n)
+			}
+			if n < base || n >= base+l.size {
+				bad(old, "new address %#x outside instrumented text [%#x,%#x)", n, base, base+l.size)
+			}
+			if k > 0 && n <= l.at[k-1] {
+				bad(old, "new address %#x does not follow %#x of the previous instruction", n, l.at[k-1])
+			}
+			if s := l.start[k]; s > n {
+				bad(old, "before-code starts at %#x, after the instruction at %#x", s, n)
+			} else if want := codeBytes(p.insts[k].Before); n-s != want {
+				bad(old, "before-code spans %d bytes, its sequences hold %d", n-s, want)
+			}
 		}
-		if back, ok := l.newToOld[n]; !ok || back != old {
-			bad(old, "new address %#x maps back to %#x, not %#x", n, back, old)
-		}
-		if n%4 != 0 {
-			bad(old, "new address %#x is misaligned", n)
-		}
-		if n < base || n >= base+l.size {
-			bad(old, "new address %#x outside instrumented text [%#x,%#x)", n, base, base+l.size)
-		}
-		_ = in
 	}
 	sp.SetAttr(obs.Int("diags", int64(len(diags))))
 	ctx.Count("om.verify.diags", int64(len(diags)))
@@ -350,11 +353,12 @@ func (l *Layout) VerifyRewriteCtx(ctx *obs.Ctx, res *Result) []Diag {
 		for _, b := range pr.Blocks {
 			for _, in := range b.Insts {
 				checked++
-				newAddr, ok := l.oldToNew[in.Addr]
-				if !ok {
+				k, ok := p.Slot(in)
+				if !ok || k >= len(l.at) {
 					bad(pr, in.Addr, "instruction unmapped by layout")
 					continue
 				}
+				newAddr := l.at[k]
 				got, ok := decodeAt(newAddr)
 				if !ok {
 					bad(pr, in.Addr, "rewritten word at new %#x does not decode", newAddr)
@@ -383,44 +387,42 @@ func (l *Layout) VerifyRewriteCtx(ctx *obs.Ctx, res *Result) []Diag {
 					bad(pr, in.Addr, "rewritten operands %v, expected %v", got, in.I)
 				}
 				// Spliced code — call-site templates and inlined analysis
-				// bodies alike. Layout emits Code.Insts verbatim and then
-				// patches exactly the instructions named by CodeRelocs, so
-				// every word must decode, un-patched instructions must match
-				// the IR EXACTLY (this re-checks inlined bodies' re-indexed
-				// internal branch displacements), and patched ones keep
-				// their opcode (relocations rewrite displacement fields
-				// only).
-				verifyCode := func(codes []Code) {
+				// bodies alike. Layout emits Code.Insts verbatim from the
+				// slot's start (before-code) and after the instruction
+				// (after-code), then patches exactly the instructions named
+				// by CodeRelocs, so every word must decode, un-patched
+				// instructions must match the IR EXACTLY (this re-checks
+				// inlined bodies' re-indexed internal branch displacements),
+				// and patched ones keep their opcode (relocations rewrite
+				// displacement fields only).
+				verifyCode := func(codes []Code, addr uint64) {
 					for ci := range codes {
 						c := &codes[ci]
-						start, ok := l.codeAddr[c]
-						if !ok {
-							bad(pr, in.Addr, "spliced code sequence has no layout address")
-							return
-						}
 						patched := map[int]bool{}
 						for _, r := range c.Relocs {
 							patched[r.Index] = true
 						}
 						for k := range c.Insts {
 							checked++
-							w, ok := decodeAt(start + uint64(k)*4)
+							at := addr + uint64(k)*4
+							w, ok := decodeAt(at)
 							if !ok {
-								bad(pr, in.Addr, "spliced word %d at new %#x does not decode", k, start+uint64(k)*4)
+								bad(pr, in.Addr, "spliced word %d at new %#x does not decode", k, at)
 								continue
 							}
 							if w.Op != c.Insts[k].Op {
-								bad(pr, in.Addr, "spliced opcode %s at new %#x, expected %s", w.Op, start+uint64(k)*4, c.Insts[k].Op)
+								bad(pr, in.Addr, "spliced opcode %s at new %#x, expected %s", w.Op, at, c.Insts[k].Op)
 								continue
 							}
 							if !patched[k] && w != c.Insts[k] {
-								bad(pr, in.Addr, "spliced instruction %v at new %#x, expected %v", w, start+uint64(k)*4, c.Insts[k])
+								bad(pr, in.Addr, "spliced instruction %v at new %#x, expected %v", w, at, c.Insts[k])
 							}
 						}
+						addr += uint64(len(c.Insts)) * 4
 					}
 				}
-				verifyCode(in.Before)
-				verifyCode(in.After)
+				verifyCode(in.Before, l.start[k])
+				verifyCode(in.After, newAddr+4)
 			}
 		}
 	}
@@ -431,7 +433,7 @@ func (l *Layout) VerifyRewriteCtx(ctx *obs.Ctx, res *Result) []Diag {
 	diags = append(diags, verifyRelocs(res.Relocs, len(res.Symbols), uint64(len(res.Text)), uint64(len(res.Data)),
 		func(sec aout.Section, off uint64) (string, uint64) {
 			if sec == aout.SecText {
-				if old, ok := l.newToOld[base+off]; ok {
+				if old, ok := l.OldAddr(base + off); ok {
 					return p.procFor(old), old
 				}
 			}
