@@ -18,9 +18,7 @@
 //	app, _ := atom.BuildProgram(map[string]string{"app.c": src})
 //	tool, _ := atom.ToolByName("cache")
 //	res, _ := atom.Instrument(app, tool, atom.Options{})
-//	out, _ := atom.RunProgram(res.Exe, atom.RunConfig{
-//	        AnalysisHeapOffset: res.HeapOffset,
-//	})
+//	out, _ := atom.RunProgram(res.Exe, atom.RunConfig{})
 //	fmt.Print(string(out.Files["cache.out"]))
 //
 // Custom tools supply a Go instrumentation routine and MiniC analysis
@@ -259,9 +257,6 @@ type RunConfig struct {
 	Stdin []byte
 	// FS maps path -> contents for files the program may open.
 	FS map[string][]byte
-	// AnalysisHeapOffset partitions the heap for instrumented programs;
-	// pass Result.HeapOffset.
-	AnalysisHeapOffset uint64
 	// MaxInstr bounds execution (0 = default 2e9).
 	MaxInstr uint64
 }
@@ -284,14 +279,15 @@ type RunResult struct {
 
 // RunProgram executes an executable on the VM to completion. The VM
 // dispatches trace-linked superblocks; the result is identical to
-// executing one instruction at a time.
+// executing one instruction at a time. An instrumented executable
+// carries its own heap scheme (Options.HeapOffset), so the same
+// RunConfig runs any program.
 func RunProgram(exe *Executable, cfg RunConfig) (*RunResult, error) {
 	m, err := vm.New(exe, vm.Config{
-		Args:               cfg.Args,
-		Stdin:              cfg.Stdin,
-		FS:                 cfg.FS,
-		AnalysisHeapOffset: cfg.AnalysisHeapOffset,
-		MaxInstr:           cfg.MaxInstr,
+		Args:     cfg.Args,
+		Stdin:    cfg.Stdin,
+		FS:       cfg.FS,
+		MaxInstr: cfg.MaxInstr,
 	})
 	if err != nil {
 		return nil, err

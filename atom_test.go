@@ -45,7 +45,7 @@ int main() {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out, err := atom.RunProgram(res.Exe, atom.RunConfig{AnalysisHeapOffset: res.HeapOffset})
+		out, err := atom.RunProgram(res.Exe, atom.RunConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -107,7 +107,7 @@ func TestCrossToolConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := atom.RunProgram(res.Exe, atom.RunConfig{AnalysisHeapOffset: res.HeapOffset})
+		out, err := atom.RunProgram(res.Exe, atom.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,10 +41,13 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # Fuzz smoke: a few seconds of coverage-guided fuzzing on each decoder
 # of bytes read back from disk — the executable reader (aout.FuzzDecode)
 # and the tool-image codec (FuzzImageDecode) — beyond their committed
-# seeds, on the superblock loop against the Step loop over generated
-# programs (vm.FuzzSuperblockVsStep), and on the layout's slot tables
-# under fuzzed splices (om.FuzzLayout).
+# seeds, on the loader and machine over any executable the reader
+# accepts (vm.FuzzNew: New and Run fail, never panic), on the superblock
+# loop against the Step loop over generated programs
+# (vm.FuzzSuperblockVsStep), and on the layout's slot tables under
+# fuzzed splices (om.FuzzLayout).
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/aout
+go test -run='^$' -fuzz='^FuzzNew$' -fuzztime=5s ./internal/vm
 go test -run='^$' -fuzz='^FuzzImageDecode$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzSuperblockVsStep$' -fuzztime=5s ./internal/vm
 go test -run='^$' -fuzz='^FuzzLayout$' -fuzztime=5s ./internal/om

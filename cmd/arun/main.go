@@ -16,7 +16,6 @@ func main() {
 	var (
 		fsDir    = flag.String("fs", "", "directory served as the program's filesystem (outputs written back)")
 		maxInstr = flag.Uint64("max", 0, "instruction budget (0 = default)")
-		heapOff  = flag.Uint64("heap", 0, "analysis heap zone offset (for partitioned-heap instrumented programs)")
 		stats    = flag.Bool("stats", false, "print execution statistics to stderr")
 		trace    = flag.Bool("trace", false, "print every retired instruction to stderr (very slow)")
 	)
@@ -30,11 +29,10 @@ func main() {
 		fatal(err)
 	}
 	cfg := vm.Config{
-		Arg0:               flag.Arg(0),
-		Args:               flag.Args()[1:],
-		MaxInstr:           *maxInstr,
-		AnalysisHeapOffset: *heapOff,
-		FS:                 map[string][]byte{},
+		Arg0:     flag.Arg(0),
+		Args:     flag.Args()[1:],
+		MaxInstr: *maxInstr,
+		FS:       map[string][]byte{},
 	}
 	if *trace {
 		cfg.Trace = os.Stderr

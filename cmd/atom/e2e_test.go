@@ -2,10 +2,10 @@ package main
 
 // End-to-end gates of the command line: the built atom, minicc, alink
 // and aasm commands driven as separate processes, the way a user runs
-// them — trace, profile, vet, inline, persistence, telemetry and
-// analyze, plus the batch output-collision check. TestMain builds the
-// four commands once; the gates skip under -short and when no go binary
-// is on PATH.
+// them — trace, profile, vet, inline, persistence, telemetry, analyze
+// and the heap scheme, plus the batch output-collision check. TestMain
+// builds the four commands once; the gates skip under -short and when
+// no go binary is on PATH.
 
 import (
 	"bufio"
@@ -65,6 +65,12 @@ int main() { printf("ok\n"); return 0; }
 	longC = `#include <stdio.h>
 int main() { long i, s = 0; for (i = 0; i < 5000000; i++) s += i; printf("%ld\n", s); return 0; }
 `
+	// heapC prints the address of its one heap block: the linked sbrks
+	// move it, the partitioned heap must not.
+	heapC = `#include <stdio.h>
+#include <stdlib.h>
+int main() { char *p = malloc(64); printf("%lx\n", (long)p); return 0; }
+`
 	// defectS is an analysis image with a seeded save-discipline defect:
 	// Clobber overwrites the callee-save register s0.
 	defectS = `	.text
@@ -87,7 +93,7 @@ Clobber:
 // fixture is what every gate shares: the compiled programs and the
 // built-in tool names.
 type fixture struct {
-	dir   string   // smoke.x, long.x, defect.x
+	dir   string   // smoke.x, long.x, heap.x, defect.x
 	tools []string // first column of atom -list
 }
 
@@ -119,7 +125,7 @@ func buildFixture(dir string) (fixture, error) {
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		return f, err
 	}
-	for name, src := range map[string]string{"smoke.c": smokeC, "long.c": longC, "defect.s": defectS} {
+	for name, src := range map[string]string{"smoke.c": smokeC, "long.c": longC, "heap.c": heapC, "defect.s": defectS} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
 			return f, err
 		}
@@ -129,6 +135,8 @@ func buildFixture(dir string) (fixture, error) {
 		{"alink", "-o", "smoke.x", "smoke.o"},
 		{"minicc", "-o", "long.o", "long.c"},
 		{"alink", "-o", "long.x", "long.o"},
+		{"minicc", "-o", "heap.o", "heap.c"},
+		{"alink", "-o", "heap.x", "heap.o"},
 		{"aasm", "-o", "defect.o", "defect.s"},
 		{"alink", "-o", "defect.x", "defect.o"},
 		{"atom", "-list"},
@@ -590,5 +598,23 @@ func TestBatchOutputCollision(t *testing.T) {
 	mustRun(t, dir, "atom", "-t", "branch", "-o", "solo.atom", "a/p.x")
 	if !bytes.Equal(readFile(t, filepath.Join(dir, "a", "p.atom")), readFile(t, filepath.Join(dir, "solo.atom"))) {
 		t.Error("a/p.atom is not a/p.x's output")
+	}
+}
+
+// TestHeapSchemeGate: -heap is recorded in the written executable, so
+// running the file prints the heap address the in-process -run and the
+// bare program print, while the linked sbrks move it.
+func TestHeapSchemeGate(t *testing.T) {
+	dir := programs(t).stage(t, "heap.x")
+	bare, _ := mustRun(t, dir, "atom", "-run", "heap.x")
+	inProcess, _ := mustRun(t, dir, "atom", "-t", "cache", "-heap", "1048576", "-run", "heap.x")
+	mustRun(t, dir, "atom", "-t", "cache", "-heap", "1048576", "-o", "heap.atom", "heap.x")
+	fromFile, _ := mustRun(t, dir, "atom", "-run", "heap.atom")
+	if fromFile != inProcess || fromFile != bare {
+		t.Errorf("partitioned heap: file run prints %q, in-process -run %q, bare %q", fromFile, inProcess, bare)
+	}
+	mustRun(t, dir, "atom", "-t", "cache", "-o", "linked.atom", "heap.x")
+	if linked, _ := mustRun(t, dir, "atom", "-run", "linked.atom"); linked == bare {
+		t.Errorf("linked sbrks print the bare address %q; the fixture no longer tells the schemes apart", bare)
 	}
 }

@@ -50,6 +50,13 @@
 // store.<kind>.<outcome> cache counters included) and histogram of the
 // invocation.
 //
+// -heap N partitions the heap (the paper's Figure 4 scheme): the
+// analysis routines allocate from a zone N bytes past the heap base, so
+// the application's heap addresses match its uninstrumented run. The
+// offset is recorded in the output executable itself, so a later
+// `atom -run prog.atom` (or arun) runs it under the same scheme with no
+// flag.
+//
 // atom -list prints the 11 tools. The paper's Figures 5 and 6 are
 // regenerated by the benchmark in perfbench/, not by this command.
 package main
@@ -86,7 +93,7 @@ func run() (code int) {
 		outPath       = flag.String("o", "", "output executable (single input only; default: input with .atom extension, or a.atom)")
 		toolArgs      = flag.String("args", "", "comma-separated tool arguments (iargv)")
 		mode          = flag.String("mode", "wrapper", "register-save mode: wrapper | inanalysis")
-		heapOff       = flag.Uint64("heap", 0, "partition the heap: analysis zone offset in bytes (0 = linked sbrks)")
+		heapOff       = flag.Uint64("heap", 0, "partition the heap: analysis zone offset in bytes, a multiple of 8, recorded in the output (0 = linked sbrks)")
 		noSummary     = flag.Bool("nosummary", false, "disable the data-flow register summary (save all caller-save registers)")
 		noLiveness    = flag.Bool("noliveness", false, "disable the register-liveness analysis (save registers without regard to liveness)")
 		noInline      = flag.Bool("noinline", false, "disable analysis-routine inlining (always call through the register-save wrapper)")
@@ -472,7 +479,6 @@ func runUnderVM(ctx *obs.Ctx, rc runConfig) int {
 			return fail(fmt.Errorf("%s: %s: %w", rc.input, rc.tool.Name, err))
 		}
 		exe = res.Exe
-		cfg.AnalysisHeapOffset = res.HeapOffset
 		pcMap = res.PCMap.OldAddr
 		procs = res.PCMap.OrigProcs()
 		if rc.outPath != "" {
@@ -562,7 +568,7 @@ func printResultStats(res *core.Result) {
 	fmt.Printf("application text:        %d -> %d bytes\n", s.OrigText, s.InstrText)
 	fmt.Printf("analysis image:          %d text + %d data bytes\n", s.AnalysisText, s.AnalysisData)
 	if res.HeapOffset != 0 {
-		fmt.Printf("analysis heap offset:    %#x (run with the same offset)\n", res.HeapOffset)
+		fmt.Printf("analysis heap offset:    %#x\n", res.HeapOffset)
 	}
 }
 

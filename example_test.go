@@ -52,7 +52,7 @@ void Done(void) { printf("work called %d times\n", calls); }
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := atom.RunProgram(res.Exe, atom.RunConfig{AnalysisHeapOffset: res.HeapOffset})
+	out, err := atom.RunProgram(res.Exe, atom.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func main() {
 			NoInline: *noInline,
 		})
 		check(err)
-		out, err := atom.RunProgram(res.Exe, atom.RunConfig{AnalysisHeapOffset: res.HeapOffset})
+		out, err := atom.RunProgram(res.Exe, atom.RunConfig{})
 		check(err)
 		report := string(out.Files["cache.out"])
 		fmt.Printf("%9dK %12s %10s %9s%%\n", size/1024,

@@ -122,14 +122,15 @@ func main() {
 	// application allocations, shifting its addresses.
 	res, err := atom.Instrument(app, tool, atom.Options{})
 	check(err)
-	linked, err := atom.RunProgram(res.Exe, atom.RunConfig{AnalysisHeapOffset: res.HeapOffset})
+	linked, err := atom.RunProgram(res.Exe, atom.RunConfig{})
 	check(err)
 	fmt.Printf("instrumented (linked):      %s", linked.Stdout)
 
-	// Scheme 2: partitioned heap — application addresses pristine.
+	// Scheme 2: partitioned heap — application addresses pristine. The
+	// executable records its zone offset, so it runs like any other.
 	res2, err := atom.Instrument(app, tool, atom.Options{HeapOffset: 8 << 20})
 	check(err)
-	part, err := atom.RunProgram(res2.Exe, atom.RunConfig{AnalysisHeapOffset: res2.HeapOffset})
+	part, err := atom.RunProgram(res2.Exe, atom.RunConfig{})
 	check(err)
 	fmt.Printf("instrumented (partitioned): %s", part.Stdout)
 

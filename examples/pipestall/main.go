@@ -30,8 +30,7 @@ func main() {
 		p, _ := spec.ByName(name)
 		out, err := atom.RunProgram(res.Exe, atom.RunConfig{
 			Stdin: p.Stdin, FS: p.FS,
-			AnalysisHeapOffset: res.HeapOffset,
-			MaxInstr:           2_000_000_000,
+			MaxInstr: 2_000_000_000,
 		})
 		check(err)
 		rep := string(out.Files["pipe.out"])

@@ -47,6 +47,13 @@ func (s Section) String() string {
 	return fmt.Sprintf("sec%d?", uint8(s))
 }
 
+// HeapZoneSymbol names the record of the partitioned-heap scheme
+// (Figure 4): a local SecAbs symbol whose value is the offset of the
+// analysis sbrk zone from the heap base. ATOM writes it into an
+// instrumented executable that partitions the heap, and the loader
+// reads it back; an executable without it links the two sbrks.
+const HeapZoneSymbol = "atom$heapzone"
+
 // SymKind classifies a symbol.
 type SymKind uint8
 

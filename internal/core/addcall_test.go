@@ -39,16 +39,39 @@ func TestZeroSizeExitAlias(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m := runExe(t, res.Exe, vm.Config{AnalysisHeapOffset: res.HeapOffset})
+				m := runExe(t, res.Exe, vm.Config{})
 				if !bytes.Equal(m.Stdout, ref.Stdout) {
 					t.Errorf("stdout %q, want %q", m.Stdout, ref.Stdout)
 				}
 				if len(m.FSOut[tool.Name+".out"]) == 0 {
 					t.Errorf("no %s.out report", tool.Name)
 				}
+				// The alias keeps its zero size; the body it aliases
+				// spans its relocated code.
+				exit, _ := res.Exe.Lookup("exit")
+				body, _ := res.Exe.Lookup("exit_body")
+				if exit.Size != 0 || exit.Value != body.Value {
+					t.Errorf("exit at %#x size %d, want size 0 at exit_body's %#x", exit.Value, exit.Size, body.Value)
+				}
+				if want := relocatedSize(res, "exit_body"); body.Size != want {
+					t.Errorf("exit_body size %d, want its relocated size %d", body.Size, want)
+				}
 			})
 		}
 	}
+}
+
+// relocatedSize is the span from the named function to the next
+// function that starts after it in the instrumented application text.
+func relocatedSize(res *core.Result, name string) uint64 {
+	sym, _ := res.Exe.Lookup(name)
+	end := res.Exe.TextAddr + res.Stats.InstrText
+	for _, s := range res.Exe.Symbols {
+		if s.Kind == aout.SymFunc && s.Section == aout.SecText && s.Value > sym.Value && s.Value < end {
+			end = s.Value
+		}
+	}
+	return end - sym.Value
 }
 
 // aliasExit returns a copy of app whose exit symbol has zero size and

@@ -91,9 +91,11 @@ type Options struct {
 	// sbrks (application and analysis allocate from one heap, each
 	// starting where the other left off). Non-zero partitions the heap:
 	// the analysis zone starts HeapOffset bytes past the heap base, so
-	// application heap addresses match the uninstrumented run. There is
-	// deliberately no runtime check that the application heap stays
-	// below the analysis zone, as in the paper.
+	// application heap addresses match the uninstrumented run; it must
+	// be a multiple of 8, and the output records it as its
+	// aout.HeapZoneSymbol. There is deliberately no runtime check that
+	// the application heap stays below the analysis zone, as in the
+	// paper.
 	HeapOffset uint64
 	// NoRegSummary disables the data-flow summary and saves every
 	// caller-save register around every call (ablation baseline).
@@ -137,9 +139,12 @@ type Stats struct {
 
 // Result is an instrumented executable plus metadata.
 type Result struct {
-	// Exe is the instrumented program. Run it with the VM's
-	// AnalysisHeapOffset set to HeapOffset.
-	Exe        *aout.File
+	// Exe is the instrumented program. It carries its own heap scheme:
+	// a partitioned heap is recorded as its aout.HeapZoneSymbol, which
+	// the VM reads at load time.
+	Exe *aout.File
+	// HeapOffset reports Options.HeapOffset, the zone offset recorded
+	// in Exe (zero: linked sbrks, no record).
 	HeapOffset uint64
 	// PCMap exposes the static old<->new text address maps.
 	PCMap *om.Layout
@@ -251,6 +256,9 @@ func ApplyProgramCtx(ctx *obs.Ctx, prog *om.Program, ti *ToolImage, opts Options
 func planOn(ctx *obs.Ctx, prog *om.Program, tool Tool, opts Options) (*Instrumentation, error) {
 	if tool.Instrument == nil {
 		return nil, fmt.Errorf("atom: tool %q has no instrumentation routine", tool.Name)
+	}
+	if opts.HeapOffset%8 != 0 {
+		return nil, fmt.Errorf("atom: heap offset %#x is not a multiple of 8", opts.HeapOffset)
 	}
 	_, sp := ctx.Start("atom.plan", obs.String("tool", tool.Name))
 	defer sp.End()
@@ -502,6 +510,13 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 			Value:   constAddr[i],
 			Size:    uint64(len(c.data)),
 			Global:  true,
+		})
+	}
+	if opts.HeapOffset != 0 {
+		symbols = append(symbols, aout.Symbol{
+			Name:    aout.HeapZoneSymbol,
+			Section: aout.SecAbs,
+			Value:   opts.HeapOffset,
 		})
 	}
 

@@ -127,7 +127,7 @@ func TestPaperBranchExample(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Instrument: %v", err)
 	}
-	m := runExe(t, res.Exe, vm.Config{AnalysisHeapOffset: res.HeapOffset})
+	m := runExe(t, res.Exe, vm.Config{})
 
 	// The application's own behavior is unperturbed.
 	if string(m.Stdout) != string(ref.Stdout) {

@@ -130,14 +130,14 @@ void Tick(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	linked := runExe(t, res.Exe, vm.Config{AnalysisHeapOffset: res.HeapOffset})
+	linked := runExe(t, res.Exe, vm.Config{})
 
 	// Partitioned: the app's heap addresses are pristine.
 	res2, err := core.Instrument(app, allocTool, core.Options{HeapOffset: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := runExe(t, res2.Exe, vm.Config{AnalysisHeapOffset: res2.HeapOffset})
+	part := runExe(t, res2.Exe, vm.Config{})
 
 	if string(part.Stdout) != string(ref.Stdout) {
 		t.Errorf("partitioned heap perturbed app addresses: %q vs %q", part.Stdout, ref.Stdout)
@@ -548,7 +548,7 @@ int main() {
 		MapPC:       res.PCMap.OldAddr,
 		KeepSamples: true,
 	})
-	cfg := vm.Config{AnalysisHeapOffset: res.HeapOffset}
+	cfg := vm.Config{}
 	p.Attach(&cfg)
 	runExe(t, res.Exe, cfg)
 

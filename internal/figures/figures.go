@@ -107,10 +107,9 @@ func RatioFor(toolName, progName string, opts core.Options) (float64, error) {
 	}
 	p, _ := spec.ByName(progName)
 	m, err := vm.New(res.Exe, vm.Config{
-		Stdin:              p.Stdin,
-		FS:                 p.FS,
-		AnalysisHeapOffset: res.HeapOffset,
-		MaxInstr:           4_000_000_000,
+		Stdin:    p.Stdin,
+		FS:       p.FS,
+		MaxInstr: 4_000_000_000,
 	})
 	if err != nil {
 		return 0, err

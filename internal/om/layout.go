@@ -252,7 +252,8 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, resolve func(string) (uint64, bool)) (*
 
 	// Move text symbols to their new addresses. A function's new size
 	// runs to the first procedure that now starts after it; procedures
-	// are in address order, so their new starts are sorted.
+	// are in address order, so their new starts are sorted. A zero-size
+	// function (an alias of the code at its address) stays zero-size.
 	starts := make([]uint64, 0, len(p.Procs))
 	for _, pr := range p.Procs {
 		if n, ok := l.NewAddr(pr.Addr); ok {
@@ -269,7 +270,7 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, resolve func(string) (uint64, bool)) (*
 		if !ok {
 			return nil, fmt.Errorf("om: text symbol %q at unmapped %#x", syms[i].Name, syms[i].Value)
 		}
-		if syms[i].Kind == aout.SymFunc {
+		if syms[i].Kind == aout.SymFunc && syms[i].Size != 0 {
 			end := base + l.size
 			if j, _ := slices.BinarySearch(starts, n+1); j < len(starts) {
 				end = starts[j]

@@ -46,9 +46,9 @@ func buildApp(t *testing.T) *aout.File {
 	return exe
 }
 
-func run(t *testing.T, exe *aout.File, heapOff uint64) *vm.Machine {
+func run(t *testing.T, exe *aout.File) *vm.Machine {
 	t.Helper()
-	m, err := vm.New(exe, vm.Config{AnalysisHeapOffset: heapOff})
+	m, err := vm.New(exe, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func field(t *testing.T, report, label string) int64 {
 
 func TestAllToolsRun(t *testing.T) {
 	app := buildApp(t)
-	ref := run(t, app, 0)
+	ref := run(t, app)
 	if len(tools.Names()) != 11 {
 		t.Fatalf("registered %d tools, want 11: %v", len(tools.Names()), tools.Names())
 	}
@@ -94,7 +94,7 @@ func TestAllToolsRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Instrument: %v", err)
 			}
-			m := run(t, res.Exe, res.HeapOffset)
+			m := run(t, res.Exe)
 			if string(m.Stdout) != string(ref.Stdout) {
 				t.Errorf("stdout perturbed: %q vs %q", m.Stdout, ref.Stdout)
 			}
@@ -127,7 +127,7 @@ func instrumentAndRun(t *testing.T, name string, opts core.Options) (*vm.Machine
 	if err != nil {
 		t.Fatalf("Instrument(%s): %v", name, err)
 	}
-	m := run(t, res.Exe, res.HeapOffset)
+	m := run(t, res.Exe)
 	return m, string(m.FSOut[name+".out"])
 }
 
@@ -151,13 +151,13 @@ func TestBranchToolNumbers(t *testing.T) {
 
 func TestDyninstMatchesMachineCount(t *testing.T) {
 	app := buildApp(t)
-	ref := run(t, app, 0)
+	ref := run(t, app)
 	tool, _ := tools.ByName("dyninst")
 	res, err := core.Instrument(app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := run(t, res.Exe, res.HeapOffset)
+	m := run(t, res.Exe)
 	report := string(m.FSOut["dyninst.out"])
 	counted := field(t, report, "dynamic instructions")
 	// The tool counts exactly the application's own instructions — the
@@ -173,7 +173,7 @@ func TestDyninstMatchesMachineCount(t *testing.T) {
 
 func TestCacheToolNumbers(t *testing.T) {
 	app := buildApp(t)
-	ref := run(t, app, 0)
+	ref := run(t, app)
 	m, report := instrumentAndRun(t, "cache", core.Options{})
 	_ = m
 	refs := field(t, report, "references")
@@ -226,7 +226,7 @@ func TestMallocToolNumbers(t *testing.T) {
 
 func TestSyscallToolNumbers(t *testing.T) {
 	app := buildApp(t)
-	ref := run(t, app, 0)
+	ref := run(t, app)
 	_ = ref
 	_, report := instrumentAndRun(t, "syscall", core.Options{})
 	// The app opens one file for write, writes to it and stdout, closes,
@@ -276,7 +276,7 @@ func TestIoToolNumbers(t *testing.T) {
 
 func TestPipeToolNumbers(t *testing.T) {
 	app := buildApp(t)
-	ref := run(t, app, 0)
+	ref := run(t, app)
 	_, report := instrumentAndRun(t, "pipe", core.Options{})
 	insts := field(t, report, "dynamic instructions")
 	if insts < int64(ref.Icount) || insts > int64(ref.Icount)+4 {
@@ -359,13 +359,13 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := run(t, app, 0)
+	ref := run(t, app)
 	tool, _ := tools.ByName("unalign")
 	res, err := core.Instrument(app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := run(t, res.Exe, res.HeapOffset)
+	m := run(t, res.Exe)
 	report := string(m.FSOut["unalign.out"])
 	un := field(t, report, "unaligned references")
 	// 5 iterations x (load + store) through buf+1 = 10 unaligned refs;

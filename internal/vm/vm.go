@@ -44,10 +44,14 @@ type Config struct {
 	// MaxInstr bounds execution; 0 selects 2e9. Exceeding it is an error
 	// (runaway or non-terminating program).
 	MaxInstr uint64
-	// AnalysisHeapOffset is the offset at which the analysis sbrk zone
-	// begins, relative to the heap base. Zero links the two sbrk zones
-	// (ATOM's default scheme: both allocate from the same heap, each
-	// starting where the other left off).
+	// AnalysisHeapOffset, when non-zero, must equal the analysis heap
+	// zone the executable records (aout.HeapZoneSymbol); New fails if
+	// it differs, or if the executable records none. The heap scheme
+	// itself always comes from the file: a recorded offset partitions
+	// the heap, its absence links the two sbrk zones (ATOM's default
+	// scheme: both allocate from the same heap, each starting where the
+	// other left off). The field is kept only because the perfbench
+	// harness still sets it; nothing else should.
 	AnalysisHeapOffset uint64
 	// Trace, when non-nil, receives one disassembled line per retired
 	// instruction — for debugging tools and inserted code. Slow: a
@@ -152,7 +156,9 @@ type openFile struct {
 	closed  bool
 }
 
-// New loads an executable into a fresh machine.
+// New loads an executable into a fresh machine. It fails, rather than
+// panicking, on any executable whose sections, heap zone or initial
+// stack do not fit the address space.
 func New(exe *aout.File, cfg Config) (*Machine, error) {
 	if !exe.Linked {
 		return nil, fmt.Errorf("vm: executable is not linked")
@@ -163,12 +169,43 @@ func New(exe *aout.File, cfg Config) (*Machine, error) {
 	if cfg.MaxInstr == 0 {
 		cfg.MaxInstr = 2_000_000_000
 	}
-	bssEnd := exe.BssAddr + exe.Bss
-	if bssEnd > cfg.MemSize || exe.TextAddr+uint64(len(exe.Text)) > cfg.MemSize {
-		return nil, fmt.Errorf("vm: image (ends %#x) exceeds memory size %#x", bssEnd, cfg.MemSize)
+	mem := cfg.MemSize
+	for _, sec := range []struct {
+		name       string
+		addr, size uint64
+	}{
+		{"text", exe.TextAddr, uint64(len(exe.Text))},
+		{"data", exe.DataAddr, uint64(len(exe.Data))},
+		{"bss", exe.BssAddr, exe.Bss},
+	} {
+		if sec.addr > mem || sec.size > mem-sec.addr {
+			return nil, fmt.Errorf("vm: %s at %#x (%#x bytes) exceeds memory size %#x", sec.name, sec.addr, sec.size, mem)
+		}
+	}
+	heapBase := align8(exe.BssAddr + exe.Bss)
+	zone, _ := exe.Lookup(aout.HeapZoneSymbol)
+	off := zone.Value
+	if cfg.AnalysisHeapOffset != 0 && cfg.AnalysisHeapOffset != off {
+		return nil, fmt.Errorf("vm: analysis heap offset %#x differs from the executable's recorded zone offset %#x", cfg.AnalysisHeapOffset, off)
+	}
+	if off != 0 && (off%8 != 0 || off > mem || heapBase > mem-off) {
+		return nil, fmt.Errorf("vm: analysis heap zone offset %#x from heap base %#x is misaligned or outside memory size %#x", off, heapBase, mem)
+	}
+	args := append([]string{cfg.Arg0}, cfg.Args...)
+	if args[0] == "" {
+		args[0] = "a.out"
+	}
+	// argc, the argv pointers, their NULL and the alignment slack, then
+	// the strings: all below the text.
+	stack := 8 * uint64(len(args)+3)
+	for _, a := range args {
+		stack += uint64(len(a)) + 1
+	}
+	if exe.TextAddr < stack {
+		return nil, fmt.Errorf("vm: text at %#x leaves no room below it for the %d-byte initial stack", exe.TextAddr, stack)
 	}
 	m := &Machine{
-		Mem:   make([]byte, cfg.MemSize),
+		Mem:   make([]byte, mem),
 		exe:   exe,
 		cfg:   cfg,
 		FSOut: map[string][]byte{},
@@ -186,10 +223,10 @@ func New(exe *aout.File, cfg Config) (*Machine, error) {
 	}
 	m.sbByIdx = make([]*superblock, n)
 	m.codeLo, m.codeHi = m.textEnd, exe.TextAddr // empty watermark
-	m.heapBase = align8(bssEnd)
+	m.heapBase = heapBase
 	m.brk = m.heapBase
-	m.brk2 = m.heapBase + cfg.AnalysisHeapOffset
-	m.brk2Sep = cfg.AnalysisHeapOffset != 0
+	m.brk2 = m.heapBase + off
+	m.brk2Sep = off != 0
 	m.PC = exe.Entry
 
 	// fds 0,1,2 are pre-opened.
@@ -202,10 +239,6 @@ func New(exe *aout.File, cfg Config) (*Machine, error) {
 	// Build the initial stack: strings, argv array, argc; sp points at
 	// argc. The stack base is the start of text, growing down.
 	sp := exe.TextAddr
-	args := append([]string{cfg.Arg0}, cfg.Args...)
-	if args[0] == "" {
-		args[0] = "a.out"
-	}
 	ptrs := make([]uint64, len(args))
 	for i := len(args) - 1; i >= 0; i-- {
 		b := append([]byte(args[i]), 0)

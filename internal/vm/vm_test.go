@@ -26,10 +26,25 @@ func build(t testing.TB, src string) *aout.File {
 	return exe
 }
 
+// withHeapZone returns a copy of exe recording an analysis heap zone at
+// off, as core.Instrument writes it for a partitioned heap.
+func withHeapZone(exe *aout.File, off uint64) *aout.File {
+	c := *exe
+	c.Symbols = append(append([]aout.Symbol(nil), exe.Symbols...),
+		aout.Symbol{Name: aout.HeapZoneSymbol, Section: aout.SecAbs, Value: off})
+	return &c
+}
+
 // run builds and executes a program to completion.
 func run(t *testing.T, src string, cfg Config) (*Machine, int) {
 	t.Helper()
-	m, err := New(build(t, src), cfg)
+	return runExe(t, build(t, src), cfg)
+}
+
+// runExe executes a linked program to completion.
+func runExe(t *testing.T, exe *aout.File, cfg Config) (*Machine, int) {
+	t.Helper()
+	m, err := New(exe, cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -351,8 +366,9 @@ __start:
 	if code != 64 {
 		t.Errorf("linked zones: delta = %d, want 64", code)
 	}
-	// Partitioned zones: analysis zone starts at heapBase+offset.
-	_, code = run(t, src, Config{AnalysisHeapOffset: 1 << 20})
+	// Partitioned zones: the executable records the analysis zone, which
+	// starts at heapBase+offset.
+	_, code = runExe(t, withHeapZone(build(t, src), 1<<20), Config{})
 	if code != 1<<20 {
 		t.Errorf("partitioned zones: delta = %d, want %d", code, 1<<20)
 	}
@@ -374,10 +390,133 @@ __start:
 	call_pal 0
 	.end __start
 `
-	_, code := run(t, src, Config{AnalysisHeapOffset: 40 << 12})
+	_, code := runExe(t, withHeapZone(build(t, src), 40<<12), Config{})
 	if code != 40 {
 		t.Errorf("delta pages = %d, want 40", code)
 	}
+}
+
+// sbrkDeltaSrc exits with the distance from the application sbrk zone
+// to the analysis one.
+const sbrkDeltaSrc = `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	clr a0
+	call_pal 5
+	mov v0, s0
+	clr a0
+	call_pal 7
+	subq v0, s0, a0
+	call_pal 0
+	.end __start
+`
+
+// TestHeapZoneRecord: New takes the heap scheme from the executable's
+// record, fails when Config.AnalysisHeapOffset disagrees with it (or
+// the file has none), and rejects a recorded zone that is misaligned,
+// wraps the address space or starts past the end of memory, naming the
+// offset in the error.
+func TestHeapZoneRecord(t *testing.T) {
+	plain := build(t, sbrkDeltaSrc)
+	for _, tc := range []struct {
+		name  string
+		exe   *aout.File
+		cfg   Config
+		delta int // zone distance when New succeeds
+		err   string
+	}{
+		{"config agrees", withHeapZone(plain, 1<<20), Config{AnalysisHeapOffset: 1 << 20}, 1 << 20, ""},
+		{"config without record", plain, Config{AnalysisHeapOffset: 1 << 20}, 0, "offset 0x100000 differs"},
+		{"config disagrees", withHeapZone(plain, 2<<20), Config{AnalysisHeapOffset: 1 << 20}, 0, "offset 0x100000 differs"},
+		{"misaligned", withHeapZone(plain, 3), Config{}, 0, "zone offset 0x3 "},
+		{"wraps", withHeapZone(plain, 1<<64-8), Config{}, 0, "zone offset 0xfffffffffffffff8 "},
+		{"past memory", withHeapZone(plain, 1<<62), Config{}, 0, "zone offset 0x4000000000000000 "},
+		{"past small memory", withHeapZone(plain, 1<<20), Config{MemSize: 9 << 19}, 0, "zone offset 0x100000 "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(tc.exe, tc.cfg)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("New: err = %v, want it to contain %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			code, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != tc.delta {
+				t.Errorf("zone distance %#x, want %#x", code, tc.delta)
+			}
+		})
+	}
+}
+
+// TestNewRejectsBadSections: executables that decode and validate but
+// do not fit the address space are errors from New, not panics or
+// silent truncation.
+func TestNewRejectsBadSections(t *testing.T) {
+	base := build(t, sbrkDeltaSrc)
+	const mem = 8 << 20
+	for _, tc := range []struct {
+		name string
+		edit func(f *aout.File)
+		err  string
+	}{
+		{"data past memory", func(f *aout.File) { f.DataAddr = mem + 0x1000 }, "data at"},
+		{"text end wraps", func(f *aout.File) { f.TextAddr = 1<<64 - 4 }, "text at"},
+		{"no room for stack", func(f *aout.File) { f.TextAddr = 0x10 }, "initial stack"},
+		{"data straddles memory end", func(f *aout.File) {
+			f.Data = make([]byte, 16)
+			f.DataAddr = mem - 8
+			f.BssAddr, f.Bss = mem-8, 0
+		}, "data at"},
+		{"bss end wraps", func(f *aout.File) { f.Bss = 0x800 - f.BssAddr }, "bss at"}, // BssAddr+Bss wraps to 0x800
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exe := *base
+			tc.edit(&exe)
+			if err := exe.Validate(); err != nil {
+				t.Fatalf("case does not validate: %v", err)
+			}
+			_, err := New(&exe, Config{MemSize: mem})
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("New: err = %v, want it to contain %q", err, tc.err)
+			}
+		})
+	}
+}
+
+// FuzzNew: any executable aout.Decode accepts must load and run on a
+// small machine without panicking; New and Run may only fail.
+func FuzzNew(f *testing.F) {
+	obj, err := asm.Assemble("t.s", sbrkDeltaSrc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A low text base keeps the seeds inside the fuzzed machine.
+	exe, err := link.Link(link.Config{TextAddr: 0x10000, DataAfterText: true}, []*aout.File{obj})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(exe.Encode())
+	f.Add(withHeapZone(exe, 0x8000).Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		exe, err := aout.Decode(data)
+		if err != nil {
+			return
+		}
+		m, err := New(exe, Config{MemSize: 1 << 20, MaxInstr: 10_000})
+		if err != nil {
+			return
+		}
+		_, _ = m.Run() // a fault is an error; only a panic fails
+	})
 }
 
 func TestNullPageFault(t *testing.T) {

@@ -80,7 +80,7 @@ func TestPublicIRAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("InstrumentProgram: %v", err)
 	}
-	out, err := atom.RunProgram(res.Exe, atom.RunConfig{AnalysisHeapOffset: res.HeapOffset})
+	out, err := atom.RunProgram(res.Exe, atom.RunConfig{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

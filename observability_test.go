@@ -178,7 +178,7 @@ func TestObservabilityCounters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("InstrumentCtx: %v", err)
 		}
-		m, err := vm.New(res.Exe, vm.Config{AnalysisHeapOffset: res.HeapOffset, Obs: ctx})
+		m, err := vm.New(res.Exe, vm.Config{Obs: ctx})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func TestFailSoftFlush(t *testing.T) {
 	}
 
 	// And the VM run of the surviving result still behaves.
-	m, err := vm.New(results[0].Exe, vm.Config{AnalysisHeapOffset: results[0].HeapOffset})
+	m, err := vm.New(results[0].Exe, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,9 @@ int main() {
 
 // runPlain runs exe on the per-instruction Step loop, which a tracer
 // selects: the reference RunProgram's superblock loop must match.
-func runPlain(t *testing.T, exe *atom.Executable, heapOff uint64) *atom.RunResult {
+func runPlain(t *testing.T, exe *atom.Executable) *atom.RunResult {
 	t.Helper()
-	m, err := vm.New(exe, vm.Config{AnalysisHeapOffset: heapOff, Trace: io.Discard})
+	m, err := vm.New(exe, vm.Config{Trace: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestVMModeDifferentialAllTools(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(t *testing.T, exe *atom.Executable, heapOff uint64) {
+	check := func(t *testing.T, exe *atom.Executable) {
 		t.Helper()
-		want := runPlain(t, exe, heapOff)
+		want := runPlain(t, exe)
 		inval := vm.Totals().SBInval
-		got, err := atom.RunProgram(exe, atom.RunConfig{AnalysisHeapOffset: heapOff})
+		got, err := atom.RunProgram(exe, atom.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestVMModeDifferentialAllTools(t *testing.T) {
 		}
 	}
 
-	t.Run("uninstrumented", func(t *testing.T) { check(t, app, 0) })
+	t.Run("uninstrumented", func(t *testing.T) { check(t, app) })
 	for _, tool := range atom.Tools() {
 		tool := tool
 		t.Run(tool.Name, func(t *testing.T) {
@@ -123,7 +123,7 @@ func TestVMModeDifferentialAllTools(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, res.Exe, res.HeapOffset)
+			check(t, res.Exe)
 		})
 	}
 }
@@ -141,9 +141,9 @@ func TestVMModeProfilerFoldedIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	folded := func(exe *atom.Executable, heapOff uint64, opts prof.Options, trace io.Writer) []byte {
+	folded := func(exe *atom.Executable, opts prof.Options, trace io.Writer) []byte {
 		t.Helper()
-		cfg := vm.Config{FS: map[string][]byte{}, AnalysisHeapOffset: heapOff, Trace: trace}
+		cfg := vm.Config{FS: map[string][]byte{}, Trace: trace}
 		opts.Period = 97 // prime, so samples land mid-block at varied offsets
 		p := prof.New(opts)
 		p.Attach(&cfg)
@@ -161,19 +161,19 @@ func TestVMModeProfilerFoldedIdentical(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	check := func(t *testing.T, exe *atom.Executable, heapOff uint64, opts prof.Options) {
+	check := func(t *testing.T, exe *atom.Executable, opts prof.Options) {
 		t.Helper()
-		want := folded(exe, heapOff, opts, io.Discard)
+		want := folded(exe, opts, io.Discard)
 		if len(want) == 0 {
 			t.Fatal("plain profile is empty; workload too small for the sampling period")
 		}
-		if got := folded(exe, heapOff, opts, nil); !bytes.Equal(got, want) {
+		if got := folded(exe, opts, nil); !bytes.Equal(got, want) {
 			t.Errorf("superblock folded profile diverges from plain:\n%s\n-- plain --\n%s", got, want)
 		}
 	}
 
 	t.Run("uninstrumented", func(t *testing.T) {
-		check(t, app, 0, prof.Options{Procs: prof.ProcsFromSymbols(app.Symbols)})
+		check(t, app, prof.Options{Procs: prof.ProcsFromSymbols(app.Symbols)})
 	})
 	for _, name := range []string{"branch", "cache"} {
 		t.Run(name, func(t *testing.T) {
@@ -185,7 +185,7 @@ func TestVMModeProfilerFoldedIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, res.Exe, res.HeapOffset, prof.Options{
+			check(t, res.Exe, prof.Options{
 				Procs: res.PCMap.OrigProcs(),
 				MapPC: res.PCMap.OldAddr,
 			})
