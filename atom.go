@@ -122,26 +122,26 @@ type StoreStats = build.StoreStats
 // dir, shared by every cache kind (tool images, compiled objects, the
 // runtime library): artifacts built by any process pointed at the same
 // directory are decoded from disk instead of rebuilt, so a warm second
-// process instruments with zero compiles or links. The store is
-// content-addressed and crash-safe (write-to-temp + atomic rename;
-// blobs are SHA-256-verified on read, and corrupt ones are quarantined
-// and silently rebuilt). maxBytes > 0 bounds the store via
-// least-recently-used eviction; <= 0 means unbounded. Call CloseCacheDir
-// when done. The library never reads ATOM_CACHE_DIR itself — only the
-// atom CLI does — so programmatic users opt in explicitly here.
-func WithCacheDir(dir string, maxBytes int64) error {
-	return build.SetCacheDir(nil, dir, maxBytes)
+// process instruments with zero compiles or links. The store is one
+// content-addressed blob file per artifact, crash-safe (write-to-temp +
+// atomic rename; blobs are SHA-256-verified on read, and corrupt ones
+// are deleted and silently rebuilt). Nothing bounds its size: delete the
+// directory to reclaim the space. The library never reads ATOM_CACHE_DIR
+// itself — only the atom CLI does — so programmatic users opt in
+// explicitly here.
+func WithCacheDir(dir string) error {
+	return build.SetCacheDir(nil, dir)
 }
 
 // CloseCacheDir retires the persistent store installed by WithCacheDir;
 // subsequent cache traffic is memory-only.
-func CloseCacheDir() error { return build.CloseStore() }
+func CloseCacheDir() { build.CloseStore() }
 
 // WithDebugAddr starts the embedded telemetry debug server on addr
 // (host:port; port 0 picks a free one) and returns the resolved listen
 // address. The server exposes the process-wide registry — Prometheus
 // text on /metrics (cache/store/VM/profiler activity, including the
-// lazily-polled store residency and VM total gauges), a streaming
+// lazily-polled VM total gauges), a streaming
 // NDJSON event feed on /debug/events, net/http/pprof under
 // /debug/pprof/, and a /healthz liveness probe. It is the same server
 // `atom -debug-addr` runs, so the curl recipes in the README apply

@@ -77,15 +77,12 @@ func BenchmarkInstrumentSuite(b *testing.B) {
 // instead of rebuilt. Compare with perfbench's tool_build_ms (a cold
 // image build) and instrument_ms (everything in memory).
 func BenchmarkInstrumentDiskWarm(b *testing.B) {
-	ds, err := build.OpenDiskStore(nil, b.TempDir(), 0)
+	ds, err := build.OpenDiskStore(nil, b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
 	prev := build.SwapStore(ds)
-	defer func() {
-		build.SwapStore(prev)
-		ds.Close()
-	}()
+	defer build.SwapStore(prev)
 
 	exe, err := spec.Build("eqntott")
 	if err != nil {

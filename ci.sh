@@ -3,8 +3,9 @@
 # formatting, vet, the atomvet lint, build, race-enabled tests, vet and
 # tests of the nested perfbench module, a one-iteration smoke of the Go
 # benchmarks (ablations, parallel and disk-warm instrumentation, substrate
-# costs) so they cannot rot silently, and a short fuzz smoke of the
-# on-disk decoders. The end-to-end CLI gates — trace, profile, vet,
+# costs) so they cannot rot silently, and a short fuzz smoke of every
+# on-disk decoder: the executable reader, the blob-file reader and each
+# store codec. The end-to-end CLI gates — trace, profile, vet,
 # inline, persistence, telemetry and analyze — are Go tests
 # (cmd/atom/e2e_test.go, examples_test.go) that the test runs execute.
 set -eux
@@ -39,15 +40,22 @@ go test -race ./...
 go test -bench=. -benchtime=1x -run='^$' ./...
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing on each decoder
-# of bytes read back from disk — the executable reader (aout.FuzzDecode)
-# and the tool-image codec (FuzzImageDecode) — beyond their committed
-# seeds, on the loader and machine over any executable the reader
-# accepts (vm.FuzzNew: New and Run fail, never panic), on the superblock
-# loop against the Step loop over generated programs
+# of bytes read back from disk — the executable reader (aout.FuzzDecode),
+# the cache directory's blob-file reader (build.FuzzVerifyBlobFile) and
+# the store codecs: tool images (FuzzImageDecode), the runtime library
+# (FuzzRuntimeDecode), compiled object sets (FuzzObjectsDecode) and
+# linked executables (FuzzExeDecode) — beyond their committed seeds, on
+# the loader and machine over any executable the reader accepts
+# (vm.FuzzNew: New and Run fail, never panic), on the superblock loop
+# against the Step loop over generated programs
 # (vm.FuzzSuperblockVsStep), and on the layout's slot tables under
 # fuzzed splices (om.FuzzLayout).
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/aout
 go test -run='^$' -fuzz='^FuzzNew$' -fuzztime=5s ./internal/vm
+go test -run='^$' -fuzz='^FuzzVerifyBlobFile$' -fuzztime=5s ./internal/build
 go test -run='^$' -fuzz='^FuzzImageDecode$' -fuzztime=5s ./internal/core
+go test -run='^$' -fuzz='^FuzzRuntimeDecode$' -fuzztime=5s ./internal/rtl
+go test -run='^$' -fuzz='^FuzzObjectsDecode$' -fuzztime=5s ./internal/rtl
+go test -run='^$' -fuzz='^FuzzExeDecode$' -fuzztime=5s ./internal/rtl
 go test -run='^$' -fuzz='^FuzzSuperblockVsStep$' -fuzztime=5s ./internal/vm
 go test -run='^$' -fuzz='^FuzzLayout$' -fuzztime=5s ./internal/om

@@ -311,7 +311,7 @@ func TestToolGates(t *testing.T) {
 // TestPersistenceGate: two processes sharing one -cache-dir. The second
 // instruments with zero builds in every cache, the tool image served
 // from disk, and byte-identical output. Then every blob
-// is truncated in place: a third run quarantines what it reads, rebuilds
+// is truncated in place: a third run deletes what it reads, rebuilds
 // silently (exit 0) and still writes identical output.
 func TestPersistenceGate(t *testing.T) {
 	dir := programs(t).stage(t, "smoke.x")

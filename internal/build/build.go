@@ -6,12 +6,14 @@
 // (sources, options, toolchain version) and rebuilt only when any input
 // changes.
 //
-// Each Cache layers decoded in-memory values over the process-wide Store
-// (see store.go): a lookup tries memory, then — for kinds with a Codec —
-// the store, and only then runs the build, populating both on the way
-// out. With a persistent DiskStore configured, a second process against
-// the same cache directory serves every artifact from disk and builds
-// nothing.
+// Each Cache keeps decoded values in memory. A kind with a Codec also
+// layers over the process-wide DiskStore (see store.go), when one is
+// configured: a lookup tries memory, then the blob file for its key, and
+// only then runs the build, writing both on the way out. A second
+// process against the same cache directory therefore serves every
+// artifact from disk and builds nothing. The directory holds one
+// verified blob file per key and is never pruned; delete it to reclaim
+// the space.
 //
 // The cache is safe for concurrent use and deduplicates in-flight builds
 // (singleflight) across ALL Cache instances: keys are full content
@@ -117,7 +119,7 @@ type Stats struct {
 }
 
 // Cache is a concurrent, singleflight, content-addressed artifact cache:
-// decoded values in memory, layered over the process-wide Store for
+// decoded values in memory, layered over the process-wide DiskStore for
 // kinds that have a Codec.
 type Cache struct {
 	kind  string // names the store.<kind>.* counters
@@ -135,8 +137,7 @@ type Cache struct {
 
 // The cross-instance singleflight table: one in-flight build per key,
 // process-wide. Keys embed their kind, so flights of different caches
-// can never alias; flights of twin caches over one store dedup exactly
-// as the store semantics require.
+// can never alias, and twin caches of one kind share their flights.
 var (
 	flightMu sync.Mutex
 	flights  = map[Key]*flight{}
@@ -150,7 +151,7 @@ type flight struct {
 
 // NewCache returns an empty cache for one artifact kind. The kind names
 // the cache's store.<kind>.* counters; codec, if non-nil, gives the
-// artifact a wire form so it persists through the configured Store.
+// artifact a wire form so it persists through the configured DiskStore.
 func NewCache(kind string, codec Codec) *Cache {
 	return &Cache{kind: kind, codec: codec}
 }
@@ -227,7 +228,7 @@ func (c *Cache) GetCtx(ctx *obs.Ctx, what string, key Key, build func(*obs.Ctx) 
 	// and decodes the blob instead of building.
 	if c.codec != nil {
 		if s := ActiveStore(); s != nil {
-			if blob, ok, _ := s.Get(bctx, key); ok {
+			if blob, ok := s.Get(bctx, key); ok {
 				if v, err := c.codec.Unmarshal(blob); err == nil {
 					c.frontPut(key, v)
 					f.val = v
@@ -238,7 +239,7 @@ func (c *Cache) GetCtx(ctx *obs.Ctx, what string, key Key, build func(*obs.Ctx) 
 					return v, nil
 				}
 				// Undecodable blob (a codec from another era): fall
-				// through to a rebuild; the Put below replaces it.
+				// through to a rebuild; the Put below overwrites it.
 			}
 		}
 	}
@@ -313,12 +314,11 @@ func (c *Cache) Len() int {
 	return len(c.front)
 }
 
-// Reset drops cached state and zeroes the counters. ScopeMemory clears
-// the decoded values only — what a fresh process sees against a warm
-// cache directory; ScopeAll also clears the process-wide store (all
-// kinds: the store is shared). Intended for tests and cold-start
-// benchmarks; in-flight builds complete but are not re-registered.
-func (c *Cache) Reset(scope Scope) {
+// Reset drops the decoded values and zeroes the counters: what a fresh
+// process sees against the same cache directory, whose blobs survive.
+// Intended for tests and cold-start benchmarks; in-flight builds
+// complete but are not re-registered.
+func (c *Cache) Reset() {
 	c.mu.Lock()
 	c.front = nil
 	c.mu.Unlock()
@@ -327,11 +327,6 @@ func (c *Cache) Reset(scope Scope) {
 	c.misses.Store(0)
 	c.builds.Store(0)
 	c.errs.Store(0)
-	if scope == ScopeAll {
-		if s := ActiveStore(); s != nil {
-			s.Clear()
-		}
-	}
 }
 
 // Memo is the typed convenience wrapper over Get.

@@ -116,7 +116,7 @@ func TestCacheReset(t *testing.T) {
 	n := 0
 	build := func() (int, error) { n++; return n, nil }
 	Memo(c, k, build)
-	c.Reset(ScopeMemory)
+	c.Reset()
 	v, _ := Memo(c, k, build)
 	if v != 2 {
 		t.Fatalf("after Reset got %d, want rebuild (2)", v)

@@ -7,7 +7,7 @@ import (
 )
 
 // Codec converts a cache's decoded artifact to and from a byte-stable
-// blob, the precondition for persisting it through a Store. A Cache with
+// blob, the precondition for persisting it through a DiskStore. A Cache with
 // a nil codec is memory-only: its artifacts (closures, handles to live
 // state) have no wire form, and they transparently skip the disk layer.
 //

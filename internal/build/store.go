@@ -1,139 +1,188 @@
 package build
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
 	"atom/internal/obs"
 )
 
-// Store is a content-addressed blob store: the persistence seam under the
-// artifact caches. A Cache keeps decoded values in memory and, when it
-// has a Codec for its kind, mirrors the encoded bytes through the
-// process-wide store configured with SetCacheDir/SwapStore. Keys are full
-// content addresses (kind + toolchain version + inputs), so one store can
-// safely hold blobs of every kind.
+// DiskStore is the persistent artifact store: one content-addressed blob
+// file per key under a cache directory, shared by every process pointed
+// at the same directory. A Cache with a Codec mirrors its encoded
+// artifacts through the process-wide DiskStore configured with
+// SetCacheDir. Keys are full content addresses (kind + toolchain version
+// + inputs), so one directory safely holds blobs of every kind.
 //
-// Implementations must be safe for concurrent use. Get returns
-// (nil, false, nil) for absent blobs; an error means the store itself
-// failed, not that the blob is missing.
-type Store interface {
-	Get(ctx *obs.Ctx, key Key) ([]byte, bool, error)
-	Put(ctx *obs.Ctx, key Key, blob []byte) error
-	Has(key Key) bool
-	Clear() error
-	Stats() StoreStats
-	Close() error
+// On-disk layout:
+//
+//	<dir>/objects/ab/cdef…   blob files, sharded by the first key byte
+//	<dir>/tmp/               in-flight writes (swept at open)
+//
+// Each blob file is an 8-byte magic, the SHA-256 of the payload, then the
+// payload. Put writes the file in tmp/, fsyncs, and atomically renames it
+// into objects/, so a crash at any point leaves the old file or the new
+// one — never a visible partial blob. Get re-verifies the payload digest;
+// a file that fails (bit flip, truncation) is deleted and reported as a
+// miss, so the caller silently rebuilds and re-puts. The file system is
+// the only index, and nothing bounds the directory's size: delete it to
+// reclaim the space.
+//
+// A DiskStore is safe for concurrent use, within and across processes.
+type DiskStore struct {
+	dir string
+
+	hits, misses, puts, corrupt atomic.Uint64
 }
 
 // StoreStats is a snapshot of store activity since open.
 type StoreStats struct {
-	Hits    uint64 // Gets that returned a blob
-	Misses  uint64 // Gets for absent blobs
+	Hits    uint64 // Gets that returned a verified blob
+	Misses  uint64 // Gets for absent or corrupt blobs
 	Puts    uint64 // blobs written
-	Corrupt uint64 // blobs that failed verification and were quarantined
-	Adopted uint64 // blobs written by a concurrent process and picked up on Get
-	Evicted uint64 // blobs removed by the size-bounded prune
-	Blobs   int    // blobs currently resident
-	Bytes   int64  // approximate resident size (blob files, with headers)
+	Corrupt uint64 // blobs that failed verification and were deleted
 }
 
-// Scope selects how much cached state a Reset clears.
+// Scope is vestigial: a Reset only ever drops the in-memory layer, and
+// the store is cleared by deleting its directory. The type and its one
+// value remain because perfbench passes build.ScopeMemory to the cache
+// reset functions (ROADMAP item 9 removes them with ResetIRCache).
 type Scope int
 
-const (
-	// ScopeMemory clears in-memory decoded values and counters only;
-	// blobs in a configured persistent store survive. This is what a
-	// fresh process looks like against a warm cache directory.
-	ScopeMemory Scope = iota
-	// ScopeAll additionally clears the configured shared store. Because
-	// every artifact kind shares one store, this empties the whole
-	// store, not just the resetting cache's kind.
-	ScopeAll
-)
+// ScopeMemory is the only Scope.
+const ScopeMemory Scope = 0
 
-// MemStore is the in-memory Store: a mutex-guarded blob map. It backs
-// tests and callers that want store semantics without a cache directory.
-// Blobs are copied on Put and Get, so callers can never alias the
-// store's buffers.
-type MemStore struct {
-	mu    sync.Mutex
-	blobs map[Key][]byte
-	bytes int64
+// blobMagic begins every blob file; it versions the header layout.
+const blobMagic = "atomblb1"
 
-	hits, misses, puts atomic.Uint64
+// blobHeaderSize is the magic plus the payload SHA-256.
+const blobHeaderSize = len(blobMagic) + sha256.Size
+
+// OpenDiskStore opens (creating if needed) a DiskStore rooted at dir and
+// removes temp files left by writers that crashed before their rename.
+func OpenDiskStore(ctx *obs.Ctx, dir string) (*DiskStore, error) {
+	_, sp := ctx.Start("store.open", obs.String("dir", dir))
+	defer sp.End()
+
+	for _, sub := range []string{"objects", "tmp"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o777); err != nil {
+			return nil, fmt.Errorf("diskstore: %w", err)
+		}
+	}
+	// A temp file is an in-flight write that never reached its atomic
+	// rename: invisible to readers, safe to discard.
+	if ents, err := os.ReadDir(filepath.Join(dir, "tmp")); err == nil {
+		for _, e := range ents {
+			os.Remove(filepath.Join(dir, "tmp", e.Name()))
+		}
+	}
+	return &DiskStore{dir: dir}, nil
 }
 
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{} }
-
-// Get returns a copy of the blob for key, if present.
-func (s *MemStore) Get(ctx *obs.Ctx, key Key) ([]byte, bool, error) {
-	s.mu.Lock()
-	blob, ok := s.blobs[key]
-	s.mu.Unlock()
-	if !ok {
-		s.misses.Add(1)
-		ctx.Count("store.mem.miss", 1)
-		return nil, false, nil
-	}
-	s.hits.Add(1)
-	ctx.Count("store.mem.hit", 1)
-	return append([]byte(nil), blob...), true, nil
+// blobPath returns the sharded object path for key.
+func (s *DiskStore) blobPath(key Key) string {
+	h := key.String()
+	return filepath.Join(s.dir, "objects", h[:2], h[2:])
 }
 
-// Put stores a copy of blob under key. Re-putting an existing key is a
-// no-op: content addressing makes the bytes identical by construction.
-func (s *MemStore) Put(ctx *obs.Ctx, key Key, blob []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.blobs[key]; ok {
-		return nil
+// Get returns the verified payload for key. An absent blob is a miss; a
+// corrupt one is deleted, counted as store.disk.corrupt and reported as a
+// miss, so the caller rebuilds.
+func (s *DiskStore) Get(ctx *obs.Ctx, key Key) ([]byte, bool) {
+	_, sp := ctx.Start("store.get", obs.String("key", key.Short()))
+	defer sp.End()
+
+	path := s.blobPath(key)
+	data, err := os.ReadFile(path)
+	outcome := "miss"
+	if err == nil {
+		payload, verr := verifyBlobFile(data)
+		if verr == nil {
+			s.hits.Add(1)
+			ctx.Count("store.disk.hit", 1)
+			sp.SetAttr(obs.String("outcome", "hit"), obs.Int("bytes", int64(len(payload))))
+			return payload, true
+		}
+		os.Remove(path)
+		s.corrupt.Add(1)
+		ctx.Count("store.disk.corrupt", 1)
+		outcome = "corrupt"
 	}
-	if s.blobs == nil {
-		s.blobs = map[Key][]byte{}
+	s.misses.Add(1)
+	ctx.Count("store.disk.miss", 1)
+	sp.SetAttr(obs.String("outcome", outcome))
+	return nil, false
+}
+
+// verifyBlobFile checks the magic and payload digest of a raw blob file
+// and returns the payload.
+func verifyBlobFile(data []byte) ([]byte, error) {
+	if len(data) < blobHeaderSize || string(data[:len(blobMagic)]) != blobMagic {
+		return nil, fmt.Errorf("diskstore: bad blob header")
 	}
-	s.blobs[key] = append([]byte(nil), blob...)
-	s.bytes += int64(len(blob))
+	payload := data[blobHeaderSize:]
+	sum := sha256.Sum256(payload)
+	if string(sum[:]) != string(data[len(blobMagic):blobHeaderSize]) {
+		return nil, fmt.Errorf("diskstore: blob digest mismatch")
+	}
+	return payload, nil
+}
+
+// Put writes blob under key via write-to-temp, fsync, atomic rename. It
+// always writes, replacing any file already there: the caller puts only
+// after a build, and a build runs only when the existing blob (if any)
+// could not be served.
+func (s *DiskStore) Put(ctx *obs.Ctx, key Key, blob []byte) error {
+	_, sp := ctx.Start("store.put",
+		obs.String("key", key.Short()), obs.Int("bytes", int64(len(blob))))
+	defer sp.End()
+
+	sum := sha256.Sum256(blob)
+	data := make([]byte, 0, blobHeaderSize+len(blob))
+	data = append(data, blobMagic...)
+	data = append(data, sum[:]...)
+	data = append(data, blob...)
+
+	tmp, err := os.CreateTemp(filepath.Join(s.dir, "tmp"), "blob-*")
+	if err != nil {
+		return fmt.Errorf("diskstore: %w", err)
+	}
+	tmpName := tmp.Name()
+	if _, err = tmp.Write(data); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	path := s.blobPath(key)
+	if err == nil {
+		err = os.MkdirAll(filepath.Dir(path), 0o777)
+	}
+	if err == nil {
+		err = os.Rename(tmpName, path)
+	}
+	if err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("diskstore: %w", err)
+	}
 	s.puts.Add(1)
-	ctx.Count("store.mem.put", 1)
-	return nil
-}
-
-// Has reports whether key is present.
-func (s *MemStore) Has(key Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.blobs[key]
-	return ok
-}
-
-// Clear drops every blob. Counters are kept (they count activity, not
-// contents).
-func (s *MemStore) Clear() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blobs = nil
-	s.bytes = 0
+	ctx.Count("store.disk.put", 1)
 	return nil
 }
 
 // Stats returns a snapshot of the counters.
-func (s *MemStore) Stats() StoreStats {
-	s.mu.Lock()
-	blobs, bytes := len(s.blobs), s.bytes
-	s.mu.Unlock()
+func (s *DiskStore) Stats() StoreStats {
 	return StoreStats{
-		Hits:   s.hits.Load(),
-		Misses: s.misses.Load(),
-		Puts:   s.puts.Load(),
-		Blobs:  blobs,
-		Bytes:  bytes,
+		Hits:    s.hits.Load(),
+		Misses:  s.misses.Load(),
+		Puts:    s.puts.Load(),
+		Corrupt: s.corrupt.Load(),
 	}
 }
-
-// Close is a no-op for the in-memory store.
-func (s *MemStore) Close() error { return nil }
 
 // The process-wide store every codec-equipped Cache layers over. nil (the
 // default) means memory-only: nothing in this package ever reads
@@ -142,21 +191,20 @@ func (s *MemStore) Close() error { return nil }
 // poisoned by a developer's environment.
 var (
 	storeMu     sync.Mutex
-	activeStore Store
+	activeStore *DiskStore
 )
 
 // ActiveStore returns the configured process-wide store, or nil.
-func ActiveStore() Store {
+func ActiveStore() *DiskStore {
 	storeMu.Lock()
 	defer storeMu.Unlock()
 	return activeStore
 }
 
 // SwapStore installs s as the process-wide store and returns the previous
-// one (which the caller now owns — Close it if it should be retired).
-// Tests and benchmarks use the swap-in/swap-out pattern to measure
+// one. Tests and benchmarks use the swap-in/swap-out pattern to measure
 // disk-warm paths without leaking state.
-func SwapStore(s Store) Store {
+func SwapStore(s *DiskStore) *DiskStore {
 	storeMu.Lock()
 	defer storeMu.Unlock()
 	prev := activeStore
@@ -164,27 +212,18 @@ func SwapStore(s Store) Store {
 	return prev
 }
 
-// SetCacheDir opens (creating if needed) a persistent DiskStore rooted at
-// dir and installs it as the process-wide store, closing any previous
-// one. maxBytes > 0 bounds the store: Puts that push the resident size
-// over the bound evict least-recently-used blobs. maxBytes <= 0 means
-// unbounded.
-func SetCacheDir(ctx *obs.Ctx, dir string, maxBytes int64) error {
-	s, err := OpenDiskStore(ctx, dir, maxBytes)
+// SetCacheDir opens (creating if needed) a DiskStore rooted at dir and
+// installs it as the process-wide store.
+func SetCacheDir(ctx *obs.Ctx, dir string) error {
+	s, err := OpenDiskStore(ctx, dir)
 	if err != nil {
 		return err
 	}
-	if prev := SwapStore(s); prev != nil {
-		prev.Close()
-	}
+	SwapStore(s)
 	return nil
 }
 
-// CloseStore retires the process-wide store, if any, and returns its
-// Close error. Subsequent cache traffic is memory-only.
-func CloseStore() error {
-	if s := SwapStore(nil); s != nil {
-		return s.Close()
-	}
-	return nil
-}
+// CloseStore uninstalls the process-wide store, if any. Subsequent cache
+// traffic is memory-only. A DiskStore holds no open files, so there is
+// nothing to flush.
+func CloseStore() { SwapStore(nil) }

@@ -10,22 +10,18 @@ import (
 	"atom/internal/om"
 )
 
-// Wire formats for the core caches, so tool images and probe apps
-// persist through the process-wide build.Store. A ToolImage is the
-// linked aout image (which has its own versioned encoding) plus the
-// procedure tables, site save sets (v2) and inline templates the
-// apply phase consults; all of
-// it is byte-stable, EXCEPT the tool identity — the Tool value carries
-// the user's Go instrumentation closure, which has no wire form. The
-// codec therefore encodes everything but the tool, and toolImageFor
-// re-attaches tool and key on a private copy after a disk hit (the key
-// already proves the sources and options match). The version strings are
-// mixed into the cache keys, so a format change can never decode an old
-// blob.
-const (
-	imageCodecVersion = "atom-img/v2\n"
-	probeCodecVersion = "atom-probe/v1\n"
-)
+// Wire format for the tool-image cache, so tool images persist through
+// the process-wide build.DiskStore (the probe app uses rtl.ExeCodec). A
+// ToolImage is the linked aout image (which has its own versioned
+// encoding) plus the procedure tables, site save sets (v2) and inline
+// templates the apply phase consults; all of it is byte-stable, EXCEPT
+// the tool identity — the Tool value carries the user's Go
+// instrumentation closure, which has no wire form. The codec therefore
+// encodes everything but the tool, and toolImageFor re-attaches tool and
+// key on a private copy after a disk hit (the key already proves the
+// sources and options match). The version string is mixed into the cache
+// key, so a format change can never decode an old blob.
+const imageCodecVersion = "atom-img/v2\n"
 
 // imageCodec serializes a *ToolImage minus its tool identity.
 type imageCodec struct{}
@@ -178,26 +174,4 @@ func decodeNameSet(d *build.Dec) map[string]bool {
 		set[d.Str()] = true
 	}
 	return set
-}
-
-// probeCodec serializes the tiny probe application (*aout.File).
-type probeCodec struct{}
-
-func (probeCodec) Marshal(v any) ([]byte, error) {
-	f, ok := v.(*aout.File)
-	if !ok {
-		return nil, fmt.Errorf("atom: probeCodec: unexpected %T", v)
-	}
-	e := build.NewEnc(probeCodecVersion)
-	e.Blob(f.Encode())
-	return e.Bytes(), nil
-}
-
-func (probeCodec) Unmarshal(blob []byte) (any, error) {
-	d := build.NewDec(blob, probeCodecVersion)
-	raw := d.Blob()
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return aout.Decode(raw)
 }

@@ -23,15 +23,12 @@ func dropMemoryLayers() {
 // nothing, serve the tool image from disk, and produce a byte-identical
 // executable.
 func TestInstrumentWarmFromDiskStore(t *testing.T) {
-	ds, err := build.OpenDiskStore(nil, t.TempDir(), 0)
+	ds, err := build.OpenDiskStore(nil, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := build.SwapStore(ds)
-	defer func() {
-		build.SwapStore(prev)
-		ds.Close()
-	}()
+	defer build.SwapStore(prev)
 
 	dropMemoryLayers()
 	tool := branchCountTool()

@@ -76,10 +76,11 @@ var imageCache = build.NewCache("image", imageCodec{})
 // misses, builds, errors) since the last reset.
 func ImageCacheStats() build.Stats { return imageCache.Stats() }
 
-// ResetImageCache drops cached tool images per scope and zeroes the
-// counters. Tests and cold-start benchmarks use it; production callers
-// never need to.
-func ResetImageCache(scope build.Scope) { imageCache.Reset(scope) }
+// ResetImageCache drops the in-memory tool images and zeroes the
+// counters; a configured store keeps its blobs. Tests and cold-start
+// benchmarks use it; production callers never need to. The Scope
+// argument is ignored (see build.Scope).
+func ResetImageCache(build.Scope) { imageCache.Reset() }
 
 // calledTargets returns the sorted set of analysis procedures the plan
 // actually calls.
@@ -172,7 +173,7 @@ func toolImageFor(ctx *obs.Ctx, tool Tool, opts Options, q *Instrumentation) (*T
 
 // probeCache holds the tiny probe application BuildToolImage runs a
 // tool's instrumentation routine against to learn its prototypes.
-var probeCache = build.NewCache("probe", probeCodec{})
+var probeCache = build.NewCache("probe", rtl.ExeCodec{})
 
 // BuildToolImage compiles and links a tool's analysis image without an
 // application in hand — the explicit form of the paper's first step
@@ -192,7 +193,7 @@ func BuildToolImageCtx(ctx *obs.Ctx, tool Tool, opts Options) (*ToolImage, error
 		return nil, fmt.Errorf("atom: tool %q has no instrumentation routine", tool.Name)
 	}
 	probe, err := build.MemoCtx(ctx, probeCache, "probe-app",
-		build.NewKey("probe-app").String(probeCodecVersion).Sum(),
+		build.NewKey("probe-app").String(rtl.ExeCodecVersion).Sum(),
 		func(bctx *obs.Ctx) (*aout.File, error) {
 			return rtl.BuildProgramCtx(bctx, "atom$probe.c", "int main() { return 0; }")
 		})

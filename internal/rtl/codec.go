@@ -10,16 +10,52 @@ import (
 )
 
 // Wire formats for the rtl caches, so compiled objects and the runtime
-// library persist through the process-wide build.Store: a warm process
-// against a populated cache directory compiles and assembles nothing.
-// Both formats lean on aout's own versioned Encode/Decode for the object
-// files and wrap them in the length-prefixed container from
-// internal/build. The version strings are mixed into the cache keys, so
-// a format change can never decode an old blob.
+// library persist through the process-wide build.DiskStore: a warm
+// process against a populated cache directory compiles and assembles
+// nothing. ExeCodec does the same for one linked executable, for the
+// packages that cache programs built here. Every format leans on aout's
+// own versioned Encode/Decode for the files and wraps them in the
+// length-prefixed container from internal/build. The version strings are
+// mixed into the cache keys, so a format change can never decode an old
+// blob.
 const (
 	objectsCodecVersion = "atom-objs/v1\n"
 	runtimeCodecVersion = "atom-rtl/v1\n"
+
+	// ExeCodecVersion versions ExeCodec's format. Callers mix it into
+	// the keys of the caches they give an ExeCodec.
+	ExeCodecVersion = "atom-exe/v1\n"
 )
+
+// ExeCodec serializes one linked executable (*aout.File): the suite
+// programs and the probe application a tool image is planned against.
+type ExeCodec struct{}
+
+// Marshal encodes an *aout.File.
+func (ExeCodec) Marshal(v any) ([]byte, error) {
+	f, ok := v.(*aout.File)
+	if !ok {
+		return nil, fmt.Errorf("rtl: ExeCodec: unexpected %T", v)
+	}
+	e := build.NewEnc(ExeCodecVersion)
+	e.Blob(f.Encode())
+	return e.Bytes(), nil
+}
+
+// Unmarshal decodes a blob written by Marshal.
+func (ExeCodec) Unmarshal(blob []byte) (any, error) {
+	d := build.NewDec(blob, ExeCodecVersion)
+	raw := d.Blob()
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	f, err := aout.Decode(raw)
+	if err != nil {
+		// Not aout.Decode's typed nil: a rejected blob carries no value.
+		return nil, err
+	}
+	return f, nil
+}
 
 // objectsCodec serializes a compiled object set ([]*aout.File).
 type objectsCodec struct{}

@@ -4,11 +4,9 @@ package rtl
 // clear the memoized runtime, so rtl_test can prove a failed build is
 // retried rather than latched.
 
-import "atom/internal/build"
-
 // SetBuildFault installs (or, with nil, removes) a fault consulted at
 // the start of every runtime build.
 func SetBuildFault(f func() error) { buildFault = f }
 
 // ResetRuntimeCache drops the memoized runtime library build.
-func ResetRuntimeCache(scope build.Scope) { rtCache.Reset(scope) }
+func ResetRuntimeCache() { rtCache.Reset() }

@@ -13,7 +13,7 @@ import (
 // must not be latched (the sync.Once this replaced returned the first
 // error forever). A later call retries and succeeds.
 func TestRuntimeBuildRetriesAfterFailure(t *testing.T) {
-	rtl.ResetRuntimeCache(build.ScopeMemory)
+	rtl.ResetRuntimeCache()
 	boom := errors.New("transient build failure")
 	rtl.SetBuildFault(func() error { return boom })
 	defer rtl.SetBuildFault(nil)

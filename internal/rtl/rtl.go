@@ -215,10 +215,11 @@ func BuildObjectsCtx(ctx *obs.Ctx, srcs map[string]string) ([]*aout.File, error)
 // ObjectCacheStats reports compiled-object cache activity.
 func ObjectCacheStats() build.Stats { return objCache.Stats() }
 
-// ResetObjectCache drops the compiled-object cache per scope (not the
-// runtime library, whose build is part of process setup, not of any
-// tool). Used by tests and cold-start benchmarks.
-func ResetObjectCache(scope build.Scope) { objCache.Reset(scope) }
+// ResetObjectCache drops the in-memory compiled objects (not the runtime
+// library, whose build is part of process setup, not of any tool); a
+// configured store keeps its blobs. Used by tests and cold-start
+// benchmarks. The Scope argument is ignored (see build.Scope).
+func ResetObjectCache(build.Scope) { objCache.Reset() }
 
 // BuildProgram compiles a single-file MiniC program and links it (with
 // crt0 and the runtime library) into an executable.

@@ -47,33 +47,9 @@ func ByName(name string) (Program, bool) {
 	return Program{}, false
 }
 
-// exeCodecVersion versions the wire form of a built suite program (a
-// length-prefixed aout encode), so executables persist through the
-// process-wide build.Store alongside the other artifact kinds.
-const exeCodecVersion = "atom-exe/v1\n"
-
-type exeCodec struct{}
-
-func (exeCodec) Marshal(v any) ([]byte, error) {
-	f, ok := v.(*aout.File)
-	if !ok {
-		return nil, fmt.Errorf("spec: exeCodec: unexpected %T", v)
-	}
-	e := build.NewEnc(exeCodecVersion)
-	e.Blob(f.Encode())
-	return e.Bytes(), nil
-}
-
-func (exeCodec) Unmarshal(blob []byte) (any, error) {
-	d := build.NewDec(blob, exeCodecVersion)
-	raw := d.Blob()
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return aout.Decode(raw)
-}
-
-var buildCache = build.NewCache("spec", exeCodec{})
+// buildCache holds the built suite programs; they persist through the
+// process-wide build.DiskStore alongside the other artifact kinds.
+var buildCache = build.NewCache("spec", rtl.ExeCodec{})
 
 // Build compiles and links a suite program, memoizing the result by the
 // program's source content. Concurrent callers of the same program share
@@ -89,7 +65,7 @@ func BuildCtx(ctx *obs.Ctx, name string) (*aout.File, error) {
 	if !ok {
 		return nil, fmt.Errorf("spec: unknown program %q", name)
 	}
-	key := build.NewKey("spec-program").String(exeCodecVersion).String(p.Name).String(p.Src).Sum()
+	key := build.NewKey("spec-program").String(rtl.ExeCodecVersion).String(p.Name).String(p.Src).Sum()
 	exe, err := build.MemoCtx(ctx, buildCache, "spec-program", key, func(bctx *obs.Ctx) (*aout.File, error) {
 		sctx, sp := bctx.Start("spec.build", obs.String("program", p.Name))
 		defer sp.End()

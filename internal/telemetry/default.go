@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"atom/internal/build"
 	"atom/internal/obs"
 	"atom/internal/prof"
 	"atom/internal/vm"
@@ -45,26 +44,12 @@ func initDefault() {
 }
 
 // RegisterProcessGauges installs the standard lazily-polled gauges on a
-// registry: the persistent store's residency and integrity stats (zero
-// when no -cache-dir store is configured) and the process-wide VM and
-// profiler totals. Every gauge reads a live source at scrape time, so
-// mid-run scrapes see current values without any event plumbing.
+// registry: the process-wide VM and profiler totals. Every gauge reads a
+// live source at scrape time, so mid-run scrapes see current values
+// without any event plumbing. (The persistent store has no gauges: its
+// store.disk.{hit,miss,put,corrupt} counters reach /metrics through the
+// registry sink.)
 func RegisterProcessGauges(r *Registry) {
-	storeStat := func(pick func(build.StoreStats) int64) func() int64 {
-		return func() int64 {
-			s := build.ActiveStore()
-			if s == nil {
-				return 0
-			}
-			return pick(s.Stats())
-		}
-	}
-	r.SetGauge("store.disk.bytes", storeStat(func(s build.StoreStats) int64 { return s.Bytes }))
-	r.SetGauge("store.disk.blobs", storeStat(func(s build.StoreStats) int64 { return int64(s.Blobs) }))
-	r.SetGauge("store.disk.quarantined", storeStat(func(s build.StoreStats) int64 { return int64(s.Corrupt) }))
-	r.SetGauge("store.disk.adopted", storeStat(func(s build.StoreStats) int64 { return int64(s.Adopted) }))
-	r.SetGauge("store.disk.evicted", storeStat(func(s build.StoreStats) int64 { return int64(s.Evicted) }))
-
 	r.SetGauge("vm.total.runs", func() int64 { return int64(vm.Totals().Runs) })
 	r.SetGauge("vm.total.icount", func() int64 { return int64(vm.Totals().Icount) })
 	r.SetGauge("vm.total.loads", func() int64 { return int64(vm.Totals().Loads) })

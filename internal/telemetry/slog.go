@@ -39,8 +39,8 @@ func ParseLevel(s string) (slog.Level, error) {
 
 // LogSink adapts an obs context to structured logging: one record per
 // span end (debug level — the full firehose), promoted to info for
-// cache misses and disk hits and to warn for blob quarantines, which
-// used to be silent. Attach it to obs.New beside the other sinks; the
+// cache misses and disk hits and to warn for corrupt blobs the store
+// deleted, which used to be silent. Attach it to obs.New beside the other sinks; the
 // handler's level filtering keeps the disabled records cheap.
 type LogSink struct {
 	L *slog.Logger
@@ -60,7 +60,7 @@ func (s *LogSink) SpanEnd(sd obs.SpanData) {
 	}
 	switch {
 	case sd.Name == "store.get" && outcome == "corrupt":
-		s.L.Warn("blob quarantined", attrs...)
+		s.L.Warn("corrupt blob deleted", attrs...)
 	case sd.Name == "cache.get" && outcome == "miss":
 		s.L.Info("cache miss", attrs...)
 	case sd.Name == "cache.get" && outcome == "disk":

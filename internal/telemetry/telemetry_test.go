@@ -265,7 +265,7 @@ func TestDefaultServerLifecycle(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"atom_store_disk_bytes", "atom_vm_total_runs", "atom_prof_total_samples"} {
+	for _, want := range []string{"atom_vm_total_runs", "atom_prof_total_samples"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("default /metrics missing gauge %s", want)
 		}
@@ -320,7 +320,7 @@ func TestLogSinkLevels(t *testing.T) {
 		{"INFO", "cache miss"},
 		{"INFO", "cache disk hit"},
 		{"ERROR", "cache build failed"},
-		{"WARN", "blob quarantined"},
+		{"WARN", "corrupt blob deleted"},
 		{"DEBUG", "span end"},
 	}
 	if len(recs) != len(want) {
