@@ -58,6 +58,7 @@ func BenchmarkInstrumentSuite(b *testing.B) {
 	if _, err := core.BuildToolImage(tool, core.Options{}); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := atom.InstrumentSuite(apps, tool, core.Options{}, 0); err != nil {

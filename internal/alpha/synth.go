@@ -43,8 +43,9 @@ func FitsHiLo(v int64) bool {
 	return int64(hi)<<16+int64(lo) == v
 }
 
-// MaterializeImm returns the shortest supported instruction sequence that
-// loads the 64-bit constant v into register r:
+// AppendImm appends to dst the shortest supported instruction sequence
+// that loads the 64-bit constant v into register r, and returns the
+// extended slice:
 //
 //	1 instruction for values fitting a signed 16-bit immediate,
 //	2 for values fitting the ldah/lda pair (roughly signed 32-bit),
@@ -53,17 +54,19 @@ func FitsHiLo(v int64) bool {
 // This mirrors the cost model in the paper (Section 4: "a 16-bit integer
 // constant can be built in 1 instruction, a 32-bit constant in two
 // instructions, a 64-bit program counter in 3 instructions and so on").
-func MaterializeImm(r Reg, v int64) []Inst {
+// A dst with room for the sequence is written in place, so a caller that
+// sized its buffer allocates nothing.
+func AppendImm(dst []Inst, r Reg, v int64) []Inst {
 	if v >= -0x8000 && v <= 0x7FFF {
-		return []Inst{Mem(OpLda, r, Zero, int32(v))}
+		return append(dst, Mem(OpLda, r, Zero, int32(v)))
 	}
 	if FitsHiLo(v) {
 		hi, lo := HiLo(v)
-		seq := []Inst{Mem(OpLdah, r, Zero, int32(hi))}
+		dst = append(dst, Mem(OpLdah, r, Zero, int32(hi)))
 		if lo != 0 {
-			seq = append(seq, Mem(OpLda, r, r, int32(lo)))
+			dst = append(dst, Mem(OpLda, r, r, int32(lo)))
 		}
-		return seq
+		return dst
 	}
 	// General 64-bit: pick the ldah/lda pair congruent to v modulo 2^32,
 	// materialize the remaining base (which the pair's sign carries make
@@ -74,13 +77,13 @@ func MaterializeImm(r Reg, v int64) []Inst {
 	hi := int16((v - int64(lo)) >> 16)
 	covered := int64(hi)<<16 + int64(lo)
 	base := (v - covered) >> 32
-	seq := MaterializeImm(r, base)
-	seq = append(seq, RI(OpSll, r, 32, r))
+	dst = AppendImm(dst, r, base)
+	dst = append(dst, RI(OpSll, r, 32, r))
 	if hi != 0 {
-		seq = append(seq, Mem(OpLdah, r, r, int32(hi)))
+		dst = append(dst, Mem(OpLdah, r, r, int32(hi)))
 	}
 	if lo != 0 {
-		seq = append(seq, Mem(OpLda, r, r, int32(lo)))
+		dst = append(dst, Mem(OpLda, r, r, int32(lo)))
 	}
-	return seq
+	return dst
 }

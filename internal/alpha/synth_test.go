@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-// evalImmSeq interprets a MaterializeImm sequence and returns the final
+// evalImmSeq interprets an AppendImm sequence and returns the final
 // value of register r, mirroring the VM's semantics for the instructions
 // the synthesizer may emit.
 func evalImmSeq(t *testing.T, seq []Inst, r Reg) int64 {
@@ -49,16 +49,16 @@ func TestMaterializeImmExact(t *testing.T) {
 		{0x100000000, 0},
 	}
 	for _, c := range cases {
-		seq := MaterializeImm(T0, c.v)
+		seq := AppendImm(nil, T0, c.v)
 		if c.lens > 0 && len(seq) != c.lens {
-			t.Errorf("MaterializeImm(%#x): %d instructions, want %d", c.v, len(seq), c.lens)
+			t.Errorf("AppendImm(%#x): %d instructions, want %d", c.v, len(seq), c.lens)
 		}
 		if got := evalImmSeq(t, seq, T0); got != c.v {
-			t.Errorf("MaterializeImm(%#x) evaluates to %#x", c.v, got)
+			t.Errorf("AppendImm(%#x) evaluates to %#x", c.v, got)
 		}
 		for _, i := range seq {
 			if _, err := i.Encode(); err != nil {
-				t.Errorf("MaterializeImm(%#x) emitted unencodable %v: %v", c.v, i, err)
+				t.Errorf("AppendImm(%#x) emitted unencodable %v: %v", c.v, i, err)
 			}
 		}
 	}
@@ -66,7 +66,7 @@ func TestMaterializeImmExact(t *testing.T) {
 
 func TestMaterializeImmQuick(t *testing.T) {
 	f := func(v int64) bool {
-		return evalImmSeq(t, MaterializeImm(T1, v), T1) == v
+		return evalImmSeq(t, AppendImm(nil, T1, v), T1) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
@@ -75,8 +75,35 @@ func TestMaterializeImmQuick(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		v := r.Int63n(1<<33) - 1<<32
-		if evalImmSeq(t, MaterializeImm(T1, v), T1) != v {
-			t.Fatalf("MaterializeImm(%#x) wrong", v)
+		if evalImmSeq(t, AppendImm(nil, T1, v), T1) != v {
+			t.Fatalf("AppendImm(%#x) wrong", v)
+		}
+	}
+}
+
+// TestAppendImmKeepsPrefix appends after existing instructions, as a
+// sized site buffer does: the prefix is untouched, the sequence lands
+// right behind it, and a buffer with room for it is written in place.
+func TestAppendImmKeepsPrefix(t *testing.T) {
+	prefix := []Inst{Mov(A0, T3), Br(OpBr, Zero, 7)}
+	for _, v := range []int64{5, 0x12345678, -0x123456789A, 0x7FFFFFFFFFFFFFFF} {
+		want := AppendImm(nil, T2, v)
+		buf := make([]Inst, len(prefix), len(prefix)+len(want))
+		copy(buf, prefix)
+		got := AppendImm(buf, T2, v)
+		if &got[0] != &buf[0] {
+			t.Errorf("AppendImm(%#x) reallocated a buffer with room for %d instructions", v, len(want))
+		}
+		if len(got) != len(prefix)+len(want) {
+			t.Fatalf("AppendImm(%#x) after %d instructions: length %d, want %d", v, len(prefix), len(got), len(prefix)+len(want))
+		}
+		for i, in := range prefix {
+			if got[i] != in {
+				t.Errorf("AppendImm(%#x) changed prefix instruction %d: %v, want %v", v, i, got[i], in)
+			}
+		}
+		if ev := evalImmSeq(t, got[len(prefix):], T2); ev != v {
+			t.Errorf("AppendImm(%#x) after a prefix evaluates to %#x", v, ev)
 		}
 	}
 }

@@ -45,7 +45,8 @@ func (a *assembler) instruction(op, rest string) error {
 		if err != nil {
 			return a.errf("li: bad immediate %q", ops[1])
 		}
-		for _, i := range alpha.MaterializeImm(r, v) {
+		var seq [5]alpha.Inst
+		for _, i := range alpha.AppendImm(seq[:0], r, v) {
 			a.emit(i)
 		}
 		return nil

@@ -38,7 +38,11 @@ func (q *Instrumentation) AddCallProgram(when When, proc string, args ...any) er
 	default:
 		return fmt.Errorf("atom: bad When %d", when)
 	}
-	q.journal = append(q.journal, &callReq{level: levelProgram, when: when, proto: p, args: cargs, inst: target, place: Before})
+	r := rankProgramBefore
+	if when == ProgramAfter {
+		r = rankProgramAfter
+	}
+	q.journal = append(q.journal, callReq{proto: p, args: cargs, inst: target, rank: r})
 	return nil
 }
 
@@ -60,13 +64,13 @@ func (q *Instrumentation) AddCallProc(pr *om.Proc, when When, proc string, args 
 		if entry == nil {
 			return fmt.Errorf("atom: AddCallProc on procedure %q: no instruction at %#x", pr.Name, pr.Addr)
 		}
-		q.journal = append(q.journal, &callReq{level: levelProc, when: when, proto: p, args: cargs, inst: entry, place: Before})
+		q.journal = append(q.journal, callReq{proto: p, args: cargs, inst: entry, rank: rankAdded})
 	case ProcAfter:
 		n := 0
 		for _, b := range pr.Blocks {
 			last := b.Insts[len(b.Insts)-1]
 			if last.I.Op == alpha.OpRet {
-				q.journal = append(q.journal, &callReq{level: levelProc, when: when, proto: p, args: cargs, inst: last, place: Before})
+				q.journal = append(q.journal, callReq{proto: p, args: cargs, inst: last, rank: rankAdded})
 				n++
 			}
 		}
@@ -92,16 +96,12 @@ func (q *Instrumentation) AddCallBlock(b *om.Block, when When, proc string, args
 	}
 	switch when {
 	case BlockBefore:
-		q.journal = append(q.journal, &callReq{level: levelBlock, when: when, proto: p, args: cargs, inst: b.Insts[0], place: Before})
+		q.journal = append(q.journal, callReq{proto: p, args: cargs, inst: b.Insts[0], rank: rankAdded})
 	case BlockAfter:
 		last := b.Insts[len(b.Insts)-1]
-		req := &callReq{level: levelBlock, when: when, proto: p, args: cargs, inst: last, place: After}
-		if isTransfer(last.I.Op) {
-			// Before the transfer, which is still "after the block body"
-			// and runs regardless of the branch direction.
-			req.place = Before
-		}
-		q.journal = append(q.journal, req)
+		// Before a transfer, which is still "after the block body" and
+		// runs regardless of the branch direction.
+		q.journal = append(q.journal, callReq{proto: p, args: cargs, inst: last, rank: rankAdded, after: !isTransfer(last.I.Op)})
 	default:
 		return fmt.Errorf("atom: bad When %d", when)
 	}
@@ -126,7 +126,7 @@ func (q *Instrumentation) AddCallInst(in *om.Inst, when When, proc string, args 
 	if when != Before && when != After {
 		return fmt.Errorf("atom: bad When %d", when)
 	}
-	q.journal = append(q.journal, &callReq{level: levelInst, when: when, proto: p, args: cargs, inst: in, place: when})
+	q.journal = append(q.journal, callReq{proto: p, args: cargs, inst: in, rank: rankAdded, after: when == After})
 	return nil
 }
 

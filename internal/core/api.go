@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"atom/internal/alpha"
@@ -24,6 +25,8 @@ const (
 type Proto struct {
 	Name   string
 	Params []ParamKind
+
+	wrapper string // WrapperName(Name), named once for all its sites
 }
 
 // Value selects one of the run-time VALUE argument kinds (paper,
@@ -91,7 +94,11 @@ type Instrumentation struct {
 	// The journal preserves the exact order in which calls were added:
 	// "if more than one procedure is to be called at a point, the calls
 	// are made in the order in which they were added".
-	journal []*callReq
+	journal []callReq
+	// argBuf backs every journal entry's args: each call's arguments are
+	// a capacity-limited window of it, so a plan allocates per growth of
+	// this slice, not per call.
+	argBuf []arg
 
 	// Constant data passed by address (strings, arrays), materialized
 	// into the analysis image.
@@ -100,26 +107,28 @@ type Instrumentation struct {
 	args []string // tool command-line arguments (iargc/iargv)
 }
 
+// callReq is one call insertion, lowered onto the instruction it is
+// spliced at.
 type callReq struct {
-	level level
-	when  When // user-level placement, for diagnostics
 	proto *Proto
 	args  []arg
-
 	inst  *om.Inst // target instruction (lowered for all levels)
-	place When     // physical placement relative to inst
+	rank  rank     // splice order among the calls at inst
+	after bool     // spliced after inst rather than before it
 }
 
-type level int
+// rank orders the calls spliced at one instruction: they run in the
+// order they were added, except that ProgramBefore calls always precede
+// and ProgramAfter calls always follow the rest.
+type rank uint8
 
 const (
-	levelProgram level = iota
-	levelProc
-	levelBlock
-	levelInst
+	rankProgramBefore rank = iota
+	rankAdded
+	rankProgramAfter
 )
 
-type argKind int
+type argKind uint8
 
 const (
 	argConst argKind = iota
@@ -130,10 +139,10 @@ const (
 )
 
 type arg struct {
+	num  int64 // argConst
+	blob int32 // argBlobAddr: index into consts
 	kind argKind
-	num  int64     // argConst
 	reg  alpha.Reg // argRegV
-	blob int       // argBlobAddr: index into consts
 }
 
 type constBlob struct {
@@ -329,7 +338,7 @@ func (q *Instrumentation) AddCallProto(proto string) error {
 	if _, dup := q.protos[name]; dup {
 		return fmt.Errorf("atom: prototype %q already declared", name)
 	}
-	p := &Proto{Name: name}
+	p := &Proto{Name: name, wrapper: WrapperName(name)}
 	inner := strings.TrimSpace(proto[open+1 : len(proto)-1])
 	if inner != "" && inner != "void" {
 		for _, f := range strings.Split(inner, ",") {
@@ -353,12 +362,27 @@ func (q *Instrumentation) AddCallProto(proto string) error {
 	return nil
 }
 
-// convertArgs validates user arguments against the prototype.
+// convertArgs validates user arguments against the prototype and
+// returns them as a window of argBuf. It keeps no reference to userArgs,
+// so a caller's boxed arguments need not escape.
 func (q *Instrumentation) convertArgs(p *Proto, in *om.Inst, userArgs []any) ([]arg, error) {
 	if len(userArgs) != len(p.Params) {
 		return nil, fmt.Errorf("atom: %s expects %d arguments, got %d", p.Name, len(p.Params), len(userArgs))
 	}
-	out := make([]arg, len(userArgs))
+	start := len(q.argBuf)
+	for range userArgs {
+		q.argBuf = append(q.argBuf, arg{})
+	}
+	out := q.argBuf[start:len(q.argBuf):len(q.argBuf)]
+	args, err := q.fillArgs(out, p, in, userArgs)
+	if err != nil {
+		q.argBuf = q.argBuf[:start]
+	}
+	return args, err
+}
+
+// fillArgs converts each user argument into out.
+func (q *Instrumentation) fillArgs(out []arg, p *Proto, in *om.Inst, userArgs []any) ([]arg, error) {
 	for i, ua := range userArgs {
 		kind := p.Params[i]
 		switch v := ua.(type) {
@@ -420,23 +444,25 @@ func (q *Instrumentation) convertArgs(p *Proto, in *om.Inst, userArgs []any) ([]
 				return nil, fmt.Errorf("atom: %s argument %d: unknown VALUE %d", p.Name, i, v)
 			}
 		default:
-			return nil, fmt.Errorf("atom: %s argument %d: unsupported argument type %T", p.Name, i, ua)
+			// reflect.TypeOf, unlike formatting ua itself, lets ua stay
+			// on the caller's stack.
+			return nil, fmt.Errorf("atom: %s argument %d: unsupported argument type %v", p.Name, i, reflect.TypeOf(ua))
 		}
 	}
 	return out, nil
 }
 
-func (q *Instrumentation) internBlob(b []byte) int {
+func (q *Instrumentation) internBlob(b []byte) int32 {
 	for i, c := range q.consts {
 		if string(c.data) == string(b) {
-			return i
+			return int32(i)
 		}
 	}
 	q.consts = append(q.consts, constBlob{
 		label: fmt.Sprintf("atom$const%d", len(q.consts)),
 		data:  b,
 	})
-	return len(q.consts) - 1
+	return int32(len(q.consts) - 1)
 }
 
 // String renders a ParamKind for diagnostics.

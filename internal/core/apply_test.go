@@ -1,0 +1,189 @@
+package core_test
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"atom/internal/alpha"
+	"atom/internal/aout"
+	"atom/internal/core"
+	"atom/internal/link"
+	"atom/internal/om"
+	"atom/internal/rtl"
+	"atom/internal/spec"
+	"atom/internal/tools"
+	"atom/internal/vm"
+)
+
+// TestApplyAllocs: applying a plan allocates per procedure, not per call
+// site. dyninst calls its analysis routine at every basic block of gcc
+// with three arguments, so a per-site allocation anywhere in plan,
+// liveness, emission, layout or output would swamp the bound.
+func TestApplyAllocs(t *testing.T) {
+	app, err := spec.Build("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool, _ := tools.ByName("dyninst")
+	ti, err := core.BuildToolImage(tool, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	progs := make([]*om.Program, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range progs {
+		if progs[i], err = core.Lift(app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, sites := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		res, err := core.ApplyProgram(progs[next], ti, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		sites = res.Stats.Calls
+	})
+	procs := len(progs[0].Procs)
+	limit := float64(10*procs + 128)
+	if allocs > limit {
+		t.Errorf("ApplyProgram of gcc under dyninst: %.0f allocations for %d procedures and %d sites, want <= %.0f",
+			allocs, procs, sites, limit)
+	}
+	t.Logf("%.0f allocations, %d procedures, %d sites", allocs, procs, sites)
+}
+
+// TestSpliceWindowsDisjoint: every site's code is a window of the apply's
+// shared buffers, so each window must end at its own capacity. After
+// apply, every spliced om.Code has cap == len for Insts and Relocs, and
+// every Before/After list has cap == len, so appending to one site or
+// one list reallocates instead of overwriting its neighbour.
+func TestSpliceWindowsDisjoint(t *testing.T) {
+	app, err := spec.Build("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"prof", "cache", "io", "pipe"} {
+		t.Run(name, func(t *testing.T) {
+			tool, _ := tools.ByName(name)
+			prog, err := core.Lift(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.InstrumentProgram(prog, tool, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var codes []*om.Code
+			var snap []om.Code
+			for _, pr := range prog.Procs {
+				for _, b := range pr.Blocks {
+					for _, in := range b.Insts {
+						for _, list := range [][]om.Code{in.Before, in.After} {
+							if cap(list) != len(list) {
+								t.Fatalf("%#x: splice list has len %d, cap %d", in.Addr, len(list), cap(list))
+							}
+							for i := range list {
+								c := &list[i]
+								if cap(c.Insts) != len(c.Insts) || cap(c.Relocs) != len(c.Relocs) {
+									t.Fatalf("%#x: code has %d/%d instructions, %d/%d relocations (len/cap)",
+										in.Addr, len(c.Insts), cap(c.Insts), len(c.Relocs), cap(c.Relocs))
+								}
+								codes = append(codes, c)
+								snap = append(snap, om.Code{
+									Insts:  append([]alpha.Inst(nil), c.Insts...),
+									Relocs: append([]om.CodeReloc(nil), c.Relocs...),
+								})
+							}
+							_ = append(list, om.Code{})
+						}
+					}
+				}
+			}
+			if len(codes) != res.Stats.Calls {
+				t.Fatalf("%d spliced sequences for %d sites", len(codes), res.Stats.Calls)
+			}
+			for _, c := range codes {
+				_ = append(c.Insts, alpha.Mov(alpha.T0, alpha.T1))
+				_ = append(c.Relocs, om.CodeReloc{Sym: "neighbour"})
+			}
+			for i, c := range codes {
+				if !slices.Equal(c.Insts, snap[i].Insts) || !slices.Equal(c.Relocs, snap[i].Relocs) {
+					t.Fatalf("site %d changed when its neighbours were appended to", i)
+				}
+			}
+		})
+	}
+}
+
+// TestApplyZeroDeltaRebase places an application so that its analysis
+// image lands exactly at the image's canonical base: Rebase moves it by
+// zero. The image must still be copied into the output's text, the
+// cached image must stay untouched, and the program and its tool report
+// must match an ordinary placement.
+func TestApplyZeroDeltaRebase(t *testing.T) {
+	objs, err := rtl.BuildObjects(map[string]string{"app.c": loopApp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, err := rtl.Crt0()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := rtl.Lib()
+	if err != nil {
+		t.Fatal(err)
+	}
+	linkAt := func(base uint64) *aout.File {
+		exe, err := link.Link(link.Config{TextAddr: base}, append([]*aout.File{c0}, objs...), lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exe
+	}
+	tool, _ := tools.ByName("prof")
+	ti, err := core.BuildToolImage(tool, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := ti.Image()
+	imgText := append([]byte(nil), img.Text...)
+	imgData := append([]byte(nil), img.Data...)
+
+	ref, err := core.Apply(linkAt(link.DefaultTextAddr), ti, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := img.TextAddr - (ref.Stats.InstrText+15)&^15
+	res, err := core.Apply(linkAt(base), ti, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.AnalysisTextAddr != img.TextAddr {
+		t.Fatalf("analysis image at %#x, want its canonical base %#x", res.Stats.AnalysisTextAddr, img.TextAddr)
+	}
+	out := res.Exe
+	textOff := img.TextAddr - out.TextAddr
+	dataOff := img.DataAddr - out.TextAddr
+	if !bytes.Equal(out.Text[textOff:textOff+uint64(len(img.Text))], imgText) ||
+		!bytes.Equal(out.Text[dataOff:dataOff+uint64(len(img.Data))], imgData) {
+		t.Fatal("zero-delta apply did not copy the image into the output text")
+	}
+	out.Text[textOff] ^= 0xFF
+	out.Text[dataOff] ^= 0xFF
+	if !bytes.Equal(img.Text, imgText) || !bytes.Equal(img.Data, imgData) {
+		t.Fatal("the output text shares memory with the cached image")
+	}
+	out.Text[textOff] ^= 0xFF
+	out.Text[dataOff] ^= 0xFF
+
+	want, got := runExe(t, ref.Exe, vm.Config{}), runExe(t, out, vm.Config{})
+	if string(got.Stdout) != string(want.Stdout) {
+		t.Errorf("stdout %q, want %q", got.Stdout, want.Stdout)
+	}
+	if g, w := got.FSOut["prof.out"], want.FSOut["prof.out"]; len(w) == 0 || !bytes.Equal(g, w) {
+		t.Errorf("prof.out %q, want %q", g, w)
+	}
+}

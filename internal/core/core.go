@@ -312,30 +312,6 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 		}
 	}
 
-	// Attach the call-site templates to the application IR. Within one
-	// insertion point calls run in the order they were added, except that
-	// ProgramBefore calls always precede (and ProgramAfter calls always
-	// follow) other instrumentation sharing their instruction: analysis
-	// state must be initialized before the first block/instruction event
-	// at the entry point fires, and final reports must observe the last
-	// events at exit.
-	ordered := make([]*callReq, 0, len(q.journal))
-	for _, r := range q.journal {
-		if r.level == levelProgram && r.when == Before {
-			ordered = append(ordered, r)
-		}
-	}
-	for _, r := range q.journal {
-		if r.level != levelProgram {
-			ordered = append(ordered, r)
-		}
-	}
-	for _, r := range q.journal {
-		if r.level == levelProgram && r.when == After {
-			ordered = append(ordered, r)
-		}
-	}
-
 	// The per-site save set: with the liveness pass on (the default) a
 	// register is saved only if the application may still read it AND the
 	// analysis routine may modify it — the paper's live ∩ modified
@@ -343,7 +319,7 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 	// registers (REGV arguments), possibly at a LATER site than the one
 	// deciding a save, so every register any site passes by REGV is kept
 	// live program-wide. Sources read at the deciding site itself are
-	// already protected inside buildSite (their save slot doubles as the
+	// already protected by siteSaves (their save slot doubles as the
 	// source copy).
 	var lv *dataflow.Liveness
 	var regvRead om.RegSet
@@ -365,59 +341,60 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 	// the inliner only runs in the (default) wrapper mode.
 	inlineOK := !opts.NoInline && opts.Mode == SaveWrapper
 
+	// Shape every site, in splice order. Within one insertion point calls
+	// run in the order they were added, except that ProgramBefore calls
+	// always precede (and ProgramAfter calls always follow) other
+	// instrumentation sharing their instruction: analysis state must be
+	// initialized before the first block/instruction event at the entry
+	// point fires, and final reports must observe the last events at
+	// exit.
+	sites := make([]site, 0, len(q.journal))
+	for r := rankProgramBefore; r <= rankProgramAfter; r++ {
+		for i := range q.journal {
+			req := &q.journal[i]
+			if req.rank != r {
+				continue
+			}
+			var tmpl *inlineTemplate
+			if inlineOK {
+				if t := ti.inline[req.proto.Name]; t != nil && t.bodyLen <= inlineLimit {
+					tmpl = t
+				}
+			}
+			var dead om.RegSet
+			if lv != nil {
+				live := lv.LiveIn(req.inst)
+				if req.after {
+					live = lv.LiveOut(req.inst)
+				}
+				dead = dataflow.ConservativeCallerSave() &^ live &^ regvRead
+				// Histogram of caller-save live-set sizes at sites: the set
+				// the save planner cannot drop below.
+				ctx.Observe("atom.site_live_regs", int64((dataflow.ConservativeCallerSave() &^ dead).Count()))
+			}
+			// clobbers are what the callee may overwrite that only this site
+			// saves: an inlined body's clobbers, or a directly called
+			// routine's site save set. A wrapper-mode call whose wrapper
+			// would save only registers dead here calls the analysis
+			// procedure itself: same site code, without the wrapper's frame,
+			// saves and extra call and return. Wrappers relaying stack
+			// arguments are always used.
+			clobbers := ti.siteSave[req.proto.Name]
+			wrapped := false
+			if tmpl != nil {
+				clobbers = tmpl.clobbers
+			} else if opts.Mode == SaveWrapper &&
+				(len(req.args) > alpha.MaxRegArgs || clobbers&^dead != 0) {
+				wrapped = true
+				clobbers = 0
+			}
+			sites = append(sites, site{req: req, tmpl: tmpl, saved: siteSaves(req, dead, clobbers, tmpl), wrapped: wrapped})
+		}
+	}
+
 	stats := Stats{Calls: len(q.journal), OrigText: uint64(len(app.Text))}
-	for _, req := range ordered {
-		target := req.proto.Name
-		var tmpl *inlineTemplate
-		if inlineOK {
-			if t := ti.inline[target]; t != nil && t.bodyLen <= inlineLimit {
-				tmpl = t
-			}
-		}
-		var dead om.RegSet
-		if lv != nil {
-			live := lv.LiveIn(req.inst)
-			if req.place == After {
-				live = lv.LiveOut(req.inst)
-			}
-			dead = dataflow.ConservativeCallerSave() &^ live &^ regvRead
-			// Histogram of caller-save live-set sizes at sites: the set
-			// the save planner cannot drop below.
-			ctx.Observe("atom.site_live_regs", int64((dataflow.ConservativeCallerSave() &^ dead).Count()))
-		}
-		// clobbers are what the callee may overwrite that only this site
-		// saves: an inlined body's clobbers, or a directly called
-		// routine's site save set. A wrapper-mode call whose wrapper
-		// would save only registers dead here calls the analysis
-		// procedure itself: same site code, without the wrapper's frame,
-		// saves and extra call and return. Wrappers relaying stack
-		// arguments are always used.
-		clobbers := ti.siteSave[target]
-		if tmpl != nil {
-			clobbers = tmpl.clobbers
-		} else if opts.Mode == SaveWrapper &&
-			(len(req.args) > alpha.MaxRegArgs || clobbers&^dead != 0) {
-			target = WrapperName(target)
-			clobbers = 0
-		}
-		code, nsaved, err := buildSite(req, target, dead, clobbers, tmpl)
-		if err != nil {
-			return nil, err
-		}
-		if tmpl != nil {
-			stats.InlinedSites++
-			ctx.Observe("atom.inline_body_len", int64(len(tmpl.insts)))
-		} else if target == req.proto.Name {
-			stats.DirectSites++
-		}
-		stats.InsertedInsts += len(code.Insts)
-		stats.SavedRegs += nsaved
-		ctx.Observe("atom.site_saved_regs", int64(nsaved))
-		if req.place == Before {
-			req.inst.Before = append(req.inst.Before, code)
-		} else {
-			req.inst.After = append(req.inst.After, code)
-		}
+	if err := spliceSites(ctx, q, sites, &stats); err != nil {
+		return nil, err
 	}
 
 	// Lay out the instrumented application, then move the prebuilt
@@ -431,17 +408,16 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 		}
 	}
 	stats.InstrText = lay.TextSize()
-	analysisBase := (app.TextAddr + lay.TextSize() + 15) &^ 15
-	img, err := link.RebaseCtx(actx, ti.img, analysisBase)
-	if err != nil {
-		return nil, err
-	}
 
-	// Constant blobs (strings and arrays the instrumentation passes by
-	// address) are application-dependent, so they live outside the cached
-	// image: each is placed, 8-aligned, right after the image's data.
+	// Place the composed text segment (Figure 4): the instrumented
+	// application text, then the analysis image rebased right behind it,
+	// then the constant blobs (strings and arrays the instrumentation
+	// passes by address), which are application-dependent and so live
+	// outside the cached image, each 8-aligned after the image's data.
+	analysisBase := (app.TextAddr + lay.TextSize() + 15) &^ 15
+	imgData := analysisBase + (ti.img.DataAddr - ti.img.TextAddr)
 	constAddr := make([]uint64, len(q.consts))
-	imgEnd := img.DataAddr + uint64(len(img.Data))
+	imgEnd := imgData + uint64(len(ti.img.Data))
 	for i, c := range q.consts {
 		imgEnd = (imgEnd + 7) &^ 7
 		constAddr[i] = imgEnd
@@ -450,17 +426,35 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 	// The blobs land inside the composed text segment, whose byte length
 	// must stay word-aligned or the written executable won't reload.
 	imgEnd = (imgEnd + 7) &^ 7
+	if imgEnd > app.DataAddr {
+		return nil, fmt.Errorf(
+			"atom: instrumented text (%#x) plus analysis image (text %#x, data %#x) ends at %#x, beyond the application data segment at %#x; rebuild the application with a larger text-data gap",
+			lay.TextSize(), len(ti.img.Text), imgEnd-imgData, imgEnd, app.DataAddr)
+	}
+
+	// Every part is written straight into the composed text: Rebase
+	// moves the prebuilt image into its windows (a rigid shift — the
+	// image was linked once at a canonical base and keeps its relocation
+	// records, so no relink happens here), and Finish emits the
+	// instrumented application in front of it.
+	text := make([]byte, imgEnd-app.TextAddr)
+	section := func(addr uint64, n int) []byte {
+		off := addr - app.TextAddr
+		return text[off : off+uint64(n) : off+uint64(n)]
+	}
+	img, err := link.RebaseCtx(actx, ti.img, analysisBase,
+		section(analysisBase, len(ti.img.Text)), section(imgData, len(ti.img.Data)))
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range q.consts {
+		copy(section(constAddr[i], len(c.data)), c.data)
+	}
 
 	stats.AnalysisText = uint64(len(img.Text))
 	stats.AnalysisData = imgEnd - img.DataAddr
 	stats.AnalysisTextAddr = img.TextAddr
 	stats.AnalysisDataAddr = img.DataAddr
-
-	if imgEnd > app.DataAddr {
-		return nil, fmt.Errorf(
-			"atom: instrumented text (%#x) plus analysis image (text %#x, data %#x) ends at %#x, beyond the application data segment at %#x; rebuild the application with a larger text-data gap",
-			lay.TextSize(), len(img.Text), imgEnd-img.DataAddr, imgEnd, app.DataAddr)
-	}
 
 	// Resolve inserted references against the analysis image's globals
 	// and the constant blobs.
@@ -477,7 +471,7 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 	// against the rebased image's text base (Rebase shifts text, data
 	// and bss rigidly, so one base covers every section).
 	globals[inlineBaseSym] = img.TextAddr
-	res, err := lay.FinishCtx(actx, func(name string) (uint64, bool) {
+	res, err := lay.FinishCtx(actx, section(app.TextAddr, int(lay.TextSize())), func(name string) (uint64, bool) {
 		v, ok := globals[name]
 		return v, ok
 	})
@@ -490,18 +484,10 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 		}
 	}
 
-	// Compose the final executable: instrumented application text, then
-	// the analysis text, data and constant blobs in the gap, then the
-	// application's (unmoved) data and bss.
-	text := make([]byte, imgEnd-app.TextAddr)
-	copy(text, res.Text)
-	copy(text[img.TextAddr-app.TextAddr:], img.Text)
-	copy(text[img.DataAddr-app.TextAddr:], img.Data)
-	for i, c := range q.consts {
-		copy(text[constAddr[i]-app.TextAddr:], c.data)
-	}
-
-	symbols := append([]aout.Symbol(nil), res.Symbols...)
+	// The symbol table, sized once: the moved application symbols, the
+	// image's, the constant blobs and the heap-zone record.
+	symbols := make([]aout.Symbol, 0, len(res.Symbols)+len(img.Symbols)+len(q.consts)+1)
+	symbols = append(symbols, res.Symbols...)
 	symbols = append(symbols, img.Symbols...)
 	for i, c := range q.consts {
 		symbols = append(symbols, aout.Symbol{
@@ -540,6 +526,107 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 	ctx.Count("atom.sites_direct", int64(stats.DirectSites))
 	ctx.Count("atom.bytes_marshalled", int64(len(out.Text)+len(out.Data)))
 	return &Result{Exe: out, HeapOffset: opts.HeapOffset, PCMap: lay, Stats: stats}, nil
+}
+
+// spliceSites sizes every site by writing it into scratch buffers, then
+// writes all of them into one instruction buffer and one relocation
+// buffer: each site's code is a capacity-limited window of them, appended
+// to its instruction's Before or After list. It counts the sites into
+// stats.
+func spliceSites(ctx *obs.Ctx, q *Instrumentation, sites []site, stats *Stats) error {
+	b := &siteBuilder{consts: q.consts}
+	var ninsts, nrelocs int
+	for i := range sites {
+		b.s, b.insts, b.relocs = &sites[i], b.insts[:0], b.relocs[:0]
+		if err := b.build(); err != nil {
+			return err
+		}
+		sites[i].ninsts, sites[i].nrelocs = len(b.insts), len(b.relocs)
+		ninsts += len(b.insts)
+		nrelocs += len(b.relocs)
+	}
+	if err := sizeSpliceLists(q.prog, sites); err != nil {
+		return err
+	}
+	insts := make([]alpha.Inst, ninsts)
+	relocs := make([]om.CodeReloc, nrelocs)
+	for i := range sites {
+		st := &sites[i]
+		b.s, b.insts, b.relocs = st, insts[:0:st.ninsts], relocs[:0:st.nrelocs]
+		if err := b.build(); err != nil {
+			return err
+		}
+		if len(b.insts) != st.ninsts || len(b.relocs) != st.nrelocs {
+			return fmt.Errorf("atom: internal: site at %#x wrote %d instructions and %d relocations, sized %d and %d",
+				st.req.inst.Addr, len(b.insts), len(b.relocs), st.ninsts, st.nrelocs)
+		}
+		insts, relocs = insts[st.ninsts:], relocs[st.nrelocs:]
+		list := spliceList(st.req)
+		*list = append(*list, om.Code{Insts: b.insts, Relocs: b.relocs})
+
+		if st.tmpl != nil {
+			stats.InlinedSites++
+			ctx.Observe("atom.inline_body_len", int64(len(st.tmpl.insts)))
+		} else if !st.wrapped {
+			stats.DirectSites++
+		}
+		nsaved := st.saved.Count()
+		stats.InsertedInsts += st.ninsts
+		stats.SavedRegs += nsaved
+		ctx.Observe("atom.site_saved_regs", int64(nsaved))
+	}
+	return nil
+}
+
+// sizeSpliceLists makes the list every site is appended to (its
+// instruction's Before or After) a window of one []om.Code, holding the
+// sequences already there with room for exactly the sites still to come,
+// so appending the sites fills each window without reallocating.
+func sizeSpliceLists(prog *om.Program, sites []site) error {
+	count := make([]int32, 2*prog.NumInsts()) // per text slot: Before, After
+	key := func(req *callReq) (int, bool) {
+		k, ok := prog.Slot(req.inst)
+		if req.after {
+			return 2*k + 1, ok
+		}
+		return 2 * k, ok
+	}
+	total := 0
+	for i := range sites {
+		req := sites[i].req
+		k, ok := key(req)
+		if !ok {
+			return fmt.Errorf("atom: call site at %#x is not an instruction of the program", req.inst.Addr)
+		}
+		if count[k] == 0 {
+			total += len(*spliceList(req))
+		}
+		count[k]++
+		total++
+	}
+	codes := make([]om.Code, 0, total)
+	for i := range sites {
+		req := sites[i].req
+		k, _ := key(req)
+		if count[k] == 0 {
+			continue
+		}
+		list := spliceList(req)
+		n := len(codes)
+		codes = append(codes, *list...)
+		*list = codes[n : len(codes) : len(codes)+int(count[k])]
+		codes = codes[:len(codes)+int(count[k])]
+		count[k] = 0
+	}
+	return nil
+}
+
+// spliceList is the list a call request's code is appended to.
+func spliceList(req *callReq) *[]om.Code {
+	if req.after {
+		return &req.inst.After
+	}
+	return &req.inst.Before
 }
 
 // verifyError folds verifier diagnostics into one error, original PCs

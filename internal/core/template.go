@@ -25,55 +25,69 @@ import (
 //
 // The remaining caller-save registers in the analysis routine's data-flow
 // summary are saved by its wrapper (default) or by save/restore code
-// spliced into the analysis routine itself (OptInAnalysis).
+// spliced into the analysis routine itself (SaveInAnalysis).
 
-// siteTemplate generates the spliced code for one call.
+// site is one call site as the plan shapes it: the request, what it
+// calls or splices, the registers it saves, and the length of its code.
+// spliceSites sizes every site first and then writes them all into one
+// instruction buffer and one relocation buffer.
+type site struct {
+	req     *callReq
+	tmpl    *inlineTemplate // non-nil: the body spliced in place of the call
+	saved   om.RegSet       // registers saved at this site
+	wrapped bool            // the call goes through the procedure's wrapper
+
+	ninsts, nrelocs int // code length, set when the site is sized
+}
+
+// target is the symbol a site calls: its analysis procedure or the
+// procedure's wrapper.
+func (s *site) target() string {
+	if s.wrapped {
+		return s.req.proto.wrapper
+	}
+	return s.req.proto.Name
+}
+
+// siteBuilder writes the spliced code for one site, appending to insts
+// and relocs. spliceSites runs it twice per site: once into scratch
+// buffers to size the site, then into the site's window of the apply's
+// buffers, whose capacity is exactly that size.
 type siteBuilder struct {
-	req    *callReq
-	target string // symbol to call (wrapper or analysis proc)
+	s      *site
+	consts []constBlob // the plan's constant blobs, for their labels
 	insts  []alpha.Inst
 	relocs []om.CodeReloc
 
-	saved     om.RegSet            // registers saved at this site
 	slot      [alpha.NumRegs]int64 // register -> frame offset of its slot
 	frame     int64
-	outBytes  int64
 	clobbered om.RegSet // argument registers already overwritten
 }
 
-// buildSite generates the spliced code for one call site. clobbers are
-// the registers the callee may overwrite that nothing but the site
-// saves: the body's clobber set when tmpl is non-nil — the analysis
-// routine's body is then spliced in place of the bsr, and the wrapper
-// and the call/return disappear entirely — or the site save set of a
-// routine called directly.
-func buildSite(req *callReq, target string, dead, clobbers om.RegSet, tmpl *inlineTemplate) (om.Code, int, error) {
-	b := &siteBuilder{req: req, target: target}
-
-	nargs := len(req.args)
-	nreg := nargs
-	if nreg > alpha.MaxRegArgs {
-		nreg = alpha.MaxRegArgs
-	}
-	b.outBytes = int64(nargs-nreg) * 8
-
-	// Decide the save set. For a call: ra is always saved ("the return
-	// address register is always modified when a call is made so we
-	// always save the return address register"); every argument register
-	// this site writes; at when the template needs a scratch register;
-	// and the callee's clobbers. For an inlined body there is no call —
-	// ra is saved only if the body itself clobbers it.
-	b.saved = clobbers
+// siteSaves decides the save set of one call site. clobbers are the
+// registers the callee may overwrite that nothing but the site saves:
+// the body's clobber set when tmpl is non-nil — the analysis routine's
+// body is then spliced in place of the bsr, and the wrapper and the
+// call/return disappear entirely — or the site save set of a routine
+// called directly. dead are the caller-save registers the application
+// cannot read at the site.
+func siteSaves(req *callReq, dead, clobbers om.RegSet, tmpl *inlineTemplate) om.RegSet {
+	// For a call: ra is always saved ("the return address register is
+	// always modified when a call is made so we always save the return
+	// address register"); every argument register this site writes; at
+	// when the template needs a scratch register; and the callee's
+	// clobbers. For an inlined body there is no call — ra is saved only
+	// if the body itself clobbers it.
+	saved := clobbers
 	if tmpl == nil {
-		b.saved = b.saved.Add(alpha.RA)
+		saved = saved.Add(alpha.RA)
 	}
 	argRegs := alpha.ArgRegs()
-	for i := 0; i < nreg; i++ {
-		b.saved = b.saved.Add(argRegs[i])
+	for i := 0; i < min(len(req.args), alpha.MaxRegArgs); i++ {
+		saved = saved.Add(argRegs[i])
 	}
-	needAT := nargs > alpha.MaxRegArgs
-	if needAT {
-		b.saved = b.saved.Add(alpha.AT)
+	if len(req.args) > alpha.MaxRegArgs {
+		saved = saved.Add(alpha.AT)
 	}
 
 	// Live-register refinement: drop saves of registers the global
@@ -93,74 +107,90 @@ func buildSite(req *callReq, target string, dead, clobbers om.RegSet, tmpl *inli
 				sources = sources.Add(req.inst.I.Ra)
 			}
 		}
-		b.saved &^= dead &^ sources
+		saved &^= dead &^ sources
 	}
+	return saved
+}
 
-	// Assign slots.
-	saved := b.saved.Regs()
-	off := b.outBytes
-	for _, r := range saved {
-		b.slot[r] = off
-		off += 8
+// build appends the site's code to b.insts and b.relocs.
+func (b *siteBuilder) build() error {
+	s, req := b.s, b.s.req
+	nargs := len(req.args)
+	nreg := min(nargs, alpha.MaxRegArgs)
+	b.clobbered = 0
+
+	// Assign slots above the outgoing stack arguments.
+	off := int64(nargs-nreg) * 8
+	for r := alpha.Reg(0); r < alpha.NumRegs; r++ {
+		if s.saved.Has(r) {
+			b.slot[r] = off
+			off += 8
+		}
 	}
 	b.frame = (off + 15) &^ 15
 	if b.frame > 0x7FFF {
-		return om.Code{}, 0, fmt.Errorf("atom: call frame too large (%d args)", nargs)
+		return fmt.Errorf("atom: call frame too large (%d args)", nargs)
 	}
 
 	// Prologue: allocate, save.
 	b.emit(alpha.Mem(alpha.OpLda, alpha.SP, alpha.SP, int32(-b.frame)))
-	for _, r := range saved {
-		b.emit(alpha.Mem(alpha.OpStq, r, alpha.SP, int32(b.slot[r])))
-	}
+	b.saveRestore(alpha.OpStq)
 
 	// Stack arguments first (they use at as scratch, and their register
 	// sources are still pristine).
 	for i := alpha.MaxRegArgs; i < nargs; i++ {
 		if err := b.materialize(req.args[i], alpha.AT); err != nil {
-			return om.Code{}, 0, err
+			return err
 		}
 		b.emit(alpha.Mem(alpha.OpStq, alpha.AT, alpha.SP, int32(int64(i-alpha.MaxRegArgs)*8)))
 	}
-	if needAT {
+	if nargs > alpha.MaxRegArgs {
 		// at no longer holds the application's value; later reads of it
 		// (REGV(at), effective addresses based on at) use the save slot.
 		b.clobbered = b.clobbered.Add(alpha.AT)
 	}
 	// Register arguments in ascending order; sources that are argument
 	// registers already overwritten are reloaded from their save slots.
+	argRegs := alpha.ArgRegs()
 	for i := 0; i < nreg; i++ {
 		if err := b.materialize(req.args[i], argRegs[i]); err != nil {
-			return om.Code{}, 0, err
+			return err
 		}
 		b.clobbered = b.clobbered.Add(argRegs[i])
 	}
 
-	if tmpl != nil {
+	if s.tmpl != nil {
 		// The inlined body in place of the call. Its internal branches
 		// are template-relative (re-encoded at extraction), so the splice
 		// is position-independent; its address constants carry CodeRelocs
 		// against the analysis image base, offset to site indices here.
 		base := len(b.insts)
-		for _, r := range tmpl.relocs {
+		for _, r := range s.tmpl.relocs {
 			r.Index += base
 			b.relocs = append(b.relocs, r)
 		}
-		b.insts = append(b.insts, tmpl.insts...)
+		b.insts = append(b.insts, s.tmpl.insts...)
 	} else {
 		// The call. A PC-relative bsr reaches the analysis image, which ATOM
 		// places directly after the instrumented text; Finish range-checks.
-		b.relocs = append(b.relocs, om.CodeReloc{Index: len(b.insts), Type: aout.RelBr21, Sym: target})
+		b.relocs = append(b.relocs, om.CodeReloc{Index: len(b.insts), Type: aout.RelBr21, Sym: s.target()})
 		b.emit(alpha.Br(alpha.OpBsr, alpha.RA, 0))
 	}
 
 	// Epilogue: restore, deallocate.
-	for _, r := range saved {
-		b.emit(alpha.Mem(alpha.OpLdq, r, alpha.SP, int32(b.slot[r])))
-	}
+	b.saveRestore(alpha.OpLdq)
 	b.emit(alpha.Mem(alpha.OpLda, alpha.SP, alpha.SP, int32(b.frame)))
+	return nil
+}
 
-	return om.Code{Insts: b.insts, Relocs: b.relocs}, b.saved.Count(), nil
+// saveRestore emits op (stq or ldq) for every saved register and its
+// slot, in register order.
+func (b *siteBuilder) saveRestore(op alpha.Op) {
+	for r := alpha.Reg(0); r < alpha.NumRegs; r++ {
+		if b.s.saved.Has(r) {
+			b.emit(alpha.Mem(op, r, alpha.SP, int32(b.slot[r])))
+		}
+	}
 }
 
 func (b *siteBuilder) emit(i alpha.Inst) { b.insts = append(b.insts, i) }
@@ -178,17 +208,16 @@ func (b *siteBuilder) source(r alpha.Reg, dst alpha.Reg) alpha.Reg {
 
 // materialize computes one argument value into dst.
 func (b *siteBuilder) materialize(a arg, dst alpha.Reg) error {
-	in := b.req.inst
+	in := b.s.req.inst
 	switch a.kind {
 	case argConst:
-		for _, i := range alpha.MaterializeImm(dst, a.num) {
-			b.emit(i)
-		}
+		b.insts = alpha.AppendImm(b.insts, dst, a.num)
 
 	case argBlobAddr:
+		sym := b.consts[a.blob].label
 		b.relocs = append(b.relocs,
-			om.CodeReloc{Index: len(b.insts), Type: aout.RelHi16, Sym: blobSym(a.blob)},
-			om.CodeReloc{Index: len(b.insts) + 1, Type: aout.RelLo16, Sym: blobSym(a.blob)},
+			om.CodeReloc{Index: len(b.insts), Type: aout.RelHi16, Sym: sym},
+			om.CodeReloc{Index: len(b.insts) + 1, Type: aout.RelLo16, Sym: sym},
 		)
 		b.emit(alpha.Mem(alpha.OpLdah, dst, alpha.Zero, 0))
 		b.emit(alpha.Mem(alpha.OpLda, dst, dst, 0))
@@ -215,9 +244,7 @@ func (b *siteBuilder) materialize(a arg, dst alpha.Reg) error {
 			if disp >= -0x8000 && disp <= 0x7FFF {
 				b.emit(alpha.Mem(alpha.OpLda, dst, alpha.SP, int32(disp)))
 			} else {
-				for _, i := range alpha.MaterializeImm(dst, disp) {
-					b.emit(i)
-				}
+				b.insts = alpha.AppendImm(b.insts, dst, disp)
 				b.emit(alpha.RR(alpha.OpAddq, alpha.SP, dst, dst))
 			}
 		case base == alpha.Zero:
@@ -260,5 +287,3 @@ func (b *siteBuilder) materialize(a arg, dst alpha.Reg) error {
 	}
 	return nil
 }
-
-func blobSym(i int) string { return fmt.Sprintf("atom$const%d", i) }

@@ -378,7 +378,7 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 			return nil, fmt.Errorf("atom: internal: splice growth %d != predicted %d",
 				lay.TextSize()-uint64(len(img.Text)), extraText)
 		}
-		res, err := lay.FinishCtx(ictx, func(string) (uint64, bool) { return 0, false })
+		res, err := lay.FinishCtx(ictx, make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 		if err != nil {
 			return nil, err
 		}
@@ -395,7 +395,7 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 	}
 
 	// The sbrk redirection mutates image text, so it happens here, once;
-	// Rebase copies the buffers for each application.
+	// Rebase copies the sections into each application's output.
 	if err := redirectSbrk(img); err != nil {
 		return nil, err
 	}

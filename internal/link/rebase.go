@@ -7,12 +7,12 @@ import (
 	"atom/internal/obs"
 )
 
-// Rebase returns a copy of a linked image moved rigidly so its text
-// segment starts at newTextAddr; data and bss keep their distances from
-// text. Because executables retain their relocation records, every
-// absolute address constant (HI16/LO16 pairs, QUAD/LONG data) is
-// re-patched against the shifted symbol values; PC-relative branch
-// displacements are invariant under a rigid shift and are left alone.
+// Rebase moves a linked image rigidly so its text segment starts at
+// newTextAddr; data and bss keep their distances from text. Because
+// executables retain their relocation records, every absolute address
+// constant (HI16/LO16 pairs, QUAD/LONG data) is re-patched against the
+// shifted symbol values; PC-relative branch displacements are invariant
+// under a rigid shift and are left alone.
 //
 // ATOM uses this to place a tool's analysis image — compiled and linked
 // exactly once, at a canonical base — into the text-data gap of each
@@ -20,31 +20,38 @@ import (
 // once, apply it to any program" cost model is realized without a
 // per-program relink.
 //
-// The input is not modified. When newTextAddr equals the current base the
-// image itself is returned; callers must treat the result as read-only.
-func Rebase(img *aout.File, newTextAddr uint64) (*aout.File, error) {
-	return RebaseCtx(nil, img, newTextAddr)
+// The moved text and data are written into text and data, which must be
+// exactly as long as the image's sections: ATOM passes the windows of the
+// composed executable's text segment they end up in, so the image is
+// copied once. The returned file's Text and Data are those slices, also
+// when newTextAddr is the current base; its Relocs are the input's. The
+// input is not modified.
+func Rebase(img *aout.File, newTextAddr uint64, text, data []byte) (*aout.File, error) {
+	return RebaseCtx(nil, img, newTextAddr, text, data)
 }
 
 // RebaseCtx is Rebase with a stage context: the rigid shift and its
 // relocation re-patch run under a "link.rebase" span.
-func RebaseCtx(ctx *obs.Ctx, img *aout.File, newTextAddr uint64) (*aout.File, error) {
+func RebaseCtx(ctx *obs.Ctx, img *aout.File, newTextAddr uint64, text, data []byte) (*aout.File, error) {
 	_, sp := ctx.Start("link.rebase",
 		obs.Int("relocs", int64(len(img.Relocs))))
 	defer sp.End()
 	if !img.Linked {
 		return nil, fmt.Errorf("link: rebase of unlinked module")
 	}
-	delta := int64(newTextAddr) - int64(img.TextAddr)
-	if delta == 0 {
-		return img, nil
+	if len(text) != len(img.Text) || len(data) != len(img.Data) {
+		return nil, fmt.Errorf("link: rebase into %d text and %d data bytes of an image with %d and %d",
+			len(text), len(data), len(img.Text), len(img.Data))
 	}
+	delta := int64(newTextAddr) - int64(img.TextAddr)
 	shift := func(a uint64) uint64 { return uint64(int64(a) + delta) }
 
+	copy(text, img.Text)
+	copy(data, img.Data)
 	out := &aout.File{
 		Linked:   true,
-		Text:     append([]byte(nil), img.Text...),
-		Data:     append([]byte(nil), img.Data...),
+		Text:     text,
+		Data:     data,
 		Bss:      img.Bss,
 		TextAddr: shift(img.TextAddr),
 		DataAddr: shift(img.DataAddr),
@@ -61,6 +68,9 @@ func RebaseCtx(ctx *obs.Ctx, img *aout.File, newTextAddr uint64) (*aout.File, er
 		case aout.SecText, aout.SecData, aout.SecBss:
 			out.Symbols[i].Value = shift(out.Symbols[i].Value)
 		}
+	}
+	if delta == 0 {
+		return out, nil // every address constant already holds its value
 	}
 
 	for _, r := range img.Relocs {

@@ -48,7 +48,7 @@ func TestRebaseMatchesDirectLink(t *testing.T) {
 	canonical := at(DefaultTextAddr)
 	const newBase = DefaultTextAddr + 0x12340
 	want := at(newBase)
-	got, err := Rebase(canonical, newBase)
+	got, err := rebase(canonical, newBase)
 	if err != nil {
 		t.Fatalf("Rebase: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestRebaseMatchesDirectLink(t *testing.T) {
 		t.Error("Rebase mutated its input")
 	}
 	// Rebasing back must round-trip.
-	back, err := Rebase(got, DefaultTextAddr)
+	back, err := rebase(got, DefaultTextAddr)
 	if err != nil {
 		t.Fatalf("Rebase back: %v", err)
 	}
@@ -84,17 +84,49 @@ func TestRebaseMatchesDirectLink(t *testing.T) {
 	}
 }
 
+// rebase moves img into fresh section buffers.
+func rebase(img *aout.File, newTextAddr uint64) (*aout.File, error) {
+	return Rebase(img, newTextAddr, make([]byte, len(img.Text)), make([]byte, len(img.Data)))
+}
+
+// TestRebaseNoop rebases an image to its own base: the destination
+// slices are still filled and returned, and the input stays untouched.
 func TestRebaseNoop(t *testing.T) {
 	exe, err := Link(Config{DataAfterText: true, Entry: "-", ZeroBss: true},
 		[]*aout.File{obj(t, rebaseSrc)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Rebase(exe, exe.TextAddr)
+	wantText := append([]byte(nil), exe.Text...)
+	wantData := append([]byte(nil), exe.Data...)
+	text, data := make([]byte, len(exe.Text)), make([]byte, len(exe.Data))
+	got, err := Rebase(exe, exe.TextAddr, text, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != exe {
-		t.Error("zero-delta rebase should return the image itself")
+	if got == exe {
+		t.Fatal("zero-delta rebase returned the image itself instead of filling the destination")
+	}
+	if &got.Text[0] != &text[0] || &got.Data[0] != &data[0] {
+		t.Error("zero-delta rebase did not return the destination slices")
+	}
+	if !bytes.Equal(text, wantText) || !bytes.Equal(data, wantData) {
+		t.Error("zero-delta rebase did not fill the destination with the image's sections")
+	}
+	if got.TextAddr != exe.TextAddr || got.DataAddr != exe.DataAddr || got.BssAddr != exe.BssAddr {
+		t.Errorf("zero-delta rebase moved the image: %#x/%#x/%#x", got.TextAddr, got.DataAddr, got.BssAddr)
+	}
+	for i, s := range got.Symbols {
+		if s != exe.Symbols[i] {
+			t.Errorf("symbol %d: %+v, want %+v", i, s, exe.Symbols[i])
+		}
+	}
+	text[0] ^= 0xFF
+	data[0] ^= 0xFF
+	if !bytes.Equal(exe.Text, wantText) || !bytes.Equal(exe.Data, wantData) {
+		t.Error("writing the rebased sections changed the input image")
+	}
+	if _, err := Rebase(exe, exe.TextAddr, text[1:], data); err == nil {
+		t.Error("Rebase into a short text buffer succeeded")
 	}
 }

@@ -89,6 +89,11 @@ type Problem struct {
 type Solver struct {
 	Problem
 	Edges int
+
+	// The worklist and its membership marks, kept across solves: every
+	// solve ends with the list empty and every mark clear.
+	onList []bool
+	work   []int
 }
 
 // validSuccs reports, per successor slot, whether the edge stays inside
@@ -98,25 +103,76 @@ func validSucc(pr *om.Proc, s *om.Block) bool {
 	return si >= 0 && si < len(pr.Blocks) && pr.Blocks[si] == s
 }
 
-// flowPreds returns, for each block, the blocks whose joined input reads
-// its state: CFG predecessors for a backward problem (a block's live-in
-// feeds its predecessors' outputs), CFG successors for a forward one.
-func (s *Solver) flowPreds(pr *om.Proc) [][]int {
-	n := len(pr.Blocks)
-	deps := make([][]int, n)
-	for bi, b := range pr.Blocks {
+// edgeLists holds one list of block indices per block, as windows of one
+// backing slice: block bi's list is list[start[bi]:start[bi+1]].
+type edgeLists struct{ start, list []int }
+
+// of returns block bi's list.
+func (e edgeLists) of(bi int) []int { return e.list[e.start[bi]:e.start[bi+1]] }
+
+// newEdgeLists allocates the lists of a procedure's valid CFG edges.
+func newEdgeLists(pr *om.Proc) edgeLists {
+	n, total := len(pr.Blocks), 0
+	for _, b := range pr.Blocks {
 		for _, sb := range b.Succs {
-			if !validSucc(pr, sb) {
-				continue
-			}
-			if s.Dir == Backward {
-				deps[sb.Index] = append(deps[sb.Index], bi)
-			} else {
-				deps[bi] = append(deps[bi], sb.Index)
+			if validSucc(pr, sb) {
+				total++
 			}
 		}
 	}
-	return deps
+	buf := make([]int, n+1+total)
+	return edgeLists{start: buf[:n+1], list: buf[n+1:]}
+}
+
+// flowPreds returns, for each block, the blocks whose joined input reads
+// its state: CFG predecessors for a backward problem (a block's live-in
+// feeds its predecessors' outputs), CFG successors for a forward one.
+func (s *Solver) flowPreds(pr *om.Proc) edgeLists {
+	if s.Dir == Backward {
+		return cfgPreds(pr)
+	}
+	e := newEdgeLists(pr)
+	k := 0
+	for bi, b := range pr.Blocks {
+		for _, sb := range b.Succs {
+			if validSucc(pr, sb) {
+				e.list[k] = sb.Index
+				k++
+			}
+		}
+		e.start[bi+1] = k
+	}
+	return e
+}
+
+// cfgPreds returns each block's valid intra-procedure CFG predecessors,
+// in ascending order: the edges are counted per target, then placed.
+func cfgPreds(pr *om.Proc) edgeLists {
+	e := newEdgeLists(pr)
+	for _, b := range pr.Blocks {
+		for _, sb := range b.Succs {
+			if validSucc(pr, sb) {
+				e.start[sb.Index+1]++
+			}
+		}
+	}
+	n := len(pr.Blocks)
+	for bi := 0; bi < n; bi++ {
+		e.start[bi+1] += e.start[bi]
+	}
+	// Place each edge at its target's cursor, start[t], which walks to
+	// the window's end; then shift the starts back into place.
+	for bi, b := range pr.Blocks {
+		for _, sb := range b.Succs {
+			if validSucc(pr, sb) {
+				e.list[e.start[sb.Index]] = bi
+				e.start[sb.Index]++
+			}
+		}
+	}
+	copy(e.start[1:], e.start[:n])
+	e.start[0] = 0
+	return e
 }
 
 // join computes a block's input value: the union of the neighboring
@@ -147,19 +203,6 @@ func (s *Solver) join(pr *om.Proc, b *om.Block, state []om.RegSet, preds []int) 
 	return v
 }
 
-// cfgPreds returns each block's valid intra-procedure CFG predecessors.
-func cfgPreds(pr *om.Proc) [][]int {
-	preds := make([][]int, len(pr.Blocks))
-	for bi, b := range pr.Blocks {
-		for _, sb := range b.Succs {
-			if validSucc(pr, sb) {
-				preds[sb.Index] = append(preds[sb.Index], bi)
-			}
-		}
-	}
-	return preds
-}
-
 // SolveProc runs the per-procedure worklist to a fixpoint. state holds
 // one value per block — the block's flow output (live-in for a backward
 // problem, the value at the block's end for a forward one) — and is
@@ -170,7 +213,8 @@ func cfgPreds(pr *om.Proc) [][]int {
 // forward), and re-queued through its flow dependents when its value
 // grows.
 func (s *Solver) SolveProc(pr *om.Proc, state []om.RegSet) {
-	s.solve(pr, s.graph(pr), state, nil)
+	g := s.graph(pr)
+	s.solve(pr, &g, state, nil)
 }
 
 // graph is what a solve derives from one procedure's IR: each block's
@@ -179,13 +223,13 @@ func (s *Solver) SolveProc(pr *om.Proc, state []om.RegSet) {
 // transfers that changed.
 type graph struct {
 	trans []Transfer
-	deps  [][]int // per block: the blocks whose joined input reads it
-	preds [][]int // per block: CFG predecessors (Forward only)
+	deps  edgeLists // per block: the blocks whose joined input reads it
+	preds edgeLists // per block: CFG predecessors (Forward only)
 }
 
 // graph builds a procedure's graph under the current transfers.
-func (s *Solver) graph(pr *om.Proc) *graph {
-	g := &graph{trans: make([]Transfer, len(pr.Blocks)), deps: s.flowPreds(pr)}
+func (s *Solver) graph(pr *om.Proc) graph {
+	g := graph{trans: make([]Transfer, len(pr.Blocks)), deps: s.flowPreds(pr)}
 	for bi, b := range pr.Blocks {
 		g.trans[bi] = s.blockTransfer(b)
 	}
@@ -204,8 +248,10 @@ func (s *Solver) solve(pr *om.Proc, g *graph, state []om.RegSet, seeds []int) {
 	if n == 0 {
 		return
 	}
-	onList := make([]bool, n)
-	work := make([]int, 0, n)
+	if len(s.onList) < n {
+		s.onList = make([]bool, n)
+	}
+	onList, work := s.onList, s.work[:0]
 	push := func(bi int) {
 		if !onList[bi] {
 			work = append(work, bi)
@@ -232,17 +278,18 @@ func (s *Solver) solve(pr *om.Proc, g *graph, state []om.RegSet, seeds []int) {
 		work = work[:len(work)-1]
 		onList[bi] = false
 		var p []int
-		if g.preds != nil {
-			p = g.preds[bi]
+		if g.preds.start != nil {
+			p = g.preds.of(bi)
 		}
 		nv := g.trans[bi].Apply(s.join(pr, pr.Blocks[bi], state, p))
 		if nv != state[bi] {
 			state[bi] = nv
-			for _, di := range g.deps[bi] {
+			for _, di := range g.deps.of(bi) {
 				push(di)
 			}
 		}
 	}
+	s.work = work
 }
 
 // blockTransfer composes the block's instruction transfers in flow
@@ -267,15 +314,15 @@ func (s *Solver) blockTransfer(b *om.Block) Transfer {
 // block's walk, for clients that materialize per-instruction values only
 // for the blocks they query.
 func (s *Solver) Inputs(pr *om.Proc, state []om.RegSet) []om.RegSet {
-	var preds [][]int
+	var preds edgeLists
 	if s.Dir == Forward {
 		preds = cfgPreds(pr)
 	}
 	in := make([]om.RegSet, len(pr.Blocks))
 	for bi, b := range pr.Blocks {
 		var p []int
-		if preds != nil {
-			p = preds[bi]
+		if preds.start != nil {
+			p = preds.of(bi)
 		}
 		in[bi] = s.join(pr, b, state, p)
 	}
@@ -309,9 +356,15 @@ func (s *Solver) VisitProc(pr *om.Proc, state []om.RegSet, visit func(in *om.Ins
 // NewState allocates the per-procedure block state the solver operates
 // on, all-∅ (the bottom of a may-problem's lattice).
 func NewState(p *om.Program) [][]om.RegSet {
+	n := 0
+	for _, pr := range p.Procs {
+		n += len(pr.Blocks)
+	}
+	all := make([]om.RegSet, n)
 	state := make([][]om.RegSet, len(p.Procs))
 	for i, pr := range p.Procs {
-		state[i] = make([]om.RegSet, len(pr.Blocks))
+		nb := len(pr.Blocks)
+		state[i], all = all[:nb:nb], all[nb:]
 	}
 	return state
 }

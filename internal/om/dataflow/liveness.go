@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"slices"
 	"sort"
 
 	"atom/internal/alpha"
@@ -234,8 +235,9 @@ type liveSolver struct {
 	// the calls, plus blocks whose boundary is a ret or a transfer to a
 	// procedure start. A re-solve seeds only these.
 	touch [][]int
-	// graphs[i] is procedure i's solver graph, kept across re-solves.
-	graphs []*graph
+	// graphs[i] is procedure i's solver graph, kept across re-solves;
+	// its deps are unset until the procedure's first solve.
+	graphs []graph
 }
 
 // newLiveSolver prepares the fixpoint: entry summaries at ∅, exit
@@ -268,7 +270,7 @@ func newLiveSolver(p *om.Program) *liveSolver {
 		readers:   make([][]int, n),
 		calls:     make([][]int, n),
 		touch:     make([][]int, n),
-		graphs:    make([]*graph, n),
+		graphs:    make([]graph, n),
 	}
 	s.Problem = Problem{
 		Dir:      Backward,
@@ -328,10 +330,10 @@ func newLiveSolver(p *om.Program) *liveSolver {
 func (s *liveSolver) solveProc(i int) {
 	s.cur = i
 	pr := s.lv.procs[i]
-	g := s.graphs[i]
-	if g == nil {
-		s.graphs[i] = s.graph(pr)
-		s.solve(pr, s.graphs[i], s.state[i], nil)
+	g := &s.graphs[i]
+	if g.deps.start == nil {
+		*g = s.graph(pr)
+		s.solve(pr, g, s.state[i], nil)
 		return
 	}
 	for _, bi := range s.calls[i] {
@@ -521,7 +523,8 @@ func (r *returnScan) reachesExit(pr *om.Proc) bool {
 	if len(pr.Blocks) == 0 {
 		return false
 	}
-	r.seen = append(r.seen[:0], make([]bool, len(pr.Blocks))...)
+	r.seen = slices.Grow(r.seen[:0], len(pr.Blocks))[:len(pr.Blocks)]
+	clear(r.seen)
 	r.work = append(r.work[:0], pr.Blocks[0])
 	r.seen[0] = true
 	for len(r.work) > 0 {

@@ -92,7 +92,7 @@ func TestFunctionPointerTableRefixed(t *testing.T) {
 		}
 	}
 	lay := prog.Layout()
-	res, err := lay.Finish(func(string) (uint64, bool) { return 0, false })
+	res, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,20 +142,26 @@ type Result struct {
 	Relocs []aout.Reloc
 }
 
-// Finish emits the instrumented text. resolve maps external symbol names
-// (analysis procedures and data) to absolute addresses.
-func (l *Layout) Finish(resolve func(string) (uint64, bool)) (*Result, error) {
-	return l.FinishCtx(nil, resolve)
+// Finish emits the instrumented text into text, which must be exactly
+// TextSize() bytes long; every byte of it is written. ATOM passes the
+// front of the composed executable's text segment, so the instrumented
+// text is written once, in place; the Result's Text is that slice.
+// resolve maps external symbol names (analysis procedures and data) to
+// absolute addresses.
+func (l *Layout) Finish(text []byte, resolve func(string) (uint64, bool)) (*Result, error) {
+	return l.FinishCtx(nil, text, resolve)
 }
 
 // FinishCtx is Finish with a stage context: re-emission and reference
 // patching run under an "om.finish" span.
-func (l *Layout) FinishCtx(ctx *obs.Ctx, resolve func(string) (uint64, bool)) (*Result, error) {
+func (l *Layout) FinishCtx(ctx *obs.Ctx, text []byte, resolve func(string) (uint64, bool)) (*Result, error) {
 	_, sp := ctx.Start("om.finish")
 	defer sp.End()
+	if uint64(len(text)) != l.size {
+		return nil, fmt.Errorf("om: finish into %d bytes of text, want %d", len(text), l.size)
+	}
 	p := l.prog
 	exe := p.Exe
-	text := make([]byte, l.size)
 	base := exe.TextAddr
 
 	// emitCodes emits a slot's before- or after-sequences, laid out

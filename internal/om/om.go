@@ -25,7 +25,7 @@
 //	... attach actions ...
 //	lay := prog.Layout()              // sizes and the old->new PC map
 //	... link the analysis image at a base derived from lay.TextSize() ...
-//	res, _ := lay.Finish(resolver)    // emit text, patch all references
+//	res, _ := lay.Finish(text, resolver) // emit text, patch all references
 //
 // Layout also publishes the static new->old PC map that lets ATOM present
 // original program counters to analysis routines (Section 4, "Keeping

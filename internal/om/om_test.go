@@ -168,7 +168,7 @@ func TestIdentityTransform(t *testing.T) {
 	if lay.TextSize() != uint64(len(exe.Text)) {
 		t.Fatalf("identity layout size %d != original %d", lay.TextSize(), len(exe.Text))
 	}
-	res, err := lay.Finish(func(string) (uint64, bool) { return 0, false })
+	res, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -214,7 +214,7 @@ func TestNopSplice(t *testing.T) {
 	if lay.TextSize() != 2*uint64(len(exe.Text)) {
 		t.Fatalf("nop-spliced size %d, want %d", lay.TextSize(), 2*len(exe.Text))
 	}
-	res, err := lay.Finish(func(string) (uint64, bool) { return 0, false })
+	res, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +261,10 @@ func TestSpliceExternalRef(t *testing.T) {
 	first.Before = append(first.Before, code)
 	lay := prog.Layout()
 	// Unknown symbol -> error.
-	if _, err := lay.Finish(func(string) (uint64, bool) { return 0, false }); err == nil || !strings.Contains(err.Error(), "ext_data") {
+	if _, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false }); err == nil || !strings.Contains(err.Error(), "ext_data") {
 		t.Errorf("Finish with unresolved symbol: err = %v", err)
 	}
-	res, err := lay.Finish(func(name string) (uint64, bool) {
+	res, err := lay.Finish(make([]byte, lay.TextSize()), func(name string) (uint64, bool) {
 		if name == "ext_data" {
 			return 0x345678, true
 		}

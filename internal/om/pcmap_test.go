@@ -135,7 +135,7 @@ func FuzzLayout(f *testing.F) {
 		if ds := lay.Verify(); len(ds) > 0 {
 			t.Fatalf("layout: %d diagnostics, first: %s", len(ds), ds[0])
 		}
-		res, err := lay.Finish(resolve)
+		res, err := lay.Finish(make([]byte, lay.TextSize()), resolve)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,10 @@
 package om
 
-import "atom/internal/alpha"
+import (
+	"math/bits"
+
+	"atom/internal/alpha"
+)
 
 // RegSet is a set of integer registers, one bit per register.
 type RegSet uint32
@@ -15,15 +19,7 @@ func (s RegSet) Has(r alpha.Reg) bool { return s&(1<<uint(r)) != 0 }
 func (s RegSet) Union(o RegSet) RegSet { return s | o }
 
 // Count returns the number of registers in the set.
-func (s RegSet) Count() int {
-	n := 0
-	for r := alpha.Reg(0); r < alpha.NumRegs; r++ {
-		if s.Has(r) {
-			n++
-		}
-	}
-	return n
-}
+func (s RegSet) Count() int { return bits.OnesCount32(uint32(s)) }
 
 // Regs returns the registers in ascending order.
 func (s RegSet) Regs() []alpha.Reg {

@@ -29,7 +29,7 @@ func TestVerifyCleanPipeline(t *testing.T) {
 	if ds := lay.Verify(); len(ds) > 0 {
 		t.Fatalf("layout has %d diagnostics, first: %s", len(ds), ds[0])
 	}
-	res, err := lay.Finish(func(string) (uint64, bool) { return 0, false })
+	res, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestVerifyRewriteDetectsTampering(t *testing.T) {
 		t.Fatal(err)
 	}
 	lay := prog.Layout()
-	res, err := lay.Finish(func(string) (uint64, bool) { return 0, false })
+	res, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatal(err)
 	}
