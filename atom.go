@@ -35,7 +35,6 @@ import (
 	"atom/internal/om"
 	"atom/internal/om/analysis"
 	"atom/internal/rtl"
-	"atom/internal/telemetry"
 	"atom/internal/tools"
 	"atom/internal/vm"
 )
@@ -136,28 +135,6 @@ func WithCacheDir(dir string) error {
 // CloseCacheDir retires the persistent store installed by WithCacheDir;
 // subsequent cache traffic is memory-only.
 func CloseCacheDir() { build.CloseStore() }
-
-// WithDebugAddr starts the embedded telemetry debug server on addr
-// (host:port; port 0 picks a free one) and returns the resolved listen
-// address. The server exposes the process-wide registry — Prometheus
-// text on /metrics (cache/store/VM/profiler activity, including the
-// lazily-polled VM total gauges), a streaming
-// NDJSON event feed on /debug/events, net/http/pprof under
-// /debug/pprof/, and a /healthz liveness probe. It is the same server
-// `atom -debug-addr` runs, so the curl recipes in the README apply
-// unchanged. Errors if a debug server is already running. Call
-// CloseDebugServer when done.
-func WithDebugAddr(addr string) (string, error) {
-	srv, err := telemetry.StartDefaultServer(addr)
-	if err != nil {
-		return "", err
-	}
-	return srv.Addr(), nil
-}
-
-// CloseDebugServer shuts down the debug server started by WithDebugAddr
-// (or `atom -debug-addr`). A no-op when none is running.
-func CloseDebugServer() error { return telemetry.StopDefaultServer() }
 
 // CacheSnapshot unifies the counters of both artifact caches, plus the
 // persistent store's own counters when one is configured.

@@ -364,9 +364,8 @@ func TestPersistenceGate(t *testing.T) {
 // TestTelemetryGate: the embedded debug server, live. A multi-program
 // batch brings the server up and down cleanly and counts its programs
 // in the metrics snapshot. Then a long VM run is scraped mid-flight:
-// /healthz, /metrics twice (the second >= the first on every _total
-// series, with identical series ordering) and 100 NDJSON events; the
-// run still exits 0.
+// /healthz and /metrics twice (the second >= the first on every _total
+// series, with identical series ordering); the run still exits 0.
 func TestTelemetryGate(t *testing.T) {
 	dir := programs(t).stage(t, "smoke.x", "long.x")
 	copyFile(t, filepath.Join(dir, "smoke.x"), filepath.Join(dir, "smoke2.x"))
@@ -447,23 +446,10 @@ func TestTelemetryGate(t *testing.T) {
 			break
 		}
 	}
-	events := get("/debug/events?n=100")
 	m2 := get("/metrics")
 
 	if !healthOK {
 		t.Error("/healthz did not answer ok")
-	}
-	if n := strings.Count(events, "\n"); n != 100 {
-		t.Errorf("/debug/events?n=100 returned %d lines", n)
-	}
-	seq := 0
-	for _, line := range lines(events) {
-		if strings.Contains(line, `"seq"`) {
-			seq++
-		}
-	}
-	if seq != 100 {
-		t.Errorf("/debug/events?n=100 returned %d events with a seq", seq)
 	}
 	if !imageMiss.MatchString(m1) {
 		t.Errorf("/metrics lacks atom_store_image_miss_total:\n%s", m1)

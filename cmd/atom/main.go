@@ -37,11 +37,11 @@
 //	atom -t cache -vet prog.x            # verify IR, PC maps, rewritten text
 //
 // and observable live: -debug-addr starts an embedded debug server with
-// Prometheus /metrics, a streaming NDJSON event feed, /healthz, and
-// net/http/pprof, while -log emits structured logs as the pipeline runs:
+// Prometheus /metrics, /healthz and net/http/pprof for the length of the
+// invocation. Its /metrics renders the same aggregate the -metrics
+// snapshot writes, so a scrape at the end of a run and the snapshot agree:
 //
 //	atom -t cache -j 4 -debug-addr 127.0.0.1:6060 prog1.x prog2.x ...
-//	atom -t cache -log json -log-level info prog.x
 //
 // -trace - streams the trace JSON to stdout and -metrics - prints the
 // snapshot to stderr; both also accept ordinary file paths. The -metrics
@@ -64,7 +64,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -110,9 +109,7 @@ func run() (code int) {
 		progress      = flag.Bool("progress", false, "live status line on stderr for multi-program instrument batches")
 		tracePath     = flag.String("trace", "", `write a Chrome trace_event JSON of the pipeline to this file ("-" = stdout)`)
 		metrics       = flag.String("metrics", "", `write a span/counter/histogram metrics snapshot to this file ("-" = stderr)`)
-		debugAddr     = flag.String("debug-addr", "", "serve live telemetry on this address (host:port; port 0 picks one): Prometheus /metrics, /debug/events NDJSON stream, /debug/pprof/, /healthz")
-		logFormat     = flag.String("log", "", "emit structured logs to stderr in this format: text | json (default: off)")
-		logLevel      = flag.String("log-level", "info", "minimum structured-log level: debug | info | warn | error")
+		debugAddr     = flag.String("debug-addr", "", "serve this invocation's metrics live on this address (host:port; port 0 picks one): Prometheus /metrics (the -metrics aggregate), /debug/pprof/, /healthz")
 		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of atom itself to this file")
 		runMode       = flag.Bool("run", false, "execute the (instrumented) program on the VM; extra arguments become its argv")
 		profilePath   = flag.String("profile", "", "sample the VM run and write the profile to this file (implies -run)")
@@ -197,36 +194,18 @@ func run() (code int) {
 	}
 
 	// The stage context is nil (near-zero overhead) unless some consumer
-	// of spans or counters is active. -metrics needs no sink: it renders
-	// the context's own obs.Metrics aggregate.
+	// of spans or counters is active. -metrics and -debug-addr need no
+	// sink: both render the context's own obs.Metrics aggregate.
 	var (
 		traceSink *obs.TraceSink
-		logger    *slog.Logger
 		sinks     []obs.Sink
 	)
 	if *tracePath != "" {
 		traceSink = &obs.TraceSink{}
 		sinks = append(sinks, traceSink)
 	}
-	if *logFormat != "" {
-		level, err := telemetry.ParseLevel(*logLevel)
-		if err != nil {
-			return fail(err)
-		}
-		logger, err = telemetry.NewLogger(os.Stderr, *logFormat, level)
-		if err != nil {
-			return fail(err)
-		}
-		sinks = append(sinks, &telemetry.LogSink{L: logger})
-	}
-	if *debugAddr != "" {
-		// The debug server exposes the process-wide registry and event
-		// stream; attaching them here makes the CLI's pipeline activity
-		// visible on the same endpoints the library API serves.
-		sinks = append(sinks, telemetry.Default().Sink(), telemetry.DefaultStream())
-	}
 	var ctx *obs.Ctx
-	if len(sinks) > 0 || *metrics != "" {
+	if len(sinks) > 0 || *metrics != "" || *debugAddr != "" {
 		ctx = obs.New(sinks...)
 	}
 
@@ -238,9 +217,10 @@ func run() (code int) {
 			return fail(err)
 		}
 	}
+	var srv *telemetry.Server
 	if *debugAddr != "" {
-		srv, err := telemetry.StartDefaultServer(*debugAddr)
-		if err != nil {
+		srv = telemetry.NewServer(ctx.Metrics())
+		if err := srv.Start(*debugAddr); err != nil {
 			return fail(err)
 		}
 		// The resolved address matters with port 0; scripts poll stderr
@@ -275,8 +255,8 @@ func run() (code int) {
 					}
 				}
 			}
-			if *debugAddr != "" {
-				telemetry.StopDefaultServer()
+			if srv != nil {
+				srv.Close()
 			}
 		})
 	}
@@ -357,9 +337,9 @@ func run() (code int) {
 		for k, i := range goodIdx {
 			goodNames[k] = inputs[i]
 		}
-		// Per-program completion counters stream over /debug/events as
-		// the batch runs, so a live reader watches progress without the
-		// -progress status line.
+		// Per-program completion counters show on /metrics as the batch
+		// runs, so a live reader watches progress without the -progress
+		// status line.
 		var done atomic.Int64
 		total := len(good)
 		progressLine := *progress && len(inputs) > 1
@@ -390,9 +370,6 @@ func run() (code int) {
 	for i, res := range results {
 		if errs[i] != nil {
 			fmt.Fprintf(os.Stderr, "atom: %s: %v\n", inputs[i], errs[i])
-			if logger != nil {
-				logger.Error("program failed", slog.String("program", inputs[i]), slog.String("err", errs[i].Error()))
-			}
 			failed++
 			continue
 		}

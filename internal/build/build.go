@@ -346,10 +346,10 @@ func MemoCtx[T any](ctx *obs.Ctx, c *Cache, what string, key Key, build func(*ob
 
 // ResetIRCache is a no-op: the lift has no cache. It exists only
 // because perfbench still calls it; the next benchmark change (ROADMAP
-// item 9) deletes it together with perfbench's build.ir.* rows.
+// item 2) deletes it together with perfbench's build.ir.* rows.
 func ResetIRCache(Scope) {}
 
 // IRCacheStats returns a zero Stats: the lift has no cache. It exists
 // only because perfbench still reports it; the next benchmark change
-// (ROADMAP item 9) deletes it together with perfbench's build.ir.* rows.
+// (ROADMAP item 2) deletes it together with perfbench's build.ir.* rows.
 func IRCacheStats() Stats { return Stats{} }

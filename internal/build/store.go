@@ -50,7 +50,7 @@ type StoreStats struct {
 // Scope is vestigial: a Reset only ever drops the in-memory layer, and
 // the store is cleared by deleting its directory. The type and its one
 // value remain because perfbench passes build.ScopeMemory to the cache
-// reset functions (ROADMAP item 9 removes them with ResetIRCache).
+// reset functions (ROADMAP item 2 removes them with ResetIRCache).
 type Scope int
 
 // ScopeMemory is the only Scope.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"atom/internal/alpha"
@@ -220,20 +221,24 @@ func (q *Instrumentation) GetLastInst(b *om.Block) *om.Inst {
 }
 
 // GetNextInst returns the instruction after i within its block, or nil.
+// A lifted block holds consecutive words, so i's index follows from its
+// address; IR whose block addresses are not contiguous (built by hand)
+// falls back to a scan.
 func (q *Instrumentation) GetNextInst(i *om.Inst) *om.Inst {
 	if i == nil {
 		return nil
 	}
-	b := i.Block()
-	for k, in := range b.Insts {
-		if in == i {
-			if k+1 < len(b.Insts) {
-				return b.Insts[k+1]
-			}
-			return nil
-		}
+	insts := i.Block().Insts
+	var k int
+	if d := (i.Addr - insts[0].Addr) / 4; d < uint64(len(insts)) && insts[d] == i {
+		k = int(d)
+	} else {
+		k = slices.Index(insts, i)
 	}
-	return nil
+	if k < 0 || k+1 >= len(insts) {
+		return nil
+	}
+	return insts[k+1]
 }
 
 // Procs returns all procedures (Go-idiomatic traversal).

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"atom/internal/core"
+	"atom/internal/om"
 	"atom/internal/spec"
 	"atom/internal/tools"
 )
@@ -82,4 +83,60 @@ func TestLiftSharedExeConcurrent(t *testing.T) {
 	if !bytes.Equal(app.Encode(), orig) {
 		t.Fatal("instrumenting the shared executable changed it")
 	}
+}
+
+// TestGetNextInstMatchesScan: GetNextInst, which indexes a block by
+// instruction address, returns what a scan of the block for the
+// instruction returns, for every instruction of every block of the
+// suite. Then, with the addresses of one block swapped and reversed as
+// hand-built IR may have them, it still does.
+func TestGetNextInstMatchesScan(t *testing.T) {
+	scan := func(i *om.Inst) *om.Inst {
+		insts := i.Block().Insts
+		for k, in := range insts {
+			if in == i && k+1 < len(insts) {
+				return insts[k+1]
+			}
+		}
+		return nil
+	}
+	check := func(t *testing.T, q *core.Instrumentation, b *om.Block) {
+		t.Helper()
+		for _, in := range b.Insts {
+			if got, want := q.GetNextInst(in), scan(in); got != want {
+				t.Fatalf("GetNextInst(%#x) = %p, scan = %p", in.Addr, got, want)
+			}
+		}
+	}
+	var long *om.Block // a block of three or more instructions
+	for _, p := range spec.Suite() {
+		app, err := spec.Build(p.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := core.Lift(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := core.NewInstrumentation(prog)
+		for _, pr := range prog.Procs {
+			for _, b := range pr.Blocks {
+				check(t, q, b)
+				if long == nil && len(b.Insts) >= 3 {
+					long = b
+				}
+			}
+		}
+	}
+	if long == nil {
+		t.Fatal("no block of three or more instructions in the suite")
+	}
+	q := core.NewInstrumentation(nil)
+	in := long.Insts
+	in[1].Addr, in[2].Addr = in[2].Addr, in[1].Addr
+	check(t, q, long)
+	for i, j := 0, len(in)-1; i < j; i, j = i+1, j-1 {
+		in[i].Addr, in[j].Addr = in[j].Addr, in[i].Addr
+	}
+	check(t, q, long)
 }

@@ -12,14 +12,12 @@ import (
 
 // Metrics is the one metric aggregate: named counters, log2 histograms,
 // and per-name span count and total, all under one lock. Every Ctx tree
-// feeds its own (Ctx.Metrics); the process-wide telemetry registry
-// attaches a second one as a sink to every live context, so it sees the
-// union of their activity — including contexts since dropped. Totals
-// only ever grow, the monotonicity a Prometheus counter requires.
+// feeds its own (Ctx.Metrics), and nothing else feeds one. Totals only
+// ever grow (for non-negative counter deltas), the monotonicity a
+// Prometheus counter requires.
 //
-// Metrics implements Sink, CounterSink, and HistogramSink. All methods
-// are safe for concurrent use, so a scrape handler may read it while
-// the pipeline writes.
+// All methods are safe for concurrent use, so a scrape handler may read
+// it while the pipeline writes.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]int64
@@ -27,8 +25,8 @@ type Metrics struct {
 	spans    map[string]SpanStat
 }
 
-// NewMetrics returns an empty aggregate.
-func NewMetrics() *Metrics {
+// newMetrics returns an empty aggregate.
+func newMetrics() *Metrics {
 	return &Metrics{
 		counters: map[string]int64{},
 		hists:    map[string]*histData{},
@@ -36,8 +34,8 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// SpanEnd folds the completed span into its per-name count and total.
-func (m *Metrics) SpanEnd(sd SpanData) {
+// spanEnd folds the completed span into its per-name count and total.
+func (m *Metrics) spanEnd(sd SpanData) {
 	m.mu.Lock()
 	s := m.spans[sd.Name]
 	s.Name = sd.Name
@@ -47,15 +45,15 @@ func (m *Metrics) SpanEnd(sd SpanData) {
 	m.mu.Unlock()
 }
 
-// CounterAdd adds delta to the named counter.
-func (m *Metrics) CounterAdd(name string, delta int64) {
+// add adds delta to the named counter.
+func (m *Metrics) add(name string, delta int64) {
 	m.mu.Lock()
 	m.counters[name] += delta
 	m.mu.Unlock()
 }
 
-// HistogramObserve folds one value into the named histogram.
-func (m *Metrics) HistogramObserve(name string, v int64) {
+// observe folds one value into the named histogram.
+func (m *Metrics) observe(name string, v int64) {
 	m.mu.Lock()
 	h := m.hists[name]
 	if h == nil {

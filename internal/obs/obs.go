@@ -11,11 +11,11 @@
 //
 // Metrics is the package's one aggregate: counters, log2 histograms and
 // per-name span count and total. Every context tree keeps one for
-// itself (Ctx.Metrics), and the -metrics snapshot, the bench JSON and
-// the live /metrics endpoint all render that type, so they cannot
-// disagree. Other sinks choose what else to keep: TraceSink records
-// every span for a Chrome trace_event export, StreamSink broadcasts
-// live events, Nop discards everything.
+// itself (Ctx.Metrics) and is its only consumer of counters and
+// histograms; the -metrics snapshot and the live /metrics endpoint of
+// an invocation render that one object, so they cannot disagree. Sinks
+// receive completed spans only: TraceSink records every span for a
+// Chrome trace_event export, Nop discards everything.
 //
 // All sinks and counters are safe for concurrent use; the suite fan-out
 // ends spans from many goroutines at once.
@@ -61,28 +61,6 @@ type Sink interface {
 	SpanEnd(sd SpanData)
 }
 
-// SpanBeginSink is an optional Sink extension: sinks that also implement
-// it are notified when a span OPENS (Dur is zero in the delivered
-// SpanData; attributes added later via SetAttr appear only at SpanEnd).
-// The live event stream uses this to show work in flight.
-type SpanBeginSink interface {
-	SpanBegin(sd SpanData)
-}
-
-// CounterSink is an optional Sink extension: sinks that also implement
-// it receive every Count call as a delta, in call order per goroutine.
-// The process-wide registry and the live event stream aggregate these
-// without polling the Ctx.
-type CounterSink interface {
-	CounterAdd(name string, delta int64)
-}
-
-// HistogramSink is an optional Sink extension: sinks that also implement
-// it receive every Observe call.
-type HistogramSink interface {
-	HistogramObserve(name string, v int64)
-}
-
 // Nop is the do-nothing sink. Observability with only a Nop sink (or,
 // cheaper, a nil *Ctx) has near-zero overhead.
 type Nop struct{}
@@ -93,15 +71,9 @@ func (Nop) SpanEnd(SpanData) {}
 // root is the shared state of one Ctx tree.
 type root struct {
 	clock  func() time.Duration // monotonic time since the epoch
-	m      *Metrics             // the tree's own aggregate, also sinks[0]
+	m      *Metrics             // the tree's own aggregate
 	sinks  []Sink
 	nextID atomic.Uint64
-
-	// The optional sink extensions, split out once at New so the hot
-	// paths (Start, Count, Observe) fan out without type assertions.
-	beginSinks   []SpanBeginSink
-	counterSinks []CounterSink
-	histSinks    []HistogramSink
 }
 
 // Ctx is the stage context threaded through the pipeline. It names a
@@ -125,20 +97,7 @@ func New(sinks ...Sink) *Ctx {
 // newCtx builds a context over an explicit clock; tests inject a fixed
 // one to get byte-identical output.
 func newCtx(clock func() time.Duration, sinks ...Sink) *Ctx {
-	r := &root{clock: clock, m: NewMetrics()}
-	r.sinks = append([]Sink{r.m}, sinks...)
-	for _, s := range r.sinks {
-		if b, ok := s.(SpanBeginSink); ok {
-			r.beginSinks = append(r.beginSinks, b)
-		}
-		if c, ok := s.(CounterSink); ok {
-			r.counterSinks = append(r.counterSinks, c)
-		}
-		if h, ok := s.(HistogramSink); ok {
-			r.histSinks = append(r.histSinks, h)
-		}
-	}
-	return &Ctx{r: r}
+	return &Ctx{r: &root{clock: clock, m: newMetrics(), sinks: sinks}}
 }
 
 // Enabled reports whether observability is on.
@@ -187,16 +146,6 @@ func (c *Ctx) Start(name string, attrs ...Attr) (*Ctx, *Span) {
 		start:  c.r.clock(),
 		attrs:  attrs,
 	}
-	for _, b := range c.r.beginSinks {
-		b.SpanBegin(SpanData{
-			ID:     sp.id,
-			Parent: sp.parent,
-			Track:  sp.track,
-			Name:   sp.name,
-			Start:  sp.start,
-			Attrs:  sp.attrs,
-		})
-	}
 	return &Ctx{r: c.r, parent: id, track: track}, sp
 }
 
@@ -208,8 +157,8 @@ func (s *Span) SetAttr(attrs ...Attr) {
 	s.attrs = append(s.attrs, attrs...)
 }
 
-// End completes the span and delivers it to every sink. Ending twice (or
-// ending a nil span) is a no-op.
+// End completes the span, folds it into the tree's Metrics and delivers
+// it to every sink. Ending twice (or ending a nil span) is a no-op.
 func (s *Span) End() {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return
@@ -223,22 +172,20 @@ func (s *Span) End() {
 		Dur:    s.r.clock() - s.start,
 		Attrs:  s.attrs,
 	}
+	s.r.m.spanEnd(sd)
 	for _, sink := range s.r.sinks {
 		sink.SpanEnd(sd)
 	}
 }
 
 // Count adds delta to the named counter. Counters aggregate in the
-// tree's own Metrics (and in every other CounterSink), so every stage
-// reports through the same context the spans use. Safe on nil and for
-// concurrent use.
+// tree's own Metrics, so every stage reports through the same context
+// the spans use. Safe on nil and for concurrent use.
 func (c *Ctx) Count(name string, delta int64) {
 	if c == nil {
 		return
 	}
-	for _, s := range c.r.counterSinks {
-		s.CounterAdd(name, delta)
-	}
+	c.r.m.add(name, delta)
 }
 
 // Counters returns a snapshot of every counter, sorted by name (so any
@@ -259,9 +206,7 @@ func (c *Ctx) Observe(name string, v int64) {
 	if c == nil {
 		return
 	}
-	for _, s := range c.r.histSinks {
-		s.HistogramObserve(name, v)
-	}
+	c.r.m.observe(name, v)
 }
 
 // Histograms returns a snapshot of every histogram, sorted by name, with

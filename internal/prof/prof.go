@@ -27,7 +27,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"atom/internal/aout"
 	"atom/internal/obs"
@@ -255,19 +254,9 @@ func (p *Profiler) Sample(pc uint64) {
 	p.folded[key.String()]++
 }
 
-// Process-wide sample total across every profiler, for the telemetry
-// registry's lazily-polled gauges.
-var totalSamples atomic.Uint64
-
-// TotalSamplesAll returns how many samples every profiler in the
-// process has flushed so far.
-func TotalSamplesAll() uint64 { return totalSamples.Load() }
-
-// Flush reports summary counters to the obs context and folds this
-// run's samples into the process-wide total (once per run; the obs
-// report is safely skipped when Options.Obs is nil).
+// Flush reports summary counters to the obs context (once per run; a
+// no-op when Options.Obs is nil).
 func (p *Profiler) Flush() {
-	totalSamples.Add(p.nsamples)
 	p.obs.Count("prof.samples", int64(p.nsamples))
 }
 

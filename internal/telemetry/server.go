@@ -2,44 +2,34 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"atom/internal/obs"
 )
 
-// Server is the embedded debug server behind `atom -debug-addr` (and
-// atom.WithDebugAddr). It serves:
+// Server is the embedded debug server behind `atom -debug-addr`. It
+// serves one *obs.Metrics:
 //
-//	GET /metrics        Prometheus text exposition of the Registry
-//	GET /debug/events   chunked NDJSON live stream of telemetry events
+//	GET /metrics        Prometheus text exposition of the Metrics
 //	GET /debug/pprof/   the standard Go profiling endpoints
 //	GET /healthz        liveness probe ("ok")
-//
-// The event stream honors two query parameters: n limits the response
-// to that many events (the connection closes once delivered — CI smoke
-// uses this), and replay=0 skips the buffered backlog and streams only
-// events emitted after the request arrived.
 type Server struct {
-	reg    *Registry
-	stream *obs.StreamSink
-	ln     net.Listener
-	srv    *http.Server
-	done   chan struct{}
+	m    *obs.Metrics
+	ln   net.Listener
+	srv  *http.Server
+	done chan struct{}
 }
 
-// NewServer builds a server over a registry and an event stream; either
-// may be shared with any number of obs contexts. Call Start to listen.
-func NewServer(reg *Registry, stream *obs.StreamSink) *Server {
-	s := &Server{reg: reg, stream: stream, done: make(chan struct{})}
+// NewServer builds a server over m, typically the invocation's
+// ctx.Metrics(). Call Start to listen.
+func NewServer(m *obs.Metrics) *Server {
+	s := &Server{m: m, done: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/events", s.handleEvents)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -77,16 +67,11 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close shuts the server down: the event stream's subscribers are
-// cancelled (so open /debug/events requests terminate rather than
-// outlive the process), then the listener and in-flight requests get a
-// short grace period.
+// Close shuts the server down, giving the listener and in-flight
+// requests a short grace period.
 func (s *Server) Close() error {
 	if s.ln == nil {
 		return nil
-	}
-	if s.stream != nil {
-		s.stream.Shutdown()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -100,59 +85,5 @@ func (s *Server) Close() error {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w)
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.stream == nil {
-		http.Error(w, "event streaming disabled", http.StatusNotFound)
-		return
-	}
-	limit := 0 // 0: stream until the client goes away or the sink closes
-	if q := r.URL.Query().Get("n"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		limit = n
-	}
-	replay := r.URL.Query().Get("replay") != "0"
-	buf := 1024
-	if limit > buf {
-		buf = limit
-	}
-	sub := s.stream.Subscribe(buf, replay)
-	defer s.stream.Unsubscribe(sub)
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-
-	enc := json.NewEncoder(w)
-	sent := 0
-	for {
-		select {
-		case ev, ok := <-sub.Events():
-			if !ok {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			sent++
-			if limit > 0 && sent >= limit {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	WritePrometheus(w, s.m)
 }

@@ -1,14 +1,10 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -34,21 +30,19 @@ func TestMetricName(t *testing.T) {
 // byte-identical, and renders across growing state keep the same
 // ordering discipline (sections in fixed order, names sorted within).
 func TestWritePrometheusDeterministic(t *testing.T) {
-	reg := NewRegistry()
-	ctx := obs.New(reg.Sink())
+	ctx := obs.New()
 	ctx.Count("store.image.hit", 3)
 	ctx.Count("atom.sites", 7)
 	ctx.Observe("site_regs", 4)
 	ctx.Observe("site_regs", 100)
 	_, sp := ctx.Start("atom.apply")
 	sp.End()
-	reg.SetGauge("vm.total.runs", func() int64 { return 42 })
 
 	var a, b bytes.Buffer
-	if err := reg.WritePrometheus(&a); err != nil {
+	if err := WritePrometheus(&a, ctx.Metrics()); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, ctx.Metrics()); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -64,8 +58,6 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 		"atom_site_regs_sum 104",
 		"atom_site_regs_count 2",
 		`atom_span_count_total{span="atom.apply"} 1`,
-		"# TYPE atom_vm_total_runs gauge",
-		"atom_vm_total_runs 42",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -83,59 +75,12 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 }
 
-// TestRegistryReconciles: the registry's event-fed aggregate matches the
-// obs context's own aggregate exactly — counters, histogram snapshots,
-// and span counts per name — the invariant that makes a mid-run scrape
-// agree with end-of-run -stats and -metrics numbers.
-func TestRegistryReconciles(t *testing.T) {
-	reg := NewRegistry()
-	ctx := obs.New(reg.Sink())
-	ctx.Count("a.one", 5)
-	ctx.Count("b.two", 7)
-	ctx.Observe("lat", 3)
-	ctx.Observe("lat", 900)
-	child, sp := ctx.Start("phase")
-	child.Count("a.one", 2)
-	child.Observe("lat", -1)
-	child.Observe("depth", 12)
-	_, inner := child.Start("inner")
-	inner.End()
-	sp.End()
-	_, sp = ctx.Start("phase")
-	sp.End()
-
-	for _, c := range ctx.Counters() {
-		if got := reg.Sink().Counter(c.Name); got != c.Value {
-			t.Errorf("registry %s = %d, ctx = %d", c.Name, got, c.Value)
-		}
-	}
-	if got := reg.Sink().Counter("a.one"); got != 7 {
-		t.Errorf("a.one = %d, want 7 (parent+child)", got)
-	}
-	if got, want := reg.Sink().Histograms(), ctx.Histograms(); !reflect.DeepEqual(got, want) || len(want) != 2 {
-		t.Errorf("registry histograms = %+v, ctx = %+v", got, want)
-	}
-	spanCounts := func(stats []obs.SpanStat) map[string]int64 {
-		m := map[string]int64{}
-		for _, s := range stats {
-			m[s.Name] = s.Count
-		}
-		return m
-	}
-	got, want := spanCounts(reg.Sink().Spans()), spanCounts(ctx.Metrics().Spans())
-	if !reflect.DeepEqual(got, want) || want["phase"] != 2 || want["inner"] != 1 {
-		t.Errorf("registry span counts = %v, ctx = %v, want phase=2 inner=1", got, want)
-	}
-}
-
 // TestServerEndpoints drives a live server end to end: /metrics twice
-// (second monotonically >= first, identical ordering), /healthz,
-// /debug/events with a limit, and /debug/pprof/; then a clean Close.
+// (second monotonically >= first, identical ordering), /healthz and
+// /debug/pprof/; then a clean Close.
 func TestServerEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	stream := obs.NewStreamSink()
-	ctx := obs.New(reg.Sink(), stream)
-	srv := NewServer(reg, stream)
+	ctx := obs.New()
+	srv := NewServer(ctx.Metrics())
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -186,30 +131,6 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("scrape shapes differ:\n%v\n%v", n1, n2)
 	}
 
-	// The events endpoint with ?n= delivers exactly that many NDJSON
-	// records (the backlog replays, so the earlier counts are visible)
-	// and then the server closes the response.
-	resp, err := http.Get(base + "/debug/events?n=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	var events []obs.Event
-	for sc.Scan() {
-		var ev obs.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		events = append(events, ev)
-	}
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want exactly 2", len(events))
-	}
-	if events[0].Name != "test.hits" || events[0].Value != 3 {
-		t.Fatalf("first replayed event = %+v", events[0])
-	}
-
 	if body, _ := get("/debug/pprof/cmdline"); len(body) == 0 {
 		t.Error("/debug/pprof/cmdline returned nothing")
 	}
@@ -219,152 +140,5 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("server still serving after Close")
-	}
-}
-
-// TestServerCloseTerminatesStream: an open unlimited /debug/events
-// request ends when the server closes, instead of hanging.
-func TestServerCloseTerminatesStream(t *testing.T) {
-	reg := NewRegistry()
-	stream := obs.NewStreamSink()
-	srv := NewServer(reg, stream)
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + srv.Addr() + "/debug/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, err := io.ReadAll(resp.Body)
-		done <- err
-	}()
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	<-done // reader must return promptly; the test hangs otherwise
-}
-
-// TestDefaultServerLifecycle: the process-wide server starts once,
-// rejects a second start, stops cleanly, and can start again.
-func TestDefaultServerLifecycle(t *testing.T) {
-	srv, err := StartDefaultServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := StartDefaultServer("127.0.0.1:0"); err == nil {
-		t.Error("second StartDefaultServer did not error")
-	}
-	// The default registry carries the process gauges; the rendered
-	// exposition includes them even with no obs activity at all.
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{"atom_vm_total_runs", "atom_prof_total_samples"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("default /metrics missing gauge %s", want)
-		}
-	}
-	if err := StopDefaultServer(); err != nil {
-		t.Fatal(err)
-	}
-	if err := StopDefaultServer(); err != nil {
-		t.Fatalf("second StopDefaultServer: %v", err)
-	}
-	srv2, err := StartDefaultServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	if err := StopDefaultServer(); err != nil {
-		t.Fatal(err)
-	}
-	_ = srv2
-}
-
-// TestLogSinkLevels: span outcomes map to the documented levels and
-// messages.
-func TestLogSinkLevels(t *testing.T) {
-	var buf bytes.Buffer
-	logger, err := NewLogger(&buf, "json", slog.LevelDebug)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &LogSink{L: logger}
-	end := func(name, outcome string) {
-		sd := obs.SpanData{Name: name}
-		if outcome != "" {
-			sd.Attrs = []obs.Attr{obs.String("outcome", outcome)}
-		}
-		sink.SpanEnd(sd)
-	}
-	end("cache.get", "miss")
-	end("cache.get", "disk")
-	end("cache.get", "error")
-	end("store.get", "corrupt")
-	end("atom.apply", "")
-
-	var recs []map[string]any
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("bad log line %q: %v", line, err)
-		}
-		recs = append(recs, m)
-	}
-	want := []struct{ level, msg string }{
-		{"INFO", "cache miss"},
-		{"INFO", "cache disk hit"},
-		{"ERROR", "cache build failed"},
-		{"WARN", "corrupt blob deleted"},
-		{"DEBUG", "span end"},
-	}
-	if len(recs) != len(want) {
-		t.Fatalf("got %d records, want %d", len(recs), len(want))
-	}
-	for i, w := range want {
-		if recs[i]["level"] != w.level || recs[i]["msg"] != w.msg {
-			t.Errorf("record %d = %v/%v, want %s/%s", i, recs[i]["level"], recs[i]["msg"], w.level, w.msg)
-		}
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]slog.Level{
-		"debug": slog.LevelDebug, "info": slog.LevelInfo,
-		"warn": slog.LevelWarn, "error": slog.LevelError,
-	} {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel(loud) did not error")
-	}
-	if _, err := NewLogger(io.Discard, "xml", slog.LevelInfo); err == nil {
-		t.Error("NewLogger(xml) did not error")
-	}
-}
-
-// TestGaugeRemoval: SetGauge(nil) removes; renders stay deterministic.
-func TestGaugeRemoval(t *testing.T) {
-	reg := NewRegistry()
-	v := int64(1)
-	reg.SetGauge("g.x", func() int64 { return v })
-	var a bytes.Buffer
-	reg.WritePrometheus(&a)
-	if !strings.Contains(a.String(), "atom_g_x 1") {
-		t.Fatalf("gauge missing:\n%s", a.String())
-	}
-	reg.SetGauge("g.x", nil)
-	var b bytes.Buffer
-	reg.WritePrometheus(&b)
-	if strings.Contains(b.String(), "atom_g_x") {
-		t.Fatalf("removed gauge still rendered:\n%s", b.String())
 	}
 }

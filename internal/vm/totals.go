@@ -3,10 +3,10 @@ package vm
 import "sync/atomic"
 
 // Process-wide execution totals, accumulated across every Machine's Run
-// calls regardless of whether an obs context is attached. The live
-// telemetry registry polls these as gauges, so a long-running daemon
-// can report how much guest work it has retired without threading a
-// context into every VM.
+// calls regardless of whether an obs context is attached. The benchmark
+// in perfbench/ is their only reader: it takes Totals before and after
+// a run and keeps the difference. Everything else reads a run's own
+// obs.Ctx (the vm.* counters), which parallel runs do not share.
 var (
 	totalRuns      atomic.Uint64
 	totalInstr     atomic.Uint64

@@ -49,11 +49,12 @@ int main() {
 }
 `
 
-// runPlain runs exe on the per-instruction Step loop, which a tracer
-// selects: the reference RunProgram's superblock loop must match.
-func runPlain(t *testing.T, exe *atom.Executable) *atom.RunResult {
+// runVM runs exe on the VM under cfg. A cfg with a Trace writer selects
+// the per-instruction Step loop, the reference the superblock loop every
+// other run uses must match.
+func runVM(t *testing.T, exe *atom.Executable, cfg vm.Config) *atom.RunResult {
 	t.Helper()
-	m, err := vm.New(exe, vm.Config{Trace: io.Discard})
+	m, err := vm.New(exe, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +76,11 @@ func runPlain(t *testing.T, exe *atom.Executable) *atom.RunResult {
 }
 
 // TestVMModeDifferentialAllTools instruments the workload with every
-// built-in tool and runs each output through RunProgram: exit code,
+// built-in tool and runs each output on the superblock loop: exit code,
 // stdout, every report file, and every machine counter must match the
-// plain Step loop exactly, and the run must drop no superblock.
+// plain Step loop exactly, and the run must drop no superblock. Each
+// run counts its invalidations in its own obs.Ctx, not in the
+// process-wide vm.Totals that parallel tests share.
 func TestVMModeDifferentialAllTools(t *testing.T) {
 	app, err := atom.BuildProgram(map[string]string{"app.c": vmModeWorkload})
 	if err != nil {
@@ -86,15 +89,12 @@ func TestVMModeDifferentialAllTools(t *testing.T) {
 
 	check := func(t *testing.T, exe *atom.Executable) {
 		t.Helper()
-		want := runPlain(t, exe)
-		inval := vm.Totals().SBInval
-		got, err := atom.RunProgram(exe, atom.RunConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := runVM(t, exe, vm.Config{Trace: io.Discard})
+		ctx := obs.New()
+		got := runVM(t, exe, vm.Config{Obs: ctx})
 		// No tool modifies code: an invalidation means analysis data in
 		// the text segment was mistaken for code.
-		if d := vm.Totals().SBInval - inval; d != 0 {
+		if d := ctx.Metrics().Counter("vm.sb.invalidations"); d != 0 {
 			t.Errorf("run dropped %d superblocks; analysis data stores must not invalidate code", d)
 		}
 		if got.ExitCode != want.ExitCode {
