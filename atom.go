@@ -192,7 +192,7 @@ type AnalysisFinding = analysis.Finding
 func AnalysisPasses(spec string) ([]AnalysisPass, error) { return analysis.Select(spec) }
 
 // Analyze lifts an application and runs the selected passes over it
-// (the `atom -analyze prog.x` entry point as a library call). A tool
+// (the `atom analyze prog.x` entry point as a library call). A tool
 // image is audited with ToolImage.Analyze instead, which runs the
 // image-only passes such as toollint.
 func Analyze(name string, app *Executable, passSpec string) (*AnalysisReport, error) {

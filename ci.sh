@@ -6,8 +6,10 @@
 # costs) so they cannot rot silently, and a short fuzz smoke of every
 # on-disk decoder: the executable reader, the blob-file reader and each
 # store codec. The end-to-end CLI gates — trace, profile, vet,
-# inline, persistence, telemetry and analyze — are Go tests
-# (cmd/atom/e2e_test.go, examples_test.go) that the test runs execute.
+# inline, persistence, telemetry, analyze, heap scheme, batch output
+# collision, argument order and run stdin — are Go tests that the test
+# runs execute: cmd/atom/e2e_test.go drives the one built atom command,
+# and examples_test.go runs the examples.
 set -eux
 
 fmt=$(gofmt -l .)

@@ -1,11 +1,11 @@
 package main
 
-// End-to-end gates of the command line: the built atom, minicc, alink
-// and aasm commands driven as separate processes, the way a user runs
-// them — trace, profile, vet, inline, persistence, telemetry, analyze
-// and the heap scheme, plus the batch output-collision check. TestMain
-// builds the four commands once; the gates skip under -short and when
-// no go binary is on PATH.
+// End-to-end gates of the command line: the built atom command driven
+// as separate processes, the way a user runs it — trace, profile, vet,
+// inline, persistence, telemetry, analyze and the heap scheme, plus the
+// batch output-collision check, both argument orders of the default
+// form and a real process's stdin. TestMain builds the command once;
+// the gates skip under -short and when no go binary is on PATH.
 
 import (
 	"bufio"
@@ -29,7 +29,7 @@ import (
 	"atom/internal/prof"
 )
 
-// binDir holds the built commands; it stays empty when the gates skip.
+// binDir holds the built command; it stays empty when the gates skip.
 var binDir string
 
 func TestMain(m *testing.M) {
@@ -45,8 +45,7 @@ func runTests(m *testing.M) int {
 			return 1
 		}
 		defer os.RemoveAll(dir)
-		build := exec.Command(goBin, "build", "-o", dir+string(os.PathSeparator),
-			"atom/cmd/atom", "atom/cmd/minicc", "atom/cmd/alink", "atom/cmd/aasm")
+		build := exec.Command(goBin, "build", "-o", dir+string(os.PathSeparator), "atom/cmd/atom")
 		if out, err := build.CombinedOutput(); err != nil {
 			fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
 			return 1
@@ -71,6 +70,24 @@ int main() { long i, s = 0; for (i = 0; i < 5000000; i++) s += i; printf("%ld\n"
 #include <stdlib.h>
 int main() { char *p = malloc(64); printf("%lx\n", (long)p); return 0; }
 `
+	// readerC prints its input file and its first stdin line.
+	readerC = `#include <stdio.h>
+int main() {
+    FILE *f; char buf[64]; long n; int c;
+    f = fopen("in.txt", "r");
+    if (!f) { printf("no in.txt\n"); return 1; }
+    n = fread(buf, 1, 63, f);
+    buf[n] = 0;
+    fclose(f);
+    printf("file: %s", buf);
+    n = 0;
+    c = getchar();
+    while (c != -1 && c != '\n') { buf[n] = c; n = n + 1; c = getchar(); }
+    buf[n] = 0;
+    printf("stdin: %s\n", buf);
+    return 0;
+}
+`
 	// defectS is an analysis image with a seeded save-discipline defect:
 	// Clobber overwrites the callee-save register s0.
 	defectS = `	.text
@@ -93,8 +110,8 @@ Clobber:
 // fixture is what every gate shares: the compiled programs and the
 // built-in tool names.
 type fixture struct {
-	dir   string   // smoke.x, long.x, heap.x, defect.x
-	tools []string // first column of atom -list
+	dir   string   // smoke.x, long.x, heap.x, reader.x, defect.x
+	tools []string // first column of atom list
 }
 
 var (
@@ -103,7 +120,7 @@ var (
 	fixErr  error
 )
 
-// programs skips the calling gate when the commands were not built and
+// programs skips the calling gate when the command was not built and
 // otherwise returns the fixture, compiling it on first use.
 func programs(t *testing.T) fixture {
 	t.Helper()
@@ -125,30 +142,32 @@ func buildFixture(dir string) (fixture, error) {
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		return f, err
 	}
-	for name, src := range map[string]string{"smoke.c": smokeC, "long.c": longC, "heap.c": heapC, "defect.s": defectS} {
+	for name, src := range map[string]string{"smoke.c": smokeC, "long.c": longC, "heap.c": heapC, "reader.c": readerC, "defect.s": defectS} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
 			return f, err
 		}
 	}
 	for _, step := range [][]string{
-		{"minicc", "-o", "smoke.o", "smoke.c"},
-		{"alink", "-o", "smoke.x", "smoke.o"},
-		{"minicc", "-o", "long.o", "long.c"},
-		{"alink", "-o", "long.x", "long.o"},
-		{"minicc", "-o", "heap.o", "heap.c"},
-		{"alink", "-o", "heap.x", "heap.o"},
-		{"aasm", "-o", "defect.o", "defect.s"},
-		{"alink", "-o", "defect.x", "defect.o"},
-		{"atom", "-list"},
+		{"cc", "smoke.c"},
+		{"ld", "-o", "smoke.x", "smoke.o"},
+		{"cc", "-o", "long.o", "long.c"},
+		{"ld", "-o", "long.x", "long.o"},
+		{"cc", "heap.c"},
+		{"ld", "-o", "heap.x", "heap.o"},
+		{"cc", "reader.c"},
+		{"ld", "-o", "reader.x", "reader.o"},
+		{"as", "defect.s"},
+		{"ld", "-o", "defect.x", "defect.o"},
+		{"list"},
 	} {
-		stdout, stderr, code, err := execBin(dir, step[0], step[1:]...)
+		stdout, stderr, code, err := execBin(dir, "atom", step...)
 		if err == nil && code != 0 {
 			err = fmt.Errorf("exit %d\n%s", code, stderr)
 		}
 		if err != nil {
-			return f, fmt.Errorf("%s: %w", strings.Join(step, " "), err)
+			return f, fmt.Errorf("atom %s: %w", strings.Join(step, " "), err)
 		}
-		if step[0] == "atom" {
+		if step[0] == "list" {
 			for _, line := range lines(stdout) {
 				f.tools = append(f.tools, strings.Fields(line)[0])
 			}
@@ -277,7 +296,7 @@ func TestTraceGate(t *testing.T) {
 func TestProfileGate(t *testing.T) {
 	dir := programs(t).stage(t, "smoke.x")
 	for _, p := range []string{"p1.folded", "p2.folded"} {
-		mustRun(t, dir, "atom", "-t", "branch", "-run", "-profile", p, "-profile-format=folded", "-profile-period", "500", "smoke.x")
+		mustRun(t, dir, "atom", "run", "-t", "branch", "-profile", p, "-profile-format=folded", "-profile-period", "500", "smoke.x")
 	}
 	p1, p2 := readFile(t, filepath.Join(dir, "p1.folded")), readFile(t, filepath.Join(dir, "p2.folded"))
 	if _, err := prof.ValidateFolded(p1); err != nil {
@@ -286,7 +305,7 @@ func TestProfileGate(t *testing.T) {
 	if !bytes.Equal(p1, p2) {
 		t.Errorf("folded profiles of two identical runs differ:\n%s\n---\n%s", p1, p2)
 	}
-	mustRun(t, dir, "atom", "-t", "branch", "-run", "-profile", "p.flat", "-profile-period", "500", "smoke.x")
+	mustRun(t, dir, "atom", "run", "-t", "branch", "-profile", "p.flat", "-profile-period", "500", "smoke.x")
 	if flat := readFile(t, filepath.Join(dir, "p.flat")); !bytes.Contains(flat, []byte("# atom prof: period=500")) {
 		t.Errorf("flat profile lacks its period header:\n%s", flat)
 	}
@@ -379,7 +398,7 @@ func TestTelemetryGate(t *testing.T) {
 		t.Errorf("batch metrics do not count 3 programs done:\n%s", m)
 	}
 
-	cmd := binCmd(dir, "atom", "-t", "branch", "-run", "-debug-addr", "127.0.0.1:0", "long.x")
+	cmd := binCmd(dir, "atom", "run", "-t", "branch", "-debug-addr", "127.0.0.1:0", "long.x")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -525,7 +544,8 @@ func checkScrapes(t *testing.T, m1, m2 string) {
 // TestAnalyzeGate: the pass manager reports every built-in tool image
 // clean, byte-identically in text and JSON across two runs, and the
 // smoke programs clean as applications; an image whose routine clobbers
-// a callee-save register fails -analyze with the toollint diagnostic.
+// a callee-save register fails atom analyze with the toollint
+// diagnostic.
 func TestAnalyzeGate(t *testing.T) {
 	f := programs(t)
 	dir := f.stage(t, "smoke.x", "long.x", "defect.x")
@@ -536,11 +556,11 @@ func TestAnalyzeGate(t *testing.T) {
 				var text, js [2][]byte
 				for i := range text {
 					jsonPath := fmt.Sprintf("an%d.%s.json", i+1, tool)
-					stdout, _ := mustRun(t, dir, "atom", "-analyze", "-t", tool, "-analyze-json", jsonPath)
+					stdout, _ := mustRun(t, dir, "atom", "analyze", "-t", tool, "-json", jsonPath)
 					text[i], js[i] = []byte(stdout), readFile(t, filepath.Join(dir, jsonPath))
 				}
 				if !bytes.Equal(text[0], text[1]) || !bytes.Equal(js[0], js[1]) {
-					t.Errorf("%s: two -analyze runs differ", tool)
+					t.Errorf("%s: two atom analyze runs differ", tool)
 				}
 				if !bytes.Contains(text[0], []byte("tool:"+tool+": clean")) {
 					t.Errorf("%s: image not clean:\n%s", tool, text[0])
@@ -548,13 +568,13 @@ func TestAnalyzeGate(t *testing.T) {
 			})
 		}
 	})
-	apps, _ := mustRun(t, dir, "atom", "-analyze", "smoke.x", "long.x")
+	apps, _ := mustRun(t, dir, "atom", "analyze", "smoke.x", "long.x")
 	for _, want := range []string{"smoke.x: clean", "long.x: clean"} {
 		if !strings.Contains(apps, want) {
-			t.Errorf("-analyze of the applications lacks %q:\n%s", want, apps)
+			t.Errorf("atom analyze of the applications lacks %q:\n%s", want, apps)
 		}
 	}
-	defect, _, code := command(t, dir, "atom", "-analyze", "-analyze-as", "tool", "defect.x")
+	defect, _, code := command(t, dir, "atom", "analyze", "-as", "tool", "defect.x")
 	if code == 0 {
 		t.Error("seeded save-discipline defect not caught")
 	}
@@ -588,19 +608,58 @@ func TestBatchOutputCollision(t *testing.T) {
 }
 
 // TestHeapSchemeGate: -heap is recorded in the written executable, so
-// running the file prints the heap address the in-process -run and the
-// bare program print, while the linked sbrks move it.
+// running the file prints the heap address the in-process atom run -t
+// and the bare program print, while the linked sbrks move it.
 func TestHeapSchemeGate(t *testing.T) {
 	dir := programs(t).stage(t, "heap.x")
-	bare, _ := mustRun(t, dir, "atom", "-run", "heap.x")
-	inProcess, _ := mustRun(t, dir, "atom", "-t", "cache", "-heap", "1048576", "-run", "heap.x")
+	bare, _ := mustRun(t, dir, "atom", "run", "heap.x")
+	inProcess, _ := mustRun(t, dir, "atom", "run", "-t", "cache", "-heap", "1048576", "heap.x")
 	mustRun(t, dir, "atom", "-t", "cache", "-heap", "1048576", "-o", "heap.atom", "heap.x")
-	fromFile, _ := mustRun(t, dir, "atom", "-run", "heap.atom")
+	fromFile, _ := mustRun(t, dir, "atom", "run", "heap.atom")
 	if fromFile != inProcess || fromFile != bare {
-		t.Errorf("partitioned heap: file run prints %q, in-process -run %q, bare %q", fromFile, inProcess, bare)
+		t.Errorf("partitioned heap: file run prints %q, in-process run %q, bare %q", fromFile, inProcess, bare)
 	}
 	mustRun(t, dir, "atom", "-t", "cache", "-o", "linked.atom", "heap.x")
-	if linked, _ := mustRun(t, dir, "atom", "-run", "linked.atom"); linked == bare {
+	if linked, _ := mustRun(t, dir, "atom", "run", "linked.atom"); linked == bare {
 		t.Errorf("linked sbrks print the bare address %q; the fixture no longer tells the schemes apart", bare)
+	}
+}
+
+// TestArgumentOrderGate: the paper's `atom prog.x -t tool -o out` and the
+// flags-first form write byte-identical executables.
+func TestArgumentOrderGate(t *testing.T) {
+	dir := programs(t).stage(t, "smoke.x")
+	mustRun(t, dir, "atom", "smoke.x", "-t", "branch", "-o", "a.atom")
+	mustRun(t, dir, "atom", "-t", "branch", "-o", "b.atom", "smoke.x")
+	if !bytes.Equal(readFile(t, filepath.Join(dir, "a.atom")), readFile(t, filepath.Join(dir, "b.atom"))) {
+		t.Error("the two argument orders write different executables")
+	}
+}
+
+// TestRunStdinGate: atom run serves the process's own stdin and the -fs
+// directory's files to the program, bare and instrumented alike, and the
+// tool's report lands in that directory.
+func TestRunStdinGate(t *testing.T) {
+	dir := programs(t).stage(t, "reader.x")
+	data := filepath.Join(dir, "data")
+	if err := os.Mkdir(data, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(data, "in.txt"), []byte("from file\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "file: from file\nstdin: from stdin\n"
+	for _, args := range [][]string{{"run", "-fs", "data", "reader.x"}, {"run", "-t", "branch", "-fs", "data", "reader.x"}} {
+		cmd := binCmd(dir, "atom", args...)
+		cmd.Stdin = strings.NewReader("from stdin\nignored\n")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil || string(out) != want {
+			t.Errorf("atom %s: %v, stdout %q, want %q\n%s", strings.Join(args, " "), err, out, want, stderr.String())
+		}
+	}
+	if _, err := os.Stat(filepath.Join(data, "branch.out")); err != nil {
+		t.Errorf("the branch report is not in the -fs directory: %v", err)
 	}
 }

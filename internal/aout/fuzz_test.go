@@ -7,9 +7,10 @@ import (
 	"atom/internal/spec"
 )
 
-// FuzzDecode: aout.Decode reads every file atom, arun and adis are
-// given, so no input may make it panic, and any input it accepts must
-// pass Validate and survive Encode then Decode as an equal File.
+// FuzzDecode: aout.Decode reads every object and executable the atom
+// command is given, so no input may make it panic, and any input it
+// accepts must pass Validate and survive Encode then Decode as an equal
+// File.
 func FuzzDecode(f *testing.F) {
 	f.Add(aout.SampleFile().Encode())
 	exe, err := spec.Build("queens")

@@ -12,7 +12,7 @@ import (
 )
 
 // Bridges between the pipeline and the static-analysis pass manager
-// (internal/om/analysis): -analyze mode analyzes applications and built
+// (internal/om/analysis): atom analyze analyzes applications and built
 // tool images on demand, and -vet folds the defect-finding passes into
 // the verify stages so an image with a save-discipline bug is rejected
 // before it is ever applied.

@@ -28,7 +28,7 @@ import (
 
 // Severity ranks a finding. Info findings are reports (a dead procedure
 // may be intentional); Warn and Error findings make a unit non-clean and
-// fail the -analyze exit status, and Error findings additionally fail
+// fail the atom analyze exit status, and Error findings additionally fail
 // the -vet verify stages.
 type Severity int
 

@@ -9,10 +9,11 @@ import (
 // findings are pre-sorted, so two runs over the same inputs emit
 // byte-identical documents.
 
-// JSONSchema identifies the -analyze-json document layout.
+// JSONSchema identifies the layout of the document atom analyze -json
+// writes.
 const JSONSchema = "atom-analyze/v1"
 
-// JSONDoc is the top-level -analyze-json document: one entry per
+// JSONDoc is the top-level atom analyze -json document: one entry per
 // analyzed unit.
 type JSONDoc struct {
 	Schema string     `json:"schema"`
