@@ -78,7 +78,7 @@ const (
 // links them with the runtime library into an application executable
 // suitable for instrumentation (symbols and relocations retained).
 func BuildProgram(sources map[string]string) (*Executable, error) {
-	return rtl.BuildProgramMulti(sources)
+	return rtl.BuildProgramMultiCtx(nil, sources)
 }
 
 // Instrument applies a tool to an application. The tool's analysis image
@@ -87,7 +87,7 @@ func BuildProgram(sources map[string]string) (*Executable, error) {
 // paper's two-step cost model). See also BuildToolImage/Apply for the
 // explicit form and InstrumentSuite for parallel fan-out.
 func Instrument(app *Executable, tool Tool, opts Options) (*Result, error) {
-	return core.Instrument(app, tool, opts)
+	return core.InstrumentCtx(nil, app, tool, opts)
 }
 
 // ToolImage is a tool's compiled and linked analysis image, independent
@@ -101,13 +101,13 @@ type CacheStats = build.Stats
 // — without an application in hand. The image is cached; subsequent
 // Instrument or Apply calls with the same tool and options reuse it.
 func BuildToolImage(tool Tool, opts Options) (*ToolImage, error) {
-	return core.BuildToolImage(tool, opts)
+	return core.BuildToolImageCtx(nil, tool, opts)
 }
 
 // Apply stamps a prebuilt tool image into an application (the second
 // step of the two-step model).
 func Apply(app *Executable, ti *ToolImage, opts Options) (*Result, error) {
-	return core.Apply(app, ti, opts)
+	return core.ApplyCtx(nil, app, ti, opts)
 }
 
 // ImageCacheStats reports tool-image cache activity: hits, disk hits,
@@ -166,12 +166,12 @@ type Program = om.Program
 
 // Lift raises an executable to OM IR. Each call builds a fresh Program
 // over app; instrumentation never writes to app.
-func Lift(app *Executable) (*Program, error) { return core.Lift(app) }
+func Lift(app *Executable) (*Program, error) { return core.LiftCtx(nil, app) }
 
 // InstrumentProgram is Instrument starting from an already-lifted
 // Program instead of an executable. The Program is consumed.
 func InstrumentProgram(prog *Program, tool Tool, opts Options) (*Result, error) {
-	return core.InstrumentProgram(prog, tool, opts)
+	return core.InstrumentProgramCtx(nil, prog, tool, opts)
 }
 
 // AnalysisPass is one registered static-analysis pass over the OM IR
@@ -200,7 +200,7 @@ func Analyze(name string, app *Executable, passSpec string) (*AnalysisReport, er
 	if err != nil {
 		return nil, err
 	}
-	prog, err := core.Lift(app)
+	prog, err := core.LiftCtx(nil, app)
 	if err != nil {
 		return nil, err
 	}

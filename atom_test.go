@@ -96,7 +96,7 @@ long triple(long v) { return 3 * v; }
 // TestCrossToolConsistency instruments one suite program with dyninst,
 // prof and pipe and cross-checks their instruction accounting.
 func TestCrossToolConsistency(t *testing.T) {
-	exe, err := spec.Build("queens")
+	exe, err := spec.BuildCtx(nil, "queens")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,14 +48,14 @@ import (
 func BenchmarkInstrumentSuite(b *testing.B) {
 	var apps []*atom.Executable
 	for _, p := range spec.Suite() {
-		exe, err := spec.Build(p.Name)
+		exe, err := spec.BuildCtx(nil, p.Name)
 		if err != nil {
 			b.Fatal(err)
 		}
 		apps = append(apps, exe)
 	}
 	tool, _ := tools.ByName("cache")
-	if _, err := core.BuildToolImage(tool, core.Options{}); err != nil {
+	if _, err := core.BuildToolImageCtx(nil, tool, core.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -85,7 +85,7 @@ func BenchmarkInstrumentDiskWarm(b *testing.B) {
 	prev := build.SwapStore(ds)
 	defer build.SwapStore(prev)
 
-	exe, err := spec.Build("eqntott")
+	exe, err := spec.BuildCtx(nil, "eqntott")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func BenchmarkInstrumentDiskWarm(b *testing.B) {
 	// artifact.
 	core.ResetImageCache(build.ScopeMemory)
 	rtl.ResetObjectCache(build.ScopeMemory)
-	if _, err := core.Instrument(exe, tool, core.Options{}); err != nil {
+	if _, err := core.InstrumentCtx(nil, exe, tool, core.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -103,7 +103,7 @@ func BenchmarkInstrumentDiskWarm(b *testing.B) {
 		core.ResetImageCache(build.ScopeMemory)
 		rtl.ResetObjectCache(build.ScopeMemory)
 		b.StartTimer()
-		if _, err := core.Instrument(exe, tool, core.Options{}); err != nil {
+		if _, err := core.InstrumentCtx(nil, exe, tool, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -185,14 +185,14 @@ func BenchmarkLiveness(b *testing.B) {
 		} {
 			c := c
 			b.Run(tname+"/"+c.name, func(b *testing.B) {
-				exe, err := spec.Build("eqntott")
+				exe, err := spec.BuildCtx(nil, "eqntott")
 				if err != nil {
 					b.Fatal(err)
 				}
 				var ratio float64
 				var saved, sites int
 				for i := 0; i < b.N; i++ {
-					res, err := core.Instrument(exe, tool, c.opts)
+					res, err := core.InstrumentCtx(nil, exe, tool, c.opts)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -233,14 +233,14 @@ func BenchmarkInline(b *testing.B) {
 		} {
 			c := c
 			b.Run(tname+"/"+c.name, func(b *testing.B) {
-				exe, err := spec.Build("queens")
+				exe, err := spec.BuildCtx(nil, "queens")
 				if err != nil {
 					b.Fatal(err)
 				}
 				var ratio float64
 				var saved, sites, inlined int
 				for i := 0; i < b.N; i++ {
-					res, err := core.Instrument(exe, tool, c.opts)
+					res, err := core.InstrumentCtx(nil, exe, tool, c.opts)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -264,11 +264,11 @@ func BenchmarkInline(b *testing.B) {
 // BenchmarkScheduler measures pipe's static dual-issue scheduling (the
 // work that makes pipe the slowest tool to instrument with in Figure 5).
 func BenchmarkScheduler(b *testing.B) {
-	exe, err := spec.Build("su2cor")
+	exe, err := spec.BuildCtx(nil, "su2cor")
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func BenchmarkScheduler(b *testing.B) {
 // run starts from a collected heap so it is not charged for collecting
 // the previous machine.
 func BenchmarkVM(b *testing.B) {
-	exe, err := spec.Build("eqntott")
+	exe, err := spec.BuildCtx(nil, "eqntott")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,16 +326,16 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkLift measures the lift stage: om.Build of the largest suite
+// BenchmarkLift measures the lift stage: om.BuildCtx of the largest suite
 // program, what every Instrument/Apply pays before planning.
 func BenchmarkLift(b *testing.B) {
-	exe, err := spec.Build("gcc")
+	exe, err := spec.BuildCtx(nil, "gcc")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Lift(exe); err != nil {
+		if _, err := core.LiftCtx(nil, exe); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,9 +22,10 @@ go vet ./...
 go build ./...
 
 # Repo lint gate: the custom vettool enforces project conventions the
-# stock vet cannot — no ATOM_CACHE_DIR reads outside cmd/atom, and the
-# *obs.Ctx stage context leading every exported signature — through the
-# cmd/go vettool protocol.
+# stock vet cannot — no ATOM_CACHE_DIR reads outside cmd/atom, the
+# *obs.Ctx stage context leading every exported signature, and no
+# exported nil-context twin (X that only returns its package's
+# XCtx(nil, ...)) — through the cmd/go vettool protocol.
 vettmp=$(mktemp -d)
 go build -o "$vettmp/atomvet" ./cmd/atomvet
 go vet -vettool="$vettmp/atomvet" ./...

@@ -95,7 +95,7 @@ func instrumentAll(ctx *obs.Ctx, inputs []string, tool core.Tool, opts core.Opti
 		if progressLine {
 			defer fmt.Fprintln(os.Stderr)
 		}
-		res, rerrs := core.InstrumentManyNamed(ctx, good, goodNames, tool, opts, f.jobs, onDone)
+		res, rerrs := core.InstrumentMany(ctx, good, goodNames, tool, opts, f.jobs, onDone)
 		for k, i := range goodIdx {
 			results[i] = res[k]
 			if rerrs[k] != nil {

@@ -128,7 +128,7 @@ func TestOutputName(t *testing.T) {
 // report — a vm.run span, a non-zero vm.icount counter (together the
 // VM's realized retirement rate) and a histograms section.
 func TestRunQueensMetrics(t *testing.T) {
-	exe, err := spec.Build("queens")
+	exe, err := spec.BuildCtx(nil, "queens")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func exists(path string) bool {
 // the old mode flags are gone.
 func TestModeFlagsRejected(t *testing.T) {
 	dir := t.TempDir()
-	exe, err := spec.Build("queens")
+	exe, err := spec.BuildCtx(nil, "queens")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,5 +338,41 @@ func TestDis(t *testing.T) {
 	}
 	if _, out, _ := atomIn(t, dir, nil, "dis", bad); !strings.Contains(out, ":  .word 0x80000000\n") {
 		t.Errorf("undecodable word not printed as .word:\n%s", out)
+	}
+}
+
+// TestBatchErrorNamesInputOnce: an input that fails to instrument is
+// reported on one line that names its path once, with no batch index,
+// and the rest of the batch is still written.
+func TestBatchErrorNamesInputOnce(t *testing.T) {
+	dir := t.TempDir()
+	exe, err := spec.BuildCtx(nil, "queens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exe.WriteFile(filepath.Join(dir, "queens.x")); err != nil {
+		t.Fatal(err)
+	}
+	stripped := *exe
+	stripped.Symbols, stripped.Relocs = nil, nil
+	if err := stripped.WriteFile(filepath.Join(dir, "stripped.x")); err != nil {
+		t.Fatal(err)
+	}
+	status, _, stderr := atomIn(t, dir, nil, "-t", "prof", "stripped.x", "queens.x")
+	if status != 1 {
+		t.Errorf("exit %d, want 1", status)
+	}
+	want := "atom: stripped.x: prof: om: executable has no function symbols\n"
+	if !strings.Contains(stderr, want) {
+		t.Errorf("stderr lacks %q:\n%s", want, stderr)
+	}
+	if n := strings.Count(stderr, "stripped.x"); n != 1 {
+		t.Errorf("stderr names stripped.x %d times, want once:\n%s", n, stderr)
+	}
+	if strings.Contains(stderr, "app ") {
+		t.Errorf("stderr carries a batch index:\n%s", stderr)
+	}
+	if !exists(filepath.Join(dir, "queens.atom")) {
+		t.Error("queens.atom not written")
 	}
 }

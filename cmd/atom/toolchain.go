@@ -31,12 +31,12 @@ func cmdCC(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	hdrs, err := rtl.Headers()
+	hdrs, err := rtl.HeadersCtx(nil)
 	if err != nil {
 		return fail(err)
 	}
 	if *asmOnly {
-		text, err := cc.Compile(path, string(src), hdrs)
+		text, err := cc.CompileCtx(nil, path, string(src), hdrs)
 		if err != nil {
 			return fail(err)
 		}
@@ -46,7 +46,7 @@ func cmdCC(args []string) int {
 		}
 		return failIf(os.WriteFile(*out, []byte(text), 0o644))
 	}
-	obj, err := cc.Build(path, string(src), hdrs)
+	obj, err := cc.BuildCtx(nil, path, string(src), hdrs)
 	if err != nil {
 		return fail(err)
 	}
@@ -65,7 +65,7 @@ func cmdAs(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	obj, err := asm.Assemble(paths[0], string(src))
+	obj, err := asm.AssembleCtx(nil, paths[0], string(src))
 	if err != nil {
 		return fail(err)
 	}
@@ -82,7 +82,7 @@ func cmdLd(args []string) int {
 	if err != nil {
 		return parseStatus(err)
 	}
-	c0, err := rtl.Crt0()
+	c0, err := rtl.Crt0Ctx(nil)
 	if err != nil {
 		return fail(err)
 	}
@@ -94,11 +94,11 @@ func cmdLd(args []string) int {
 		}
 		objs = append(objs, obj)
 	}
-	lib, err := rtl.Lib()
+	lib, err := rtl.LibCtx(nil)
 	if err != nil {
 		return fail(err)
 	}
-	exe, err := link.Link(link.Config{}, objs, lib)
+	exe, err := link.LinkCtx(nil, link.Config{}, objs, lib)
 	if err != nil {
 		return fail(err)
 	}

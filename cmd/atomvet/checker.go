@@ -1,6 +1,6 @@
 package main
 
-// The checks. Both are syntactic — go/ast over single files, no type
+// The checks. All are syntactic — go/ast over single files, no type
 // information — which keeps the tool dependency-free and fast enough to
 // run on every package in CI. The cost is that a shadowed `os` or an
 // aliased import evades them; neither occurs in this repo, and the
@@ -37,6 +37,7 @@ func checkFile(fset *token.FileSet, f *ast.File, importPath string) []diag {
 	var out []diag
 	out = append(out, checkCacheEnv(fset, f, importPath)...)
 	out = append(out, checkCtxPosition(fset, f)...)
+	out = append(out, checkCtxTwin(fset, f)...)
 	return out
 }
 
@@ -107,6 +108,51 @@ func checkCtxPosition(fset *token.FileSet, f *ast.File) []diag {
 		}
 	}
 	return out
+}
+
+// checkCtxTwin flags an exported function or method whose whole body is
+// `return NameCtx(nil, ...)`: a nil-context twin of its own package's
+// Name + "Ctx". A nil *obs.Ctx already disables every span and counter,
+// so the twin only adds a second name for one stage. Calls into another
+// package (the root facade's core.InstrumentCtx(nil, ...)) and calls to
+// a differently named function (rtl.BuildProgram's
+// BuildProgramMultiCtx) are not twins.
+func checkCtxTwin(fset *token.FileSet, f *ast.File) []diag {
+	var out []diag
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || !fn.Name.IsExported() || fn.Body == nil || len(fn.Body.List) != 1 {
+			continue
+		}
+		ret, ok := fn.Body.List[0].(*ast.ReturnStmt)
+		if !ok || len(ret.Results) != 1 {
+			continue
+		}
+		call, ok := ret.Results[0].(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 || !isIdent(call.Args[0], "nil") {
+			continue
+		}
+		// A function twin calls its package's function by name; a method
+		// twin calls through its own receiver.
+		callee := call.Fun
+		if sel, ok := callee.(*ast.SelectorExpr); ok && fn.Recv != nil && len(fn.Recv.List[0].Names) == 1 && isIdent(sel.X, fn.Recv.List[0].Names[0].Name) {
+			callee = sel.Sel
+		} else if fn.Recv != nil {
+			continue
+		}
+		if twin := fn.Name.Name + "Ctx"; isIdent(callee, twin) {
+			out = append(out, diag{
+				pos: fset.Position(fn.Pos()),
+				msg: fmt.Sprintf("exported %s only returns %s(nil, ...): call %s with a nil context instead of keeping a twin", fn.Name.Name, twin, twin),
+			})
+		}
+	}
+	return out
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 // isObsCtxPtr recognizes *obs.Ctx — and plain *Ctx when the file is in

@@ -7,6 +7,9 @@
 //	    parameter.
 //	*obs.Ctx anywhere but parameter position 0     — the stage context
 //	    always leads an exported signature (BuildCtx(ctx, exe), ...).
+//	func X(...) { return XCtx(nil, ...) }           — a nil-context twin:
+//	    each stage has one exported entry point, and a caller without a
+//	    context passes nil to it.
 //
 // It speaks the cmd/go vettool protocol, so CI runs it as
 //

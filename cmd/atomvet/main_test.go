@@ -83,6 +83,42 @@ func Bad(n int, c *Ctx) {}
 	wantDiag(t, diags, "exported function Bad takes *obs.Ctx at parameter position 1")
 }
 
+// TestCtxTwin: an exported function or method whose whole body returns
+// its own package's NameCtx(nil, ...) is flagged; facades into another
+// package and differently named callees are not.
+func TestCtxTwin(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want string
+	}{
+		{"function", `func Build(exe *aout.File) (*Program, error) { return BuildCtx(nil, exe) }`,
+			"exported Build only returns BuildCtx(nil, ...)"},
+		{"method", `func (l *Layout) Verify() []Diag { return l.VerifyCtx(nil) }`,
+			"exported Verify only returns VerifyCtx(nil, ...)"},
+		{"generic", `func Memo[T any](c *Cache, k Key) (T, error) { return MemoCtx(nil, c, k) }`,
+			"exported Memo only returns MemoCtx(nil, ...)"},
+		{"cross-package facade", `func Instrument(app *Executable) (*Result, error) { return core.InstrumentCtx(nil, app) }`, ""},
+		{"other name", `func BuildProgram(name, src string) (*aout.File, error) { return BuildProgramMultiCtx(nil, map[string]string{name: src}) }`, ""},
+		{"non-nil context", `func Build(exe *aout.File) (*Program, error) { return BuildCtx(defaultCtx, exe) }`, ""},
+		{"more than a return", `func Build(exe *aout.File) (*Program, error) { check(exe); return BuildCtx(nil, exe) }`, ""},
+		{"method through another value", `func (l *Layout) Verify() []Diag { return l.prog.VerifyCtx(nil) }`, ""},
+		{"unexported", `func build(exe *aout.File) (*Program, error) { return buildCtx(nil, exe) }`, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			diags := check(t, "atom/internal/om", "package om\n"+tc.src+"\n")
+			if tc.want == "" {
+				if len(diags) != 0 {
+					t.Errorf("flagged: %v", diags)
+				}
+				return
+			}
+			if len(diags) != 1 {
+				t.Fatalf("want 1 diagnostic, got %v", diags)
+			}
+			wantDiag(t, diags, tc.want)
+		})
+	}
+}
+
 // TestStandaloneDriver seeds a violating file in a temp tree and runs
 // the directory walker over it.
 func TestStandaloneDriver(t *testing.T) {

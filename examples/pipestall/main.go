@@ -23,7 +23,7 @@ func main() {
 
 	fmt.Printf("%-10s %14s %14s %12s %8s\n", "program", "instructions", "cycles", "stalls", "cpi")
 	for _, name := range []string{"eqntott", "fpppp", "su2cor", "queens", "spice", "doduc"} {
-		exe, err := spec.Build(name)
+		exe, err := spec.BuildCtx(nil, name)
 		check(err)
 		res, err := atom.Instrument(exe, tool, atom.Options{})
 		check(err)

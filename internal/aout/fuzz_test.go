@@ -13,7 +13,7 @@ import (
 // File.
 func FuzzDecode(f *testing.F) {
 	f.Add(aout.SampleFile().Encode())
-	exe, err := spec.Build("queens")
+	exe, err := spec.BuildCtx(nil, "queens")
 	if err != nil {
 		f.Fatal(err)
 	}

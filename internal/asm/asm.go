@@ -33,15 +33,10 @@ import (
 	"atom/internal/obs"
 )
 
-// Assemble translates one assembly source file into an object module.
-// name is used in error messages only.
-func Assemble(name, src string) (*aout.File, error) {
-	return AssembleCtx(nil, name, src)
-}
-
-// AssembleCtx is Assemble with a stage context: the two-pass assembly of
-// one module runs under an "asm.assemble" span annotated with the module
-// name and the text bytes it produced.
+// AssembleCtx translates one assembly source file into an object module.
+// name is used in error messages only. The two-pass assembly runs under
+// an "asm.assemble" span annotated with the module name and the text
+// bytes it produced.
 func AssembleCtx(ctx *obs.Ctx, name, src string) (*aout.File, error) {
 	_, sp := ctx.Start("asm.assemble", obs.String("file", name))
 	defer sp.End()

@@ -11,7 +11,7 @@ import (
 
 func mustAssemble(t *testing.T, src string) *aout.File {
 	t.Helper()
-	f, err := Assemble("test.s", src)
+	f, err := AssembleCtx(nil, "test.s", src)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
@@ -323,7 +323,7 @@ func TestErrors(t *testing.T) {
 		{"\t.text\n\tmov $+3, t0\n", `t.s:2: mov: bad registers`},
 	}
 	for _, c := range cases {
-		_, err := Assemble("t.s", c.src)
+		_, err := AssembleCtx(nil, "t.s", c.src)
 		if err == nil {
 			t.Errorf("Assemble(%q) succeeded, want error containing %q", c.src, c.want)
 			continue

@@ -156,25 +156,19 @@ func NewCache(kind string, codec Codec) *Cache {
 	return &Cache{kind: kind, codec: codec}
 }
 
-// Get returns the artifact for key, running build at most once per key at
-// a time. Concurrent Gets for the same key share one build. A failed
-// build's error is returned to every caller that observed it, then the
-// key is cleared so the next Get retries.
-func (c *Cache) Get(key Key, build func() (any, error)) (any, error) {
-	return c.GetCtx(nil, "", key, func(*obs.Ctx) (any, error) { return build() })
-}
-
-// GetCtx is Get with observability: each lookup opens a span named
-// "cache.get" (labelled with what artifact is being fetched and the short
-// key) whose outcome attribute records how it was served — "hit" for a
-// decoded in-memory artifact, "disk" for a blob decoded from the store,
-// "wait" for joining an in-flight build (the singleflight path), "miss"
-// for running the build, "error" for a failed build. The same outcomes
-// feed the store.<kind>.<outcome> counters — since bench-JSON schema v5
-// those are the ONLY counter names; the pre-unification
-// cache.*/ircache.* aliases are gone. The build function receives the
-// child context, so everything it compiles or links nests under the
-// lookup.
+// GetCtx returns the artifact for key, running build at most once per
+// key at a time. Concurrent lookups of the same key share one build. A
+// failed build's error is returned to every caller that observed it,
+// then the key is cleared so the next lookup retries.
+//
+// Each lookup opens a span named "cache.get" (labelled with what
+// artifact is being fetched and the short key) whose outcome attribute
+// records how it was served — "hit" for a decoded in-memory artifact,
+// "disk" for a blob decoded from the store, "wait" for joining an
+// in-flight build (the singleflight path), "miss" for running the build,
+// "error" for a failed build. The same outcomes feed the
+// store.<kind>.<outcome> counters. The build function receives the child
+// context, so everything it compiles or links nests under the lookup.
 func (c *Cache) GetCtx(ctx *obs.Ctx, what string, key Key, build func(*obs.Ctx) (any, error)) (any, error) {
 	var sp *obs.Span
 	bctx := ctx
@@ -327,11 +321,6 @@ func (c *Cache) Reset() {
 	c.misses.Store(0)
 	c.builds.Store(0)
 	c.errs.Store(0)
-}
-
-// Memo is the typed convenience wrapper over Get.
-func Memo[T any](c *Cache, key Key, build func() (T, error)) (T, error) {
-	return MemoCtx(nil, c, "", key, func(*obs.Ctx) (T, error) { return build() })
 }
 
 // MemoCtx is the typed convenience wrapper over GetCtx.

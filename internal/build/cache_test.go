@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"atom/internal/obs"
 )
 
 func TestKeyFieldBoundaries(t *testing.T) {
@@ -30,7 +32,7 @@ func TestCacheHitMiss(t *testing.T) {
 	k1 := NewKey("t").String("one").Sum()
 	k2 := NewKey("t").String("two").Sum()
 	get := func(k Key) int {
-		v, err := Memo(c, k, func() (int, error) { calls++; return calls, nil })
+		v, err := MemoCtx(nil, c, "", k, func(*obs.Ctx) (int, error) { calls++; return calls, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,20 +55,20 @@ func TestCacheErrorNotLatched(t *testing.T) {
 	k := NewKey("t").String("flaky").Sum()
 	boom := errors.New("transient")
 	fail := true
-	build := func() (string, error) {
+	build := func(*obs.Ctx) (string, error) {
 		if fail {
 			return "", boom
 		}
 		return "ok", nil
 	}
-	if _, err := Memo(c, k, build); !errors.Is(err, boom) {
+	if _, err := MemoCtx(nil, c, "", k, build); !errors.Is(err, boom) {
 		t.Fatalf("first build err = %v, want %v", err, boom)
 	}
-	if _, err := Memo(c, k, build); !errors.Is(err, boom) {
+	if _, err := MemoCtx(nil, c, "", k, build); !errors.Is(err, boom) {
 		t.Fatalf("second build err = %v, want %v (retried, still failing)", err, boom)
 	}
 	fail = false
-	v, err := Memo(c, k, build)
+	v, err := MemoCtx(nil, c, "", k, build)
 	if err != nil || v != "ok" {
 		t.Fatalf("after failure cleared: v=%q err=%v, want ok", v, err)
 	}
@@ -87,7 +89,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := Memo(c, k, func() (int64, error) {
+			v, err := MemoCtx(nil, c, "", k, func(*obs.Ctx) (int64, error) {
 				<-release
 				return builds.Add(1), nil
 			})
@@ -114,10 +116,10 @@ func TestCacheReset(t *testing.T) {
 	c := NewCache("test", nil)
 	k := NewKey("t").String("x").Sum()
 	n := 0
-	build := func() (int, error) { n++; return n, nil }
-	Memo(c, k, build)
+	build := func(*obs.Ctx) (int, error) { n++; return n, nil }
+	MemoCtx(nil, c, "", k, build)
 	c.Reset()
-	v, _ := Memo(c, k, build)
+	v, _ := MemoCtx(nil, c, "", k, build)
 	if v != 2 {
 		t.Fatalf("after Reset got %d, want rebuild (2)", v)
 	}

@@ -198,7 +198,7 @@ func TestTwinCachesShareStoreAndFlight(t *testing.T) {
 	var mu sync.Mutex
 	builds := 0
 	gate := make(chan struct{})
-	build := func() (any, error) {
+	build := func(*obs.Ctx) (any, error) {
 		mu.Lock()
 		builds++
 		mu.Unlock()
@@ -216,7 +216,7 @@ func TestTwinCachesShareStoreAndFlight(t *testing.T) {
 			if i%2 == 1 {
 				c = b
 			}
-			v, err := c.Get(key, build)
+			v, err := c.GetCtx(nil, "", key, build)
 			if err != nil {
 				t.Errorf("Get: %v", err)
 				return
@@ -239,7 +239,7 @@ func TestTwinCachesShareStoreAndFlight(t *testing.T) {
 	// Drop both memory layers: the next Get decodes from disk, no build.
 	a.Reset()
 	b.Reset()
-	v, err := b.Get(key, func() (any, error) {
+	v, err := b.GetCtx(nil, "", key, func(*obs.Ctx) (any, error) {
 		t.Error("rebuild ran despite a warm store")
 		return nil, nil
 	})
@@ -259,15 +259,15 @@ func TestCacheRebuildsCorruptStoreBlob(t *testing.T) {
 	c := NewCache("twin", bytesCodec{})
 	key := testKey("rot")
 	builds := 0
-	build := func() (any, error) { builds++; return []byte("artifact"), nil }
+	build := func(*obs.Ctx) (any, error) { builds++; return []byte("artifact"), nil }
 
-	if _, err := c.Get(key, build); err != nil {
+	if _, err := c.GetCtx(nil, "", key, build); err != nil {
 		t.Fatal(err)
 	}
 	corruptOneBlob(t, ds.dir)
 	c.Reset() // force the next Get through the store
 
-	v, err := c.Get(key, build)
+	v, err := c.GetCtx(nil, "", key, build)
 	if err != nil || !bytes.Equal(v.([]byte), []byte("artifact")) {
 		t.Fatalf("Get after corruption = %v, %v", v, err)
 	}
@@ -279,7 +279,7 @@ func TestCacheRebuildsCorruptStoreBlob(t *testing.T) {
 	}
 	// The rebuilt blob is good again: a third Get is a pure disk hit.
 	c.Reset()
-	if _, err := c.Get(key, build); err != nil {
+	if _, err := c.GetCtx(nil, "", key, build); err != nil {
 		t.Fatal(err)
 	}
 	if builds != 2 {
@@ -312,7 +312,7 @@ func TestCacheReplacesUndecodableBlob(t *testing.T) {
 	builds := 0
 	for i := 0; i < 3; i++ {
 		c.Reset() // each lookup is a fresh process against the directory
-		v, err := c.Get(key, func() (any, error) { builds++; return []byte("good"), nil })
+		v, err := c.GetCtx(nil, "", key, func(*obs.Ctx) (any, error) { builds++; return []byte("good"), nil })
 		if err != nil || string(v.([]byte)) != "good" {
 			t.Fatalf("lookup %d = %v, %v", i, v, err)
 		}
@@ -336,7 +336,7 @@ func TestEnvVarNeverReadByLibrary(t *testing.T) {
 	t.Setenv("ATOM_CACHE_DIR", dir)
 
 	c := NewCache("twin", bytesCodec{})
-	if _, err := c.Get(testKey("env"), func() (any, error) { return []byte("v"), nil }); err != nil {
+	if _, err := c.GetCtx(nil, "", testKey("env"), func(*obs.Ctx) (any, error) { return []byte("v"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ActiveStore() != nil {

@@ -35,17 +35,12 @@ import (
 	"atom/internal/obs"
 )
 
-// Compile translates MiniC source to assembly text. name is used in
+// CompileCtx translates MiniC source to assembly text. name is used in
 // diagnostics; include maps header names (as written in #include) to
-// their contents.
-func Compile(name, src string, include map[string]string) (string, error) {
-	return CompileCtx(nil, name, src, include)
-}
-
-// CompileCtx is Compile with a stage context: the whole translation unit
-// compiles under a "cc.compile" span, and code generation opens one
-// "cc.func" span per function (the compiler's unit of work), so traces
-// show where compile time goes file by file and function by function.
+// their contents. The whole translation unit compiles under a
+// "cc.compile" span, and code generation opens one "cc.func" span per
+// function (the compiler's unit of work), so traces show where compile
+// time goes file by file and function by function.
 func CompileCtx(ctx *obs.Ctx, name, src string, include map[string]string) (string, error) {
 	ctx, sp := ctx.Start("cc.compile", obs.String("file", name))
 	defer sp.End()
@@ -63,13 +58,8 @@ func CompileCtx(ctx *obs.Ctx, name, src string, include map[string]string) (stri
 	return generate(ctx, prog)
 }
 
-// Build compiles MiniC source into a relocatable object module.
-func Build(name, src string, include map[string]string) (*aout.File, error) {
-	return BuildCtx(nil, name, src, include)
-}
-
-// BuildCtx is Build with a stage context threaded through compilation and
-// assembly.
+// BuildCtx compiles MiniC source into a relocatable object module, with
+// ctx threaded through compilation and assembly.
 func BuildCtx(ctx *obs.Ctx, name, src string, include map[string]string) (*aout.File, error) {
 	asmText, err := CompileCtx(ctx, name, src, include)
 	if err != nil {

@@ -4,5 +4,5 @@ import "atom/internal/aout"
 
 // BuildForTest exposes Build to the external test package.
 func BuildForTest(src string, include map[string]string) (*aout.File, error) {
-	return Build("test.c", src, include)
+	return BuildCtx(nil, "test.c", src, include)
 }

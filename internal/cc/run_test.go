@@ -536,7 +536,7 @@ func TestCompileErrors(t *testing.T) {
 		{`int main() { return 0 }`, `expected ";"`},
 		{`struct s { struct s inner; }; int main() { return 0; }`, "incomplete"},
 	}
-	hdrs, err := rtl.Headers()
+	hdrs, err := rtl.HeadersCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

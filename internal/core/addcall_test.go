@@ -19,14 +19,14 @@ import (
 // calls land on the code a call to exit runs — and the instrumented
 // program must print what the original does and write its tool report.
 func TestZeroSizeExitAlias(t *testing.T) {
-	app, err := spec.Build("queens")
+	app, err := spec.BuildCtx(nil, "queens")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := runExe(t, app, vm.Config{})
 	for _, first := range []bool{false, true} {
 		alias := aliasExit(t, app, first)
-		prog, err := core.Lift(alias)
+		prog, err := core.LiftCtx(nil, alias)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestZeroSizeExitAlias(t *testing.T) {
 		}
 		for _, tool := range tools.All() {
 			t.Run(fmt.Sprintf("aliasfirst=%v/%s", first, tool.Name), func(t *testing.T) {
-				res, err := core.Instrument(alias, tool, core.Options{Verify: true})
+				res, err := core.InstrumentCtx(nil, alias, tool, core.Options{Verify: true})
 				if err != nil {
 					t.Fatal(err)
 				}

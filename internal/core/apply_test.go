@@ -21,25 +21,25 @@ import (
 // with three arguments, so a per-site allocation anywhere in plan,
 // liveness, emission, layout or output would swamp the bound.
 func TestApplyAllocs(t *testing.T) {
-	app, err := spec.Build("gcc")
+	app, err := spec.BuildCtx(nil, "gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tool, _ := tools.ByName("dyninst")
-	ti, err := core.BuildToolImage(tool, core.Options{})
+	ti, err := core.BuildToolImageCtx(nil, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const runs = 5
 	progs := make([]*om.Program, runs+1) // AllocsPerRun adds a warm-up run
 	for i := range progs {
-		if progs[i], err = core.Lift(app); err != nil {
+		if progs[i], err = core.LiftCtx(nil, app); err != nil {
 			t.Fatal(err)
 		}
 	}
 	next, sites := 0, 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		res, err := core.ApplyProgram(progs[next], ti, core.Options{})
+		res, err := core.ApplyProgramCtx(nil, progs[next], ti, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestApplyAllocs(t *testing.T) {
 	procs := len(progs[0].Procs)
 	limit := float64(10*procs + 128)
 	if allocs > limit {
-		t.Errorf("ApplyProgram of gcc under dyninst: %.0f allocations for %d procedures and %d sites, want <= %.0f",
+		t.Errorf("ApplyProgramCtx of gcc under dyninst: %.0f allocations for %d procedures and %d sites, want <= %.0f",
 			allocs, procs, sites, limit)
 	}
 	t.Logf("%.0f allocations, %d procedures, %d sites", allocs, procs, sites)
@@ -61,18 +61,18 @@ func TestApplyAllocs(t *testing.T) {
 // every Before/After list has cap == len, so appending to one site or
 // one list reallocates instead of overwriting its neighbour.
 func TestSpliceWindowsDisjoint(t *testing.T) {
-	app, err := spec.Build("gcc")
+	app, err := spec.BuildCtx(nil, "gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"prof", "cache", "io", "pipe"} {
 		t.Run(name, func(t *testing.T) {
 			tool, _ := tools.ByName(name)
-			prog, err := core.Lift(app)
+			prog, err := core.LiftCtx(nil, app)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.InstrumentProgram(prog, tool, core.Options{})
+			res, err := core.InstrumentProgramCtx(nil, prog, tool, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,27 +124,27 @@ func TestSpliceWindowsDisjoint(t *testing.T) {
 // cached image must stay untouched, and the program and its tool report
 // must match an ordinary placement.
 func TestApplyZeroDeltaRebase(t *testing.T) {
-	objs, err := rtl.BuildObjects(map[string]string{"app.c": loopApp})
+	objs, err := rtl.BuildObjectsCtx(nil, map[string]string{"app.c": loopApp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, err := rtl.Crt0()
+	c0, err := rtl.Crt0Ctx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, err := rtl.Lib()
+	lib, err := rtl.LibCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	linkAt := func(base uint64) *aout.File {
-		exe, err := link.Link(link.Config{TextAddr: base}, append([]*aout.File{c0}, objs...), lib)
+		exe, err := link.LinkCtx(nil, link.Config{TextAddr: base}, append([]*aout.File{c0}, objs...), lib)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return exe
 	}
 	tool, _ := tools.ByName("prof")
-	ti, err := core.BuildToolImage(tool, core.Options{})
+	ti, err := core.BuildToolImageCtx(nil, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +152,12 @@ func TestApplyZeroDeltaRebase(t *testing.T) {
 	imgText := append([]byte(nil), img.Text...)
 	imgData := append([]byte(nil), img.Data...)
 
-	ref, err := core.Apply(linkAt(link.DefaultTextAddr), ti, core.Options{})
+	ref, err := core.ApplyCtx(nil, linkAt(link.DefaultTextAddr), ti, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := img.TextAddr - (ref.Stats.InstrText+15)&^15
-	res, err := core.Apply(linkAt(base), ti, core.Options{})
+	res, err := core.ApplyCtx(nil, linkAt(base), ti, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

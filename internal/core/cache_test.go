@@ -40,7 +40,7 @@ func TestToolImageCacheReuse(t *testing.T) {
 	appA := buildApp(t, cacheAppA)
 	appB := buildApp(t, cacheAppB)
 
-	if _, err := core.Instrument(appA, tool, core.Options{}); err != nil {
+	if _, err := core.InstrumentCtx(nil, appA, tool, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	s := core.ImageCacheStats()
@@ -48,10 +48,10 @@ func TestToolImageCacheReuse(t *testing.T) {
 		t.Fatalf("after first program: stats = %+v, want 1 miss, 1 build", s)
 	}
 
-	if _, err := core.Instrument(appB, tool, core.Options{}); err != nil {
+	if _, err := core.InstrumentCtx(nil, appB, tool, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Instrument(appA, tool, core.Options{}); err != nil {
+	if _, err := core.InstrumentCtx(nil, appA, tool, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	s = core.ImageCacheStats()
@@ -69,7 +69,7 @@ func TestToolImageCacheReuse(t *testing.T) {
 		srcs[n] = src + "\n/* edited */\n"
 	}
 	edited.Analysis = srcs
-	if _, err := core.Instrument(appA, edited, core.Options{}); err != nil {
+	if _, err := core.InstrumentCtx(nil, appA, edited, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if s = core.ImageCacheStats(); s.Builds != 2 {
@@ -77,7 +77,7 @@ func TestToolImageCacheReuse(t *testing.T) {
 	}
 
 	// Changing image-affecting options must miss (the save sets differ).
-	if _, err := core.Instrument(appA, tool, core.Options{NoRegSummary: true}); err != nil {
+	if _, err := core.InstrumentCtx(nil, appA, tool, core.Options{NoRegSummary: true}); err != nil {
 		t.Fatal(err)
 	}
 	if s = core.ImageCacheStats(); s.Builds != 3 {
@@ -87,7 +87,7 @@ func TestToolImageCacheReuse(t *testing.T) {
 	// A different tool must miss.
 	other := branchCountTool()
 	other.Name = "branchcount2"
-	if _, err := core.Instrument(appA, other, core.Options{}); err != nil {
+	if _, err := core.InstrumentCtx(nil, appA, other, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if s = core.ImageCacheStats(); s.Builds != 4 {
@@ -96,7 +96,7 @@ func TestToolImageCacheReuse(t *testing.T) {
 
 	// Options that do not affect the image (the heap scheme) must NOT
 	// rebuild it.
-	if _, err := core.Instrument(appA, tool, core.Options{HeapOffset: 1 << 20}); err != nil {
+	if _, err := core.InstrumentCtx(nil, appA, tool, core.Options{HeapOffset: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	if s = core.ImageCacheStats(); s.Builds != 4 {
@@ -104,9 +104,9 @@ func TestToolImageCacheReuse(t *testing.T) {
 	}
 }
 
-// TestApplyMatchesInstrument: the explicit two-step form (BuildToolImage
-// then Apply) must produce byte-identical executables to the one-shot
-// Instrument.
+// TestApplyMatchesInstrument: the explicit two-step form
+// (BuildToolImageCtx then ApplyCtx) must produce byte-identical
+// executables to the one-shot InstrumentCtx.
 func TestApplyMatchesInstrument(t *testing.T) {
 	for _, mode := range []core.SaveMode{core.SaveWrapper, core.SaveInAnalysis} {
 		core.ResetImageCache(build.ScopeMemory)
@@ -114,15 +114,15 @@ func TestApplyMatchesInstrument(t *testing.T) {
 		opts := core.Options{Mode: mode}
 		app := buildApp(t, cacheAppA)
 
-		want, err := core.Instrument(app, tool, opts)
+		want, err := core.InstrumentCtx(nil, app, tool, opts)
 		if err != nil {
 			t.Fatalf("mode %v: Instrument: %v", mode, err)
 		}
-		ti, err := core.BuildToolImage(tool, opts)
+		ti, err := core.BuildToolImageCtx(nil, tool, opts)
 		if err != nil {
-			t.Fatalf("mode %v: BuildToolImage: %v", mode, err)
+			t.Fatalf("mode %v: BuildToolImageCtx: %v", mode, err)
 		}
-		got, err := core.Apply(app, ti, opts)
+		got, err := core.ApplyCtx(nil, app, ti, opts)
 		if err != nil {
 			t.Fatalf("mode %v: Apply: %v", mode, err)
 		}
@@ -139,16 +139,16 @@ func TestApplyMatchesInstrument(t *testing.T) {
 func TestBuildToolImageCached(t *testing.T) {
 	core.ResetImageCache(build.ScopeMemory)
 	tool := branchCountTool()
-	a, err := core.BuildToolImage(tool, core.Options{})
+	a, err := core.BuildToolImageCtx(nil, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.BuildToolImage(tool, core.Options{})
+	b, err := core.BuildToolImageCtx(nil, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Error("second BuildToolImage did not return the cached image")
+		t.Error("second BuildToolImageCtx did not return the cached image")
 	}
 	if s := core.ImageCacheStats(); s.Builds != 1 || s.Hits < 1 {
 		t.Errorf("stats = %+v, want one build and at least one hit", s)

@@ -20,7 +20,7 @@
 //     data with the application: each side gets its own copy of the
 //     runtime library, including its own sbrk.
 //
-// Instrument rewrites the application at link time using OM. Information
+// InstrumentCtx rewrites the application at link time using OM. Information
 // flows from the application to the analysis routines through plain
 // procedure calls — no interprocess communication, no trace files, no
 // shared-buffer dispatch, no simulation.
@@ -151,7 +151,7 @@ type Result struct {
 	Stats Stats
 }
 
-// Instrument applies a tool to a fully linked application (which must
+// InstrumentCtx applies a tool to a fully linked application (which must
 // retain symbols and relocations) and produces the instrumented
 // executable. This is the paper's
 //
@@ -164,13 +164,8 @@ type Result struct {
 // IR), plan (run the instrumentation routine over the IR), tool image
 // (compile and link the analysis routines — cached, so a suite of
 // programs builds it once), and apply (rewrite the application and
-// stamp the image into its text-data gap).
-func Instrument(app *aout.File, tool Tool, opts Options) (*Result, error) {
-	return InstrumentCtx(nil, app, tool, opts)
-}
-
-// InstrumentCtx is Instrument with a stage context: the lift, plan,
-// tool-image and apply stages each run under their own span ("om.lift",
+// stamp the image into its text-data gap). The lift, plan, tool-image
+// and apply stages each run under their own span ("om.lift",
 // "atom.plan", "atom.image.build" behind a "cache.get" lookup,
 // "atom.apply"), so a trace of a suite run shows exactly which program
 // paid for the lift and the image build and which ones reused them.
@@ -182,15 +177,10 @@ func InstrumentCtx(ctx *obs.Ctx, app *aout.File, tool Tool, opts Options) (*Resu
 	return InstrumentProgramCtx(ctx, prog, tool, opts)
 }
 
-// InstrumentProgram is Instrument starting from an already-lifted
-// Program (core.Lift). The Program is consumed:
-// instrumentation attaches call sites to its instructions, so pass a
-// fresh handle per run and do not reuse it.
-func InstrumentProgram(prog *om.Program, tool Tool, opts Options) (*Result, error) {
-	return InstrumentProgramCtx(nil, prog, tool, opts)
-}
-
-// InstrumentProgramCtx is InstrumentProgram with a stage context.
+// InstrumentProgramCtx is InstrumentCtx starting from an already-lifted
+// Program (LiftCtx). The Program is consumed: instrumentation attaches
+// call sites to its instructions, so pass a fresh handle per run and do
+// not reuse it.
 func InstrumentProgramCtx(ctx *obs.Ctx, prog *om.Program, tool Tool, opts Options) (*Result, error) {
 	q, err := planOn(ctx, prog, tool, opts)
 	if err != nil {
@@ -203,8 +193,8 @@ func InstrumentProgramCtx(ctx *obs.Ctx, prog *om.Program, tool Tool, opts Option
 	return applyPlan(ctx, q, ti, opts)
 }
 
-// Apply stamps a prebuilt tool image into an application: the second
-// step of the paper's two-step model, with the first step (BuildToolImage)
+// ApplyCtx stamps a prebuilt tool image into an application: the second
+// step of the paper's two-step model, with the first step (BuildToolImageCtx)
 // already paid for. The tool's instrumentation routine still runs per
 // application — call sites are application-specific — but no analysis
 // code is compiled or linked. If the plan turns out to need a different
@@ -212,11 +202,6 @@ func InstrumentProgramCtx(ctx *obs.Ctx, prog *om.Program, tool Tool, opts Option
 // in-analysis save mode is being applied to a program mix that calls
 // different procedures), the right image is fetched — or built — from
 // the cache transparently.
-func Apply(app *aout.File, ti *ToolImage, opts Options) (*Result, error) {
-	return ApplyCtx(nil, app, ti, opts)
-}
-
-// ApplyCtx is Apply with a stage context.
 func ApplyCtx(ctx *obs.Ctx, app *aout.File, ti *ToolImage, opts Options) (*Result, error) {
 	prog, err := LiftCtx(ctx, app)
 	if err != nil {
@@ -225,13 +210,9 @@ func ApplyCtx(ctx *obs.Ctx, app *aout.File, ti *ToolImage, opts Options) (*Resul
 	return ApplyProgramCtx(ctx, prog, ti, opts)
 }
 
-// ApplyProgram is Apply starting from an already-lifted Program (see
-// InstrumentProgram for the handle contract: the Program is consumed).
-func ApplyProgram(prog *om.Program, ti *ToolImage, opts Options) (*Result, error) {
-	return ApplyProgramCtx(nil, prog, ti, opts)
-}
-
-// ApplyProgramCtx is ApplyProgram with a stage context.
+// ApplyProgramCtx is ApplyCtx starting from an already-lifted Program
+// (see InstrumentProgramCtx for the handle contract: the Program is
+// consumed).
 func ApplyProgramCtx(ctx *obs.Ctx, prog *om.Program, ti *ToolImage, opts Options) (*Result, error) {
 	if ti == nil {
 		return nil, fmt.Errorf("atom: Apply called with a nil tool image")

@@ -123,7 +123,7 @@ func TestPaperBranchExample(t *testing.T) {
 	app := buildApp(t, loopApp)
 	ref := runExe(t, app, vm.Config{})
 
-	res, err := core.Instrument(app, branchCountTool(), core.Options{})
+	res, err := core.InstrumentCtx(nil, app, branchCountTool(), core.Options{})
 	if err != nil {
 		t.Fatalf("Instrument: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestBranchToolBothSaveModes(t *testing.T) {
 		{Mode: core.SaveInAnalysis},
 		{Mode: core.SaveWrapper, NoRegSummary: true},
 	} {
-		res, err := core.Instrument(app, branchCountTool(), opts)
+		res, err := core.InstrumentCtx(nil, app, branchCountTool(), opts)
 		if err != nil {
 			t.Fatalf("Instrument(%+v): %v", opts, err)
 		}

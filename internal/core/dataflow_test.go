@@ -33,7 +33,7 @@ func TestLivenessPreservesBehavior(t *testing.T) {
 	}
 	for _, pair := range pairs {
 		tname, prog := pair[0], pair[1]
-		exe, err := spec.Build(prog)
+		exe, err := spec.BuildCtx(nil, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestLivenessPreservesBehavior(t *testing.T) {
 			var outs [2]string
 			var icounts [2]uint64
 			for i, noLive := range []bool{true, false} {
-				res, err := core.Instrument(exe, tool, core.Options{NoLiveness: noLive, Verify: true})
+				res, err := core.InstrumentCtx(nil, exe, tool, core.Options{NoLiveness: noLive, Verify: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,18 +94,18 @@ func runOutput(code int, m *vm.Machine) string {
 // liveness on, the summed register-save count across sites is strictly
 // smaller on the built-in tools, with the same sites instrumented.
 func TestLivenessSavesFewerRegs(t *testing.T) {
-	exe, err := spec.Build("queens")
+	exe, err := spec.BuildCtx(nil, "queens")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fewer := 0
 	for _, tname := range []string{"branch", "cache", "prof"} {
 		tool, _ := tools.ByName(tname)
-		off, err := core.Instrument(exe, tool, core.Options{NoLiveness: true})
+		off, err := core.InstrumentCtx(nil, exe, tool, core.Options{NoLiveness: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		on, err := core.Instrument(exe, tool, core.Options{})
+		on, err := core.InstrumentCtx(nil, exe, tool, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestLivenessSavesFewerRegs(t *testing.T) {
 // every tool observes its caller-save live-set size and its save-set
 // size, the two distributions the liveness analysis acts on.
 func TestSiteRegisterHistograms(t *testing.T) {
-	exe, err := spec.Build("queens")
+	exe, err := spec.BuildCtx(nil, "queens")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,21 +161,21 @@ func TestSiteRegisterHistograms(t *testing.T) {
 // wrappers that save nothing can be skipped; in the in-analysis save
 // mode every called site is direct, as it always was.
 func TestDirectSites(t *testing.T) {
-	exe, err := spec.Build("queens")
+	exe, err := spec.BuildCtx(nil, "queens")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tname := range []string{"branch", "cache", "dyninst", "unalign"} {
 		tool, _ := tools.ByName(tname)
-		on, err := core.Instrument(exe, tool, core.Options{})
+		on, err := core.InstrumentCtx(nil, exe, tool, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := core.Instrument(exe, tool, core.Options{NoLiveness: true})
+		off, err := core.InstrumentCtx(nil, exe, tool, core.Options{NoLiveness: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := core.Instrument(exe, tool, core.Options{Mode: core.SaveInAnalysis})
+		in, err := core.InstrumentCtx(nil, exe, tool, core.Options{Mode: core.SaveInAnalysis})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,13 +197,13 @@ func TestDirectSites(t *testing.T) {
 // program, the layout PC maps, and the rewritten text, for every tool.
 func TestVerifySweep(t *testing.T) {
 	for _, prog := range []string{"queens", "ora"} {
-		exe, err := spec.Build(prog)
+		exe, err := spec.BuildCtx(nil, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tname := range tools.Names() {
 			tool, _ := tools.ByName(tname)
-			if _, err := core.Instrument(exe, tool, core.Options{Verify: true}); err != nil {
+			if _, err := core.InstrumentCtx(nil, exe, tool, core.Options{Verify: true}); err != nil {
 				t.Errorf("%s on %s: %v", tname, prog, err)
 			}
 		}
@@ -217,7 +217,7 @@ func TestVerifySweep(t *testing.T) {
 // wrapper; a site that called Count directly there would return a
 // clobbered value.
 func TestDirectCallKeepsLiveRegisters(t *testing.T) {
-	app, err := rtl.BuildProgramMulti(map[string]string{
+	app, err := rtl.BuildProgramMultiCtx(nil, map[string]string{
 		"main.c": `
 #include <stdio.h>
 long keep(long x);
@@ -286,7 +286,7 @@ Count:
 	if string(bare.Stdout) != "42 1\n" {
 		t.Fatalf("bare run printed %q", bare.Stdout)
 	}
-	res, err := core.Instrument(app, tool, core.Options{NoInline: true, Verify: true})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{NoInline: true, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestHeapSchemeInFile(t *testing.T) {
 		t.Skip("runs every tool over three suite programs")
 	}
 	for _, name := range []string{"compress", "gcc", "queens"} {
-		app, err := spec.Build(name)
+		app, err := spec.BuildCtx(nil, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestHeapSchemeInFile(t *testing.T) {
 		for _, tool := range tools.All() {
 			for _, off := range []uint64{0, 1 << 20} {
 				t.Run(fmt.Sprintf("%s/%s/heap=%#x", name, tool.Name, off), func(t *testing.T) {
-					res, err := core.Instrument(app, tool, core.Options{HeapOffset: off})
+					res, err := core.InstrumentCtx(nil, app, tool, core.Options{HeapOffset: off})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -89,7 +89,7 @@ func TestHeapOffsetRecorded(t *testing.T) {
 		{"word but not quad", 1<<20 + 4, 0, "heap offset 0x100004 is not a multiple of 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := core.Instrument(app, tool, core.Options{HeapOffset: tc.offset})
+			res, err := core.InstrumentCtx(nil, app, tool, core.Options{HeapOffset: tc.offset})
 			if tc.err != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.err) {
 					t.Fatalf("err = %v, want it to contain %q", err, tc.err)

@@ -137,7 +137,7 @@ func WrapperName(proc string) string { return "atom$w$" + proc }
 
 // textSizeOf measures the text size a link of the given objects produces.
 func textSizeOf(objs []*aout.File, lib *link.Library) (uint64, error) {
-	probe, err := link.Link(link.Config{
+	probe, err := link.LinkCtx(nil, link.Config{
 		TextAddr:      link.DefaultTextAddr,
 		DataAfterText: true,
 		Entry:         "-",

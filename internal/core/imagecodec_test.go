@@ -36,7 +36,7 @@ void Tick(long n) { counter = counter + n; }
 // identity (the Go closure, which has no wire form) left behind.
 func TestImageCodecRoundTrip(t *testing.T) {
 	ResetImageCache(build.ScopeMemory)
-	ti, err := BuildToolImage(codecProbeTool(), Options{})
+	ti, err := BuildToolImageCtx(nil, codecProbeTool(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestImageCodecRoundTrip(t *testing.T) {
 // or return a half-decoded image.
 func TestImageCodecRejectsCorruptBlob(t *testing.T) {
 	ResetImageCache(build.ScopeMemory)
-	ti, err := BuildToolImage(codecProbeTool(), Options{})
+	ti, err := BuildToolImageCtx(nil, codecProbeTool(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestImageCodecRejectsCorruptBlob(t *testing.T) {
 // format version, and junk.
 func FuzzImageDecode(f *testing.F) {
 	ResetImageCache(build.ScopeMemory)
-	if ti, err := BuildToolImage(codecProbeTool(), Options{}); err == nil {
+	if ti, err := BuildToolImageCtx(nil, codecProbeTool(), Options{}); err == nil {
 		if blob, err := (imageCodec{}).Marshal(ti); err == nil {
 			f.Add(blob)
 			for _, n := range []int{0, len(imageCodecVersion), len(imageCodecVersion) + 5, len(blob) / 2, len(blob) - 1} {

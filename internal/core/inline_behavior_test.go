@@ -17,7 +17,7 @@ import (
 // simply degenerate to the called case — still compared, still equal.
 func TestInlinePreservesBehavior(t *testing.T) {
 	const prog = "queens"
-	exe, err := spec.Build(prog)
+	exe, err := spec.BuildCtx(nil, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestInlinePreservesBehavior(t *testing.T) {
 			var icounts [2]uint64
 			var inlined int
 			for i, on := range []bool{false, true} {
-				res, err := core.Instrument(exe, tool, core.Options{NoInline: !on, Verify: true})
+				res, err := core.InstrumentCtx(nil, exe, tool, core.Options{NoInline: !on, Verify: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,11 +15,11 @@ import (
 // runs the inline classifier on one procedure.
 func classifyFrom(t *testing.T, name, src string) (*inlineTemplate, string) {
 	t.Helper()
-	obj, err := asm.Assemble("t.s", src)
+	obj, err := asm.AssembleCtx(nil, "t.s", src)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
-	img, err := link.Link(link.Config{
+	img, err := link.LinkCtx(nil, link.Config{
 		TextAddr:      link.DefaultTextAddr,
 		DataAfterText: true,
 		Entry:         "-",
@@ -28,9 +28,9 @@ func classifyFrom(t *testing.T, name, src string) (*inlineTemplate, string) {
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
-	prog, err := om.Build(img)
+	prog, err := om.BuildCtx(nil, img)
 	if err != nil {
-		t.Fatalf("om.Build: %v", err)
+		t.Fatalf("om.BuildCtx: %v", err)
 	}
 	pr := prog.Proc(name)
 	if pr == nil {

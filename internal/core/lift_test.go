@@ -14,12 +14,12 @@ import (
 
 // TestLiftSharedExeConcurrent: every lift of an executable refers to the
 // caller's *aout.File, so concurrent instrumentations share it. Eight
-// goroutines run every built-in tool on one executable through Lift and
-// ApplyProgram; each output must equal the sequential one, and the
+// goroutines run every built-in tool on one executable through LiftCtx
+// and ApplyProgramCtx; each output must equal the sequential one, and the
 // executable's encoding must be unchanged afterwards. Under -race this
 // also pins that instrumentation never writes to the executable.
 func TestLiftSharedExeConcurrent(t *testing.T) {
-	app, err := spec.Build("gcc")
+	app, err := spec.BuildCtx(nil, "gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +29,11 @@ func TestLiftSharedExeConcurrent(t *testing.T) {
 	images := make([]*core.ToolImage, len(names))
 	want := make([][]byte, len(names))
 	apply := func(i int) ([]byte, error) {
-		prog, err := core.Lift(app)
+		prog, err := core.LiftCtx(nil, app)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.ApplyProgram(prog, images[i], opts)
+		res, err := core.ApplyProgramCtx(nil, prog, images[i], opts)
 		if err != nil {
 			return nil, err
 		}
@@ -41,8 +41,8 @@ func TestLiftSharedExeConcurrent(t *testing.T) {
 	}
 	for i, name := range names {
 		tool, _ := tools.ByName(name)
-		if images[i], err = core.BuildToolImage(tool, opts); err != nil {
-			t.Fatalf("%s: BuildToolImage: %v", name, err)
+		if images[i], err = core.BuildToolImageCtx(nil, tool, opts); err != nil {
+			t.Fatalf("%s: BuildToolImageCtx: %v", name, err)
 		}
 		if want[i], err = apply(i); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -110,11 +110,11 @@ func TestGetNextInstMatchesScan(t *testing.T) {
 	}
 	var long *om.Block // a block of three or more instructions
 	for _, p := range spec.Suite() {
-		app, err := spec.Build(p.Name)
+		app, err := spec.BuildCtx(nil, p.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := core.Lift(app)
+		prog, err := core.LiftCtx(nil, app)
 		if err != nil {
 			t.Fatal(err)
 		}

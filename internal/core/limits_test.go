@@ -19,31 +19,31 @@ import (
 // analysis image cannot fit.
 func buildTightApp(t *testing.T) *aout.File {
 	t.Helper()
-	hdrs, err := rtl.Headers()
+	hdrs, err := rtl.HeadersCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := cc.Build("app.c", `
+	obj, err := cc.BuildCtx(nil, "app.c", `
 int main() { return 0; }
 `, hdrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, err := rtl.Crt0()
+	c0, err := rtl.Crt0Ctx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, err := rtl.Lib()
+	lib, err := rtl.LibCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Learn the real text size, then relink leaving essentially no gap:
 	// the instrumented text alone cannot fit.
-	probe, err := link.Link(link.Config{}, []*aout.File{c0, obj}, lib)
+	probe, err := link.LinkCtx(nil, link.Config{}, []*aout.File{c0, obj}, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe, err := link.Link(link.Config{
+	exe, err := link.LinkCtx(nil, link.Config{
 		TextAddr: 0x100000,
 		DataAddr: (0x100000 + uint64(len(probe.Text)) + 31) &^ 15,
 	}, []*aout.File{c0, obj}, lib)
@@ -68,7 +68,7 @@ func TestAnalysisImageMustFitGap(t *testing.T) {
 		}
 		return nil
 	})
-	_, err := core.Instrument(app, tool, core.Options{})
+	_, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err == nil {
 		t.Fatal("instrumenting a gap-less executable succeeded")
 	}
@@ -92,7 +92,7 @@ void Wide(long a, long b, long c, long d, long e, long f, long g) {}
 		},
 	}
 	// Wrapper mode supports stack arguments (the wrapper relays them).
-	res, err := core.Instrument(app, tool, core.Options{Mode: core.SaveWrapper})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{Mode: core.SaveWrapper})
 	if err != nil {
 		t.Fatalf("wrapper mode with 7 args: %v", err)
 	}
@@ -100,7 +100,7 @@ void Wide(long a, long b, long c, long d, long e, long f, long g) {}
 		t.Fatal(err)
 	}
 	// In-analysis mode cannot relocate incoming stack arguments.
-	_, err = core.Instrument(app, tool, core.Options{Mode: core.SaveInAnalysis})
+	_, err = core.InstrumentCtx(nil, app, tool, core.Options{Mode: core.SaveInAnalysis})
 	if err == nil || !strings.Contains(err.Error(), "at most 6") {
 		t.Errorf("in-analysis with 7 args: err = %v, want arity rejection", err)
 	}
@@ -108,7 +108,7 @@ void Wide(long a, long b, long c, long d, long e, long f, long g) {}
 
 func TestStatsPopulated(t *testing.T) {
 	app := buildApp(t, loopApp)
-	res, err := core.Instrument(app, branchCountTool(), core.Options{})
+	res, err := core.InstrumentCtx(nil, app, branchCountTool(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestBadAnalysisSourceSurfaced(t *testing.T) {
 			return q.AddCallProgram(core.ProgramBefore, "Tick")
 		},
 	}
-	_, err := core.Instrument(app, tool, core.Options{})
+	_, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err == nil || !strings.Contains(err.Error(), "bad.c") {
 		t.Errorf("err = %v, want a diagnostic naming bad.c", err)
 	}
@@ -155,12 +155,12 @@ func TestNoAnalysisRoutines(t *testing.T) {
 			return nil
 		},
 	}
-	if _, err := core.Instrument(app, tool, core.Options{}); err == nil {
+	if _, err := core.InstrumentCtx(nil, app, tool, core.Options{}); err == nil {
 		t.Error("tool without analysis routines accepted")
 	}
 	tool.Instrument = nil
 	tool.Analysis = map[string]string{"a.c": "long x;"}
-	if _, err := core.Instrument(app, tool, core.Options{}); err == nil {
+	if _, err := core.InstrumentCtx(nil, app, tool, core.Options{}); err == nil {
 		t.Error("tool without instrumentation routine accepted")
 	}
 }
@@ -178,7 +178,7 @@ func TestNoOpInstrumentation(t *testing.T) {
 			return q.AddCallProto("Never()") // declared, never attached
 		},
 	}
-	res, err := core.Instrument(app, tool, core.Options{})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -20,27 +19,20 @@ import (
 // negative means GOMAXPROCS. The run fails soft: results and errs are
 // parallel to apps, results[i] is nil exactly when errs[i] is non-nil,
 // and one application's failure never prevents the others from being
-// instrumented. Each worker runs under its own child of ctx, so spans
-// from concurrent applications land on separate trace tracks.
-func InstrumentMany(ctx *obs.Ctx, apps []*aout.File, tool Tool, opts Options, workers int) (results []*Result, errs []error) {
-	return InstrumentManyProgress(ctx, apps, tool, opts, workers, nil)
-}
-
-// InstrumentManyProgress is InstrumentMany with a progress callback:
-// onDone(i, err) is invoked once per application as it finishes, from
-// the worker goroutine that instrumented it, so it must be safe for
-// concurrent use. A nil onDone is allowed.
-func InstrumentManyProgress(ctx *obs.Ctx, apps []*aout.File, tool Tool, opts Options, workers int, onDone func(i int, err error)) (results []*Result, errs []error) {
-	return InstrumentManyNamed(ctx, apps, nil, tool, opts, workers, onDone)
-}
-
-// InstrumentManyNamed is InstrumentManyProgress with per-application
-// display names (typically input file paths), parallel to apps. Each
-// application's "atom.instrument" span carries its name as the
-// "program" attribute, so live event streams and traces attribute work
-// to a file rather than a bare batch index. A nil or short names slice
-// leaves the affected spans without the attribute.
-func InstrumentManyNamed(ctx *obs.Ctx, apps []*aout.File, names []string, tool Tool, opts Options, workers int, onDone func(i int, err error)) (results []*Result, errs []error) {
+// instrumented. errs[i] is InstrumentCtx's error, which the caller
+// reports against its own name for apps[i]. Each worker runs under its
+// own child of ctx, so spans from concurrent applications land on
+// separate trace tracks.
+//
+// names, if non-nil, gives per-application display names (typically
+// input file paths), parallel to apps: each named application's
+// "atom.instrument" span carries its name as the "program" attribute,
+// so traces attribute work to a file rather than a bare batch index.
+//
+// onDone, if non-nil, is invoked as onDone(i, err) once per application
+// as it finishes, from the worker goroutine that instrumented it, so it
+// must be safe for concurrent use.
+func InstrumentMany(ctx *obs.Ctx, apps []*aout.File, names []string, tool Tool, opts Options, workers int, onDone func(i int, err error)) (results []*Result, errs []error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -64,13 +56,8 @@ func InstrumentManyNamed(ctx *obs.Ctx, apps []*aout.File, names []string, tool T
 					attrs = append(attrs, obs.String("program", names[i]))
 				}
 				ictx, sp := ctx.Start("atom.instrument", attrs...)
-				res, err := InstrumentCtx(ictx, apps[i], tool, opts)
+				results[i], errs[i] = InstrumentCtx(ictx, apps[i], tool, opts)
 				sp.End()
-				if err != nil {
-					errs[i] = fmt.Errorf("app %d: %w", i, err)
-				} else {
-					results[i] = res
-				}
 				if onDone != nil {
 					onDone(i, errs[i])
 				}

@@ -34,7 +34,7 @@ func TestInstrumentWarmFromDiskStore(t *testing.T) {
 	tool := branchCountTool()
 	app := buildApp(t, cacheAppA)
 
-	cold, err := core.Instrument(app, tool, core.Options{})
+	cold, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestInstrumentWarmFromDiskStore(t *testing.T) {
 	}
 
 	dropMemoryLayers()
-	warm, err := core.Instrument(app, tool, core.Options{})
+	warm, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestInstrumentWarmFromDiskStore(t *testing.T) {
 
 	// A third pass with memory warm must not touch the disk again.
 	before := ds.Stats().Hits
-	if _, err := core.Instrument(app, tool, core.Options{}); err != nil {
+	if _, err := core.InstrumentCtx(nil, app, tool, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if after := ds.Stats().Hits; after != before {

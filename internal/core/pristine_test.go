@@ -63,7 +63,7 @@ int main() {
 		}
 		return nil
 	})
-	res, err := core.Instrument(app, tool, core.Options{})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +126,14 @@ void Tick(void) {
 
 	// Linked sbrks (default): analysis allocations interleave, so the
 	// app's second malloc moves.
-	res, err := core.Instrument(app, allocTool, core.Options{})
+	res, err := core.InstrumentCtx(nil, app, allocTool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	linked := runExe(t, res.Exe, vm.Config{})
 
 	// Partitioned: the app's heap addresses are pristine.
-	res2, err := core.Instrument(app, allocTool, core.Options{HeapOffset: 1 << 20})
+	res2, err := core.InstrumentCtx(nil, app, allocTool, core.Options{HeapOffset: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestOriginalPCsReported(t *testing.T) {
 		// Instrument something so the build completes.
 		return q.AddCallProgram(core.ProgramBefore, "Tick")
 	})
-	res, err := core.Instrument(app, tool, core.Options{})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ void SeeArgs(long a0, long a1, long c2, long c3, long c4, long c5, long s6, long
 				1000, 2000, 3000, 4000, 70707, 80808)
 		},
 	}
-	res, err := core.Instrument(app, tool, core.Options{})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ void Done(void) { printf("range %p %p\n", lo, hi); }
 			return q.AddCallProgram(core.ProgramAfter, "Done")
 		},
 	}
-	res, err := core.Instrument(app, tool, core.Options{})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ void Report(char *name, long *weights, long n) {
 				"my-tool", core.Array{10, 20, 30, 40}, 4)
 		},
 	}
-	res, err := core.Instrument(app, tool, core.Options{})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ void NL(void) { printf("\n"); }
 			return q.AddCallProc(g, core.ProcAfter, "NL")
 		},
 	}
-	res, err := core.Instrument(app, tool, core.Options{})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestInstrumentErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := core.Instrument(app, c.tool, core.Options{})
+			_, err := core.InstrumentCtx(nil, app, c.tool, core.Options{})
 			if err == nil {
 				t.Fatalf("Instrument succeeded; want error containing %q", c.want)
 			}
@@ -531,7 +531,7 @@ int main() {
 	return 0;
 }
 `)
-	res, err := core.Instrument(app, branchCountTool(), core.Options{})
+	res, err := core.InstrumentCtx(nil, app, branchCountTool(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

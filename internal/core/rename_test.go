@@ -111,7 +111,7 @@ func TestScratchRenaming(t *testing.T) {
 	}
 	for _, mode := range []SaveMode{SaveWrapper, SaveInAnalysis} {
 		ResetImageCache(build.ScopeMemory)
-		ti, err := BuildToolImage(renameProbeTool(), Options{Mode: mode})
+		ti, err := BuildToolImageCtx(nil, renameProbeTool(), Options{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}

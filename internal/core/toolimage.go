@@ -21,14 +21,14 @@ import (
 // their register-save wrappers (or in-analysis splices), and sbrk-
 // redirected exactly once per (tool, options) pair. The linked image is
 // produced at a canonical base address and moved into each application's
-// text-data gap with link.Rebase — a rigid shift plus relocation
+// text-data gap with link.RebaseCtx — a rigid shift plus relocation
 // re-patch, not a relink. Applying a tool to the Nth program therefore
 // costs only the per-program rewrite, as in the paper's two-step model.
 
 // ToolImage is a tool's compiled and linked analysis image, independent
-// of any application. Build one with BuildToolImage (or implicitly via
-// Instrument, which caches them) and stamp it into applications with
-// Apply. A ToolImage is immutable and safe for concurrent use.
+// of any application. Build one with BuildToolImageCtx (or implicitly via
+// InstrumentCtx, which caches them) and stamp it into applications with
+// ApplyCtx. A ToolImage is immutable and safe for concurrent use.
 type ToolImage struct {
 	tool Tool
 	key  build.Key
@@ -39,7 +39,7 @@ type ToolImage struct {
 	img *aout.File
 
 	// hasProc marks prototype names defined as procedures in the image;
-	// isGlobal marks those whose symbol is exported. Apply verifies every
+	// isGlobal marks those whose symbol is exported. ApplyCtx verifies every
 	// called analysis procedure against these.
 	hasProc  map[string]bool
 	isGlobal map[string]bool
@@ -171,23 +171,18 @@ func toolImageFor(ctx *obs.Ctx, tool Tool, opts Options, q *Instrumentation) (*T
 	return ti, nil
 }
 
-// probeCache holds the tiny probe application BuildToolImage runs a
+// probeCache holds the tiny probe application BuildToolImageCtx runs a
 // tool's instrumentation routine against to learn its prototypes.
 var probeCache = build.NewCache("probe", rtl.ExeCodec{})
 
-// BuildToolImage compiles and links a tool's analysis image without an
-// application in hand — the explicit form of the paper's first step
-// ("build the tool"). The tool's instrumentation routine is run against a
-// trivial probe program to collect its prototype declarations; since
+// BuildToolImageCtx compiles and links a tool's analysis image without
+// an application in hand — the explicit form of the paper's first step
+// ("build the tool"). The tool's instrumentation routine is run against
+// a trivial probe program to collect its prototype declarations; since
 // tools declare prototypes unconditionally, the resulting image is the
-// one Instrument and Apply will use. The image is cached; building it
-// again, or instrumenting any program with the same tool and options, is
-// a cache hit.
-func BuildToolImage(tool Tool, opts Options) (*ToolImage, error) {
-	return BuildToolImageCtx(nil, tool, opts)
-}
-
-// BuildToolImageCtx is BuildToolImage with a stage context.
+// one InstrumentCtx and ApplyCtx will use. The image is cached; building
+// it again, or instrumenting any program with the same tool and options,
+// is a cache hit.
 func BuildToolImageCtx(ctx *obs.Ctx, tool Tool, opts Options) (*ToolImage, error) {
 	if tool.Instrument == nil {
 		return nil, fmt.Errorf("atom: tool %q has no instrumentation routine", tool.Name)
@@ -195,7 +190,7 @@ func BuildToolImageCtx(ctx *obs.Ctx, tool Tool, opts Options) (*ToolImage, error
 	probe, err := build.MemoCtx(ctx, probeCache, "probe-app",
 		build.NewKey("probe-app").String(rtl.ExeCodecVersion).Sum(),
 		func(bctx *obs.Ctx) (*aout.File, error) {
-			return rtl.BuildProgramCtx(bctx, "atom$probe.c", "int main() { return 0; }")
+			return rtl.BuildProgramMultiCtx(bctx, map[string]string{"atom$probe.c": "int main() { return 0; }"})
 		})
 	if err != nil {
 		return nil, fmt.Errorf("atom: building probe program: %w", err)

@@ -70,7 +70,7 @@ func baselineIcount(name string) (uint64, error) {
 	if v, ok := baseCache[name]; ok {
 		return v, nil
 	}
-	exe, err := spec.Build(name)
+	exe, err := spec.BuildCtx(nil, name)
 	if err != nil {
 		return 0, err
 	}
@@ -93,7 +93,7 @@ func RatioFor(toolName, progName string, opts core.Options) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	exe, err := spec.Build(progName)
+	exe, err := spec.BuildCtx(nil, progName)
 	if err != nil {
 		return 0, err
 	}
@@ -101,7 +101,7 @@ func RatioFor(toolName, progName string, opts core.Options) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("fig6: unknown tool %q", toolName)
 	}
-	res, err := core.Instrument(exe, tool, opts)
+	res, err := core.InstrumentCtx(nil, exe, tool, opts)
 	if err != nil {
 		return 0, fmt.Errorf("fig6: %s on %s: %w", toolName, progName, err)
 	}

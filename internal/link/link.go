@@ -61,15 +61,11 @@ type Library struct {
 	Members []*aout.File
 }
 
-// Link combines the given object modules, resolving undefined symbols
-// against the libraries, and produces an executable.
-func Link(cfg Config, objs []*aout.File, libs ...*Library) (*aout.File, error) {
-	return LinkCtx(nil, cfg, objs, libs...)
-}
-
-// LinkCtx is Link with a stage context: the whole link runs under a
-// "link.link" span, with child spans for section layout plus symbol
-// binding ("link.layout") and relocation resolution ("link.resolve").
+// LinkCtx combines the given object modules, resolving undefined symbols
+// against the libraries, and produces an executable. The whole link runs
+// under a "link.link" span, with child spans for section layout plus
+// symbol binding ("link.layout") and relocation resolution
+// ("link.resolve").
 func LinkCtx(ctx *obs.Ctx, cfg Config, objs []*aout.File, libs ...*Library) (*aout.File, error) {
 	ctx, sp := ctx.Start("link.link", obs.Int("modules", int64(len(objs))))
 	defer sp.End()

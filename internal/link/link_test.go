@@ -12,7 +12,7 @@ import (
 
 func obj(t *testing.T, src string) *aout.File {
 	t.Helper()
-	f, err := asm.Assemble("t.s", src)
+	f, err := asm.AssembleCtx(nil, "t.s", src)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
@@ -45,7 +45,7 @@ main:
 	.globl value
 value:	.quad 42
 `)
-	exe, err := Link(Config{}, []*aout.File{a, b})
+	exe, err := LinkCtx(nil, Config{}, []*aout.File{a, b})
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
@@ -85,7 +85,7 @@ value:	.quad 42
 
 func TestUndefinedSymbol(t *testing.T) {
 	a := obj(t, startSrc)
-	_, err := Link(Config{}, []*aout.File{a})
+	_, err := LinkCtx(nil, Config{}, []*aout.File{a})
 	if err == nil || !strings.Contains(err.Error(), "undefined symbols") || !strings.Contains(err.Error(), "main") {
 		t.Errorf("err = %v", err)
 	}
@@ -94,7 +94,7 @@ func TestUndefinedSymbol(t *testing.T) {
 func TestDuplicateSymbol(t *testing.T) {
 	a := obj(t, "\t.text\n\t.globl f\n\t.ent f\nf:\tret (ra)\n\t.end f\n")
 	b := obj(t, "\t.text\n\t.globl f\n\t.ent f\nf:\tret (ra)\n\t.end f\n")
-	_, err := Link(Config{Entry: "f"}, []*aout.File{a, b})
+	_, err := LinkCtx(nil, Config{Entry: "f"}, []*aout.File{a, b})
 	if err == nil || !strings.Contains(err.Error(), "multiply defined") {
 		t.Errorf("err = %v", err)
 	}
@@ -103,7 +103,7 @@ func TestDuplicateSymbol(t *testing.T) {
 func TestLocalSymbolsDoNotCollide(t *testing.T) {
 	a := obj(t, "\t.text\n\t.globl __start\n\t.ent __start\n__start:\nloop:\tbr loop\n\t.end __start\n")
 	b := obj(t, "\t.text\n\t.globl g\n\t.ent g\ng:\nloop:\tbr loop\n\t.end g\n")
-	if _, err := Link(Config{}, []*aout.File{a, b}); err != nil {
+	if _, err := LinkCtx(nil, Config{}, []*aout.File{a, b}); err != nil {
 		t.Errorf("Link with colliding locals: %v", err)
 	}
 }
@@ -123,7 +123,7 @@ main:
 	h2 := obj(t, "\t.text\n\t.globl helper2\n\t.ent helper2\nhelper2:\tret (ra)\n\t.end helper2\n")
 	h3 := obj(t, "\t.text\n\t.globl helper3\n\t.ent helper3\nhelper3:\tret (ra)\n\t.end helper3\n")
 	lib := &Library{Name: "libh", Members: []*aout.File{h3, h2, h1}}
-	exe, err := Link(Config{}, []*aout.File{mainObj}, lib)
+	exe, err := LinkCtx(nil, Config{}, []*aout.File{mainObj}, lib)
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
@@ -150,7 +150,7 @@ d:	.quad 1
 	.bss
 	.comm buf, 64
 `)
-	exe, err := Link(Config{ZeroBss: true}, []*aout.File{a})
+	exe, err := LinkCtx(nil, Config{ZeroBss: true}, []*aout.File{a})
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
@@ -171,7 +171,7 @@ d:	.quad 1
 
 func TestTextDataOverlapRejected(t *testing.T) {
 	a := obj(t, startSrc+"\t.text\n\t.globl main\n\t.ent main\nmain:\tret (ra)\n\t.end main\n")
-	_, err := Link(Config{TextAddr: 0x1000, DataAddr: 0x1008}, []*aout.File{a})
+	_, err := LinkCtx(nil, Config{TextAddr: 0x1000, DataAddr: 0x1008}, []*aout.File{a})
 	if err == nil || !strings.Contains(err.Error(), "overlaps") {
 		t.Errorf("err = %v", err)
 	}
@@ -179,22 +179,22 @@ func TestTextDataOverlapRejected(t *testing.T) {
 
 func TestEntryMissing(t *testing.T) {
 	a := obj(t, "\t.text\n\t.globl f\n\t.ent f\nf:\tret (ra)\n\t.end f\n")
-	if _, err := Link(Config{}, []*aout.File{a}); err == nil {
+	if _, err := LinkCtx(nil, Config{}, []*aout.File{a}); err == nil {
 		t.Error("link without __start succeeded")
 	}
 	// Entry "-" skips the requirement (analysis images).
-	if _, err := Link(Config{Entry: "-"}, []*aout.File{a}); err != nil {
+	if _, err := LinkCtx(nil, Config{Entry: "-"}, []*aout.File{a}); err != nil {
 		t.Errorf("Entry=-: %v", err)
 	}
 }
 
 func TestRejectsLinkedInput(t *testing.T) {
 	a := obj(t, startSrc+"\t.text\n\t.globl main\n\t.ent main\nmain:\tret (ra)\n\t.end main\n")
-	exe, err := Link(Config{}, []*aout.File{a})
+	exe, err := LinkCtx(nil, Config{}, []*aout.File{a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Link(Config{}, []*aout.File{exe}); err == nil {
+	if _, err := LinkCtx(nil, Config{}, []*aout.File{exe}); err == nil {
 		t.Error("linking an executable succeeded")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"atom/internal/obs"
 )
 
-// Rebase moves a linked image rigidly so its text segment starts at
+// RebaseCtx moves a linked image rigidly so its text segment starts at
 // newTextAddr; data and bss keep their distances from text. Because
 // executables retain their relocation records, every absolute address
 // constant (HI16/LO16 pairs, QUAD/LONG data) is re-patched against the
@@ -25,13 +25,8 @@ import (
 // composed executable's text segment they end up in, so the image is
 // copied once. The returned file's Text and Data are those slices, also
 // when newTextAddr is the current base; its Relocs are the input's. The
-// input is not modified.
-func Rebase(img *aout.File, newTextAddr uint64, text, data []byte) (*aout.File, error) {
-	return RebaseCtx(nil, img, newTextAddr, text, data)
-}
-
-// RebaseCtx is Rebase with a stage context: the rigid shift and its
-// relocation re-patch run under a "link.rebase" span.
+// input is not modified. The rigid shift and its relocation re-patch run
+// under a "link.rebase" span.
 func RebaseCtx(ctx *obs.Ctx, img *aout.File, newTextAddr uint64, text, data []byte) (*aout.File, error) {
 	_, sp := ctx.Start("link.rebase",
 		obs.Int("relocs", int64(len(img.Relocs))))

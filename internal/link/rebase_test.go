@@ -37,7 +37,7 @@ func TestRebaseMatchesDirectLink(t *testing.T) {
 	at := func(base uint64) *aout.File {
 		cfg := cfg
 		cfg.TextAddr = base
-		exe, err := Link(cfg, []*aout.File{obj(t, rebaseSrc)})
+		exe, err := LinkCtx(nil, cfg, []*aout.File{obj(t, rebaseSrc)})
 		if err != nil {
 			t.Fatalf("Link at %#x: %v", base, err)
 		}
@@ -86,13 +86,13 @@ func TestRebaseMatchesDirectLink(t *testing.T) {
 
 // rebase moves img into fresh section buffers.
 func rebase(img *aout.File, newTextAddr uint64) (*aout.File, error) {
-	return Rebase(img, newTextAddr, make([]byte, len(img.Text)), make([]byte, len(img.Data)))
+	return RebaseCtx(nil, img, newTextAddr, make([]byte, len(img.Text)), make([]byte, len(img.Data)))
 }
 
 // TestRebaseNoop rebases an image to its own base: the destination
 // slices are still filled and returned, and the input stays untouched.
 func TestRebaseNoop(t *testing.T) {
-	exe, err := Link(Config{DataAfterText: true, Entry: "-", ZeroBss: true},
+	exe, err := LinkCtx(nil, Config{DataAfterText: true, Entry: "-", ZeroBss: true},
 		[]*aout.File{obj(t, rebaseSrc)})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestRebaseNoop(t *testing.T) {
 	wantText := append([]byte(nil), exe.Text...)
 	wantData := append([]byte(nil), exe.Data...)
 	text, data := make([]byte, len(exe.Text)), make([]byte, len(exe.Data))
-	got, err := Rebase(exe, exe.TextAddr, text, data)
+	got, err := RebaseCtx(nil, exe, exe.TextAddr, text, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRebaseNoop(t *testing.T) {
 	if !bytes.Equal(exe.Text, wantText) || !bytes.Equal(exe.Data, wantData) {
 		t.Error("writing the rebased sections changed the input image")
 	}
-	if _, err := Rebase(exe, exe.TextAddr, text[1:], data); err == nil {
+	if _, err := RebaseCtx(nil, exe, exe.TextAddr, text[1:], data); err == nil {
 		t.Error("Rebase into a short text buffer succeeded")
 	}
 }

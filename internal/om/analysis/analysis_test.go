@@ -16,15 +16,15 @@ import (
 // hand-wired structs.
 func lift(t *testing.T, src string) *om.Program {
 	t.Helper()
-	obj, err := asm.Assemble("test.s", src)
+	obj, err := asm.AssembleCtx(nil, "test.s", src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	exe, err := link.Link(link.Config{}, []*aout.File{obj})
+	exe, err := link.LinkCtx(nil, link.Config{}, []*aout.File{obj})
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
-	p, err := om.Build(exe)
+	p, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatalf("lift: %v", err)
 	}

@@ -10,14 +10,14 @@ import (
 
 // stackPass verifies that every procedure keeps a balanced, bounded
 // stack: the only audited stack-pointer writes are `lda sp, d(sp)`
-// adjustments (the idiom both minicc and the hand-written runtime use),
-// every path reaching a ret must be back at the entry height, joins must
-// agree on the height, and the frame must stay below the caller's and
-// within a sane bound. Heights are propagated forward over the CFG from
-// the entry block by a plain integer worklist — the lattice is not a
-// register set, so this pass does not use the generic engine — and
-// blocks the entry cannot reach are left unchecked rather than guessed
-// at.
+// adjustments (the idiom both the MiniC compiler, `atom cc`, and the
+// hand-written runtime use), every path reaching a ret must be back at
+// the entry height, joins must agree on the height, and the frame must
+// stay below the caller's and within a sane bound. Heights are
+// propagated forward over the CFG from the entry block by a plain
+// integer worklist — the lattice is not a register set, so this pass
+// does not use the generic engine — and blocks the entry cannot reach
+// are left unchecked rather than guessed at.
 
 // maxFrame bounds a single procedure's net frame size; anything larger
 // is a runaway adjustment, not a frame.

@@ -36,7 +36,7 @@ func TestLivenessIndirectConservatism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &om.Program{Procs: []*om.Proc{mkProc("p", 0, 0x1000,
 				[][]alpha.Inst{{clrT0, tc.call, ret}}, [][]int{{}})}}
-			lv := dataflow.Compute(p)
+			lv := dataflow.ComputeCtx(nil, p)
 			callIn := lv.LiveIn(p.Procs[0].Blocks[0].Insts[1])
 			for _, r := range []alpha.Reg{alpha.T0, alpha.S3, alpha.A0, alpha.AT} {
 				if !callIn.Has(r) {
@@ -59,7 +59,7 @@ func TestLivenessSingleBlock(t *testing.T) {
 	p := &om.Program{Procs: []*om.Proc{mkProc("one", 0, 0x1000,
 		[][]alpha.Inst{{alpha.RR(alpha.OpAddq, alpha.A0, alpha.A1, alpha.V0), ret}},
 		[][]int{{}})}}
-	lv := dataflow.Compute(p)
+	lv := dataflow.ComputeCtx(nil, p)
 	in := lv.LiveIn(firstInst(p, 0, 0))
 	if !in.Has(alpha.A0) || !in.Has(alpha.A1) {
 		t.Errorf("operands not live at entry: %v", in.Regs())
@@ -95,7 +95,7 @@ func TestLivenessMutualRecursion(t *testing.T) {
 	}, [][]int{{1, 2}, {2}, {}})
 	p := &om.Program{Procs: []*om.Proc{a, b}}
 
-	lv := dataflow.Compute(p)
+	lv := dataflow.ComputeCtx(nil, p)
 	if lv.Rounds < 2 {
 		t.Errorf("mutual recursion converged in %d round(s); the summaries cannot have propagated", lv.Rounds)
 	}

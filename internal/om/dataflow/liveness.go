@@ -16,7 +16,7 @@ import (
 // call if it is live there AND the analysis routine may modify it.
 //
 // The analysis is interprocedural and summary-based, layered the same
-// way as ModifiedRegs: within a procedure a worklist fixpoint runs over
+// way as ModifiedRegsCtx: within a procedure a worklist fixpoint runs over
 // the CFG successor edges; across procedures each procedure has two
 // summaries.
 //
@@ -179,10 +179,7 @@ func (l *Liveness) entryOf(addr uint64) (om.RegSet, bool) {
 	return allLive, false
 }
 
-// Compute runs the analysis over a program.
-func Compute(p *om.Program) *Liveness { return ComputeCtx(nil, p) }
-
-// ComputeCtx is Compute with a stage context: the fixpoint runs under an
+// ComputeCtx runs the analysis over a program. The fixpoint runs under an
 // "om.liveness" span annotated with the worklist round count and the
 // number of CFG edge evaluations, also published as the
 // "om.liveness.rounds" and "om.liveness.edges" counters.

@@ -81,15 +81,15 @@ func materialize(p *om.Program) materialized {
 func TestLivenessMatchesMaterialized(t *testing.T) {
 	var other *om.Inst
 	for _, name := range []string{"gcc", "compress", "li", "queens"} {
-		exe, err := spec.Build(name)
+		exe, err := spec.BuildCtx(nil, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := om.Build(exe)
+		p, err := om.BuildCtx(nil, exe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lv := Compute(p)
+		lv := ComputeCtx(nil, p)
 		ref := materialize(p)
 		if lv.Rounds != ref.rounds || lv.Edges != ref.edges {
 			t.Errorf("%s: rounds/edges = %d/%d, want %d/%d", name, lv.Rounds, lv.Edges, ref.rounds, ref.edges)
@@ -179,15 +179,15 @@ func roundRobin(p *om.Program) (in, out map[*om.Inst]om.RegSet) {
 // every instruction.
 func TestLivenessWorklistMatchesRoundRobin(t *testing.T) {
 	for _, name := range []string{"gcc", "compress", "li", "queens"} {
-		exe, err := spec.Build(name)
+		exe, err := spec.BuildCtx(nil, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := om.Build(exe)
+		p, err := om.BuildCtx(nil, exe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lv := Compute(p)
+		lv := ComputeCtx(nil, p)
 		in, out := roundRobin(p)
 		for _, pr := range p.Procs {
 			for _, b := range pr.Blocks {

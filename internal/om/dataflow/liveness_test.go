@@ -148,7 +148,7 @@ func TestLivenessCFGs(t *testing.T) {
 	for _, tc := range tests {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			lv := dataflow.Compute(tc.prog)
+			lv := dataflow.ComputeCtx(nil, tc.prog)
 			in := tc.at(tc.prog)
 			got := lv.LiveIn(in)
 			for _, r := range tc.dead {
@@ -197,7 +197,7 @@ func TestLivenessEntrySummaries(t *testing.T) {
 	}, [][]int{{}})
 
 	p := &om.Program{Procs: []*om.Proc{callKill, callRead, kill, read}}
-	lv := dataflow.Compute(p)
+	lv := dataflow.ComputeCtx(nil, p)
 
 	if e := lv.EntryLive("kill"); e.Has(alpha.T9) {
 		t.Errorf("kill's entry summary has t9 live: %v", e.Regs())
@@ -225,7 +225,7 @@ func TestLivenessEntrySummaries(t *testing.T) {
 // report everything live (fail-safe default).
 func TestLivenessUnknownInst(t *testing.T) {
 	p := &om.Program{}
-	lv := dataflow.Compute(p)
+	lv := dataflow.ComputeCtx(nil, p)
 	stray := &om.Inst{I: alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T0), Addr: 0x9000}
 	if got := lv.LiveIn(stray); !got.Has(alpha.T0) || !got.Has(alpha.S0) {
 		t.Errorf("unknown instruction not all-live: %v", got.Regs())
@@ -279,7 +279,7 @@ func TestLivenessExitSummaryUnion(t *testing.T) {
 	}}, [][]int{{}})
 	main := mkProc("main", 2, 0x1200, [][]alpha.Inst{{bsr(0x1200, 0x1100)}, {spin}}, [][]int{{1}, {1}})
 	p := linked(0x1200, f, c, main)
-	lv := dataflow.Compute(p)
+	lv := dataflow.ComputeCtx(nil, p)
 
 	want := reg(alpha.T1).Add(alpha.T2).Add(alpha.RA)
 	if got := lv.LiveIn(lastInst(f)); got != want {
@@ -309,7 +309,7 @@ func TestLivenessCallKills(t *testing.T) {
 		retInst,
 	}}, [][]int{{}})
 	main := mkProc("main", 2, 0x1200, [][]alpha.Inst{{bsr(0x1200, 0x1100)}, {spin}}, [][]int{{1}, {1}})
-	lv := dataflow.Compute(linked(0x1200, f, c, main))
+	lv := dataflow.ComputeCtx(nil, linked(0x1200, f, c, main))
 	call := c.Blocks[0].Insts[0]
 	if !lv.LiveOut(call).Has(alpha.T3) {
 		t.Errorf("t3 dead after the call, but c reads it: %v", lv.LiveOut(call).Regs())
@@ -372,7 +372,7 @@ func TestLivenessAllLiveExits(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, g := tc.build()
-			lv := dataflow.Compute(p)
+			lv := dataflow.ComputeCtx(nil, p)
 			got := lv.LiveIn(lastInst(g))
 			want := reg(alpha.RA)
 			if tc.allLive {
@@ -419,7 +419,7 @@ func TestLivenessPalContract(t *testing.T) {
 	}
 	for fn := uint32(0); alpha.PalDefined(fn); fn++ {
 		p := body(fn)
-		lv := dataflow.Compute(p)
+		lv := dataflow.ComputeCtx(nil, p)
 		pal := p.Procs[0].Blocks[0].Insts[1]
 		after := reg(alpha.V0).Add(alpha.T0).Add(alpha.RA)
 		if got := lv.LiveOut(pal); got != after {
@@ -434,7 +434,7 @@ func TestLivenessPalContract(t *testing.T) {
 			t.Fatalf("PAL %#x defined", fn)
 		}
 		p := body(fn)
-		lv := dataflow.Compute(p)
+		lv := dataflow.ComputeCtx(nil, p)
 		if got := lv.LiveIn(p.Procs[0].Blocks[0].Insts[1]); got != dataflow.AllRegs() {
 			t.Errorf("undefined PAL %#x: live before = %v, want everything", fn, got.Regs())
 		}

@@ -28,18 +28,15 @@ import (
 // test pins it against om.AllCallerSave.
 func ConservativeCallerSave() om.RegSet { return om.AllCallerSave() }
 
-// ModifiedRegs computes, for every procedure, the set of caller-save
+// ModifiedRegsCtx computes, for every procedure, the set of caller-save
 // registers that may be modified when control reaches it — the data-flow
 // summary information ATOM uses to minimize register saves around calls
 // into analysis routines (paper, Section 4, "Reducing Procedure Call
 // Overhead"). The analysis is an interprocedural fixpoint over the call
 // graph; indirect calls (jsr) are assumed to clobber
-// ConservativeCallerSave, and CALL_PAL services clobber v0.
-func ModifiedRegs(p *om.Program) map[string]om.RegSet { return ModifiedRegsCtx(nil, p) }
-
-// ModifiedRegsCtx is ModifiedRegs with a stage context: the fixpoint runs
-// under an "om.summary" span annotated with the number of iterations the
-// call-graph propagation took to converge.
+// ConservativeCallerSave, and CALL_PAL services clobber v0. The fixpoint
+// runs under an "om.summary" span annotated with the number of
+// iterations the call-graph propagation took to converge.
 func ModifiedRegsCtx(ctx *obs.Ctx, p *om.Program) map[string]om.RegSet {
 	_, sp := ctx.Start("om.summary", obs.Int("procs", int64(len(p.Procs))))
 	defer sp.End()

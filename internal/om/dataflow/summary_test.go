@@ -15,9 +15,9 @@ func buildSample(t *testing.T, src string) *om.Program {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
-		t.Fatalf("om.Build: %v", err)
+		t.Fatalf("om.BuildCtx: %v", err)
 	}
 	return prog
 }
@@ -35,7 +35,7 @@ long leaf_heavy(long a) {
 long caller(long a) { return leaf_light(a) + 1; }
 int main() { return caller(leaf_heavy(1)); }
 `)
-	mod := dataflow.ModifiedRegs(prog)
+	mod := dataflow.ModifiedRegsCtx(nil, prog)
 	light := mod["leaf_light"]
 	heavy := mod["leaf_heavy"]
 	caller := mod["caller"]
@@ -90,14 +90,14 @@ func TestConservativeCallerSavePinned(t *testing.T) {
 	pr.Blocks = []*om.Block{b}
 	pr.Size = 8
 	p := &om.Program{Procs: []*om.Proc{pr}}
-	if got := dataflow.ModifiedRegs(p)["ind"]; got != dataflow.ConservativeCallerSave() {
+	if got := dataflow.ModifiedRegsCtx(nil, p)["ind"]; got != dataflow.ConservativeCallerSave() {
 		t.Errorf("jsr-containing proc summarizes to %v, want ConservativeCallerSave %v",
 			got.Regs(), dataflow.ConservativeCallerSave().Regs())
 	}
 
 	// The liveness side of the same coin: everything in the conservative
 	// set is live immediately before the jsr.
-	lv := dataflow.Compute(p)
+	lv := dataflow.ComputeCtx(nil, p)
 	in := lv.LiveIn(b.Insts[0])
 	for _, r := range dataflow.ConservativeCallerSave().Regs() {
 		if !in.Has(r) {

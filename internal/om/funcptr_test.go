@@ -53,11 +53,11 @@ table:
 
 func buildFuncPtr(t *testing.T) *aout.File {
 	t.Helper()
-	obj, err := asm.Assemble("fp.s", funcPtrProgram)
+	obj, err := asm.AssembleCtx(nil, "fp.s", funcPtrProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe, err := link.Link(link.Config{}, []*aout.File{obj})
+	exe, err := link.LinkCtx(nil, link.Config{}, []*aout.File{obj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFunctionPointerTableRefixed(t *testing.T) {
 	}
 
 	// Splice nops before every instruction: all procedures move.
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestFunctionPointerTableRefixed(t *testing.T) {
 			}
 		}
 	}
-	lay := prog.Layout()
-	res, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
+	lay := prog.LayoutCtx(nil)
+	res, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatal(err)
 	}

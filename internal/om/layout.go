@@ -31,12 +31,10 @@ type Layout struct {
 	start []uint64
 }
 
-// Layout assigns new addresses. Original instruction order is preserved;
-// each instruction becomes [before-code][instruction][after-code].
-func (p *Program) Layout() *Layout { return p.LayoutCtx(nil) }
-
-// LayoutCtx is Layout with a stage context: address assignment runs under
-// an "om.layout" span annotated with the instrumented text size.
+// LayoutCtx assigns new addresses. Original instruction order is
+// preserved; each instruction becomes [before-code][instruction]
+// [after-code]. Address assignment runs under an "om.layout" span
+// annotated with the instrumented text size.
 func (p *Program) LayoutCtx(ctx *obs.Ctx) *Layout {
 	_, sp := ctx.Start("om.layout")
 	defer sp.End()
@@ -142,18 +140,13 @@ type Result struct {
 	Relocs []aout.Reloc
 }
 
-// Finish emits the instrumented text into text, which must be exactly
+// FinishCtx emits the instrumented text into text, which must be exactly
 // TextSize() bytes long; every byte of it is written. ATOM passes the
 // front of the composed executable's text segment, so the instrumented
 // text is written once, in place; the Result's Text is that slice.
 // resolve maps external symbol names (analysis procedures and data) to
-// absolute addresses.
-func (l *Layout) Finish(text []byte, resolve func(string) (uint64, bool)) (*Result, error) {
-	return l.FinishCtx(nil, text, resolve)
-}
-
-// FinishCtx is Finish with a stage context: re-emission and reference
-// patching run under an "om.finish" span.
+// absolute addresses. Re-emission and reference patching run under an
+// "om.finish" span.
 func (l *Layout) FinishCtx(ctx *obs.Ctx, text []byte, resolve func(string) (uint64, bool)) (*Result, error) {
 	_, sp := ctx.Start("om.finish")
 	defer sp.End()
@@ -257,15 +250,9 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, text []byte, resolve func(string) (uint
 	}
 
 	// Move text symbols to their new addresses. A function's new size
-	// runs to the first procedure that now starts after it; procedures
-	// are in address order, so their new starts are sorted. A zero-size
-	// function (an alias of the code at its address) stays zero-size.
-	starts := make([]uint64, 0, len(p.Procs))
-	for _, pr := range p.Procs {
-		if n, ok := l.NewAddr(pr.Addr); ok {
-			starts = append(starts, n)
-		}
-	}
+	// runs to the new address of the code that followed it, or to the
+	// end of the instrumented text. A zero-size function (an alias of
+	// the code at its address) stays zero-size.
 	syms := make([]aout.Symbol, len(exe.Symbols))
 	copy(syms, exe.Symbols)
 	for i := range syms {
@@ -277,9 +264,9 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, text []byte, resolve func(string) (uint
 			return nil, fmt.Errorf("om: text symbol %q at unmapped %#x", syms[i].Name, syms[i].Value)
 		}
 		if syms[i].Kind == aout.SymFunc && syms[i].Size != 0 {
-			end := base + l.size
-			if j, _ := slices.BinarySearch(starts, n+1); j < len(starts) {
-				end = starts[j]
+			end, ok := l.NewAddr(syms[i].Value + syms[i].Size)
+			if !ok {
+				end = base + l.size
 			}
 			syms[i].Size = end - n
 		}
@@ -298,11 +285,16 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, text []byte, resolve func(string) (uint
 }
 
 // emitInst encodes the instruction in slot k at its new address,
-// recomputing PC-relative displacements against the new layout.
+// recomputing PC-relative displacements against the new layout. A filler
+// slot's word is copied unchanged.
 func (l *Layout) emitInst(text []byte, k int) error {
 	in := &l.prog.insts[k]
 	base := l.prog.Exe.TextAddr
 	newAddr := l.at[k]
+	if l.prog.filler(k) {
+		copy(text[newAddr-base:newAddr-base+4], l.prog.Exe.Text[k*4:])
+		return nil
+	}
 	i := in.I
 	if i.Op.Format() == alpha.FormatBranch {
 		oldTarget := in.Addr + 4 + uint64(int64(i.Disp)*4)

@@ -21,7 +21,7 @@ int main() { printf("%d\n", sq(7)); return 0; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(exe)
+	p, err := BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ int main() { printf("%d\n", sq(7)); return 0; }
 			slots = append(slots, k)
 		}
 	}
-	l := p.Layout()
-	if ds := l.Verify(); len(ds) > 0 {
+	l := p.LayoutCtx(nil)
+	if ds := l.VerifyCtx(nil); len(ds) > 0 {
 		t.Fatalf("clean layout has %d diagnostics, first: %s", len(ds), ds[0])
 	}
 	return p, l, slots
@@ -64,7 +64,7 @@ func TestLayoutVerifyDetectsCorruption(t *testing.T) {
 			k := slots[len(slots)/2]
 			tc.corrupt(l, k)
 			old := p.Exe.TextAddr + uint64(k)*4
-			ds := l.Verify()
+			ds := l.VerifyCtx(nil)
 			for _, d := range ds {
 				if d.Addr == old && d.Proc == "main" && strings.Contains(d.Msg, tc.wantMsg) {
 					return
@@ -76,7 +76,7 @@ func TestLayoutVerifyDetectsCorruption(t *testing.T) {
 	t.Run("short-table", func(t *testing.T) {
 		_, l, _ := layoutFixture(t)
 		l.at = l.at[:len(l.at)-1]
-		if ds := l.Verify(); len(ds) == 0 || !strings.Contains(ds[0].Msg, "slots") {
+		if ds := l.VerifyCtx(nil); len(ds) == 0 || !strings.Contains(ds[0].Msg, "slots") {
 			t.Errorf("truncated table: got %v", ds)
 		}
 	})

@@ -21,11 +21,11 @@
 // image immediately after the instrumented text and inserted calls
 // reference analysis symbols:
 //
-//	prog, _ := om.Build(exe)
+//	prog, _ := om.BuildCtx(ctx, exe)
 //	... attach actions ...
-//	lay := prog.Layout()              // sizes and the old->new PC map
+//	lay := prog.LayoutCtx(ctx)                  // sizes and the old->new PC map
 //	... link the analysis image at a base derived from lay.TextSize() ...
-//	res, _ := lay.Finish(text, resolver) // emit text, patch all references
+//	res, _ := lay.FinishCtx(ctx, text, resolver) // emit text, patch all references
 //
 // Layout also publishes the static new->old PC map that lets ATOM present
 // original program counters to analysis routines (Section 4, "Keeping
@@ -47,9 +47,11 @@ type Program struct {
 	Procs []*Proc
 
 	// insts holds every instruction of a lifted program, indexed by its
-	// text slot: (Addr - Exe.TextAddr) / 4. Procedures tile text
-	// exactly, so the slot is a dense, collision-free key, and program
-	// order is slot order. Hand-assembled IR has none.
+	// text slot: (Addr - Exe.TextAddr) / 4. Procedures and filler tile
+	// text exactly, so the slot is a dense, collision-free key, and
+	// program order is slot order. Hand-assembled IR has none.
+	// A filler slot (see fillerAt) belongs to no block and is never
+	// reached; layout re-emits its word unchanged.
 	insts []Inst
 }
 
@@ -148,14 +150,18 @@ func (p *Program) slotOf(addr uint64) (int, bool) {
 	return int(off / 4), true
 }
 
-// InstAt returns the instruction at an original address, or nil.
+// InstAt returns the instruction at an original address, or nil (also
+// for filler, which holds no instruction).
 func (p *Program) InstAt(addr uint64) *Inst {
 	k, ok := p.slotOf(addr)
-	if !ok {
+	if !ok || p.insts[k].block == nil {
 		return nil
 	}
 	return &p.insts[k]
 }
+
+// filler reports whether slot k is filler between procedures.
+func (p *Program) filler(k int) bool { return p.insts[k].block == nil }
 
 // Slot returns the text slot of a lifted instruction, (Addr -
 // Exe.TextAddr) / 4, which indexes per-instruction tables in program
@@ -169,12 +175,9 @@ func (p *Program) Slot(in *Inst) (int, bool) {
 	return k, true
 }
 
-// Build constructs the IR from a linked executable. The executable must
-// retain function symbols covering all of text (the .ent/.end discipline)
-// and its relocation records.
-func Build(exe *aout.File) (*Program, error) { return BuildCtx(nil, exe) }
-
-// BuildCtx is Build with a stage context: IR construction runs under an
+// BuildCtx constructs the IR from a linked executable. The executable
+// must retain function symbols covering all of text (the .ent/.end
+// discipline) and its relocation records. IR construction runs under an
 // "om.build" span annotated with the recovered procedure and instruction
 // counts.
 func BuildCtx(ctx *obs.Ctx, exe *aout.File) (*Program, error) {
@@ -201,10 +204,17 @@ func buildIR(exe *aout.File) (*Program, error) {
 		return nil, fmt.Errorf("om: executable has no function symbols")
 	}
 	textEnd := exe.TextAddr + uint64(len(exe.Text))
-	// Coverage and overlap checks.
+	n := len(exe.Text) / 4
+	prog := &Program{Exe: exe, insts: make([]Inst, n), Procs: make([]*Proc, len(fns))}
+	// Coverage and overlap checks. A filler slot keeps its address, so
+	// the PC maps and layout treat it like any other slot.
 	expect := exe.TextAddr
-	for _, f := range fns {
-		if f.Value != expect {
+	for i, f := range fns {
+		if i > 0 && f.Value > expect && fillerAt(exe, expect, f.Value) {
+			for a := expect; a < f.Value; a += 4 {
+				prog.insts[(a-exe.TextAddr)/4].Addr = a
+			}
+		} else if f.Value != expect {
 			return nil, fmt.Errorf("om: text gap or overlap at %#x (procedure %q starts at %#x)", expect, f.Name, f.Value)
 		}
 		expect = f.Value + f.Size
@@ -213,8 +223,6 @@ func buildIR(exe *aout.File) (*Program, error) {
 		return nil, fmt.Errorf("om: text tail at %#x..%#x not covered by any procedure", expect, textEnd)
 	}
 
-	n := len(exe.Text) / 4
-	prog := &Program{Exe: exe, insts: make([]Inst, n), Procs: make([]*Proc, len(fns))}
 	procs := make([]Proc, len(fns))
 	ptrs := make([]*Inst, n)
 	leaders := make([]bool, n)
@@ -232,6 +240,36 @@ func buildIR(exe *aout.File) (*Program, error) {
 		prog.Procs[idx] = pr
 	}
 	return prog, nil
+}
+
+// fillerAt reports whether the text [lo, hi) between two procedures can
+// be lifted as filler, such as the padding ATOM leaves in front of an
+// analysis image: it is word-aligned and inside text, no symbol lies in
+// it, no relocation patches it, and the procedure in front of it ends in
+// an unconditional transfer, so control never runs into it.
+func fillerAt(exe *aout.File, lo, hi uint64) bool {
+	if lo%4 != 0 || hi%4 != 0 || lo < exe.TextAddr+4 || hi > exe.TextAddr+uint64(len(exe.Text)) {
+		return false
+	}
+	last, err := alpha.Decode(binary.LittleEndian.Uint32(exe.Text[lo-4-exe.TextAddr:]))
+	if err != nil || last.Op != alpha.OpBr && last.Op != alpha.OpRet && last.Op != alpha.OpJmp {
+		return false
+	}
+	for _, s := range exe.Symbols {
+		if s.Section != aout.SecAbs && s.Section != aout.SecUndef && s.Value >= lo && s.Value < hi {
+			return false
+		}
+	}
+	for _, r := range exe.Relocs {
+		width := uint64(4)
+		if r.Type == aout.RelQuad {
+			width = 8
+		}
+		if at := exe.TextAddr + r.Offset; r.Section == aout.SecText && at+width > lo && at < hi {
+			return false
+		}
+	}
+	return true
 }
 
 // buildProc decodes procedure pr, whose instructions occupy the slots

@@ -47,7 +47,7 @@ func runExe(t *testing.T, exe *aout.File, cfg vm.Config) *vm.Machine {
 
 func TestBuildStructure(t *testing.T) {
 	exe := buildSample(t, sampleProgram)
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -102,22 +102,22 @@ func TestBuildStructure(t *testing.T) {
 // allocated once per program or procedure, not one object per
 // instruction.
 func TestBuildAllocs(t *testing.T) {
-	exe, err := spec.Build("gcc")
+	exe, err := spec.BuildCtx(nil, "gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := om.Build(exe); err != nil {
+		if _, err := om.BuildCtx(nil, exe); err != nil {
 			t.Fatal(err)
 		}
 	})
 	procs := len(prog.Procs)
 	if limit := float64(4*procs + 32); allocs > limit {
-		t.Errorf("om.Build of gcc: %.0f allocations for %d procedures and %d instructions, want <= %.0f",
+		t.Errorf("om.BuildCtx of gcc: %.0f allocations for %d procedures and %d instructions, want <= %.0f",
 			allocs, procs, prog.NumInsts(), limit)
 	}
 	t.Logf("%.0f allocations, %d procedures, %d instructions", allocs, procs, prog.NumInsts())
@@ -125,7 +125,7 @@ func TestBuildAllocs(t *testing.T) {
 
 func TestCFGSuccs(t *testing.T) {
 	exe := buildSample(t, sampleProgram)
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +160,15 @@ func TestIdentityTransform(t *testing.T) {
 	exe := buildSample(t, sampleProgram)
 	ref := runExe(t, exe, vm.Config{})
 
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := prog.Layout()
+	lay := prog.LayoutCtx(nil)
 	if lay.TextSize() != uint64(len(exe.Text)) {
 		t.Fatalf("identity layout size %d != original %d", lay.TextSize(), len(exe.Text))
 	}
-	res, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
+	res, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -198,7 +198,7 @@ func TestNopSplice(t *testing.T) {
 	exe := buildSample(t, sampleProgram)
 	ref := runExe(t, exe, vm.Config{})
 
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +210,11 @@ func TestNopSplice(t *testing.T) {
 			}
 		}
 	}
-	lay := prog.Layout()
+	lay := prog.LayoutCtx(nil)
 	if lay.TextSize() != 2*uint64(len(exe.Text)) {
 		t.Fatalf("nop-spliced size %d, want %d", lay.TextSize(), 2*len(exe.Text))
 	}
-	res, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
+	res, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestNopSplice(t *testing.T) {
 // checks resolution plumbing.
 func TestSpliceExternalRef(t *testing.T) {
 	exe := buildSample(t, sampleProgram)
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +259,12 @@ func TestSpliceExternalRef(t *testing.T) {
 		},
 	}
 	first.Before = append(first.Before, code)
-	lay := prog.Layout()
+	lay := prog.LayoutCtx(nil)
 	// Unknown symbol -> error.
-	if _, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false }); err == nil || !strings.Contains(err.Error(), "ext_data") {
+	if _, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false }); err == nil || !strings.Contains(err.Error(), "ext_data") {
 		t.Errorf("Finish with unresolved symbol: err = %v", err)
 	}
-	res, err := lay.Finish(make([]byte, lay.TextSize()), func(name string) (uint64, bool) {
+	res, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), func(name string) (uint64, bool) {
 		if name == "ext_data" {
 			return 0x345678, true
 		}
@@ -285,7 +285,7 @@ func TestSpliceExternalRef(t *testing.T) {
 
 func TestPCMaps(t *testing.T) {
 	exe := buildSample(t, sampleProgram)
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestPCMaps(t *testing.T) {
 	for _, in := range main.Blocks[0].Insts {
 		in.Before = append(in.Before, om.Code{Insts: []alpha.Inst{nop, nop}})
 	}
-	lay := prog.Layout()
+	lay := prog.LayoutCtx(nil)
 	for _, pr := range prog.Procs {
 		for _, b := range pr.Blocks {
 			for _, in := range b.Insts {
@@ -320,7 +320,7 @@ func TestPCMaps(t *testing.T) {
 func TestBuildErrors(t *testing.T) {
 	exe := buildSample(t, sampleProgram)
 	// Unlinked input.
-	if _, err := om.Build(&aout.File{}); err == nil {
+	if _, err := om.BuildCtx(nil, &aout.File{}); err == nil {
 		t.Error("Build of unlinked file succeeded")
 	}
 	// Gap in coverage: corrupt a function symbol size.
@@ -332,7 +332,7 @@ func TestBuildErrors(t *testing.T) {
 			break
 		}
 	}
-	if _, err := om.Build(&bad); err == nil || !strings.Contains(err.Error(), "gap") {
+	if _, err := om.BuildCtx(nil, &bad); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Errorf("Build with coverage gap: err = %v", err)
 	}
 }

@@ -69,20 +69,20 @@ func checkPCMap(t testing.TB, prog *om.Program, lay *om.Layout) {
 func TestPCMapProperty(t *testing.T) {
 	opts := core.Options{Verify: true}
 	for _, name := range []string{"gcc", "queens", "espresso", "tomcatv"} {
-		exe, err := spec.Build(name)
+		exe, err := spec.BuildCtx(nil, name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tool := range tools.All() {
-			ti, err := core.BuildToolImage(tool, opts)
+			ti, err := core.BuildToolImageCtx(nil, tool, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", tool.Name, err)
 			}
-			prog, err := core.Lift(exe)
+			prog, err := core.LiftCtx(nil, exe)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.ApplyProgram(prog, ti, opts)
+			res, err := core.ApplyProgramCtx(nil, prog, ti, opts)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", tool.Name, name, err)
 			}
@@ -105,7 +105,7 @@ func FuzzLayout(f *testing.F) {
 	const ext = 0x1234_5678
 	resolve := func(sym string) (uint64, bool) { return ext, sym == "ext" }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		prog, err := om.Build(exe)
+		prog, err := om.BuildCtx(nil, exe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,15 +131,15 @@ func FuzzLayout(f *testing.F) {
 				in.After = append(in.After, c)
 			}
 		}
-		lay := prog.Layout()
-		if ds := lay.Verify(); len(ds) > 0 {
+		lay := prog.LayoutCtx(nil)
+		if ds := lay.VerifyCtx(nil); len(ds) > 0 {
 			t.Fatalf("layout: %d diagnostics, first: %s", len(ds), ds[0])
 		}
-		res, err := lay.Finish(make([]byte, lay.TextSize()), resolve)
+		res, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), resolve)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ds := lay.VerifyRewrite(res); len(ds) > 0 {
+		if ds := lay.VerifyRewriteCtx(nil, res); len(ds) > 0 {
 			t.Fatalf("rewrite: %d diagnostics, first: %s", len(ds), ds[0])
 		}
 		checkPCMap(t, prog, lay)

@@ -16,9 +16,9 @@ import (
 // the rest of the system assumes: CFG integrity (every successor edge
 // lands on a block leader of the same procedure, fallthrough edges match
 // layout order), decode/encode round-trip on every instruction, address
-// contiguity, and relocation records within section bounds. Layout.Verify
-// checks the slot tables the PC maps are read from, and
-// Layout.VerifyRewrite re-decodes the emitted text against the IR.
+// contiguity, and relocation records within section bounds.
+// Layout.VerifyCtx checks the slot tables the PC maps are read from, and
+// Layout.VerifyRewriteCtx re-decodes the emitted text against the IR.
 //
 // All diagnostics carry ORIGINAL program counters (the new->old map is
 // applied where a check starts from a new address), so a failure points
@@ -39,13 +39,10 @@ func (d Diag) String() string {
 	return fmt.Sprintf("pc %#x: %s", d.Addr, d.Msg)
 }
 
-// Verify checks the program IR's structural invariants and returns every
-// violation found (nil for a well-formed program).
-func (p *Program) Verify() []Diag { return p.VerifyCtx(nil) }
-
-// VerifyCtx is Verify with a stage context: the pass runs under an
-// "om.verify" span annotated with the number of instructions checked and
-// diagnostics found, also published as "om.verify.checks" /
+// VerifyCtx checks the program IR's structural invariants and returns
+// every violation found (nil for a well-formed program). The pass runs
+// under an "om.verify" span annotated with the number of instructions
+// checked and diagnostics found, also published as "om.verify.checks" /
 // "om.verify.diags" counters.
 func (p *Program) VerifyCtx(ctx *obs.Ctx) []Diag {
 	_, sp := ctx.Start("om.verify", obs.String("stage", "ir"))
@@ -59,10 +56,14 @@ func (p *Program) VerifyCtx(ctx *obs.Ctx) []Diag {
 		diags = append(diags, Diag{Proc: name, Addr: addr, Msg: fmt.Sprintf(format, args...)})
 	}
 
-	// Procedure coverage of the text segment.
+	// Procedure coverage of the text segment; filler may separate two
+	// procedures.
 	if p.Exe != nil {
 		expect := p.Exe.TextAddr
-		for _, pr := range p.Procs {
+		for i, pr := range p.Procs {
+			if i > 0 && pr.Addr > expect && p.fillerSpan(expect, pr.Addr) {
+				expect = pr.Addr
+			}
 			if pr.Addr != expect {
 				bad(pr, pr.Addr, "procedure starts at %#x, expected %#x (gap or overlap)", pr.Addr, expect)
 			}
@@ -253,6 +254,17 @@ func verifyRelocs(relocs []aout.Reloc, nsyms int, textLen, dataLen uint64, locat
 	return diags
 }
 
+// fillerSpan reports whether every slot of [lo, hi) is filler.
+func (p *Program) fillerSpan(lo, hi uint64) bool {
+	for a := lo; a < hi; a += 4 {
+		k, ok := p.slotOf(a)
+		if !ok || !p.filler(k) {
+			return false
+		}
+	}
+	return true
+}
+
 // procFor attributes an original address to its procedure name.
 func (p *Program) procFor(addr uint64) string {
 	for _, pr := range p.Procs {
@@ -263,15 +275,12 @@ func (p *Program) procFor(addr uint64) string {
 	return ""
 }
 
-// Verify checks the layout's slot tables, which both PC maps read: the
+// VerifyCtx checks the layout's slot tables, which both PC maps read: the
 // instructions' new addresses are word-aligned, inside the instrumented
 // text and strictly increasing (so OldAddr's binary search is exact and
 // the maps are mutually inverse), and each slot's before-code fills
-// exactly the gap from start to at.
-func (l *Layout) Verify() []Diag { return l.VerifyCtx(nil) }
-
-// VerifyCtx is Layout.Verify with a stage context (an "om.verify" span,
-// stage "layout").
+// exactly the gap from start to at. It runs under an "om.verify" span,
+// stage "layout".
 func (l *Layout) VerifyCtx(ctx *obs.Ctx) []Diag {
 	_, sp := ctx.Start("om.verify", obs.String("stage", "layout"))
 	defer sp.End()
@@ -307,17 +316,13 @@ func (l *Layout) VerifyCtx(ctx *obs.Ctx) []Diag {
 	return diags
 }
 
-// VerifyRewrite re-verifies the rewritten program against the IR: every
+// VerifyRewriteCtx re-verifies the rewritten program against the IR: every
 // original instruction must decode at its new address with its opcode
 // intact and, for branches, a displacement that reaches the new address
 // of its original target; every spliced instruction must decode; the
 // carried-forward relocation records must stay within the emitted
 // sections. Diagnostics locate failures by ORIGINAL PC via the new->old
-// map.
-func (l *Layout) VerifyRewrite(res *Result) []Diag { return l.VerifyRewriteCtx(nil, res) }
-
-// VerifyRewriteCtx is VerifyRewrite with a stage context (an "om.verify"
-// span, stage "rewrite").
+// map. It runs under an "om.verify" span, stage "rewrite".
 func (l *Layout) VerifyRewriteCtx(ctx *obs.Ctx, res *Result) []Diag {
 	_, sp := ctx.Start("om.verify", obs.String("stage", "rewrite"))
 	defer sp.End()
@@ -424,6 +429,17 @@ func (l *Layout) VerifyRewriteCtx(ctx *obs.Ctx, res *Result) []Diag {
 				verifyCode(in.Before, l.start[k])
 				verifyCode(in.After, newAddr+4)
 			}
+		}
+	}
+	// Filler is re-emitted word for word.
+	for k := range p.insts {
+		if k >= len(l.at) || !p.filler(k) {
+			continue
+		}
+		checked++
+		old := binary.LittleEndian.Uint32(p.Exe.Text[k*4:])
+		if off := l.at[k] - base; off+4 > uint64(len(res.Text)) || binary.LittleEndian.Uint32(res.Text[off:]) != old {
+			bad(nil, p.insts[k].Addr, "filler word at new %#x is not the original %#08x", l.at[k], old)
 		}
 	}
 

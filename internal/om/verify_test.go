@@ -12,11 +12,11 @@ import (
 // three verifier stages, expecting silence at each.
 func TestVerifyCleanPipeline(t *testing.T) {
 	exe := buildSample(t, sampleProgram)
-	prog, err := om.Build(exe)
+	prog, err := om.BuildCtx(nil, exe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds := prog.Verify(); len(ds) > 0 {
+	if ds := prog.VerifyCtx(nil); len(ds) > 0 {
 		t.Fatalf("pristine IR has %d diagnostics, first: %s", len(ds), ds[0])
 	}
 
@@ -25,15 +25,15 @@ func TestVerifyCleanPipeline(t *testing.T) {
 	for _, in := range prog.Proc("main").Blocks[0].Insts {
 		in.Before = append(in.Before, om.Code{Insts: []alpha.Inst{nop, nop}})
 	}
-	lay := prog.Layout()
-	if ds := lay.Verify(); len(ds) > 0 {
+	lay := prog.LayoutCtx(nil)
+	if ds := lay.VerifyCtx(nil); len(ds) > 0 {
 		t.Fatalf("layout has %d diagnostics, first: %s", len(ds), ds[0])
 	}
-	res, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
+	res, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds := lay.VerifyRewrite(res); len(ds) > 0 {
+	if ds := lay.VerifyRewriteCtx(nil, res); len(ds) > 0 {
 		t.Fatalf("rewrite has %d diagnostics, first: %s", len(ds), ds[0])
 	}
 }
@@ -42,7 +42,7 @@ func TestVerifyCleanPipeline(t *testing.T) {
 // diagnostic mentioning the defect, attributed to the right procedure.
 func TestVerifyDetectsCorruption(t *testing.T) {
 	build := func(t *testing.T) *om.Program {
-		prog, err := om.Build(buildSample(t, sampleProgram))
+		prog, err := om.BuildCtx(nil, buildSample(t, sampleProgram))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := build(t)
 			tc.corrupt(p)
-			ds := p.Verify()
+			ds := p.VerifyCtx(nil)
 			if len(ds) == 0 {
 				t.Fatalf("%s: corruption not detected", tc.name)
 			}
@@ -140,15 +140,15 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 }
 
 // A tampered rewrite — text patched after Finish — must be caught by
-// VerifyRewrite, with the diagnostic located at the ORIGINAL pc of the
+// VerifyRewriteCtx, with the diagnostic located at the ORIGINAL pc of the
 // damaged instruction.
 func TestVerifyRewriteDetectsTampering(t *testing.T) {
-	prog, err := om.Build(buildSample(t, sampleProgram))
+	prog, err := om.BuildCtx(nil, buildSample(t, sampleProgram))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := prog.Layout()
-	res, err := lay.Finish(make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
+	lay := prog.LayoutCtx(nil)
+	res, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +163,9 @@ func TestVerifyRewriteDetectsTampering(t *testing.T) {
 	off := newAddr - prog.Exe.TextAddr
 	res.Text[off+3] ^= 0xFC // opcode lives in the top bits
 
-	ds := lay.VerifyRewrite(res)
+	ds := lay.VerifyRewriteCtx(nil, res)
 	if len(ds) == 0 {
-		t.Fatal("tampered text passed VerifyRewrite")
+		t.Fatal("tampered text passed VerifyRewriteCtx")
 	}
 	found := false
 	for _, d := range ds {

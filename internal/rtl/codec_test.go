@@ -58,7 +58,7 @@ func FuzzRuntimeDecode(f *testing.F) {
 
 // FuzzObjectsDecode fuzzes the atom-objs codec (a compiled object set).
 func FuzzObjectsDecode(f *testing.F) {
-	objs, err := BuildObjects(map[string]string{
+	objs, err := BuildObjectsCtx(nil, map[string]string{
 		"a.c": "int f(int x) { return x + 1; }",
 		"b.s": "\t.text\n\t.globl g\ng:\n\tret\n",
 	})

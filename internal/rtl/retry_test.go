@@ -18,22 +18,22 @@ func TestRuntimeBuildRetriesAfterFailure(t *testing.T) {
 	rtl.SetBuildFault(func() error { return boom })
 	defer rtl.SetBuildFault(nil)
 
-	if _, err := rtl.Lib(); !errors.Is(err, boom) {
+	if _, err := rtl.LibCtx(nil); !errors.Is(err, boom) {
 		t.Fatalf("faulted build: err = %v, want %v", err, boom)
 	}
-	if _, err := rtl.Headers(); !errors.Is(err, boom) {
+	if _, err := rtl.HeadersCtx(nil); !errors.Is(err, boom) {
 		t.Fatalf("faulted build (second call): err = %v, want %v", err, boom)
 	}
 
 	rtl.SetBuildFault(nil)
-	lib, err := rtl.Lib()
+	lib, err := rtl.LibCtx(nil)
 	if err != nil {
 		t.Fatalf("build after fault cleared: %v", err)
 	}
 	if lib == nil || len(lib.Members) == 0 {
 		t.Fatal("rebuilt library is empty")
 	}
-	if _, err := rtl.Crt0(); err != nil {
+	if _, err := rtl.Crt0Ctx(nil); err != nil {
 		t.Fatalf("Crt0 after recovery: %v", err)
 	}
 }
@@ -43,11 +43,11 @@ func TestRuntimeBuildRetriesAfterFailure(t *testing.T) {
 func TestBuildObjectsMemoized(t *testing.T) {
 	rtl.ResetObjectCache(build.ScopeMemory)
 	src := map[string]string{"m.c": "int f() { return 41; }\n"}
-	a, err := rtl.BuildObjects(src)
+	a, err := rtl.BuildObjectsCtx(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rtl.BuildObjects(src)
+	b, err := rtl.BuildObjectsCtx(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBuildObjectsMemoized(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 build and 1 hit", s)
 	}
 	src2 := map[string]string{"m.c": "int f() { return 42; }\n"}
-	c, err := rtl.BuildObjects(src2)
+	c, err := rtl.BuildObjectsCtx(nil, src2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +76,14 @@ func TestBuildObjectsMemoized(t *testing.T) {
 func TestBuildObjectsCompileErrorNotLatched(t *testing.T) {
 	bad := map[string]string{"b.c": "int f( {\n"}
 	for i := 0; i < 2; i++ {
-		if _, err := rtl.BuildObjects(bad); err == nil {
+		if _, err := rtl.BuildObjectsCtx(nil, bad); err == nil {
 			t.Fatalf("attempt %d: compile of malformed source succeeded", i)
 		} else if strings.Contains(err.Error(), "latched") {
 			t.Fatal(err)
 		}
 	}
 	good := map[string]string{"b.c": "int f() { return 0; }\n"}
-	if _, err := rtl.BuildObjects(good); err != nil {
+	if _, err := rtl.BuildObjectsCtx(nil, good); err != nil {
 		t.Fatalf("fixed source: %v", err)
 	}
 }

@@ -118,11 +118,8 @@ func buildRuntime(ctx *obs.Ctx) (*runtime, error) {
 	return rt, nil
 }
 
-// Headers returns the standard headers (stdio.h, stdlib.h, string.h) for
-// compiling MiniC programs against this library.
-func Headers() (map[string]string, error) { return HeadersCtx(nil) }
-
-// HeadersCtx is Headers with a stage context.
+// HeadersCtx returns the standard headers (stdio.h, stdlib.h, string.h)
+// for compiling MiniC programs against this library.
 func HeadersCtx(ctx *obs.Ctx) (map[string]string, error) {
 	rt, err := parts(ctx)
 	if err != nil {
@@ -131,11 +128,8 @@ func HeadersCtx(ctx *obs.Ctx) (map[string]string, error) {
 	return rt.headers, nil
 }
 
-// Lib returns the compiled runtime library. The returned value is shared
-// and must not be mutated; the linker copies member contents.
-func Lib() (*link.Library, error) { return LibCtx(nil) }
-
-// LibCtx is Lib with a stage context.
+// LibCtx returns the compiled runtime library. The returned value is
+// shared and must not be mutated; the linker copies member contents.
 func LibCtx(ctx *obs.Ctx) (*link.Library, error) {
 	rt, err := parts(ctx)
 	if err != nil {
@@ -144,12 +138,9 @@ func LibCtx(ctx *obs.Ctx) (*link.Library, error) {
 	return rt.lib, nil
 }
 
-// Crt0 returns the startup object defining __start. It must be linked
-// explicitly into executables (nothing references it by name, so archive
-// selection would never pull it in).
-func Crt0() (*aout.File, error) { return Crt0Ctx(nil) }
-
-// Crt0Ctx is Crt0 with a stage context.
+// Crt0Ctx returns the startup object defining __start. It must be
+// linked explicitly into executables (nothing references it by name, so
+// archive selection would never pull it in).
 func Crt0Ctx(ctx *obs.Ctx) (*aout.File, error) {
 	rt, err := parts(ctx)
 	if err != nil {
@@ -158,18 +149,13 @@ func Crt0Ctx(ctx *obs.Ctx) (*aout.File, error) {
 	return rt.crt0, nil
 }
 
-// BuildObjects compiles MiniC sources (name -> source) into objects.
+// BuildObjectsCtx compiles MiniC sources (name -> source) into objects.
 // Names ending in ".s" are assembled instead — analysis routines with
 // hand-optimized hot paths mix both. Results are memoized by source
 // content; the returned objects are shared and must not be mutated
-// (the linker copies what it needs).
-func BuildObjects(srcs map[string]string) ([]*aout.File, error) {
-	return BuildObjectsCtx(nil, srcs)
-}
-
-// BuildObjectsCtx is BuildObjects with a stage context: the compile loop
-// runs under an "rtl.objects" span, and the cache lookup that guards it
-// is recorded with hit/miss attribution.
+// (the linker copies what it needs). The compile loop runs under an
+// "rtl.objects" span, and the cache lookup that guards it is recorded
+// with hit/miss attribution.
 func BuildObjectsCtx(ctx *obs.Ctx, srcs map[string]string) ([]*aout.File, error) {
 	hdrs, err := HeadersCtx(ctx)
 	if err != nil {
@@ -222,23 +208,13 @@ func ObjectCacheStats() build.Stats { return objCache.Stats() }
 func ResetObjectCache(build.Scope) { objCache.Reset() }
 
 // BuildProgram compiles a single-file MiniC program and links it (with
-// crt0 and the runtime library) into an executable.
+// crt0 and the runtime library) into an executable, recording nothing.
 func BuildProgram(name, src string) (*aout.File, error) {
-	return BuildProgramMulti(map[string]string{name: src})
+	return BuildProgramMultiCtx(nil, map[string]string{name: src})
 }
 
-// BuildProgramCtx is BuildProgram with a stage context.
-func BuildProgramCtx(ctx *obs.Ctx, name, src string) (*aout.File, error) {
-	return BuildProgramMultiCtx(ctx, map[string]string{name: src})
-}
-
-// BuildProgramMulti compiles several MiniC source files and links them
-// together with crt0 and the runtime library.
-func BuildProgramMulti(srcs map[string]string) (*aout.File, error) {
-	return BuildProgramMultiCtx(nil, srcs)
-}
-
-// BuildProgramMultiCtx is BuildProgramMulti with a stage context.
+// BuildProgramMultiCtx compiles several MiniC source files and links
+// them together with crt0 and the runtime library.
 func BuildProgramMultiCtx(ctx *obs.Ctx, srcs map[string]string) (*aout.File, error) {
 	objs, err := BuildObjectsCtx(ctx, srcs)
 	if err != nil {

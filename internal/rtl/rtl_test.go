@@ -11,7 +11,7 @@ import (
 )
 
 func TestHeadersPresent(t *testing.T) {
-	hdrs, err := rtl.Headers()
+	hdrs, err := rtl.HeadersCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestHeadersPresent(t *testing.T) {
 }
 
 func TestLibraryShape(t *testing.T) {
-	lib, err := rtl.Lib()
+	lib, err := rtl.LibCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestLibraryShape(t *testing.T) {
 			t.Error("crt0 leaked into the archive")
 		}
 	}
-	c0, err := rtl.Crt0()
+	c0, err := rtl.Crt0Ctx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestBuildConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(i, c int, name string) {
 				defer wg.Done()
-				exe, err := spec.Build(name)
+				exe, err := spec.BuildCtx(nil, name)
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
 					return

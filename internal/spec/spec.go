@@ -51,15 +51,12 @@ func ByName(name string) (Program, bool) {
 // process-wide build.DiskStore alongside the other artifact kinds.
 var buildCache = build.NewCache("spec", rtl.ExeCodec{})
 
-// Build compiles and links a suite program, memoizing the result by the
-// program's source content. Concurrent callers of the same program share
-// one build (and distinct programs build in parallel — no global lock).
-// The returned file must not be mutated.
-func Build(name string) (*aout.File, error) { return BuildCtx(nil, name) }
-
-// BuildCtx is Build with a stage context: the whole compile-and-link runs
-// under a "spec.build" span, and the memoized lookup records hit/miss
-// attribution.
+// BuildCtx compiles and links a suite program, memoizing the result by
+// the program's source content. Concurrent callers of the same program
+// share one build (and distinct programs build in parallel — no global
+// lock). The returned file must not be mutated. The whole
+// compile-and-link runs under a "spec.build" span, and the memoized
+// lookup records hit/miss attribution.
 func BuildCtx(ctx *obs.Ctx, name string) (*aout.File, error) {
 	p, ok := ByName(name)
 	if !ok {
@@ -69,7 +66,7 @@ func BuildCtx(ctx *obs.Ctx, name string) (*aout.File, error) {
 	exe, err := build.MemoCtx(ctx, buildCache, "spec-program", key, func(bctx *obs.Ctx) (*aout.File, error) {
 		sctx, sp := bctx.Start("spec.build", obs.String("program", p.Name))
 		defer sp.End()
-		return rtl.BuildProgramCtx(sctx, p.Name+".c", p.Src)
+		return rtl.BuildProgramMultiCtx(sctx, map[string]string{p.Name + ".c": p.Src})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("spec: %s: %w", name, err)

@@ -13,7 +13,7 @@ import (
 // runProgram executes one suite member and returns the machine.
 func runProgram(t *testing.T, name string) *vm.Machine {
 	t.Helper()
-	exe, err := spec.Build(name)
+	exe, err := spec.BuildCtx(nil, name)
 	if err != nil {
 		t.Fatalf("Build(%s): %v", name, err)
 	}
@@ -115,7 +115,7 @@ func TestByNameUnknown(t *testing.T) {
 	if _, ok := spec.ByName("nope"); ok {
 		t.Error("ByName(nope) succeeded")
 	}
-	if _, err := spec.Build("nope"); err == nil {
+	if _, err := spec.BuildCtx(nil, "nope"); err == nil {
 		t.Error("Build(nope) succeeded")
 	}
 }

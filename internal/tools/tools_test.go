@@ -90,7 +90,7 @@ func TestAllToolsRun(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			tool, _ := tools.ByName(name)
-			res, err := core.Instrument(app, tool, core.Options{})
+			res, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 			if err != nil {
 				t.Fatalf("Instrument: %v", err)
 			}
@@ -123,7 +123,7 @@ func instrumentAndRun(t *testing.T, name string, opts core.Options) (*vm.Machine
 	if !ok {
 		t.Fatalf("tool %q not registered", name)
 	}
-	res, err := core.Instrument(app, tool, opts)
+	res, err := core.InstrumentCtx(nil, app, tool, opts)
 	if err != nil {
 		t.Fatalf("Instrument(%s): %v", name, err)
 	}
@@ -153,7 +153,7 @@ func TestDyninstMatchesMachineCount(t *testing.T) {
 	app := buildApp(t)
 	ref := run(t, app)
 	tool, _ := tools.ByName("dyninst")
-	res, err := core.Instrument(app, tool, core.Options{})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ int main() {
 	}
 	ref := run(t, app)
 	tool, _ := tools.ByName("unalign")
-	res, err := core.Instrument(app, tool, core.Options{})
+	res, err := core.InstrumentCtx(nil, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

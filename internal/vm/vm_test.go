@@ -15,11 +15,11 @@ import (
 // build assembles and links a standalone program.
 func build(t testing.TB, src string) *aout.File {
 	t.Helper()
-	obj, err := asm.Assemble("t.s", src)
+	obj, err := asm.AssembleCtx(nil, "t.s", src)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
-	exe, err := link.Link(link.Config{}, []*aout.File{obj})
+	exe, err := link.LinkCtx(nil, link.Config{}, []*aout.File{obj})
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
@@ -27,7 +27,7 @@ func build(t testing.TB, src string) *aout.File {
 }
 
 // withHeapZone returns a copy of exe recording an analysis heap zone at
-// off, as core.Instrument writes it for a partitioned heap.
+// off, as core.InstrumentCtx writes it for a partitioned heap.
 func withHeapZone(exe *aout.File, off uint64) *aout.File {
 	c := *exe
 	c.Symbols = append(append([]aout.Symbol(nil), exe.Symbols...),
@@ -495,12 +495,12 @@ func TestNewRejectsBadSections(t *testing.T) {
 // FuzzNew: any executable aout.Decode accepts must load and run on a
 // small machine without panicking; New and Run may only fail.
 func FuzzNew(f *testing.F) {
-	obj, err := asm.Assemble("t.s", sbrkDeltaSrc)
+	obj, err := asm.AssembleCtx(nil, "t.s", sbrkDeltaSrc)
 	if err != nil {
 		f.Fatal(err)
 	}
 	// A low text base keeps the seeds inside the fuzzed machine.
-	exe, err := link.Link(link.Config{TextAddr: 0x10000, DataAfterText: true}, []*aout.File{obj})
+	exe, err := link.LinkCtx(nil, link.Config{TextAddr: 0x10000, DataAfterText: true}, []*aout.File{obj})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // to the same bytes as atom.Instrument for every built-in tool, and
 // leave the lifted executable unchanged.
 func TestIRRoundTripAllTools(t *testing.T) {
-	exe, err := spec.Build("queens")
+	exe, err := spec.BuildCtx(nil, "queens")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestIRRoundTripAllTools(t *testing.T) {
 // returns a fresh Program over the caller's executable, and
 // InstrumentProgram on it yields an executable that runs.
 func TestPublicIRAPI(t *testing.T) {
-	exe, err := spec.Build("queens")
+	exe, err := spec.BuildCtx(nil, "queens")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,7 +240,7 @@ func TestFailSoftFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, errs := core.InstrumentMany(ctx, []*Executable{good, bad}, core.Tool(tool), core.Options{}, 2)
+	results, errs := core.InstrumentMany(ctx, []*Executable{good, bad}, nil, core.Tool(tool), core.Options{}, 2, nil)
 	if errs[0] != nil || results[0] == nil {
 		t.Fatalf("good app failed alongside bad one: %v", errs[0])
 	}

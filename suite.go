@@ -2,6 +2,7 @@ package atom
 
 import (
 	"errors"
+	"fmt"
 
 	"atom/internal/core"
 )
@@ -21,6 +22,11 @@ import (
 // (tagged with the application's index); the rest are still
 // instrumented.
 func InstrumentSuite(apps []*Executable, tool Tool, opts Options, workers int) ([]*Result, error) {
-	results, errs := core.InstrumentMany(nil, apps, tool, opts, workers)
+	results, errs := core.InstrumentMany(nil, apps, nil, tool, opts, workers, nil)
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("app %d: %w", i, err)
+		}
+	}
 	return results, errors.Join(errs...)
 }

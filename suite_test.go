@@ -26,7 +26,7 @@ func TestSuiteBuildsImageOnce(t *testing.T) {
 	suite := spec.Suite()
 	apps := make([]*atom.Executable, len(suite))
 	for i, p := range suite {
-		if apps[i], err = spec.Build(p.Name); err != nil {
+		if apps[i], err = spec.BuildCtx(nil, p.Name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func TestInstrumentSuiteParallelMatchesSerial(t *testing.T) {
 	apps := make([]*atom.Executable, len(programs))
 	for i, name := range programs {
 		var err error
-		if apps[i], err = spec.Build(name); err != nil {
+		if apps[i], err = spec.BuildCtx(nil, name); err != nil {
 			t.Fatal(err)
 		}
 	}

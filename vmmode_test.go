@@ -226,7 +226,7 @@ func TestVMModeProfiledBuildsNoExtraBlocks(t *testing.T) {
 	}
 	for _, p := range spec.Suite() {
 		t.Run(p.Name, func(t *testing.T) {
-			exe, err := spec.Build(p.Name)
+			exe, err := spec.BuildCtx(nil, p.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
