@@ -30,10 +30,8 @@ import (
 	"fmt"
 
 	"atom/internal/aout"
-	"atom/internal/build"
 	"atom/internal/core"
 	"atom/internal/om"
-	"atom/internal/om/analysis"
 	"atom/internal/rtl"
 	"atom/internal/tools"
 	"atom/internal/vm"
@@ -94,9 +92,6 @@ func Instrument(app *Executable, tool Tool, opts Options) (*Result, error) {
 // of any application; see core.ToolImage.
 type ToolImage = core.ToolImage
 
-// CacheStats is a snapshot of artifact-cache counters.
-type CacheStats = build.Stats
-
 // BuildToolImage performs the paper's first step — build the custom tool
 // — without an application in hand. The image is cached; subsequent
 // Instrument or Apply calls with the same tool and options reuse it.
@@ -110,107 +105,20 @@ func Apply(app *Executable, ti *ToolImage, opts Options) (*Result, error) {
 	return core.ApplyCtx(nil, app, ti, opts)
 }
 
-// ImageCacheStats reports tool-image cache activity: hits, disk hits,
-// misses, completed builds, and build errors.
-func ImageCacheStats() CacheStats { return core.ImageCacheStats() }
-
-// StoreStats is a snapshot of persistent-store counters.
-type StoreStats = build.StoreStats
-
-// WithCacheDir installs a persistent on-disk artifact store rooted at
-// dir, shared by every cache kind (tool images, compiled objects, the
-// runtime library): artifacts built by any process pointed at the same
-// directory are decoded from disk instead of rebuilt, so a warm second
-// process instruments with zero compiles or links. The store is one
-// content-addressed blob file per artifact, crash-safe (write-to-temp +
-// atomic rename; blobs are SHA-256-verified on read, and corrupt ones
-// are deleted and silently rebuilt). Nothing bounds its size: delete the
-// directory to reclaim the space. The library never reads ATOM_CACHE_DIR
-// itself — only the atom CLI does — so programmatic users opt in
-// explicitly here.
-func WithCacheDir(dir string) error {
-	return build.SetCacheDir(nil, dir)
-}
-
-// CloseCacheDir retires the persistent store installed by WithCacheDir;
-// subsequent cache traffic is memory-only.
-func CloseCacheDir() { build.CloseStore() }
-
-// CacheSnapshot unifies the counters of both artifact caches, plus the
-// persistent store's own counters when one is configured.
-type CacheSnapshot struct {
-	Image   CacheStats
-	Objects CacheStats
-	// Disk is nil when no persistent store is configured.
-	Disk *StoreStats
-}
-
-// Caches returns a unified snapshot of cache and store activity.
-func Caches() CacheSnapshot {
-	snap := CacheSnapshot{
-		Image:   core.ImageCacheStats(),
-		Objects: rtl.ObjectCacheStats(),
-	}
-	if s := build.ActiveStore(); s != nil {
-		st := s.Stats()
-		snap.Disk = &st
-	}
-	return snap
-}
-
 // Program is an application lifted to OM IR: the symbolic
 // program/procedure/block/instruction view instrumentation routines
-// traverse. A Program is a single-use handle — instrumentation attaches
-// call sites to it — so Lift a fresh one per Instrument/Apply call.
+// traverse. Instrumentation only reads a Program, so one lifted Program
+// can be instrumented any number of times, also concurrently.
 type Program = om.Program
 
-// Lift raises an executable to OM IR. Each call builds a fresh Program
-// over app; instrumentation never writes to app.
+// Lift raises an executable to OM IR. Each call builds a new Program
+// over app; instrumentation never writes to app or to the Program.
 func Lift(app *Executable) (*Program, error) { return core.LiftCtx(nil, app) }
 
 // InstrumentProgram is Instrument starting from an already-lifted
-// Program instead of an executable. The Program is consumed.
+// Program instead of an executable. The Program is only read.
 func InstrumentProgram(prog *Program, tool Tool, opts Options) (*Result, error) {
 	return core.InstrumentProgramCtx(nil, prog, tool, opts)
-}
-
-// AnalysisPass is one registered static-analysis pass over the OM IR
-// (uninit, stackheight, callgraph, toollint).
-type AnalysisPass = analysis.Pass
-
-// AnalysisReport is the outcome of running passes over one unit:
-// sorted, deterministic findings plus unit metadata. Render it with
-// WriteText or MarshalAnalysisReports.
-type AnalysisReport = analysis.Report
-
-// AnalysisFinding is a single diagnostic keyed by original PC and
-// procedure name.
-type AnalysisFinding = analysis.Finding
-
-// AnalysisPasses resolves a comma-separated pass selection ("" = every
-// registered pass) to the passes themselves, rejecting unknown names.
-func AnalysisPasses(spec string) ([]AnalysisPass, error) { return analysis.Select(spec) }
-
-// Analyze lifts an application and runs the selected passes over it
-// (the `atom analyze prog.x` entry point as a library call). A tool
-// image is audited with ToolImage.Analyze instead, which runs the
-// image-only passes such as toollint.
-func Analyze(name string, app *Executable, passSpec string) (*AnalysisReport, error) {
-	ps, err := analysis.Select(passSpec)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := core.LiftCtx(nil, app)
-	if err != nil {
-		return nil, err
-	}
-	return core.AnalyzeProgram(nil, name, prog, analysis.Application, ps), nil
-}
-
-// MarshalAnalysisReports renders reports as the stable atom-analyze/v1
-// JSON document.
-func MarshalAnalysisReports(reports []*AnalysisReport) ([]byte, error) {
-	return analysis.MarshalReports(reports)
 }
 
 // Tools returns the paper's eleven analysis tools.

@@ -5,6 +5,7 @@ package atom_test
 // workload suite.
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -55,6 +56,35 @@ int main() {
 		if _, ok := out.Files[name+".out"]; !ok {
 			t.Errorf("%s: report missing", name)
 		}
+	}
+}
+
+// TestBuildToolImageThenApply: the paper's two steps, BuildToolImage
+// once and then Apply, write the same bytes as Instrument for every
+// built-in tool.
+func TestBuildToolImageThenApply(t *testing.T) {
+	app, err := spec.BuildCtx(nil, "queens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range atom.Tools() {
+		t.Run(tool.Name, func(t *testing.T) {
+			want, err := atom.Instrument(app, tool, atom.Options{})
+			if err != nil {
+				t.Fatalf("Instrument: %v", err)
+			}
+			ti, err := atom.BuildToolImage(tool, atom.Options{})
+			if err != nil {
+				t.Fatalf("BuildToolImage: %v", err)
+			}
+			got, err := atom.Apply(app, ti, atom.Options{})
+			if err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+			if !bytes.Equal(got.Exe.Encode(), want.Exe.Encode()) {
+				t.Fatal("BuildToolImage + Apply differs from Instrument")
+			}
+		})
 	}
 }
 

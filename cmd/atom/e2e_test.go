@@ -25,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"atom/internal/aout"
 	"atom/internal/obs"
 	"atom/internal/prof"
 )
@@ -604,6 +605,39 @@ func TestBatchOutputCollision(t *testing.T) {
 	mustRun(t, dir, "atom", "-t", "branch", "-o", "solo.atom", "a/p.x")
 	if !bytes.Equal(readFile(t, filepath.Join(dir, "a", "p.atom")), readFile(t, filepath.Join(dir, "solo.atom"))) {
 		t.Error("a/p.atom is not a/p.x's output")
+	}
+}
+
+// TestInputErrorsNamedOnce: an input that does not decode (symbols
+// dropped, relocations kept) and one that cannot be read each fail soft
+// with one line naming the input once and saying aout once.
+func TestInputErrorsNamedOnce(t *testing.T) {
+	dir := programs(t).stage(t, "smoke.x")
+	exe, err := aout.ReadFile(filepath.Join(dir, "smoke.x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe.Symbols = nil
+	if err := os.WriteFile(filepath.Join(dir, "stripped.x"), exe.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := command(t, dir, "atom", "-t", "prof", "stripped.x", "missing.x")
+	if code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	for _, tc := range []struct{ path, want string }{
+		{"stripped.x", "atom: stripped.x: aout: reloc 0 references symbol "},
+		{"missing.x", "atom: aout: open missing.x: "},
+	} {
+		var line string
+		for _, l := range lines(stderr) {
+			if strings.Contains(l, tc.path) {
+				line = l
+			}
+		}
+		if !strings.HasPrefix(line, tc.want) || strings.Count(line, tc.path) != 1 || strings.Count(line, "aout:") != 1 {
+			t.Errorf("%s: error line %q, want one line starting %q that names the input and aout once\n%s", tc.path, line, tc.want, stderr)
+		}
 	}
 }
 

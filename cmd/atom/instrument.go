@@ -51,8 +51,8 @@ func cmdInstrument(args []string) int {
 }
 
 // instrumentAll instruments every input and writes its output. Read
-// errors, output collisions and instrumentation errors fail soft: each is
-// reported against its input and the rest of the batch goes on.
+// errors, output collisions and instrumentation errors fail soft: each
+// names its input once and the rest of the batch goes on.
 func instrumentAll(ctx *obs.Ctx, inputs []string, tool core.Tool, opts core.Options, f instrumentFlags) int {
 	// Read every input before instrumenting any, then instrument the
 	// readable subset and fold results and errors back into input order.
@@ -99,7 +99,7 @@ func instrumentAll(ctx *obs.Ctx, inputs []string, tool core.Tool, opts core.Opti
 		for k, i := range goodIdx {
 			results[i] = res[k]
 			if rerrs[k] != nil {
-				errs[i] = fmt.Errorf("%s: %w", tool.Name, rerrs[k])
+				errs[i] = fmt.Errorf("%s: %s: %w", inputs[i], tool.Name, rerrs[k])
 			}
 		}
 	}
@@ -109,11 +109,13 @@ func instrumentAll(ctx *obs.Ctx, inputs []string, tool core.Tool, opts core.Opti
 		err := errs[i]
 		if err == nil {
 			_, sp := ctx.Start("atom.write", obs.String("file", outs[i]))
-			err = res.Exe.WriteFile(outs[i])
+			if err = res.Exe.WriteFile(outs[i]); err != nil {
+				err = fmt.Errorf("%s: %w", inputs[i], err)
+			}
 			sp.End()
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "atom: %s: %v\n", inputs[i], err)
+			fmt.Fprintf(os.Stderr, "atom: %v\n", err)
 			failed++
 			continue
 		}
@@ -151,7 +153,7 @@ func claimOutputs(inputs []string, explicit string) ([]string, []error) {
 		outs[i] = outputName(in, explicit, ".atom")
 		key := filepath.Clean(outs[i])
 		if prev, ok := owner[key]; ok {
-			errs[i] = fmt.Errorf("output %s is already claimed by %s", outs[i], prev)
+			errs[i] = fmt.Errorf("%s: output %s is already claimed by %s", in, outs[i], prev)
 			continue
 		}
 		owner[key] = in

@@ -125,7 +125,8 @@ func (f *File) WriteFile(path string) error {
 	return nil
 }
 
-// ReadFile reads and decodes the file at path.
+// ReadFile reads and decodes the file at path. Its errors name the path
+// once, so callers report them without adding it.
 func ReadFile(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -133,7 +134,7 @@ func ReadFile(path string) (*File, error) {
 	}
 	f, err := Decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("aout: %s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return f, nil
 }

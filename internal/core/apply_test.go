@@ -2,14 +2,11 @@ package core_test
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
-	"atom/internal/alpha"
 	"atom/internal/aout"
 	"atom/internal/core"
 	"atom/internal/link"
-	"atom/internal/om"
 	"atom/internal/rtl"
 	"atom/internal/spec"
 	"atom/internal/tools"
@@ -19,7 +16,8 @@ import (
 // TestApplyAllocs: applying a plan allocates per procedure, not per call
 // site. dyninst calls its analysis routine at every basic block of gcc
 // with three arguments, so a per-site allocation anywhere in plan,
-// liveness, emission, layout or output would swamp the bound.
+// liveness, emission, layout or output would swamp the bound. One lifted
+// Program serves every apply.
 func TestApplyAllocs(t *testing.T) {
 	app, err := spec.BuildCtx(nil, "gcc")
 	if err != nil {
@@ -30,92 +28,25 @@ func TestApplyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 5
-	progs := make([]*om.Program, runs+1) // AllocsPerRun adds a warm-up run
-	for i := range progs {
-		if progs[i], err = core.LiftCtx(nil, app); err != nil {
-			t.Fatal(err)
-		}
+	prog, err := core.LiftCtx(nil, app)
+	if err != nil {
+		t.Fatal(err)
 	}
-	next, sites := 0, 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		res, err := core.ApplyProgramCtx(nil, progs[next], ti, core.Options{})
+	sites := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := core.ApplyProgramCtx(nil, prog, ti, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		next++
 		sites = res.Stats.Calls
 	})
-	procs := len(progs[0].Procs)
+	procs := len(prog.Procs)
 	limit := float64(10*procs + 128)
 	if allocs > limit {
 		t.Errorf("ApplyProgramCtx of gcc under dyninst: %.0f allocations for %d procedures and %d sites, want <= %.0f",
 			allocs, procs, sites, limit)
 	}
 	t.Logf("%.0f allocations, %d procedures, %d sites", allocs, procs, sites)
-}
-
-// TestSpliceWindowsDisjoint: every site's code is a window of the apply's
-// shared buffers, so each window must end at its own capacity. After
-// apply, every spliced om.Code has cap == len for Insts and Relocs, and
-// every Before/After list has cap == len, so appending to one site or
-// one list reallocates instead of overwriting its neighbour.
-func TestSpliceWindowsDisjoint(t *testing.T) {
-	app, err := spec.BuildCtx(nil, "gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"prof", "cache", "io", "pipe"} {
-		t.Run(name, func(t *testing.T) {
-			tool, _ := tools.ByName(name)
-			prog, err := core.LiftCtx(nil, app)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := core.InstrumentProgramCtx(nil, prog, tool, core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var codes []*om.Code
-			var snap []om.Code
-			for _, pr := range prog.Procs {
-				for _, b := range pr.Blocks {
-					for _, in := range b.Insts {
-						for _, list := range [][]om.Code{in.Before, in.After} {
-							if cap(list) != len(list) {
-								t.Fatalf("%#x: splice list has len %d, cap %d", in.Addr, len(list), cap(list))
-							}
-							for i := range list {
-								c := &list[i]
-								if cap(c.Insts) != len(c.Insts) || cap(c.Relocs) != len(c.Relocs) {
-									t.Fatalf("%#x: code has %d/%d instructions, %d/%d relocations (len/cap)",
-										in.Addr, len(c.Insts), cap(c.Insts), len(c.Relocs), cap(c.Relocs))
-								}
-								codes = append(codes, c)
-								snap = append(snap, om.Code{
-									Insts:  append([]alpha.Inst(nil), c.Insts...),
-									Relocs: append([]om.CodeReloc(nil), c.Relocs...),
-								})
-							}
-							_ = append(list, om.Code{})
-						}
-					}
-				}
-			}
-			if len(codes) != res.Stats.Calls {
-				t.Fatalf("%d spliced sequences for %d sites", len(codes), res.Stats.Calls)
-			}
-			for _, c := range codes {
-				_ = append(c.Insts, alpha.Mov(alpha.T0, alpha.T1))
-				_ = append(c.Relocs, om.CodeReloc{Sym: "neighbour"})
-			}
-			for i, c := range codes {
-				if !slices.Equal(c.Insts, snap[i].Insts) || !slices.Equal(c.Relocs, snap[i].Relocs) {
-					t.Fatalf("site %d changed when its neighbours were appended to", i)
-				}
-			}
-		})
-	}
 }
 
 // TestApplyZeroDeltaRebase places an application so that its analysis

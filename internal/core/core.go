@@ -178,9 +178,9 @@ func InstrumentCtx(ctx *obs.Ctx, app *aout.File, tool Tool, opts Options) (*Resu
 }
 
 // InstrumentProgramCtx is InstrumentCtx starting from an already-lifted
-// Program (LiftCtx). The Program is consumed: instrumentation attaches
-// call sites to its instructions, so pass a fresh handle per run and do
-// not reuse it.
+// Program (LiftCtx). The Program is only read: the plan's call sites go
+// to layout as a splice list, so one Program serves any number of runs,
+// also concurrently.
 func InstrumentProgramCtx(ctx *obs.Ctx, prog *om.Program, tool Tool, opts Options) (*Result, error) {
 	q, err := planOn(ctx, prog, tool, opts)
 	if err != nil {
@@ -210,9 +210,8 @@ func ApplyCtx(ctx *obs.Ctx, app *aout.File, ti *ToolImage, opts Options) (*Resul
 	return ApplyProgramCtx(ctx, prog, ti, opts)
 }
 
-// ApplyProgramCtx is ApplyCtx starting from an already-lifted Program
-// (see InstrumentProgramCtx for the handle contract: the Program is
-// consumed).
+// ApplyProgramCtx is ApplyCtx starting from an already-lifted Program,
+// which it only reads (see InstrumentProgramCtx).
 func ApplyProgramCtx(ctx *obs.Ctx, prog *om.Program, ti *ToolImage, opts Options) (*Result, error) {
 	if ti == nil {
 		return nil, fmt.Errorf("atom: Apply called with a nil tool image")
@@ -374,7 +373,8 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 	}
 
 	stats := Stats{Calls: len(q.journal), OrigText: uint64(len(app.Text))}
-	if err := spliceSites(ctx, q, sites, &stats); err != nil {
+	splices, err := spliceSites(ctx, q, sites, &stats)
+	if err != nil {
 		return nil, err
 	}
 
@@ -382,7 +382,10 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 	// analysis image right behind it (Figure 4). Rebase is a rigid shift:
 	// the image was linked once at a canonical base and keeps its
 	// relocation records, so no relink happens here.
-	lay := q.prog.LayoutCtx(actx)
+	lay, err := q.prog.LayoutCtx(actx, splices)
+	if err != nil {
+		return nil, err
+	}
 	if opts.Verify {
 		if ds := lay.VerifyCtx(actx); len(ds) > 0 {
 			return nil, verifyError("layout PC maps", ds)
@@ -511,39 +514,40 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 
 // spliceSites sizes every site by writing it into scratch buffers, then
 // writes all of them into one instruction buffer and one relocation
-// buffer: each site's code is a capacity-limited window of them, appended
-// to its instruction's Before or After list. It counts the sites into
+// buffer, each site's code a capacity-limited window of them, and
+// returns one splice per site, in site order. It counts the sites into
 // stats.
-func spliceSites(ctx *obs.Ctx, q *Instrumentation, sites []site, stats *Stats) error {
+func spliceSites(ctx *obs.Ctx, q *Instrumentation, sites []site, stats *Stats) ([]om.Splice, error) {
 	b := &siteBuilder{consts: q.consts}
 	var ninsts, nrelocs int
 	for i := range sites {
 		b.s, b.insts, b.relocs = &sites[i], b.insts[:0], b.relocs[:0]
 		if err := b.build(); err != nil {
-			return err
+			return nil, err
 		}
 		sites[i].ninsts, sites[i].nrelocs = len(b.insts), len(b.relocs)
 		ninsts += len(b.insts)
 		nrelocs += len(b.relocs)
 	}
-	if err := sizeSpliceLists(q.prog, sites); err != nil {
-		return err
-	}
 	insts := make([]alpha.Inst, ninsts)
 	relocs := make([]om.CodeReloc, nrelocs)
+	splices := make([]om.Splice, len(sites))
 	for i := range sites {
 		st := &sites[i]
+		slot, ok := q.prog.Slot(st.req.inst)
+		if !ok {
+			return nil, fmt.Errorf("atom: call site at %#x is not an instruction of the program", st.req.inst.Addr)
+		}
 		b.s, b.insts, b.relocs = st, insts[:0:st.ninsts], relocs[:0:st.nrelocs]
 		if err := b.build(); err != nil {
-			return err
+			return nil, err
 		}
 		if len(b.insts) != st.ninsts || len(b.relocs) != st.nrelocs {
-			return fmt.Errorf("atom: internal: site at %#x wrote %d instructions and %d relocations, sized %d and %d",
+			return nil, fmt.Errorf("atom: internal: site at %#x wrote %d instructions and %d relocations, sized %d and %d",
 				st.req.inst.Addr, len(b.insts), len(b.relocs), st.ninsts, st.nrelocs)
 		}
 		insts, relocs = insts[st.ninsts:], relocs[st.nrelocs:]
-		list := spliceList(st.req)
-		*list = append(*list, om.Code{Insts: b.insts, Relocs: b.relocs})
+		splices[i] = om.Splice{Slot: slot, After: st.req.after, Insts: b.insts, Relocs: b.relocs}
 
 		if st.tmpl != nil {
 			stats.InlinedSites++
@@ -556,58 +560,7 @@ func spliceSites(ctx *obs.Ctx, q *Instrumentation, sites []site, stats *Stats) e
 		stats.SavedRegs += nsaved
 		ctx.Observe("atom.site_saved_regs", int64(nsaved))
 	}
-	return nil
-}
-
-// sizeSpliceLists makes the list every site is appended to (its
-// instruction's Before or After) a window of one []om.Code, holding the
-// sequences already there with room for exactly the sites still to come,
-// so appending the sites fills each window without reallocating.
-func sizeSpliceLists(prog *om.Program, sites []site) error {
-	count := make([]int32, 2*prog.NumInsts()) // per text slot: Before, After
-	key := func(req *callReq) (int, bool) {
-		k, ok := prog.Slot(req.inst)
-		if req.after {
-			return 2*k + 1, ok
-		}
-		return 2 * k, ok
-	}
-	total := 0
-	for i := range sites {
-		req := sites[i].req
-		k, ok := key(req)
-		if !ok {
-			return fmt.Errorf("atom: call site at %#x is not an instruction of the program", req.inst.Addr)
-		}
-		if count[k] == 0 {
-			total += len(*spliceList(req))
-		}
-		count[k]++
-		total++
-	}
-	codes := make([]om.Code, 0, total)
-	for i := range sites {
-		req := sites[i].req
-		k, _ := key(req)
-		if count[k] == 0 {
-			continue
-		}
-		list := spliceList(req)
-		n := len(codes)
-		codes = append(codes, *list...)
-		*list = codes[n : len(codes) : len(codes)+int(count[k])]
-		codes = codes[:len(codes)+int(count[k])]
-		count[k] = 0
-	}
-	return nil
-}
-
-// spliceList is the list a call request's code is appended to.
-func spliceList(req *callReq) *[]om.Code {
-	if req.after {
-		return &req.inst.After
-	}
-	return &req.inst.Before
+	return splices, nil
 }
 
 // verifyError folds verifier diagnostics into one error, original PCs

@@ -14,34 +14,22 @@ import (
 )
 
 // Analysis-image helpers shared by the tool-image build (toolimage.go):
-// register-save wrappers, the in-analysis save/restore splice, and the
+// register-save wrappers, the in-analysis save/restore splices, and the
 // sbrk redirection that gives the analysis side its own heap zone.
 
-// spliceGrowth computes how many text bytes the in-analysis save/restore
-// splice adds: a prologue per procedure and a restore before each ret.
-func spliceGrowth(prog *om.Program, targets []string, save map[string]om.RegSet) uint64 {
-	var g uint64
-	for _, name := range targets {
-		pr := prog.Proc(name)
-		n := uint64(save[name].Count())
-		if n == 0 {
-			continue
+// spliceSaves returns the save/restore splices for the analysis
+// program: a prologue before each target's first instruction and an
+// epilogue before each of its rets.
+func spliceSaves(prog *om.Program, targets []string, save map[string]om.RegSet) ([]om.Splice, error) {
+	var splices []om.Splice
+	before := func(in *om.Inst, insts []alpha.Inst) error {
+		k, ok := prog.Slot(in)
+		if !ok {
+			return fmt.Errorf("atom: internal: analysis instruction at %#x has no slot", in.Addr)
 		}
-		g += (n + 2) * 4 // lda sp; n stores; ... counted once more below
-		g -= 4           // prologue is lda + n stores = n+1 instructions
-		rets := 0
-		for _, b := range pr.Blocks {
-			if b.Insts[len(b.Insts)-1].I.Op == alpha.OpRet {
-				rets++
-			}
-		}
-		g += uint64(rets) * (n + 1) * 4
+		splices = append(splices, om.Splice{Slot: k, Insts: insts})
+		return nil
 	}
-	return g
-}
-
-// spliceSaves splices the save/restore code into the analysis program IR.
-func spliceSaves(prog *om.Program, targets []string, save map[string]om.RegSet) error {
 	for _, name := range targets {
 		s := save[name]
 		if s.Count() == 0 {
@@ -49,26 +37,29 @@ func spliceSaves(prog *om.Program, targets []string, save map[string]om.RegSet) 
 		}
 		pr := prog.Proc(name)
 		frame := int64(8*s.Count()+15) &^ 15
-		var pro om.Code
-		pro.Insts = append(pro.Insts, alpha.Mem(alpha.OpLda, alpha.SP, alpha.SP, int32(-frame)))
+		pro := []alpha.Inst{alpha.Mem(alpha.OpLda, alpha.SP, alpha.SP, int32(-frame))}
 		for i, r := range s.Regs() {
-			pro.Insts = append(pro.Insts, alpha.Mem(alpha.OpStq, r, alpha.SP, int32(i*8)))
+			pro = append(pro, alpha.Mem(alpha.OpStq, r, alpha.SP, int32(i*8)))
 		}
-		pr.Blocks[0].Insts[0].Before = append(pr.Blocks[0].Insts[0].Before, pro)
+		if err := before(pr.Blocks[0].Insts[0], pro); err != nil {
+			return nil, err
+		}
 		for _, b := range pr.Blocks {
 			last := b.Insts[len(b.Insts)-1]
 			if last.I.Op != alpha.OpRet {
 				continue
 			}
-			var epi om.Code
+			var epi []alpha.Inst
 			for i, r := range s.Regs() {
-				epi.Insts = append(epi.Insts, alpha.Mem(alpha.OpLdq, r, alpha.SP, int32(i*8)))
+				epi = append(epi, alpha.Mem(alpha.OpLdq, r, alpha.SP, int32(i*8)))
 			}
-			epi.Insts = append(epi.Insts, alpha.Mem(alpha.OpLda, alpha.SP, alpha.SP, int32(frame)))
-			last.Before = append(last.Before, epi)
+			epi = append(epi, alpha.Mem(alpha.OpLda, alpha.SP, alpha.SP, int32(frame)))
+			if err := before(last, epi); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return nil
+	return splices, nil
 }
 
 // wrapperModule generates the wrapper procedures for the given (sorted)

@@ -11,11 +11,11 @@ import (
 // executable afresh, which costs about as much as decoding a serialized
 // copy would.
 
-// LiftCtx lifts an application to OM IR. Each call returns a fresh
-// Program whose Exe is app itself. The Program is private to the caller:
-// instrumentation attaches actions to it, so handles are consumed by
-// InstrumentProgramCtx/ApplyProgramCtx and never shared or reused. The
-// executable is shared, and instrumentation never writes to it. The
+// LiftCtx lifts an application to OM IR. Each call returns a new Program
+// whose Exe is app itself. Nothing writes a lifted Program or its
+// executable: instrumentation hands its call sites to layout as a splice
+// list, so one Program can serve any number of
+// InstrumentProgramCtx/ApplyProgramCtx calls, also concurrently. The
 // stage runs under an "om.lift" span with om.build nested inside it.
 func LiftCtx(ctx *obs.Ctx, app *aout.File) (*om.Program, error) {
 	lctx, sp := ctx.Start("om.lift")

@@ -13,11 +13,13 @@ import (
 )
 
 // TestLiftSharedExeConcurrent: every lift of an executable refers to the
-// caller's *aout.File, so concurrent instrumentations share it. Eight
-// goroutines run every built-in tool on one executable through LiftCtx
-// and ApplyProgramCtx; each output must equal the sequential one, and the
-// executable's encoding must be unchanged afterwards. Under -race this
-// also pins that instrumentation never writes to the executable.
+// caller's *aout.File, and nothing writes a lifted Program, so concurrent
+// instrumentations share both. Eight goroutines run every built-in tool
+// on one executable through ApplyProgramCtx, once lifting it afresh per
+// apply and once applying all tools to one shared Program; each output
+// must equal the sequential fresh-lift one, and the executable's encoding
+// must be unchanged afterwards. Under -race this also pins that
+// instrumentation never writes to the executable or the Program.
 func TestLiftSharedExeConcurrent(t *testing.T) {
 	app, err := spec.BuildCtx(nil, "gcc")
 	if err != nil {
@@ -28,8 +30,9 @@ func TestLiftSharedExeConcurrent(t *testing.T) {
 	names := tools.Names()
 	images := make([]*core.ToolImage, len(names))
 	want := make([][]byte, len(names))
-	apply := func(i int) ([]byte, error) {
-		prog, err := core.LiftCtx(nil, app)
+	fresh := func() (*om.Program, error) { return core.LiftCtx(nil, app) }
+	apply := func(lift func() (*om.Program, error), i int) ([]byte, error) {
+		prog, err := lift()
 		if err != nil {
 			return nil, err
 		}
@@ -44,41 +47,55 @@ func TestLiftSharedExeConcurrent(t *testing.T) {
 		if images[i], err = core.BuildToolImageCtx(nil, tool, opts); err != nil {
 			t.Fatalf("%s: BuildToolImageCtx: %v", name, err)
 		}
-		if want[i], err = apply(i); err != nil {
+		if want[i], err = apply(fresh, i); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
+	shared, err := fresh()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	const n = 8
-	errs := make([]error, n)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < n; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			// Each goroutine starts at a different tool, so different
-			// tools instrument the executable at the same time.
-			for k := range names {
-				i := (g + k) % len(names)
-				got, err := apply(i)
-				if err == nil && !bytes.Equal(got, want[i]) {
-					err = fmt.Errorf("%s: output differs from the sequential run", names[i])
-				}
+	for _, tc := range []struct {
+		name string
+		lift func() (*om.Program, error)
+	}{
+		{"fresh-lift", fresh},
+		{"shared-program", func() (*om.Program, error) { return shared, nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 8
+			errs := make([]error, n)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < n; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					<-start
+					// Each goroutine starts at a different tool, so different
+					// tools instrument the executable at the same time.
+					for k := range names {
+						i := (g + k) % len(names)
+						got, err := apply(tc.lift, i)
+						if err == nil && !bytes.Equal(got, want[i]) {
+							err = fmt.Errorf("%s: output differs from the sequential fresh-lift run", names[i])
+						}
+						if err != nil {
+							errs[g] = err
+							return
+						}
+					}
+				}(g)
+			}
+			close(start)
+			wg.Wait()
+			for g, err := range errs {
 				if err != nil {
-					errs[g] = err
-					return
+					t.Errorf("goroutine %d: %v", g, err)
 				}
 			}
-		}(g)
-	}
-	close(start)
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Errorf("goroutine %d: %v", g, err)
-		}
+		})
 	}
 	if !bytes.Equal(app.Encode(), orig) {
 		t.Fatal("instrumenting the shared executable changed it")

@@ -330,7 +330,13 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 				ti.siteSave[name] = 0
 			}
 		}
-		extraText = spliceGrowth(aprog, targets, spliceSave)
+		splices, err := spliceSaves(aprog, targets, spliceSave)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range splices {
+			extraText += uint64(len(s.Insts)) * 4
+		}
 	}
 
 	if opts.Mode == SaveWrapper && len(defined) > 0 {
@@ -365,10 +371,14 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 		if err != nil {
 			return nil, err
 		}
-		if err := spliceSaves(sprog, targets, spliceSave); err != nil {
+		splices, err := spliceSaves(sprog, targets, spliceSave)
+		if err != nil {
 			return nil, err
 		}
-		lay := sprog.LayoutCtx(ictx)
+		lay, err := sprog.LayoutCtx(ictx, splices)
+		if err != nil {
+			return nil, err
+		}
 		if lay.TextSize() != uint64(len(img.Text))+extraText {
 			return nil, fmt.Errorf("atom: internal: splice growth %d != predicted %d",
 				lay.TextSize()-uint64(len(img.Text)), extraText)

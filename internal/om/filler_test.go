@@ -79,14 +79,7 @@ func TestFillerLiftsAndReemits(t *testing.T) {
 		t.Errorf("InstAt(filler) = %v, want nil", in.I)
 	}
 	nop := alpha.Mov(alpha.Zero, alpha.Zero)
-	for _, pr := range prog.Procs {
-		for _, b := range pr.Blocks {
-			for _, in := range b.Insts {
-				in.Before = append(in.Before, om.Code{Insts: []alpha.Inst{nop}})
-			}
-		}
-	}
-	lay := prog.LayoutCtx(nil)
+	lay := layout(t, prog, spliceBefore(t, prog, allInsts(prog), nop))
 	if ds := lay.VerifyCtx(nil); len(ds) > 0 {
 		t.Fatalf("Layout.VerifyCtx: %v", ds)
 	}

@@ -84,14 +84,7 @@ func TestFunctionPointerTableRefixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	nop := alpha.Mov(alpha.Zero, alpha.Zero)
-	for _, pr := range prog.Procs {
-		for _, b := range pr.Blocks {
-			for _, in := range b.Insts {
-				in.Before = append(in.Before, om.Code{Insts: []alpha.Inst{nop, nop, nop}})
-			}
-		}
-	}
-	lay := prog.LayoutCtx(nil)
+	lay := layout(t, prog, spliceBefore(t, prog, allInsts(prog), nop, nop, nop))
 	res, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatal(err)

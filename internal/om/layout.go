@@ -13,54 +13,88 @@ import (
 )
 
 // Layout is the address assignment for an instrumented program: every
-// original instruction and every spliced Code sequence has been given a
-// new address, and the old<->new PC maps are available. No bytes are
-// emitted yet — Finish does that once external (analysis image) symbol
-// addresses are known.
+// original instruction and every splice has been given a new address,
+// and the old<->new PC maps are available. No bytes are emitted yet —
+// Finish does that once external (analysis image) symbol addresses are
+// known.
 //
 // The assignment is two tables indexed by text slot (Program.Slot): at[k]
 // is the new address of the instruction itself, start[k] the new address
 // of its first before-sequence (at[k] when it has none). Its
 // before-sequences fill [start[k], at[k]) in order and its
 // after-sequences follow at[k]+4. Layout keeps program order, so at is
-// strictly increasing.
+// strictly increasing. splices holds the sequences in slot order, each
+// slot's before-sequences and then its after-sequences, and spliceAt
+// their new addresses.
 type Layout struct {
-	prog  *Program
-	size  uint64
-	at    []uint64
-	start []uint64
+	prog     *Program
+	size     uint64
+	at       []uint64
+	start    []uint64
+	splices  []Splice
+	spliceAt []uint64
 }
 
-// LayoutCtx assigns new addresses. Original instruction order is
-// preserved; each instruction becomes [before-code][instruction]
-// [after-code]. Address assignment runs under an "om.layout" span
+// LayoutCtx assigns new addresses to the program with splices inserted.
+// Original instruction order is preserved; each instruction becomes
+// [before-splices][instruction][after-splices], and the splices of one
+// slot and side keep their order in the list. The Program is only read,
+// so one Program can be laid out with any number of splice lists, also
+// concurrently. A splice whose slot holds no instruction of the program
+// is an error. Address assignment runs under an "om.layout" span
 // annotated with the instrumented text size.
-func (p *Program) LayoutCtx(ctx *obs.Ctx) *Layout {
+func (p *Program) LayoutCtx(ctx *obs.Ctx, splices []Splice) (*Layout, error) {
 	_, sp := ctx.Start("om.layout")
 	defer sp.End()
 	n := len(p.insts)
-	tab := make([]uint64, 2*n)
-	l := &Layout{prog: p, at: tab[:n:n], start: tab[n:]}
+	tab := make([]uint64, 2*n+len(splices))
+	l := &Layout{prog: p, at: tab[:n:n], start: tab[n : 2*n : 2*n], spliceAt: tab[2*n:]}
+
+	// A stable counting sort by (slot, side) into slot order. Until the
+	// address pass overwrites them, at and start count the splices of key
+	// 2*slot+side and then hold each key's next position.
+	key := func(s *Splice) int {
+		if s.After {
+			return 2*s.Slot + 1
+		}
+		return 2 * s.Slot
+	}
+	for i := range splices {
+		if k := splices[i].Slot; k < 0 || k >= n || p.filler(k) {
+			return nil, fmt.Errorf("om: splice %d: slot %d holds no instruction of the program", i, k)
+		}
+		tab[key(&splices[i])]++
+	}
+	var pos uint64
+	for k, c := range tab[:2*n] {
+		tab[k] = pos
+		pos += c
+	}
+	l.splices = make([]Splice, len(splices))
+	for i := range splices {
+		k := key(&splices[i])
+		l.splices[tab[k]] = splices[i]
+		tab[k]++
+	}
+
 	addr := p.Exe.TextAddr
+	j := 0
 	for k := range p.insts {
-		in := &p.insts[k]
 		l.start[k] = addr
-		addr += codeBytes(in.Before)
+		for ; j < len(l.splices) && l.splices[j].Slot == k && !l.splices[j].After; j++ {
+			l.spliceAt[j] = addr
+			addr += uint64(len(l.splices[j].Insts)) * 4
+		}
 		l.at[k] = addr
-		addr += 4 + codeBytes(in.After)
+		addr += 4
+		for ; j < len(l.splices) && l.splices[j].Slot == k; j++ {
+			l.spliceAt[j] = addr
+			addr += uint64(len(l.splices[j].Insts)) * 4
+		}
 	}
 	l.size = addr - p.Exe.TextAddr
 	sp.SetAttr(obs.Int("text_bytes", int64(l.size)))
-	return l
-}
-
-// codeBytes is the size of a list of spliced sequences.
-func codeBytes(codes []Code) uint64 {
-	n := 0
-	for ci := range codes {
-		n += len(codes[ci].Insts)
-	}
-	return uint64(n) * 4
+	return l, nil
 }
 
 // TextSize returns the size in bytes of the instrumented text.
@@ -157,44 +191,30 @@ func (l *Layout) FinishCtx(ctx *obs.Ctx, text []byte, resolve func(string) (uint
 	exe := p.Exe
 	base := exe.TextAddr
 
-	// emitCodes emits a slot's before- or after-sequences, laid out
-	// back to back from addr.
-	emitCodes := func(codes []Code, addr uint64) error {
-		for ci := range codes {
-			c := &codes[ci]
-			// Encode instructions first, then apply code relocs.
-			for i, in := range c.Insts {
-				w, err := in.Encode()
-				if err != nil {
-					return fmt.Errorf("om: spliced code: %w", err)
-				}
-				binary.LittleEndian.PutUint32(text[addr-base+uint64(i)*4:], w)
-			}
-			for _, r := range c.Relocs {
-				target, ok := resolve(r.Sym)
-				if !ok {
-					return fmt.Errorf("om: spliced code references unknown symbol %q", r.Sym)
-				}
-				site := addr + uint64(r.Index)*4
-				if err := link.Patch(text, site-base, site, r.Type, target+uint64(r.Addend), r.Sym); err != nil {
-					return err
-				}
-			}
-			addr += uint64(len(c.Insts)) * 4
-		}
-		return nil
-	}
-
 	for k := range p.insts {
-		in := &p.insts[k]
-		if err := emitCodes(in.Before, l.start[k]); err != nil {
-			return nil, err
-		}
 		if err := l.emitInst(text, k); err != nil {
 			return nil, err
 		}
-		if err := emitCodes(in.After, l.at[k]+4); err != nil {
-			return nil, err
+	}
+	// Encode each splice's instructions, then apply its relocations.
+	for j := range l.splices {
+		s, addr := &l.splices[j], l.spliceAt[j]
+		for i, in := range s.Insts {
+			w, err := in.Encode()
+			if err != nil {
+				return nil, fmt.Errorf("om: spliced code: %w", err)
+			}
+			binary.LittleEndian.PutUint32(text[addr-base+uint64(i)*4:], w)
+		}
+		for _, r := range s.Relocs {
+			target, ok := resolve(r.Sym)
+			if !ok {
+				return nil, fmt.Errorf("om: spliced code references unknown symbol %q", r.Sym)
+			}
+			site := addr + uint64(r.Index)*4
+			if err := link.Patch(text, site-base, site, r.Type, target+uint64(r.Addend), r.Sym); err != nil {
+				return nil, err
+			}
 		}
 	}
 

@@ -27,17 +27,21 @@ int main() { printf("%d\n", sq(7)); return 0; }
 	}
 	nop := alpha.Mov(alpha.Zero, alpha.Zero)
 	var slots []int
+	var splices []Splice
 	for _, b := range p.Proc("main").Blocks {
 		for _, in := range b.Insts {
-			in.Before = append(in.Before, Code{Insts: []alpha.Inst{nop, nop}})
 			k, ok := p.Slot(in)
 			if !ok {
 				t.Fatalf("main instruction at %#x has no slot", in.Addr)
 			}
 			slots = append(slots, k)
+			splices = append(splices, Splice{Slot: k, Insts: []alpha.Inst{nop, nop}})
 		}
 	}
-	l := p.LayoutCtx(nil)
+	l, err := p.LayoutCtx(nil, splices)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ds := l.VerifyCtx(nil); len(ds) > 0 {
 		t.Fatalf("clean layout has %d diagnostics, first: %s", len(ds), ds[0])
 	}

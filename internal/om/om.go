@@ -12,18 +12,21 @@
 // intermediate representation and no address fixups are needed" at
 // insertion time (ATOM paper, Section 4).
 //
-// ATOM's extension is the action slot: every instruction carries lists of
-// code sequences to splice before and after it. The higher-level
-// entity-based insertions (procedure, basic block, program) are lowered
-// by the atom layer onto instruction slots.
+// ATOM's extension is the splice list: code sequences to lay out before
+// or after instructions, each keyed by its instruction's text slot
+// (Program.Slot). The list is an input to layout, kept beside the IR
+// rather than in it, so nothing writes a Program once it is built and
+// one Program can be laid out any number of times, concurrently. The
+// higher-level entity-based insertions (procedure, basic block, program)
+// are lowered by the atom layer onto instruction slots.
 //
 // Re-emission is a two-phase protocol, because ATOM places the analysis
 // image immediately after the instrumented text and inserted calls
 // reference analysis symbols:
 //
 //	prog, _ := om.BuildCtx(ctx, exe)
-//	... attach actions ...
-//	lay := prog.LayoutCtx(ctx)                  // sizes and the old->new PC map
+//	... collect splices ...
+//	lay, _ := prog.LayoutCtx(ctx, splices)       // sizes and the old->new PC map
 //	... link the analysis image at a base derived from lay.TextSize() ...
 //	res, _ := lay.FinishCtx(ctx, text, resolver) // emit text, patch all references
 //
@@ -80,28 +83,28 @@ type Block struct {
 	proc *Proc
 }
 
-// Inst is one instruction occurrence with its action slots.
+// Inst is one instruction occurrence.
 type Inst struct {
 	I    alpha.Inst
 	Addr uint64 // original address
 
-	// Action slots: code spliced before/after this instruction, in the
-	// order appended.
-	Before []Code
-	After  []Code
-
 	block *Block
 }
 
-// Code is an instruction sequence to splice into the program. References
-// to symbols outside the rewritten image (analysis procedures and data)
-// are expressed as Relocs and resolved during Finish.
-type Code struct {
+// Splice is an instruction sequence to lay out before the instruction in
+// text slot Slot (Program.Slot), or after it when After is set. The
+// sequences of one slot and side run in the order they appear in the
+// list given to LayoutCtx. References to symbols outside the rewritten
+// image (analysis procedures and data) are expressed as Relocs and
+// resolved during Finish.
+type Splice struct {
+	Slot   int
+	After  bool
 	Insts  []alpha.Inst
 	Relocs []CodeReloc
 }
 
-// CodeReloc marks one instruction of a Code sequence as referring to an
+// CodeReloc marks one instruction of a Splice as referring to an
 // external symbol.
 type CodeReloc struct {
 	Index  int // instruction index within Code.Insts

@@ -33,6 +33,41 @@ func buildSample(t testing.TB, src string) *aout.File {
 	return exe
 }
 
+// spliceBefore returns one splice of code before each of insts.
+func spliceBefore(t testing.TB, prog *om.Program, insts []*om.Inst, code ...alpha.Inst) []om.Splice {
+	t.Helper()
+	out := make([]om.Splice, 0, len(insts))
+	for _, in := range insts {
+		k, ok := prog.Slot(in)
+		if !ok {
+			t.Fatalf("instruction at %#x has no slot", in.Addr)
+		}
+		out = append(out, om.Splice{Slot: k, Insts: code})
+	}
+	return out
+}
+
+// allInsts returns every block instruction of prog, in program order.
+func allInsts(prog *om.Program) []*om.Inst {
+	var out []*om.Inst
+	for _, pr := range prog.Procs {
+		for _, b := range pr.Blocks {
+			out = append(out, b.Insts...)
+		}
+	}
+	return out
+}
+
+// layout lays prog out with splices, failing the test on error.
+func layout(t testing.TB, prog *om.Program, splices []om.Splice) *om.Layout {
+	t.Helper()
+	lay, err := prog.LayoutCtx(nil, splices)
+	if err != nil {
+		t.Fatalf("LayoutCtx: %v", err)
+	}
+	return lay
+}
+
 func runExe(t *testing.T, exe *aout.File, cfg vm.Config) *vm.Machine {
 	t.Helper()
 	m, err := vm.New(exe, cfg)
@@ -164,7 +199,7 @@ func TestIdentityTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := prog.LayoutCtx(nil)
+	lay := layout(t, prog, nil)
 	if lay.TextSize() != uint64(len(exe.Text)) {
 		t.Fatalf("identity layout size %d != original %d", lay.TextSize(), len(exe.Text))
 	}
@@ -203,14 +238,7 @@ func TestNopSplice(t *testing.T) {
 		t.Fatal(err)
 	}
 	nop := alpha.Mov(alpha.Zero, alpha.Zero)
-	for _, pr := range prog.Procs {
-		for _, b := range pr.Blocks {
-			for _, in := range b.Insts {
-				in.Before = append(in.Before, om.Code{Insts: []alpha.Inst{nop}})
-			}
-		}
-	}
-	lay := prog.LayoutCtx(nil)
+	lay := layout(t, prog, spliceBefore(t, prog, allInsts(prog), nop))
 	if lay.TextSize() != 2*uint64(len(exe.Text)) {
 		t.Fatalf("nop-spliced size %d, want %d", lay.TextSize(), 2*len(exe.Text))
 	}
@@ -247,8 +275,9 @@ func TestSpliceExternalRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	main := prog.Proc("main")
-	first := main.Blocks[0].Insts[0]
-	code := om.Code{
+	slot, _ := prog.Slot(main.Blocks[0].Insts[0])
+	code := om.Splice{
+		Slot: slot,
 		Insts: []alpha.Inst{
 			alpha.Mem(alpha.OpLdah, alpha.AT, alpha.Zero, 0),
 			alpha.Mem(alpha.OpLda, alpha.AT, alpha.AT, 0),
@@ -258,8 +287,7 @@ func TestSpliceExternalRef(t *testing.T) {
 			{Index: 1, Type: aout.RelLo16, Sym: "ext_data"},
 		},
 	}
-	first.Before = append(first.Before, code)
-	lay := prog.LayoutCtx(nil)
+	lay := layout(t, prog, []om.Splice{code})
 	// Unknown symbol -> error.
 	if _, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false }); err == nil || !strings.Contains(err.Error(), "ext_data") {
 		t.Errorf("Finish with unresolved symbol: err = %v", err)
@@ -290,11 +318,11 @@ func TestPCMaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	nop := alpha.Mov(alpha.Zero, alpha.Zero)
-	main := prog.Proc("main")
-	for _, in := range main.Blocks[0].Insts {
-		in.Before = append(in.Before, om.Code{Insts: []alpha.Inst{nop, nop}})
+	spliced := map[*om.Inst]bool{}
+	for _, in := range prog.Proc("main").Blocks[0].Insts {
+		spliced[in] = true
 	}
-	lay := prog.LayoutCtx(nil)
+	lay := layout(t, prog, spliceBefore(t, prog, prog.Proc("main").Blocks[0].Insts, nop, nop))
 	for _, pr := range prog.Procs {
 		for _, b := range pr.Blocks {
 			for _, in := range b.Insts {
@@ -305,7 +333,7 @@ func TestPCMaps(t *testing.T) {
 				// NewAddr points at the before-code; the instruction
 				// itself is 2 insts later when instrumented.
 				instAddr := n
-				if len(in.Before) > 0 {
+				if spliced[in] {
 					instAddr = n + 8
 				}
 				back, ok := lay.OldAddr(instAddr)

@@ -11,12 +11,13 @@ import (
 	"atom/internal/tools"
 )
 
-// checkPCMap asserts the static PC maps of a layout of prog against the
-// code spliced into prog: PCPairs lists every instruction in original
-// order with strictly increasing new addresses; OldAddr inverts each
-// pair and rejects every spliced word; NewAddr lands on an instruction's
-// first before-code word and rejects misaligned addresses, addresses
-// below text and the text end.
+// checkPCMap asserts the static PC maps of a layout of prog: PCPairs
+// lists every instruction in original order with strictly increasing
+// new addresses; OldAddr inverts each pair and rejects every spliced
+// word; NewAddr lands after the previous instruction and no later than
+// the instruction itself, and rejects misaligned addresses, addresses
+// below text and the text end. checkNewAddr pins NewAddr exactly when
+// the splices are known.
 func checkPCMap(t testing.TB, prog *om.Program, lay *om.Layout) {
 	t.Helper()
 	base := prog.Exe.TextAddr
@@ -32,12 +33,8 @@ func checkPCMap(t testing.TB, prog *om.Program, lay *om.Layout) {
 		if old, ok := lay.OldAddr(pp.New); !ok || old != pp.Old {
 			t.Fatalf("OldAddr(%#x) = %#x, %v; want %#x", pp.New, old, ok, pp.Old)
 		}
-		words := 0
-		for _, c := range prog.InstAt(pp.Old).Before {
-			words += len(c.Insts)
-		}
-		if n, ok := lay.NewAddr(pp.Old); !ok || n != pp.New-uint64(words)*4 {
-			t.Fatalf("NewAddr(%#x) = %#x, %v; want the first before-code word %#x", pp.Old, n, ok, pp.New-uint64(words)*4)
+		if n, ok := lay.NewAddr(pp.Old); !ok || n > pp.New || i > 0 && n <= pairs[i-1].New {
+			t.Fatalf("NewAddr(%#x) = %#x, %v; want it in the words spliced before %#x", pp.Old, n, ok, pp.New)
 		}
 		if _, ok := lay.NewAddr(pp.Old + 2); ok {
 			t.Fatalf("NewAddr accepts misaligned %#x", pp.Old+2)
@@ -60,6 +57,25 @@ func checkPCMap(t testing.TB, prog *om.Program, lay *om.Layout) {
 	for _, a := range []uint64{base - 4, end} {
 		if n, ok := lay.NewAddr(a); ok {
 			t.Fatalf("NewAddr(%#x) = %#x outside text [%#x,%#x)", a, n, base, end)
+		}
+	}
+}
+
+// checkNewAddr asserts that NewAddr of every original instruction is the
+// first word of the code spliced before it, the instruction itself when
+// nothing is.
+func checkNewAddr(t testing.TB, prog *om.Program, lay *om.Layout, splices []om.Splice) {
+	t.Helper()
+	before := make([]uint64, prog.NumInsts())
+	for _, s := range splices {
+		if !s.After {
+			before[s.Slot] += uint64(len(s.Insts)) * 4
+		}
+	}
+	for _, pp := range lay.PCPairs() {
+		k := (pp.Old - prog.Exe.TextAddr) / 4
+		if n, ok := lay.NewAddr(pp.Old); !ok || n != pp.New-before[k] {
+			t.Fatalf("NewAddr(%#x) = %#x, %v; want the first before-code word %#x", pp.Old, n, ok, pp.New-before[k])
 		}
 	}
 }
@@ -91,12 +107,12 @@ func TestPCMapProperty(t *testing.T) {
 	}
 }
 
-// FuzzLayout splices Before and After sequences of fuzzed lengths — some
-// carrying relocations — into a lifted program, then requires a clean
-// layout, a clean rewrite and the PC-map properties. Each three input
-// bytes place one sequence: two pick the slot, the third its side
-// (bit 0), length (bits 1-3) and whether it materializes an external
-// address (bit 7).
+// FuzzLayout lays out one lifted program with a fuzzed splice list —
+// sequences of fuzzed lengths before and after instructions, some
+// carrying relocations — and requires a clean layout, a clean rewrite and
+// the PC-map properties. Each three input bytes place one sequence: two
+// pick the slot, the third its side (bit 0), length (bits 1-3) and
+// whether it materializes an external address (bit 7).
 func FuzzLayout(f *testing.F) {
 	exe := buildSample(f, sampleProgram)
 	f.Add([]byte{})
@@ -104,17 +120,16 @@ func FuzzLayout(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0x0f, 0x12, 0x34, 0x02, 0x12, 0x34, 0x03})
 	const ext = 0x1234_5678
 	resolve := func(sym string) (uint64, bool) { return ext, sym == "ext" }
+	prog, err := om.BuildCtx(nil, exe)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		prog, err := om.BuildCtx(nil, exe)
-		if err != nil {
-			t.Fatal(err)
-		}
 		n := prog.NumInsts()
+		var splices []om.Splice
 		for i := 0; i+3 <= len(data); i += 3 {
-			k := (int(data[i])<<8 | int(data[i+1])) % n
-			in := prog.InstAt(exe.TextAddr + uint64(k)*4)
 			b := data[i+2]
-			var c om.Code
+			c := om.Splice{Slot: (int(data[i])<<8 | int(data[i+1])) % n, After: b&1 != 0}
 			for w := 0; w < int(b>>1&7); w++ {
 				c.Insts = append(c.Insts, alpha.Mem(alpha.OpLda, alpha.AT, alpha.AT, int32(w)))
 			}
@@ -125,13 +140,12 @@ func FuzzLayout(f *testing.F) {
 					{Index: 1, Type: aout.RelLo16, Sym: "ext"},
 				}
 			}
-			if b&1 == 0 {
-				in.Before = append(in.Before, c)
-			} else {
-				in.After = append(in.After, c)
-			}
+			splices = append(splices, c)
 		}
-		lay := prog.LayoutCtx(nil)
+		lay, err := prog.LayoutCtx(nil, splices)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ds := lay.VerifyCtx(nil); len(ds) > 0 {
 			t.Fatalf("layout: %d diagnostics, first: %s", len(ds), ds[0])
 		}
@@ -143,5 +157,6 @@ func FuzzLayout(f *testing.F) {
 			t.Fatalf("rewrite: %d diagnostics, first: %s", len(ds), ds[0])
 		}
 		checkPCMap(t, prog, lay)
+		checkNewAddr(t, prog, lay, splices)
 	})
 }

@@ -278,7 +278,7 @@ func (p *Program) procFor(addr uint64) string {
 // VerifyCtx checks the layout's slot tables, which both PC maps read: the
 // instructions' new addresses are word-aligned, inside the instrumented
 // text and strictly increasing (so OldAddr's binary search is exact and
-// the maps are mutually inverse), and each slot's before-code fills
+// the maps are mutually inverse), and each slot's before-splices fill
 // exactly the gap from start to at. It runs under an "om.verify" span,
 // stage "layout".
 func (l *Layout) VerifyCtx(ctx *obs.Ctx) []Diag {
@@ -293,6 +293,7 @@ func (l *Layout) VerifyCtx(ctx *obs.Ctx) []Diag {
 	if len(l.at) != len(p.insts) || len(l.start) != len(p.insts) {
 		bad(base, "layout tables cover %d and %d slots, program has %d", len(l.at), len(l.start), len(p.insts))
 	} else {
+		j := 0
 		for k, n := range l.at {
 			old := base + uint64(k)*4
 			if n%4 != 0 {
@@ -304,9 +305,15 @@ func (l *Layout) VerifyCtx(ctx *obs.Ctx) []Diag {
 			if k > 0 && n <= l.at[k-1] {
 				bad(old, "new address %#x does not follow %#x of the previous instruction", n, l.at[k-1])
 			}
+			var want uint64
+			for ; j < len(l.splices) && l.splices[j].Slot == k; j++ {
+				if !l.splices[j].After {
+					want += uint64(len(l.splices[j].Insts)) * 4
+				}
+			}
 			if s := l.start[k]; s > n {
 				bad(old, "before-code starts at %#x, after the instruction at %#x", s, n)
-			} else if want := codeBytes(p.insts[k].Before); n-s != want {
+			} else if n-s != want {
 				bad(old, "before-code spans %d bytes, its sequences hold %d", n-s, want)
 			}
 		}
@@ -391,43 +398,39 @@ func (l *Layout) VerifyRewriteCtx(ctx *obs.Ctx, res *Result) []Diag {
 					// register operands never change.
 					bad(pr, in.Addr, "rewritten operands %v, expected %v", got, in.I)
 				}
-				// Spliced code — call-site templates and inlined analysis
-				// bodies alike. Layout emits Code.Insts verbatim from the
-				// slot's start (before-code) and after the instruction
-				// (after-code), then patches exactly the instructions named
-				// by CodeRelocs, so every word must decode, un-patched
-				// instructions must match the IR EXACTLY (this re-checks
-				// inlined bodies' re-indexed internal branch displacements),
-				// and patched ones keep their opcode (relocations rewrite
-				// displacement fields only).
-				verifyCode := func(codes []Code, addr uint64) {
-					for ci := range codes {
-						c := &codes[ci]
-						patched := map[int]bool{}
-						for _, r := range c.Relocs {
-							patched[r.Index] = true
-						}
-						for k := range c.Insts {
-							checked++
-							at := addr + uint64(k)*4
-							w, ok := decodeAt(at)
-							if !ok {
-								bad(pr, in.Addr, "spliced word %d at new %#x does not decode", k, at)
-								continue
-							}
-							if w.Op != c.Insts[k].Op {
-								bad(pr, in.Addr, "spliced opcode %s at new %#x, expected %s", w.Op, at, c.Insts[k].Op)
-								continue
-							}
-							if !patched[k] && w != c.Insts[k] {
-								bad(pr, in.Addr, "spliced instruction %v at new %#x, expected %v", w, at, c.Insts[k])
-							}
-						}
-						addr += uint64(len(c.Insts)) * 4
-					}
-				}
-				verifyCode(in.Before, l.start[k])
-				verifyCode(in.After, newAddr+4)
+			}
+		}
+	}
+	// Spliced code — call-site templates and inlined analysis bodies
+	// alike. Layout emits each splice's Insts verbatim at its address,
+	// then patches exactly the instructions named by its Relocs, so every
+	// word must decode, un-patched instructions must match the splice
+	// EXACTLY (this re-checks inlined bodies' re-indexed internal branch
+	// displacements), and patched ones keep their opcode (relocations
+	// rewrite displacement fields only). Diagnostics name the original
+	// instruction the splice is attached to.
+	for j := range l.splices {
+		s, addr := &l.splices[j], l.spliceAt[j]
+		in := &p.insts[s.Slot]
+		pr := in.block.proc
+		patched := map[int]bool{}
+		for _, r := range s.Relocs {
+			patched[r.Index] = true
+		}
+		for k := range s.Insts {
+			checked++
+			at := addr + uint64(k)*4
+			w, ok := decodeAt(at)
+			if !ok {
+				bad(pr, in.Addr, "spliced word %d at new %#x does not decode", k, at)
+				continue
+			}
+			if w.Op != s.Insts[k].Op {
+				bad(pr, in.Addr, "spliced opcode %s at new %#x, expected %s", w.Op, at, s.Insts[k].Op)
+				continue
+			}
+			if !patched[k] && w != s.Insts[k] {
+				bad(pr, in.Addr, "spliced instruction %v at new %#x, expected %v", w, at, s.Insts[k])
 			}
 		}
 	}

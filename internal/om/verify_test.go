@@ -22,10 +22,7 @@ func TestVerifyCleanPipeline(t *testing.T) {
 
 	// Instrument a little: nops before every instruction of main.
 	nop := alpha.Mov(alpha.Zero, alpha.Zero)
-	for _, in := range prog.Proc("main").Blocks[0].Insts {
-		in.Before = append(in.Before, om.Code{Insts: []alpha.Inst{nop, nop}})
-	}
-	lay := prog.LayoutCtx(nil)
+	lay := layout(t, prog, spliceBefore(t, prog, prog.Proc("main").Blocks[0].Insts, nop, nop))
 	if ds := lay.VerifyCtx(nil); len(ds) > 0 {
 		t.Fatalf("layout has %d diagnostics, first: %s", len(ds), ds[0])
 	}
@@ -147,7 +144,7 @@ func TestVerifyRewriteDetectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := prog.LayoutCtx(nil)
+	lay := layout(t, prog, nil)
 	res, err := lay.FinishCtx(nil, make([]byte, lay.TextSize()), func(string) (uint64, bool) { return 0, false })
 	if err != nil {
 		t.Fatal(err)

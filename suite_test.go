@@ -39,7 +39,7 @@ func TestSuiteBuildsImageOnce(t *testing.T) {
 			t.Fatalf("program %s: no result", suite[i].Name)
 		}
 	}
-	s := atom.ImageCacheStats()
+	s := core.ImageCacheStats()
 	if s.Builds != 1 {
 		t.Errorf("analysis image built %d times for %d programs, want exactly 1", s.Builds, len(apps))
 	}
@@ -120,7 +120,7 @@ func TestInstrumentSuiteParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	if s := atom.ImageCacheStats(); s.Builds != uint64(len(toolNames)) {
+	if s := core.ImageCacheStats(); s.Builds != uint64(len(toolNames)) {
 		t.Errorf("parallel run built %d images, want %d (one per tool)", s.Builds, len(toolNames))
 	}
 }
