@@ -19,6 +19,10 @@ package atom_test
 //     substrate costs: pipe's static dual-issue scheduling, raw
 //     interpreter speed, MiniC compilation, and the lift of gcc.
 //
+//   - BenchmarkVMRunSuite — the interpreter on instrumented suite
+//     programs, per tool: the injected code perfbench's run_dense
+//     workload runs, as Minst/s without perfbench.
+//
 //   - internal/vm's BenchmarkVMRun, BenchmarkVMRunTextData and
 //     BenchmarkVMRunProfiled — the superblock dispatcher on synthetic
 //     loops: bare, with a text-resident counter store per iteration, and
@@ -32,6 +36,7 @@ import (
 	"testing"
 
 	"atom"
+	"atom/internal/aout"
 	"atom/internal/build"
 	"atom/internal/core"
 	"atom/internal/figures"
@@ -313,6 +318,62 @@ func BenchmarkVM(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
+}
+
+// vmSuitePrograms are the programs BenchmarkVMRunSuite instruments:
+// integer and floating-point codes whose instrumented runs take a few
+// million instructions each.
+var vmSuitePrograms = []string{"eqntott", "li", "gcc", "tomcatv", "queens"}
+
+// BenchmarkVMRunSuite measures the interpreter on instrumented code, one
+// sub-benchmark per per-event tool. The suite programs are instrumented
+// once, with the partitioned heap perfbench uses, and every iteration
+// runs each of them. Only Run is timed, as in BenchmarkVM and
+// perfbench's vm_minst_s.
+func BenchmarkVMRunSuite(b *testing.B) {
+	type run struct {
+		exe *aout.File
+		cfg vm.Config
+	}
+	perEvent := []string{"pipe", "cache", "branch"}
+	runs := map[string][]run{}
+	for _, prog := range vmSuitePrograms {
+		exe, err := spec.BuildCtx(nil, prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, _ := spec.ByName(prog)
+		for _, name := range perEvent {
+			tool, _ := tools.ByName(name)
+			res, err := core.InstrumentCtx(nil, exe, tool, core.Options{HeapOffset: 1 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			runs[name] = append(runs[name], run{res.Exe, vm.Config{Arg0: prog, Stdin: p.Stdin, FS: p.FS}})
+		}
+	}
+	for _, name := range perEvent {
+		b.Run(name, func(b *testing.B) {
+			var insts uint64
+			for i := 0; i < b.N; i++ {
+				for _, r := range runs[name] {
+					b.StopTimer()
+					runtime.GC()
+					m, err := vm.New(r.exe, r.cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := m.Run(); err != nil {
+						b.Fatal(err)
+					}
+					insts += m.Icount
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
+		})
+	}
 }
 
 // BenchmarkCompile measures MiniC compilation of the whole suite.

@@ -4,7 +4,7 @@ package main
 // as separate processes, the way a user runs it — trace, profile, vet,
 // inline, persistence, telemetry, analyze and the heap scheme, plus the
 // batch output-collision check, both argument orders of the default
-// form and a real process's stdin. TestMain builds the command once;
+// form, a real process's stdin and the original PC of a fault. TestMain builds the command once;
 // the gates skip under -short and when no go binary is on PATH.
 
 import (
@@ -89,6 +89,11 @@ int main() {
     return 0;
 }
 `
+	// nullC reads through a null pointer in g.
+	nullC = `#include <stdio.h>
+long g(long *p) { return *p; }
+int main() { printf("%ld\n", g(0)); return 0; }
+`
 	// defectS is an analysis image with a seeded save-discipline defect:
 	// Clobber overwrites the callee-save register s0.
 	defectS = `	.text
@@ -111,7 +116,7 @@ Clobber:
 // fixture is what every gate shares: the compiled programs and the
 // built-in tool names.
 type fixture struct {
-	dir   string   // smoke.x, long.x, heap.x, reader.x, defect.x
+	dir   string   // smoke.x, long.x, heap.x, reader.x, null.x, defect.x
 	tools []string // first column of atom list
 }
 
@@ -143,7 +148,7 @@ func buildFixture(dir string) (fixture, error) {
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		return f, err
 	}
-	for name, src := range map[string]string{"smoke.c": smokeC, "long.c": longC, "heap.c": heapC, "reader.c": readerC, "defect.s": defectS} {
+	for name, src := range map[string]string{"smoke.c": smokeC, "long.c": longC, "heap.c": heapC, "reader.c": readerC, "null.c": nullC, "defect.s": defectS} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
 			return f, err
 		}
@@ -157,6 +162,8 @@ func buildFixture(dir string) (fixture, error) {
 		{"ld", "-o", "heap.x", "heap.o"},
 		{"cc", "reader.c"},
 		{"ld", "-o", "reader.x", "reader.o"},
+		{"cc", "null.c"},
+		{"ld", "-o", "null.x", "null.o"},
 		{"as", "defect.s"},
 		{"ld", "-o", "defect.x", "defect.o"},
 		{"list"},
@@ -695,5 +702,22 @@ func TestRunStdinGate(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(data, "branch.out")); err != nil {
 		t.Errorf("the branch report is not in the -fs directory: %v", err)
+	}
+}
+
+// TestRunFaultGate: atom run -t names a fault's original PC and
+// procedure beside the instrumented PC that faulted; the original PC is
+// the one the bare run reports.
+func TestRunFaultGate(t *testing.T) {
+	dir := programs(t).stage(t, "null.x")
+	_, bare, code := command(t, dir, "atom", "run", "null.x")
+	m := regexp.MustCompile(`fault at pc (0x[0-9a-f]+) \(icount`).FindStringSubmatch(bare)
+	if code != 1 || m == nil {
+		t.Fatalf("bare run: exit %d, stderr %q, want a fault", code, bare)
+	}
+	_, inst, code := command(t, dir, "atom", "run", "-t", "branch", "null.x")
+	want := regexp.MustCompile(`fault at pc 0x[0-9a-f]+ \(original ` + m[1] + ` in g\) \(icount \d+\): null-page access`)
+	if code != 1 || !want.MatchString(inst) {
+		t.Errorf("atom run -t branch: exit %d, stderr %q, want it to match %s", code, inst, want)
 	}
 }

@@ -11,9 +11,11 @@ import (
 	"testing"
 
 	"atom/internal/aout"
+	"atom/internal/core"
 	"atom/internal/obs"
 	"atom/internal/rtl"
 	"atom/internal/spec"
+	"atom/internal/tools"
 )
 
 // captureFD swaps one of the process's standard streams for a pipe
@@ -34,6 +36,56 @@ func captureFD(t *testing.T, std **os.File, fn func()) string {
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+// TestPCOrigin: a PC of an instrumented run is described by its original
+// address and procedure when it is an application instruction, and by
+// the instrumented executable's function around it when it is spliced
+// code or analysis text; an uninstrumented run adds nothing.
+func TestPCOrigin(t *testing.T) {
+	exe, err := spec.BuildCtx(nil, "queens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool, _ := tools.ByName("branch")
+	res, err := core.InstrumentCtx(nil, exe, tool, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pcOrigin(nil, exe.Entry); got != "" {
+		t.Errorf("uninstrumented run: %q, want nothing", got)
+	}
+	app := map[string]bool{}
+	for _, s := range exe.Symbols {
+		app[s.Name] = true
+	}
+	var spliced, analysis bool
+	for _, s := range res.Exe.Symbols {
+		if s.Kind != aout.SymFunc || s.Section != aout.SecText || s.Size == 0 {
+			continue
+		}
+		if !app[s.Name] {
+			if got, want := pcOrigin(res, s.Value), "in "+s.Name; got != want {
+				t.Errorf("analysis routine %s: %q, want %q", s.Name, got, want)
+			}
+			analysis = true
+			continue
+		}
+		for pc := s.Value; pc < s.Value+s.Size; pc += 4 {
+			got := pcOrigin(res, pc)
+			old, ok := res.PCMap.OldAddr(pc)
+			want := fmt.Sprintf("original %#x in %s", old, s.Name)
+			if !ok {
+				want, spliced = "in "+s.Name, true
+			}
+			if got != want {
+				t.Fatalf("pc %#x in %s: %q, want %q", pc, s.Name, got, want)
+			}
+		}
+	}
+	if !spliced || !analysis {
+		t.Errorf("saw spliced code: %v, analysis text: %v; want both", spliced, analysis)
+	}
 }
 
 // TestWriteTraceDash: -trace - streams the trace JSON to stdout instead

@@ -8,10 +8,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 
 	"atom/internal/aout"
 	"atom/internal/core"
 	"atom/internal/obs"
+	"atom/internal/om"
 	"atom/internal/prof"
 	"atom/internal/vm"
 )
@@ -67,7 +70,8 @@ func cmdRun(args []string, stdin []byte) int {
 // when a tool was selected — with the sampling profiler attached when
 // requested. The files the program wrote and the profile are written
 // even when the program faults mid-run, so a crashing workload still
-// yields its outputs and observability artifacts.
+// yields its outputs and observability artifacts. The error of an
+// instrumented run names the original PC beside the executed one.
 func runUnderVM(ctx *obs.Ctx, rc runConfig) int {
 	app, err := aout.ReadFile(rc.input)
 	if err != nil {
@@ -88,8 +92,9 @@ func runUnderVM(ctx *obs.Ctx, rc runConfig) int {
 	}
 	var pcMap func(uint64) (uint64, bool)
 	procs := prof.ProcsFromSymbols(app.Symbols)
+	var res *core.Result
 	if rc.tool.Name != "" {
-		res, err := core.InstrumentCtx(ctx, app, rc.tool, rc.opts)
+		res, err = core.InstrumentCtx(ctx, app, rc.tool, rc.opts)
 		if err != nil {
 			return fail(fmt.Errorf("%s: %s: %w", rc.input, rc.tool.Name, err))
 		}
@@ -124,7 +129,13 @@ func runUnderVM(ctx *obs.Ctx, rc runConfig) int {
 
 	status := exitCode
 	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "atom: %s: %v\n", rc.input, runErr)
+		msg := runErr.Error()
+		if where := pcOrigin(res, m.PC); where != "" {
+			// The VM's run errors name the PC as "pc 0x…" once.
+			at := fmt.Sprintf("pc %#x", m.PC)
+			msg = strings.Replace(msg, at, at+" ("+where+")", 1)
+		}
+		fmt.Fprintf(os.Stderr, "atom: %s: %s\n", rc.input, msg)
 		status = 1
 	}
 	for _, path := range m.Paths() {
@@ -148,6 +159,36 @@ func runUnderVM(ctx *obs.Ctx, rc runConfig) int {
 		}
 	}
 	return status
+}
+
+// pcOrigin says where pc of an instrumented run (res) lies: the original
+// address and procedure of an application instruction, or else the
+// function of the instrumented executable that holds it — an analysis
+// routine, or the application procedure around a spliced site. It is
+// empty for an uninstrumented run and for a PC outside every function.
+func pcOrigin(res *core.Result, pc uint64) string {
+	if res == nil {
+		return ""
+	}
+	if old, ok := res.PCMap.OldAddr(pc); ok {
+		if name := procAt(res.PCMap.OrigProcs(), old); name != "" {
+			return fmt.Sprintf("original %#x in %s", old, name)
+		}
+		return fmt.Sprintf("original %#x", old)
+	}
+	if name := procAt(prof.ProcsFromSymbols(res.Exe.Symbols), pc); name != "" {
+		return "in " + name
+	}
+	return ""
+}
+
+// procAt names the range of procs, sorted by start, that holds pc.
+func procAt(procs []om.ProcRange, pc uint64) string {
+	i := sort.Search(len(procs), func(i int) bool { return procs[i].Start > pc }) - 1
+	if i >= 0 && pc < procs[i].End {
+		return procs[i].Name
+	}
+	return ""
 }
 
 // readFS reads the regular files of dir, keyed by name, for the program

@@ -22,13 +22,21 @@ import (
 // compiler lowers to a jump table, and exits with a statically known
 // successor are linked directly to the successor block, so hot loops
 // execute entirely inside runOps with no per-instruction fetch, decode
-// or call.
+// or call. A peephole pass (fuse) then lets one dispatch retire the
+// commonest adjacent pairs: an ldah/lda pair building one register, and
+// an lda whose result is the base of the next ldq or stq.
 //
 // Correctness invariants:
 //
-//   - Every micro-op except a trailing sbExit retires exactly one
-//     instruction, so Icount is base + index — materialized into
-//     m.Icount only at block exits and faults.
+//   - Every micro-op occupies one slot per instruction it stands for: a
+//     trailing sbExit retires nothing, a fused op retires its own slot
+//     and the slots it absorbs, and every other op retires exactly one
+//     instruction. runOps steps past absorbed slots, so Icount is base +
+//     index — materialized into m.Icount only at block exits and faults.
+//     A fused op never spans a guard, a terminator, a call_pal or a
+//     probe event, and the memory op it absorbs is the last slot of its
+//     group, so a fault or a store into text leaves at that op exactly
+//     as it does unfused.
 //   - A faulting memory op performs no side effects (the bounds check
 //     mirrors checkAddr exactly); the dispatcher restores PC/Icount to
 //     the faulting instruction and re-executes it through m.exec to
@@ -43,7 +51,10 @@ import (
 //     every block whose span overlaps the store, and only if one was
 //     dropped does the running block bail out after that op, so stale
 //     harvested code is never executed (self-modifying code stays
-//     exact).
+//     exact). An aligned stq at or above codeHi onto two words that are
+//     already stale, with no sentinel, stays inside runOps: textStore
+//     would change nothing for it, and that is the analysis counter's
+//     store after its first.
 //   - Blocks are entered only when they fit under the fence: the
 //     instruction budget, or the instruction before the next sampling
 //     point when a probe samples. When the block at the PC would cross
@@ -121,11 +132,16 @@ const (
 	sbMulqI
 	sbUmulhI
 
-	sbLda  // ra = rb + imm: lda, and ldah with imm already shifted
-	sbLink // ra = pc+4: a br harvested straight through
-	sbNop  // retires with no effect: br zero, or a register op writing zero
+	sbLda     // ra = rb + imm: lda, and ldah with imm already shifted
+	sbLdaPair // ra = rb + imm, absorbing an lda ra, d(ra) after it
+	sbLink    // ra = pc+4: a br harvested straight through
+	sbNop     // retires with no effect: br zero, or a register op writing zero
 
 	// Memory: the address is rb + imm; loads write ra, stores read it.
+	// sbLdaLdq and sbLdaStq are fused prefixes: ra = rb + imm, as sbLda
+	// or sbLdaPair, then the ldq or stq skip slots on, whose base is ra.
+	sbLdaLdq
+	sbLdaStq
 	sbLdq
 	sbLdl
 	sbLdwu
@@ -198,10 +214,13 @@ var sbFixed = map[alpha.Op]sbCode{
 // target is the static successor of a br, a taken guard, a bsr, or (for
 // sbExit) the address execution resumes at. imm is the pre-resolved
 // immediate: the operate literal (a shift count already masked to 6
-// bits), or the memory displacement (ldah's already shifted left 16).
+// bits), or the memory displacement (ldah's already shifted left 16; a
+// fused pair's the sum of both). skip is the number of slots a fused op
+// absorbs.
 type sbOp struct {
 	code       sbCode
 	ra, rb, rc alpha.Reg
+	skip       uint8
 	imm        int64
 	pc         uint64
 	target     uint64
@@ -576,10 +595,24 @@ func (m *Machine) runOps(ops []sbOp, i int, fence uint64) ([]sbOp, int, *sbOp, s
 
 		case sbLda:
 			r[op.ra&31] = r[op.rb&31] + op.imm
+		case sbLdaPair:
+			r[op.ra&31] = r[op.rb&31] + op.imm
+			i++
 		case sbLink:
 			r[op.ra&31] = int64(op.pc + 4)
 		case sbNop:
 
+		// A fused prefix retires its slots up to the memory op and goes on
+		// as that op, whose case follows it. It steps to that op as the
+		// loop head does, op = &ops[i]; i++, which keeps i in the one
+		// register every case continues with (i += skip, op = &ops[i-1]
+		// costs every dispatch an extra jump and move).
+		case sbLdaLdq:
+			r[op.ra&31] = r[op.rb&31] + op.imm
+			i += int(op.skip) - 1
+			op = &ops[i]
+			i++
+			fallthrough
 		case sbLdq:
 			addr := uint64(r[op.rb&31] + op.imm)
 			if addr < 4096 || addr > uint64(len(m.Mem))-8 {
@@ -626,6 +659,12 @@ func (m *Machine) runOps(ops []sbOp, i int, fence uint64) ([]sbOp, int, *sbOp, s
 				r[op.ra&31] = int64(m.Mem[addr])
 			}
 
+		case sbLdaStq:
+			r[op.ra&31] = r[op.rb&31] + op.imm
+			i += int(op.skip) - 1
+			op = &ops[i]
+			i++
+			fallthrough
 		case sbStq:
 			addr := uint64(r[op.rb&31] + op.imm)
 			if addr < 4096 || addr > uint64(len(m.Mem))-8 {
@@ -637,6 +676,14 @@ func (m *Machine) runOps(ops []sbOp, i int, fence uint64) ([]sbOp, int, *sbOp, s
 			}
 			binary.LittleEndian.PutUint64(m.Mem[addr:], uint64(r[op.ra&31]))
 			if addr < m.textEnd && addr+8 > m.exe.TextAddr {
+				// Analysis data above the watermark, stale since an earlier
+				// store: textStore would do nothing. No block entry lies
+				// above codeHi, so a nil slot there is no sentinel either.
+				if addr&7 == 0 && addr >= m.codeHi && addr+8 <= m.textEnd {
+					if k := (addr - m.exe.TextAddr) / 4; !m.codeOK[k] && !m.codeOK[k+1] && m.sbByIdx[k] == nil && m.sbByIdx[k+1] == nil {
+						continue
+					}
+				}
 				goto text
 			}
 		case sbStl:
@@ -797,7 +844,38 @@ func (m *Machine) buildSB(entry uint64) *superblock {
 	if !isTerminal(sb.ops[sb.n-1].code) {
 		sb.ops = append(sb.ops, sbOp{code: sbExit, pc: pc, target: pc})
 	}
+	fuse(sb.ops)
 	return sb
+}
+
+// fuse is the peephole pass over a harvested block. It rewrites the
+// first op of each fusible group in place and leaves the ops it absorbs
+// in their slots, unexecuted: an lda whose result the next lda adds to
+// (ldah r, hi(x); lda r, lo(r)) becomes one sbLdaPair, and an lda or
+// such a pair whose result is the base of the next ldq or stq becomes
+// that op's fused prefix. Groups hold only lda and memory ops, so none
+// spans a guard, a terminator or a call_pal; and the block ends in a
+// terminator, so an lda always has a successor slot.
+func fuse(ops []sbOp) {
+	for k := 0; k < len(ops); k++ {
+		op := &ops[k]
+		if op.code != sbLda {
+			continue
+		}
+		n := 1 // slots in the group so far
+		if next := &ops[k+1]; next.code == sbLda && next.ra == op.ra && next.rb == op.ra {
+			op.code, op.imm, op.skip = sbLdaPair, op.imm+next.imm, 1
+			n = 2
+		}
+		if mem := &ops[k+n]; mem.rb == op.ra && (mem.code == sbLdq || mem.code == sbStq) {
+			op.code, op.skip = sbLdaLdq, uint8(n)
+			if mem.code == sbStq {
+				op.code = sbLdaStq
+			}
+			n++
+		}
+		k += n - 1
+	}
 }
 
 // sbCompile compiles the instruction at pc into its micro-op. ok is

@@ -59,6 +59,12 @@ func runVM(t *testing.T, exe *aout.File, cfg Config) (*Machine, vmState) {
 		t.Fatalf("New: %v", err)
 	}
 	code, rerr := m.Run()
+	return m, stateOf(m, code, rerr)
+}
+
+// stateOf captures a machine's state after a Run that returned code and
+// rerr.
+func stateOf(m *Machine, code int, rerr error) vmState {
 	st := vmState{
 		exit:      code,
 		pc:        m.PC,
@@ -77,7 +83,7 @@ func runVM(t *testing.T, exe *aout.File, cfg Config) (*Machine, vmState) {
 	for _, p := range m.Paths() {
 		st.files += p + "=" + string(m.FSOut[p]) + "\n"
 	}
-	return m, st
+	return st
 }
 
 // runRef runs exe on the per-instruction Step loop, which a tracer
@@ -241,13 +247,14 @@ const genMemSize = 5 << 20
 type intner interface{ Intn(n int) int }
 
 // genProgram generates a short program for the differential tests:
-// every operate op in both operand forms, then straight-line arithmetic,
-// forward guards, bounded loops, calls through bsr and jsr, forward br,
-// bsr and computed-goto jumps, loads and stores at mixed alignment, and
-// reads and writes of the zero register — and, at times, a final access
-// at an edge of the address space: the null page, the end of memory,
-// beyond it, or wrapping past 2^64. Every choice comes from r, and every
-// program terminates.
+// every operate op in both operand forms and every guard, then
+// straight-line arithmetic, forward guards, bounded loops, calls through
+// bsr and jsr, forward br, bsr and computed-goto jumps, loads and stores
+// at mixed alignment, reads and writes of the zero register, every shape
+// the superblock peephole fuses and near misses it must leave alone —
+// and, at times, a final access at an edge of the address space: the
+// null page, the end of memory, beyond it, or wrapping past 2^64. Every
+// choice comes from r, and every program terminates.
 func genProgram(r intner) string {
 	regs := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
 	rr := []string{"addl", "subl", "addq", "subq", "s4addq", "s8addq",
@@ -290,17 +297,56 @@ func genProgram(r intner) string {
 	for _, k := range order {
 		b.WriteString(operate(rr[k/2], k%2 == 0))
 	}
-	label := 0
+	// Every guard once, each to the instruction after it.
+	for i, c := range conds {
+		fmt.Fprintf(&b, "\t%s %s, guard%d\nguard%d:\n", c, src(), i, i)
+	}
+	label, splits := 0, 0
+	// fusible emits what fuse rewrites — an ldah/lda pair building one
+	// register, an lda or such a pair forming the base of the next ldq
+	// or stq — or a near miss: a pair into two registers, a second lda
+	// off another base, a memory op whose base is not the lda's
+	// destination, a pair split by a guard.
+	fusible := func() {
+		di := r.Intn(len(regs))
+		d, other := regs[di], regs[(di+1+r.Intn(len(regs)-1))%len(regs)]
+		mem, data := "ldq", dst()
+		if r.Intn(2) == 0 {
+			mem, data = "stq", src()
+		}
+		disp := func() int { return r.Intn(1<<16) - 1<<15 } // any 16-bit displacement
+		switch r.Intn(7) {
+		case 0:
+			fmt.Fprintf(&b, "\tldah %s, %d(%s)\n\tlda %s, %d(%s)\n", d, disp(), src(), d, disp(), d)
+		case 1:
+			fmt.Fprintf(&b, "\tlda %s, %d(s5)\n\t%s %s, %d(%s)\n", d, r.Intn(100), mem, data, r.Intn(100), d)
+		case 2:
+			fmt.Fprintf(&b, "\tldah %s, 0(s5)\n\tlda %s, %d(%s)\n\t%s %s, %d(%s)\n", d, d, r.Intn(100), d, mem, data, r.Intn(100), d)
+		case 3:
+			fmt.Fprintf(&b, "\tldah %s, %d(%s)\n\tlda %s, %d(%s)\n", d, disp(), src(), other, disp(), d)
+		case 4:
+			fmt.Fprintf(&b, "\tldah %s, %d(%s)\n\tlda %s, %d(%s)\n", d, disp(), src(), d, disp(), other)
+		case 5:
+			fmt.Fprintf(&b, "\tlda %s, %d(s5)\n\t%s %s, %d(s5)\n", d, r.Intn(4096)-2048, mem, data, r.Intn(200))
+		default:
+			// Its own labels: a forward guard's ops may include it.
+			splits++
+			fmt.Fprintf(&b, "\tldah %s, 0(s5)\n\t%s %s, split%d\n\tlda %s, %d(%s)\nsplit%d:\n\t%s %s, %d(%s)\n",
+				d, conds[r.Intn(len(conds))], src(), splits, d, r.Intn(100), d, splits, mem, data, r.Intn(100), d)
+		}
+	}
 	emitOp := func() {
-		switch r.Intn(6) {
+		switch r.Intn(7) {
 		case 0, 1, 2: // register-register / literal arithmetic
 			b.WriteString(operate(rr[r.Intn(len(rr))], r.Intn(2) == 0))
 		case 3:
 			fmt.Fprintf(&b, "\tlda %s, %d(%s)\n", dst(), r.Intn(4096)-2048, src())
 		case 4: // load at arbitrary alignment within the buffer
 			fmt.Fprintf(&b, "\t%s %s, %d(s5)\n", loads[r.Intn(len(loads))], dst(), r.Intn(200))
-		default: // store likewise
+		case 5: // store likewise
 			fmt.Fprintf(&b, "\t%s %s, %d(s5)\n", stores[r.Intn(len(stores))], src(), r.Intn(200))
+		default:
+			fusible()
 		}
 	}
 	// skipped emits ops that a forward jump skips, then its label.
@@ -661,13 +707,15 @@ loop:
 // TestSuperblockWatermarkGapStores: stores into text words inside the
 // code watermark that no block harvested must still run exactly like the
 // Step loop — a data word between two procedures, whose store drops
-// nothing and leaves the running block alone, and a word a br skips,
-// which lies inside a block's conservative span and drops that block.
-// Each data word is a nop the program zeroes before its loop.
+// nothing and leaves the running block alone, and a word or a quadword a
+// br skips, which lies inside a block's conservative span, so every
+// store drops that block, stale data or not: stores stay inside runOps
+// only above the watermark. Each data word is a nop the program zeroes
+// before its loop.
 func TestSuperblockWatermarkGapStores(t *testing.T) {
 	progs := map[string]struct {
 		src   string
-		inval bool
+		inval uint64 // blocks the loop must drop at least; 0: none
 	}{
 		"between-procs": {src: `
 	.text
@@ -684,7 +732,7 @@ loop:
 	ldl a0, 0(t0)
 	call_pal 0
 	.end __start
-gap:	nop
+%sgap:	nop
 	.ent bump
 bump:
 	ldl t1, 0(t0)
@@ -693,7 +741,7 @@ bump:
 	ret (ra)
 	.end bump
 `},
-		"skipped-by-br": {inval: true, src: `
+		"skipped-by-br": {inval: 300, src: `
 	.text
 	.globl __start
 	.ent __start
@@ -706,7 +754,7 @@ loop:
 	addl t1, 1, t1
 	stl t1, 0(t0)
 	br over
-gap:	nop
+%sgap:	nop
 over:
 	subq s0, 1, s0
 	bgt s0, loop
@@ -714,20 +762,82 @@ over:
 	call_pal 0
 	.end __start
 `},
+		"quad-skipped-by-br": {inval: 300, src: `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	li s0, 300
+	la t0, gap
+	stq zero, 0(t0)
+loop:
+	ldq t1, 0(t0)
+	addq t1, 1, t1
+	stq t1, 0(t0)
+	br over
+%sgap:	nop
+	nop
+over:
+	subq s0, 1, s0
+	bgt s0, loop
+	ldq a0, 0(t0)
+	call_pal 0
+	.end __start
+`},
 	}
 	for name, p := range progs {
 		t.Run(name, func(t *testing.T) {
-			exe := build(t, p.src)
+			exe, gap := buildAligned(t, p.src, "gap")
 			if st := diffModes(t, exe, Config{}); st.exit != 300 {
 				t.Errorf("exit = %d, want 300", st.exit)
 			}
 			m, _ := runVM(t, exe, Config{})
-			gap, _ := exe.Lookup("gap")
-			if gap.Value < m.codeLo || gap.Value >= m.codeHi {
-				t.Fatalf("gap %#x outside the code watermark [%#x, %#x)", gap.Value, m.codeLo, m.codeHi)
+			if gap < m.codeLo || gap >= m.codeHi {
+				t.Fatalf("gap %#x outside the code watermark [%#x, %#x)", gap, m.codeLo, m.codeHi)
 			}
-			if got := m.sbInval != 0; got != p.inval {
-				t.Errorf("sbInval = %d, want dropped blocks: %v", m.sbInval, p.inval)
+			if p.inval == 0 && m.sbInval != 0 || m.sbInval < p.inval {
+				t.Errorf("sbInval = %d, want at least %d (0: none)", m.sbInval, p.inval)
+			}
+		})
+	}
+}
+
+// TestSuperblockFuseShapes: fuse rewrites exactly the shapes it names —
+// an ldah/lda pair into one register, an lda or such a pair forming the
+// base of the next ldq or stq — and leaves the absorbed slots and every
+// near miss as harvested.
+func TestSuperblockFuseShapes(t *testing.T) {
+	cases := []struct {
+		name, src string
+		want      []sbCode
+	}{
+		{"pair", "ldah t0, 1(t1)\n\tlda t0, 2(t0)", []sbCode{sbLdaPair, sbLda}},
+		{"pair-then-lda", "ldah t0, 1(t1)\n\tlda t0, 2(t0)\n\tlda t0, 3(t0)", []sbCode{sbLdaPair, sbLda, sbLda}},
+		{"lda-ldq", "lda t0, 8(t1)\n\tldq t2, 0(t0)", []sbCode{sbLdaLdq, sbLdq}},
+		{"lda-stq", "lda t0, 8(t1)\n\tstq t2, 0(t0)", []sbCode{sbLdaStq, sbStq}},
+		{"pair-ldq", "ldah t0, 1(t1)\n\tlda t0, 2(t0)\n\tldq t2, 0(t0)", []sbCode{sbLdaLdq, sbLda, sbLdq}},
+		{"pair-stq", "ldah t0, 1(t1)\n\tlda t0, 2(t0)\n\tstq t2, 0(t0)", []sbCode{sbLdaStq, sbLda, sbStq}},
+		{"pair-other-dest", "ldah t0, 1(t1)\n\tlda t2, 2(t0)", []sbCode{sbLda, sbLda}},
+		{"pair-other-base", "ldah t0, 1(t1)\n\tlda t0, 2(t2)", []sbCode{sbLda, sbLda}},
+		{"base-not-dest", "lda t0, 8(t1)\n\tldq t2, 0(t1)", []sbCode{sbLda, sbLdq}},
+		{"stq-base-not-dest", "lda t0, 8(t1)\n\tstq t0, 0(t1)", []sbCode{sbLda, sbStq}},
+		{"ldl", "lda t0, 8(t1)\n\tldl t2, 0(t0)", []sbCode{sbLda, sbLdl}},
+		{"split-by-guard", "ldah t0, 1(t1)\n\tbeq t3, on\non:\n\tlda t0, 2(t0)", []sbCode{sbLda, sbBeq, sbLda}},
+		{"lda-zero", "lda zero, 8(t1)\n\tldq t2, 0(zero)", []sbCode{sbNop, sbLdq}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			exe := build(t, "\t.text\n\t.globl __start\n\t.ent __start\n__start:\n\t"+c.src+"\n\tcall_pal 0\n\t.end __start\n")
+			m, err := New(exe, Config{MemSize: 8 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []sbCode
+			for _, op := range m.lookupSB(exe.Entry).ops {
+				got = append(got, op.code)
+			}
+			if want := append(c.want, sbExit); !slices.Equal(got, want) {
+				t.Errorf("codes %v, want %v", got, want)
 			}
 		})
 	}
@@ -878,6 +988,204 @@ __start:
 				})
 			}
 		}
+	}
+}
+
+// harvested reports whether a block m holds contains an op with code
+// and skip.
+func harvested(m *Machine, code sbCode, skip uint8) bool {
+	for _, sb := range m.sbAll {
+		for _, op := range sb.ops {
+			if op.code == code && op.skip == skip {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestSuperblockFusedFaults: a fused ldq or stq, its base formed by an
+// lda or an ldah/lda pair, whose access faults in the null page, at the
+// end of memory or where it wraps past 2^64, leaves the Step loop's
+// fault text, PC, Icount and registers: the base is written, the access
+// has no effect.
+func TestSuperblockFusedFaults(t *testing.T) {
+	const memSize = 5 << 20
+	prefixes := []struct {
+		name, src string // src forms s3 from s4, taking the lda's displacement
+		skip      uint8
+	}{
+		{"lda", "lda s3, %d(s4)", 1},
+		{"pair", "ldah s3, 0(s4)\n\tlda s3, %d(s3)", 2},
+	}
+	edges := []struct {
+		name, base  string // loads s4
+		disp, mdisp int64  // the lda's and the memory op's
+		fault       string
+	}{
+		{"null-page", "li s4, 4096", -16, 8, "null-page access"},
+		{"end", fmt.Sprintf("li s4, %d", memSize), -8, 4, "beyond memory"},
+		{"wrap", "li s4, -16", 8, 4, "beyond memory"},
+	}
+	for _, mem := range []struct {
+		op   string
+		code sbCode
+	}{{"ldq", sbLdaLdq}, {"stq", sbLdaStq}} {
+		for _, p := range prefixes {
+			for _, e := range edges {
+				t.Run(mem.op+"/"+p.name+"/"+e.name, func(t *testing.T) {
+					exe := build(t, fmt.Sprintf(`
+	.text
+	.globl __start
+	.ent __start
+__start:
+	li t0, 0x1122334455667788
+	%s
+	addq t0, 1, t1
+	%s
+	%s t0, %d(s3)
+	addq t1, t0, t2
+	and t2, 0xff, a0
+	call_pal 0
+	.end __start
+`, e.base, fmt.Sprintf(p.src, e.disp), mem.op, e.mdisp))
+					cfg := Config{MemSize: memSize}
+					st := diffModes(t, exe, cfg)
+					if !strings.Contains(st.errText, e.fault) {
+						t.Errorf("error %q, want %q", st.errText, e.fault)
+					}
+					if m, _ := runVM(t, exe, cfg); !harvested(m, mem.code, p.skip) {
+						t.Errorf("no block holds the fused %s with skip %d", mem.op, p.skip)
+					}
+				})
+			}
+		}
+	}
+}
+
+// buildAligned builds src, which has one %s for padding placed before
+// label, with no padding or one nop word: whichever makes the text label
+// quadword-aligned. The assembler takes no .align in .text.
+func buildAligned(t *testing.T, src, label string) (*aout.File, uint64) {
+	t.Helper()
+	for _, pad := range []string{"", "\tnop\n"} {
+		exe := build(t, fmt.Sprintf(src, pad))
+		if sym, ok := exe.Lookup(label); ok && sym.Value%8 == 0 {
+			return exe, sym.Value
+		}
+	}
+	t.Fatalf("%s is not quadword-aligned with or without a nop before it", label)
+	return nil, 0
+}
+
+// TestSuperblockTextStoreAboveWatermark: a text quadword above the code
+// watermark takes counter stores — the first marks it stale, the rest
+// stay inside runOps — then an instruction pair. Executing it builds a
+// block over it and raises the watermark, so the next store drops that
+// block and the running block bails out; the second pair runs, exactly
+// as in the Step loop.
+func TestSuperblockTextStoreAboveWatermark(t *testing.T) {
+	exe, slot := buildAligned(t, `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	la s0, slot
+	la t1, v1
+	ldq s1, 0(t1)
+	la t1, v2
+	ldq s2, 0(t1)
+	li t2, 50
+fill:
+	stq t2, 0(s0)
+	subq t2, 1, t2
+	bgt t2, fill
+	stq s1, 0(s0)
+	jsr ra, (s0)
+	mov a0, s3
+	stq s2, 0(s0)
+	jsr ra, (s0)
+	addq a0, s3, a0
+	call_pal 0
+v1:	lda a0, 7(zero)
+	ret (ra)
+v2:	lda a0, 9(zero)
+	ret (ra)
+%sslot:	nop
+	nop
+	.end __start
+`, "slot")
+	if st := diffModes(t, exe, Config{}); st.exit != 16 {
+		t.Errorf("exit = %d, want 16 (7 from the first pair, 9 from the second)", st.exit)
+	}
+	m, _ := runVM(t, exe, Config{})
+	if m.codeHi <= slot {
+		t.Errorf("code watermark %#x did not rise over the executed slot %#x", m.codeHi, slot)
+	}
+	if m.sbInval == 0 {
+		t.Error("the store over the executed slot dropped no block")
+	}
+}
+
+// TestSuperblockStoreClearsSentinel: a stale text quadword above the
+// watermark whose first word holds the unbuildable-entry sentinel (a
+// jump to it faulted: it did not decode) is stored with an instruction
+// pair. That store would stay inside runOps but for the sentinel, which
+// it must clear, so that the next jump there builds a block.
+func TestSuperblockStoreClearsSentinel(t *testing.T) {
+	exe, slot := buildAligned(t, `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	la s0, slot
+	li t0, 0x0400000004000000
+	stq t0, 0(s0)
+	jsr ra, (s0)
+resume:
+	la t1, v1
+	ldq t2, 0(t1)
+	stq t2, 0(s0)
+	jsr ra, (s0)
+	call_pal 0
+v1:	lda a0, 42(zero)
+	ret (ra)
+%sslot:	nop
+	nop
+	.end __start
+`, "slot")
+	resume, _ := exe.Lookup("resume")
+	k := (slot - exe.TextAddr) / 4
+	// run faults at the slot, then resumes at resume, as a debugger would.
+	run := func(cfg Config) (*Machine, string, vmState) {
+		m, err := New(exe, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.Run()
+		if err == nil || !strings.Contains(err.Error(), "unsupported") {
+			t.Fatalf("first run: error %v, want an undecodable word", err)
+		}
+		first := err.Error()
+		if cfg.Trace == nil {
+			if m.sbByIdx[k] != sbNone || m.codeOK[k] || m.codeOK[k+1] || slot < m.codeHi {
+				t.Fatal("the slot is not a stale quadword above the watermark holding the sentinel")
+			}
+		}
+		m.PC = resume.Value
+		code, err := m.Run()
+		return m, first, stateOf(m, code, err)
+	}
+	_, wantFirst, want := run(Config{Trace: io.Discard})
+	m, first, got := run(Config{})
+	if first != wantFirst || got != want {
+		t.Errorf("superblock diverged from Step loop:\n ref: %s\n %+v\n got: %s\n %+v", wantFirst, want, first, got)
+	}
+	if got.exit != 42 {
+		t.Errorf("exit = %d, want 42", got.exit)
+	}
+	if sb := m.sbByIdx[k]; sb == nil || sb == sbNone {
+		t.Error("the store left the sentinel: no block was built at the slot")
 	}
 }
 
