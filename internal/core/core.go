@@ -126,6 +126,7 @@ type Stats struct {
 	Calls         int    // inserted call sites
 	InlinedSites  int    // call sites whose analysis routine was inlined
 	DirectSites   int    // call sites calling the analysis procedure itself, no wrapper
+	FramedSites   int    // call sites that adjust sp around their code
 	InsertedInsts int    // total spliced instructions in the application
 	SavedRegs     int    // registers saved at call sites, summed over sites
 	OrigText      uint64 // application text before instrumentation
@@ -292,85 +293,7 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 		}
 	}
 
-	// The per-site save set: with the liveness pass on (the default) a
-	// register is saved only if the application may still read it AND the
-	// analysis routine may modify it — the paper's live ∩ modified
-	// refinement. One subtlety: instrumentation itself reads application
-	// registers (REGV arguments), possibly at a LATER site than the one
-	// deciding a save, so every register any site passes by REGV is kept
-	// live program-wide. Sources read at the deciding site itself are
-	// already protected by siteSaves (their save slot doubles as the
-	// source copy).
-	var lv *dataflow.Liveness
-	var regvRead om.RegSet
-	if !opts.NoLiveness {
-		lv = dataflow.ComputeCtx(actx, q.prog)
-		for _, req := range q.journal {
-			for _, a := range req.args {
-				if a.kind == argRegV {
-					regvRead = regvRead.Add(a.reg)
-				}
-			}
-		}
-	}
-
-	// Inlining applies per plan, not per image: the cached image always
-	// carries the templates, and NoInline is free to vary without
-	// invalidating it. SaveInAnalysis already splices saves into
-	// the routines themselves, which an inlined copy would duplicate, so
-	// the inliner only runs in the (default) wrapper mode.
-	inlineOK := !opts.NoInline && opts.Mode == SaveWrapper
-
-	// Shape every site, in splice order. Within one insertion point calls
-	// run in the order they were added, except that ProgramBefore calls
-	// always precede (and ProgramAfter calls always follow) other
-	// instrumentation sharing their instruction: analysis state must be
-	// initialized before the first block/instruction event at the entry
-	// point fires, and final reports must observe the last events at
-	// exit.
-	sites := make([]site, 0, len(q.journal))
-	for r := rankProgramBefore; r <= rankProgramAfter; r++ {
-		for i := range q.journal {
-			req := &q.journal[i]
-			if req.rank != r {
-				continue
-			}
-			var tmpl *inlineTemplate
-			if inlineOK {
-				if t := ti.inline[req.proto.Name]; t != nil && t.bodyLen <= inlineLimit {
-					tmpl = t
-				}
-			}
-			var dead om.RegSet
-			if lv != nil {
-				live := lv.LiveIn(req.inst)
-				if req.after {
-					live = lv.LiveOut(req.inst)
-				}
-				dead = dataflow.ConservativeCallerSave() &^ live &^ regvRead
-				// Histogram of caller-save live-set sizes at sites: the set
-				// the save planner cannot drop below.
-				ctx.Observe("atom.site_live_regs", int64((dataflow.ConservativeCallerSave() &^ dead).Count()))
-			}
-			// clobbers are what the callee may overwrite that only this site
-			// saves: an inlined body's clobbers, or a directly called
-			// routine's site save set. A wrapper-mode call whose wrapper
-			// would save only registers dead here calls the analysis
-			// procedure itself: same site code, without the wrapper's frame,
-			// saves and extra call and return. Wrappers relaying stack
-			// arguments are always used.
-			clobbers := ti.siteSave[req.proto.Name]
-			wrapped := false
-			if tmpl != nil {
-				clobbers = tmpl.clobbers
-			} else if opts.Mode == SaveWrapper &&
-				(len(req.args) > alpha.MaxRegArgs || clobbers&^dead != 0) {
-				wrapped = true
-				clobbers = 0
-			}
-			sites = append(sites, site{req: req, tmpl: tmpl, saved: siteSaves(req, dead, clobbers, tmpl), wrapped: wrapped})
-		}
-	}
+	sites := planSites(actx, q, ti, opts)
 
 	stats := Stats{Calls: len(q.journal), OrigText: uint64(len(app.Text))}
 	splices, err := spliceSites(ctx, q, sites, &stats)
@@ -512,6 +435,91 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 	return &Result{Exe: out, HeapOffset: opts.HeapOffset, PCMap: lay, Stats: stats}, nil
 }
 
+// planSites shapes every call site of a plan, in splice order: what the
+// site calls or splices, and the registers it saves.
+func planSites(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) []site {
+	// The per-site save set: with the liveness pass on (the default) a
+	// register is saved only if the application may still read it AND the
+	// analysis routine may modify it — the paper's live ∩ modified
+	// refinement. One subtlety: instrumentation itself reads application
+	// registers (REGV arguments), possibly at a LATER site than the one
+	// deciding a save, so every register any site passes by REGV is kept
+	// live program-wide. Sources read at the deciding site itself are
+	// already protected by siteSaves (their save slot doubles as the
+	// source copy).
+	var lv *dataflow.Liveness
+	var regvRead om.RegSet
+	if !opts.NoLiveness {
+		lv = dataflow.ComputeCtx(ctx, q.prog)
+		for _, req := range q.journal {
+			for _, a := range req.args {
+				if a.kind == argRegV {
+					regvRead = regvRead.Add(a.reg)
+				}
+			}
+		}
+	}
+
+	// Inlining applies per plan, not per image: the cached image always
+	// carries the templates, and NoInline is free to vary without
+	// invalidating it. SaveInAnalysis already splices saves into
+	// the routines themselves, which an inlined copy would duplicate, so
+	// the inliner only runs in the (default) wrapper mode.
+	inlineOK := !opts.NoInline && opts.Mode == SaveWrapper
+
+	// Shape every site, in splice order. Within one insertion point calls
+	// run in the order they were added, except that ProgramBefore calls
+	// always precede (and ProgramAfter calls always follow) other
+	// instrumentation sharing their instruction: analysis state must be
+	// initialized before the first block/instruction event at the entry
+	// point fires, and final reports must observe the last events at
+	// exit.
+	sites := make([]site, 0, len(q.journal))
+	for r := rankProgramBefore; r <= rankProgramAfter; r++ {
+		for i := range q.journal {
+			req := &q.journal[i]
+			if req.rank != r {
+				continue
+			}
+			var tmpl *inlineTemplate
+			if inlineOK {
+				if t := ti.inline[req.proto.Name]; t != nil && t.bodyLen <= inlineLimit {
+					tmpl = t
+				}
+			}
+			var dead om.RegSet
+			if lv != nil {
+				live := lv.LiveIn(req.inst)
+				if req.after {
+					live = lv.LiveOut(req.inst)
+				}
+				dead = dataflow.ConservativeCallerSave() &^ live &^ regvRead
+				// Histogram of caller-save live-set sizes at sites: the set
+				// the save planner cannot drop below.
+				ctx.Observe("atom.site_live_regs", int64((dataflow.ConservativeCallerSave() &^ dead).Count()))
+			}
+			// clobbers are what the callee may overwrite that only this site
+			// saves: an inlined body's clobbers, or a directly called
+			// routine's site save set. A wrapper-mode call whose wrapper
+			// would save only registers dead here calls the analysis
+			// procedure itself: same site code, without the wrapper's frame,
+			// saves and extra call and return. Wrappers relaying stack
+			// arguments are always used.
+			clobbers := ti.siteSave[req.proto.Name]
+			wrapped := false
+			if tmpl != nil {
+				clobbers = tmpl.clobbers
+			} else if opts.Mode == SaveWrapper &&
+				(len(req.args) > alpha.MaxRegArgs || clobbers&^dead != 0) {
+				wrapped = true
+				clobbers = 0
+			}
+			sites = append(sites, site{req: req, tmpl: tmpl, saved: siteSaves(req, dead, clobbers, tmpl), wrapped: wrapped})
+		}
+	}
+	return sites
+}
+
 // spliceSites sizes every site by writing it into scratch buffers, then
 // writes all of them into one instruction buffer and one relocation
 // buffer, each site's code a capacity-limited window of them, and
@@ -554,6 +562,9 @@ func spliceSites(ctx *obs.Ctx, q *Instrumentation, sites []site, stats *Stats) (
 			ctx.Observe("atom.inline_body_len", int64(len(st.tmpl.insts)))
 		} else if !st.wrapped {
 			stats.DirectSites++
+		}
+		if b.frame != 0 {
+			stats.FramedSites++
 		}
 		nsaved := st.saved.Count()
 		stats.InsertedInsts += st.ninsts

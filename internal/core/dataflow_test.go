@@ -182,9 +182,13 @@ func TestDirectSites(t *testing.T) {
 		if on.Stats.DirectSites == 0 || on.Stats.DirectSites < off.Stats.DirectSites {
 			t.Errorf("%s: %d direct sites with liveness, %d without", tname, on.Stats.DirectSites, off.Stats.DirectSites)
 		}
-		if on.Stats.InsertedInsts != off.Stats.InsertedInsts-(off.Stats.SavedRegs-on.Stats.SavedRegs)*2 {
-			t.Errorf("%s: inserted %d instructions with liveness, %d without, %d fewer saves: a direct site changed length",
-				tname, on.Stats.InsertedInsts, off.Stats.InsertedInsts, off.Stats.SavedRegs-on.Stats.SavedRegs)
+		// Each save dropped takes its stq and ldq with it, and each frame
+		// emptied its two sp adjusts.
+		dsaves := off.Stats.SavedRegs - on.Stats.SavedRegs
+		dframes := off.Stats.FramedSites - on.Stats.FramedSites
+		if on.Stats.InsertedInsts != off.Stats.InsertedInsts-2*dsaves-2*dframes {
+			t.Errorf("%s: inserted %d instructions with liveness, %d without, %d fewer saves, %d fewer frames: a direct site changed length",
+				tname, on.Stats.InsertedInsts, off.Stats.InsertedInsts, dsaves, dframes)
 		}
 		if s := in.Stats; s.DirectSites != s.Calls-s.InlinedSites {
 			t.Errorf("%s in-analysis: %d direct of %d called sites", tname, s.DirectSites, s.Calls-s.InlinedSites)

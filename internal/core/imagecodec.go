@@ -145,6 +145,7 @@ func (imageCodec) Unmarshal(blob []byte) (any, error) {
 		if d.Err() != nil {
 			break
 		}
+		t.touchesSP = namesSP(t.insts)
 		ti.inline[key] = t
 	}
 	if err := d.Finish(); err != nil {

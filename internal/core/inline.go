@@ -53,6 +53,27 @@ type inlineTemplate struct {
 	// overwrite; the site saves live ∩ clobbers around it.
 	clobbers om.RegSet
 	bodyLen  int // original body size in instructions (inlineLimit gates on this)
+	// touchesSP reports whether insts read or write sp. It is derived
+	// from insts, at extraction and again on decode, and is not part of
+	// the wire form. A body that never names sp runs on the
+	// application's sp, its site's saves below it (siteBuilder.build).
+	touchesSP bool
+}
+
+// namesSP reports whether any instruction reads or writes sp.
+func namesSP(insts []alpha.Inst) bool {
+	var regs [3]alpha.Reg
+	for _, i := range insts {
+		if w, ok := i.WritesReg(); ok && w == alpha.SP {
+			return true
+		}
+		for _, r := range i.ReadsRegs(regs[:0]) {
+			if r == alpha.SP {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // extractInlineTemplates classifies each named procedure of the linked
@@ -422,5 +443,6 @@ func classifyInline(pr *om.Proc, img *aout.File) (*inlineTemplate, string) {
 		out.insts = append(out.insts, i)
 	}
 	out.clobbers = clobbers
+	out.touchesSP = namesSP(out.insts)
 	return out, ""
 }
