@@ -1,6 +1,7 @@
 package alpha
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -211,6 +212,92 @@ func TestEncodeDecodeRoundtripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecodeTables covers the decode tables exhaustively: every op of
+// opTable round-trips through Encode and Decode, and every (major opcode,
+// function) pair no op claims fails with the error text Decode has
+// always given it.
+func TestDecodeTables(t *testing.T) {
+	for op := Op(1); op < opCount; op++ {
+		in := Inst{Op: op}
+		switch op.Format() {
+		case FormatPal:
+			in.PalFn = 0x3f
+		case FormatMem:
+			in.Ra, in.Rb, in.Disp = T1, SP, -8
+		case FormatBranch:
+			in.Ra, in.Disp = T2, -3
+		case FormatOperate:
+			in.Ra, in.Rb, in.Rc = T3, T4, T5
+		case FormatJump:
+			in.Ra, in.Rb = RA, PV
+		}
+		w, err := in.Encode()
+		if err != nil {
+			t.Fatalf("Encode(%v): %v", in, err)
+		}
+		if out, err := Decode(w); err != nil || out != in {
+			t.Errorf("Decode(Encode(%v)) = %v, %v", in, out, err)
+		}
+		if in.Op.Format() == FormatOperate {
+			in.Rb, in.HasLit, in.Lit = 0, true, 200
+			if out, err := Decode(in.MustEncode()); err != nil || out != in {
+				t.Errorf("Decode(Encode(%v)) = %v, %v", in, out, err)
+			}
+		}
+	}
+
+	claimed := map[[2]uint32]bool{}
+	for op := Op(1); op < opCount; op++ {
+		info := opTable[op]
+		claimed[[2]uint32{info.opcode, info.fn}] = true
+	}
+	const regs = 7<<21 | 9<<16 // ra, rb: decoding fails whatever they are
+	for opcode := uint32(0); opcode < 64; opcode++ {
+		var words []uint32
+		var want []string
+		switch opcode {
+		case 0x1A:
+			for fn := uint32(0); fn < 4; fn++ {
+				if !claimed[[2]uint32{opcode, fn}] {
+					w := opcode<<26 | regs | fn<<14
+					words = append(words, w)
+					want = append(want, fmt.Sprintf("alpha: decode %#08x: jump function %d unsupported", w, fn))
+				}
+			}
+		case 0x10, 0x11, 0x12, 0x13:
+			for fn := uint32(0); fn < 128; fn++ {
+				if !claimed[[2]uint32{opcode, fn}] {
+					w := opcode<<26 | regs | fn<<5 | 3
+					words = append(words, w)
+					want = append(want, fmt.Sprintf("alpha: decode %#08x: operate %#02x.%#02x unsupported", w, opcode, fn))
+				}
+			}
+		default:
+			if !claimed[[2]uint32{opcode, 0}] {
+				w := opcode<<26 | regs | 0x1234
+				words = append(words, w)
+				want = append(want, fmt.Sprintf("alpha: decode %#08x: major opcode %#02x unsupported", w, opcode))
+			}
+		}
+		for k, w := range words {
+			if _, err := Decode(w); err == nil || err.Error() != want[k] {
+				t.Errorf("Decode(%#08x) error = %v, want %q", w, err, want[k])
+			}
+		}
+	}
+	// Spot-check one text of each kind literally, so a change to the
+	// format strings above cannot pass unnoticed.
+	for w, want := range map[uint32]string{
+		0x20 << 26:         "alpha: decode 0x80000000: major opcode 0x20 unsupported",
+		0x10<<26 | 0x7F<<5: "alpha: decode 0x40000fe0: operate 0x10.0x7f unsupported",
+		0x1A<<26 | 3<<14:   "alpha: decode 0x6800c000: jump function 3 unsupported",
+	} {
+		if _, err := Decode(w); err == nil || err.Error() != want {
+			t.Errorf("Decode(%#08x) error = %v, want %q", w, err, want)
+		}
 	}
 }
 

@@ -75,70 +75,81 @@ func (i Inst) MustEncode() uint32 {
 // Decode unpacks a 32-bit instruction word. It returns an error for major
 // opcodes or function codes outside the supported subset.
 func Decode(w uint32) (Inst, error) {
+	var i Inst
+	err := DecodeTo(&i, w)
+	return i, err
+}
+
+// DecodeTo is Decode into *dst, which it overwrites whole (with the zero
+// Inst on error). A loop decoding into an array of instructions writes
+// each one in place instead of copying Decode's result: an Inst is too
+// wide to travel in registers, and the copy costs more than the decode.
+func DecodeTo(dst *Inst, w uint32) error {
 	opcode := w >> 26
 	switch opcode {
 	case 0x00:
-		return Inst{Op: OpCallPal, PalFn: w & 0x03FFFFFF}, nil
+		*dst = Inst{Op: OpCallPal, PalFn: w & 0x03FFFFFF}
+		return nil
 	case 0x08, 0x09, 0x0A, 0x0C, 0x0D, 0x0E, 0x28, 0x29, 0x2C, 0x2D:
-		op := memOps[opcode]
-		return Inst{
-			Op:   op,
+		*dst = Inst{
+			Op:   majorOps[opcode],
 			Ra:   Reg(w >> 21 & 31),
 			Rb:   Reg(w >> 16 & 31),
 			Disp: int32(int16(w)),
-		}, nil
+		}
+		return nil
 	case 0x1A:
 		fn := w >> 14 & 3
-		var op Op
-		switch fn {
-		case 0:
-			op = OpJmp
-		case 1:
-			op = OpJsr
-		case 2:
-			op = OpRet
-		default:
-			return Inst{}, fmt.Errorf("alpha: decode %#08x: jump function %d unsupported", w, fn)
+		op := jumpOps[fn]
+		if op == OpInvalid {
+			*dst = Inst{}
+			return fmt.Errorf("alpha: decode %#08x: jump function %d unsupported", w, fn)
 		}
-		return Inst{Op: op, Ra: Reg(w >> 21 & 31), Rb: Reg(w >> 16 & 31)}, nil
+		*dst = Inst{Op: op, Ra: Reg(w >> 21 & 31), Rb: Reg(w >> 16 & 31)}
+		return nil
 	case 0x30, 0x34, 0x38, 0x39, 0x3A, 0x3B, 0x3C, 0x3D, 0x3E, 0x3F:
-		op := branchOps[opcode]
 		disp := int32(w<<11) >> 11 // sign-extend 21 bits
-		return Inst{Op: op, Ra: Reg(w >> 21 & 31), Disp: disp}, nil
+		*dst = Inst{Op: majorOps[opcode], Ra: Reg(w >> 21 & 31), Disp: disp}
+		return nil
 	case 0x10, 0x11, 0x12, 0x13:
 		fn := w >> 5 & 0x7F
-		op, ok := operateOps[opcode<<8|fn]
-		if !ok {
-			return Inst{}, fmt.Errorf("alpha: decode %#08x: operate %#02x.%#02x unsupported", w, opcode, fn)
+		op := operateOps[opcode-0x10][fn]
+		if op == OpInvalid {
+			*dst = Inst{}
+			return fmt.Errorf("alpha: decode %#08x: operate %#02x.%#02x unsupported", w, opcode, fn)
 		}
-		i := Inst{Op: op, Ra: Reg(w >> 21 & 31), Rc: Reg(w & 31)}
+		*dst = Inst{Op: op, Ra: Reg(w >> 21 & 31), Rc: Reg(w & 31)}
 		if w>>12&1 == 1 {
-			i.HasLit = true
-			i.Lit = uint8(w >> 13)
+			dst.HasLit = true
+			dst.Lit = uint8(w >> 13)
 		} else {
-			i.Rb = Reg(w >> 16 & 31)
+			dst.Rb = Reg(w >> 16 & 31)
 		}
-		return i, nil
+		return nil
 	}
-	return Inst{}, fmt.Errorf("alpha: decode %#08x: major opcode %#02x unsupported", w, opcode)
+	*dst = Inst{}
+	return fmt.Errorf("alpha: decode %#08x: major opcode %#02x unsupported", w, opcode)
 }
 
+// The decode tables, indexed by encoding fields rather than looked up in
+// maps: Decode runs once per word of every lift, predecode and
+// disassembly. OpInvalid marks an unassigned entry.
 var (
-	memOps     = map[uint32]Op{}
-	branchOps  = map[uint32]Op{}
-	operateOps = map[uint32]Op{}
+	majorOps   [64]Op     // memory and branch formats, by major opcode
+	jumpOps    [4]Op      // jump format, by function (bits 15..14)
+	operateOps [4][128]Op // operate format, by major opcode - 0x10 and function
 )
 
 func init() {
 	for op := Op(1); op < opCount; op++ {
 		info := opTable[op]
 		switch info.format {
-		case FormatMem:
-			memOps[info.opcode] = op
-		case FormatBranch:
-			branchOps[info.opcode] = op
+		case FormatMem, FormatBranch:
+			majorOps[info.opcode] = op
+		case FormatJump:
+			jumpOps[info.fn] = op
 		case FormatOperate:
-			operateOps[info.opcode<<8|info.fn] = op
+			operateOps[info.opcode-0x10][info.fn] = op
 		}
 	}
 }

@@ -14,8 +14,9 @@
 package aout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Section identifies one of the three sections, or the pseudo-sections
@@ -195,7 +196,16 @@ func (f *File) SymAddr(i int) uint64 {
 // in from the gap to the next function (or the end of text) when a symbol
 // has no recorded size.
 func (f *File) Funcs() []Symbol {
-	var fns []Symbol
+	n := 0
+	for _, s := range f.Symbols {
+		if s.Kind == SymFunc && s.Section == SecText {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	fns := make([]Symbol, 0, n)
 	for _, s := range f.Symbols {
 		if s.Kind == SymFunc && s.Section == SecText {
 			fns = append(fns, s)
@@ -203,11 +213,8 @@ func (f *File) Funcs() []Symbol {
 	}
 	// A zero-size alias sorts before the function at its address, so it
 	// keeps its zero size.
-	sort.Slice(fns, func(i, j int) bool {
-		if fns[i].Value != fns[j].Value {
-			return fns[i].Value < fns[j].Value
-		}
-		return fns[i].Size < fns[j].Size
+	slices.SortFunc(fns, func(a, b Symbol) int {
+		return cmp.Or(cmp.Compare(a.Value, b.Value), cmp.Compare(a.Size, b.Size))
 	})
 	end := f.TextAddr + uint64(len(f.Text))
 	if !f.Linked {

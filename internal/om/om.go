@@ -226,21 +226,40 @@ func buildIR(exe *aout.File) (*Program, error) {
 		return nil, fmt.Errorf("om: text tail at %#x..%#x not covered by any procedure", expect, textEnd)
 	}
 
+	// Two passes over the procedures. The first decodes every word and
+	// marks the block leaders, which counts the blocks; the second
+	// carves the blocks, their instruction lists and their successor
+	// lists as windows of program-wide arrays, so the IR is a handful of
+	// allocations however many procedures and blocks it has.
 	procs := make([]Proc, len(fns))
 	ptrs := make([]*Inst, n)
 	leaders := make([]bool, n)
+	nb := 0
 	for idx, f := range fns {
 		if f.Size%4 != 0 {
 			return nil, fmt.Errorf("om: procedure %q has misaligned size %d", f.Name, f.Size)
 		}
 		pr := &procs[idx]
 		*pr = Proc{Name: f.Name, Index: idx, Addr: f.Value, Size: f.Size, prog: prog}
+		prog.Procs[idx] = pr
 		k0 := int((f.Value - exe.TextAddr) / 4)
 		k1 := k0 + int(f.Size/4)
-		if err := prog.buildProc(pr, k0, ptrs[k0:k1:k1], leaders[k0:k1]); err != nil {
+		nl, err := prog.decodeProc(pr, k0, ptrs[k0:k1], leaders[k0:k1])
+		if err != nil {
 			return nil, err
 		}
-		prog.Procs[idx] = pr
+		nb += nl
+	}
+	blocks := make([]Block, nb)
+	blockPtrs := make([]*Block, nb)
+	succs := make([]*Block, 0, 2*nb)
+	for idx := range procs {
+		pr := &procs[idx]
+		k0 := int((pr.Addr - exe.TextAddr) / 4)
+		k1 := k0 + int(pr.Size/4)
+		nl := pr.sliceBlocks(prog.insts[k0:k1], ptrs[k0:k1:k1], leaders[k0:k1], blocks, blockPtrs)
+		blocks, blockPtrs = blocks[nl:], blockPtrs[nl:]
+		succs = pr.resolveSuccs(prog.insts[k0:k1], succs)
 	}
 	return prog, nil
 }
@@ -275,27 +294,25 @@ func fillerAt(exe *aout.File, lo, hi uint64) bool {
 	return true
 }
 
-// buildProc decodes procedure pr, whose instructions occupy the slots
-// from k0 on, slices it into blocks and wires their successor edges.
-// ptrs and leaders are the procedure's share of program-wide arrays:
-// every block's Insts is a sub-slice of ptrs.
-func (p *Program) buildProc(pr *Proc, k0 int, ptrs []*Inst, leaders []bool) error {
+// decodeProc decodes procedure pr, whose instructions occupy the slots
+// from k0 on, points ptrs at them and marks its block leaders: branch
+// targets inside the procedure, and the instruction after each
+// block-ending transfer. ptrs and leaders are the procedure's share of
+// program-wide arrays. It returns the number of leaders.
+func (p *Program) decodeProc(pr *Proc, k0 int, ptrs []*Inst, leaders []bool) (int, error) {
 	text := p.Exe.Text[uint64(k0)*4:]
 	insts := p.insts[k0 : k0+len(ptrs)]
 	for k := range insts {
 		addr := pr.Addr + uint64(k)*4
-		in, err := alpha.Decode(binary.LittleEndian.Uint32(text[k*4:]))
-		if err != nil {
-			return fmt.Errorf("om: %s+%#x: %w", pr.Name, addr-pr.Addr, err)
+		if err := alpha.DecodeTo(&insts[k].I, binary.LittleEndian.Uint32(text[k*4:])); err != nil {
+			return 0, fmt.Errorf("om: %s+%#x: %w", pr.Name, addr-pr.Addr, err)
 		}
-		insts[k].I, insts[k].Addr = in, addr
+		insts[k].Addr = addr
 		ptrs[k] = &insts[k]
 	}
 	if len(insts) == 0 {
-		return nil
+		return 0, nil
 	}
-	// Mark leaders: branch targets inside this procedure, and the
-	// instruction after each block-ending transfer.
 	leaders[0] = true
 	for k := range insts {
 		in := &insts[k]
@@ -308,15 +325,20 @@ func (p *Program) buildProc(pr *Proc, k0 int, ptrs []*Inst, leaders []bool) erro
 			leaders[k+1] = true
 		}
 	}
-	nb := 0
+	nl := 0
 	for _, l := range leaders {
 		if l {
-			nb++
+			nl++
 		}
 	}
-	// Slice into blocks, each a capacity-limited window of ptrs.
-	blocks := make([]Block, nb)
-	pr.Blocks = make([]*Block, nb)
+	return nl, nil
+}
+
+// sliceBlocks slices procedure pr, decoded into insts, into blocks: the
+// first entries of blocks and blockPtrs, one per leader, each block's
+// Insts a capacity-limited window of ptrs. It returns the number of
+// blocks.
+func (pr *Proc) sliceBlocks(insts []Inst, ptrs []*Inst, leaders []bool, blocks []Block, blockPtrs []*Block) int {
 	bi, first := -1, 0
 	for k := range insts {
 		if leaders[k] {
@@ -325,13 +347,16 @@ func (p *Program) buildProc(pr *Proc, k0 int, ptrs []*Inst, leaders []bool) erro
 			}
 			bi, first = bi+1, k
 			blocks[bi] = Block{Index: bi, proc: pr}
-			pr.Blocks[bi] = &blocks[bi]
+			blockPtrs[bi] = &blocks[bi]
 		}
 		insts[k].block = &blocks[bi]
 	}
+	if bi < 0 {
+		return 0
+	}
 	blocks[bi].Insts = ptrs[first:]
-	pr.resolveSuccs(insts)
-	return nil
+	pr.Blocks = blockPtrs[: bi+1 : bi+1]
+	return bi + 1
 }
 
 // endsBlock reports whether the instruction terminates a basic block.
@@ -360,11 +385,11 @@ func (pr *Proc) branchSlot(in *Inst) (int, bool) {
 }
 
 // resolveSuccs wires the procedure's intra-procedure successor edges,
-// carving every block's Succs from one array (a block has at most two).
-// Every in-procedure branch target is a leader, so a branch inside the
-// procedure always lands on a block.
-func (pr *Proc) resolveSuccs(insts []Inst) {
-	succs := make([]*Block, 0, 2*len(pr.Blocks))
+// carving every block's Succs from succs, which has room for two per
+// block, and returns what is left of it. Every in-procedure branch
+// target is a leader, so a branch inside the procedure always lands on a
+// block.
+func (pr *Proc) resolveSuccs(insts []Inst, succs []*Block) []*Block {
 	for bi, b := range pr.Blocks {
 		last := b.Insts[len(b.Insts)-1]
 		n := len(succs)
@@ -393,6 +418,7 @@ func (pr *Proc) resolveSuccs(insts []Inst) {
 			b.Succs = succs[n:len(succs):len(succs)]
 		}
 	}
+	return succs
 }
 
 // NumInsts returns the total original instruction count.

@@ -217,9 +217,7 @@ func New(exe *aout.File, cfg Config) (*Machine, error) {
 	m.code = make([]alpha.Inst, n)
 	m.codeOK = make([]bool, n)
 	for i := 0; i < n; i++ {
-		if inst, err := alpha.Decode(le32(exe.Text[i*4:])); err == nil {
-			m.code[i], m.codeOK[i] = inst, true
-		}
+		m.codeOK[i] = alpha.DecodeTo(&m.code[i], le32(exe.Text[i*4:])) == nil
 	}
 	m.sbByIdx = make([]*superblock, n)
 	m.codeLo, m.codeHi = m.textEnd, exe.TextAddr // empty watermark
