@@ -19,6 +19,10 @@ package atom_test
 //     substrate costs: pipe's static dual-issue scheduling, raw
 //     interpreter speed, MiniC compilation, and the lift of gcc.
 //
+//   - BenchmarkLiftLiveness — the two tool-independent stages of every
+//     instrumentation, each alone over the 20 suite programs: the lift
+//     and the global liveness fixpoint, as us/prog, B/op and allocs/op.
+//
 //   - BenchmarkVMRunSuite — the interpreter on instrumented suite
 //     programs, per tool: the injected code perfbench's run_dense
 //     workload runs, as Minst/s without perfbench.
@@ -41,6 +45,7 @@ import (
 	"atom/internal/core"
 	"atom/internal/figures"
 	"atom/internal/om"
+	"atom/internal/om/dataflow"
 	"atom/internal/rtl"
 	"atom/internal/spec"
 	"atom/internal/tools"
@@ -400,4 +405,49 @@ func BenchmarkLift(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLiftLiveness measures the two tool-independent stages of every
+// instrumentation, each alone over the 20 suite programs: the lift
+// (core.LiftCtx) and the global liveness fixpoint (dataflow.ComputeCtx,
+// on programs lifted once beforehand). One iteration runs a stage once
+// per program; B/op and allocs/op are per 20 programs, us/prog the time
+// of one.
+func BenchmarkLiftLiveness(b *testing.B) {
+	var exes []*aout.File
+	var progs []*om.Program
+	for _, p := range spec.Suite() {
+		exe, err := spec.BuildCtx(nil, p.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := core.LiftCtx(nil, exe)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exes, progs = append(exes, exe), append(progs, prog)
+	}
+	perProg := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(exes)), "us/prog")
+	}
+	b.Run("lift", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, exe := range exes {
+				if _, err := core.LiftCtx(nil, exe); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		perProg(b)
+	})
+	b.Run("liveness", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, prog := range progs {
+				dataflow.ComputeCtx(nil, prog)
+			}
+		}
+		perProg(b)
+	})
 }

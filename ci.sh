@@ -51,8 +51,9 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # the loader and machine over any executable the reader accepts
 # (vm.FuzzNew: New and Run fail, never panic), on the superblock loop
 # against the Step loop over generated programs
-# (vm.FuzzSuperblockVsStep), and on the layout's slot tables under
-# fuzzed splices (om.FuzzLayout).
+# (vm.FuzzSuperblockVsStep), on the layout's slot tables under
+# fuzzed splices (om.FuzzLayout), and on the liveness solver against its
+# naive reference over generated programs (dataflow.FuzzLiveness).
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/aout
 go test -run='^$' -fuzz='^FuzzNew$' -fuzztime=5s ./internal/vm
 go test -run='^$' -fuzz='^FuzzVerifyBlobFile$' -fuzztime=5s ./internal/build
@@ -62,3 +63,4 @@ go test -run='^$' -fuzz='^FuzzObjectsDecode$' -fuzztime=5s ./internal/rtl
 go test -run='^$' -fuzz='^FuzzExeDecode$' -fuzztime=5s ./internal/rtl
 go test -run='^$' -fuzz='^FuzzSuperblockVsStep$' -fuzztime=5s ./internal/vm
 go test -run='^$' -fuzz='^FuzzLayout$' -fuzztime=5s ./internal/om
+go test -run='^$' -fuzz='^FuzzLiveness$' -fuzztime=5s ./internal/om/dataflow

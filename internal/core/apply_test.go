@@ -7,6 +7,8 @@ import (
 	"atom/internal/aout"
 	"atom/internal/core"
 	"atom/internal/link"
+	"atom/internal/om"
+	"atom/internal/om/dataflow"
 	"atom/internal/rtl"
 	"atom/internal/spec"
 	"atom/internal/tools"
@@ -47,6 +49,39 @@ func TestApplyAllocs(t *testing.T) {
 			allocs, procs, sites, limit)
 	}
 	t.Logf("%.0f allocations, %d procedures, %d sites", allocs, procs, sites)
+}
+
+// TestLivenessAllocs bounds the two tool-independent stages of every
+// instrumentation on gcc: the lift builds the IR as windows of a few
+// program-wide arrays, and liveness reads it into a few tables beside it,
+// so neither allocates per procedure, block or instruction. The bounds
+// are the counts the two stages make; a stage that starts allocating
+// per procedure or per block exceeds them many times over.
+func TestLivenessAllocs(t *testing.T) {
+	app, err := spec.BuildCtx(nil, "gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prog *om.Program
+	lift := testing.AllocsPerRun(5, func() {
+		if prog, err = core.LiftCtx(nil, app); err != nil {
+			t.Fatal(err)
+		}
+	})
+	live := testing.AllocsPerRun(5, func() { dataflow.ComputeCtx(nil, prog) })
+	for _, c := range []struct {
+		stage        string
+		allocs, want float64
+	}{
+		{"LiftCtx", lift, 11},
+		{"ComputeCtx", live, 15},
+	} {
+		if c.allocs > c.want {
+			t.Errorf("%s of gcc: %.0f allocations for %d procedures and %d instructions, want <= %.0f",
+				c.stage, c.allocs, len(prog.Procs), prog.NumInsts(), c.want)
+		}
+		t.Logf("%s: %.0f allocations", c.stage, c.allocs)
+	}
 }
 
 // TestApplyZeroDeltaRebase places an application so that its analysis

@@ -5,14 +5,14 @@ import (
 	"atom/internal/om"
 )
 
-// A generic worklist engine for register-set dataflow over the OM IR,
-// generalized from the liveness analysis: any monotone problem whose
-// values are om.RegSet and whose per-instruction transfer has the
-// mask/gen shape can run on it, forward or backward, with the same
-// per-procedure block fixpoint; a client that needs interprocedural
-// summaries drives SolveProc from its own worklist over procedures.
-// Liveness (backward, may) and the analysis passes' reaching-definitions
-// variant (forward, may) are both clients.
+// A generic worklist engine for register-set dataflow over one
+// procedure of the OM IR: any monotone problem whose values are om.RegSet
+// and whose per-instruction transfer has the mask/gen shape can run on
+// it, forward or backward. The analysis passes' reaching-definitions
+// variants (forward, may) and UpwardExposed (backward, may) are its
+// clients. The interprocedural liveness analysis has its own solver
+// (liveness.go), which reads the whole program into flat tables once and
+// composes the transfers this engine recomputes per solve.
 
 // Direction orients a Problem: Backward propagates against control flow
 // (a block's input is joined from its CFG successors), Forward along it
@@ -64,9 +64,8 @@ func AllRegs() om.RegSet {
 type Problem struct {
 	Dir Direction
 
-	// Transfer gives the transfer of one instruction. It is re-queried
-	// on every solve, so it may read mutable state (the interprocedural
-	// entry summaries) between rounds.
+	// Transfer gives the transfer of one instruction. It is queried
+	// once per instruction per solve, and again by VisitProc.
 	Transfer func(in *om.Inst) Transfer
 
 	// Boundary is the contribution to a block's joined input that no CFG
@@ -83,17 +82,12 @@ type Problem struct {
 }
 
 // Solver runs a Problem procedure by procedure, keeping per-block state
-// external so an interprocedural outer loop can warm-start each round.
-// Edges counts CFG edge evaluations across all worklist passes — the
-// engine's work metric, reported by clients as a counter.
+// external: the caller owns it and reads it after a solve. Edges counts
+// CFG edge evaluations across all worklist passes — the engine's work
+// metric, reported by clients as a counter.
 type Solver struct {
 	Problem
 	Edges int
-
-	// The worklist and its membership marks, kept across solves: every
-	// solve ends with the list empty and every mark clear.
-	onList []bool
-	work   []int
 }
 
 // validSuccs reports, per successor slot, whether the edge stays inside
@@ -206,71 +200,39 @@ func (s *Solver) join(pr *om.Proc, b *om.Block, state []om.RegSet, preds []int) 
 // SolveProc runs the per-procedure worklist to a fixpoint. state holds
 // one value per block — the block's flow output (live-in for a backward
 // problem, the value at the block's end for a forward one) — and is
-// updated in place, so a caller iterating to an interprocedural fixpoint
-// warm-starts from the previous round. Every block is seeded (so
-// unreachable blocks get sound solutions too), visited against the flow
-// direction first (reverse layout order for backward, layout order for
-// forward), and re-queued through its flow dependents when its value
-// grows.
+// updated in place. Every block is seeded (so unreachable blocks get
+// sound solutions too), visited against the flow direction first
+// (reverse layout order for backward, layout order for forward), and
+// re-queued through its flow dependents when its value grows.
 func (s *Solver) SolveProc(pr *om.Proc, state []om.RegSet) {
-	g := s.graph(pr)
-	s.solve(pr, &g, state, nil)
-}
-
-// graph is what a solve derives from one procedure's IR: each block's
-// composed transfer and the blocks that read its value. A client that
-// re-solves a procedure many times keeps its graph and refreshes only the
-// transfers that changed.
-type graph struct {
-	trans []Transfer
-	deps  edgeLists // per block: the blocks whose joined input reads it
-	preds edgeLists // per block: CFG predecessors (Forward only)
-}
-
-// graph builds a procedure's graph under the current transfers.
-func (s *Solver) graph(pr *om.Proc) graph {
-	g := graph{trans: make([]Transfer, len(pr.Blocks)), deps: s.flowPreds(pr)}
-	for bi, b := range pr.Blocks {
-		g.trans[bi] = s.blockTransfer(b)
-	}
-	if s.Dir == Forward {
-		g.preds = cfgPreds(pr)
-	}
-	return g
-}
-
-// solve runs the worklist over a procedure's graph from the seed blocks
-// — every block when seeds is nil — to a fixpoint, updating state in
-// place. Seeding only the blocks whose transfer or boundary grew since
-// state was last a fixpoint reaches the same solution.
-func (s *Solver) solve(pr *om.Proc, g *graph, state []om.RegSet, seeds []int) {
 	n := len(pr.Blocks)
 	if n == 0 {
 		return
 	}
-	if len(s.onList) < n {
-		s.onList = make([]bool, n)
+	trans := make([]Transfer, n)
+	for bi, b := range pr.Blocks {
+		trans[bi] = s.blockTransfer(b)
 	}
-	onList, work := s.onList, s.work[:0]
+	deps := s.flowPreds(pr) // per block: the blocks whose joined input reads it
+	var preds edgeLists     // per block: CFG predecessors (Forward only)
+	if s.Dir == Forward {
+		preds = cfgPreds(pr)
+	}
+	onList := make([]bool, n)
+	work := make([]int, 0, n)
 	push := func(bi int) {
 		if !onList[bi] {
 			work = append(work, bi)
 			onList[bi] = true
 		}
 	}
-	if seeds != nil {
-		for _, bi := range seeds {
+	for bi := 0; bi < n; bi++ {
+		// Popped from the tail: reverse layout order first for a
+		// backward problem, layout order first for a forward one.
+		if s.Dir == Backward {
 			push(bi)
-		}
-	} else {
-		for bi := 0; bi < n; bi++ {
-			// Popped from the tail: reverse layout order first for a
-			// backward problem, layout order first for a forward one.
-			if s.Dir == Backward {
-				push(bi)
-			} else {
-				push(n - 1 - bi)
-			}
+		} else {
+			push(n - 1 - bi)
 		}
 	}
 	for len(work) > 0 {
@@ -278,18 +240,17 @@ func (s *Solver) solve(pr *om.Proc, g *graph, state []om.RegSet, seeds []int) {
 		work = work[:len(work)-1]
 		onList[bi] = false
 		var p []int
-		if g.preds.start != nil {
-			p = g.preds.of(bi)
+		if preds.start != nil {
+			p = preds.of(bi)
 		}
-		nv := g.trans[bi].Apply(s.join(pr, pr.Blocks[bi], state, p))
+		nv := trans[bi].Apply(s.join(pr, pr.Blocks[bi], state, p))
 		if nv != state[bi] {
 			state[bi] = nv
-			for _, di := range g.deps.of(bi) {
+			for _, di := range deps.of(bi) {
 				push(di)
 			}
 		}
 	}
-	s.work = work
 }
 
 // blockTransfer composes the block's instruction transfers in flow
@@ -308,12 +269,11 @@ func (s *Solver) blockTransfer(b *om.Block) Transfer {
 	return t
 }
 
-// Inputs returns, per block, the joined flow input under a solved block
+// inputs returns, per block, the joined flow input under a solved block
 // state: for a backward problem the value at the block's end, for a
 // forward one the value at its start. It is where VisitProc starts each
-// block's walk, for clients that materialize per-instruction values only
-// for the blocks they query.
-func (s *Solver) Inputs(pr *om.Proc, state []om.RegSet) []om.RegSet {
+// block's walk.
+func (s *Solver) inputs(pr *om.Proc, state []om.RegSet) []om.RegSet {
 	var preds edgeLists
 	if s.Dir == Forward {
 		preds = cfgPreds(pr)
@@ -334,7 +294,7 @@ func (s *Solver) Inputs(pr *om.Proc, state []om.RegSet) []om.RegSet {
 // after it in PROGRAM order (for a backward problem the flow input is
 // "after"; for a forward one it is "before").
 func (s *Solver) VisitProc(pr *om.Proc, state []om.RegSet, visit func(in *om.Inst, before, after om.RegSet)) {
-	for bi, v := range s.Inputs(pr, state) {
+	for bi, v := range s.inputs(pr, state) {
 		b := pr.Blocks[bi]
 		if s.Dir == Backward {
 			for k := len(b.Insts) - 1; k >= 0; k-- {
@@ -351,20 +311,4 @@ func (s *Solver) VisitProc(pr *om.Proc, state []om.RegSet, visit func(in *om.Ins
 			}
 		}
 	}
-}
-
-// NewState allocates the per-procedure block state the solver operates
-// on, all-∅ (the bottom of a may-problem's lattice).
-func NewState(p *om.Program) [][]om.RegSet {
-	n := 0
-	for _, pr := range p.Procs {
-		n += len(pr.Blocks)
-	}
-	all := make([]om.RegSet, n)
-	state := make([][]om.RegSet, len(p.Procs))
-	for i, pr := range p.Procs {
-		nb := len(pr.Blocks)
-		state[i], all = all[:nb:nb], all[nb:]
-	}
-	return state
 }

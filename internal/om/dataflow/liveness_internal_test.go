@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math/rand"
 	"testing"
 
 	"atom/internal/alpha"
@@ -9,9 +10,9 @@ import (
 )
 
 // TestInstTransferAllocs pins the per-instruction transfer allocation-
-// free: it runs for every instruction on every solver pass.
+// free: it runs for every instruction the graph composes and every
+// instruction a query walks.
 func TestInstTransferAllocs(t *testing.T) {
-	entryOf := func(uint64) (om.RegSet, bool) { return 0, false }
 	for _, tc := range []struct {
 		name string
 		i    alpha.Inst
@@ -22,7 +23,7 @@ func TestInstTransferAllocs(t *testing.T) {
 	} {
 		in := &om.Inst{I: tc.i, Addr: 0x1000}
 		var sink Transfer
-		if n := testing.AllocsPerRun(100, func() { sink = instTransfer(in, entryOf) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { sink = instTransfer(in) }); n != 0 {
 			t.Errorf("instTransfer(%s) allocates %v times per call", tc.name, n)
 		}
 		if sink.Gen == 0 {
@@ -51,8 +52,9 @@ type materialized struct {
 }
 
 // materialize solves the program with the same procedure worklist, then
-// visits every instruction of every procedure against its final state,
-// rets reading their procedure's exit summary.
+// walks every block of every procedure backward from its final live-out,
+// one instruction at a time: a resolved bsr found by its target rather
+// than the graph's call table.
 func materialize(p *om.Program) materialized {
 	s := newLiveSolver(p)
 	s.run()
@@ -60,15 +62,24 @@ func materialize(p *om.Program) materialized {
 		in:     map[*om.Inst]om.RegSet{},
 		out:    map[*om.Inst]om.RegSet{},
 		entry:  map[string]om.RegSet{},
-		rounds: s.lv.Rounds,
+		rounds: s.Rounds,
 	}
-	for pi, pr := range p.Procs {
-		s.cur = pi
-		m.entry[pr.Name] = s.lv.entrySum[pi]
-		s.VisitProc(pr, s.state[pi], func(in *om.Inst, before, after om.RegSet) {
-			m.in[in] = before
-			m.out[in] = after
-		})
+	find := newProcFinder(p)
+	for i, pr := range p.Procs {
+		m.entry[pr.Name] = s.entry[i]
+		for bi, b := range pr.Blocks {
+			v := s.out(int(s.first[i])+bi, i)
+			for k := len(b.Insts) - 1; k >= 0; k-- {
+				in := b.Insts[k]
+				m.out[in] = v
+				if _, j := find.resolve(branchTarget(in)); j >= 0 && in.I.Op == alpha.OpBsr {
+					v = s.entry[j] &^ raBit
+				} else {
+					v = instTransfer(in).Apply(v)
+				}
+				m.in[in] = v
+			}
+		}
 	}
 	m.edges = s.Edges
 	return m
@@ -76,8 +87,9 @@ func materialize(p *om.Program) materialized {
 
 // TestLivenessMatchesMaterialized holds the on-demand queries to the
 // fully materialized per-instruction solution on real programs: every
-// instruction's LiveIn/LiveOut, every entry summary, and the Rounds and
-// Edges counters.
+// instruction's LiveIn/LiveOut, asked in program order and again in a
+// shuffled order (so a query rarely lands in the block the last one
+// walked), every entry summary, and the Rounds and Edges counters.
 func TestLivenessMatchesMaterialized(t *testing.T) {
 	var other *om.Inst
 	for _, name := range []string{"gcc", "compress", "li", "queens"} {
@@ -94,21 +106,28 @@ func TestLivenessMatchesMaterialized(t *testing.T) {
 		if lv.Rounds != ref.rounds || lv.Edges != ref.edges {
 			t.Errorf("%s: rounds/edges = %d/%d, want %d/%d", name, lv.Rounds, lv.Edges, ref.rounds, ref.edges)
 		}
+		var all []*om.Inst
 		for _, pr := range p.Procs {
 			if got, want := lv.EntryLive(pr.Name), ref.entry[pr.Name]; got != want {
 				t.Errorf("%s: EntryLive(%s) = %v, want %v", name, pr.Name, got.Regs(), want.Regs())
 			}
 			for _, b := range pr.Blocks {
-				for _, in := range b.Insts {
-					if got, want := lv.LiveIn(in), ref.in[in]; got != want {
-						t.Fatalf("%s: LiveIn(%#x) = %v, want %v", name, in.Addr, got.Regs(), want.Regs())
-					}
-					if got, want := lv.LiveOut(in), ref.out[in]; got != want {
-						t.Fatalf("%s: LiveOut(%#x) = %v, want %v", name, in.Addr, got.Regs(), want.Regs())
-					}
+				all = append(all, b.Insts...)
+			}
+		}
+		check := func(order string) {
+			for _, in := range all {
+				if got, want := lv.LiveIn(in), ref.in[in]; got != want {
+					t.Fatalf("%s, %s: LiveIn(%#x) = %v, want %v", name, order, in.Addr, got.Regs(), want.Regs())
+				}
+				if got, want := lv.LiveOut(in), ref.out[in]; got != want {
+					t.Fatalf("%s, %s: LiveOut(%#x) = %v, want %v", name, order, in.Addr, got.Regs(), want.Regs())
 				}
 			}
 		}
+		check("program order")
+		rand.New(rand.NewSource(1)).Shuffle(len(all), func(a, b int) { all[a], all[b] = all[b], all[a] })
+		check("shuffled")
 		// An instruction of another program is unknown here.
 		if other != nil {
 			if lv.LiveIn(other) != allLive || lv.LiveOut(other) != allLive {
@@ -116,67 +135,16 @@ func TestLivenessMatchesMaterialized(t *testing.T) {
 			}
 		}
 		other = p.Procs[0].Blocks[0].Insts[0]
-		if n := testing.AllocsPerRun(10, func() { lv.LiveIn(other) }); n != 0 {
+		first, last := all[0], all[len(all)-1]
+		if n := testing.AllocsPerRun(10, func() { lv.LiveIn(first); lv.LiveOut(last) }); n != 0 {
 			t.Errorf("%s: a LiveIn query allocates %v times", name, n)
 		}
 	}
 }
 
-// roundRobin solves liveness the slow way, as an independent check of
-// the procedure worklist: every round re-solves every procedure and
-// recomputes every exit summary from scratch over all call sites, until
-// a round changes nothing. It returns each instruction's live-in and
-// live-out.
-func roundRobin(p *om.Program) (in, out map[*om.Inst]om.RegSet) {
-	s := newLiveSolver(p)
-	lv := s.lv
-	for changed := true; changed; {
-		changed = false
-		for i, pr := range p.Procs {
-			s.cur = i
-			s.SolveProc(pr, s.state[i])
-			if len(s.state[i]) > 0 && s.state[i][0] != lv.entrySum[i] {
-				lv.entrySum[i] = s.state[i][0]
-				changed = true
-			}
-		}
-		exit := make([]om.RegSet, len(p.Procs))
-		for j, fixed := range s.fixedExit {
-			if fixed {
-				exit[j] = allLive
-			}
-		}
-		for i, pr := range p.Procs {
-			s.cur = i
-			s.VisitProc(pr, s.state[i], func(in *om.Inst, _, after om.RegSet) {
-				if in.I.Op != alpha.OpBsr {
-					return
-				}
-				if j, ok := lv.procStart[branchTarget(in)]; ok {
-					exit[j] |= after
-				}
-			})
-		}
-		for j := range exit {
-			if exit[j] != lv.exitSum[j] {
-				lv.exitSum[j] = exit[j]
-				changed = true
-			}
-		}
-	}
-	in, out = map[*om.Inst]om.RegSet{}, map[*om.Inst]om.RegSet{}
-	for i, pr := range p.Procs {
-		s.cur = i
-		s.VisitProc(pr, s.state[i], func(inst *om.Inst, before, after om.RegSet) {
-			in[inst], out[inst] = before, after
-		})
-	}
-	return in, out
-}
-
-// TestLivenessWorklistMatchesRoundRobin holds the procedure worklist to
-// the round-robin fixpoint on real programs: the same least solution at
-// every instruction.
+// TestLivenessWorklistMatchesRoundRobin holds the solver to the naive
+// reference solver (refSolve) on real programs: the same least solution
+// at every instruction and the same entry summaries.
 func TestLivenessWorklistMatchesRoundRobin(t *testing.T) {
 	for _, name := range []string{"gcc", "compress", "li", "queens"} {
 		exe, err := spec.BuildCtx(nil, name)
@@ -187,19 +155,8 @@ func TestLivenessWorklistMatchesRoundRobin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lv := ComputeCtx(nil, p)
-		in, out := roundRobin(p)
-		for _, pr := range p.Procs {
-			for _, b := range pr.Blocks {
-				for _, inst := range b.Insts {
-					if got := lv.LiveIn(inst); got != in[inst] {
-						t.Fatalf("%s: LiveIn(%#x) = %v, round robin %v", name, inst.Addr, got.Regs(), in[inst].Regs())
-					}
-					if got := lv.LiveOut(inst); got != out[inst] {
-						t.Fatalf("%s: LiveOut(%#x) = %v, round robin %v", name, inst.Addr, got.Regs(), out[inst].Regs())
-					}
-				}
-			}
+		if err := checkAgainstRef(p, nil); err != "" {
+			t.Fatalf("%s: %s", name, err)
 		}
 	}
 }

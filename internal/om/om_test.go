@@ -1,6 +1,7 @@
 package om_test
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -381,5 +382,32 @@ func TestRegSetOps(t *testing.T) {
 	u := s.Union(om.RegSet(0).Add(alpha.T1))
 	if u.Count() != 4 {
 		t.Error("Union broken")
+	}
+}
+
+// TestDefUse holds the table-driven DefUse to WritesReg and ReadsRegs on
+// every operation, including invalid ones, under random registers and
+// literals.
+func TestDefUse(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var buf [2]alpha.Reg
+	for op := 0; op < 256; op++ {
+		for n := 0; n < 64; n++ {
+			in := alpha.Inst{
+				Op: alpha.Op(op),
+				Ra: alpha.Reg(r.Intn(32)), Rb: alpha.Reg(r.Intn(32)), Rc: alpha.Reg(r.Intn(32)),
+				HasLit: r.Intn(2) == 0, Lit: uint8(r.Intn(256)),
+			}
+			var wantDef, wantUse om.RegSet
+			if w, ok := in.WritesReg(); ok {
+				wantDef = wantDef.Add(w)
+			}
+			for _, rr := range in.ReadsRegs(buf[:0]) {
+				wantUse = wantUse.Add(rr)
+			}
+			if def, use := om.DefUse(in); def != wantDef || use != wantUse {
+				t.Fatalf("DefUse(%v) = %v, %v; want %v, %v", in, def.Regs(), use.Regs(), wantDef.Regs(), wantUse.Regs())
+			}
+		}
 	}
 }
