@@ -43,7 +43,9 @@ go test -race ./...
 go test -bench=. -benchtime=1x -run='^$' ./...
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing on each decoder
-# of bytes read back from disk — the executable reader (aout.FuzzDecode),
+# of bytes read back from disk — the executable reader (aout.FuzzDecode)
+# and the lift over what it accepts (om.FuzzBuild: an error or a
+# Program that verifies clean, never a panic),
 # the cache directory's blob-file reader (build.FuzzVerifyBlobFile) and
 # the store codecs: tool images (FuzzImageDecode), the runtime library
 # (FuzzRuntimeDecode), compiled object sets (FuzzObjectsDecode) and
@@ -55,6 +57,7 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # fuzzed splices (om.FuzzLayout), and on the liveness solver against its
 # naive reference over generated programs (dataflow.FuzzLiveness).
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/aout
+go test -run='^$' -fuzz='^FuzzBuild$' -fuzztime=5s ./internal/om
 go test -run='^$' -fuzz='^FuzzNew$' -fuzztime=5s ./internal/vm
 go test -run='^$' -fuzz='^FuzzVerifyBlobFile$' -fuzztime=5s ./internal/build
 go test -run='^$' -fuzz='^FuzzImageDecode$' -fuzztime=5s ./internal/core

@@ -388,6 +388,37 @@ func TestPersistenceGate(t *testing.T) {
 	}
 }
 
+// TestStatsDiskLineMatchesMetrics: -stats reads the disk store's counts
+// from the run's stage context, so its disk store line equals the
+// store.disk counters of the same run's -metrics snapshot, on a cold
+// -cache-dir batch (misses and puts) and a warm one (hits).
+func TestStatsDiskLineMatchesMetrics(t *testing.T) {
+	dir := programs(t).stage(t, "smoke.x")
+	copyFile(t, filepath.Join(dir, "smoke.x"), filepath.Join(dir, "smoke2.x"))
+	diskLine := regexp.MustCompile(`(?m)^disk store: +(\d+) hits, (\d+) misses, (\d+) puts, (\d+) corrupt$`)
+	for _, run := range []string{"cold", "warm"} {
+		stdout, _ := mustRun(t, dir, "atom", "-t", "branch", "-j", "2", "-cache-dir", "cache",
+			"-stats", "-metrics", run+".metrics", "smoke.x", "smoke2.x")
+		m := diskLine.FindStringSubmatch(stdout)
+		if m == nil {
+			t.Fatalf("%s: -stats has no disk store line:\n%s", run, stdout)
+		}
+		metrics := string(readFile(t, filepath.Join(dir, run+".metrics")))
+		for i, name := range []string{"hit", "miss", "put", "corrupt"} {
+			want := "0" // a counter never incremented is not in the snapshot
+			if c := regexp.MustCompile(`(?m)^store\.disk\.` + name + ` +(\d+)$`).FindStringSubmatch(metrics); c != nil {
+				want = c[1]
+			}
+			if m[i+1] != want {
+				t.Errorf("%s: -stats reports %s disk %ss, -metrics counts %s", run, m[i+1], name, want)
+			}
+		}
+		if run == "warm" && m[1] == "0" {
+			t.Errorf("warm: no disk hits:\n%s", stdout)
+		}
+	}
+}
+
 // TestTelemetryGate: the embedded debug server, live. A multi-program
 // batch brings the server up and down cleanly and counts its programs
 // in the metrics snapshot. Then a long VM run is scraped mid-flight:

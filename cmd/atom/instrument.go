@@ -47,6 +47,7 @@ func cmdInstrument(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
+	p.stats = f.stats
 	return p.observe(func(ctx *obs.Ctx) int { return instrumentAll(ctx, inputs, tool, opts, f) })
 }
 
@@ -133,7 +134,7 @@ func instrumentAll(ctx *obs.Ctx, inputs []string, tool core.Tool, opts core.Opti
 		}
 	}
 	if f.stats {
-		printCacheStats()
+		printCacheStats(ctx)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "atom: %d of %d programs failed\n", failed, len(inputs))
@@ -179,15 +180,16 @@ func printResultStats(res *core.Result) {
 }
 
 // printCacheStats renders the two artifact caches (and, when a
-// -cache-dir store is configured, the store itself) for -stats.
-func printCacheStats() {
+// -cache-dir store is configured, the store's counters in the run's
+// stage context) for -stats.
+func printCacheStats(ctx *obs.Ctx) {
 	ic, oc := core.ImageCacheStats(), rtl.ObjectCacheStats()
 	fmt.Printf("image cache:             %d hits, %d disk hits, %d misses, %d builds\n", ic.Hits, ic.DiskHits, ic.Misses, ic.Builds)
 	fmt.Printf("object cache:            %d hits, %d disk hits, %d misses, %d builds\n", oc.Hits, oc.DiskHits, oc.Misses, oc.Builds)
-	if s := build.ActiveStore(); s != nil {
-		st := s.Stats()
+	if build.ActiveStore() != nil {
+		m := ctx.Metrics()
 		fmt.Printf("disk store:              %d hits, %d misses, %d puts, %d corrupt\n",
-			st.Hits, st.Misses, st.Puts, st.Corrupt)
+			m.Counter("store.disk.hit"), m.Counter("store.disk.miss"), m.Counter("store.disk.put"), m.Counter("store.disk.corrupt"))
 	}
 }
 

@@ -174,6 +174,9 @@ type pipeline struct {
 	heap                                            uint64
 	noSummary, noLiveness, noInline, vet            bool
 	trace, metrics, debugAddr, cpuProfile, cacheDir string
+	// stats is the instrument form's -stats, whose disk store line reads
+	// the stage context's counters.
+	stats bool
 }
 
 // newPipeline returns a pipeline subcommand's flag set with the shared
@@ -249,8 +252,9 @@ func (p *pipeline) observe(body func(ctx *obs.Ctx) int) (code int) {
 	}
 
 	// The stage context is nil (near-zero overhead) unless some consumer
-	// of spans or counters is active. -metrics and -debug-addr need no
-	// sink: both render the context's own obs.Metrics aggregate.
+	// of spans or counters is active. -metrics, -debug-addr and -stats
+	// need no sink: all three read the context's own obs.Metrics
+	// aggregate.
 	var (
 		traceSink *obs.TraceSink
 		ctx       *obs.Ctx
@@ -258,7 +262,7 @@ func (p *pipeline) observe(body func(ctx *obs.Ctx) int) (code int) {
 	if p.trace != "" {
 		traceSink = &obs.TraceSink{}
 		ctx = obs.New(traceSink)
-	} else if p.metrics != "" || p.debugAddr != "" {
+	} else if p.metrics != "" || p.debugAddr != "" || p.stats {
 		ctx = obs.New()
 	}
 

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"atom/internal/obs"
 )
@@ -32,19 +31,12 @@ import (
 // the only index, and nothing bounds the directory's size: delete it to
 // reclaim the space.
 //
+// Its activity is counted only in the stage context: store.disk.hit,
+// .miss, .put and .corrupt.
+//
 // A DiskStore is safe for concurrent use, within and across processes.
 type DiskStore struct {
 	dir string
-
-	hits, misses, puts, corrupt atomic.Uint64
-}
-
-// StoreStats is a snapshot of store activity since open.
-type StoreStats struct {
-	Hits    uint64 // Gets that returned a verified blob
-	Misses  uint64 // Gets for absent or corrupt blobs
-	Puts    uint64 // blobs written
-	Corrupt uint64 // blobs that failed verification and were deleted
 }
 
 // Scope is vestigial: a Reset only ever drops the in-memory layer, and
@@ -102,17 +94,14 @@ func (s *DiskStore) Get(ctx *obs.Ctx, key Key) ([]byte, bool) {
 	if err == nil {
 		payload, verr := verifyBlobFile(data)
 		if verr == nil {
-			s.hits.Add(1)
 			ctx.Count("store.disk.hit", 1)
 			sp.SetAttr(obs.String("outcome", "hit"), obs.Int("bytes", int64(len(payload))))
 			return payload, true
 		}
 		os.Remove(path)
-		s.corrupt.Add(1)
 		ctx.Count("store.disk.corrupt", 1)
 		outcome = "corrupt"
 	}
-	s.misses.Add(1)
 	ctx.Count("store.disk.miss", 1)
 	sp.SetAttr(obs.String("outcome", outcome))
 	return nil, false
@@ -169,19 +158,8 @@ func (s *DiskStore) Put(ctx *obs.Ctx, key Key, blob []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	s.puts.Add(1)
 	ctx.Count("store.disk.put", 1)
 	return nil
-}
-
-// Stats returns a snapshot of the counters.
-func (s *DiskStore) Stats() StoreStats {
-	return StoreStats{
-		Hits:    s.hits.Load(),
-		Misses:  s.misses.Load(),
-		Puts:    s.puts.Load(),
-		Corrupt: s.corrupt.Load(),
-	}
 }
 
 // The process-wide store every codec-equipped Cache layers over. nil (the

@@ -42,33 +42,47 @@ func withTestStore(t *testing.T) *DiskStore {
 }
 
 // mustGet asserts that key reads back as want.
-func mustGet(t *testing.T, ds *DiskStore, key Key, want string) {
+func mustGet(t *testing.T, ctx *obs.Ctx, ds *DiskStore, key Key, want string) {
 	t.Helper()
-	if got, ok := ds.Get(nil, key); !ok || string(got) != want {
+	if got, ok := ds.Get(ctx, key); !ok || string(got) != want {
 		t.Fatalf("Get = %q, %v; want %q", got, ok, want)
+	}
+}
+
+// diskCounts is what a stage context counted of the store's activity.
+type diskCounts struct{ hit, miss, put, corrupt int64 }
+
+func countsOf(ctx *obs.Ctx) diskCounts {
+	m := ctx.Metrics()
+	return diskCounts{
+		hit:     m.Counter("store.disk.hit"),
+		miss:    m.Counter("store.disk.miss"),
+		put:     m.Counter("store.disk.put"),
+		corrupt: m.Counter("store.disk.corrupt"),
 	}
 }
 
 func TestDiskStorePutGetReopen(t *testing.T) {
 	dir := t.TempDir()
 	ds := openTestStore(t, dir)
+	ctx := obs.New()
 	k1, k2 := testKey("one"), testKey("two")
 	for _, kv := range []struct {
 		k Key
 		v string
 	}{{k1, "first blob"}, {k2, "second blob"}, {k1, "first blob"}} {
-		if err := ds.Put(nil, kv.k, []byte(kv.v)); err != nil {
+		if err := ds.Put(ctx, kv.k, []byte(kv.v)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustGet(t, ds, k1, "first blob")
+	mustGet(t, ctx, ds, k1, "first blob")
 	// Put always writes; re-putting a key replaces its file.
-	if st := ds.Stats(); st.Puts != 3 || st.Hits != 1 {
-		t.Fatalf("stats = %+v, want 3 puts, 1 hit", st)
+	if c := countsOf(ctx); c.put != 3 || c.hit != 1 {
+		t.Fatalf("counts = %+v, want 3 puts, 1 hit", c)
 	}
 
 	// A second open reads what the first wrote: the files are the index.
-	mustGet(t, openTestStore(t, dir), k2, "second blob")
+	mustGet(t, nil, openTestStore(t, dir), k2, "second blob")
 }
 
 // corruptOneBlob flips a payload byte of the single blob under objects/
@@ -109,17 +123,8 @@ func TestDiskStoreCorruptBlobQuarantined(t *testing.T) {
 	if _, ok := ds.Get(ctx, k); ok {
 		t.Fatal("Get of corrupt blob hit; want a miss")
 	}
-	if st := ds.Stats(); st.Corrupt != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 corrupt, 1 miss", st)
-	}
-	var sawCounter bool
-	for _, c := range ctx.Counters() {
-		if c.Name == "store.disk.corrupt" && c.Value == 1 {
-			sawCounter = true
-		}
-	}
-	if !sawCounter {
-		t.Fatalf("store.disk.corrupt not counted: %v", ctx.Counters())
+	if c := countsOf(ctx); c.corrupt != 1 || c.miss != 1 {
+		t.Fatalf("counts = %+v, want 1 corrupt, 1 miss", c)
 	}
 	// The bad file is gone, and a re-put reads back.
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -128,7 +133,7 @@ func TestDiskStoreCorruptBlobQuarantined(t *testing.T) {
 	if err := ds.Put(nil, k, []byte("soon to rot")); err != nil {
 		t.Fatal(err)
 	}
-	mustGet(t, ds, k, "soon to rot")
+	mustGet(t, nil, ds, k, "soon to rot")
 }
 
 func TestDiskStoreTruncatedBlobQuarantined(t *testing.T) {
@@ -142,11 +147,12 @@ func TestDiskStoreTruncatedBlobQuarantined(t *testing.T) {
 	if err := os.Truncate(path, int64(blobHeaderSize+3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ds.Get(nil, k); ok {
+	ctx := obs.New()
+	if _, ok := ds.Get(ctx, k); ok {
 		t.Fatal("Get of truncated blob hit; want a miss")
 	}
-	if st := ds.Stats(); st.Corrupt != 1 {
-		t.Fatalf("stats = %+v, want 1 corrupt", st)
+	if c := countsOf(ctx); c.corrupt != 1 {
+		t.Fatalf("counts = %+v, want 1 corrupt", c)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("truncated blob file still present (stat err %v)", err)
@@ -154,7 +160,7 @@ func TestDiskStoreTruncatedBlobQuarantined(t *testing.T) {
 	if err := ds.Put(nil, k, blob); err != nil {
 		t.Fatal(err)
 	}
-	mustGet(t, ds, k, string(blob))
+	mustGet(t, nil, ds, k, string(blob))
 }
 
 // TestDiskStoreCrashBeforeRename simulates a writer killed between the
@@ -169,11 +175,12 @@ func TestDiskStoreCrashBeforeRename(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "tmp", "blob-crashed"), partial, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ds.Get(nil, k); ok {
+	ctx := obs.New()
+	if _, ok := ds.Get(ctx, k); ok {
 		t.Fatal("in-flight temp file visible as a blob")
 	}
-	if st := ds.Stats(); st.Corrupt != 0 {
-		t.Fatalf("stats = %+v, want no corruption", st)
+	if c := countsOf(ctx); c.corrupt != 0 {
+		t.Fatalf("counts = %+v, want no corruption", c)
 	}
 
 	openTestStore(t, dir)
@@ -234,7 +241,7 @@ func TestTwinCachesShareStoreAndFlight(t *testing.T) {
 			t.Fatalf("goroutine %d got %q", i, r)
 		}
 	}
-	mustGet(t, ds, key, "built once")
+	mustGet(t, nil, ds, key, "built once")
 
 	// Drop both memory layers: the next Get decodes from disk, no build.
 	a.Reset()
@@ -261,21 +268,22 @@ func TestCacheRebuildsCorruptStoreBlob(t *testing.T) {
 	builds := 0
 	build := func(*obs.Ctx) (any, error) { builds++; return []byte("artifact"), nil }
 
-	if _, err := c.GetCtx(nil, "", key, build); err != nil {
+	ctx := obs.New()
+	if _, err := c.GetCtx(ctx, "", key, build); err != nil {
 		t.Fatal(err)
 	}
 	corruptOneBlob(t, ds.dir)
 	c.Reset() // force the next Get through the store
 
-	v, err := c.GetCtx(nil, "", key, build)
+	v, err := c.GetCtx(ctx, "", key, build)
 	if err != nil || !bytes.Equal(v.([]byte), []byte("artifact")) {
 		t.Fatalf("Get after corruption = %v, %v", v, err)
 	}
 	if builds != 2 {
 		t.Fatalf("builds = %d, want 2 (initial + silent rebuild)", builds)
 	}
-	if st := ds.Stats(); st.Corrupt != 1 || st.Puts != 2 {
-		t.Fatalf("store stats = %+v, want 1 corrupt, 2 puts", st)
+	if n := countsOf(ctx); n.corrupt != 1 || n.put != 2 {
+		t.Fatalf("store counts = %+v, want 1 corrupt, 2 puts", n)
 	}
 	// The rebuilt blob is good again: a third Get is a pure disk hit.
 	c.Reset()
@@ -320,7 +328,7 @@ func TestCacheReplacesUndecodableBlob(t *testing.T) {
 	if builds != 1 {
 		t.Fatalf("builds = %d over 3 fresh lookups, want 1", builds)
 	}
-	mustGet(t, ds, key, "good")
+	mustGet(t, nil, ds, key, "good")
 }
 
 // TestEnvVarNeverReadByLibrary guards the test-isolation contract: the
@@ -400,7 +408,7 @@ func TestDiskStoreAdoption(t *testing.T) {
 	if err := a.Put(nil, k, []byte("shared blob")); err != nil {
 		t.Fatal(err)
 	}
-	mustGet(t, b, k, "shared blob")
+	mustGet(t, nil, b, k, "shared blob")
 }
 
 // FuzzVerifyBlobFile: the blob-file reader accepts exactly the files

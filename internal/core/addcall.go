@@ -68,7 +68,7 @@ func (q *Instrumentation) AddCallProc(pr *om.Proc, when When, proc string, args 
 	case ProcAfter:
 		n := 0
 		for _, b := range pr.Blocks {
-			last := b.Insts[len(b.Insts)-1]
+			last := &b.Insts[len(b.Insts)-1]
 			if last.I.Op == alpha.OpRet {
 				q.journal = append(q.journal, callReq{proto: p, args: cargs, inst: last, rank: rankAdded})
 				n++
@@ -96,9 +96,9 @@ func (q *Instrumentation) AddCallBlock(b *om.Block, when When, proc string, args
 	}
 	switch when {
 	case BlockBefore:
-		q.journal = append(q.journal, callReq{proto: p, args: cargs, inst: b.Insts[0], rank: rankAdded})
+		q.journal = append(q.journal, callReq{proto: p, args: cargs, inst: &b.Insts[0], rank: rankAdded})
 	case BlockAfter:
-		last := b.Insts[len(b.Insts)-1]
+		last := &b.Insts[len(b.Insts)-1]
 		// Before a transfer, which is still "after the block body" and
 		// runs regardless of the branch direction.
 		q.journal = append(q.journal, callReq{proto: p, args: cargs, inst: last, rank: rankAdded, after: !isTransfer(last.I.Op)})

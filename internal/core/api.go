@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 
 	"atom/internal/alpha"
@@ -193,15 +192,17 @@ func (q *Instrumentation) GetNextBlock(b *om.Block) *om.Block {
 	if b == nil {
 		return nil
 	}
-	blocks := q.blockProc(b).Blocks
-	if b.Index+1 >= len(blocks) {
+	// A procedure's blocks tile its text, so the next block starts in
+	// the slot after b's last instruction; it follows b in b's procedure
+	// if its index does.
+	k, ok := q.prog.Slot(&b.Insts[len(b.Insts)-1])
+	if !ok {
 		return nil
 	}
-	return blocks[b.Index+1]
-}
-
-func (q *Instrumentation) blockProc(b *om.Block) *om.Proc {
-	return b.Insts[0].Proc()
+	if next, _ := q.prog.BlockAt(k + 1); next != nil && next.Index == b.Index+1 {
+		return next
+	}
+	return nil
 }
 
 // GetFirstInst returns the first instruction of b.
@@ -209,7 +210,7 @@ func (q *Instrumentation) GetFirstInst(b *om.Block) *om.Inst {
 	if b == nil || len(b.Insts) == 0 {
 		return nil
 	}
-	return b.Insts[0]
+	return &b.Insts[0]
 }
 
 // GetLastInst returns the last instruction of b.
@@ -217,28 +218,25 @@ func (q *Instrumentation) GetLastInst(b *om.Block) *om.Inst {
 	if b == nil || len(b.Insts) == 0 {
 		return nil
 	}
-	return b.Insts[len(b.Insts)-1]
+	return &b.Insts[len(b.Insts)-1]
 }
 
 // GetNextInst returns the instruction after i within its block, or nil.
-// A lifted block holds consecutive words, so i's index follows from its
-// address; IR whose block addresses are not contiguous (built by hand)
-// falls back to a scan.
+// A block holds consecutive words, so i's position follows from its
+// address.
 func (q *Instrumentation) GetNextInst(i *om.Inst) *om.Inst {
 	if i == nil {
 		return nil
 	}
-	insts := i.Block().Insts
-	var k int
-	if d := (i.Addr - insts[0].Addr) / 4; d < uint64(len(insts)) && insts[d] == i {
-		k = int(d)
-	} else {
-		k = slices.Index(insts, i)
-	}
-	if k < 0 || k+1 >= len(insts) {
+	k, ok := q.prog.Slot(i)
+	if !ok {
 		return nil
 	}
-	return insts[k+1]
+	b, _ := q.prog.BlockAt(k)
+	if next := int(i.Addr-b.Insts[0].Addr)/4 + 1; next < len(b.Insts) {
+		return &b.Insts[next]
+	}
+	return nil
 }
 
 // Procs returns all procedures (Go-idiomatic traversal).

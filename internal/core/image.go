@@ -41,11 +41,11 @@ func spliceSaves(prog *om.Program, targets []string, save map[string]om.RegSet) 
 		for i, r := range s.Regs() {
 			pro = append(pro, alpha.Mem(alpha.OpStq, r, alpha.SP, int32(i*8)))
 		}
-		if err := before(pr.Blocks[0].Insts[0], pro); err != nil {
+		if err := before(&pr.Blocks[0].Insts[0], pro); err != nil {
 			return nil, err
 		}
 		for _, b := range pr.Blocks {
-			last := b.Insts[len(b.Insts)-1]
+			last := &b.Insts[len(b.Insts)-1]
 			if last.I.Op != alpha.OpRet {
 				continue
 			}

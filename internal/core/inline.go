@@ -135,7 +135,7 @@ func classifyInline(pr *om.Proc, img *aout.File) (*inlineTemplate, string) {
 	if n == 0 {
 		return nil, "empty procedure"
 	}
-	var flat []*om.Inst
+	flat := make([]om.Inst, 0, n)
 	for _, b := range pr.Blocks {
 		flat = append(flat, b.Insts...)
 	}

@@ -102,30 +102,30 @@ func TestLiftSharedExeConcurrent(t *testing.T) {
 	}
 }
 
-// TestGetNextInstMatchesScan: GetNextInst, which indexes a block by
-// instruction address, returns what a scan of the block for the
-// instruction returns, for every instruction of every block of the
-// suite. Then, with the addresses of one block swapped and reversed as
-// hand-built IR may have them, it still does.
+// TestGetNextInstMatchesScan: GetNextInst and GetNextBlock, which find
+// an instruction's block through the program's block table, return what
+// a scan of the block and of its procedure returns, for every
+// instruction and block of the suite.
 func TestGetNextInstMatchesScan(t *testing.T) {
-	scan := func(i *om.Inst) *om.Inst {
-		insts := i.Block().Insts
-		for k, in := range insts {
-			if in == i && k+1 < len(insts) {
-				return insts[k+1]
-			}
-		}
-		return nil
-	}
-	check := func(t *testing.T, q *core.Instrumentation, b *om.Block) {
+	check := func(t *testing.T, q *core.Instrumentation, pr *om.Proc, b *om.Block) {
 		t.Helper()
-		for _, in := range b.Insts {
-			if got, want := q.GetNextInst(in), scan(in); got != want {
-				t.Fatalf("GetNextInst(%#x) = %p, scan = %p", in.Addr, got, want)
+		for k := range b.Insts {
+			var want *om.Inst
+			if k+1 < len(b.Insts) {
+				want = &b.Insts[k+1]
+			}
+			if got := q.GetNextInst(&b.Insts[k]); got != want {
+				t.Fatalf("GetNextInst(%#x) = %p, scan = %p", b.Insts[k].Addr, got, want)
 			}
 		}
+		var want *om.Block
+		if b.Index+1 < len(pr.Blocks) {
+			want = pr.Blocks[b.Index+1]
+		}
+		if got := q.GetNextBlock(b); got != want {
+			t.Fatalf("%s: GetNextBlock(block %d) = %p, want %p", pr.Name, b.Index, got, want)
+		}
 	}
-	var long *om.Block // a block of three or more instructions
 	for _, p := range spec.Suite() {
 		app, err := spec.BuildCtx(nil, p.Name)
 		if err != nil {
@@ -138,22 +138,8 @@ func TestGetNextInstMatchesScan(t *testing.T) {
 		q := core.NewInstrumentation(prog)
 		for _, pr := range prog.Procs {
 			for _, b := range pr.Blocks {
-				check(t, q, b)
-				if long == nil && len(b.Insts) >= 3 {
-					long = b
-				}
+				check(t, q, pr, b)
 			}
 		}
 	}
-	if long == nil {
-		t.Fatal("no block of three or more instructions in the suite")
-	}
-	q := core.NewInstrumentation(nil)
-	in := long.Insts
-	in[1].Addr, in[2].Addr = in[2].Addr, in[1].Addr
-	check(t, q, long)
-	for i, j := 0, len(in)-1; i < j; i, j = i+1, j-1 {
-		in[i].Addr, in[j].Addr = in[j].Addr, in[i].Addr
-	}
-	check(t, q, long)
 }

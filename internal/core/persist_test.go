@@ -6,6 +6,7 @@ import (
 
 	"atom/internal/build"
 	"atom/internal/core"
+	"atom/internal/obs"
 	"atom/internal/rtl"
 )
 
@@ -34,14 +35,15 @@ func TestInstrumentWarmFromDiskStore(t *testing.T) {
 	tool := branchCountTool()
 	app := buildApp(t, cacheAppA)
 
-	cold, err := core.InstrumentCtx(nil, app, tool, core.Options{})
+	ctx := obs.New()
+	cold, err := core.InstrumentCtx(ctx, app, tool, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := core.ImageCacheStats(); s.Builds != 1 || s.DiskHits != 0 {
 		t.Fatalf("cold image stats = %+v, want 1 build, 0 disk hits", s)
 	}
-	if st := ds.Stats(); st.Puts == 0 {
+	if ctx.Metrics().Counter("store.disk.put") == 0 {
 		t.Fatal("cold pass persisted nothing")
 	}
 
@@ -64,11 +66,11 @@ func TestInstrumentWarmFromDiskStore(t *testing.T) {
 	}
 
 	// A third pass with memory warm must not touch the disk again.
-	before := ds.Stats().Hits
-	if _, err := core.InstrumentCtx(nil, app, tool, core.Options{}); err != nil {
+	ctx = obs.New()
+	if _, err := core.InstrumentCtx(ctx, app, tool, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if after := ds.Stats().Hits; after != before {
-		t.Errorf("memory-warm pass read the store (%d -> %d hits)", before, after)
+	if hits := ctx.Metrics().Counter("store.disk.hit"); hits != 0 {
+		t.Errorf("memory-warm pass read the store (%d hits)", hits)
 	}
 }

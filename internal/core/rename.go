@@ -128,8 +128,8 @@ func leafRegs(pr *om.Proc) (om.RegSet, bool) {
 func renameProg(prog *om.Program, renames map[string]*regMap) {
 	for name, m := range renames {
 		for _, b := range prog.Proc(name).Blocks {
-			for _, in := range b.Insts {
-				in.I = m.inst(in.I)
+			for k := range b.Insts {
+				b.Insts[k].I = m.inst(b.Insts[k].I)
 			}
 		}
 	}

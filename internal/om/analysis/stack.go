@@ -64,7 +64,8 @@ func stackCheckProc(pr *om.Proc) []Finding {
 	// An unauditable sp write poisons the whole procedure: heights after
 	// it are unknowable, so report it and check nothing else.
 	for _, b := range pr.Blocks {
-		for _, in := range b.Insts {
+		for k := range b.Insts {
+			in := &b.Insts[k]
 			if _, ok := spDelta(in); !ok {
 				warn(in.Addr, "unauditable stack-pointer write (%s)", in.I)
 				return out
@@ -85,7 +86,8 @@ func stackCheckProc(pr *om.Proc) []Finding {
 		work = work[1:]
 		b := pr.Blocks[bi]
 		h := entryH[bi]
-		for _, in := range b.Insts {
+		for k := range b.Insts {
+			in := &b.Insts[k]
 			d, _ := spDelta(in)
 			h += d
 			if h > 0 {

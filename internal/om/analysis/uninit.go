@@ -103,7 +103,6 @@ func (uninitPass) Run(ctx *obs.Ctx, u *Unit) []Finding {
 				}
 				return 0
 			},
-			Unknown: all,
 		}}
 		state := make([]om.RegSet, len(pr.Blocks))
 		sol.SolveProc(pr, state)

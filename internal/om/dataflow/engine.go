@@ -74,11 +74,6 @@ type Problem struct {
 	// falling off the end); for a forward problem the value flowing into
 	// the procedure at its entry block. Nil means no contribution.
 	Boundary func(pr *om.Proc, b *om.Block) om.RegSet
-
-	// Unknown is joined in place of a CFG edge the IR cannot resolve (a
-	// successor whose Index does not name its slot in the procedure):
-	// the problem's worst case.
-	Unknown om.RegSet
 }
 
 // Solver runs a Problem procedure by procedure, keeping per-block state
@@ -90,13 +85,6 @@ type Solver struct {
 	Edges int
 }
 
-// validSuccs reports, per successor slot, whether the edge stays inside
-// the procedure (succ Index names its own slot in pr.Blocks).
-func validSucc(pr *om.Proc, s *om.Block) bool {
-	si := s.Index
-	return si >= 0 && si < len(pr.Blocks) && pr.Blocks[si] == s
-}
-
 // edgeLists holds one list of block indices per block, as windows of one
 // backing slice: block bi's list is list[start[bi]:start[bi+1]].
 type edgeLists struct{ start, list []int }
@@ -104,15 +92,11 @@ type edgeLists struct{ start, list []int }
 // of returns block bi's list.
 func (e edgeLists) of(bi int) []int { return e.list[e.start[bi]:e.start[bi+1]] }
 
-// newEdgeLists allocates the lists of a procedure's valid CFG edges.
+// newEdgeLists allocates the lists of a procedure's CFG edges.
 func newEdgeLists(pr *om.Proc) edgeLists {
 	n, total := len(pr.Blocks), 0
 	for _, b := range pr.Blocks {
-		for _, sb := range b.Succs {
-			if validSucc(pr, sb) {
-				total++
-			}
-		}
+		total += len(b.Succs)
 	}
 	buf := make([]int, n+1+total)
 	return edgeLists{start: buf[:n+1], list: buf[n+1:]}
@@ -129,25 +113,21 @@ func (s *Solver) flowPreds(pr *om.Proc) edgeLists {
 	k := 0
 	for bi, b := range pr.Blocks {
 		for _, sb := range b.Succs {
-			if validSucc(pr, sb) {
-				e.list[k] = sb.Index
-				k++
-			}
+			e.list[k] = sb.Index
+			k++
 		}
 		e.start[bi+1] = k
 	}
 	return e
 }
 
-// cfgPreds returns each block's valid intra-procedure CFG predecessors,
-// in ascending order: the edges are counted per target, then placed.
+// cfgPreds returns each block's intra-procedure CFG predecessors, in
+// ascending order: the edges are counted per target, then placed.
 func cfgPreds(pr *om.Proc) edgeLists {
 	e := newEdgeLists(pr)
 	for _, b := range pr.Blocks {
 		for _, sb := range b.Succs {
-			if validSucc(pr, sb) {
-				e.start[sb.Index+1]++
-			}
+			e.start[sb.Index+1]++
 		}
 	}
 	n := len(pr.Blocks)
@@ -158,10 +138,8 @@ func cfgPreds(pr *om.Proc) edgeLists {
 	// the window's end; then shift the starts back into place.
 	for bi, b := range pr.Blocks {
 		for _, sb := range b.Succs {
-			if validSucc(pr, sb) {
-				e.list[e.start[sb.Index]] = bi
-				e.start[sb.Index]++
-			}
+			e.list[e.start[sb.Index]] = bi
+			e.start[sb.Index]++
 		}
 	}
 	copy(e.start[1:], e.start[:n])
@@ -170,20 +148,16 @@ func cfgPreds(pr *om.Proc) edgeLists {
 }
 
 // join computes a block's input value: the union of the neighboring
-// blocks' states across flow edges (Unknown for malformed edges), plus
-// the problem's Boundary contribution. For a backward problem the
-// neighbors are the block's CFG successors; for a forward one its
-// predecessors, which the caller supplies (nil for backward).
+// blocks' states across flow edges, plus the problem's Boundary
+// contribution. For a backward problem the neighbors are the block's
+// CFG successors; for a forward one its predecessors, which the caller
+// supplies (nil for backward).
 func (s *Solver) join(pr *om.Proc, b *om.Block, state []om.RegSet, preds []int) om.RegSet {
 	var v om.RegSet
 	if s.Dir == Backward {
 		for _, sb := range b.Succs {
 			s.Edges++
-			if validSucc(pr, sb) {
-				v = v.Union(state[sb.Index])
-			} else {
-				v = v.Union(s.Unknown)
-			}
+			v = v.Union(state[sb.Index])
 		}
 	} else {
 		for _, pi := range preds {
@@ -259,11 +233,11 @@ func (s *Solver) blockTransfer(b *om.Block) Transfer {
 	t := Identity()
 	if s.Dir == Backward {
 		for k := len(b.Insts) - 1; k >= 0; k-- {
-			t = t.Then(s.Transfer(b.Insts[k]))
+			t = t.Then(s.Transfer(&b.Insts[k]))
 		}
 	} else {
-		for _, in := range b.Insts {
-			t = t.Then(s.Transfer(in))
+		for k := range b.Insts {
+			t = t.Then(s.Transfer(&b.Insts[k]))
 		}
 	}
 	return t
@@ -298,13 +272,14 @@ func (s *Solver) VisitProc(pr *om.Proc, state []om.RegSet, visit func(in *om.Ins
 		b := pr.Blocks[bi]
 		if s.Dir == Backward {
 			for k := len(b.Insts) - 1; k >= 0; k-- {
-				in := b.Insts[k]
+				in := &b.Insts[k]
 				after := v
 				v = s.Transfer(in).Apply(v)
 				visit(in, v, after)
 			}
 		} else {
-			for _, in := range b.Insts {
+			for k := range b.Insts {
+				in := &b.Insts[k]
 				before := v
 				v = s.Transfer(in).Apply(v)
 				visit(in, before, v)

@@ -34,10 +34,9 @@ func TestLivenessIndirectConservatism(t *testing.T) {
 		{"call_pal", pal},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &om.Program{Procs: []*om.Proc{mkProc("p", 0, 0x1000,
-				[][]alpha.Inst{{clrT0, tc.call, ret}}, [][]int{{}})}}
+			p := lift(t, 0x1000, 0x1000, nil, fn("p", clrT0, tc.call, ret))
 			lv := dataflow.ComputeCtx(nil, p)
-			callIn := lv.LiveIn(p.Procs[0].Blocks[0].Insts[1])
+			callIn := lv.LiveIn(instAt(t, p, 0x1004))
 			for _, r := range []alpha.Reg{alpha.T0, alpha.S3, alpha.A0, alpha.AT} {
 				if !callIn.Has(r) {
 					t.Errorf("%s not live before %s: unknown callee must see everything", r, tc.name)
@@ -45,7 +44,7 @@ func TestLivenessIndirectConservatism(t *testing.T) {
 			}
 			// The write above the call still kills t0 at entry: the
 			// conservative gen does not leak past a definition.
-			if lv.LiveIn(p.Procs[0].Blocks[0].Insts[0]).Has(alpha.T0) {
+			if lv.LiveIn(instAt(t, p, 0x1000)).Has(alpha.T0) {
 				t.Error("t0 live at entry despite being defined before any use")
 			}
 		})
@@ -56,11 +55,9 @@ func TestLivenessIndirectConservatism(t *testing.T) {
 // still solves: operands live at entry, the result dead.
 func TestLivenessSingleBlock(t *testing.T) {
 	ret := alpha.Inst{Op: alpha.OpRet, Ra: alpha.Zero, Rb: alpha.RA}
-	p := &om.Program{Procs: []*om.Proc{mkProc("one", 0, 0x1000,
-		[][]alpha.Inst{{alpha.RR(alpha.OpAddq, alpha.A0, alpha.A1, alpha.V0), ret}},
-		[][]int{{}})}}
+	p := lift(t, 0x1000, 0x1000, nil, fn("one", alpha.RR(alpha.OpAddq, alpha.A0, alpha.A1, alpha.V0), ret))
 	lv := dataflow.ComputeCtx(nil, p)
-	in := lv.LiveIn(firstInst(p, 0, 0))
+	in := lv.LiveIn(instAt(t, p, 0x1000))
 	if !in.Has(alpha.A0) || !in.Has(alpha.A1) {
 		t.Errorf("operands not live at entry: %v", in.Regs())
 	}
@@ -78,22 +75,18 @@ func TestLivenessSingleBlock(t *testing.T) {
 // entry summaries.
 func TestLivenessMutualRecursion(t *testing.T) {
 	ret := alpha.Inst{Op: alpha.OpRet, Ra: alpha.Zero, Rb: alpha.RA}
-	// a @ 0x1000: v0 = a0; bsr b; ret
-	a := mkProc("a", 0, 0x1000, [][]alpha.Inst{{
-		alpha.RR(alpha.OpAddq, alpha.A0, alpha.Zero, alpha.V0), // 0x1000
-		alpha.Br(alpha.OpBsr, alpha.RA, (0x2000-0x1008)/4),     // 0x1004 -> b
-		ret, // 0x1008
-	}}, [][]int{{}})
-	// b @ 0x2000: v0 = a1; beq t0, skip; bsr a; skip: ret
-	b := mkProc("b", 1, 0x2000, [][]alpha.Inst{
-		{
-			alpha.RR(alpha.OpAddq, alpha.A1, alpha.Zero, alpha.V0), // 0x2000
-			alpha.Br(alpha.OpBeq, alpha.T0, 1),                     // 0x2004 -> 0x200c
-		},
-		{alpha.Br(alpha.OpBsr, alpha.RA, (0x1000-0x200c)/4)}, // 0x2008 -> a
-		{ret}, // 0x200c
-	}, [][]int{{1, 2}, {2}, {}})
-	p := &om.Program{Procs: []*om.Proc{a, b}}
+	// a, the program entry, @ 0x1000: v0 = a0; bsr b; ret
+	// b @ 0x100c: v0 = a1; beq t0, skip; bsr a; skip: ret
+	p := lift(t, 0x1000, 0x1000, nil,
+		fn("a",
+			alpha.RR(alpha.OpAddq, alpha.A0, alpha.Zero, alpha.V0), // 0x1000
+			bsr(0x1004, 0x100c), // 0x1004 -> b
+			ret),                // 0x1008
+		fn("b",
+			alpha.RR(alpha.OpAddq, alpha.A1, alpha.Zero, alpha.V0), // 0x100c
+			alpha.Br(alpha.OpBeq, alpha.T0, 1),                     // 0x1010 -> 0x1018
+			bsr(0x1014, 0x1000),                                    // 0x1014 -> a
+			ret))                                                   // 0x1018
 
 	lv := dataflow.ComputeCtx(nil, p)
 	if lv.Rounds < 2 {
@@ -120,12 +113,12 @@ func TestLivenessMutualRecursion(t *testing.T) {
 // definition, and nothing else appears from nowhere.
 func TestEngineForward(t *testing.T) {
 	ret := alpha.Inst{Op: alpha.OpRet, Ra: alpha.Zero, Rb: alpha.RA}
-	pr := mkProc("d", 0, 0x1000, [][]alpha.Inst{
-		{alpha.Br(alpha.OpBeq, alpha.A0, 2)},                                                   // b0 -> b2
-		{alpha.RI(alpha.OpAddq, alpha.Zero, 1, alpha.T0), alpha.Br(alpha.OpBr, alpha.Zero, 1)}, // b1
-		{alpha.RI(alpha.OpAddq, alpha.Zero, 2, alpha.T0)},                                      // b2
-		{alpha.RR(alpha.OpAddq, alpha.T0, alpha.A0, alpha.V0), ret},                            // b3
-	}, [][]int{{1, 2}, {3}, {3}, {}})
+	pr := lift(t, 0x1000, 0x1000, nil, fn("d",
+		alpha.Br(alpha.OpBeq, alpha.A0, 2),                                                   // b0 (0x1000) -> b2
+		alpha.RI(alpha.OpAddq, alpha.Zero, 1, alpha.T0), alpha.Br(alpha.OpBr, alpha.Zero, 1), // b1 (0x1004)
+		alpha.RI(alpha.OpAddq, alpha.Zero, 2, alpha.T0),           // b2 (0x100c)
+		alpha.RR(alpha.OpAddq, alpha.T0, alpha.A0, alpha.V0), ret, // b3 (0x1010)
+	)).Procs[0]
 
 	sol := &dataflow.Solver{Problem: dataflow.Problem{
 		Dir: dataflow.Forward,
@@ -149,7 +142,7 @@ func TestEngineForward(t *testing.T) {
 	// Per-instruction materialization in program order: t0 is defined
 	// before the join block's first instruction, v0 only after it.
 	sol.VisitProc(pr, state, func(in *om.Inst, before, after om.RegSet) {
-		if in != pr.Blocks[3].Insts[0] {
+		if in.Addr != 0x1010 {
 			return
 		}
 		if !before.Has(alpha.T0) || before.Has(alpha.V0) {

@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"slices"
-	"sort"
 
 	"atom/internal/alpha"
 	"atom/internal/aout"
@@ -29,8 +28,7 @@ import (
 //     entry, a procedure whose address a non-branch relocation takes (it
 //     may be called through a pointer), one reached by a cross-procedure
 //     branch or a bsr into its middle, and one the previous procedure
-//     can fall into. Without an executable (hand-assembled IR) there is
-//     no relocation table to consult, so every exit is all-live.
+//     can fall into.
 //
 // Because every caller's continuation flows into the callee's exit
 // summary, a resolved bsr reads exactly the callee's entry summary: a
@@ -49,17 +47,18 @@ import (
 // read it, and a grown exit summary requeues the callee.
 //
 // Representation. The program is read once, in program order, into
-// tables beside the IR that hold no pointers: every block gets a
-// program-wide index, its successor and predecessor lists are windows of
-// two index arrays, and its instructions are composed into transfers
-// once. A resolved bsr reads its callee's entry summary and passes
-// nothing of its own live-out back (its transfer's mask is empty), so a
-// block is kept as the composed transfer of the instructions before its
-// first resolved call (its head) plus one composed transfer per call for
-// the instructions after it. A re-solve re-applies only the entry summary
-// of a block's first callee, and feeding the exit summaries re-applies
-// one composed transfer per call; no instruction is looked at again
-// until a query walks its block.
+// tables beside the IR that hold no pointers: every block is known by
+// the program-wide number the lift gave it (om.Program.BlockAt), its
+// successor and predecessor lists are windows of two index arrays, and
+// its instructions are composed into transfers once. A resolved bsr
+// reads its callee's entry summary and passes nothing of its own
+// live-out back (its transfer's mask is empty), so a block is kept as
+// the composed transfer of the instructions before its first resolved
+// call (its head) plus one composed transfer per call for the
+// instructions after it. A re-solve re-applies only the entry summary of
+// a block's first callee, and feeding the exit summaries re-applies one
+// composed transfer per call; no instruction is looked at again until a
+// query walks its block.
 
 // allLive is every architecturally meaningful register: the caller-save
 // set shared with the modified-register summary plus the callee-save
@@ -162,7 +161,7 @@ func (l *Liveness) walk(b *om.Block, g int) {
 			v = l.entry[calls[m].callee] &^ raBit
 			m--
 		} else {
-			v = instTransfer(insts[k]).Apply(v)
+			v = instTransfer(&insts[k].I).Apply(v)
 		}
 		l.live[k] = v
 	}
@@ -220,11 +219,11 @@ type lcall struct {
 	after Transfer
 }
 
-// liveGraph is the program as the liveness solver reads it: every block
-// numbered program-wide, procedure by procedure, with its transfers and
-// edges, every procedure's readers, and how the program enters each
-// procedure.
+// liveGraph is the program as the liveness solver reads it: every block,
+// under the lift's program-wide number, with its transfers and edges,
+// every procedure's readers, and how the program enters each procedure.
 type liveGraph struct {
+	p         *om.Program
 	procs     []*om.Proc
 	first     []int32 // per proc: its first block; first[len(procs)] is the block count
 	blocks    []lblock
@@ -262,103 +261,12 @@ func (gr *liveGraph) callsOf(g int) []lcall {
 
 // locate finds in's block, its number and in's position there.
 func (gr *liveGraph) locate(in *om.Inst) (b *om.Block, g, k int, ok bool) {
-	if b := in.Block(); b != nil {
-		pr := in.Proc()
-		pi, bi := pr.Index, b.Index
-		if pi >= 0 && pi < len(gr.procs) && gr.procs[pi] == pr &&
-			bi >= 0 && bi < int(gr.first[pi+1]-gr.first[pi]) && pr.Blocks[bi] == b {
-			if k, ok := indexIn(b, in); ok {
-				return b, int(gr.first[pi]) + bi, k, true
-			}
-		}
+	slot, ok := gr.p.Slot(in)
+	if !ok {
+		return nil, 0, 0, false
 	}
-	// Hand-assembled IR carries no block back-pointers: find the block
-	// by scanning.
-	for pi, pr := range gr.procs {
-		for bi, b := range pr.Blocks[:gr.first[pi+1]-gr.first[pi]] {
-			if k, ok := indexIn(b, in); ok {
-				return b, int(gr.first[pi]) + bi, k, true
-			}
-		}
-	}
-	return nil, 0, 0, false
-}
-
-// indexIn returns in's position in b: found from the addresses when b's
-// instructions are consecutive, as a lifted block's are, by a scan
-// otherwise.
-func indexIn(b *om.Block, in *om.Inst) (int, bool) {
-	if len(b.Insts) == 0 {
-		return 0, false
-	}
-	if d := in.Addr - b.Insts[0].Addr; d%4 == 0 && d/4 < uint64(len(b.Insts)) && b.Insts[d/4] == in {
-		return int(d / 4), true
-	}
-	for k, x := range b.Insts {
-		if x == in {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// procFinder resolves addresses to procedures: through the slot table
-// for a lifted program, by a map and a binary search for hand-assembled
-// IR, which has none.
-type procFinder struct {
-	p      *om.Program
-	lifted bool
-	start  map[uint64]int // hand-assembled IR: start address -> the last procedure there
-	order  []int          // hand-assembled IR: procedure indices by address
-}
-
-func newProcFinder(p *om.Program) procFinder {
-	f := procFinder{p: p, lifted: p.NumInsts() > 0}
-	if f.lifted {
-		return f
-	}
-	f.start = make(map[uint64]int, len(p.Procs))
-	f.order = make([]int, len(p.Procs))
-	for i, pr := range p.Procs {
-		f.start[pr.Addr] = i
-		f.order[i] = i
-	}
-	sort.Slice(f.order, func(a, b int) bool { return p.Procs[f.order[a]].Addr < p.Procs[f.order[b]].Addr })
-	return f
-}
-
-// resolve returns the procedure whose text holds addr and the one
-// starting at addr, -1 for none. A zero-size procedure holds nothing; it
-// starts where the procedure it aliases does, and that one is the start
-// found.
-func (f *procFinder) resolve(addr uint64) (in, start int) {
-	procs := f.p.Procs
-	if !f.lifted {
-		in, start = -1, -1
-		k := sort.Search(len(f.order), func(k int) bool { return procs[f.order[k]].Addr > addr }) - 1
-		if k >= 0 {
-			if pr := procs[f.order[k]]; addr < pr.Addr+pr.Size {
-				in = f.order[k]
-			}
-		}
-		if j, ok := f.start[addr]; ok {
-			start = j
-		}
-		return in, start
-	}
-	if inst := f.p.InstAt(addr &^ 3); inst != nil {
-		pr := inst.Proc()
-		if pr.Addr == addr {
-			return pr.Index, pr.Index
-		}
-		return pr.Index, -1
-	}
-	// A procedure without instructions at the end of text: the only
-	// start no instruction holds.
-	if n := len(procs); n > 0 && procs[n-1].Addr == addr && procs[n-1].Size == 0 {
-		return -1, n - 1
-	}
-	return -1, -1
+	b, g = gr.p.BlockAt(slot)
+	return b, g, int(in.Addr-b.Insts[0].Addr) / 4, true
 }
 
 // newLiveGraph reads the program into its tables: one pass over its
@@ -375,10 +283,10 @@ func newLiveGraph(p *om.Program, transfers bool) *liveGraph {
 		maxBlocks = max(maxBlocks, len(pr.Blocks))
 		for _, b := range pr.Blocks {
 			nsucc += len(b.Succs)
-			for _, in := range b.Insts {
-				if in.I.Op.Format() == alpha.FormatBranch {
+			for k := range b.Insts {
+				if op := b.Insts[k].I.Op; op.Format() == alpha.FormatBranch {
 					nbr++
-					if in.I.Op == alpha.OpBsr {
+					if op == alpha.OpBsr {
 						nbsr++
 					}
 				}
@@ -393,6 +301,7 @@ func newLiveGraph(p *om.Program, transfers bool) *liveGraph {
 	}
 	flags := make([]bool, 2*n)
 	gr := &liveGraph{
+		p:         p,
 		procs:     p.Procs,
 		first:     take(n + 1),
 		touchFrom: take(n + 1),
@@ -409,9 +318,8 @@ func newLiveGraph(p *om.Program, transfers bool) *liveGraph {
 		fixed:     flags[:n:n],
 		called:    flags[n:],
 	}
-	find := newProcFinder(p)
 	startAt := func(addr uint64) (int, bool) {
-		_, j := find.resolve(addr)
+		_, j := p.Resolve(addr)
 		return j, j >= 0
 	}
 
@@ -442,11 +350,7 @@ func newLiveGraph(p *om.Program, transfers bool) *liveGraph {
 			lb.nsucc = int32(len(b.Succs))
 			gr.succFrom[g] = int32(len(gr.succs))
 			for _, sb := range b.Succs {
-				if validSucc(pr, sb) {
-					gr.succs = append(gr.succs, base+int32(sb.Index))
-				} else {
-					lb.fixed = allLive
-				}
+				gr.succs = append(gr.succs, base+int32(sb.Index))
 			}
 
 			// Compose the instructions in program order: in backward
@@ -455,10 +359,11 @@ func newLiveGraph(p *om.Program, transfers bool) *liveGraph {
 			touched = false
 			gr.callFrom[g] = int32(len(gr.calls))
 			acc := Identity()
-			for k, in := range b.Insts {
+			for k := range b.Insts {
+				in := &b.Insts[k]
 				if in.I.Op.Format() == alpha.FormatBranch {
 					t := branchTarget(in)
-					c, j := find.resolve(t)
+					c, j := p.Resolve(t)
 					if t >= pr.Addr && t < pr.Addr+pr.Size {
 						c = i
 					}
@@ -485,7 +390,7 @@ func newLiveGraph(p *om.Program, transfers bool) *liveGraph {
 					}
 				}
 				if transfers {
-					acc = instTransfer(in).Then(acc)
+					acc = instTransfer(&in.I).Then(acc)
 				}
 			}
 			if m := len(gr.calls); m > int(gr.callFrom[g]) {
@@ -495,7 +400,7 @@ func newLiveGraph(p *om.Program, transfers bool) *liveGraph {
 			}
 
 			end := endOf(b, startAt)
-			lb.fixed |= end.fixed
+			lb.fixed = end.fixed
 			lb.cont, lb.ret = end.cont, end.ret
 			if k := len(b.Insts); k > 0 {
 				if j, ok := startAt(b.Insts[k-1].Addr + 4); ok {
@@ -547,25 +452,17 @@ func newLiveGraph(p *om.Program, transfers bool) *liveGraph {
 	copy(gr.readFrom[1:], gr.readFrom[:n])
 	gr.readFrom[0] = 0
 
-	gr.classify(p, &find)
+	gr.classify(p)
 	return gr
 }
 
-// classify completes fixed: without an executable every procedure keeps
-// an all-live exit; otherwise so do the one holding the program entry,
+// classify completes fixed: the procedure holding the program entry,
 // those whose address a relocation takes, and those the procedure before
-// can fall into. The branches were classified in the pass that built the
-// graph.
-func (gr *liveGraph) classify(p *om.Program, find *procFinder) {
-	if p.Exe == nil {
-		for i := range gr.fixed {
-			gr.fixed[i] = true
-		}
-		clear(gr.called)
-		return
-	}
+// can fall into keep an all-live exit. The branches were classified in
+// the pass that built the graph.
+func (gr *liveGraph) classify(p *om.Program) {
 	mark := func(addr uint64) {
-		if j, _ := find.resolve(addr); j >= 0 {
+		if j, _ := p.Resolve(addr); j >= 0 {
 			gr.fixed[j] = true
 		}
 	}
@@ -614,7 +511,7 @@ func endOf(b *om.Block, startAt func(uint64) (int, bool)) blockEnd {
 		}
 		e.fixed = allLive
 	}
-	last := b.Insts[len(b.Insts)-1]
+	last := &b.Insts[len(b.Insts)-1]
 	switch op := last.I.Op; {
 	case op == alpha.OpRet:
 		e.ret = true
@@ -814,8 +711,7 @@ func (s *liveSolver) solution() *Liveness {
 // Entered reports, per procedure, whether the program can enter it other
 // than by its own internal branches: a resolved call, a call into its
 // middle, a branch from another procedure, a taken address, the previous
-// procedure falling into it, or the program entry. Without an executable
-// every procedure counts as entered.
+// procedure falling into it, or the program entry.
 func Entered(p *om.Program) []bool {
 	gr := newLiveGraph(p, false)
 	for i, c := range gr.called {
@@ -860,7 +756,7 @@ func (gr *liveGraph) mayReturn() []bool {
 	for i, pr := range gr.procs {
 		for bi, b := range pr.Blocks {
 			g := int(gr.first[i]) + bi
-			empty[g], leaves[g] = len(b.Insts) == 0, blockLeaves(pr, b)
+			empty[g], leaves[g] = len(b.Insts) == 0, blockLeaves(b)
 		}
 	}
 	work := make([]int32, 0, gr.maxBlocks)
@@ -916,16 +812,11 @@ func (gr *liveGraph) mayReturn() []bool {
 // blockLeaves reports whether control that runs through non-empty block
 // b to its end — past every call in it, each returning — leaves its
 // procedure or makes a transfer no CFG edge follows.
-func blockLeaves(pr *om.Proc, b *om.Block) bool {
+func blockLeaves(b *om.Block) bool {
 	if len(b.Insts) == 0 {
 		return false
 	}
-	for _, sb := range b.Succs {
-		if !validSucc(pr, sb) {
-			return true
-		}
-	}
-	last := b.Insts[len(b.Insts)-1]
+	last := &b.Insts[len(b.Insts)-1]
 	switch op := last.I.Op; {
 	case op == alpha.OpRet || op == alpha.OpJmp:
 		return true
@@ -954,17 +845,17 @@ func branchTarget(in *om.Inst) uint64 {
 
 // instTransfer is the backward transfer of one instruction that is not a
 // resolved call: a bsr here is one whose target starts no procedure.
-func instTransfer(in *om.Inst) Transfer {
-	switch in.I.Op {
+func instTransfer(i *alpha.Inst) Transfer {
+	switch i.Op {
 	case alpha.OpCallPal:
-		if alpha.PalDefined(in.I.PalFn) {
+		if alpha.PalDefined(i.PalFn) {
 			return palTransfer
 		}
 		return unknownCall
 	case alpha.OpJsr, alpha.OpBsr:
 		return unknownCall
 	}
-	def, use := om.DefUse(in.I)
+	def, use := om.DefUse(*i)
 	return Transfer{Mask: allLive &^ def, Gen: use}
 }
 
@@ -979,9 +870,8 @@ func UpwardExposed(pr *om.Proc) om.RegSet {
 	unknown := func(uint64) (int, bool) { return 0, false }
 	s := &Solver{Problem: Problem{
 		Dir:      Backward,
-		Transfer: func(in *om.Inst) Transfer { return instTransfer(in) },
+		Transfer: func(in *om.Inst) Transfer { return instTransfer(&in.I) },
 		Boundary: func(_ *om.Proc, b *om.Block) om.RegSet { return endOf(b, unknown).fixed },
-		Unknown:  allLive,
 	}}
 	state := make([]om.RegSet, len(pr.Blocks))
 	s.SolveProc(pr, state)

@@ -21,9 +21,8 @@ func TestInstTransferAllocs(t *testing.T) {
 		{"operate", alpha.RR(alpha.OpAddq, alpha.T0, alpha.T1, alpha.T2)},
 		{"branch", alpha.Br(alpha.OpBeq, alpha.T3, 4)},
 	} {
-		in := &om.Inst{I: tc.i, Addr: 0x1000}
 		var sink Transfer
-		if n := testing.AllocsPerRun(100, func() { sink = instTransfer(in) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { sink = instTransfer(&tc.i) }); n != 0 {
 			t.Errorf("instTransfer(%s) allocates %v times per call", tc.name, n)
 		}
 		if sink.Gen == 0 {
@@ -64,18 +63,17 @@ func materialize(p *om.Program) materialized {
 		entry:  map[string]om.RegSet{},
 		rounds: s.Rounds,
 	}
-	find := newProcFinder(p)
 	for i, pr := range p.Procs {
 		m.entry[pr.Name] = s.entry[i]
 		for bi, b := range pr.Blocks {
 			v := s.out(int(s.first[i])+bi, i)
 			for k := len(b.Insts) - 1; k >= 0; k-- {
-				in := b.Insts[k]
+				in := &b.Insts[k]
 				m.out[in] = v
-				if _, j := find.resolve(branchTarget(in)); j >= 0 && in.I.Op == alpha.OpBsr {
+				if _, j := p.Resolve(branchTarget(in)); j >= 0 && in.I.Op == alpha.OpBsr {
 					v = s.entry[j] &^ raBit
 				} else {
-					v = instTransfer(in).Apply(v)
+					v = instTransfer(&in.I).Apply(v)
 				}
 				m.in[in] = v
 			}
@@ -89,7 +87,8 @@ func materialize(p *om.Program) materialized {
 // fully materialized per-instruction solution on real programs: every
 // instruction's LiveIn/LiveOut, asked in program order and again in a
 // shuffled order (so a query rarely lands in the block the last one
-// walked), every entry summary, and the Rounds and Edges counters.
+// walked), every entry summary, and the Rounds and Edges counters. The
+// solver's block numbers are the lift's.
 func TestLivenessMatchesMaterialized(t *testing.T) {
 	var other *om.Inst
 	for _, name := range []string{"gcc", "compress", "li", "queens"} {
@@ -107,12 +106,18 @@ func TestLivenessMatchesMaterialized(t *testing.T) {
 			t.Errorf("%s: rounds/edges = %d/%d, want %d/%d", name, lv.Rounds, lv.Edges, ref.rounds, ref.edges)
 		}
 		var all []*om.Inst
-		for _, pr := range p.Procs {
+		for i, pr := range p.Procs {
 			if got, want := lv.EntryLive(pr.Name), ref.entry[pr.Name]; got != want {
 				t.Errorf("%s: EntryLive(%s) = %v, want %v", name, pr.Name, got.Regs(), want.Regs())
 			}
-			for _, b := range pr.Blocks {
-				all = append(all, b.Insts...)
+			for bi, b := range pr.Blocks {
+				k, _ := p.Slot(&b.Insts[0])
+				if _, g := p.BlockAt(k); g != int(lv.g.first[i])+bi {
+					t.Fatalf("%s: %s block %d is block %d of the lift, %d of the solver", name, pr.Name, bi, g, int(lv.g.first[i])+bi)
+				}
+				for k := range b.Insts {
+					all = append(all, &b.Insts[k])
+				}
 			}
 		}
 		check := func(order string) {
@@ -134,7 +139,7 @@ func TestLivenessMatchesMaterialized(t *testing.T) {
 				t.Errorf("%s: instruction of another program not all-live", name)
 			}
 		}
-		other = p.Procs[0].Blocks[0].Insts[0]
+		other = &p.Procs[0].Blocks[0].Insts[0]
 		first, last := all[0], all[len(all)-1]
 		if n := testing.AllocsPerRun(10, func() { lv.LiveIn(first); lv.LiveOut(last) }); n != 0 {
 			t.Errorf("%s: a LiveIn query allocates %v times", name, n)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"atom/internal/alpha"
@@ -67,102 +68,97 @@ func refSolve(p *om.Program) refSolution {
 
 	// Which procedures keep an all-live exit, and which are called.
 	fixed, called := make([]bool, n), make([]bool, n)
-	if p.Exe == nil {
-		for i := range fixed {
-			fixed[i] = true
+	mark := func(addr uint64) {
+		if j := procOf(addr); j >= 0 {
+			fixed[j] = true
 		}
-	} else {
-		mark := func(addr uint64) {
-			if j := procOf(addr); j >= 0 {
-				fixed[j] = true
-			}
+	}
+	mark(p.Exe.Entry)
+	for _, rel := range p.Exe.Relocs {
+		if rel.Type != aout.RelBr21 && rel.Sym >= 0 && rel.Sym < len(p.Exe.Symbols) {
+			mark(p.Exe.Symbols[rel.Sym].Value + uint64(rel.Addend))
 		}
-		mark(p.Exe.Entry)
-		for _, rel := range p.Exe.Relocs {
-			if rel.Type != aout.RelBr21 && rel.Sym >= 0 && rel.Sym < len(p.Exe.Symbols) {
-				mark(p.Exe.Symbols[rel.Sym].Value + uint64(rel.Addend))
-			}
-		}
-		for i, pr := range procs {
-			for _, b := range pr.Blocks {
-				for _, in := range b.Insts {
-					if in.I.Op.Format() != alpha.FormatBranch {
-						continue
-					}
-					t := target(in)
-					j := procOf(t)
-					switch {
-					case j < 0:
-					case in.I.Op == alpha.OpBsr && t == procs[j].Addr:
-						called[j] = true
-					case in.I.Op == alpha.OpBsr || j != i:
-						fixed[j] = true
-					}
-				}
-			}
-		}
-		// ret[i]: a call to procedure i can return. Round robin from
-		// "no" until nothing changes; control passes a resolved call
-		// only into a callee that returns.
-		ret := make([]bool, n)
-		passes := func(in *om.Inst) bool {
-			switch in.I.Op {
-			case alpha.OpRet, alpha.OpJmp, alpha.OpBr:
-				return false
-			case alpha.OpBsr:
-				if j := startOf(target(in)); j >= 0 {
-					return ret[j]
-				}
-			}
-			return true
-		}
-		for changed := true; changed; {
-			changed = false
-			for i, pr := range procs {
-				if ret[i] || len(pr.Blocks) == 0 {
+	}
+	for i, pr := range procs {
+		for _, b := range pr.Blocks {
+			for k := range b.Insts {
+				in := &b.Insts[k]
+				if in.I.Op.Format() != alpha.FormatBranch {
 					continue
 				}
-				seen := map[*om.Block]bool{pr.Blocks[0]: true}
-				work := []*om.Block{pr.Blocks[0]}
-			search:
-				for len(work) > 0 {
-					b := work[0]
-					work = work[1:]
-					if len(b.Insts) == 0 {
-						continue
-					}
-					for _, in := range b.Insts {
-						if in.I.Op == alpha.OpBsr && !passes(in) {
-							continue search
-						}
-					}
-					last := b.Insts[len(b.Insts)-1]
-					op := last.I.Op
-					leaves := op == alpha.OpRet || op == alpha.OpJmp ||
-						(op == alpha.OpBr || op.IsCondBranch()) && !edgeTo(b, target(last)) ||
-						passes(last) && !edgeTo(b, last.Addr+4)
-					for _, s := range b.Succs {
-						if !valid(pr, s) {
-							leaves = true
-						} else if !seen[s] {
-							seen[s] = true
-							work = append(work, s)
-						}
-					}
-					if leaves {
-						ret[i] = true
-						changed = true
-						break
-					}
+				t := target(in)
+				j := procOf(t)
+				switch {
+				case j < 0:
+				case in.I.Op == alpha.OpBsr && t == procs[j].Addr:
+					called[j] = true
+				case in.I.Op == alpha.OpBsr || j != i:
+					fixed[j] = true
 				}
 			}
 		}
-		for _, pr := range procs {
-			if nb := len(pr.Blocks); nb > 0 {
-				if last := pr.Blocks[nb-1].Insts; len(last) > 0 {
-					if in := last[len(last)-1]; passes(in) {
-						mark(pr.Addr + pr.Size)
+	}
+	// ret[i]: a call to procedure i can return. Round robin from
+	// "no" until nothing changes; control passes a resolved call
+	// only into a callee that returns.
+	ret := make([]bool, n)
+	passes := func(in *om.Inst) bool {
+		switch in.I.Op {
+		case alpha.OpRet, alpha.OpJmp, alpha.OpBr:
+			return false
+		case alpha.OpBsr:
+			if j := startOf(target(in)); j >= 0 {
+				return ret[j]
+			}
+		}
+		return true
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, pr := range procs {
+			if ret[i] || len(pr.Blocks) == 0 {
+				continue
+			}
+			seen := map[*om.Block]bool{pr.Blocks[0]: true}
+			work := []*om.Block{pr.Blocks[0]}
+		search:
+			for len(work) > 0 {
+				b := work[0]
+				work = work[1:]
+				if len(b.Insts) == 0 {
+					continue
+				}
+				for k := range b.Insts {
+					if in := &b.Insts[k]; in.I.Op == alpha.OpBsr && !passes(in) {
+						continue search
 					}
+				}
+				last := &b.Insts[len(b.Insts)-1]
+				op := last.I.Op
+				leaves := op == alpha.OpRet || op == alpha.OpJmp ||
+					(op == alpha.OpBr || op.IsCondBranch()) && !edgeTo(b, target(last)) ||
+					passes(last) && !edgeTo(b, last.Addr+4)
+				for _, s := range b.Succs {
+					if !valid(pr, s) {
+						leaves = true
+					} else if !seen[s] {
+						seen[s] = true
+						work = append(work, s)
+					}
+				}
+				if leaves {
+					ret[i] = true
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	for _, pr := range procs {
+		if nb := len(pr.Blocks); nb > 0 {
+			if last := pr.Blocks[nb-1].Insts; len(last) > 0 {
+				if in := &last[len(last)-1]; passes(in) {
+					mark(pr.Addr + pr.Size)
 				}
 			}
 		}
@@ -187,7 +183,7 @@ func refSolve(p *om.Program) refSolution {
 	empty := map[*om.Block]om.RegSet{} // live sets of blocks without instructions
 	blockIn := func(b *om.Block) om.RegSet {
 		if len(b.Insts) > 0 {
-			return sol.in[b.Insts[0]]
+			return sol.in[&b.Insts[0]]
 		}
 		return empty[b]
 	}
@@ -226,7 +222,7 @@ func refSolve(p *om.Program) refSolution {
 					return e
 				}
 				if k := len(b.Insts); k > 0 {
-					last := b.Insts[k-1]
+					last := &b.Insts[k-1]
 					switch op := last.I.Op; {
 					case op == alpha.OpRet:
 						end |= exit[i]
@@ -245,7 +241,7 @@ func refSolve(p *om.Program) refSolution {
 				}
 				v := end
 				for k := len(b.Insts) - 1; k >= 0; k-- {
-					in := b.Insts[k]
+					in := &b.Insts[k]
 					update(sol.out, in, v, &changed)
 					switch in.I.Op {
 					case alpha.OpCallPal:
@@ -300,7 +296,9 @@ func checkAgainstRef(p *om.Program, order []int) string {
 			return fmt.Sprintf("EntryLive(%s) = %v, want %v", pr.Name, got.Regs(), want.Regs())
 		}
 		for _, b := range pr.Blocks {
-			all = append(all, b.Insts...)
+			for k := range b.Insts {
+				all = append(all, &b.Insts[k])
+			}
 		}
 	}
 	for _, k := range order {
@@ -341,6 +339,36 @@ func (s *genStream) pick(n int) int {
 	return v % n
 }
 
+// Fn is one procedure of a test program: a function symbol over its
+// instructions. A Fn without instructions is a zero-size symbol: an alias
+// of the procedure after it, or a procedure at the end of text.
+type Fn struct {
+	Name  string
+	Insts []alpha.Inst
+}
+
+// Link encodes fns one after another from textAddr into the text of a
+// linked executable, symbol i naming fns[i] (what a relocation's Sym
+// indexes), with the given entry point and relocations, and lifts it.
+func Link(textAddr, entry uint64, relocs []aout.Reloc, fns ...Fn) (*om.Program, error) {
+	exe := &aout.File{Linked: true, TextAddr: textAddr, Entry: entry, Relocs: relocs}
+	for _, f := range fns {
+		addr := textAddr + uint64(len(exe.Text))
+		for _, in := range f.Insts {
+			w, err := in.Encode()
+			if err != nil {
+				return nil, fmt.Errorf("%s: %v", f.Name, err)
+			}
+			exe.Text = binary.LittleEndian.AppendUint32(exe.Text, w)
+		}
+		exe.Symbols = append(exe.Symbols, aout.Symbol{
+			Name: f.Name, Kind: aout.SymFunc, Section: aout.SecText,
+			Value: addr, Size: 4 * uint64(len(f.Insts)), Global: true,
+		})
+	}
+	return om.BuildCtx(nil, exe)
+}
+
 // genProgram builds a linked executable from data and lifts it: two to
 // seven procedures of one to twelve instructions drawn from operates,
 // loads and stores over a few registers, conditional and unconditional
@@ -365,8 +393,9 @@ func genProgram(data []byte) (*om.Program, error) {
 	end := starts[nprocs]
 	disp := func(from, to uint64) int32 { return int32((int64(to) - int64(from) - 4) / 4) }
 	inProc := func(i int) uint64 { return starts[i] + 4*uint64(s.pick(int(starts[i+1]-starts[i])/4)) }
-	exe := &aout.File{Linked: true, TextAddr: textAddr, Text: make([]byte, end-textAddr)}
-	for i := 0; i < nprocs; i++ {
+	fns := make([]Fn, nprocs)
+	for i := range fns {
+		fns[i].Name = fmt.Sprintf("p%d", i)
 		for a := starts[i]; a < starts[i+1]; a += 4 {
 			var in alpha.Inst
 			ops := []alpha.Op{alpha.OpAddq, alpha.OpSubq, alpha.OpBis, alpha.OpCmoveq, alpha.OpCmplt}
@@ -411,28 +440,28 @@ func genProgram(data []byte) (*om.Program, error) {
 			case 17:
 				in = alpha.Inst{Op: alpha.OpJmp, Ra: alpha.Zero, Rb: reg()}
 			}
-			w, err := in.Encode()
-			if err != nil {
-				return nil, err
-			}
-			binary.LittleEndian.PutUint32(exe.Text[a-textAddr:], w)
+			fns[i].Insts = append(fns[i].Insts, in)
 		}
-		exe.Symbols = append(exe.Symbols, aout.Symbol{
-			Name: fmt.Sprintf("p%d", i), Kind: aout.SymFunc, Section: aout.SecText,
-			Value: starts[i], Size: starts[i+1] - starts[i], Global: true,
-		})
 	}
-	exe.Entry = starts[s.pick(nprocs)]
+	entry := starts[s.pick(nprocs)]
+	var relocs []aout.Reloc
 	if s.pick(3) == 0 {
-		exe.Relocs = append(exe.Relocs, aout.Reloc{Section: aout.SecData, Type: aout.RelQuad, Sym: s.pick(nprocs)})
+		relocs = append(relocs, aout.Reloc{Section: aout.SecData, Type: aout.RelQuad, Sym: s.pick(nprocs)})
 	}
 	if s.pick(4) == 0 {
-		exe.Symbols = append(exe.Symbols, aout.Symbol{Name: "alias", Kind: aout.SymFunc, Section: aout.SecText, Value: starts[s.pick(nprocs)]})
+		// The alias goes in front of the procedure it names.
+		j := s.pick(nprocs)
+		fns = slices.Insert(fns, j, Fn{Name: "alias"})
+		for k := range relocs {
+			if relocs[k].Sym >= j {
+				relocs[k].Sym++
+			}
+		}
 	}
 	if s.pick(4) == 0 {
-		exe.Symbols = append(exe.Symbols, aout.Symbol{Name: "tail", Kind: aout.SymFunc, Section: aout.SecText, Value: end})
+		fns = append(fns, Fn{Name: "tail"})
 	}
-	return om.BuildCtx(nil, exe)
+	return Link(textAddr, entry, relocs, fns...)
 }
 
 // TestLivenessMatchesReference is the property test: on generated

@@ -9,67 +9,62 @@ import (
 	"atom/internal/om/dataflow"
 )
 
-// mkProc hand-builds one procedure from instruction rows: blocks[i] is
-// the instruction sequence of block i, succs[i] its successor block
-// indices. Addresses are assigned sequentially from addr so branch
-// displacements inside the rows can be computed against the layout.
-func mkProc(name string, index int, addr uint64, blocks [][]alpha.Inst, succs [][]int) *om.Proc {
-	pr := &om.Proc{Name: name, Index: index, Addr: addr}
-	a := addr
-	for bi, row := range blocks {
-		b := &om.Block{Index: bi}
-		for _, in := range row {
-			b.Insts = append(b.Insts, &om.Inst{I: in, Addr: a})
-			a += 4
-		}
-		pr.Blocks = append(pr.Blocks, b)
+// lift links fns from textAddr with the given entry point and
+// relocations (dataflow.Link) and returns the lifted program.
+func lift(t *testing.T, textAddr, entry uint64, relocs []aout.Reloc, fns ...dataflow.Fn) *om.Program {
+	t.Helper()
+	p, err := dataflow.Link(textAddr, entry, relocs, fns...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for bi, ss := range succs {
-		for _, si := range ss {
-			pr.Blocks[bi].Succs = append(pr.Blocks[bi].Succs, pr.Blocks[si])
-		}
-	}
-	pr.Size = a - addr
-	return pr
+	return p
 }
 
-// firstInst returns the first instruction of block bi of proc pi.
-func firstInst(p *om.Program, pi, bi int) *om.Inst {
-	return p.Procs[pi].Blocks[bi].Insts[0]
+// instAt returns the instruction at addr.
+func instAt(t *testing.T, p *om.Program, addr uint64) *om.Inst {
+	t.Helper()
+	in := p.InstAt(addr)
+	if in == nil {
+		t.Fatalf("no instruction at %#x", addr)
+	}
+	return in
 }
 
-// TestLivenessCFGs drives the analysis over hand-built control-flow
-// graphs and checks per-register verdicts at chosen points. Because a
-// ret makes everything live at the block's exit (the continuation is
-// unknown), the discriminating assertions are about registers proven
-// DEAD — the analysis earning its keep — plus a few live ones as
-// anchors.
+// fn is a dataflow.Fn.
+func fn(name string, insts ...alpha.Inst) dataflow.Fn { return dataflow.Fn{Name: name, Insts: insts} }
+
+// TestLivenessCFGs drives the analysis over small control-flow graphs
+// and checks per-register verdicts at chosen points. Each procedure is
+// the program entry, so its ret makes everything live at the block's
+// exit (the continuation is unknown); the discriminating assertions are
+// about registers proven DEAD — the analysis earning its keep — plus a
+// few live ones as anchors.
 func TestLivenessCFGs(t *testing.T) {
 	ret := alpha.Inst{Op: alpha.OpRet, Ra: alpha.Zero, Rb: alpha.RA}
 
 	tests := []struct {
 		name  string
-		prog  *om.Program
-		at    func(p *om.Program) *om.Inst // query point (LiveIn)
+		addr  uint64 // the procedure's start and the program entry
+		insts []alpha.Inst
+		at    uint64 // query point (LiveIn)
 		dead  []alpha.Reg
 		live  []alpha.Reg
-		debug string
 	}{
 		{
 			// Entry of a diamond: t0 is defined on both arms before its
 			// join-point use, v0 only written — both dead at entry; the
 			// branch condition a1 and the join operand a0 are live.
 			name: "diamond",
-			prog: &om.Program{Procs: []*om.Proc{mkProc("d", 0, 0x1000,
-				[][]alpha.Inst{
-					{alpha.Br(alpha.OpBeq, alpha.A1, 2)},                                                   // 0x1000 -> 0x100c
-					{alpha.RI(alpha.OpAddq, alpha.Zero, 1, alpha.T0), alpha.Br(alpha.OpBr, alpha.Zero, 1)}, // 0x1004,0x1008 -> 0x1010
-					{alpha.RI(alpha.OpAddq, alpha.Zero, 2, alpha.T0)},                                      // 0x100c
-					{alpha.RR(alpha.OpAddq, alpha.T0, alpha.A0, alpha.V0), ret},                            // 0x1010,0x1014
-				},
-				[][]int{{1, 2}, {3}, {3}, {}},
-			)}},
-			at:   func(p *om.Program) *om.Inst { return firstInst(p, 0, 0) },
+			addr: 0x1000,
+			insts: []alpha.Inst{
+				alpha.Br(alpha.OpBeq, alpha.A1, 2),                   // 0x1000 -> 0x100c
+				alpha.RI(alpha.OpAddq, alpha.Zero, 1, alpha.T0),      // 0x1004
+				alpha.Br(alpha.OpBr, alpha.Zero, 1),                  // 0x1008 -> 0x1010
+				alpha.RI(alpha.OpAddq, alpha.Zero, 2, alpha.T0),      // 0x100c
+				alpha.RR(alpha.OpAddq, alpha.T0, alpha.A0, alpha.V0), // 0x1010
+				ret, // 0x1014
+			},
+			at:   0x1000,
 			dead: []alpha.Reg{alpha.T0, alpha.V0},
 			live: []alpha.Reg{alpha.A0, alpha.A1},
 		},
@@ -78,17 +73,16 @@ func TestLivenessCFGs(t *testing.T) {
 			// every iteration, consumed after the loop), a0 is the trip
 			// count. Query at the bne so the back-edge flow matters.
 			name: "loop-header",
-			prog: &om.Program{Procs: []*om.Proc{mkProc("l", 0, 0x2000,
-				[][]alpha.Inst{
-					{alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T0)}, // 0x2000
-					{alpha.RI(alpha.OpAddq, alpha.T0, 1, alpha.T0), // 0x2004
-						alpha.RI(alpha.OpSubq, alpha.A0, 1, alpha.A0), // 0x2008
-						alpha.Br(alpha.OpBne, alpha.A0, -3)},          // 0x200c -> 0x2004
-					{alpha.RR(alpha.OpAddq, alpha.T0, alpha.Zero, alpha.V0), ret}, // 0x2010
-				},
-				[][]int{{1}, {2, 1}, {}},
-			)}},
-			at:   func(p *om.Program) *om.Inst { return p.Procs[0].Blocks[1].Insts[2] },
+			addr: 0x2000,
+			insts: []alpha.Inst{
+				alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T0),        // 0x2000
+				alpha.RI(alpha.OpAddq, alpha.T0, 1, alpha.T0),          // 0x2004
+				alpha.RI(alpha.OpSubq, alpha.A0, 1, alpha.A0),          // 0x2008
+				alpha.Br(alpha.OpBne, alpha.A0, -3),                    // 0x200c -> 0x2004
+				alpha.RR(alpha.OpAddq, alpha.T0, alpha.Zero, alpha.V0), // 0x2010
+				ret,
+			},
+			at:   0x200c,
 			dead: []alpha.Reg{alpha.V0},
 			live: []alpha.Reg{alpha.T0, alpha.A0},
 		},
@@ -96,34 +90,33 @@ func TestLivenessCFGs(t *testing.T) {
 			// The same loop at procedure entry: t0 is defined before any
 			// use, so it is dead there despite being loop-carried inside.
 			name: "loop-entry",
-			prog: &om.Program{Procs: []*om.Proc{mkProc("l", 0, 0x2000,
-				[][]alpha.Inst{
-					{alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T0)},
-					{alpha.RI(alpha.OpAddq, alpha.T0, 1, alpha.T0),
-						alpha.RI(alpha.OpSubq, alpha.A0, 1, alpha.A0),
-						alpha.Br(alpha.OpBne, alpha.A0, -3)},
-					{alpha.RR(alpha.OpAddq, alpha.T0, alpha.Zero, alpha.V0), ret},
-				},
-				[][]int{{1}, {2, 1}, {}},
-			)}},
-			at:   func(p *om.Program) *om.Inst { return firstInst(p, 0, 0) },
+			addr: 0x2000,
+			insts: []alpha.Inst{
+				alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T0),
+				alpha.RI(alpha.OpAddq, alpha.T0, 1, alpha.T0),
+				alpha.RI(alpha.OpSubq, alpha.A0, 1, alpha.A0),
+				alpha.Br(alpha.OpBne, alpha.A0, -3),
+				alpha.RR(alpha.OpAddq, alpha.T0, alpha.Zero, alpha.V0),
+				ret,
+			},
+			at:   0x2000,
 			dead: []alpha.Reg{alpha.T0, alpha.V0},
 			live: []alpha.Reg{alpha.A0},
 		},
 		{
 			// An unreachable block still gets a sound solution: t5 is
-			// dead on the reachable path (b2 defines it before the ret)
-			// but live inside unreachable b1, which reads it.
+			// dead on the reachable path (the last block defines it
+			// before the ret) but live inside the unreachable block,
+			// which reads it.
 			name: "unreachable-block",
-			prog: &om.Program{Procs: []*om.Proc{mkProc("u", 0, 0x3000,
-				[][]alpha.Inst{
-					{alpha.Br(alpha.OpBr, alpha.Zero, 1)},                    // 0x3000 -> 0x3008
-					{alpha.RR(alpha.OpAddq, alpha.T5, alpha.Zero, alpha.V0)}, // 0x3004 (unreachable)
-					{alpha.RI(alpha.OpAddq, alpha.Zero, 7, alpha.T5), ret},   // 0x3008
-				},
-				[][]int{{2}, {2}, {}},
-			)}},
-			at:   func(p *om.Program) *om.Inst { return firstInst(p, 0, 0) },
+			addr: 0x3000,
+			insts: []alpha.Inst{
+				alpha.Br(alpha.OpBr, alpha.Zero, 1),                    // 0x3000 -> 0x3008
+				alpha.RR(alpha.OpAddq, alpha.T5, alpha.Zero, alpha.V0), // 0x3004 (unreachable)
+				alpha.RI(alpha.OpAddq, alpha.Zero, 7, alpha.T5),        // 0x3008
+				ret,
+			},
+			at:   0x3000,
 			dead: []alpha.Reg{alpha.T5},
 			live: []alpha.Reg{alpha.A0},
 		},
@@ -132,33 +125,30 @@ func TestLivenessCFGs(t *testing.T) {
 			// the jmp is live (unknown continuation), but a register
 			// defined before it with no intervening use is still dead.
 			name: "indirect-jump",
-			prog: &om.Program{Procs: []*om.Proc{mkProc("j", 0, 0x4000,
-				[][]alpha.Inst{
-					{alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T1),
-						alpha.Inst{Op: alpha.OpJmp, Ra: alpha.Zero, Rb: alpha.T0}},
-				},
-				[][]int{{}},
-			)}},
-			at:   func(p *om.Program) *om.Inst { return firstInst(p, 0, 0) },
+			addr: 0x4000,
+			insts: []alpha.Inst{
+				alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T1),
+				{Op: alpha.OpJmp, Ra: alpha.Zero, Rb: alpha.T0},
+			},
+			at:   0x4000,
 			dead: []alpha.Reg{alpha.T1},
 			live: []alpha.Reg{alpha.T0, alpha.T7},
 		},
 	}
 
 	for _, tc := range tests {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			lv := dataflow.ComputeCtx(nil, tc.prog)
-			in := tc.at(tc.prog)
-			got := lv.LiveIn(in)
+			p := lift(t, tc.addr, tc.addr, nil, fn(tc.name, tc.insts...))
+			lv := dataflow.ComputeCtx(nil, p)
+			got := lv.LiveIn(instAt(t, p, tc.at))
 			for _, r := range tc.dead {
 				if got.Has(r) {
-					t.Errorf("%s: %v live at %#x, want dead (live set %v)", tc.name, r, in.Addr, got.Regs())
+					t.Errorf("%s: %v live at %#x, want dead (live set %v)", tc.name, r, tc.at, got.Regs())
 				}
 			}
 			for _, r := range tc.live {
 				if !got.Has(r) {
-					t.Errorf("%s: %v dead at %#x, want live (live set %v)", tc.name, r, in.Addr, got.Regs())
+					t.Errorf("%s: %v dead at %#x, want live (live set %v)", tc.name, r, tc.at, got.Regs())
 				}
 			}
 			if lv.Rounds < 1 {
@@ -175,28 +165,15 @@ func TestLivenessCFGs(t *testing.T) {
 // itself must-defines it).
 func TestLivenessEntrySummaries(t *testing.T) {
 	ret := alpha.Inst{Op: alpha.OpRet, Ra: alpha.Zero, Rb: alpha.RA}
-	bsrTo := func(from, to uint64) alpha.Inst {
-		return alpha.Br(alpha.OpBsr, alpha.RA, int32((int64(to)-int64(from)-4)/4))
-	}
-
-	// kill: defines t9 then returns. read: consumes t9.
-	kill := mkProc("kill", 2, 0x5100, [][]alpha.Inst{
-		{alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T9), ret},
-	}, [][]int{{}})
-	read := mkProc("read", 3, 0x5200, [][]alpha.Inst{
-		{alpha.RR(alpha.OpAddq, alpha.T9, alpha.Zero, alpha.V0), ret},
-	}, [][]int{{}})
-
 	// Both callers redefine t9 right after the call, so nothing after
 	// the site keeps it alive — only the callee's entry summary can.
-	callKill := mkProc("callKill", 0, 0x5000, [][]alpha.Inst{
-		{bsrTo(0x5000, 0x5100), alpha.RI(alpha.OpAddq, alpha.Zero, 3, alpha.T9), ret},
-	}, [][]int{{}})
-	callRead := mkProc("callRead", 1, 0x5040, [][]alpha.Inst{
-		{bsrTo(0x5040, 0x5200), alpha.RI(alpha.OpAddq, alpha.Zero, 3, alpha.T9), ret},
-	}, [][]int{{}})
-
-	p := &om.Program{Procs: []*om.Proc{callKill, callRead, kill, read}}
+	p := lift(t, 0x5000, 0x5000, nil,
+		fn("callKill", bsr(0x5000, 0x5018), alpha.RI(alpha.OpAddq, alpha.Zero, 3, alpha.T9), ret), // 0x5000
+		fn("callRead", bsr(0x500c, 0x5020), alpha.RI(alpha.OpAddq, alpha.Zero, 3, alpha.T9), ret), // 0x500c
+		// kill defines t9 then returns; read consumes t9.
+		fn("kill", alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T9), ret),        // 0x5018
+		fn("read", alpha.RR(alpha.OpAddq, alpha.T9, alpha.Zero, alpha.V0), ret), // 0x5020
+	)
 	lv := dataflow.ComputeCtx(nil, p)
 
 	if e := lv.EntryLive("kill"); e.Has(alpha.T9) {
@@ -206,8 +183,8 @@ func TestLivenessEntrySummaries(t *testing.T) {
 		t.Errorf("read's entry summary lacks t9: %v", e.Regs())
 	}
 
-	atKill := lv.LiveIn(callKill.Blocks[0].Insts[0])
-	atRead := lv.LiveIn(callRead.Blocks[0].Insts[0])
+	atKill := lv.LiveIn(instAt(t, p, 0x5000))
+	atRead := lv.LiveIn(instAt(t, p, 0x500c))
 	if atKill.Has(alpha.T9) {
 		t.Errorf("t9 live before bsr kill, want dead: %v", atKill.Regs())
 	}
@@ -222,11 +199,19 @@ func TestLivenessEntrySummaries(t *testing.T) {
 }
 
 // TestLivenessUnknownInst: instructions outside the analyzed program
-// report everything live (fail-safe default).
+// report everything live (fail-safe default), even one at an address
+// where the program has an instruction of its own.
 func TestLivenessUnknownInst(t *testing.T) {
-	p := &om.Program{}
+	// p's procedure is neither the entry nor called, so its own first
+	// instruction has only ra live.
+	body := fn("f", alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T0), retInst)
+	p := lift(t, 0x9000, 0, nil, body)
+	other := lift(t, 0x9000, 0, nil, body)
 	lv := dataflow.ComputeCtx(nil, p)
-	stray := &om.Inst{I: alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T0), Addr: 0x9000}
+	if got := lv.LiveIn(instAt(t, p, 0x9000)); got != reg(alpha.RA) {
+		t.Fatalf("own instruction: live-in %v, want only ra", got.Regs())
+	}
+	stray := instAt(t, other, 0x9000)
 	if got := lv.LiveIn(stray); !got.Has(alpha.T0) || !got.Has(alpha.S0) {
 		t.Errorf("unknown instruction not all-live: %v", got.Regs())
 	}
@@ -238,20 +223,11 @@ func TestLivenessUnknownInst(t *testing.T) {
 	}
 }
 
-// linked wraps hand-built procedures in a program with an executable:
-// its entry point, symbols and relocations are what decide which
-// procedures keep an all-live exit.
-func linked(entry uint64, procs ...*om.Proc) *om.Program {
-	return &om.Program{
-		Exe:   &aout.File{Linked: true, Entry: entry},
-		Procs: procs,
-	}
-}
-
-// lastInst returns the last instruction of a procedure.
-func lastInst(pr *om.Proc) *om.Inst {
-	b := pr.Blocks[len(pr.Blocks)-1]
-	return b.Insts[len(b.Insts)-1]
+// lastInst returns the last instruction of the named procedure.
+func lastInst(p *om.Program, name string) *om.Inst {
+	blocks := p.Proc(name).Blocks
+	b := blocks[len(blocks)-1]
+	return &b.Insts[len(b.Insts)-1]
 }
 
 var (
@@ -269,30 +245,30 @@ func bsr(from, to uint64) alpha.Inst {
 // summary, the union of what is live just after each call to it — t1
 // after the first call site, t2 after the second — and nothing else.
 func TestLivenessExitSummaryUnion(t *testing.T) {
-	f := mkProc("f", 0, 0x1000, [][]alpha.Inst{{retInst}}, [][]int{{}})
-	c := mkProc("c", 1, 0x1100, [][]alpha.Inst{{
-		bsr(0x1100, 0x1000),
-		alpha.RR(alpha.OpAddq, alpha.T1, alpha.Zero, alpha.V0),
-		bsr(0x1108, 0x1000),
-		alpha.RR(alpha.OpAddq, alpha.T2, alpha.Zero, alpha.V0),
-		retInst,
-	}}, [][]int{{}})
-	main := mkProc("main", 2, 0x1200, [][]alpha.Inst{{bsr(0x1200, 0x1100)}, {spin}}, [][]int{{1}, {1}})
-	p := linked(0x1200, f, c, main)
+	p := lift(t, 0x1000, 0x1018, nil,
+		fn("f", retInst), // 0x1000
+		fn("c", // 0x1004
+			bsr(0x1004, 0x1000),
+			alpha.RR(alpha.OpAddq, alpha.T1, alpha.Zero, alpha.V0),
+			bsr(0x100c, 0x1000),
+			alpha.RR(alpha.OpAddq, alpha.T2, alpha.Zero, alpha.V0),
+			retInst),
+		fn("main", bsr(0x1018, 0x1004), spin), // 0x1018
+	)
 	lv := dataflow.ComputeCtx(nil, p)
 
 	want := reg(alpha.T1).Add(alpha.T2).Add(alpha.RA)
-	if got := lv.LiveIn(lastInst(f)); got != want {
+	if got := lv.LiveIn(lastInst(p, "f")); got != want {
 		t.Errorf("f's ret reads %v, want %v (t1 and t2 from its two call sites, ra)", got.Regs(), want.Regs())
 	}
 	// c's only caller continues into a loop that reads nothing.
-	if got := lv.LiveIn(lastInst(c)); got != reg(alpha.RA) {
+	if got := lv.LiveIn(lastInst(p, "c")); got != reg(alpha.RA) {
 		t.Errorf("c's ret reads %v, want only ra", got.Regs())
 	}
 	// c reads t1 and t2 after calls that do not define them, so both
 	// are live at its entry and before main's call to it; ra is
 	// must-defined by that bsr.
-	if got, want := lv.LiveIn(main.Blocks[0].Insts[0]), reg(alpha.T1).Add(alpha.T2); got != want {
+	if got, want := lv.LiveIn(instAt(t, p, 0x1018)), reg(alpha.T1).Add(alpha.T2); got != want {
 		t.Errorf("live before main's call = %v, want %v", got.Regs(), want.Regs())
 	}
 }
@@ -302,15 +278,13 @@ func TestLivenessExitSummaryUnion(t *testing.T) {
 // the call — the continuation reaches the callee's exit summary, so the
 // call's live-in is exactly the callee's entry summary.
 func TestLivenessCallKills(t *testing.T) {
-	f := mkProc("f", 0, 0x1000, [][]alpha.Inst{{alpha.RI(alpha.OpAddq, alpha.Zero, 1, alpha.T3), retInst}}, [][]int{{}})
-	c := mkProc("c", 1, 0x1100, [][]alpha.Inst{{
-		bsr(0x1100, 0x1000),
-		alpha.RR(alpha.OpAddq, alpha.T3, alpha.Zero, alpha.V0),
-		retInst,
-	}}, [][]int{{}})
-	main := mkProc("main", 2, 0x1200, [][]alpha.Inst{{bsr(0x1200, 0x1100)}, {spin}}, [][]int{{1}, {1}})
-	lv := dataflow.ComputeCtx(nil, linked(0x1200, f, c, main))
-	call := c.Blocks[0].Insts[0]
+	p := lift(t, 0x1000, 0x1014, nil,
+		fn("f", alpha.RI(alpha.OpAddq, alpha.Zero, 1, alpha.T3), retInst),                             // 0x1000
+		fn("c", bsr(0x1008, 0x1000), alpha.RR(alpha.OpAddq, alpha.T3, alpha.Zero, alpha.V0), retInst), // 0x1008
+		fn("main", bsr(0x1014, 0x1008), spin),                                                         // 0x1014
+	)
+	lv := dataflow.ComputeCtx(nil, p)
+	call := instAt(t, p, 0x1008)
 	if !lv.LiveOut(call).Has(alpha.T3) {
 		t.Errorf("t3 dead after the call, but c reads it: %v", lv.LiveOut(call).Regs())
 	}
@@ -326,23 +300,15 @@ func TestLivenessCallKills(t *testing.T) {
 // the procedure before it can fall into it — which a trailing call does
 // only if its callee can return.
 func TestLivenessAllLiveExits(t *testing.T) {
-	// g is a leaf nobody calls; h precedes it and ends in a loop, so by
-	// default neither g's entry nor its exit is reachable from anywhere.
-	type build func() (*om.Program, *om.Proc)
-	// h ends right where g starts.
-	base := func(hBody []alpha.Inst) (*om.Proc, *om.Proc, *om.Proc) {
-		h := mkProc("h", 0, 0x1100-4*uint64(len(hBody)), [][]alpha.Inst{hBody}, [][]int{{}})
-		g := mkProc("g", 1, 0x1100, [][]alpha.Inst{{alpha.RR(alpha.OpAddq, alpha.A0, alpha.Zero, alpha.V0), retInst}}, [][]int{{}})
-		main := mkProc("main", 2, 0x1200, [][]alpha.Inst{{spin}}, [][]int{{0}})
-		return h, g, main
-	}
-	withH := func(hBody []alpha.Inst) build {
-		return func() (*om.Program, *om.Proc) {
-			h, g, main := base(hBody)
-			if hBody[len(hBody)-1].Op == alpha.OpBr && hBody[len(hBody)-1].Disp == -1 {
-				h.Blocks[0].Succs = []*om.Block{h.Blocks[0]}
-			}
-			return linked(0x1200, h, g, main), g
+	// g (0x1100) is a leaf nobody calls; h ends right where g starts and,
+	// by default, in a loop, so neither g's entry nor its exit is
+	// reachable from anywhere. main (0x1108) is the program entry.
+	g := fn("g", alpha.RR(alpha.OpAddq, alpha.A0, alpha.Zero, alpha.V0), retInst)
+	main := fn("main", spin)
+	type build func(t *testing.T) *om.Program
+	withH := func(hBody ...alpha.Inst) build {
+		return func(t *testing.T) *om.Program {
+			return lift(t, 0x1100-4*uint64(len(hBody)), 0x1108, nil, fn("h", hBody...), g, main)
 		}
 	}
 	for _, tc := range []struct {
@@ -350,30 +316,27 @@ func TestLivenessAllLiveExits(t *testing.T) {
 		build   build
 		allLive bool
 	}{
-		{"uncalled", withH([]alpha.Inst{spin}), false},
-		{"entry", func() (*om.Program, *om.Proc) {
-			h, g, main := base([]alpha.Inst{spin})
-			h.Blocks[0].Succs = []*om.Block{h.Blocks[0]}
-			return linked(0x1100, h, g, main), g
+		{"uncalled", withH(spin), false},
+		{"entry", func(t *testing.T) *om.Program {
+			return lift(t, 0x10fc, 0x1100, nil, fn("h", spin), g, main)
 		}, true},
-		{"address-taken", func() (*om.Program, *om.Proc) {
-			p, g := withH([]alpha.Inst{spin})()
-			p.Exe.Symbols = []aout.Symbol{{Name: "g", Kind: aout.SymFunc, Section: aout.SecText, Value: 0x1100, Size: 8, Global: true}}
-			p.Exe.Relocs = []aout.Reloc{{Section: aout.SecData, Offset: 0, Type: aout.RelQuad, Sym: 0}}
-			return p, g
+		{"address-taken", func(t *testing.T) *om.Program {
+			// Symbol 1 is g.
+			return lift(t, 0x10fc, 0x1108, []aout.Reloc{{Section: aout.SecData, Offset: 0, Type: aout.RelQuad, Sym: 1}},
+				fn("h", spin), g, main)
 		}, true},
-		{"cross-procedure-branch", withH([]alpha.Inst{alpha.Br(alpha.OpBr, alpha.Zero, 0)}), true},
-		{"bsr-into-middle", withH([]alpha.Inst{bsr(0x10f8, 0x1104), spin}), true},
-		{"fall-through", withH([]alpha.Inst{alpha.RI(alpha.OpAddq, alpha.Zero, 1, alpha.T0)}), true},
+		{"cross-procedure-branch", withH(alpha.Br(alpha.OpBr, alpha.Zero, 0)), true},
+		{"bsr-into-middle", withH(bsr(0x10f8, 0x1104), spin), true},
+		{"fall-through", withH(alpha.RI(alpha.OpAddq, alpha.Zero, 1, alpha.T0)), true},
 		// h ends in a call, as a startup routine ends in its call to
 		// exit: control falls into g only if the callee can return.
-		{"trailing-call-returns", trailingCall(retInst), true},
-		{"trailing-call-never-returns", trailingCall(spin), false},
+		{"trailing-call-returns", trailingCall(g, main, retInst), true},
+		{"trailing-call-never-returns", trailingCall(g, main, spin), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, g := tc.build()
+			p := tc.build(t)
 			lv := dataflow.ComputeCtx(nil, p)
-			got := lv.LiveIn(lastInst(g))
+			got := lv.LiveIn(lastInst(p, "g"))
 			want := reg(alpha.RA)
 			if tc.allLive {
 				want = dataflow.AllRegs()
@@ -385,21 +348,11 @@ func TestLivenessAllLiveExits(t *testing.T) {
 	}
 }
 
-// trailingCall builds h (a lone bsr to x, the procedure after main), g
-// and main, with x's body the given single instruction.
-func trailingCall(xBody alpha.Inst) func() (*om.Program, *om.Proc) {
-	return func() (*om.Program, *om.Proc) {
-		h := mkProc("h", 0, 0x10fc, [][]alpha.Inst{{bsr(0x10fc, 0x1300)}}, [][]int{{}})
-		g := mkProc("g", 1, 0x1100, [][]alpha.Inst{{alpha.RR(alpha.OpAddq, alpha.A0, alpha.Zero, alpha.V0), retInst}}, [][]int{{}})
-		main := mkProc("main", 2, 0x1200, [][]alpha.Inst{{spin}}, [][]int{{0}})
-		var xSuccs [][]int
-		if xBody.Op == alpha.OpBr {
-			xSuccs = [][]int{{0}}
-		} else {
-			xSuccs = [][]int{{}}
-		}
-		x := mkProc("x", 3, 0x1300, [][]alpha.Inst{{xBody}}, xSuccs)
-		return linked(0x1200, h, g, main, x), g
+// trailingCall builds h (0x10fc, a lone bsr to x), g, main and x (0x110c,
+// the procedure after main), with x's body the given single instruction.
+func trailingCall(g, main dataflow.Fn, xBody alpha.Inst) func(t *testing.T) *om.Program {
+	return func(t *testing.T) *om.Program {
+		return lift(t, 0x10fc, 0x1108, nil, fn("h", bsr(0x10fc, 0x110c)), g, main, fn("x", xBody))
 	}
 }
 
@@ -409,18 +362,18 @@ func trailingCall(xBody alpha.Inst) func() (*om.Program, *om.Proc) {
 // is an unknown callee and keeps everything live.
 func TestLivenessPalContract(t *testing.T) {
 	args := reg(alpha.A0).Add(alpha.A1).Add(alpha.A2)
-	body := func(fn uint32) *om.Program {
-		return linked(0, mkProc("p", 0, 0x1000, [][]alpha.Inst{{
-			alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T3),
-			{Op: alpha.OpCallPal, PalFn: fn},
+	// p is not the program entry: its ret reads only ra.
+	body := func(code uint32) *om.Program {
+		return lift(t, 0x1000, 0, nil, fn("p",
+			alpha.RI(alpha.OpAddq, alpha.Zero, 0, alpha.T3), // 0x1000
+			alpha.Inst{Op: alpha.OpCallPal, PalFn: code},    // 0x1004
 			alpha.RR(alpha.OpAddq, alpha.V0, alpha.T0, alpha.T1),
-			retInst,
-		}}, [][]int{{}}))
+			retInst))
 	}
 	for fn := uint32(0); alpha.PalDefined(fn); fn++ {
 		p := body(fn)
 		lv := dataflow.ComputeCtx(nil, p)
-		pal := p.Procs[0].Blocks[0].Insts[1]
+		pal := instAt(t, p, 0x1004)
 		after := reg(alpha.V0).Add(alpha.T0).Add(alpha.RA)
 		if got := lv.LiveOut(pal); got != after {
 			t.Fatalf("PAL %#x: live after = %v, want %v", fn, got.Regs(), after.Regs())
@@ -435,10 +388,10 @@ func TestLivenessPalContract(t *testing.T) {
 		}
 		p := body(fn)
 		lv := dataflow.ComputeCtx(nil, p)
-		if got := lv.LiveIn(p.Procs[0].Blocks[0].Insts[1]); got != dataflow.AllRegs() {
+		if got := lv.LiveIn(instAt(t, p, 0x1004)); got != dataflow.AllRegs() {
 			t.Errorf("undefined PAL %#x: live before = %v, want everything", fn, got.Regs())
 		}
-		if lv.LiveIn(p.Procs[0].Blocks[0].Insts[0]).Has(alpha.T3) {
+		if lv.LiveIn(instAt(t, p, 0x1000)).Has(alpha.T3) {
 			t.Errorf("undefined PAL %#x: t3 live at entry despite its definition", fn)
 		}
 	}

@@ -44,11 +44,6 @@ func ModifiedRegsCtx(ctx *obs.Ctx, p *om.Program) map[string]om.RegSet {
 	calls := make([][]int, len(p.Procs)) // proc index -> callee proc indices
 	anyIndirect := make([]bool, len(p.Procs))
 
-	procIdxAt := map[uint64]int{}
-	for i, pr := range p.Procs {
-		procIdxAt[pr.Addr] = i
-	}
-
 	for i, pr := range p.Procs {
 		for _, b := range pr.Blocks {
 			for _, in := range b.Insts {
@@ -58,9 +53,9 @@ func ModifiedRegsCtx(ctx *obs.Ctx, p *om.Program) map[string]om.RegSet {
 				switch in.I.Op {
 				case alpha.OpBsr:
 					target := in.Addr + 4 + uint64(int64(in.I.Disp)*4)
-					if ti, ok := procIdxAt[target]; ok {
-						calls[i] = append(calls[i], ti)
-					} else if t := p.InstAt(target); t != nil && t.Proc() != pr {
+					if c, j := p.Resolve(target); j >= 0 {
+						calls[i] = append(calls[i], j)
+					} else if c >= 0 && c != i {
 						// bsr into the middle of another procedure:
 						// treat conservatively.
 						anyIndirect[i] = true
@@ -73,10 +68,8 @@ func ModifiedRegsCtx(ctx *obs.Ctx, p *om.Program) map[string]om.RegSet {
 					// A cross-procedure br is a tail transfer; treat the
 					// target procedure as a callee.
 					target := in.Addr + 4 + uint64(int64(in.I.Disp)*4)
-					if t := p.InstAt(target); t != nil && t.Proc() != pr {
-						if ti, ok := procIdxAt[t.Proc().Addr]; ok {
-							calls[i] = append(calls[i], ti)
-						}
+					if c, _ := p.Resolve(target); c >= 0 && c != i {
+						calls[i] = append(calls[i], c)
 					}
 				}
 			}

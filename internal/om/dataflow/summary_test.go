@@ -77,19 +77,11 @@ func TestConservativeCallerSavePinned(t *testing.T) {
 		t.Fatalf("ConservativeCallerSave has %d registers, want 22", n)
 	}
 
-	// A hand-built procedure containing an indirect call: its summary is
-	// the full conservative set, nothing more, nothing less.
-	pr := &om.Proc{Name: "ind", Addr: 0x6000}
-	b := &om.Block{}
-	for i, in := range []alpha.Inst{
-		{Op: alpha.OpJsr, Ra: alpha.RA, Rb: alpha.T0},
-		{Op: alpha.OpRet, Ra: alpha.Zero, Rb: alpha.RA},
-	} {
-		b.Insts = append(b.Insts, &om.Inst{I: in, Addr: 0x6000 + uint64(i)*4})
-	}
-	pr.Blocks = []*om.Block{b}
-	pr.Size = 8
-	p := &om.Program{Procs: []*om.Proc{pr}}
+	// A procedure containing an indirect call: its summary is the full
+	// conservative set, nothing more, nothing less.
+	p := lift(t, 0x6000, 0x6000, nil, fn("ind",
+		alpha.Inst{Op: alpha.OpJsr, Ra: alpha.RA, Rb: alpha.T0},
+		alpha.Inst{Op: alpha.OpRet, Ra: alpha.Zero, Rb: alpha.RA}))
 	if got := dataflow.ModifiedRegsCtx(nil, p)["ind"]; got != dataflow.ConservativeCallerSave() {
 		t.Errorf("jsr-containing proc summarizes to %v, want ConservativeCallerSave %v",
 			got.Regs(), dataflow.ConservativeCallerSave().Regs())
@@ -98,7 +90,7 @@ func TestConservativeCallerSavePinned(t *testing.T) {
 	// The liveness side of the same coin: everything in the conservative
 	// set is live immediately before the jsr.
 	lv := dataflow.ComputeCtx(nil, p)
-	in := lv.LiveIn(b.Insts[0])
+	in := lv.LiveIn(instAt(t, p, 0x6000))
 	for _, r := range dataflow.ConservativeCallerSave().Regs() {
 		if !in.Has(r) {
 			t.Errorf("%v dead before a jsr; the unknown callee may read it", r)

@@ -29,7 +29,8 @@ int main() { printf("%d\n", sq(7)); return 0; }
 	var slots []int
 	var splices []Splice
 	for _, b := range p.Proc("main").Blocks {
-		for _, in := range b.Insts {
+		for j := range b.Insts {
+			in := &b.Insts[j]
 			k, ok := p.Slot(in)
 			if !ok {
 				t.Fatalf("main instruction at %#x has no slot", in.Addr)

@@ -12,6 +12,11 @@
 // intermediate representation and no address fixups are needed" at
 // insertion time (ATOM paper, Section 4).
 //
+// A Program only ever comes from lifting an executable (BuildCtx). Its
+// instructions live in one array indexed by text slot, a block's
+// instructions are a window of that array, and a table beside it gives
+// each slot's block (BlockAt); an instruction holds no pointer.
+//
 // ATOM's extension is the splice list: code sequences to lay out before
 // or after instructions, each keyed by its instruction's text slot
 // (Program.Slot). The list is an input to layout, kept beside the IR
@@ -49,13 +54,17 @@ type Program struct {
 	Exe   *aout.File
 	Procs []*Proc
 
-	// insts holds every instruction of a lifted program, indexed by its
-	// text slot: (Addr - Exe.TextAddr) / 4. Procedures and filler tile
-	// text exactly, so the slot is a dense, collision-free key, and
-	// program order is slot order. Hand-assembled IR has none.
-	// A filler slot (see fillerAt) belongs to no block and is never
-	// reached; layout re-emits its word unchanged.
+	// insts holds every instruction, indexed by its text slot: (Addr -
+	// Exe.TextAddr) / 4. Procedures and filler tile text exactly, so the
+	// slot is a dense, collision-free key, and program order is slot
+	// order. Every block's Insts is a window of it.
 	insts []Inst
+	// block[k] is the program-wide number of the block holding slot k
+	// (BlockAt), -1 for filler: a filler slot (see fillerAt) belongs to
+	// no block and is never reached; layout re-emits its word unchanged.
+	block []int32
+	// blocks holds every block in program order, indexed by its number.
+	blocks []Block
 }
 
 // Proc is one procedure.
@@ -65,8 +74,6 @@ type Proc struct {
 	Addr   uint64 // original start address
 	Size   uint64 // original size in bytes
 	Blocks []*Block
-
-	prog *Program
 }
 
 // Block is one basic block. Blocks are delimited by branch targets and by
@@ -74,7 +81,9 @@ type Proc struct {
 // the tradition of Pixie-style block profiling.
 type Block struct {
 	Index int // within the procedure
-	Insts []*Inst
+	// Insts is the block's window of the program's instructions: its
+	// consecutive text slots.
+	Insts []Inst
 
 	// Succs lists intra-procedure successor blocks (fallthrough and
 	// branch targets). Cross-procedure transfers are not CFG edges.
@@ -83,12 +92,11 @@ type Block struct {
 	proc *Proc
 }
 
-// Inst is one instruction occurrence.
+// Inst is one instruction occurrence. It holds no pointer, so the
+// collector never scans a program's instruction array.
 type Inst struct {
 	I    alpha.Inst
 	Addr uint64 // original address
-
-	block *Block
 }
 
 // Splice is an instruction sequence to lay out before the instruction in
@@ -112,12 +120,6 @@ type CodeReloc struct {
 	Sym    string
 	Addend int64
 }
-
-// Proc returns the procedure containing the instruction.
-func (i *Inst) Proc() *Proc { return i.block.proc }
-
-// Block returns the block containing the instruction.
-func (i *Inst) Block() *Block { return i.block }
 
 // Proc returns the named procedure, or nil.
 func (p *Program) Proc(name string) *Proc {
@@ -153,23 +155,59 @@ func (p *Program) slotOf(addr uint64) (int, bool) {
 	return int(off / 4), true
 }
 
+// BlockAt returns the block holding text slot k and its program-wide
+// number: blocks are numbered in program order, procedure by procedure.
+// For filler or a slot outside text it returns nil and -1.
+func (p *Program) BlockAt(k int) (*Block, int) {
+	if k < 0 || k >= len(p.block) || p.block[k] < 0 {
+		return nil, -1
+	}
+	g := p.block[k]
+	return &p.blocks[g], int(g)
+}
+
 // InstAt returns the instruction at an original address, or nil (also
 // for filler, which holds no instruction).
 func (p *Program) InstAt(addr uint64) *Inst {
-	k, ok := p.slotOf(addr)
-	if !ok || p.insts[k].block == nil {
-		return nil
+	if k, ok := p.slotOf(addr); ok {
+		if b, _ := p.BlockAt(k); b != nil {
+			return &p.insts[k]
+		}
 	}
-	return &p.insts[k]
+	return nil
 }
 
 // filler reports whether slot k is filler between procedures.
-func (p *Program) filler(k int) bool { return p.insts[k].block == nil }
+func (p *Program) filler(k int) bool {
+	b, _ := p.BlockAt(k)
+	return b == nil
+}
 
-// Slot returns the text slot of a lifted instruction, (Addr -
-// Exe.TextAddr) / 4, which indexes per-instruction tables in program
-// order. It reports false for an instruction this program did not lift
-// (hand-assembled IR has no slots).
+// Resolve returns the index of the procedure whose text holds addr and
+// that of the one starting at addr, -1 for none. A zero-size procedure
+// holds nothing; it starts where the procedure it aliases does, and that
+// one is the start found.
+func (p *Program) Resolve(addr uint64) (in, start int) {
+	if k, ok := p.slotOf(addr &^ 3); ok {
+		if b, _ := p.BlockAt(k); b != nil {
+			pr := b.proc
+			if pr.Addr == addr {
+				return pr.Index, pr.Index
+			}
+			return pr.Index, -1
+		}
+	}
+	// A procedure without instructions at the end of text: the only
+	// start no instruction holds.
+	if n := len(p.Procs); n > 0 && p.Procs[n-1].Addr == addr && p.Procs[n-1].Size == 0 {
+		return -1, n - 1
+	}
+	return -1, -1
+}
+
+// Slot returns the text slot of an instruction, (Addr - Exe.TextAddr) /
+// 4, which indexes per-instruction tables in program order. It reports
+// false for an instruction this program did not lift.
 func (p *Program) Slot(in *Inst) (int, bool) {
 	k, ok := p.slotOf(in.Addr)
 	if !ok || &p.insts[k] != in {
@@ -207,15 +245,20 @@ func buildIR(exe *aout.File) (*Program, error) {
 		return nil, fmt.Errorf("om: executable has no function symbols")
 	}
 	textEnd := exe.TextAddr + uint64(len(exe.Text))
+	if textEnd < exe.TextAddr {
+		return nil, fmt.Errorf("om: text at %#x (%d bytes) wraps the address space", exe.TextAddr, len(exe.Text))
+	}
 	n := len(exe.Text) / 4
-	prog := &Program{Exe: exe, insts: make([]Inst, n), Procs: make([]*Proc, len(fns))}
+	prog := &Program{Exe: exe, insts: make([]Inst, n), block: make([]int32, n), Procs: make([]*Proc, len(fns))}
 	// Coverage and overlap checks. A filler slot keeps its address, so
 	// the PC maps and layout treat it like any other slot.
 	expect := exe.TextAddr
 	for i, f := range fns {
 		if i > 0 && f.Value > expect && fillerAt(exe, expect, f.Value) {
 			for a := expect; a < f.Value; a += 4 {
-				prog.insts[(a-exe.TextAddr)/4].Addr = a
+				k := (a - exe.TextAddr) / 4
+				prog.insts[k].Addr = a
+				prog.block[k] = -1
 			}
 		} else if f.Value != expect {
 			return nil, fmt.Errorf("om: text gap or overlap at %#x (procedure %q starts at %#x)", expect, f.Name, f.Value)
@@ -227,41 +270,42 @@ func buildIR(exe *aout.File) (*Program, error) {
 	}
 
 	// Two passes over the procedures. The first decodes every word and
-	// marks the block leaders, which counts the blocks; the second
-	// carves the blocks, their instruction lists and their successor
-	// lists as windows of program-wide arrays, so the IR is a handful of
-	// allocations however many procedures and blocks it has.
+	// marks the block leaders in the block table, which counts the
+	// blocks; the second carves the blocks, their instruction windows and
+	// their successor lists from program-wide arrays and numbers every
+	// slot's block, so the IR is a handful of allocations however many
+	// procedures and blocks it has.
 	procs := make([]Proc, len(fns))
-	ptrs := make([]*Inst, n)
-	leaders := make([]bool, n)
 	nb := 0
 	for idx, f := range fns {
 		if f.Size%4 != 0 {
 			return nil, fmt.Errorf("om: procedure %q has misaligned size %d", f.Name, f.Size)
 		}
 		pr := &procs[idx]
-		*pr = Proc{Name: f.Name, Index: idx, Addr: f.Value, Size: f.Size, prog: prog}
+		*pr = Proc{Name: f.Name, Index: idx, Addr: f.Value, Size: f.Size}
 		prog.Procs[idx] = pr
-		k0 := int((f.Value - exe.TextAddr) / 4)
-		k1 := k0 + int(f.Size/4)
-		nl, err := prog.decodeProc(pr, k0, ptrs[k0:k1], leaders[k0:k1])
+		nl, err := prog.decodeProc(pr)
 		if err != nil {
 			return nil, err
 		}
 		nb += nl
 	}
-	blocks := make([]Block, nb)
+	prog.blocks = make([]Block, nb)
 	blockPtrs := make([]*Block, nb)
 	succs := make([]*Block, 0, 2*nb)
+	g := 0
 	for idx := range procs {
 		pr := &procs[idx]
-		k0 := int((pr.Addr - exe.TextAddr) / 4)
-		k1 := k0 + int(pr.Size/4)
-		nl := pr.sliceBlocks(prog.insts[k0:k1], ptrs[k0:k1:k1], leaders[k0:k1], blocks, blockPtrs)
-		blocks, blockPtrs = blocks[nl:], blockPtrs[nl:]
-		succs = pr.resolveSuccs(prog.insts[k0:k1], succs)
+		g = prog.sliceBlocks(pr, g, blockPtrs[g:])
+		succs = prog.resolveSuccs(pr, succs)
 	}
 	return prog, nil
+}
+
+// span returns the text slots [k0, k1) of a procedure.
+func (p *Program) span(pr *Proc) (k0, k1 int) {
+	k0 = int((pr.Addr - p.Exe.TextAddr) / 4)
+	return k0, k0 + int(pr.Size/4)
 }
 
 // fillerAt reports whether the text [lo, hi) between two procedures can
@@ -294,69 +338,68 @@ func fillerAt(exe *aout.File, lo, hi uint64) bool {
 	return true
 }
 
-// decodeProc decodes procedure pr, whose instructions occupy the slots
-// from k0 on, points ptrs at them and marks its block leaders: branch
-// targets inside the procedure, and the instruction after each
-// block-ending transfer. ptrs and leaders are the procedure's share of
-// program-wide arrays. It returns the number of leaders.
-func (p *Program) decodeProc(pr *Proc, k0 int, ptrs []*Inst, leaders []bool) (int, error) {
+// decodeProc decodes procedure pr into its slots and marks its block
+// leaders with a 1 in the block table: branch targets inside the
+// procedure, and the instruction after each block-ending transfer. It
+// returns the number of leaders.
+func (p *Program) decodeProc(pr *Proc) (int, error) {
+	k0, k1 := p.span(pr)
 	text := p.Exe.Text[uint64(k0)*4:]
-	insts := p.insts[k0 : k0+len(ptrs)]
+	insts, leaders := p.insts[k0:k1], p.block[k0:k1]
 	for k := range insts {
 		addr := pr.Addr + uint64(k)*4
 		if err := alpha.DecodeTo(&insts[k].I, binary.LittleEndian.Uint32(text[k*4:])); err != nil {
 			return 0, fmt.Errorf("om: %s+%#x: %w", pr.Name, addr-pr.Addr, err)
 		}
 		insts[k].Addr = addr
-		ptrs[k] = &insts[k]
 	}
 	if len(insts) == 0 {
 		return 0, nil
 	}
-	leaders[0] = true
+	leaders[0] = 1
 	for k := range insts {
 		in := &insts[k]
 		if in.I.Op.Format() == alpha.FormatBranch {
 			if t, ok := pr.branchSlot(in); ok {
-				leaders[t] = true
+				leaders[t] = 1
 			}
 		}
 		if endsBlock(in.I) && k+1 < len(insts) {
-			leaders[k+1] = true
+			leaders[k+1] = 1
 		}
 	}
 	nl := 0
 	for _, l := range leaders {
-		if l {
-			nl++
-		}
+		nl += int(l)
 	}
 	return nl, nil
 }
 
-// sliceBlocks slices procedure pr, decoded into insts, into blocks: the
-// first entries of blocks and blockPtrs, one per leader, each block's
-// Insts a capacity-limited window of ptrs. It returns the number of
-// blocks.
-func (pr *Proc) sliceBlocks(insts []Inst, ptrs []*Inst, leaders []bool, blocks []Block, blockPtrs []*Block) int {
-	bi, first := -1, 0
-	for k := range insts {
-		if leaders[k] {
+// sliceBlocks slices procedure pr, its leaders marked in the block
+// table, into blocks numbered from g on: each a capacity-limited window
+// of the instruction array, pointed to by the first entries of
+// blockPtrs. It overwrites the procedure's block-table entries with the
+// numbers and returns the number after its last block.
+func (p *Program) sliceBlocks(pr *Proc, g int, blockPtrs []*Block) int {
+	k0, k1 := p.span(pr)
+	bi, first := -1, k0
+	for k := k0; k < k1; k++ {
+		if p.block[k] == 1 {
 			if bi >= 0 {
-				blocks[bi].Insts = ptrs[first:k:k]
+				p.blocks[g+bi].Insts = p.insts[first:k:k]
 			}
 			bi, first = bi+1, k
-			blocks[bi] = Block{Index: bi, proc: pr}
-			blockPtrs[bi] = &blocks[bi]
+			p.blocks[g+bi] = Block{Index: bi, proc: pr}
+			blockPtrs[bi] = &p.blocks[g+bi]
 		}
-		insts[k].block = &blocks[bi]
+		p.block[k] = int32(g + bi)
 	}
 	if bi < 0 {
-		return 0
+		return g
 	}
-	blocks[bi].Insts = ptrs[first:]
+	p.blocks[g+bi].Insts = p.insts[first:k1:k1]
 	pr.Blocks = blockPtrs[: bi+1 : bi+1]
-	return bi + 1
+	return g + bi + 1
 }
 
 // endsBlock reports whether the instruction terminates a basic block.
@@ -389,13 +432,15 @@ func (pr *Proc) branchSlot(in *Inst) (int, bool) {
 // block, and returns what is left of it. Every in-procedure branch
 // target is a leader, so a branch inside the procedure always lands on a
 // block.
-func (pr *Proc) resolveSuccs(insts []Inst, succs []*Block) []*Block {
+func (p *Program) resolveSuccs(pr *Proc, succs []*Block) []*Block {
+	k0, _ := p.span(pr)
 	for bi, b := range pr.Blocks {
-		last := b.Insts[len(b.Insts)-1]
+		last := &b.Insts[len(b.Insts)-1]
 		n := len(succs)
 		taken := func() {
 			if k, ok := pr.branchSlot(last); ok {
-				succs = append(succs, insts[k].block)
+				tb, _ := p.BlockAt(k0 + k)
+				succs = append(succs, tb)
 			}
 		}
 		fall := func() {

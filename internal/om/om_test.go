@@ -1,9 +1,12 @@
 package om_test
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"atom/internal/alpha"
 	"atom/internal/aout"
@@ -52,8 +55,17 @@ func spliceBefore(t testing.TB, prog *om.Program, insts []*om.Inst, code ...alph
 func allInsts(prog *om.Program) []*om.Inst {
 	var out []*om.Inst
 	for _, pr := range prog.Procs {
-		for _, b := range pr.Blocks {
-			out = append(out, b.Insts...)
+		out = append(out, instsOf(pr.Blocks...)...)
+	}
+	return out
+}
+
+// instsOf returns the instructions of blocks, in order.
+func instsOf(blocks ...*om.Block) []*om.Inst {
+	var out []*om.Inst
+	for _, b := range blocks {
+		for k := range b.Insts {
+			out = append(out, &b.Insts[k])
 		}
 	}
 	return out
@@ -97,25 +109,29 @@ func TestBuildStructure(t *testing.T) {
 	if len(fib.Blocks) < 3 {
 		t.Errorf("fib has %d blocks, want >= 3 (branchy code)", len(fib.Blocks))
 	}
-	// Every block is non-empty; every instruction's back-pointers agree;
-	// block boundaries respect branch targets.
-	total := 0
+	// Every block is non-empty; the block table maps every instruction
+	// to its block, numbered in program order; block boundaries respect
+	// branch targets.
+	total, num := 0, 0
 	for _, pr := range prog.Procs {
 		addr := pr.Addr
 		for _, b := range pr.Blocks {
 			if len(b.Insts) == 0 {
 				t.Fatalf("%s: empty block %d", pr.Name, b.Index)
 			}
-			for _, in := range b.Insts {
+			for k := range b.Insts {
+				in := &b.Insts[k]
 				if in.Addr != addr {
 					t.Fatalf("%s: instruction address %#x, want %#x", pr.Name, in.Addr, addr)
 				}
-				if in.Block() != b || in.Proc() != pr {
-					t.Fatalf("%s: bad back-pointers", pr.Name)
+				slot, _ := prog.Slot(in)
+				if bb, g := prog.BlockAt(slot); bb != b || g != num {
+					t.Fatalf("%s: block table maps %#x to block %d, want %d", pr.Name, in.Addr, g, num)
 				}
 				addr += 4
 				total++
 			}
+			num++
 			// Control transfers only at block ends.
 			for k, in := range b.Insts[:len(b.Insts)-1] {
 				op := in.I.Op
@@ -276,7 +292,7 @@ func TestSpliceExternalRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	main := prog.Proc("main")
-	slot, _ := prog.Slot(main.Blocks[0].Insts[0])
+	slot, _ := prog.Slot(&main.Blocks[0].Insts[0])
 	code := om.Splice{
 		Slot: slot,
 		Insts: []alpha.Inst{
@@ -320,13 +336,14 @@ func TestPCMaps(t *testing.T) {
 	}
 	nop := alpha.Mov(alpha.Zero, alpha.Zero)
 	spliced := map[*om.Inst]bool{}
-	for _, in := range prog.Proc("main").Blocks[0].Insts {
+	for _, in := range instsOf(prog.Proc("main").Blocks[0]) {
 		spliced[in] = true
 	}
-	lay := layout(t, prog, spliceBefore(t, prog, prog.Proc("main").Blocks[0].Insts, nop, nop))
+	lay := layout(t, prog, spliceBefore(t, prog, instsOf(prog.Proc("main").Blocks[0]), nop, nop))
 	for _, pr := range prog.Procs {
 		for _, b := range pr.Blocks {
-			for _, in := range b.Insts {
+			for k := range b.Insts {
+				in := &b.Insts[k]
 				n, ok := lay.NewAddr(in.Addr)
 				if !ok {
 					t.Fatalf("NewAddr(%#x) missing", in.Addr)
@@ -364,6 +381,41 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := om.BuildCtx(nil, &bad); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Errorf("Build with coverage gap: err = %v", err)
 	}
+	// Text running past the end of the address space: its procedures
+	// tile it modulo 2^64, but the addresses past the wrap have no slot.
+	w, err := alpha.Inst{Op: alpha.OpRet, Ra: alpha.Zero, Rb: alpha.RA}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrap := &aout.File{Linked: true, TextAddr: 1<<64 - 4, Text: binary.LittleEndian.AppendUint32(make([]byte, 4), w),
+		Symbols: []aout.Symbol{{Name: "f", Kind: aout.SymFunc, Section: aout.SecText, Value: 1<<64 - 4, Size: 8, Global: true}}}
+	if _, err := om.BuildCtx(nil, wrap); err == nil || !strings.Contains(err.Error(), "wraps") {
+		t.Errorf("Build of text wrapping the address space: err = %v", err)
+	}
+}
+
+// TestInstFootprint pins the instruction's size and keeps it free of
+// pointers, so the collector never scans a program's instruction array.
+func TestInstFootprint(t *testing.T) {
+	var in om.Inst
+	if n := unsafe.Sizeof(in); n != 24 {
+		t.Errorf("om.Inst is %d bytes, want 24", n)
+	}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("om.Inst%s is a %s, which holds a pointer", path, ty.Kind())
+		}
+	}
+	walk(reflect.TypeOf(in), "")
 }
 
 func TestRegSetOps(t *testing.T) {

@@ -58,20 +58,18 @@ func (p *Program) VerifyCtx(ctx *obs.Ctx) []Diag {
 
 	// Procedure coverage of the text segment; filler may separate two
 	// procedures.
-	if p.Exe != nil {
-		expect := p.Exe.TextAddr
-		for i, pr := range p.Procs {
-			if i > 0 && pr.Addr > expect && p.fillerSpan(expect, pr.Addr) {
-				expect = pr.Addr
-			}
-			if pr.Addr != expect {
-				bad(pr, pr.Addr, "procedure starts at %#x, expected %#x (gap or overlap)", pr.Addr, expect)
-			}
-			expect = pr.Addr + pr.Size
+	expect := p.Exe.TextAddr
+	for i, pr := range p.Procs {
+		if i > 0 && pr.Addr > expect && p.fillerSpan(expect, pr.Addr) {
+			expect = pr.Addr
 		}
-		if end := p.Exe.TextAddr + uint64(len(p.Exe.Text)); expect != end {
-			bad(nil, expect, "procedures cover text up to %#x, segment ends at %#x", expect, end)
+		if pr.Addr != expect {
+			bad(pr, pr.Addr, "procedure starts at %#x, expected %#x (gap or overlap)", pr.Addr, expect)
 		}
+		expect = pr.Addr + pr.Size
+	}
+	if end := p.Exe.TextAddr + uint64(len(p.Exe.Text)); expect != end {
+		bad(nil, expect, "procedures cover text up to %#x, segment ends at %#x", expect, end)
 	}
 
 	checked := 0
@@ -85,14 +83,17 @@ func (p *Program) VerifyCtx(ctx *obs.Ctx) []Diag {
 				bad(pr, addr, "block %d is empty", bi)
 				continue
 			}
-			for k, in := range b.Insts {
+			for k := range b.Insts {
+				in := &b.Insts[k]
 				checked++
 				if in.Addr != addr {
 					bad(pr, in.Addr, "instruction at position %d of block %d has address %#x, expected %#x", k, bi, in.Addr, addr)
 				}
 				addr += 4
-				if _, ok := p.Slot(in); p.insts != nil && !ok {
+				if s, ok := p.Slot(in); !ok {
 					bad(pr, in.Addr, "text slot does not map back to this instruction")
+				} else if sb, _ := p.BlockAt(s); sb != b {
+					bad(pr, in.Addr, "block table does not map the slot back to block %d", bi)
 				}
 				// Decode round-trip: the IR must re-encode to exactly the
 				// word it was decoded from.
@@ -118,16 +119,14 @@ func (p *Program) VerifyCtx(ctx *obs.Ctx) []Diag {
 		}
 	}
 
-	if p.Exe != nil {
-		diags = append(diags, verifyRelocs(p.Exe.Relocs, len(p.Exe.Symbols), uint64(len(p.Exe.Text)), uint64(len(p.Exe.Data)),
-			func(sec aout.Section, off uint64) (string, uint64) {
-				if sec == aout.SecText {
-					addr := p.Exe.TextAddr + off
-					return p.procFor(addr), addr
-				}
-				return "", off
-			})...)
-	}
+	diags = append(diags, verifyRelocs(p.Exe.Relocs, len(p.Exe.Symbols), uint64(len(p.Exe.Text)), uint64(len(p.Exe.Data)),
+		func(sec aout.Section, off uint64) (string, uint64) {
+			if sec == aout.SecText {
+				addr := p.Exe.TextAddr + off
+				return p.procFor(addr), addr
+			}
+			return "", off
+		})...)
 
 	sp.SetAttr(
 		obs.Int("checks", int64(checked)),
@@ -363,7 +362,8 @@ func (l *Layout) VerifyRewriteCtx(ctx *obs.Ctx, res *Result) []Diag {
 	checked := 0
 	for _, pr := range p.Procs {
 		for _, b := range pr.Blocks {
-			for _, in := range b.Insts {
+			for j := range b.Insts {
+				in := &b.Insts[j]
 				checked++
 				k, ok := p.Slot(in)
 				if !ok || k >= len(l.at) {
@@ -412,7 +412,8 @@ func (l *Layout) VerifyRewriteCtx(ctx *obs.Ctx, res *Result) []Diag {
 	for j := range l.splices {
 		s, addr := &l.splices[j], l.spliceAt[j]
 		in := &p.insts[s.Slot]
-		pr := in.block.proc
+		b, _ := p.BlockAt(s.Slot)
+		pr := b.proc
 		patched := map[int]bool{}
 		for _, r := range s.Relocs {
 			patched[r.Index] = true

@@ -22,7 +22,7 @@ func TestVerifyCleanPipeline(t *testing.T) {
 
 	// Instrument a little: nops before every instruction of main.
 	nop := alpha.Mov(alpha.Zero, alpha.Zero)
-	lay := layout(t, prog, spliceBefore(t, prog, prog.Proc("main").Blocks[0].Insts, nop, nop))
+	lay := layout(t, prog, spliceBefore(t, prog, instsOf(prog.Proc("main").Blocks[0]), nop, nop))
 	if ds := lay.VerifyCtx(nil); len(ds) > 0 {
 		t.Fatalf("layout has %d diagnostics, first: %s", len(ds), ds[0])
 	}
@@ -96,8 +96,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 				// An instruction the encoder accepts whose operands were
 				// scribbled: Rc on a branch makes the round-trip differ.
 				b := p.Proc("fib").Blocks[0]
-				in := b.Insts[0]
-				in.I.Rc = alpha.T7
+				b.Insts[0].I.Rc = alpha.T7
 			},
 			wantMsg: "",
 		},
