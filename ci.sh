@@ -47,9 +47,9 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # and the lift over what it accepts (om.FuzzBuild: an error or a
 # Program that verifies clean, never a panic),
 # the cache directory's blob-file reader (build.FuzzVerifyBlobFile) and
-# the store codecs: tool images (FuzzImageDecode), the runtime library
-# (FuzzRuntimeDecode), compiled object sets (FuzzObjectsDecode) and
-# linked executables (FuzzExeDecode) — beyond their committed seeds, on
+# the two store codecs: tool images (FuzzImageDecode) and the file lists
+# that carry object sets, the runtime library and linked executables
+# (FuzzObjectsDecode) — beyond their committed seeds, on
 # the loader and machine over any executable the reader accepts
 # (vm.FuzzNew: New and Run fail, never panic), on the superblock loop
 # against the Step loop over generated programs
@@ -61,9 +61,7 @@ go test -run='^$' -fuzz='^FuzzBuild$' -fuzztime=5s ./internal/om
 go test -run='^$' -fuzz='^FuzzNew$' -fuzztime=5s ./internal/vm
 go test -run='^$' -fuzz='^FuzzVerifyBlobFile$' -fuzztime=5s ./internal/build
 go test -run='^$' -fuzz='^FuzzImageDecode$' -fuzztime=5s ./internal/core
-go test -run='^$' -fuzz='^FuzzRuntimeDecode$' -fuzztime=5s ./internal/rtl
 go test -run='^$' -fuzz='^FuzzObjectsDecode$' -fuzztime=5s ./internal/rtl
-go test -run='^$' -fuzz='^FuzzExeDecode$' -fuzztime=5s ./internal/rtl
 go test -run='^$' -fuzz='^FuzzSuperblockVsStep$' -fuzztime=5s ./internal/vm
 go test -run='^$' -fuzz='^FuzzLayout$' -fuzztime=5s ./internal/om
 go test -run='^$' -fuzz='^FuzzLiveness$' -fuzztime=5s ./internal/om/dataflow

@@ -388,33 +388,64 @@ func TestPersistenceGate(t *testing.T) {
 	}
 }
 
-// TestStatsDiskLineMatchesMetrics: -stats reads the disk store's counts
-// from the run's stage context, so its disk store line equals the
-// store.disk counters of the same run's -metrics snapshot, on a cold
-// -cache-dir batch (misses and puts) and a warm one (hits).
+// TestStatsDiskLineMatchesMetrics: -stats reads its cache and disk store
+// lines from the run's stage context, so each equals the store counters
+// of the same run's -metrics snapshot, on a cold -cache-dir batch
+// (misses and puts) and a warm one (hits): a "<kind> cache:" line's hits
+// are store.<kind>.hit+wait, its disk hits .disk, its misses .miss+error
+// and its builds .miss, and the disk store line is store.disk.*.
 func TestStatsDiskLineMatchesMetrics(t *testing.T) {
 	dir := programs(t).stage(t, "smoke.x")
 	copyFile(t, filepath.Join(dir, "smoke.x"), filepath.Join(dir, "smoke2.x"))
 	diskLine := regexp.MustCompile(`(?m)^disk store: +(\d+) hits, (\d+) misses, (\d+) puts, (\d+) corrupt$`)
+	cacheLine := regexp.MustCompile(`(?m)^(\w+) cache: +(\d+) hits, (\d+) disk hits, (\d+) misses, (\d+) builds$`)
 	for _, run := range []string{"cold", "warm"} {
 		stdout, _ := mustRun(t, dir, "atom", "-t", "branch", "-j", "2", "-cache-dir", "cache",
 			"-stats", "-metrics", run+".metrics", "smoke.x", "smoke2.x")
+		metrics := string(readFile(t, filepath.Join(dir, run+".metrics")))
+		counter := func(name string) int {
+			// A counter never incremented is not in the snapshot.
+			c := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` +(\d+)$`).FindStringSubmatch(metrics)
+			if c == nil {
+				return 0
+			}
+			n, _ := strconv.Atoi(c[1])
+			return n
+		}
 		m := diskLine.FindStringSubmatch(stdout)
 		if m == nil {
 			t.Fatalf("%s: -stats has no disk store line:\n%s", run, stdout)
 		}
-		metrics := string(readFile(t, filepath.Join(dir, run+".metrics")))
 		for i, name := range []string{"hit", "miss", "put", "corrupt"} {
-			want := "0" // a counter never incremented is not in the snapshot
-			if c := regexp.MustCompile(`(?m)^store\.disk\.` + name + ` +(\d+)$`).FindStringSubmatch(metrics); c != nil {
-				want = c[1]
-			}
-			if m[i+1] != want {
+			if want := strconv.Itoa(counter("store.disk." + name)); m[i+1] != want {
 				t.Errorf("%s: -stats reports %s disk %ss, -metrics counts %s", run, m[i+1], name, want)
 			}
 		}
 		if run == "warm" && m[1] == "0" {
 			t.Errorf("warm: no disk hits:\n%s", stdout)
+		}
+
+		// Every kind the snapshot counted has its line, and each line
+		// equals its kind's counters.
+		lines := map[string]bool{}
+		for _, l := range cacheLine.FindAllStringSubmatch(stdout, -1) {
+			kind := l[1]
+			lines[kind] = true
+			n := func(outcome string) int { return counter("store." + kind + "." + outcome) }
+			want := []int{n("hit") + n("wait"), n("disk"), n("miss") + n("error"), n("miss")}
+			for i, field := range []string{"hits", "disk hits", "misses", "builds"} {
+				if l[i+2] != strconv.Itoa(want[i]) {
+					t.Errorf("%s: -stats reports %s %s %s, -metrics counts %d", run, l[i+2], kind, field, want[i])
+				}
+			}
+		}
+		for _, kind := range regexp.MustCompile(`(?m)^store\.(\w+)\.\w+ `).FindAllStringSubmatch(metrics, -1) {
+			if kind[1] != "disk" && !lines[kind[1]] {
+				t.Errorf("%s: -metrics counts store.%s.* but -stats has no %s cache line:\n%s", run, kind[1], kind[1], stdout)
+			}
+		}
+		if !lines["image"] || !lines["object"] {
+			t.Errorf("%s: -stats lacks the image or object cache line:\n%s", run, stdout)
 		}
 	}
 }

@@ -7,13 +7,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync/atomic"
 
 	"atom/internal/aout"
 	"atom/internal/build"
 	"atom/internal/core"
 	"atom/internal/obs"
-	"atom/internal/rtl"
 )
 
 // instrumentFlags are the default form's own flags.
@@ -179,15 +180,31 @@ func printResultStats(res *core.Result) {
 	}
 }
 
-// printCacheStats renders the two artifact caches (and, when a
-// -cache-dir store is configured, the store's counters in the run's
-// stage context) for -stats.
+// printCacheStats renders, for -stats, one line per artifact cache from
+// the store.<kind>.<outcome> counters of the run's stage context (the
+// image and object caches always, the other kinds when the run looked
+// them up), and, when a -cache-dir store is configured, the store's
+// counters.
 func printCacheStats(ctx *obs.Ctx) {
-	ic, oc := core.ImageCacheStats(), rtl.ObjectCacheStats()
-	fmt.Printf("image cache:             %d hits, %d disk hits, %d misses, %d builds\n", ic.Hits, ic.DiskHits, ic.Misses, ic.Builds)
-	fmt.Printf("object cache:            %d hits, %d disk hits, %d misses, %d builds\n", oc.Hits, oc.DiskHits, oc.Misses, oc.Builds)
+	m := ctx.Metrics()
+	kinds := map[string]bool{"image": true, "object": true}
+	for _, c := range m.Counters() {
+		rest, store := strings.CutPrefix(c.Name, "store.")
+		if kind, _, ok := strings.Cut(rest, "."); store && ok && kind != "disk" {
+			kinds[kind] = true
+		}
+	}
+	names := make([]string, 0, len(kinds))
+	for k := range kinds {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		n := func(outcome string) int64 { return m.Counter("store." + k + "." + outcome) }
+		fmt.Printf("%-25s%d hits, %d disk hits, %d misses, %d builds\n",
+			k+" cache:", n("hit")+n("wait"), n("disk"), n("miss")+n("error"), n("miss"))
+	}
 	if build.ActiveStore() != nil {
-		m := ctx.Metrics()
 		fmt.Printf("disk store:              %d hits, %d misses, %d puts, %d corrupt\n",
 			m.Counter("store.disk.hit"), m.Counter("store.disk.miss"), m.Counter("store.disk.put"), m.Counter("store.disk.corrupt"))
 	}

@@ -15,13 +15,14 @@
 // verified blob file per key and is never pruned; delete it to reclaim
 // the space.
 //
-// The cache is safe for concurrent use and deduplicates in-flight builds
-// (singleflight) across ALL Cache instances: keys are full content
-// addresses, so when several workers — even holding independent Cache
-// handles — ask for the same artifact at the same time, exactly one runs
-// the build function and the others wait for its result. Build errors
-// are returned to every waiter but are NOT cached — a later Get with the
-// same key retries the build, so a transient failure is never latched.
+// A Cache is typed by its artifact and is safe for concurrent use. It
+// deduplicates its own in-flight builds (singleflight): when several
+// workers ask for the same key at the same time, exactly one runs the
+// build function and the others wait for its result. Each artifact kind
+// has exactly one Cache in the program, so no flight table is shared
+// between instances. Build errors are returned to every waiter but are
+// NOT cached — a later Get with the same key retries the build, so a
+// transient failure is never latched.
 package build
 
 import (
@@ -31,7 +32,6 @@ import (
 	"hash"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"atom/internal/obs"
 )
@@ -118,42 +118,32 @@ type Stats struct {
 	Errors   uint64 // builds that failed (and were not cached)
 }
 
-// Cache is a concurrent, singleflight, content-addressed artifact cache:
-// decoded values in memory, layered over the process-wide DiskStore for
-// kinds that have a Codec.
-type Cache struct {
-	kind  string // names the store.<kind>.* counters
-	codec Codec  // nil: memory-only — the artifact has no wire form
+// Cache is a concurrent, singleflight, content-addressed cache of
+// artifacts of type T: decoded values in memory, layered over the
+// process-wide DiskStore when it has a Codec. Its decoded values, its
+// in-flight builds and its counters live under one mutex.
+type Cache[T any] struct {
+	kind  string   // names the store.<kind>.* counters
+	codec Codec[T] // nil: memory-only — the artifact has no wire form
 
-	mu    sync.Mutex
-	front map[Key]any // decoded values; pointer identity for hits
-
-	hits     atomic.Uint64
-	diskHits atomic.Uint64
-	misses   atomic.Uint64
-	builds   atomic.Uint64
-	errs     atomic.Uint64
+	mu      sync.Mutex
+	front   map[Key]T // decoded values; pointer identity for hits
+	flights map[Key]*flight[T]
+	stats   Stats
 }
 
-// The cross-instance singleflight table: one in-flight build per key,
-// process-wide. Keys embed their kind, so flights of different caches
-// can never alias, and twin caches of one kind share their flights.
-var (
-	flightMu sync.Mutex
-	flights  = map[Key]*flight{}
-)
-
-type flight struct {
+// flight is one in-flight build; done closes once val and err are set.
+type flight[T any] struct {
 	done chan struct{}
-	val  any
+	val  T
 	err  error
 }
 
 // NewCache returns an empty cache for one artifact kind. The kind names
 // the cache's store.<kind>.* counters; codec, if non-nil, gives the
 // artifact a wire form so it persists through the configured DiskStore.
-func NewCache(kind string, codec Codec) *Cache {
-	return &Cache{kind: kind, codec: codec}
+func NewCache[T any](kind string, codec Codec[T]) *Cache[T] {
+	return &Cache[T]{kind: kind, codec: codec}
 }
 
 // GetCtx returns the artifact for key, running build at most once per
@@ -169,7 +159,7 @@ func NewCache(kind string, codec Codec) *Cache {
 // "error" for a failed build. The same outcomes feed the
 // store.<kind>.<outcome> counters. The build function receives the child
 // context, so everything it compiles or links nests under the lookup.
-func (c *Cache) GetCtx(ctx *obs.Ctx, what string, key Key, build func(*obs.Ctx) (any, error)) (any, error) {
+func (c *Cache[T]) GetCtx(ctx *obs.Ctx, what string, key Key, build func(*obs.Ctx) (T, error)) (T, error) {
 	var sp *obs.Span
 	bctx := ctx
 	if ctx.Enabled() {
@@ -182,127 +172,103 @@ func (c *Cache) GetCtx(ctx *obs.Ctx, what string, key Key, build func(*obs.Ctx) 
 		ctx.Count("store."+c.kind+"."+o, 1)
 	}
 
-	if v, ok := c.frontGet(key); ok {
-		c.hits.Add(1)
+	c.mu.Lock()
+	if v, ok := c.front[key]; ok {
+		c.stats.Hits++
+		c.mu.Unlock()
 		outcome("hit")
 		return v, nil
 	}
-
-	// No decoded value: join the in-flight build for this key if one
-	// exists, else register ours.
-	flightMu.Lock()
-	if f, ok := flights[key]; ok {
-		flightMu.Unlock()
+	if f, ok := c.flights[key]; ok {
+		c.mu.Unlock()
 		<-f.done
 		if f.err != nil {
 			outcome("error")
 			return f.val, f.err
 		}
-		c.frontPut(key, f.val)
-		c.hits.Add(1)
+		c.mu.Lock()
+		c.stats.Hits++
+		c.mu.Unlock()
 		outcome("wait")
 		return f.val, nil
 	}
-	f := &flight{done: make(chan struct{})}
-	flights[key] = f
-	flightMu.Unlock()
-
-	// Double-check the front: a build may have completed between the
-	// front miss and the flight registration.
-	if v, ok := c.frontGet(key); ok {
-		f.val = v
-		unregisterFlight(key, f)
-		close(f.done)
-		c.hits.Add(1)
-		outcome("hit")
-		return v, nil
+	f := &flight[T]{done: make(chan struct{})}
+	if c.flights == nil {
+		c.flights = map[Key]*flight[T]{}
 	}
+	c.flights[key] = f
+	c.mu.Unlock()
 
-	// Layer two: a codec-equipped kind checks the process-wide store
-	// and decodes the blob instead of building.
-	if c.codec != nil {
-		if s := ActiveStore(); s != nil {
-			if blob, ok := s.Get(bctx, key); ok {
-				if v, err := c.codec.Unmarshal(blob); err == nil {
-					c.frontPut(key, v)
-					f.val = v
-					unregisterFlight(key, f)
-					close(f.done)
-					c.diskHits.Add(1)
-					outcome("disk")
-					return v, nil
-				}
-				// Undecodable blob (a codec from another era): fall
-				// through to a rebuild; the Put below overwrites it.
-			}
+	o := c.fill(bctx, key, f, build)
+	c.mu.Lock()
+	delete(c.flights, key)
+	if f.err == nil {
+		if c.front == nil {
+			c.front = map[Key]T{}
 		}
+		c.front[key] = f.val
 	}
-
-	c.misses.Add(1)
-	f.val, f.err = build(bctx)
-	if f.err != nil {
-		// Unlatch before waking waiters: any Get arriving after close
-		// must find the key absent and retry the build.
-		unregisterFlight(key, f)
-		close(f.done)
-		c.errs.Add(1)
-		outcome("error")
-		return f.val, f.err
+	switch o {
+	case "disk":
+		c.stats.DiskHits++
+	case "miss":
+		c.stats.Misses++
+		c.stats.Builds++
+	case "error":
+		c.stats.Misses++
+		c.stats.Errors++
 	}
-	c.frontPut(key, f.val)
-	if c.codec != nil {
-		if s := ActiveStore(); s != nil {
-			// Persistence is best-effort: a full disk must not fail the
-			// build that just succeeded.
-			if blob, err := c.codec.Marshal(f.val); err == nil {
-				s.Put(bctx, key, blob)
-			}
-		}
-	}
-	c.builds.Add(1)
-	unregisterFlight(key, f)
+	c.mu.Unlock()
+	// Waiters wake only after the flight is gone and the value is in the
+	// front, so a lookup after a failure retries the build.
 	close(f.done)
-	outcome("miss")
-	return f.val, nil
+	outcome(o)
+	return f.val, f.err
 }
 
-func (c *Cache) frontGet(key Key) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.front[key]
-	return v, ok
-}
-
-func (c *Cache) frontPut(key Key, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.front == nil {
-		c.front = map[Key]any{}
+// fill serves a registered flight: from the process-wide store when the
+// kind has a codec and the blob decodes, else by running build (and
+// persisting its result). It returns the lookup's outcome.
+func (c *Cache[T]) fill(ctx *obs.Ctx, key Key, f *flight[T], build func(*obs.Ctx) (T, error)) string {
+	var s *DiskStore
+	if c.codec != nil {
+		s = ActiveStore()
 	}
-	c.front[key] = v
-}
-
-func unregisterFlight(key Key, f *flight) {
-	flightMu.Lock()
-	if flights[key] == f {
-		delete(flights, key)
+	if s != nil {
+		if blob, ok := s.Get(ctx, key); ok {
+			if v, err := c.codec.Unmarshal(blob); err == nil {
+				f.val = v
+				return "disk"
+			}
+			// Undecodable blob (a codec from another era): fall through
+			// to a rebuild; the Put below overwrites it.
+		}
 	}
-	flightMu.Unlock()
+	f.val, f.err = build(ctx)
+	if f.err != nil {
+		var zero T
+		f.val = zero
+		return "error"
+	}
+	if s != nil {
+		// Persistence is best-effort: a full disk must not fail the
+		// build that just succeeded.
+		if blob, err := c.codec.Marshal(f.val); err == nil {
+			s.Put(ctx, key, blob)
+		}
+	}
+	return "miss"
 }
 
 // Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:     c.hits.Load(),
-		DiskHits: c.diskHits.Load(),
-		Misses:   c.misses.Load(),
-		Builds:   c.builds.Load(),
-		Errors:   c.errs.Load(),
-	}
+func (c *Cache[T]) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
 // Len reports the number of decoded in-memory artifacts.
-func (c *Cache) Len() int {
+func (c *Cache[T]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.front)
@@ -310,27 +276,13 @@ func (c *Cache) Len() int {
 
 // Reset drops the decoded values and zeroes the counters: what a fresh
 // process sees against the same cache directory, whose blobs survive.
-// Intended for tests and cold-start benchmarks; in-flight builds
-// complete but are not re-registered.
-func (c *Cache) Reset() {
+// Intended for tests and cold-start benchmarks; a build in flight
+// completes and stores its value.
+func (c *Cache[T]) Reset() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.front = nil
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.diskHits.Store(0)
-	c.misses.Store(0)
-	c.builds.Store(0)
-	c.errs.Store(0)
-}
-
-// MemoCtx is the typed convenience wrapper over GetCtx.
-func MemoCtx[T any](ctx *obs.Ctx, c *Cache, what string, key Key, build func(*obs.Ctx) (T, error)) (T, error) {
-	v, err := c.GetCtx(ctx, what, key, func(bctx *obs.Ctx) (any, error) { return build(bctx) })
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), nil
+	c.stats = Stats{}
 }
 
 // ResetIRCache is a no-op: the lift has no cache. It exists only

@@ -27,12 +27,12 @@ func TestKeyFieldBoundaries(t *testing.T) {
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c := NewCache("test", nil)
+	c := NewCache[int]("test", nil)
 	calls := 0
 	k1 := NewKey("t").String("one").Sum()
 	k2 := NewKey("t").String("two").Sum()
 	get := func(k Key) int {
-		v, err := MemoCtx(nil, c, "", k, func(*obs.Ctx) (int, error) { calls++; return calls, nil })
+		v, err := c.GetCtx(nil, "", k, func(*obs.Ctx) (int, error) { calls++; return calls, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestCacheHitMiss(t *testing.T) {
 }
 
 func TestCacheErrorNotLatched(t *testing.T) {
-	c := NewCache("test", nil)
+	c := NewCache[string]("test", nil)
 	k := NewKey("t").String("flaky").Sum()
 	boom := errors.New("transient")
 	fail := true
@@ -61,14 +61,14 @@ func TestCacheErrorNotLatched(t *testing.T) {
 		}
 		return "ok", nil
 	}
-	if _, err := MemoCtx(nil, c, "", k, build); !errors.Is(err, boom) {
+	if _, err := c.GetCtx(nil, "", k, build); !errors.Is(err, boom) {
 		t.Fatalf("first build err = %v, want %v", err, boom)
 	}
-	if _, err := MemoCtx(nil, c, "", k, build); !errors.Is(err, boom) {
+	if _, err := c.GetCtx(nil, "", k, build); !errors.Is(err, boom) {
 		t.Fatalf("second build err = %v, want %v (retried, still failing)", err, boom)
 	}
 	fail = false
-	v, err := MemoCtx(nil, c, "", k, build)
+	v, err := c.GetCtx(nil, "", k, build)
 	if err != nil || v != "ok" {
 		t.Fatalf("after failure cleared: v=%q err=%v, want ok", v, err)
 	}
@@ -79,7 +79,7 @@ func TestCacheErrorNotLatched(t *testing.T) {
 }
 
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache("test", nil)
+	c := NewCache[int64]("test", nil)
 	k := NewKey("t").String("shared").Sum()
 	var builds atomic.Int64
 	release := make(chan struct{})
@@ -89,7 +89,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := MemoCtx(nil, c, "", k, func(*obs.Ctx) (int64, error) {
+			v, err := c.GetCtx(nil, "", k, func(*obs.Ctx) (int64, error) {
 				<-release
 				return builds.Add(1), nil
 			})
@@ -113,17 +113,49 @@ func TestCacheSingleflight(t *testing.T) {
 }
 
 func TestCacheReset(t *testing.T) {
-	c := NewCache("test", nil)
+	c := NewCache[int]("test", nil)
 	k := NewKey("t").String("x").Sum()
 	n := 0
 	build := func(*obs.Ctx) (int, error) { n++; return n, nil }
-	MemoCtx(nil, c, "", k, build)
+	c.GetCtx(nil, "", k, build)
 	c.Reset()
-	v, _ := MemoCtx(nil, c, "", k, build)
+	v, _ := c.GetCtx(nil, "", k, build)
 	if v != 2 {
 		t.Fatalf("after Reset got %d, want rebuild (2)", v)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
+	}
+}
+
+// TestCacheWaitersShareFailure: lookups that join a failing build all
+// get its error, and none latches it: the next lookup builds again.
+func TestCacheWaitersShareFailure(t *testing.T) {
+	c := NewCache[int]("test", nil)
+	k := NewKey("t").String("shared-failure").Sum()
+	boom := errors.New("transient")
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := c.GetCtx(nil, "", k, func(*obs.Ctx) (int, error) {
+				<-release
+				return 0, boom
+			})
+			if !errors.Is(err, boom) {
+				t.Errorf("err = %v, want %v", err, boom)
+			}
+		}()
+	}
+	close(release)
+	wg.Wait()
+	if s := c.Stats(); s.Errors == 0 || s.Builds != 0 || c.Len() != 0 {
+		t.Fatalf("stats = %+v, Len = %d; want errors, no builds, nothing cached", s, c.Len())
+	}
+	v, err := c.GetCtx(nil, "", k, func(*obs.Ctx) (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("after the failure: %d, %v; want a fresh build", v, err)
 	}
 }

@@ -6,18 +6,18 @@ import (
 	"fmt"
 )
 
-// Codec converts a cache's decoded artifact to and from a byte-stable
-// blob, the precondition for persisting it through a DiskStore. A Cache with
-// a nil codec is memory-only: its artifacts (closures, handles to live
-// state) have no wire form, and they transparently skip the disk layer.
+// Codec converts a cache's decoded artifact of type T to and from a
+// byte-stable blob, the precondition for persisting it through a
+// DiskStore. A Cache with a nil codec is memory-only: its artifacts have
+// no wire form, and they transparently skip the disk layer.
 //
 // Unmarshal must produce a value the cache's consumers can use as a
 // drop-in for a freshly built one; version the format inside the blob
 // (or mix a version string into the key) so a codec change never decodes
 // stale bytes.
-type Codec interface {
-	Marshal(v any) ([]byte, error)
-	Unmarshal(blob []byte) (any, error)
+type Codec[T any] interface {
+	Marshal(v T) ([]byte, error)
+	Unmarshal(blob []byte) (T, error)
 }
 
 // Enc builds a length-prefixed binary blob for a codec. All integers are

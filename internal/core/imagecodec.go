@@ -11,9 +11,9 @@ import (
 )
 
 // Wire format for the tool-image cache, so tool images persist through
-// the process-wide build.DiskStore (the probe app uses rtl.ExeCodec). A
+// the process-wide build.DiskStore (the probe app uses rtl.FilesCodec). A
 // ToolImage is the linked aout image (which has its own versioned
-// encoding) plus the procedure tables, site save sets (v2) and inline
+// encoding) plus the procedure tables, site save sets and inline
 // templates the apply phase consults; all of it is byte-stable, EXCEPT
 // the tool identity — the Tool value carries the user's Go
 // instrumentation closure, which has no wire form. The codec therefore
@@ -21,18 +21,13 @@ import (
 // key on a private copy after a disk hit (the key already proves the
 // sources and options match). The version string is mixed into the cache
 // key, so a format change can never decode an old blob.
-const imageCodecVersion = "atom-img/v2\n"
+const imageCodecVersion = "atom-img/v3\n"
 
 // imageCodec serializes a *ToolImage minus its tool identity.
 type imageCodec struct{}
 
-func (imageCodec) Marshal(v any) ([]byte, error) {
-	ti, ok := v.(*ToolImage)
-	if !ok {
-		return nil, fmt.Errorf("atom: imageCodec: unexpected %T", v)
-	}
+func (imageCodec) Marshal(ti *ToolImage) ([]byte, error) {
 	e := build.NewEnc(imageCodecVersion)
-	e.U8(uint8(ti.mode))
 	e.Blob(ti.img.Encode())
 	encodeNameSet(e, ti.hasProc)
 	encodeNameSet(e, ti.isGlobal)
@@ -57,7 +52,6 @@ func (imageCodec) Marshal(v any) ([]byte, error) {
 	for _, n := range names {
 		t := ti.inline[n]
 		e.Str(n)
-		e.Str(t.name)
 		e.U32(uint32(t.clobbers))
 		e.U32(uint32(t.bodyLen))
 		e.U32(uint32(len(t.insts)))
@@ -86,9 +80,9 @@ func (imageCodec) Marshal(v any) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-func (imageCodec) Unmarshal(blob []byte) (any, error) {
+func (imageCodec) Unmarshal(blob []byte) (*ToolImage, error) {
 	d := build.NewDec(blob, imageCodecVersion)
-	ti := &ToolImage{mode: SaveMode(d.U8())}
+	ti := &ToolImage{}
 	imgRaw := d.Blob()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -114,7 +108,6 @@ func (imageCodec) Unmarshal(blob []byte) (any, error) {
 	for i := 0; i < nt; i++ {
 		key := d.Str()
 		t := &inlineTemplate{
-			name:     d.Str(),
 			clobbers: om.RegSet(d.U32()),
 			bodyLen:  int(d.U32()),
 		}

@@ -48,15 +48,11 @@ func TestImageCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := imageCodec{}.Unmarshal(blob)
+	got, err := imageCodec{}.Unmarshal(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := v.(*ToolImage)
 
-	if got.mode != ti.mode {
-		t.Errorf("mode = %v, want %v", got.mode, ti.mode)
-	}
 	if !bytes.Equal(got.img.Encode(), ti.img.Encode()) {
 		t.Error("decoded image bytes differ")
 	}

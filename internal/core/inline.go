@@ -42,7 +42,6 @@ const inlineBaseSym = "atom$inline$base"
 // inlineTemplate is the splice-ready form of one inlinable analysis
 // procedure, extracted from the canonical-base tool image.
 type inlineTemplate struct {
-	name string
 	// insts is the body as spliced: removable save/restore pairs
 	// stripped, rets rewritten to fall-through branches, internal branch
 	// displacements re-encoded against template positions (position-
@@ -405,7 +404,7 @@ func classifyInline(pr *om.Proc, img *aout.File) (*inlineTemplate, string) {
 			total++
 		}
 	}
-	out := &inlineTemplate{name: pr.Name, bodyLen: n}
+	out := &inlineTemplate{bodyLen: n}
 	for idx, in := range flat {
 		if drop[idx] {
 			if len(relocAt[idx]) > 0 {

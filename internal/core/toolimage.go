@@ -32,7 +32,6 @@ import (
 type ToolImage struct {
 	tool Tool
 	key  build.Key
-	mode SaveMode
 
 	// img is linked at link.DefaultTextAddr and retains its relocation
 	// records so it can be rebased rigidly. Read-only.
@@ -70,7 +69,7 @@ func (ti *ToolImage) CacheKey() string { return ti.key.String() }
 // Instrumenting a whole program suite with one tool builds the image for
 // the first program and reuses it for the rest — concurrently, thanks to
 // the cache's singleflight semantics.
-var imageCache = build.NewCache("image", imageCodec{})
+var imageCache = build.NewCache[*ToolImage]("image", imageCodec{})
 
 // ImageCacheStats reports tool-image cache activity (hits, disk hits,
 // misses, builds, errors) since the last reset.
@@ -105,7 +104,7 @@ func calledTargets(q *Instrumentation) []string {
 // spliced into the targets themselves; the default wrapper image is
 // target-independent, so any program mix shares one image.
 func imageKey(tool Tool, opts Options, protos map[string]*Proto, targets []string) build.Key {
-	b := build.NewKey("toolimage").
+	b := rtl.NewKey("toolimage").
 		String(imageCodecVersion).
 		String(tool.Name).
 		Int(int64(opts.Mode)).
@@ -146,7 +145,7 @@ func imageKey(tool Tool, opts Options, protos map[string]*Proto, targets []strin
 func toolImageFor(ctx *obs.Ctx, tool Tool, opts Options, q *Instrumentation) (*ToolImage, error) {
 	targets := calledTargets(q)
 	key := imageKey(tool, opts, q.protos, targets)
-	ti, err := build.MemoCtx(ctx, imageCache, "toolimage", key, func(bctx *obs.Ctx) (*ToolImage, error) {
+	ti, err := imageCache.GetCtx(ctx, "toolimage", key, func(bctx *obs.Ctx) (*ToolImage, error) {
 		ti, err := buildToolImage(bctx, tool, opts, q.protos, targets)
 		if err != nil {
 			return nil, err
@@ -173,7 +172,8 @@ func toolImageFor(ctx *obs.Ctx, tool Tool, opts Options, q *Instrumentation) (*T
 
 // probeCache holds the tiny probe application BuildToolImageCtx runs a
 // tool's instrumentation routine against to learn its prototypes.
-var probeCache = build.NewCache("probe", rtl.ExeCodec{})
+// It is stored as a one-element file list.
+var probeCache = build.NewCache[[]*aout.File]("probe", rtl.FilesCodec{})
 
 // BuildToolImageCtx compiles and links a tool's analysis image without
 // an application in hand — the explicit form of the paper's first step
@@ -187,15 +187,21 @@ func BuildToolImageCtx(ctx *obs.Ctx, tool Tool, opts Options) (*ToolImage, error
 	if tool.Instrument == nil {
 		return nil, fmt.Errorf("atom: tool %q has no instrumentation routine", tool.Name)
 	}
-	probe, err := build.MemoCtx(ctx, probeCache, "probe-app",
-		build.NewKey("probe-app").String(rtl.ExeCodecVersion).Sum(),
-		func(bctx *obs.Ctx) (*aout.File, error) {
-			return rtl.BuildProgramMultiCtx(bctx, map[string]string{"atom$probe.c": "int main() { return 0; }"})
+	probe, err := probeCache.GetCtx(ctx, "probe-app", rtl.NewKey("probe-app").Sum(),
+		func(bctx *obs.Ctx) ([]*aout.File, error) {
+			exe, err := rtl.BuildProgramMultiCtx(bctx, map[string]string{"atom$probe.c": "int main() { return 0; }"})
+			if err != nil {
+				return nil, err
+			}
+			return []*aout.File{exe}, nil
 		})
+	if err == nil && len(probe) != 1 {
+		err = fmt.Errorf("cached build holds %d files, want 1", len(probe))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("atom: building probe program: %w", err)
 	}
-	prog, err := LiftCtx(ctx, probe)
+	prog, err := LiftCtx(ctx, probe[0])
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +245,6 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 
 	ti := &ToolImage{
 		tool:     tool,
-		mode:     opts.Mode,
 		hasProc:  map[string]bool{},
 		isGlobal: map[string]bool{},
 		siteSave: map[string]om.RegSet{},
@@ -351,12 +356,10 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 	if extraText == 0 {
 		cfg.DataAfterText = true
 	} else {
-		// Leave room for the splice growth between text and data.
-		size, err := textSizeOf(objs, lib)
-		if err != nil {
-			return nil, err
-		}
-		cfg.DataAddr = (link.DefaultTextAddr + size + extraText + 15) &^ 15
+		// Leave room for the splice growth between text and data. No
+		// wrapper module joins objs in this mode, so this link's text is
+		// prov's.
+		cfg.DataAddr = (link.DefaultTextAddr + uint64(len(prov.Text)) + extraText + 15) &^ 15
 	}
 	img, err := link.LinkCtx(ictx, cfg, objs, lib)
 	if err != nil {
@@ -406,26 +409,26 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 	}
 	ti.img = img
 
-	// Classify the defined analysis procedures for inlining, from the
-	// FINAL image (post-sbrk-redirection, so templates carry the patched
-	// text). SaveInAnalysis images have save/restore code spliced into
-	// the routines themselves, which an inlined copy would duplicate;
-	// only the wrapper-mode image grows templates.
-	if opts.Mode == SaveWrapper {
-		fprog, err := om.BuildCtx(ictx, img)
-		if err != nil {
+	// Lift the FINAL image (post-sbrk-redirection, so templates carry
+	// the patched text) once, for both of its readers below.
+	var fprog *om.Program
+	if opts.Mode == SaveWrapper || opts.Verify {
+		if fprog, err = om.BuildCtx(ictx, img); err != nil {
 			return nil, fmt.Errorf("atom: analysis image (final): %w", err)
 		}
+	}
+
+	// Classify the defined analysis procedures for inlining. SaveInAnalysis
+	// images have save/restore code spliced into the routines themselves,
+	// which an inlined copy would duplicate; only the wrapper-mode image
+	// grows templates.
+	if opts.Mode == SaveWrapper {
 		ti.inline = extractInlineTemplates(fprog, img, defined, summary)
 	}
 
-	// Under -vet, lint the FINAL image's analysis code statically before
+	// Under -vet, lint the final image's analysis code statically before
 	// it can ever be stamped into an application.
 	if opts.Verify {
-		fprog, err := om.BuildCtx(ictx, img)
-		if err != nil {
-			return nil, fmt.Errorf("atom: analysis image (final): %w", err)
-		}
 		if err := analyzeVerify(ictx, "analysis image", fprog, analysis.ToolImage); err != nil {
 			return nil, err
 		}

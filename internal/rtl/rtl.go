@@ -14,8 +14,9 @@
 // (internal/build): the runtime library itself is built at most once per
 // process, and compiled object sets are keyed by their sources so
 // repeated instrumentation runs never recompile unchanged analysis
-// routines. Unlike the sync.Once this replaced, a failed build is not
-// latched — the next call retries it.
+// routines. Every key built with NewKey covers the embedded runtime
+// sources and headers. Unlike the sync.Once this replaced, a failed
+// build is not latched — the next call retries it.
 package rtl
 
 import (
@@ -24,6 +25,7 @@ import (
 	"io/fs"
 	"sort"
 	"strings"
+	"sync"
 
 	"atom/internal/aout"
 	"atom/internal/asm"
@@ -36,16 +38,9 @@ import (
 //go:embed src include
 var files embed.FS
 
-// runtime bundles everything one build of the embedded sources produces.
-type runtime struct {
-	headers map[string]string
-	lib     *link.Library
-	crt0    *aout.File
-}
-
 var (
-	rtCache  = build.NewCache("runtime", runtimeCodec{})
-	objCache = build.NewCache("object", objectsCodec{})
+	rtCache  = build.NewCache[[]*aout.File]("runtime", FilesCodec{})
+	objCache = build.NewCache[[]*aout.File]("object", FilesCodec{})
 
 	// buildFault, when non-nil, is consulted at the start of a runtime
 	// build. Tests use it to inject a transient failure and verify that
@@ -53,13 +48,79 @@ var (
 	buildFault func() error
 )
 
-var runtimeKey = build.NewKey("rtl-runtime").String(runtimeCodecVersion).Sum()
-
-func parts(ctx *obs.Ctx) (*runtime, error) {
-	return build.MemoCtx(ctx, rtCache, "rtl-runtime", runtimeKey, buildRuntime)
+// sourcesDigest hashes every file of a runtime source tree, its path and
+// its bytes, in lexical path order.
+func sourcesDigest(fsys fs.FS) (build.Key, error) {
+	kb := build.NewKey("rtl-sources")
+	err := fs.WalkDir(fsys, ".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := fs.ReadFile(fsys, path)
+		if err != nil {
+			return err
+		}
+		kb.String(path).Bytes(data)
+		return nil
+	})
+	return kb.Sum(), err
 }
 
-func buildRuntime(ctx *obs.Ctx) (*runtime, error) {
+// sources is the digest of the embedded src and include trees, hashed
+// once per process.
+var sources = sync.OnceValue(func() build.Key {
+	k, err := sourcesDigest(files)
+	if err != nil {
+		panic(err) // the trees are compiled into the binary
+	}
+	return k
+})
+
+// NewKey starts the cache key of an artifact built from the runtime
+// library: the runtime itself, compiled objects, suite programs, the
+// probe app and tool images. It mixes in FilesCodec's version and the
+// digest of the embedded runtime sources and headers, so an edit to
+// either never serves a blob built from the old ones out of a cache
+// directory.
+func NewKey(kind string) *build.KeyBuilder {
+	k := sources()
+	return build.NewKey(kind).String(filesCodecVersion).Bytes(k[:])
+}
+
+var runtimeKey = sync.OnceValue(func() build.Key { return NewKey("rtl-runtime").Sum() })
+
+// headers reads the standard headers from the embedded include tree,
+// once per process.
+var headers = sync.OnceValues(func() (map[string]string, error) {
+	ents, err := fs.ReadDir(files, "include")
+	if err != nil {
+		return nil, fmt.Errorf("rtl: %w", err)
+	}
+	hdrs := map[string]string{}
+	for _, e := range ents {
+		data, err := files.ReadFile("include/" + e.Name())
+		if err != nil {
+			return nil, fmt.Errorf("rtl: %w", err)
+		}
+		hdrs[e.Name()] = string(data)
+	}
+	return hdrs, nil
+})
+
+// runtimeFiles returns the built runtime library as its file list: crt0
+// first, then the archive members.
+func runtimeFiles(ctx *obs.Ctx) ([]*aout.File, error) {
+	rt, err := rtCache.GetCtx(ctx, "rtl-runtime", runtimeKey(), buildRuntime)
+	if err != nil {
+		return nil, err
+	}
+	if len(rt) == 0 {
+		return nil, fmt.Errorf("rtl: runtime library has no crt0")
+	}
+	return rt, nil
+}
+
+func buildRuntime(ctx *obs.Ctx) ([]*aout.File, error) {
 	_, sp := ctx.Start("rtl.runtime")
 	defer sp.End()
 	if buildFault != nil {
@@ -67,19 +128,10 @@ func buildRuntime(ctx *obs.Ctx) (*runtime, error) {
 			return nil, err
 		}
 	}
-	rt := &runtime{headers: map[string]string{}}
-	hdrs, err := fs.ReadDir(files, "include")
+	hdrs, err := headers()
 	if err != nil {
-		return nil, fmt.Errorf("rtl: %w", err)
+		return nil, err
 	}
-	for _, e := range hdrs {
-		data, err := files.ReadFile("include/" + e.Name())
-		if err != nil {
-			return nil, fmt.Errorf("rtl: %w", err)
-		}
-		rt.headers[e.Name()] = string(data)
-	}
-
 	srcs, err := fs.ReadDir(files, "src")
 	if err != nil {
 		return nil, fmt.Errorf("rtl: %w", err)
@@ -89,7 +141,7 @@ func buildRuntime(ctx *obs.Ctx) (*runtime, error) {
 		names = append(names, e.Name())
 	}
 	sort.Strings(names)
-	rt.lib = &link.Library{Name: "librtl"}
+	rt := []*aout.File{nil} // crt0's slot
 	for _, name := range names {
 		data, err := files.ReadFile("src/" + name)
 		if err != nil {
@@ -100,7 +152,7 @@ func buildRuntime(ctx *obs.Ctx) (*runtime, error) {
 		case strings.HasSuffix(name, ".s"):
 			obj, err = asm.AssembleCtx(ctx, name, string(data))
 		case strings.HasSuffix(name, ".c"):
-			obj, err = cc.BuildCtx(ctx, name, string(data), rt.headers)
+			obj, err = cc.BuildCtx(ctx, name, string(data), hdrs)
 		default:
 			continue
 		}
@@ -110,43 +162,47 @@ func buildRuntime(ctx *obs.Ctx) (*runtime, error) {
 		// crt0 defines the entry point, which nothing references by
 		// name, so it is linked explicitly rather than archive-selected.
 		if name == "crt0.s" {
-			rt.crt0 = obj
+			rt[0] = obj
 			continue
 		}
-		rt.lib.Members = append(rt.lib.Members, obj)
+		rt = append(rt, obj)
+	}
+	if rt[0] == nil {
+		return nil, fmt.Errorf("rtl: no crt0.s among the runtime sources")
 	}
 	return rt, nil
 }
 
 // HeadersCtx returns the standard headers (stdio.h, stdlib.h, string.h)
-// for compiling MiniC programs against this library.
+// for compiling MiniC programs against this library. Like LibCtx and
+// Crt0Ctx it looks the runtime up first, so a failed runtime build fails
+// it too.
 func HeadersCtx(ctx *obs.Ctx) (map[string]string, error) {
-	rt, err := parts(ctx)
-	if err != nil {
+	if _, err := runtimeFiles(ctx); err != nil {
 		return nil, err
 	}
-	return rt.headers, nil
+	return headers()
 }
 
-// LibCtx returns the compiled runtime library. The returned value is
-// shared and must not be mutated; the linker copies member contents.
+// LibCtx returns the compiled runtime library. Its members are shared
+// and must not be mutated; the linker copies member contents.
 func LibCtx(ctx *obs.Ctx) (*link.Library, error) {
-	rt, err := parts(ctx)
+	rt, err := runtimeFiles(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return rt.lib, nil
+	return &link.Library{Name: "librtl", Members: rt[1:len(rt):len(rt)]}, nil
 }
 
 // Crt0Ctx returns the startup object defining __start. It must be
 // linked explicitly into executables (nothing references it by name, so
 // archive selection would never pull it in).
 func Crt0Ctx(ctx *obs.Ctx) (*aout.File, error) {
-	rt, err := parts(ctx)
+	rt, err := runtimeFiles(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return rt.crt0, nil
+	return rt[0], nil
 }
 
 // BuildObjectsCtx compiles MiniC sources (name -> source) into objects.
@@ -166,13 +222,12 @@ func BuildObjectsCtx(ctx *obs.Ctx, srcs map[string]string) ([]*aout.File, error)
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	kb := build.NewKey("objects")
-	kb.String(objectsCodecVersion)
+	kb := NewKey("objects")
 	kb.Int(int64(len(names)))
 	for _, n := range names {
 		kb.String(n).String(srcs[n])
 	}
-	objs, err := build.MemoCtx(ctx, objCache, "objects", kb.Sum(), func(bctx *obs.Ctx) ([]*aout.File, error) {
+	objs, err := objCache.GetCtx(ctx, "objects", kb.Sum(), func(bctx *obs.Ctx) ([]*aout.File, error) {
 		octx, sp := bctx.Start("rtl.objects", obs.Int("sources", int64(len(names))))
 		defer sp.End()
 		var objs []*aout.File

@@ -47,9 +47,10 @@ func ByName(name string) (Program, bool) {
 	return Program{}, false
 }
 
-// buildCache holds the built suite programs; they persist through the
-// process-wide build.DiskStore alongside the other artifact kinds.
-var buildCache = build.NewCache("spec", rtl.ExeCodec{})
+// buildCache holds the built suite programs, each as a one-element file
+// list; they persist through the process-wide build.DiskStore alongside
+// the other artifact kinds.
+var buildCache = build.NewCache[[]*aout.File]("spec", rtl.FilesCodec{})
 
 // BuildCtx compiles and links a suite program, memoizing the result by
 // the program's source content. Concurrent callers of the same program
@@ -62,14 +63,21 @@ func BuildCtx(ctx *obs.Ctx, name string) (*aout.File, error) {
 	if !ok {
 		return nil, fmt.Errorf("spec: unknown program %q", name)
 	}
-	key := build.NewKey("spec-program").String(rtl.ExeCodecVersion).String(p.Name).String(p.Src).Sum()
-	exe, err := build.MemoCtx(ctx, buildCache, "spec-program", key, func(bctx *obs.Ctx) (*aout.File, error) {
+	key := rtl.NewKey("spec-program").String(p.Name).String(p.Src).Sum()
+	exe, err := buildCache.GetCtx(ctx, "spec-program", key, func(bctx *obs.Ctx) ([]*aout.File, error) {
 		sctx, sp := bctx.Start("spec.build", obs.String("program", p.Name))
 		defer sp.End()
-		return rtl.BuildProgramMultiCtx(sctx, map[string]string{p.Name + ".c": p.Src})
+		exe, err := rtl.BuildProgramMultiCtx(sctx, map[string]string{p.Name + ".c": p.Src})
+		if err != nil {
+			return nil, err
+		}
+		return []*aout.File{exe}, nil
 	})
+	if err == nil && len(exe) != 1 {
+		err = fmt.Errorf("cached build holds %d files, want 1", len(exe))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("spec: %s: %w", name, err)
 	}
-	return exe, nil
+	return exe[0], nil
 }
