@@ -47,9 +47,10 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # and the lift over what it accepts (om.FuzzBuild: an error or a
 # Program that verifies clean, never a panic),
 # the cache directory's blob-file reader (build.FuzzVerifyBlobFile) and
-# the two store codecs: tool images (FuzzImageDecode) and the file lists
-# that carry object sets, the runtime library and linked executables
-# (FuzzObjectsDecode) — beyond their committed seeds, on
+# the two store codecs: tool images (FuzzImageDecode, which also drives
+# the lift and the inline classifier over every image it decodes) and
+# the file lists that carry object sets, the runtime library and linked
+# executables (FuzzObjectsDecode) — beyond their committed seeds, on
 # the loader and machine over any executable the reader accepts
 # (vm.FuzzNew: New and Run fail, never panic), on the superblock loop
 # against the Step loop over generated programs

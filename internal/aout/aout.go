@@ -169,29 +169,6 @@ func (f *File) Lookup(name string) (Symbol, bool) {
 	return f.Symbols[i], true
 }
 
-// SectionAddr returns the load address of a section in a linked file.
-func (f *File) SectionAddr(s Section) uint64 {
-	switch s {
-	case SecText:
-		return f.TextAddr
-	case SecData:
-		return f.DataAddr
-	case SecBss:
-		return f.BssAddr
-	}
-	return 0
-}
-
-// SymAddr returns the absolute address of symbol i in a linked file.
-// For relocatable files it returns the section-relative value.
-func (f *File) SymAddr(i int) uint64 {
-	s := f.Symbols[i]
-	if !f.Linked || s.Section == SecAbs || s.Section == SecUndef {
-		return s.Value
-	}
-	return s.Value
-}
-
 // Funcs returns the function symbols sorted by address. Sizes are filled
 // in from the gap to the next function (or the end of text) when a symbol
 // has no recorded size.

@@ -200,8 +200,3 @@ func SetCacheDir(ctx *obs.Ctx, dir string) error {
 	SwapStore(s)
 	return nil
 }
-
-// CloseStore uninstalls the process-wide store, if any. Subsequent cache
-// traffic is memory-only. A DiskStore holds no open files, so there is
-// nothing to flush.
-func CloseStore() { SwapStore(nil) }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"atom/internal/aout"
@@ -20,17 +19,6 @@ import (
 // Image returns the tool's linked analysis image (read-only), for
 // callers that want to inspect or analyze it.
 func (ti *ToolImage) Image() *aout.File { return ti.img }
-
-// AnalysisProcs returns the sorted names of the analysis procedures
-// defined in the image.
-func (ti *ToolImage) AnalysisProcs() []string {
-	out := make([]string, 0, len(ti.hasProc))
-	for name := range ti.hasProc {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Analyze lifts the built image and runs the pass selection over it as a
 // ToolImage unit named "tool:NAME".

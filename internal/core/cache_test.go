@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"atom/internal/build"
@@ -187,6 +188,106 @@ func TestImageBuildLiftsTwice(t *testing.T) {
 		}
 		if lifts != 2 {
 			t.Errorf("Verify=%v: %d om.build spans under atom.image.build, want 2", verify, lifts)
+		}
+	}
+}
+
+// clobberTool's one analysis routine clobbers the callee-save register
+// s0 without saving it, a defect only -vet's lint of the image reports.
+func clobberTool() core.Tool {
+	return core.Tool{
+		Name: "clobber",
+		Analysis: map[string]string{
+			"bump.s": `
+	.text
+	.globl Bump
+	.ent Bump
+Bump:
+	addq s0, 1, s0
+	ret (ra)
+	.end Bump
+`,
+		},
+		Instrument: func(q *core.Instrumentation) error {
+			if err := q.AddCallProto("Bump()"); err != nil {
+				return err
+			}
+			return q.AddCallProgram(core.ProgramBefore, "Bump")
+		},
+	}
+}
+
+// TestVerifyLintsCachedImage: a Verify run lints its analysis image even
+// when an image of the same tool was built, unlinted, without Verify,
+// whether that image is still in memory or only in the persistent
+// store.
+func TestVerifyLintsCachedImage(t *testing.T) {
+	const want = "clobbers callee-save register s0"
+	app := buildApp(t, cacheAppA)
+	check := func(t *testing.T) {
+		t.Helper()
+		_, err := core.InstrumentCtx(nil, app, clobberTool(), core.Options{Verify: true})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Verify instrument: err = %v, want one containing %q", err, want)
+		}
+	}
+	t.Run("fresh", func(t *testing.T) {
+		core.ResetImageCache(build.ScopeMemory)
+		check(t)
+	})
+	t.Run("memory", func(t *testing.T) {
+		core.ResetImageCache(build.ScopeMemory)
+		if _, err := core.InstrumentCtx(nil, app, clobberTool(), core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		check(t)
+	})
+	t.Run("disk", func(t *testing.T) {
+		ds, err := build.OpenDiskStore(nil, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer build.SwapStore(build.SwapStore(ds))
+		core.ResetImageCache(build.ScopeMemory)
+		if _, err := core.InstrumentCtx(nil, app, clobberTool(), core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		core.ResetImageCache(build.ScopeMemory)
+		check(t)
+	})
+}
+
+// TestUndefinedProcedureErrors: a plan that calls a prototype the image
+// does not define as a global procedure fails in apply, under both save
+// modes, with the message naming why.
+func TestUndefinedProcedureErrors(t *testing.T) {
+	app := buildApp(t, cacheAppA)
+	for _, tc := range []struct{ call, want string }{
+		{"Missing", `analysis procedure "Missing" not defined in analysis routines`},
+		{"Hidden", `analysis procedure "Hidden" is not a global symbol`},
+	} {
+		tool := core.Tool{
+			Name: "undefined",
+			Analysis: map[string]string{"anal.c": `
+long n;
+static void Hidden() { n = n + 1; }
+void Count() { n = n + 1; Hidden(); }
+`},
+			Instrument: func(q *core.Instrumentation) error {
+				for _, p := range []string{"Count()", "Missing()", "Hidden()"} {
+					if err := q.AddCallProto(p); err != nil {
+						return err
+					}
+				}
+				return q.AddCallProgram(core.ProgramBefore, tc.call)
+			},
+		}
+		for _, mode := range []core.SaveMode{core.SaveWrapper, core.SaveInAnalysis} {
+			core.ResetImageCache(build.ScopeMemory)
+			_, err := core.InstrumentCtx(nil, app, tool, core.Options{Mode: mode})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("mode %v, call %s: err = %v, want one containing %q", mode, tc.call, err, tc.want)
+			}
 		}
 	}
 }

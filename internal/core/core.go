@@ -187,7 +187,7 @@ func InstrumentProgramCtx(ctx *obs.Ctx, prog *om.Program, tool Tool, opts Option
 	if err != nil {
 		return nil, err
 	}
-	ti, err := toolImageFor(ctx, tool, opts, q)
+	ti, err := toolImageFor(ctx, tool, opts, q.protos)
 	if err != nil {
 		return nil, err
 	}
@@ -198,11 +198,10 @@ func InstrumentProgramCtx(ctx *obs.Ctx, prog *om.Program, tool Tool, opts Option
 // step of the paper's two-step model, with the first step (BuildToolImageCtx)
 // already paid for. The tool's instrumentation routine still runs per
 // application — call sites are application-specific — but no analysis
-// code is compiled or linked. If the plan turns out to need a different
-// image than the one supplied (the tool's options changed, or the
-// in-analysis save mode is being applied to a program mix that calls
-// different procedures), the right image is fetched — or built — from
-// the cache transparently.
+// code is compiled or linked: an image depends on the tool, its options
+// and its declared prototypes, never on the program. Only if opts or
+// the plan's prototypes differ from the ones the image was built for is
+// the matching image fetched — or built — from the cache instead.
 func ApplyCtx(ctx *obs.Ctx, app *aout.File, ti *ToolImage, opts Options) (*Result, error) {
 	prog, err := LiftCtx(ctx, app)
 	if err != nil {
@@ -222,8 +221,8 @@ func ApplyProgramCtx(ctx *obs.Ctx, prog *om.Program, ti *ToolImage, opts Options
 		return nil, err
 	}
 	use := ti
-	if key := imageKey(ti.tool, opts, q.protos, calledTargets(q)); key != ti.key {
-		if use, err = toolImageFor(ctx, ti.tool, opts, q); err != nil {
+	if imageKey(ti.tool, opts, q.protos) != ti.key {
+		if use, err = toolImageFor(ctx, ti.tool, opts, q.protos); err != nil {
 			return nil, err
 		}
 	}
@@ -277,19 +276,12 @@ func applyPlan(ctx *obs.Ctx, q *Instrumentation, ti *ToolImage, opts Options) (*
 			return nil, err
 		}
 	}
-	// Verify every called analysis procedure against the image.
-	seen := map[string]bool{}
-	for _, req := range q.journal {
-		name := req.proto.Name
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		if !ti.hasProc[name] {
-			return nil, fmt.Errorf("atom: analysis procedure %q not defined in analysis routines", name)
-		}
-		if !ti.isGlobal[name] {
-			return nil, fmt.Errorf("atom: analysis procedure %q is not a global symbol", name)
+	// Every called analysis procedure must be one the image defines:
+	// a key of its save table.
+	for i := range q.journal {
+		name := q.journal[i].proto.Name
+		if _, ok := ti.siteSave[name]; !ok {
+			return nil, ti.undefinedError(name)
 		}
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"atom/internal/alpha"
 	"atom/internal/aout"
+	"atom/internal/om"
 )
 
 // SiteCode is one call site's code as the apply stage splices it.
@@ -24,7 +25,7 @@ func PlannedSites(app *aout.File, tool Tool, opts Options) ([]SiteCode, error) {
 	if err != nil {
 		return nil, err
 	}
-	ti, err := toolImageFor(nil, tool, opts, q)
+	ti, err := toolImageFor(nil, tool, opts, q.protos)
 	if err != nil {
 		return nil, err
 	}
@@ -41,4 +42,20 @@ func PlannedSites(app *aout.File, tool Tool, opts Options) ([]SiteCode, error) {
 		}
 	}
 	return out, nil
+}
+
+// ImageCodecRoundTrip encodes ti with the tool-image store codec and
+// decodes the blob again.
+func ImageCodecRoundTrip(ti *ToolImage) (blob []byte, got *ToolImage, err error) {
+	if blob, err = (imageCodec{}).Marshal(ti); err != nil {
+		return nil, nil, err
+	}
+	got, err = imageCodec{}.Unmarshal(blob)
+	return blob, got, err
+}
+
+// ImageTables returns what apply reads of ti besides its image: the site
+// save sets and the inline templates.
+func ImageTables(ti *ToolImage) (siteSave map[string]om.RegSet, inline map[string]*inlineTemplate) {
+	return ti.siteSave, ti.inline
 }

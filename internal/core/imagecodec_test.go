@@ -8,9 +8,10 @@ import (
 	"atom/internal/build"
 )
 
-// codecProbeTool is a minimal tool for codec tests: one leaf analysis
-// routine (so the wrapper-mode image grows an inline template) called
-// once per program.
+// codecProbeTool is a minimal tool for codec tests: a leaf analysis
+// routine (so the wrapper-mode image grows an inline template) and one
+// that calls it (so the in-analysis image carries a save splice), each
+// called once per program.
 func codecProbeTool() Tool {
 	return Tool{
 		Name: "codecprobe",
@@ -18,68 +19,20 @@ func codecProbeTool() Tool {
 			"anal.c": `
 long counter;
 void Tick(long n) { counter = counter + n; }
+void Tock(long n) { Tick(n); Tick(n); }
 `,
 		},
 		Instrument: func(q *Instrumentation) error {
-			if err := q.AddCallProto("Tick(long)"); err != nil {
+			for _, p := range []string{"Tick(long)", "Tock(long)"} {
+				if err := q.AddCallProto(p); err != nil {
+					return err
+				}
+			}
+			if err := q.AddCallProgram(ProgramBefore, "Tick", int64(1)); err != nil {
 				return err
 			}
-			return q.AddCallProgram(ProgramBefore, "Tick", int64(1))
+			return q.AddCallProgram(ProgramAfter, "Tock", int64(2))
 		},
-	}
-}
-
-// TestImageCodecRoundTrip: Marshal then Unmarshal of a real ToolImage
-// must reproduce every field the apply phase consults — the image bytes,
-// the procedure tables, the site save sets and the inline templates —
-// with only the tool
-// identity (the Go closure, which has no wire form) left behind.
-func TestImageCodecRoundTrip(t *testing.T) {
-	ResetImageCache(build.ScopeMemory)
-	ti, err := BuildToolImageCtx(nil, codecProbeTool(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ti.inline) == 0 {
-		t.Fatal("probe tool grew no inline template; round-trip test needs one")
-	}
-
-	blob, err := imageCodec{}.Marshal(ti)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := imageCodec{}.Unmarshal(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(got.img.Encode(), ti.img.Encode()) {
-		t.Error("decoded image bytes differ")
-	}
-	if !reflect.DeepEqual(got.hasProc, ti.hasProc) {
-		t.Errorf("hasProc = %v, want %v", got.hasProc, ti.hasProc)
-	}
-	if !reflect.DeepEqual(got.isGlobal, ti.isGlobal) {
-		t.Errorf("isGlobal = %v, want %v", got.isGlobal, ti.isGlobal)
-	}
-	if len(ti.siteSave) == 0 || !reflect.DeepEqual(got.siteSave, ti.siteSave) {
-		t.Errorf("siteSave = %v, want %v (non-empty)", got.siteSave, ti.siteSave)
-	}
-	if !reflect.DeepEqual(got.inline, ti.inline) {
-		t.Errorf("inline templates differ:\n got %+v\nwant %+v", got.inline, ti.inline)
-	}
-	if got.tool.Instrument != nil || got.tool.Name != "" {
-		t.Error("tool identity leaked through the codec")
-	}
-
-	// Determinism: content addressing requires equal images to encode to
-	// equal blobs.
-	blob2, err := imageCodec{}.Marshal(ti)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, blob2) {
-		t.Error("Marshal is not deterministic")
 	}
 }
 
@@ -115,20 +68,32 @@ func TestImageCodecRejectsCorruptBlob(t *testing.T) {
 // a persistent store handing back a damaged blob would: Unmarshal must
 // return an error or an image, never panic, and never size an
 // allocation by a corrupt count beyond what the input could hold. An
-// accepted blob must re-encode to a blob that decodes to the same
-// encoding. Seeds cover a genuine blob, truncations of it, a previous
-// format version, and junk.
+// accepted blob's decode lifts its image and classifies its wrapped
+// routines for inlining, so this also drives the lift and the inline
+// classifier over decoded images; it must re-encode to a blob that
+// decodes to the same encoding and templates. Seeds cover a genuine
+// blob of a wrapper-mode and of an in-analysis image, truncations of
+// each, a previous format version, and junk.
 func FuzzImageDecode(f *testing.F) {
 	ResetImageCache(build.ScopeMemory)
-	if ti, err := BuildToolImageCtx(nil, codecProbeTool(), Options{}); err == nil {
-		if blob, err := (imageCodec{}).Marshal(ti); err == nil {
-			f.Add(blob)
-			for _, n := range []int{0, len(imageCodecVersion), len(imageCodecVersion) + 5, len(blob) / 2, len(blob) - 1} {
-				f.Add(append([]byte(nil), blob[:n]...))
-			}
+	for _, mode := range []SaveMode{SaveWrapper, SaveInAnalysis} {
+		ti, err := BuildToolImageCtx(nil, codecProbeTool(), Options{Mode: mode})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if spliced := ti.siteSave["Tock"] == 0; (mode == SaveWrapper) != (len(ti.inline) > 0) || (mode == SaveInAnalysis) != spliced {
+			f.Fatalf("mode %v: %d inline templates, Tock spliced %v", mode, len(ti.inline), spliced)
+		}
+		blob, err := imageCodec{}.Marshal(ti)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		for _, n := range []int{0, len(imageCodecVersion), len(imageCodecVersion) + 5, len(blob) / 2, len(blob) - 1} {
+			f.Add(append([]byte(nil), blob[:n]...))
 		}
 	}
-	f.Add([]byte("atom-img/v1\n\x00"))
+	f.Add([]byte("atom-img/v3\n\x00"))
 	f.Add([]byte(imageCodecVersion + "\x00\xff\xff\xff\xff"))
 	f.Add([]byte("not an image"))
 	f.Add([]byte{})
@@ -152,6 +117,9 @@ func FuzzImageDecode(f *testing.F) {
 		blob2, err := imageCodec{}.Marshal(v2)
 		if err != nil || !bytes.Equal(blob, blob2) {
 			t.Fatalf("re-encoding is not stable (err %v)", err)
+		}
+		if !reflect.DeepEqual(v.inline, v2.inline) {
+			t.Fatal("re-encoded blob derives different inline templates")
 		}
 	})
 }

@@ -23,10 +23,11 @@ import (
 // "ra + argument registers + whatever the wrapper would save" to
 // live ∩ clobbered-by-body — no ra save, no wrapper, no call, no return.
 //
-// Classification happens once per tool image, on the linked analysis
-// image's own OM IR; whether a given call site actually inlines is
-// decided per plan (Options.NoInline, inlineLimit), so one cached image
-// serves every option mix.
+// Classification runs on the linked analysis image's own OM IR, when
+// the image is built and again when it is decoded from the store, so
+// templates have no wire form. Whether a given call site actually
+// inlines is decided per plan (Options.NoInline, inlineLimit), so one
+// cached image serves every option mix.
 
 // inlineLimit is the largest analysis-routine body, in original
 // instructions, that is inlined.
@@ -52,10 +53,9 @@ type inlineTemplate struct {
 	// overwrite; the site saves live ∩ clobbers around it.
 	clobbers om.RegSet
 	bodyLen  int // original body size in instructions (inlineLimit gates on this)
-	// touchesSP reports whether insts read or write sp. It is derived
-	// from insts, at extraction and again on decode, and is not part of
-	// the wire form. A body that never names sp runs on the
-	// application's sp, its site's saves below it (siteBuilder.build).
+	// touchesSP reports whether insts read or write sp. A body that
+	// never names sp runs on the application's sp, its site's saves
+	// below it (siteBuilder.build).
 	touchesSP bool
 }
 
@@ -75,31 +75,41 @@ func namesSP(insts []alpha.Inst) bool {
 	return false
 }
 
-// extractInlineTemplates classifies each named procedure of the linked
-// analysis image and returns a template for every one that can be
-// spliced into call sites. Rejection is silent — a procedure that fails
-// classification is simply called through its wrapper as before. The
-// modified-registers summary (PR 4's interprocedural dataflow) bounds
-// each template's clobber set as a cross-check.
-func extractInlineTemplates(prog *om.Program, img *aout.File, names []string, summary map[string]om.RegSet) map[string]*inlineTemplate {
-	out := map[string]*inlineTemplate{}
+// wrappedProcs returns those of names that have a wrapper in img: every
+// defined routine of a wrapper-mode image, none of an in-analysis one,
+// whose routines carry spliced saves an inlined copy would duplicate.
+// Only a wrapped routine can have a template, since a template replaces
+// a wrapper call.
+func wrappedProcs(img *aout.File, names []string) []string {
+	var out []string
+	for _, name := range names {
+		if img.SymIndex(WrapperName(name)) >= 0 {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// extractInlineTemplates classifies each named procedure of prog, the
+// lift of the final analysis image img, and returns a template for every
+// one that can be spliced into call sites, or nil if none can. A tool
+// image's build and its decode both call it with wrappedProcs' names, so
+// the templates are a function of the linked file. Rejection is silent —
+// a procedure that fails classification is simply called through its
+// wrapper as before.
+func extractInlineTemplates(prog *om.Program, img *aout.File, names []string) map[string]*inlineTemplate {
+	var out map[string]*inlineTemplate
 	for _, name := range names {
 		pr := prog.Proc(name)
 		if pr == nil {
 			continue
 		}
-		tmpl, _ := classifyInline(pr, img)
-		if tmpl == nil {
-			continue
+		if tmpl, _ := classifyInline(pr, img); tmpl != nil {
+			if out == nil {
+				out = map[string]*inlineTemplate{}
+			}
+			out[name] = tmpl
 		}
-		// The direct clobber set must be within the interprocedural
-		// summary (a leaf's summary is exactly its direct writes plus
-		// whatever the preserved-register analysis excluded); a
-		// violation means the classifier mis-read the body.
-		if mod, ok := summary[name]; ok && tmpl.clobbers&^mod != 0 {
-			continue
-		}
-		out[name] = tmpl
 	}
 	return out
 }

@@ -26,7 +26,9 @@ import (
 // costs only the per-program rewrite, as in the paper's two-step model.
 
 // ToolImage is a tool's compiled and linked analysis image, independent
-// of any application. Build one with BuildToolImageCtx (or implicitly via
+// of any application: a function of the tool's sources, the image
+// options and the declared prototypes, never of the program it is
+// applied to. Build one with BuildToolImageCtx (or implicitly via
 // InstrumentCtx, which caches them) and stamp it into applications with
 // ApplyCtx. A ToolImage is immutable and safe for concurrent use.
 type ToolImage struct {
@@ -37,26 +39,32 @@ type ToolImage struct {
 	// records so it can be rebased rigidly. Read-only.
 	img *aout.File
 
-	// hasProc marks prototype names defined as procedures in the image;
-	// isGlobal marks those whose symbol is exported. ApplyCtx verifies every
-	// called analysis procedure against these.
-	hasProc  map[string]bool
-	isGlobal map[string]bool
+	// siteSave is, per defined analysis procedure (a prototyped, global
+	// procedure of the image), the registers a site calling it directly
+	// must save where they are live, beyond ra and the argument
+	// registers: its wrapper's save set, or nothing when the in-analysis
+	// mode spliced the saves into the procedure itself. A wrapper-mode
+	// site calls directly only where all of them are dead, so its code
+	// is the wrapper call's with another target. Its keys are the
+	// procedures ApplyCtx lets a plan call.
+	siteSave map[string]om.RegSet
 
-	// inline holds a splice-ready template for every analysis procedure
-	// that classified as inlinable (wrapper mode only). Templates are
-	// extracted unconditionally — whether a site uses one is decided per
+	// inline holds a splice-ready template for every wrapped analysis
+	// procedure that classified as inlinable (wrapper mode only). It is
+	// derived from img alone (wrappedProcs, extractInlineTemplates), at
+	// build and again on decode. Whether a site uses one is decided per
 	// plan by Options.NoInline and inlineLimit, so the cache key is
 	// unaffected.
 	inline map[string]*inlineTemplate
+}
 
-	// siteSave is, per defined analysis procedure, the registers a site
-	// calling it directly must save where they are live, beyond ra and
-	// the argument registers: its wrapper's save set, or nothing when
-	// the in-analysis mode spliced the saves into the procedure itself.
-	// A wrapper-mode site calls directly only where all of them are
-	// dead, so its code is the wrapper call's with another target.
-	siteSave map[string]om.RegSet
+// undefinedError explains, from the image's symbols, why it does not
+// define name as a callable analysis procedure.
+func (ti *ToolImage) undefinedError(name string) error {
+	if s, ok := ti.img.Lookup(name); ok && s.Kind == aout.SymFunc && s.Section == aout.SecText {
+		return fmt.Errorf("atom: analysis procedure %q is not a global symbol", name)
+	}
+	return fmt.Errorf("atom: analysis procedure %q not defined in analysis routines", name)
 }
 
 // ToolName returns the name of the tool the image was built for.
@@ -81,34 +89,20 @@ func ImageCacheStats() build.Stats { return imageCache.Stats() }
 // argument is ignored (see build.Scope).
 func ResetImageCache(build.Scope) { imageCache.Reset() }
 
-// calledTargets returns the sorted set of analysis procedures the plan
-// actually calls.
-func calledTargets(q *Instrumentation) []string {
-	seen := map[string]bool{}
-	var targets []string
-	for _, req := range q.journal {
-		if name := req.proto.Name; !seen[name] {
-			seen[name] = true
-			targets = append(targets, name)
-		}
-	}
-	sort.Strings(targets)
-	return targets
-}
-
 // imageKey computes the content address of a tool image: everything that
-// can change the image's bytes. The analysis sources, the save mode and
-// register-summary setting, and the declared prototypes (wrappers are
-// generated per prototype) all feed the key. The called-target set does
-// too, but only in SaveInAnalysis mode, where the save/restore code is
-// spliced into the targets themselves; the default wrapper image is
-// target-independent, so any program mix shares one image.
-func imageKey(tool Tool, opts Options, protos map[string]*Proto, targets []string) build.Key {
+// can change the image's bytes or what its build checks. The analysis
+// sources, the save mode and register-summary setting, the declared
+// prototypes (both save modes treat every defined prototyped routine)
+// and Verify (a -vet build lints the image, so an image built without it
+// must not serve a -vet run) all feed the key. Nothing about the
+// application does, so any program mix shares one image.
+func imageKey(tool Tool, opts Options, protos map[string]*Proto) build.Key {
 	b := rtl.NewKey("toolimage").
 		String(imageCodecVersion).
 		String(tool.Name).
 		Int(int64(opts.Mode)).
-		Bool(opts.NoRegSummary)
+		Bool(opts.NoRegSummary).
+		Bool(opts.Verify)
 	srcNames := make([]string, 0, len(tool.Analysis))
 	for n := range tool.Analysis {
 		srcNames = append(srcNames, n)
@@ -132,21 +126,15 @@ func imageKey(tool Tool, opts Options, protos map[string]*Proto, targets []strin
 			b.Int(int64(k))
 		}
 	}
-	if opts.Mode == SaveInAnalysis {
-		b.Int(int64(len(targets)))
-		for _, t := range targets {
-			b.String(t)
-		}
-	}
 	return b.Sum()
 }
 
-// toolImageFor returns the (cached) analysis image matching a plan.
-func toolImageFor(ctx *obs.Ctx, tool Tool, opts Options, q *Instrumentation) (*ToolImage, error) {
-	targets := calledTargets(q)
-	key := imageKey(tool, opts, q.protos, targets)
+// toolImageFor returns the (cached) analysis image for a tool's declared
+// prototypes.
+func toolImageFor(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Proto) (*ToolImage, error) {
+	key := imageKey(tool, opts, protos)
 	ti, err := imageCache.GetCtx(ctx, "toolimage", key, func(bctx *obs.Ctx) (*ToolImage, error) {
-		ti, err := buildToolImage(bctx, tool, opts, q.protos, targets)
+		ti, err := buildToolImage(bctx, tool, opts, protos)
 		if err != nil {
 			return nil, err
 		}
@@ -209,13 +197,15 @@ func BuildToolImageCtx(ctx *obs.Ctx, tool Tool, opts Options) (*ToolImage, error
 	if err != nil {
 		return nil, err
 	}
-	return toolImageFor(ctx, tool, opts, q)
+	return toolImageFor(ctx, tool, opts, q.protos)
 }
 
 // buildToolImage does the actual compile/link work: analysis objects,
 // register summary, wrappers or in-analysis splices, canonical-base link,
-// sbrk redirection.
-func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Proto, targets []string) (*ToolImage, error) {
+// sbrk redirection. Both save modes treat every defined prototyped
+// routine, called by a given program or not, so every check a routine
+// must pass happens here, once per image.
+func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Proto) (*ToolImage, error) {
 	ictx, isp := ctx.Start("atom.image.build", obs.String("tool", tool.Name))
 	defer isp.End()
 	if len(tool.Analysis) == 0 {
@@ -243,12 +233,10 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 		return nil, fmt.Errorf("atom: analysis image: %w", err)
 	}
 
-	ti := &ToolImage{
-		tool:     tool,
-		hasProc:  map[string]bool{},
-		isGlobal: map[string]bool{},
-		siteSave: map[string]om.RegSet{},
-	}
+	// The defined set: prototypes the image defines as global
+	// procedures. Apply lets a plan call exactly these (siteSave's keys);
+	// a prototype left undefined or static fails only the plan that
+	// calls it.
 	protoNames := make([]string, 0, len(protos))
 	for n := range protos {
 		protoNames = append(protoNames, n)
@@ -259,9 +247,7 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 		if aprog.Proc(name) == nil {
 			continue
 		}
-		ti.hasProc[name] = true
 		if sym, ok := prov.Lookup(name); ok && sym.Global {
-			ti.isGlobal[name] = true
 			defined = append(defined, name)
 		}
 	}
@@ -275,11 +261,9 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 
 	// Save set per defined prototype: the registers the procedure's
 	// interprocedural summary says may be modified, minus ra and the
-	// argument registers, which the call site itself saves. Wrappers are
-	// generated for every defined prototype, not just the procedures this
-	// particular program mix happens to call — that is what makes the
-	// image application-independent.
-	wrapSave := map[string]om.RegSet{}
+	// argument registers, which the call site itself saves.
+	ti := &ToolImage{tool: tool, siteSave: make(map[string]om.RegSet, len(defined))}
+	wrapSave := make(map[string]om.RegSet, len(defined))
 	args := alpha.ArgRegs()
 	for _, name := range defined {
 		mod := summary[name]
@@ -299,23 +283,15 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 		ti.siteSave[name] = save
 	}
 
-	// The in-analysis save mode splices save/restore code into the called
-	// procedures themselves, so the image depends on the target set (which
-	// is part of its cache key) and every target must check out now. A
-	// leaf target is the exception: its save set is just its own scratch
-	// registers, which its sites save where live (siteSave), as they do
-	// for an inlined body — never more than the splice would save on
-	// every call.
+	// The in-analysis save mode splices save/restore code into every
+	// defined procedure, so each must check out now. A leaf is the
+	// exception: its save set is just its own scratch registers, which
+	// its sites save where live (siteSave), as they do for an inlined
+	// body — never more than the splice would save on every call.
 	var extraText uint64
 	spliceSave := map[string]om.RegSet{}
 	if opts.Mode == SaveInAnalysis {
-		for _, name := range targets {
-			if !ti.hasProc[name] {
-				return nil, fmt.Errorf("atom: analysis procedure %q not defined in analysis routines", name)
-			}
-			if !ti.isGlobal[name] {
-				return nil, fmt.Errorf("atom: analysis procedure %q is not a global symbol", name)
-			}
+		for _, name := range defined {
 			if len(protos[name].Params) > alpha.MaxRegArgs {
 				return nil, fmt.Errorf("atom: %q: the in-analysis save mode supports at most %d parameters", name, alpha.MaxRegArgs)
 			}
@@ -335,7 +311,7 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 				ti.siteSave[name] = 0
 			}
 		}
-		splices, err := spliceSaves(aprog, targets, spliceSave)
+		splices, err := spliceSaves(aprog, defined, spliceSave)
 		if err != nil {
 			return nil, err
 		}
@@ -369,12 +345,12 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 		return nil, err
 	}
 
-	if opts.Mode == SaveInAnalysis && extraText > 0 {
+	if extraText > 0 {
 		sprog, err := om.BuildCtx(ictx, img)
 		if err != nil {
 			return nil, err
 		}
-		splices, err := spliceSaves(sprog, targets, spliceSave)
+		splices, err := spliceSaves(sprog, defined, spliceSave)
 		if err != nil {
 			return nil, err
 		}
@@ -410,21 +386,17 @@ func buildToolImage(ctx *obs.Ctx, tool Tool, opts Options, protos map[string]*Pr
 	ti.img = img
 
 	// Lift the FINAL image (post-sbrk-redirection, so templates carry
-	// the patched text) once, for both of its readers below.
+	// the patched text) once, for both of its readers below. The
+	// templates come from the image alone, exactly as the codec derives
+	// them on decode.
 	var fprog *om.Program
-	if opts.Mode == SaveWrapper || opts.Verify {
+	wrapped := wrappedProcs(img, defined)
+	if len(wrapped) > 0 || opts.Verify {
 		if fprog, err = om.BuildCtx(ictx, img); err != nil {
 			return nil, fmt.Errorf("atom: analysis image (final): %w", err)
 		}
 	}
-
-	// Classify the defined analysis procedures for inlining. SaveInAnalysis
-	// images have save/restore code spliced into the routines themselves,
-	// which an inlined copy would duplicate; only the wrapper-mode image
-	// grows templates.
-	if opts.Mode == SaveWrapper {
-		ti.inline = extractInlineTemplates(fprog, img, defined, summary)
-	}
+	ti.inline = extractInlineTemplates(fprog, img, wrapped)
 
 	// Under -vet, lint the final image's analysis code statically before
 	// it can ever be stamped into an application.

@@ -174,15 +174,10 @@ func buildRuntime(ctx *obs.Ctx) ([]*aout.File, error) {
 }
 
 // HeadersCtx returns the standard headers (stdio.h, stdlib.h, string.h)
-// for compiling MiniC programs against this library. Like LibCtx and
-// Crt0Ctx it looks the runtime up first, so a failed runtime build fails
-// it too.
-func HeadersCtx(ctx *obs.Ctx) (map[string]string, error) {
-	if _, err := runtimeFiles(ctx); err != nil {
-		return nil, err
-	}
-	return headers()
-}
+// for compiling MiniC programs against this library. They come from the
+// embedded include tree, so it builds and looks up nothing; the context
+// is unused.
+func HeadersCtx(*obs.Ctx) (map[string]string, error) { return headers() }
 
 // LibCtx returns the compiled runtime library. Its members are shared
 // and must not be mutated; the linker copies member contents.
@@ -213,7 +208,7 @@ func Crt0Ctx(ctx *obs.Ctx) (*aout.File, error) {
 // "rtl.objects" span, and the cache lookup that guards it is recorded
 // with hit/miss attribution.
 func BuildObjectsCtx(ctx *obs.Ctx, srcs map[string]string) ([]*aout.File, error) {
-	hdrs, err := HeadersCtx(ctx)
+	hdrs, err := headers()
 	if err != nil {
 		return nil, err
 	}
