@@ -31,7 +31,7 @@ func cmdCC(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	hdrs, err := rtl.HeadersCtx(nil)
+	hdrs, err := rtl.Headers()
 	if err != nil {
 		return fail(err)
 	}

@@ -291,3 +291,36 @@ void Count() { n = n + 1; Hidden(); }
 		}
 	}
 }
+
+// TestInAnalysisRejectsUnsplicableRoutine: the in-analysis save mode
+// splices every defined prototyped routine, so one with more than six
+// parameters fails its image build even though no site calls it; the
+// wrapper-mode image of the same tool builds and instruments.
+func TestInAnalysisRejectsUnsplicableRoutine(t *testing.T) {
+	const want = `"Seven": the in-analysis save mode supports at most 6 parameters`
+	app := buildApp(t, cacheAppA)
+	tool := core.Tool{
+		Name: "seven",
+		Analysis: map[string]string{"anal.c": `
+long n;
+void Count() { n = n + 1; }
+void Seven(long a, long b, long c, long d, long e, long f, long g) { n = a + b + c + d + e + f + g; }
+`},
+		Instrument: func(q *core.Instrumentation) error {
+			for _, p := range []string{"Count()", "Seven(long,long,long,long,long,long,long)"} {
+				if err := q.AddCallProto(p); err != nil {
+					return err
+				}
+			}
+			return q.AddCallProgram(core.ProgramBefore, "Count")
+		},
+	}
+	core.ResetImageCache(build.ScopeMemory)
+	if _, err := core.InstrumentCtx(nil, app, tool, core.Options{}); err != nil {
+		t.Errorf("wrapper mode: %v", err)
+	}
+	_, err := core.InstrumentCtx(nil, app, tool, core.Options{Mode: core.SaveInAnalysis})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("in-analysis mode: err = %v, want one containing %q", err, want)
+	}
+}

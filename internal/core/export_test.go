@@ -59,3 +59,7 @@ func ImageCodecRoundTrip(ti *ToolImage) (blob []byte, got *ToolImage, err error)
 func ImageTables(ti *ToolImage) (siteSave map[string]om.RegSet, inline map[string]*inlineTemplate) {
 	return ti.siteSave, ti.inline
 }
+
+// ImageTool returns the tool identity ti carries: the tool it was built
+// for, or the zero Tool for a value decoded from the store.
+func ImageTool(ti *ToolImage) Tool { return ti.tool }

@@ -19,7 +19,7 @@ import (
 // analysis image cannot fit.
 func buildTightApp(t *testing.T) *aout.File {
 	t.Helper()
-	hdrs, err := rtl.HeadersCtx(nil)
+	hdrs, err := rtl.Headers()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,9 @@ func TestImageCodecRoundTrip(t *testing.T) {
 					t.Errorf("%s: in-analysis image has %d inline templates", label, len(inline))
 				}
 				templates += len(inline)
-				if got.ToolName() != "" {
+				// toolImageFor re-attaches the tool after a disk hit
+				// exactly when the decoded Instrument is nil.
+				if tl := core.ImageTool(got); tl.Instrument != nil || tl.Name != "" {
 					t.Errorf("%s: tool identity leaked through the codec", label)
 				}
 				// Content addressing requires equal images to encode to
@@ -146,6 +148,17 @@ func TestInstrumentWarmFromDiskStore(t *testing.T) {
 	}
 	if s := rtl.ObjectCacheStats(); s.Builds != 0 {
 		t.Errorf("warm object stats = %+v, want 0 compiles", s)
+	}
+	// The cached values came from disk without a tool; every image
+	// handed out gets its tool back.
+	for _, j := range jobs {
+		ti, err := core.BuildToolImageCtx(nil, j.tool, j.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", j.label, err)
+		}
+		if tl := core.ImageTool(ti); tl.Instrument == nil || tl.Name != j.tool.Name {
+			t.Errorf("%s: disk-served image carries tool %q (instrument set %v)", j.label, tl.Name, tl.Instrument != nil)
+		}
 	}
 
 	// A third pass with memory warm must not touch the disk again.

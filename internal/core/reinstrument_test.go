@@ -21,7 +21,7 @@ import (
 // image starts past a gap) instruments under every tool, passes -vet,
 // and runs exactly like the bare program.
 func TestInstrumentAcrossFiller(t *testing.T) {
-	hdrs, err := rtl.HeadersCtx(nil)
+	hdrs, err := rtl.Headers()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ const padSrc = "\t.text\n\tlda $1, 1234($31)\n\tldah $2, 567($31)\n"
 // address and its bytes.
 func gapExe(t testing.TB) (*aout.File, uint64, []byte) {
 	t.Helper()
-	hdrs, err := rtl.HeadersCtx(nil)
+	hdrs, err := rtl.Headers()
 	if err != nil {
 		t.Fatal(err)
 	}

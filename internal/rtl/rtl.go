@@ -173,11 +173,10 @@ func buildRuntime(ctx *obs.Ctx) ([]*aout.File, error) {
 	return rt, nil
 }
 
-// HeadersCtx returns the standard headers (stdio.h, stdlib.h, string.h)
-// for compiling MiniC programs against this library. They come from the
-// embedded include tree, so it builds and looks up nothing; the context
-// is unused.
-func HeadersCtx(*obs.Ctx) (map[string]string, error) { return headers() }
+// Headers returns the standard headers (stdio.h, stdlib.h, string.h)
+// for compiling MiniC programs against this library, read from the
+// embedded include tree. The map is shared and must not be mutated.
+func Headers() (map[string]string, error) { return headers() }
 
 // LibCtx returns the compiled runtime library. Its members are shared
 // and must not be mutated; the linker copies member contents.

@@ -11,7 +11,7 @@ import (
 )
 
 func TestHeadersPresent(t *testing.T) {
-	hdrs, err := rtl.HeadersCtx(nil)
+	hdrs, err := rtl.Headers()
 	if err != nil {
 		t.Fatal(err)
 	}
