@@ -52,8 +52,10 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # the file lists that carry object sets, the runtime library and linked
 # executables (FuzzObjectsDecode) — beyond their committed seeds, on
 # the loader and machine over any executable the reader accepts
-# (vm.FuzzNew: New and Run fail, never panic), on the superblock loop
-# against the Step loop over generated programs
+# (vm.FuzzNew: New and Run fail, never panic), on instrumenting it
+# (core.FuzzApply: lift and apply under a fuzzed tool fail, or write an
+# output whose rewritten text verifies clean, never panic), on the
+# superblock loop against the Step loop over generated programs
 # (vm.FuzzSuperblockVsStep), on the layout's slot tables under
 # fuzzed splices (om.FuzzLayout), and on the liveness solver against its
 # naive reference over generated programs (dataflow.FuzzLiveness).
@@ -62,6 +64,7 @@ go test -run='^$' -fuzz='^FuzzBuild$' -fuzztime=5s ./internal/om
 go test -run='^$' -fuzz='^FuzzNew$' -fuzztime=5s ./internal/vm
 go test -run='^$' -fuzz='^FuzzVerifyBlobFile$' -fuzztime=5s ./internal/build
 go test -run='^$' -fuzz='^FuzzImageDecode$' -fuzztime=5s ./internal/core
+go test -run='^$' -fuzz='^FuzzApply$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzObjectsDecode$' -fuzztime=5s ./internal/rtl
 go test -run='^$' -fuzz='^FuzzSuperblockVsStep$' -fuzztime=5s ./internal/vm
 go test -run='^$' -fuzz='^FuzzLayout$' -fuzztime=5s ./internal/om

@@ -132,8 +132,8 @@ func DecodeTo(dst *Inst, w uint32) error {
 }
 
 // The decode tables, indexed by encoding fields rather than looked up in
-// maps: Decode runs once per word of every lift, predecode and
-// disassembly. OpInvalid marks an unassigned entry.
+// maps: Decode runs once per word of every lift, superblock harvest and
+// disassembly, and once per instruction the VM steps. OpInvalid marks an unassigned entry.
 var (
 	majorOps   [64]Op     // memory and branch formats, by major opcode
 	jumpOps    [4]Op      // jump format, by function (bits 15..14)

@@ -322,9 +322,6 @@ func (q *Instrumentation) GetProcCalled(i *om.Inst) (string, bool) {
 	return "", false
 }
 
-// ProgramInstCount returns the total instruction count of the program.
-func (q *Instrumentation) ProgramInstCount() int { return q.prog.NumInsts() }
-
 // AddCallProto declares an analysis-procedure prototype, e.g.
 // "CondBranch(int, VALUE)". Accepted parameter types: int, long, char*,
 // long*, VALUE, REGV. Every procedure named in an AddCall must have been

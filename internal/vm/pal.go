@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"fmt"
-
-	"atom/internal/alpha"
-)
+import "atom/internal/alpha"
 
 // pal dispatches a CALL_PAL service. It returns done=true when the
 // machine halted (PC must not advance further).
@@ -112,6 +108,11 @@ func (m *Machine) sysRead(fd int, buf uint64, n int64) (int64, error) {
 	}
 	copy(m.Mem[buf:buf+uint64(n)], src[*pos:])
 	*pos += int(n)
+	// A read into text is a store into text: blocks harvested from the
+	// bytes it overwrote must go, or they would run stale code.
+	if lo, hi := max(buf, m.exe.TextAddr), min(buf+uint64(n), m.textEnd); lo < hi {
+		m.textStore(lo, hi-lo)
+	}
 	return n, nil
 }
 
@@ -198,14 +199,4 @@ func (m *Machine) flushFiles() {
 			m.FSOut[f.path] = f.data
 		}
 	}
-}
-
-// ReadMem copies n bytes at addr; helper for tests and tools.
-func (m *Machine) ReadMem(addr, n uint64) ([]byte, error) {
-	if l := uint64(len(m.Mem)); n > l || addr > l-n {
-		return nil, fmt.Errorf("vm: ReadMem %#x+%d out of range", addr, n)
-	}
-	out := make([]byte, n)
-	copy(out, m.Mem[addr:])
-	return out, nil
 }

@@ -41,20 +41,22 @@ import (
 //     mirrors checkAddr exactly); the dispatcher restores PC/Icount to
 //     the faulting instruction and re-executes it through m.exec to
 //     regenerate the byte-identical diagnostic.
-//   - A store into the text segment marks the predecode slots it covers
-//     stale (they re-decode when next fetched or harvested) and clears
-//     any unbuildable-entry sentinel there. Most such stores are
-//     analysis data, which the paper's layout (Figure 4) places in text,
-//     so the code watermark [codeLo, codeHi) — the smallest range
-//     covering every block span ever built — decides the rest: a store outside it cannot
-//     touch a block and costs nothing more. A store inside it drops
-//     every block whose span overlaps the store, and only if one was
-//     dropped does the running block bail out after that op, so stale
-//     harvested code is never executed (self-modifying code stays
-//     exact). An aligned stq at or above codeHi onto two words that are
-//     already stale, with no sentinel, stays inside runOps: textStore
-//     would change nothing for it, and that is the analysis counter's
-//     store after its first.
+//   - Blocks are the only decoded code the machine keeps: Step and
+//     buildSB decode from Mem, so a word no block covers is always
+//     fetched as memory holds it. A store into the text segment — by a
+//     store instruction or by the read service — clears any
+//     unbuildable-entry sentinel it covers (the patched word may now
+//     decode). Most such stores are analysis data, which the paper's
+//     layout (Figure 4) places in text, so the code watermark [codeLo,
+//     codeHi) — the smallest range covering every block span ever built
+//     — decides the rest: a store outside it cannot touch a block and
+//     costs nothing more. A store inside it drops every block whose span
+//     overlaps the store, and only if one was dropped does the running
+//     block bail out after that op, so stale harvested code is never
+//     executed (self-modifying code stays exact). An aligned stq at or
+//     above codeHi onto two words with no sentinel stays inside runOps:
+//     textStore would change nothing for it, and that is every analysis
+//     counter's store.
 //   - Blocks are entered only when they fit under the fence: the
 //     instruction budget, or the instruction before the next sampling
 //     point when a probe samples. When the block at the PC would cross
@@ -270,19 +272,17 @@ func (m *Machine) lookupSB(pc uint64) *superblock {
 	return sb
 }
 
-// textStore keeps the caches coherent after a store to [addr,
+// textStore keeps the block cache coherent after a store to [addr,
 // addr+size) that overlaps the text segment, and reports whether it
 // dropped a superblock — the only case in which the running block may
-// be stale. The covered predecode slots go stale and unbuildable-entry
-// sentinels are cleared (the patched word may now decode); only a store
-// inside the code watermark can overlap a block and needs the scan.
+// be stale. Unbuildable-entry sentinels it covers are cleared (the
+// patched word may now decode); only a store inside the code watermark
+// can overlap a block and needs the scan.
 func (m *Machine) textStore(addr, size uint64) bool {
 	lo, hi := addr, addr+size
 	for a := lo &^ 3; a < hi; a += 4 {
 		if m.inText(a) {
-			idx := (a - m.exe.TextAddr) / 4
-			m.codeOK[idx] = false
-			if m.sbByIdx[idx] == sbNone {
+			if idx := (a - m.exe.TextAddr) / 4; m.sbByIdx[idx] == sbNone {
 				m.sbByIdx[idx] = nil
 			}
 		}
@@ -445,7 +445,7 @@ func (m *Machine) runSB(sb *superblock, fence uint64) (*sbOp, error) {
 			}
 			return nil, nil
 		case sbText:
-			// Usually an analysis counter: the caches stay coherent, and
+			// Usually an analysis counter: the cache stays coherent, and
 			// the block is left only when the store dropped one, for this
 			// very block may be stale. Rb still holds the base.
 			if m.textStore(uint64(m.Reg[op.rb]+op.imm), op.storeWidth()) {
@@ -455,7 +455,8 @@ func (m *Machine) runSB(sb *superblock, fence uint64) (*sbOp, error) {
 			// No side effects were applied; re-execute through the
 			// interpreter for the byte-identical diagnostic. The block is
 			// live, so memory still holds the word it was harvested from.
-			inst, _ := m.decoded((op.pc - m.exe.TextAddr) / 4)
+			var inst alpha.Inst
+			m.decodeAt(&inst, op.pc)
 			return nil, m.exec(inst)
 		}
 	}
@@ -676,11 +677,11 @@ func (m *Machine) runOps(ops []sbOp, i int, fence uint64) ([]sbOp, int, *sbOp, s
 			}
 			binary.LittleEndian.PutUint64(m.Mem[addr:], uint64(r[op.ra&31]))
 			if addr < m.textEnd && addr+8 > m.exe.TextAddr {
-				// Analysis data above the watermark, stale since an earlier
-				// store: textStore would do nothing. No block entry lies
-				// above codeHi, so a nil slot there is no sentinel either.
+				// Analysis data above the watermark: textStore would do
+				// nothing. No block entry lies above codeHi, so a nil slot
+				// there is no sentinel either.
 				if addr&7 == 0 && addr >= m.codeHi && addr+8 <= m.textEnd {
-					if k := (addr - m.exe.TextAddr) / 4; !m.codeOK[k] && !m.codeOK[k+1] && m.sbByIdx[k] == nil && m.sbByIdx[k+1] == nil {
+					if k := (addr - m.exe.TextAddr) / 4; m.sbByIdx[k] == nil && m.sbByIdx[k+1] == nil {
 						continue
 					}
 				}
@@ -814,9 +815,9 @@ func (m *Machine) buildSB(entry uint64) *superblock {
 	sb := &superblock{entry: entry, lo: entry, hi: entry}
 	visited := make(map[uint64]bool)
 	pc := entry
+	var inst alpha.Inst
 	for len(sb.ops) < sbMaxOps && m.inText(pc) && !visited[pc] {
-		inst, err := m.decoded((pc - m.exe.TextAddr) / 4)
-		if err != nil {
+		if m.decodeAt(&inst, pc) != nil {
 			break
 		}
 		op, ok := sbCompile(inst, pc)

@@ -1,14 +1,15 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
-	"io"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"atom/internal/alpha"
 	"atom/internal/aout"
 )
 
@@ -86,12 +87,30 @@ func stateOf(m *Machine, code int, rerr error) vmState {
 	return st
 }
 
-// runRef runs exe on the per-instruction Step loop, which a tracer
-// selects: the reference the superblock loop must match.
+// runRef runs exe on the per-instruction Step loop: the reference the
+// superblock loop must match.
 func runRef(t *testing.T, exe *aout.File, cfg Config) (*Machine, vmState) {
 	t.Helper()
-	cfg.Trace = io.Discard
-	return runVM(t, exe, cfg)
+	m, err := New(exe, cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	code, rerr := stepRun(m)
+	return m, stateOf(m, code, rerr)
+}
+
+// stepRun runs m to a halt on Step alone, with Run's instruction budget
+// check and error text.
+func stepRun(m *Machine) (int, error) {
+	for !m.halted {
+		if m.Icount >= m.cfg.MaxInstr {
+			return 0, budgetErr(m.cfg.MaxInstr, m.PC)
+		}
+		if err := m.Step(); err != nil {
+			return 0, err
+		}
+	}
+	return m.exitCode, nil
 }
 
 // diffProbed runs exe with a recording probe on both loops and requires
@@ -522,11 +541,19 @@ loop:
 }
 
 // TestSuperblockSelfModifyMidRun rewrites an instruction inside an
-// already-executed, cached superblock — from inside that very block —
-// and requires the patched semantics on the next pass, identically to
-// the Step loop.
+// already-executed, cached superblock and requires the patched
+// semantics on the next pass, identically to the Step loop: from inside
+// that very block with a store, and between two calls of a procedure
+// with the read service, which copies an instruction from stdin over
+// the procedure's first word.
 func TestSuperblockSelfModifyMidRun(t *testing.T) {
-	exe := build(t, `
+	patch := alpha.Inst{Op: alpha.OpLda, Ra: alpha.A0, Rb: alpha.Zero, Disp: 42}.MustEncode()
+	progs := map[string]struct {
+		src   string
+		stdin []byte
+		exit  int
+	}{
+		"store-in-block": {exit: 77, src: `
 	.text
 	.globl __start
 	.ent __start
@@ -547,14 +574,39 @@ done:
 patch:
 	lda a0, 77(zero)
 	.end __start
-`)
-	st := diffModes(t, exe, Config{})
-	if st.exit != 77 {
-		t.Errorf("exit = %d, want 77 (patched instruction not executed)", st.exit)
+`},
+		"read-over-proc": {exit: 42, stdin: binary.LittleEndian.AppendUint32(nil, patch), src: `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	bsr ra, f
+	clr a0
+	la a1, f
+	li a2, 4
+	call_pal 2
+	bsr ra, f
+	call_pal 0
+	.end __start
+	.ent f
+f:
+	lda a0, 7(zero)
+	ret (ra)
+	.end f
+`},
 	}
-	m, _ := runVM(t, exe, Config{})
-	if m.sbInval == 0 {
-		t.Error("store into a cached superblock recorded no invalidation")
+	for name, p := range progs {
+		t.Run(name, func(t *testing.T) {
+			exe := build(t, p.src)
+			cfg := Config{Stdin: p.stdin}
+			if st := diffModes(t, exe, cfg); st.exit != p.exit {
+				t.Errorf("exit = %d, want %d (patched instruction not executed)", st.exit, p.exit)
+			}
+			m, _ := runVM(t, exe, cfg)
+			if m.sbInval == 0 {
+				t.Error("store into a cached superblock recorded no invalidation")
+			}
+		})
 	}
 }
 
@@ -709,7 +761,7 @@ loop:
 // Step loop — a data word between two procedures, whose store drops
 // nothing and leaves the running block alone, and a word or a quadword a
 // br skips, which lies inside a block's conservative span, so every
-// store drops that block, stale data or not: stores stay inside runOps
+// store drops that block, data or not: stores stay inside runOps
 // only above the watermark. Each data word is a nop the program zeroes
 // before its loop.
 func TestSuperblockWatermarkGapStores(t *testing.T) {
@@ -1079,8 +1131,8 @@ func buildAligned(t *testing.T, src, label string) (*aout.File, uint64) {
 }
 
 // TestSuperblockTextStoreAboveWatermark: a text quadword above the code
-// watermark takes counter stores — the first marks it stale, the rest
-// stay inside runOps — then an instruction pair. Executing it builds a
+// watermark takes counter stores, which stay inside runOps, then an
+// instruction pair. Executing it builds a
 // block over it and raises the watermark, so the next store drops that
 // block and the running block bails out; the second pair runs, exactly
 // as in the Step loop.
@@ -1127,7 +1179,7 @@ v2:	lda a0, 9(zero)
 	}
 }
 
-// TestSuperblockStoreClearsSentinel: a stale text quadword above the
+// TestSuperblockStoreClearsSentinel: a text quadword above the
 // watermark whose first word holds the unbuildable-entry sentinel (a
 // jump to it faulted: it did not decode) is stored with an instruction
 // pair. That store would stay inside runOps but for the sentinel, which
@@ -1157,27 +1209,28 @@ v1:	lda a0, 42(zero)
 	resume, _ := exe.Lookup("resume")
 	k := (slot - exe.TextAddr) / 4
 	// run faults at the slot, then resumes at resume, as a debugger would.
-	run := func(cfg Config) (*Machine, string, vmState) {
-		m, err := New(exe, cfg)
+	run := func(runFn func(*Machine) (int, error)) (*Machine, string, vmState) {
+		m, err := New(exe, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = m.Run()
+		_, err = runFn(m)
 		if err == nil || !strings.Contains(err.Error(), "unsupported") {
 			t.Fatalf("first run: error %v, want an undecodable word", err)
 		}
 		first := err.Error()
-		if cfg.Trace == nil {
-			if m.sbByIdx[k] != sbNone || m.codeOK[k] || m.codeOK[k+1] || slot < m.codeHi {
-				t.Fatal("the slot is not a stale quadword above the watermark holding the sentinel")
-			}
-		}
 		m.PC = resume.Value
-		code, err := m.Run()
+		code, err := runFn(m)
 		return m, first, stateOf(m, code, err)
 	}
-	_, wantFirst, want := run(Config{Trace: io.Discard})
-	m, first, got := run(Config{})
+	_, wantFirst, want := run(stepRun)
+	m, first, got := run(func(m *Machine) (int, error) {
+		code, err := m.Run()
+		if err != nil && (m.sbByIdx[k] != sbNone || slot < m.codeHi) {
+			t.Fatal("the slot is not a quadword above the watermark holding the sentinel")
+		}
+		return code, err
+	})
 	if first != wantFirst || got != want {
 		t.Errorf("superblock diverged from Step loop:\n ref: %s\n %+v\n got: %s\n %+v", wantFirst, want, first, got)
 	}

@@ -18,8 +18,8 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 
@@ -53,11 +53,6 @@ type Config struct {
 	// other left off). The field is kept only because the perfbench
 	// harness still sets it; nothing else should.
 	AnalysisHeapOffset uint64
-	// Trace, when non-nil, receives one disassembled line per retired
-	// instruction — for debugging tools and inserted code. Slow: a
-	// tracer selects the per-instruction Step loop, which is also the
-	// reference the superblock loop is tested against.
-	Trace io.Writer
 	// Obs, when non-nil, records each Run under a "vm.run" span and
 	// flushes the machine's dynamic statistics (instructions, loads,
 	// stores, unaligned accesses, CALL_PAL services) as counters.
@@ -110,25 +105,18 @@ type Machine struct {
 	// the program, keyed by path (populated at close or exit).
 	FSOut map[string][]byte
 
-	exe *aout.File
-	cfg Config
-	// code/codeOK predecode the text segment at load time, one slot per
-	// word: Step fetches decoded instructions instead of calling
-	// alpha.Decode per retired instruction. Text is not all code —
-	// instrumented executables carry analysis data and constant blobs in
-	// the text segment (Figure 4) — so a false codeOK means "decode from
-	// memory when fetched": the word is undecodable, or a store into text
-	// made the slot stale. decoded refreshes such a slot on demand, so
-	// analysis data that is stored to but never fetched is never decoded.
-	code    []alpha.Inst
-	codeOK  []bool
+	exe     *aout.File
+	cfg     Config
 	textEnd uint64
-	// Superblock cache (see superblock.go). sbByIdx maps text word
-	// index -> block entered at that PC (sbNone marks unbuildable
-	// entries); sbAll is the registry invalidation scans; sbGen
-	// invalidates trace links wholesale when bumped. [codeLo, codeHi)
-	// is the code watermark: it covers the span of every block ever
-	// built, so a text store outside it cannot touch a block.
+	// Superblock cache (see superblock.go), the only decoded code the
+	// machine keeps: everything else is decoded from Mem when fetched,
+	// so analysis data in the text segment (Figure 4) is never decoded.
+	// sbByIdx maps text word index -> block entered at that PC (sbNone
+	// marks unbuildable entries); sbAll is the registry invalidation
+	// scans; sbGen invalidates trace links wholesale when bumped.
+	// [codeLo, codeHi) is the code watermark: it covers the span of
+	// every block ever built, so a text store outside it cannot touch a
+	// block.
 	sbByIdx  []*superblock
 	sbAll    []*superblock
 	sbGen    uint64
@@ -213,13 +201,7 @@ func New(exe *aout.File, cfg Config) (*Machine, error) {
 	copy(m.Mem[exe.TextAddr:], exe.Text)
 	copy(m.Mem[exe.DataAddr:], exe.Data)
 	m.textEnd = exe.TextAddr + uint64(len(exe.Text))
-	n := len(exe.Text) / 4
-	m.code = make([]alpha.Inst, n)
-	m.codeOK = make([]bool, n)
-	for i := 0; i < n; i++ {
-		m.codeOK[i] = alpha.DecodeTo(&m.code[i], le32(exe.Text[i*4:])) == nil
-	}
-	m.sbByIdx = make([]*superblock, n)
+	m.sbByIdx = make([]*superblock, len(exe.Text)/4)
 	m.codeLo, m.codeHi = m.textEnd, exe.TextAddr // empty watermark
 	m.heapBase = heapBase
 	m.brk = m.heapBase
@@ -309,41 +291,26 @@ func (m *Machine) Run() (int, error) {
 			sp.End()
 		}()
 	}
-	// A tracer prints every retired instruction, so it gets the
-	// per-instruction loop; everything else — the profiler's probe
-	// included — runs on superblocks.
-	if m.cfg.Trace == nil {
-		return m.runSuperblocks()
-	}
-	for !m.halted {
-		if m.Icount >= m.cfg.MaxInstr {
-			return 0, budgetErr(m.cfg.MaxInstr, m.PC)
-		}
-		if err := m.Step(); err != nil {
-			return 0, err
-		}
-	}
-	return m.exitCode, nil
+	return m.runSuperblocks()
 }
 
-// budgetErr is the MaxInstr exhaustion error; one constructor so both
-// run loops produce the identical text.
+// budgetErr is the MaxInstr exhaustion error; one constructor so the
+// dispatcher, its fence stepping and a Step loop produce the identical
+// text.
 func budgetErr(max, pc uint64) error {
 	return fmt.Errorf("vm: instruction budget %d exhausted at pc %#x", max, pc)
 }
 
-// fetch returns the decoded instruction at m.PC from the predecode
-// cache, decoding a stale or undecodable word on demand; a word that
-// does not decode faults with the decoder's own diagnostic.
-func (m *Machine) fetch() (alpha.Inst, error) {
+// fetch decodes the instruction at m.PC from memory into inst; a word
+// that does not decode faults with the decoder's own diagnostic.
+func (m *Machine) fetch(inst *alpha.Inst) error {
 	if !m.inText(m.PC) {
-		return alpha.Inst{}, m.faultf("instruction fetch from %#x outside text", m.PC)
+		return m.faultf("instruction fetch from %#x outside text", m.PC)
 	}
-	inst, err := m.decoded((m.PC - m.exe.TextAddr) / 4)
-	if err != nil {
-		return alpha.Inst{}, m.faultf("%v", err)
+	if err := m.decodeAt(inst, m.PC); err != nil {
+		return m.faultf("%v", err)
 	}
-	return inst, nil
+	return nil
 }
 
 // inText reports whether pc is the aligned address of a whole text
@@ -353,35 +320,23 @@ func (m *Machine) inText(pc uint64) bool {
 	return pc >= m.exe.TextAddr && pc <= m.textEnd-4 && pc%4 == 0
 }
 
-// decoded returns the instruction in text word idx, decoding it from
-// memory — and caching it on success — when the predecode slot is not
-// valid.
-func (m *Machine) decoded(idx uint64) (alpha.Inst, error) {
-	if m.codeOK[idx] {
-		return m.code[idx], nil
-	}
-	inst, err := alpha.Decode(le32(m.Mem[m.exe.TextAddr+idx*4:]))
-	if err == nil {
-		m.code[idx], m.codeOK[idx] = inst, true
-	}
-	return inst, err
+// decodeAt decodes the text word at pc, which inText admits, as memory
+// holds it now.
+func (m *Machine) decodeAt(inst *alpha.Inst, pc uint64) error {
+	return alpha.DecodeTo(inst, binary.LittleEndian.Uint32(m.Mem[pc:]))
 }
 
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// Step executes a single instruction.
+// Step executes a single instruction, decoded from memory. It is the
+// reference the superblock loop is tested against, and Run uses it for
+// what no block covers: call_pal, words no block can start at, the
+// instructions around a sampling point, and a fault's diagnostic.
 func (m *Machine) Step() error {
 	if m.halted {
 		return fmt.Errorf("vm: step after halt")
 	}
-	inst, err := m.fetch()
-	if err != nil {
+	var inst alpha.Inst
+	if err := m.fetch(&inst); err != nil {
 		return err
-	}
-	if m.cfg.Trace != nil {
-		fmt.Fprintf(m.cfg.Trace, "%#x: %s\n", m.PC, inst)
 	}
 	m.Icount++
 	if m.cfg.Probe != nil && m.cfg.SamplePeriod != 0 && m.Icount%m.cfg.SamplePeriod == 0 {

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -492,6 +494,46 @@ func TestNewRejectsBadSections(t *testing.T) {
 	}
 }
 
+// TestNewAllocsIgnoreTextData: New decodes nothing, so its allocations
+// do not grow with the words in text that are data, not code — the
+// analysis data the paper's layout (Figure 4) places there. The data
+// words here are 64 that do not decode, written over nops.
+func TestNewAllocsIgnoreTextData(t *testing.T) {
+	const words = 64
+	code := build(t, `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	clr a0
+	call_pal 0
+data:
+`+strings.Repeat("\tnop\n", words)+`	.end __start
+`)
+	sym, ok := code.Lookup("data")
+	if !ok {
+		t.Fatal("no data symbol")
+	}
+	data := *code
+	data.Text = slices.Clone(code.Text)
+	for k := sym.Value - code.TextAddr; k < sym.Value-code.TextAddr+4*words; k += 4 {
+		binary.LittleEndian.PutUint32(data.Text[k:], 0x04000000)
+	}
+	if _, err := alpha.Decode(0x04000000); err == nil {
+		t.Fatal("the data word decodes")
+	}
+	allocs := func(exe *aout.File) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(exe, Config{MemSize: 8 << 20}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(code), allocs(&data); a != b {
+		t.Errorf("New allocates %v times with %d data words in text, %v with nops there", b, words, a)
+	}
+}
+
 // FuzzNew: any executable aout.Decode accepts must load and run on a
 // small machine without panicking; New and Run may only fail.
 func FuzzNew(f *testing.F) {
@@ -752,40 +794,9 @@ msg:	.ascii "XYZ"
 	_ = m
 }
 
-func TestTraceOutput(t *testing.T) {
-	var buf strings.Builder
-	exe := build(t, `
-	.text
-	.globl __start
-	.ent __start
-__start:
-	li t0, 3
-	addq t0, t0, t1
-	clr a0
-	call_pal 0
-	.end __start
-`)
-	m, err := New(exe, Config{Trace: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tr := buf.String()
-	for _, want := range []string{"lda t0, 3(zero)", "addq t0, t0, t1", "call_pal 0x0"} {
-		if !strings.Contains(tr, want) {
-			t.Errorf("trace lacks %q:\n%s", want, tr)
-		}
-	}
-	if lines := strings.Count(tr, "\n"); lines != int(m.Icount) {
-		t.Errorf("trace has %d lines, retired %d instructions", lines, m.Icount)
-	}
-}
-
 // TestPredecodeSelfModify: a store into the text segment must be picked
-// up by the predecode cache (the ISA allows self-modifying code even if
-// nothing we build emits it).
+// up by the next fetch of the word it overwrote (the ISA allows
+// self-modifying code even if nothing we build emits it).
 func TestPredecodeSelfModify(t *testing.T) {
 	// Overwrite the `li a0, 1` placeholder with `lda a0, 77(zero)`
 	// before executing it.

@@ -1,13 +1,13 @@
 package atom_test
 
-// Differential tests for the VM's two run loops: the superblock loop
-// every run uses must retire bit-identical architectural state to the
-// per-instruction Step loop a tracer selects, for every tool's
-// instrumented output and for the deterministic profiler's reports.
+// Differential tests for the VM's superblock loop, which Run always
+// uses: it must retire bit-identical architectural state to a loop over
+// the per-instruction Step, for every tool's instrumented output and for
+// the deterministic profiler's reports.
 
 import (
 	"bytes"
-	"io"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -49,16 +49,37 @@ int main() {
 }
 `
 
-// runVM runs exe on the VM under cfg. A cfg with a Trace writer selects
-// the per-instruction Step loop, the reference the superblock loop every
-// other run uses must match.
-func runVM(t *testing.T, exe *atom.Executable, cfg vm.Config) *atom.RunResult {
+// runLoop runs m to a halt on Run's superblock loop or, when step is
+// set, on Step alone: the reference the superblock loop must match, with
+// Run's instruction budget check and error text at the VM's default
+// budget, which every run here uses.
+func runLoop(m *vm.Machine, step bool) (int, error) {
+	if !step {
+		return m.Run()
+	}
+	const maxInstr = 2_000_000_000
+	for {
+		if halted, code := m.Exited(); halted {
+			return code, nil
+		}
+		if m.Icount >= maxInstr {
+			return 0, fmt.Errorf("vm: instruction budget %d exhausted at pc %#x", uint64(maxInstr), m.PC)
+		}
+		if err := m.Step(); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// runVM runs exe on the VM under cfg: on Run's superblock loop, or on
+// the Step loop when step is set.
+func runVM(t *testing.T, exe *atom.Executable, cfg vm.Config, step bool) *atom.RunResult {
 	t.Helper()
 	m, err := vm.New(exe, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := m.Run()
+	code, err := runLoop(m, step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +110,9 @@ func TestVMModeDifferentialAllTools(t *testing.T) {
 
 	check := func(t *testing.T, exe *atom.Executable) {
 		t.Helper()
-		want := runVM(t, exe, vm.Config{Trace: io.Discard})
+		want := runVM(t, exe, vm.Config{}, true)
 		ctx := obs.New()
-		got := runVM(t, exe, vm.Config{Obs: ctx})
+		got := runVM(t, exe, vm.Config{Obs: ctx}, false)
 		// No tool modifies code: an invalidation means analysis data in
 		// the text segment was mistaken for code.
 		if d := ctx.Metrics().Counter("vm.sb.invalidations"); d != 0 {
@@ -141,9 +162,9 @@ func TestVMModeProfilerFoldedIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	folded := func(exe *atom.Executable, opts prof.Options, trace io.Writer) []byte {
+	folded := func(exe *atom.Executable, opts prof.Options, step bool) []byte {
 		t.Helper()
-		cfg := vm.Config{FS: map[string][]byte{}, Trace: trace}
+		cfg := vm.Config{FS: map[string][]byte{}}
 		opts.Period = 97 // prime, so samples land mid-block at varied offsets
 		p := prof.New(opts)
 		p.Attach(&cfg)
@@ -151,7 +172,7 @@ func TestVMModeProfilerFoldedIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Run(); err != nil {
+		if _, err := runLoop(m, step); err != nil {
 			t.Fatal(err)
 		}
 		p.Flush()
@@ -163,11 +184,11 @@ func TestVMModeProfilerFoldedIdentical(t *testing.T) {
 	}
 	check := func(t *testing.T, exe *atom.Executable, opts prof.Options) {
 		t.Helper()
-		want := folded(exe, opts, io.Discard)
+		want := folded(exe, opts, true)
 		if len(want) == 0 {
 			t.Fatal("plain profile is empty; workload too small for the sampling period")
 		}
-		if got := folded(exe, opts, nil); !bytes.Equal(got, want) {
+		if got := folded(exe, opts, false); !bytes.Equal(got, want) {
 			t.Errorf("superblock folded profile diverges from plain:\n%s\n-- plain --\n%s", got, want)
 		}
 	}
